@@ -21,9 +21,9 @@ bench: build
 
 # bench-smoke is the tiny-scale CI variant of bench. It also runs the perf
 # trend gate: results are compared against the committed BENCH_baseline.json
-# (the pre-quantization f64 serving numbers), with thresholds scaled by the
-# two machines' calibration ratio, and a >10% regression in warm-cache q/s or
-# PredictCost ns/op — or any broken identical-choices bit — fails the build.
+# (recorded f64 serving numbers), with thresholds scaled by the two machines'
+# calibration ratio, and a >10% regression in warm-cache q/s or PredictCost
+# ns/op — or a broken identical-choices bit — fails the build.
 # The baseline is recorded at tiny scale, so only the tiny variant is gated.
 bench-smoke: build
 	$(GO) run ./cmd/loam-bench -run perf -tiny -quiet -benchout BENCH_serve.json -baseline BENCH_baseline.json

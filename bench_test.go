@@ -329,28 +329,6 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectPlanParallel compares sequential and pooled candidate
-// scoring inside a single SelectPlan call.
-func BenchmarkSelectPlanParallel(b *testing.B) {
-	dep, qs := getServeBench(b)
-	ps := dep.ProjectSim
-	cands := ps.Explorer(4).Candidates(qs[0])
-	envs := dep.Predictor().EnvSourceFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
-	for _, workers := range []int{1, 0} {
-		name := "sequential"
-		if workers == 0 {
-			name = "gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := dep.Predictor().SelectPlanParallel(cands, envs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkXGBTrain(b *testing.B) {
 	rng := simrand.New(5)
 	x := make([][]float64, 500)

@@ -58,9 +58,7 @@ func (s *Simulation) DeployAllCtx(ctx context.Context, cfg DeployConfig, opts ..
 
 	// Workers never write results directly: each outcome travels the out
 	// channel and the feeding goroutine's collector is the only writer into
-	// the results slice. (The old DeployAll had workers write results[i] in
-	// place — safe only because indices never collide, and invisible to
-	// reviewers; the channel makes the ownership transfer explicit.)
+	// the results slice, which makes the ownership transfer explicit.
 	type item struct {
 		i   int
 		res FleetResult
@@ -151,28 +149,4 @@ func selectProjects(projects []*ProjectSim, pass func(*ProjectSim) bool, scores 
 		out[i] = sv.ps
 	}
 	return out
-}
-
-// DeployAll trains a deployment for every attached project with up to
-// parallelism trainings in flight.
-//
-// Deprecated: use DeployAllCtx with WithParallelism — it adds cancellation
-// and a typed FleetErrors aggregate. This wrapper keeps the original
-// positional signature and results-only return.
-func (s *Simulation) DeployAll(cfg DeployConfig, parallelism int, opts ...DeployOption) []FleetResult {
-	results, _ := s.DeployAllCtx(context.Background(), cfg,
-		append([]DeployOption{WithParallelism(parallelism)}, opts...)...)
-	return results
-}
-
-// SelectAndDeploy runs the full §6 pipeline over the simulation's projects:
-// filter, score, train deployments for the top-N.
-//
-// Deprecated: use DeployAllCtx with WithSelector and WithParallelism — it
-// adds cancellation and a typed FleetErrors aggregate. This wrapper keeps the
-// original positional signature and results-only return.
-func (s *Simulation) SelectAndDeploy(cfg DeployConfig, pass func(*ProjectSim) bool, scores map[string]float64, topN int, parallelism int, opts ...DeployOption) []FleetResult {
-	results, _ := s.DeployAllCtx(context.Background(), cfg,
-		append([]DeployOption{WithParallelism(parallelism), WithSelector(pass, scores, topN)}, opts...)...)
-	return results
 }

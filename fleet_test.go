@@ -1,6 +1,7 @@
 package loam
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -38,7 +39,8 @@ func fleetDeployConfig() DeployConfig {
 func TestDeployAllParallelMatchesSequential(t *testing.T) {
 	for _, parallelism := range []int{1, 3} {
 		sim := fleetSim(t)
-		results := sim.DeployAll(fleetDeployConfig(), parallelism)
+		// The aggregate error (the history-less project) is checked per entry.
+		results, _ := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithParallelism(parallelism))
 		if len(results) != 4 {
 			t.Fatalf("results %d", len(results))
 		}
@@ -63,10 +65,10 @@ func TestDeployAllParallelMatchesSequential(t *testing.T) {
 }
 
 // TestDeployAllErrorShape pins the failure message format: ProjectSim.Deploy
-// already prefixes "deploy <name>:", and DeployAll must not wrap it again.
+// already prefixes "deploy <name>:", and DeployAllCtx must not wrap it again.
 func TestDeployAllErrorShape(t *testing.T) {
 	sim := fleetSim(t)
-	results := sim.DeployAll(fleetDeployConfig(), 2)
+	results, _ := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithParallelism(2))
 	var failed *FleetResult
 	for i := range results {
 		if results[i].Project == "empty" {
@@ -92,7 +94,11 @@ func TestSelectAndDeployTopN(t *testing.T) {
 	sim := fleetSim(t)
 	pass := func(ps *ProjectSim) bool { return ps.Repo.Len() > 0 }
 	scores := map[string]float64{"fa": 0.1, "fb": 0.9, "fc": 0.5}
-	results := sim.SelectAndDeploy(fleetDeployConfig(), pass, scores, 2, 2)
+	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(),
+		WithParallelism(2), WithSelector(pass, scores, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 2 {
 		t.Fatalf("deployed %d", len(results))
 	}
@@ -117,7 +123,10 @@ func TestSelectAndDeployAbsentRanksLast(t *testing.T) {
 	// top-2 must be the scored projects (best first), not the unscored one
 	// tying at 0.0.
 	scores := map[string]float64{"fa": -0.2, "fc": -0.7}
-	results := sim.SelectAndDeploy(fleetDeployConfig(), pass, scores, 2, 1)
+	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithSelector(pass, scores, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 2 {
 		t.Fatalf("deployed %d", len(results))
 	}
@@ -126,7 +135,10 @@ func TestSelectAndDeployAbsentRanksLast(t *testing.T) {
 			results[0].Project, results[1].Project)
 	}
 	// With room for everyone, the unscored project still comes last.
-	results = sim.SelectAndDeploy(fleetDeployConfig(), pass, scores, 3, 1)
+	results, err = sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithSelector(pass, scores, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 3 || results[2].Project != "fb" {
 		t.Fatalf("unscored project should rank last, got %+v", resultNames(results))
 	}
@@ -148,7 +160,10 @@ func TestSelectAndDeployFilterExcludes(t *testing.T) {
 		ok, _ := fcfg.Pass(selector.ComputeStats(ps.Repo.All(), ps.Project, 30))
 		return ok
 	}
-	results := sim.SelectAndDeploy(fleetDeployConfig(), pass, nil, 0, 1)
+	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithSelector(pass, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range results {
 		if r.Project == "empty" {
 			t.Fatal("filter failed to exclude the empty project")

@@ -42,10 +42,7 @@ func AllocDiscipline() *Analyzer {
 var DefaultAllocRoots = []string{
 	"internal/predictor.PredictCost",
 	"internal/predictor.SelectPlanKeyed",
-	"internal/predictor.SelectPlanGroups",
 	"internal/nn.ForwardInfer",
-	"internal/nn.ForwardInferQuant",
-	"internal/guard.flushCoalesced",
 	"internal/encoding.EncodeTreeFlatInto",
 	"internal/encoding.EncodeGraphFlatInto",
 	"internal/encoding.EncodeSequenceFlatInto",

@@ -132,25 +132,8 @@ func DefaultAllowlist() []AllowEntry {
 		},
 		{
 			Rule:       "allocdiscipline",
-			PathPrefix: "internal/predictor/infer.go",
-			Contains:   "in scoreBatched",
-			Reason: "parallel fan-out staging (result channel, worker closures) used " +
-				"only above the configured parallel-embedding threshold " +
-				"(ScoringConfig.ParallelThreshold), where the win from parallel " +
-				"scoring dwarfs the staging cost; the sequential path below the " +
-				"threshold is allocation-free",
-		},
-		{
-			Rule:       "allocdiscipline",
-			PathPrefix: "internal/predictor/infer.go",
-			Contains:   "in scoreXGB",
-			Reason: "XGB backbone scoring stages per-candidate feature rows; XGB is " +
-				"outside the zero-alloc contract (see EncodeFlat entry)",
-		},
-		{
-			Rule:       "allocdiscipline",
 			PathPrefix: "internal/predictor/predictor.go",
-			Contains:   "in selectPlan",
+			Contains:   "in SelectPlanKeyed",
 			Reason: "the per-call costs slice is the documented API result shape of " +
 				"SelectPlan and friends; callers own it after return, so it cannot " +
 				"come from reused scratch",
@@ -164,24 +147,6 @@ func DefaultAllowlist() []AllowEntry {
 			Reason: "Optimize is the public no-context compatibility shim and is " +
 				"documented as such: it deliberately roots a fresh context and " +
 				"delegates to OptimizeCtx, which is the deadline-honoring entry point",
-		},
-		{
-			Rule:       "ctxflow",
-			PathPrefix: "fleet.go",
-			Contains:   "in DeployAll",
-			Reason: "DeployAll is the deprecated positional-signature wrapper kept " +
-				"for compatibility: it has no context parameter to thread, so it " +
-				"deliberately roots a fresh one and delegates to DeployAllCtx, the " +
-				"cancellation-honoring entry point",
-		},
-		{
-			Rule:       "ctxflow",
-			PathPrefix: "fleet.go",
-			Contains:   "in SelectAndDeploy",
-			Reason: "SelectAndDeploy is the deprecated positional-signature wrapper " +
-				"kept for compatibility: it has no context parameter to thread, so " +
-				"it deliberately roots a fresh one and delegates to DeployAllCtx, " +
-				"the cancellation-honoring entry point",
 		},
 	}
 }

@@ -387,7 +387,6 @@ func TestGuardDiscipline(t *testing.T) {
 	predictorSrc := `package predictor
 type Predictor struct{}
 func (p *Predictor) SelectPlan(cands []int, envs int) (int, []float64, error) { return 0, nil, nil }
-func (p *Predictor) SelectPlanParallel(cands []int, envs, workers int) (int, []float64, error) { return 0, nil, nil }
 `
 	t.Run("raw SelectPlan outside the guard is flagged", func(t *testing.T) {
 		prog := fixture(t, map[string]string{
@@ -395,12 +394,10 @@ func (p *Predictor) SelectPlanParallel(cands []int, envs, workers int) (int, []f
 			"serve.go": `package root
 import "fixture/internal/predictor"
 func Serve(p *predictor.Predictor) { p.SelectPlan(nil, 0) }
-func ServePar(p *predictor.Predictor) { p.SelectPlanParallel(nil, 0, 4) }
 `,
 		})
 		wantFindings(t, runOne(prog, GuardDiscipline()), [][2]string{
 			{"guarddiscipline", "p.SelectPlan bypasses the serving guard"},
-			{"guarddiscipline", "p.SelectPlanParallel bypasses the serving guard"},
 		})
 	})
 	t.Run("the guard and predictor packages are exempt", func(t *testing.T) {
@@ -440,7 +437,8 @@ func use(p planner) { p.SelectPlans() }
 
 func TestGuardDisciplineKeyed(t *testing.T) {
 	// SelectPlanKeyed is the cache-aware scoring entry point added with the
-	// inference fast path; bypassing the guard with it is just as banned.
+	// inference fast path; bypassing the guard with it is just as banned, and
+	// a method value smuggles it the same way.
 	prog := fixture(t, map[string]string{
 		"internal/predictor/predictor.go": `package predictor
 type Predictor struct{}
@@ -449,33 +447,12 @@ func (p *Predictor) SelectPlanKeyed(cands []int, envs, key int) (int, []float64,
 		"serve.go": `package root
 import "fixture/internal/predictor"
 func Serve(p *predictor.Predictor) { p.SelectPlanKeyed(nil, 0, 0) }
+func Smuggle(p *predictor.Predictor) func([]int, int, int) (int, []float64, error) { return p.SelectPlanKeyed }
 `,
 	})
 	wantFindings(t, runOne(prog, GuardDiscipline()), [][2]string{
 		{"guarddiscipline", "p.SelectPlanKeyed bypasses the serving guard"},
-	})
-}
-
-func TestGuardDisciplineGroups(t *testing.T) {
-	// SelectPlanGroups is the fused micro-batch scoring entry point; like the
-	// per-query entry points, only the guard may call it — a direct caller
-	// would skip the breaker, deadline and quarantine for a whole batch at
-	// once. Method values smuggle it the same way.
-	prog := fixture(t, map[string]string{
-		"internal/predictor/predictor.go": `package predictor
-type Group struct{}
-type Predictor struct{}
-func (p *Predictor) SelectPlanGroups(groups []Group) {}
-`,
-		"serve.go": `package root
-import "fixture/internal/predictor"
-func Serve(p *predictor.Predictor) { p.SelectPlanGroups(nil) }
-func Smuggle(p *predictor.Predictor) func([]predictor.Group) { return p.SelectPlanGroups }
-`,
-	})
-	wantFindings(t, runOne(prog, GuardDiscipline()), [][2]string{
-		{"guarddiscipline", "p.SelectPlanGroups bypasses the serving guard"},
-		{"guarddiscipline", "method value p.SelectPlanGroups smuggles the raw scoring entry point"},
+		{"guarddiscipline", "method value p.SelectPlanKeyed smuggles the raw scoring entry point"},
 	})
 }
 
@@ -591,20 +568,6 @@ func (p *Predictor) batched() {
 		wantFindings(t, runOne(prog, InferencePurity()), [][2]string{
 			{"inferencepurity", "nn.Param constructs a gradient-tracked tensor on the serving path (in batched)"},
 			{"inferencepurity", "t.Backward runs backpropagation on the serving path (in batched)"},
-		})
-	})
-	t.Run("SelectPlanGroups is a serving root", func(t *testing.T) {
-		prog := fixture(t, map[string]string{
-			"internal/predictor/group.go": `package predictor
-import "fixture/internal/nn"
-type Group struct{}
-type Predictor struct{}
-func (p *Predictor) SelectPlanGroups(groups []Group) { p.fused() }
-func (p *Predictor) fused() { _ = nn.Param(1, 1) }
-`,
-		})
-		wantFindings(t, runOne(prog, InferencePurity()), [][2]string{
-			{"inferencepurity", "nn.Param constructs a gradient-tracked tensor on the serving path (in fused)"},
 		})
 	})
 	t.Run("test files and unrelated packages are exempt", func(t *testing.T) {

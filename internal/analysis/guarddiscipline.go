@@ -10,10 +10,8 @@ import (
 
 // GuardDiscipline enforces the guarded-serving contract: outside
 // internal/guard and internal/predictor themselves, nothing calls the
-// predictor's SelectPlan / SelectPlanParallel / SelectPlanKeyed /
-// SelectPlanGroups directly.
-// Every serving-path
-// score must flow through guard.Guard — Serve for guarded serving, or
+// predictor's SelectPlan / SelectPlanKeyed directly. Every serving-path score
+// must flow through guard.Guard — Serve for guarded serving, or
 // ScoreLearned where raw model failures must surface (validation) — so the
 // deadline watchdog, circuit breaker and regression sentinel cannot be
 // bypassed by a new call site. Test files are exempt (eachSourceFile skips
@@ -75,7 +73,7 @@ func runGuardDiscipline(prog *Program) []Finding {
 			}
 			name := sel.Sel.Name
 			switch name {
-			case "SelectPlan", "SelectPlanParallel", "SelectPlanKeyed", "SelectPlanGroups":
+			case "SelectPlan", "SelectPlanKeyed":
 				out = append(out, Finding{
 					Pos:  prog.Fset.Position(call.Pos()),
 					Rule: "guarddiscipline",
@@ -176,7 +174,7 @@ func guardMethodValues(prog *Program, pkg *Package, f *File, callFuns map[*ast.S
 			return true
 		}
 		switch fn.Name() {
-		case "SelectPlan", "SelectPlanParallel", "SelectPlanKeyed", "SelectPlanGroups":
+		case "SelectPlan", "SelectPlanKeyed":
 			out = append(out, Finding{
 				Pos:  prog.Fset.Position(sel.Pos()),
 				Rule: "guarddiscipline",

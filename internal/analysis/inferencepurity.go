@@ -20,10 +20,10 @@ import (
 //   - internal/guard: the whole package. The guard wraps a trained model and
 //     has no business touching autograd anywhere.
 //   - internal/predictor: every function reachable from the serving roots
-//     PredictCost, SelectPlan, SelectPlanParallel, SelectPlanKeyed and
-//     SelectPlanGroups through the typed call graph (callgraph.go) — static calls, interface
-//     dispatch resolved via types.Implements, method/function values, and a
-//     name fallback where the checker has no answer. Before the typed
+//     PredictCost, SelectPlan and SelectPlanKeyed through the typed call
+//     graph (callgraph.go) — static calls, interface dispatch resolved via
+//     types.Implements, method/function values, and a name fallback where
+//     the checker has no answer. Before the typed
 //     engine, reachability was per-package callee-name matching, which
 //     missed calls through stored function values and cross-package
 //     round-trips; the graph closes those false negatives and still
@@ -41,7 +41,7 @@ func InferencePurity() *Analyzer {
 
 // inferenceRoots are the predictor's serving entry points; everything they
 // reach is serving-path code.
-var inferenceRoots = []string{"PredictCost", "SelectPlan", "SelectPlanParallel", "SelectPlanKeyed", "SelectPlanGroups"}
+var inferenceRoots = []string{"PredictCost", "SelectPlan", "SelectPlanKeyed"}
 
 func runInferencePurity(prog *Program) []Finding {
 	cg := prog.BuildCallGraph()

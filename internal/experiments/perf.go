@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 
-	"loam/internal/guard"
 	"loam/internal/nn"
 	"loam/internal/plan"
 	"loam/internal/predictor"
@@ -36,8 +35,6 @@ type PerfResult struct {
 
 	PredictCost PerfForward    `json:"predict_cost"`
 	Select      PerfSelect     `json:"select"`
-	Quant       PerfQuant      `json:"quant"`
-	Coalesced   PerfCoalesced  `json:"coalesced"`
 	Batch       []PerfBatchRow `json:"optimize_batch"`
 }
 
@@ -61,26 +58,6 @@ type PerfSelect struct {
 	Identical bool `json:"identical"`
 }
 
-// PerfQuant measures warm recurring-query throughput with the quantized
-// int8/f32 cost head enabled. Identical is the end-to-end half of the
-// argmin-preservation contract: quantized warm scoring must choose exactly
-// the plans the uncached f64 path chose.
-type PerfQuant struct {
-	WarmQPS float64 `json:"warm_qps"`
-	// SpeedupVsF64 is WarmQPS over the f64 warm-cache WarmQPS measured in the
-	// same run.
-	SpeedupVsF64 float64 `json:"speedup_vs_f64"`
-	Identical    bool    `json:"identical"`
-}
-
-// PerfCoalesced measures the fused ServeBatch pass: the whole recurring
-// workload scored as one micro-batched cost-head group per round, warm cache,
-// f64 scoring.
-type PerfCoalesced struct {
-	QPS       float64 `json:"qps"`
-	Identical bool    `json:"identical"`
-}
-
 // PerfBatchRow is one OptimizeBatch throughput measurement.
 type PerfBatchRow struct {
 	Parallelism int     `json:"parallelism"`
@@ -88,12 +65,11 @@ type PerfBatchRow struct {
 	QPS         float64 `json:"qps"`
 }
 
-// PerfBaseline is the committed perf floor (BENCH_baseline.json): the f64
-// serving numbers recorded before the quantized/micro-batched fast path
-// landed, plus the calib_ns of the machine that recorded them. The trend gate
-// (loam-bench -run perf -baseline) scales its thresholds by the calib ratio
-// of the two machines, clamped to [0.25, 4] so a pathological calibration
-// can neither mask a real regression nor manufacture one.
+// PerfBaseline is the committed perf floor (BENCH_baseline.json): recorded
+// f64 serving numbers plus the calib_ns of the machine that recorded them.
+// The trend gate (loam-bench -run perf -baseline) scales its thresholds by
+// the calib ratio of the two machines, clamped to [0.25, 4] so a pathological
+// calibration can neither mask a real regression nor manufacture one.
 type PerfBaseline struct {
 	CalibNs        float64 `json:"calib_ns"`
 	PredictNsPerOp float64 `json:"predict_ns_per_op"`
@@ -130,7 +106,7 @@ func CalibrateMachine() float64 {
 // list of regressions (empty = gate passes). Thresholds are scaled by the
 // calib ratio (this machine over the baseline machine, clamped): throughput
 // must stay above 90% of the scaled baseline, PredictCost latency below 110%,
-// and every identical-choices bit must hold.
+// and the identical-choices bit must hold.
 func (r *PerfResult) CompareBaseline(b *PerfBaseline) []string {
 	scale := 1.0
 	if b.CalibNs > 0 && r.CalibNs > 0 {
@@ -152,12 +128,6 @@ func (r *PerfResult) CompareBaseline(b *PerfBaseline) []string {
 	}
 	if !r.Select.Identical {
 		bad = append(bad, "warm cached scoring chose different plans than uncached scoring")
-	}
-	if !r.Quant.Identical {
-		bad = append(bad, "quantized scoring chose different plans than f64 scoring")
-	}
-	if !r.Coalesced.Identical {
-		bad = append(bad, "coalesced scoring chose different plans than per-query scoring")
 	}
 	return bad
 }
@@ -286,87 +256,7 @@ func (e *Env) Perf(ctx context.Context) (*PerfResult, error) {
 		project, res.Select.UncachedQPS, res.Select.WarmQPS, res.Select.RecurringSpeedup,
 		res.Select.Identical)
 
-	// 3. Quantized warm throughput: flip the cost head to the calibrated
-	// int8/f32 tiers and re-run the warm keyed rounds. Choices must match the
-	// uncached f64 choices exactly — the argmin-preservation contract, end to
-	// end — and the original scoring configuration is restored afterwards so
-	// the remaining phases measure the deployment as configured.
-	baseScoring := dep.Predictor().ScoringConfig()
-	quantScoring := baseScoring
-	quantScoring.Quantized = true
-	dep.Predictor().SetScoringConfig(quantScoring)
-	res.Quant.Identical = true
-	checkQuant := func() error {
-		for i := range qs {
-			chosen, _, err := dep.Guard().ScoreLearnedKeyed(cands[i], envs, key)
-			if err != nil {
-				return fmt.Errorf("perf %s (quant): %w", project, err)
-			}
-			if chosen != uncachedChoice[i] {
-				res.Quant.Identical = false
-			}
-		}
-		return nil
-	}
-	if err := checkQuant(); err != nil { // warm the quant scratch tiers
-		return nil, err
-	}
-	sw = walltime.Start()
-	for r := 0; r < rounds; r++ {
-		if err := checkQuant(); err != nil {
-			return nil, err
-		}
-	}
-	quantSecs := sw.Seconds()
-	res.Quant.WarmQPS = float64(rounds*len(qs)) / quantSecs
-	if res.Select.WarmQPS > 0 {
-		res.Quant.SpeedupVsF64 = res.Quant.WarmQPS / res.Select.WarmQPS
-	}
-	dep.Predictor().SetScoringConfig(baseScoring)
-	e.Cfg.logf("perf %s: quant warm %.0f q/s (%.2fx f64 warm), identical=%v",
-		project, res.Quant.WarmQPS, res.Quant.SpeedupVsF64, res.Quant.Identical)
-
-	// 4. Coalesced fused scoring: the whole recurring workload runs as one
-	// micro-batched ServeBatch pass per round — one fused cost-head group
-	// instead of one select per query — with per-query choices still matching
-	// the uncached path.
-	reqs := make([]guard.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = guard.Request{
-			ID: q.ID, Day: q.Day, Query: q,
-			Cands: cands[i], Envs: envs, EnvKey: key,
-		}
-	}
-	batchRes := make([]guard.Result, len(qs))
-	batchErrs := make([]error, len(qs))
-	res.Coalesced.Identical = true
-	checkCoalesced := func() error {
-		dep.Guard().ServeBatch(ctx, reqs, batchRes, batchErrs)
-		for i := range qs {
-			if batchErrs[i] != nil {
-				return fmt.Errorf("perf %s (coalesced): %w", project, batchErrs[i])
-			}
-			if batchRes[i].Chosen != uncachedChoice[i] {
-				res.Coalesced.Identical = false
-			}
-		}
-		return nil
-	}
-	if err := checkCoalesced(); err != nil { // warm the flush scratch
-		return nil, err
-	}
-	sw = walltime.Start()
-	for r := 0; r < rounds; r++ {
-		if err := checkCoalesced(); err != nil {
-			return nil, err
-		}
-	}
-	coalSecs := sw.Seconds()
-	res.Coalesced.QPS = float64(rounds*len(qs)) / coalSecs
-	e.Cfg.logf("perf %s: coalesced %.0f q/s, identical=%v",
-		project, res.Coalesced.QPS, res.Coalesced.Identical)
-
-	// 5. End-to-end OptimizeBatch throughput (explorer + guard + scoring)
+	// 3. End-to-end OptimizeBatch throughput (explorer + guard + scoring)
 	// at fixed parallelism levels, cache warm.
 	for _, par := range []int{1, 2, 4} {
 		sw := walltime.Start()
@@ -389,10 +279,6 @@ func (r *PerfResult) Render(w io.Writer) {
 		r.PredictCost.NsPerOp, r.PredictCost.AllocsPerOp, r.PredictCost.Iters)
 	fmt.Fprintf(w, "SelectPlan:  uncached %.0f q/s, warm cache %.0f q/s, speedup %.2fx, identical choices: %v\n",
 		r.Select.UncachedQPS, r.Select.WarmQPS, r.Select.RecurringSpeedup, r.Select.Identical)
-	fmt.Fprintf(w, "Quantized:   warm cache %.0f q/s (%.2fx f64 warm), identical choices: %v\n",
-		r.Quant.WarmQPS, r.Quant.SpeedupVsF64, r.Quant.Identical)
-	fmt.Fprintf(w, "Coalesced:   fused batch %.0f q/s, identical choices: %v\n",
-		r.Coalesced.QPS, r.Coalesced.Identical)
 	fmt.Fprintf(w, "%-12s %10s %10s\n", "parallelism", "seconds", "queries/s")
 	for _, row := range r.Batch {
 		fmt.Fprintf(w, "%-12d %10.3f %10.0f\n", row.Parallelism, row.Seconds, row.QPS)

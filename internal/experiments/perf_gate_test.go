@@ -13,8 +13,6 @@ func gatePass() *PerfResult {
 	r.Select.UncachedQPS = 4000
 	r.Select.WarmQPS = 200000
 	r.Select.Identical = true
-	r.Quant.Identical = true
-	r.Coalesced.Identical = true
 	return r
 }
 
@@ -24,7 +22,7 @@ func gateBase() *PerfBaseline {
 
 // TestCompareBaseline pins the trend gate's semantics: the 10% bands, the
 // calibration scaling with its [0.25, 4] clamp, and the identical-choices
-// bits, each reported with a recognizable message.
+// bit, each reported with a recognizable message.
 func TestCompareBaseline(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -58,12 +56,6 @@ func TestCompareBaseline(t *testing.T) {
 		{"cached choices diverge", func(r *PerfResult, b *PerfBaseline) {
 			r.Select.Identical = false
 		}, "warm cached scoring"},
-		{"quant choices diverge", func(r *PerfResult, b *PerfBaseline) {
-			r.Quant.Identical = false
-		}, "quantized scoring"},
-		{"coalesced choices diverge", func(r *PerfResult, b *PerfBaseline) {
-			r.Coalesced.Identical = false
-		}, "coalesced scoring"},
 		{"zero calib means unscaled", func(r *PerfResult, b *PerfBaseline) {
 			b.CalibNs = 0
 			r.PredictCost.NsPerOp = 67000

@@ -156,6 +156,14 @@ type KeyedScorer interface {
 	SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error)
 }
 
+// BatchScorer is a bare declaration: nothing implements or calls it in the
+// program. bench/trace.go is its only reference, and a later benchmark PR
+// drops it.
+type BatchScorer interface {
+	KeyedScorer
+	SelectPlanGroups(groups []predictor.Group)
+}
+
 // Request is one query's serving context.
 type Request struct {
 	// ID is the stable query identifier; it keys fault-injection decisions.
@@ -204,11 +212,6 @@ type Options struct {
 	Injector *faultinject.Injector
 	// Metrics receives the guard.* instruments.
 	Metrics *telemetry.Registry
-	// CoalesceWindow, when > 1, enables cross-query micro-batching on the
-	// learned path: up to this many concurrent Serve calls are coalesced into
-	// one fused scoring pass when the scorer supports batch scoring (see
-	// coalesce.go). ≤ 1 disables coalescing (the default).
-	CoalesceWindow int
 }
 
 // Guard is the guarded serving gate. It is safe for concurrent use: the
@@ -225,11 +228,6 @@ type Guard struct {
 	// sentinel quarantines the scorer — the model-lifecycle drift signal.
 	// Set via SetDriftHook before serving starts.
 	onQuarantine func()
-	// coal is the asynchronous micro-batch coalescer (nil when coalescing is
-	// disabled); sb is ServeBatch's private flush scratch, serialized by
-	// ServeBatch's single-driver contract.
-	coal *coalescer
-	sb   batchScratch
 
 	mu sync.Mutex
 	// scorer is the live learned path. It is mutable: the model lifecycle
@@ -246,7 +244,7 @@ type Guard struct {
 // New builds a guard from options (Config normalized via DefaultConfig).
 func New(o Options) *Guard {
 	cfg := o.Config.normalize()
-	g := &Guard{
+	return &Guard{
 		cfg:    cfg,
 		scorer: o.Scorer,
 		native: o.Native,
@@ -255,10 +253,6 @@ func New(o Options) *Guard {
 		tel:    newGuardTelemetry(o.Metrics),
 		br:     newBreaker(cfg),
 	}
-	if o.CoalesceWindow > 1 {
-		g.coal = &coalescer{window: o.CoalesceWindow}
-	}
-	return g
 }
 
 // Config returns the guard's normalized configuration.
@@ -412,11 +406,6 @@ func (g *Guard) ScoreLearnedKeyed(cands []*plan.Plan, envs encoding.EnvSource, k
 // under one model or the other, never a mixture.
 func (g *Guard) selectLearned(req Request) (*plan.Plan, []float64, error) {
 	scorer := g.currentScorer()
-	if c := g.coal; c != nil {
-		if bs, ok := scorer.(BatchScorer); ok {
-			return c.selectCoalesced(g, bs, req)
-		}
-	}
 	if ks, ok := scorer.(KeyedScorer); ok && req.EnvKey.Keyed {
 		return ks.SelectPlanKeyed(req.Cands, req.Envs, req.EnvKey)
 	}

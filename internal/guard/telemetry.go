@@ -46,15 +46,6 @@ type guardTelemetry struct {
 	injDelay     *telemetry.Counter
 	injNative    *telemetry.Counter
 	injSpike     *telemetry.Counter
-
-	// Micro-batch coalescing. The request/flush counters are recorded on both
-	// coalescing paths; the batch-size histogram only on the deterministic
-	// ServeBatch path, because asynchronous batch composition depends on
-	// goroutine arrival order and the histogram would break snapshot
-	// determinism (the counters' totals would not).
-	coalesceRequests *telemetry.Counter
-	coalesceFlushes  *telemetry.Counter
-	coalescedBatch   *telemetry.Histogram
 }
 
 // newGuardTelemetry resolves the guard instruments from a registry.
@@ -93,10 +84,6 @@ func newGuardTelemetry(reg *telemetry.Registry) guardTelemetry {
 		injDelay:     reg.Counter("guard.inject.delays"),
 		injNative:    reg.Counter("guard.inject.native_failures"),
 		injSpike:     reg.Counter("guard.inject.load_spikes"),
-
-		coalesceRequests: reg.Counter("guard.coalesce.requests"),
-		coalesceFlushes:  reg.Counter("guard.coalesce.flushes"),
-		coalescedBatch:   reg.Histogram("serve.batch.coalesced", telemetry.LinearBuckets(1, 1, 8)),
 	}
 }
 

@@ -66,6 +66,29 @@ func TestMatMulNTIntoMatchesMatMul(t *testing.T) {
 	sameBits(t, "matmulNT", want.Data, got)
 }
 
+// TestMatMulNTBlockedIntoBitIdentical: the blocked, 4-wide-unrolled kernel
+// must stay bit-identical to MatMulNTInto (and through it to autograd) across
+// shapes that exercise full tiles, partial tiles and the scalar column tail.
+func TestMatMulNTBlockedIntoBitIdentical(t *testing.T) {
+	rng := simrand.New(41)
+	for _, shape := range [][3]int{
+		{1, 7, 1},    // degenerate
+		{9, 14, 6},   // column tail (6 = 4+2)
+		{48, 33, 48}, // exactly one tile
+		{50, 40, 51}, // tile tails on both axes
+		{97, 21, 8},  // multiple row tiles
+	} {
+		n, k, m := shape[0], shape[1], shape[2]
+		a := randMat(rng, n, k)
+		bt := randMat(rng, m, k)
+		want := make([]float64, n*m)
+		got := make([]float64, n*m)
+		MatMulNTInto(want, a, bt, n, k, m)
+		MatMulNTBlockedInto(got, a, bt, n, k, m)
+		sameBits(t, "blocked", want, got)
+	}
+}
+
 func TestTreeConvForwardInferBitIdentical(t *testing.T) {
 	rng := simrand.New(13)
 	n, in, out := 7, 10, 8

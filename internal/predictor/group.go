@@ -1,24 +1,12 @@
 package predictor
 
 import (
-	"math"
-
 	"loam/internal/encoding"
-	"loam/internal/floatsafe"
-	"loam/internal/nn"
 	"loam/internal/plan"
 )
 
-// Group is one query's plan-selection request inside a fused cross-query
-// batch: the guard's micro-batch coalescer gathers concurrent OptimizeCtx
-// calls into a []Group and scores them with a single staged cost-head pass
-// (SelectPlanGroups) instead of one pass per query.
-//
-// Cands, Envs, Key and Costs are inputs; Best and Err are outputs. Costs is
-// caller-owned and must have len(Cands) — the callee never allocates result
-// storage, which is what keeps the coalesced flush path on the zero-alloc
-// discipline. Errors are the same sentinels selectPlan returns
-// (ErrNoCandidates, ErrNoFiniteEstimate), per group.
+// Group is a bare declaration: bench/trace.go is its only reference (through
+// guard.BatchScorer), and a later benchmark PR drops both.
 type Group struct {
 	Cands []*plan.Plan
 	Envs  encoding.EnvSource
@@ -27,183 +15,4 @@ type Group struct {
 	Best  *plan.Plan
 	Costs []float64
 	Err   error
-}
-
-// SelectPlanGroups scores every group's candidates through one fused staging
-// pass: all embeddings land in a single matrix, the cost head runs over
-// contiguous per-group row ranges, and each group gets exactly the plan
-// SelectPlanKeyed would have picked for it alone — same scores bit for bit
-// on the f64 path, same argmin-certification rules on the quantized path
-// (certification is per group; a group that fails the margin check falls
-// back to a bit-exact f64 pass over its own rows and is counted in
-// predictor.quant.fallbacks). Per-group telemetry (select calls, candidate
-// counts, NaN and no-finite counters) matches one selectPlan call per group,
-// so coalescing is invisible in the standard snapshot apart from the
-// serve-side batch histogram.
-//
-// Embedding is sequential by design: the coalescer is a latency optimization
-// for small concurrent batches, and a deterministic fill order keeps the
-// fused path byte-identical run to run.
-func (p *Predictor) SelectPlanGroups(groups []Group) {
-	if len(groups) == 0 {
-		return
-	}
-	span := p.tel.selectTime.Start()
-	defer span.Stop()
-
-	if p.cfg.Kind == KindXGBoost {
-		// No embedding stage to fuse: score each group on the sequential
-		// per-candidate path.
-		for gi := range groups {
-			g := &groups[gi]
-			p.tel.selectCalls.Inc()
-			if len(g.Cands) == 0 {
-				p.tel.selectEmpty.Inc()
-				g.Best, g.Err = nil, ErrNoCandidates
-				continue
-			}
-			p.tel.selectCandidates.Observe(float64(len(g.Cands)))
-			envs := g.Envs
-			if !p.cfg.UseEnv {
-				envs = encoding.NoEnv()
-			}
-			p.scoreXGB(g.Costs[:len(g.Cands)], g.Cands, envs, 1)
-			p.finishGroup(g)
-		}
-		return
-	}
-
-	embDim := p.costHead.W.R
-	total := 0
-	for gi := range groups {
-		total += len(groups[gi].Cands)
-	}
-	s := getScratch()
-	defer putScratch(s)
-	s.stage = growFloats(s.stage, total*embDim)
-	stage := s.stage[:total*embDim]
-
-	// Stage every group's embeddings contiguously; groups keep their row
-	// offsets so per-group sub-matrices are plain re-slices.
-	off := 0
-	for gi := range groups {
-		g := &groups[gi]
-		p.tel.selectCalls.Inc()
-		if len(g.Cands) == 0 {
-			p.tel.selectEmpty.Inc()
-			g.Best, g.Err = nil, ErrNoCandidates
-			continue
-		}
-		p.tel.selectCandidates.Observe(float64(len(g.Cands)))
-		envs, key := g.Envs, g.Key
-		if !p.cfg.UseEnv {
-			envs = encoding.NoEnv()
-			key = encoding.NoEnvKey()
-		}
-		for i, c := range g.Cands {
-			p.embedRow(s, c, envs, key, stage[(off+i)*embDim:(off+i+1)*embDim])
-		}
-		off += len(g.Cands)
-	}
-
-	if p.quant != nil {
-		p.scoreGroupsQuant(s, groups, stage, embDim)
-	} else {
-		p.scoreGroupsF64(s, groups, stage, embDim)
-	}
-}
-
-// scoreGroupsF64 runs the bit-exact cost head over the fused stage in one
-// matrix-matrix pass and splits the outputs back per group.
-func (p *Predictor) scoreGroupsF64(s *inferScratch, groups []Group, stage []float64, embDim int) {
-	n := len(stage) / embDim
-	s.nn.Reset()
-	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: n, C: embDim, Data: stage})
-	off := 0
-	for gi := range groups {
-		g := &groups[gi]
-		if g.Err != nil || len(g.Cands) == 0 {
-			continue
-		}
-		for i := range g.Cands {
-			g.Costs[i] = p.denormalize(out.Data[off+i])
-		}
-		off += len(g.Cands)
-		p.finishGroup(g)
-	}
-}
-
-// scoreGroupsQuant mirrors scoreQuant across the fused batch: one int8 pass
-// over every staged row, then per-group argmin certification. A group the
-// int8 bound cannot certify escalates to the f32 tier over its own rows, and
-// failing that recomputes its rows on the bit-exact f64 head — so each
-// group's outcome (scores, choice, fallback accounting) is identical to
-// scoring it alone through selectPlan.
-func (p *Predictor) scoreGroupsQuant(s *inferScratch, groups []Group, stage []float64, embDim int) {
-	n := len(stage) / embDim
-	s.stage32 = growFloats32(s.stage32, n*embDim)
-	stage32 := s.stage32[:n*embDim]
-	for i, v := range stage {
-		stage32[i] = float32(v)
-	}
-	s.qrow = growInt8(s.qrow, embDim)
-	s.qout = growFloats(s.qout, 2*n)
-	out, bnd := s.qout[:n], s.qout[n:2*n]
-	p.quant.ForwardInferQuant(s.qrow[:embDim], nn.Mat32{R: n, C: embDim, Data: stage32}, out, bnd)
-
-	off := 0
-	for gi := range groups {
-		g := &groups[gi]
-		if g.Err != nil || len(g.Cands) == 0 {
-			continue
-		}
-		gn := len(g.Cands)
-		gout, gbnd := out[off:off+gn], bnd[off:off+gn]
-		p.tel.quantBatches.Inc()
-		switch {
-		case quantArgminCertified(gout, gbnd, p.sigmaY):
-			p.tel.quantInt8.Inc()
-			for i := range g.Cands {
-				g.Costs[i] = p.denormalize(gout[i])
-			}
-		default:
-			sub := nn.Mat32{R: gn, C: embDim, Data: stage32[off*embDim : (off+gn)*embDim]}
-			p.quant.ForwardInfer32(sub, gout, gbnd)
-			if quantArgminCertified(gout, gbnd, p.sigmaY) {
-				p.tel.quantF32.Inc()
-				for i := range g.Cands {
-					g.Costs[i] = p.denormalize(gout[i])
-				}
-			} else {
-				p.tel.quantFallbacks.Inc()
-				s.nn.Reset()
-				fb := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: gn, C: embDim, Data: stage[off*embDim : (off+gn)*embDim]})
-				for i := range g.Cands {
-					g.Costs[i] = p.denormalize(fb.Data[i])
-				}
-			}
-		}
-		off += gn
-		p.finishGroup(g)
-	}
-}
-
-// finishGroup applies selectPlan's post-scoring bookkeeping to one group:
-// NaN counting, argmin, and the no-finite sentinel.
-func (p *Predictor) finishGroup(g *Group) {
-	costs := g.Costs[:len(g.Cands)]
-	nans := int64(0)
-	for i := range costs {
-		if math.IsNaN(costs[i]) {
-			nans++
-		}
-	}
-	p.tel.selectNaN.Add(nans)
-	bestIdx := floatsafe.ArgMin(costs)
-	if bestIdx < 0 {
-		p.tel.selectNoFinite.Inc()
-		g.Best, g.Err = nil, ErrNoFiniteEstimate
-		return
-	}
-	g.Best, g.Err = g.Cands[bestIdx], nil
 }

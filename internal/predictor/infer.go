@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"math"
 	"sync"
 
 	"loam/internal/encoding"
@@ -9,33 +8,30 @@ import (
 	"loam/internal/plan"
 )
 
-// This file is the predictor's inference fast path: per-worker scratch
-// arenas, allocation-free backbone forwards (embedInfer), and the batched
-// cost-head scoring used by SelectPlan. Everything here is bit-identical to
-// the autograd training-path forwards (see internal/nn/infer.go for the
-// kernel-level contract), so routing serving through it changes latency and
-// allocation counts but never a single predicted cost or plan choice.
+// This file is the predictor's inference fast path: per-call scratch arenas,
+// allocation-free backbone forwards (embedInfer), and the batched cost-head
+// scoring (scoreCandidates) behind SelectPlan and SelectPlanKeyed. Everything
+// here is bit-identical to the autograd training-path forwards (see
+// internal/nn/infer.go for the kernel-level contract), so routing serving
+// through it changes latency and allocation counts but never a single
+// predicted cost or plan choice.
 
-// inferScratch bundles one worker's reusable inference state: the nn
+// inferScratch bundles one call's reusable inference state: the nn
 // activation arena plus the flat encoding buffers each backbone kind fills
-// in place. One inferScratch serves one forward pass at a time; workers each
-// borrow their own from the pool.
+// in place. One inferScratch serves one forward pass at a time; concurrent
+// callers each borrow their own from the pool.
 type inferScratch struct {
 	nn nn.Scratch
 	ft encoding.FlatTree
 	fg encoding.FlatGraph
 	fs encoding.FlatSeq
 
-	// Cross-row staging buffers for batched scoring. They live outside the
-	// nn arena on purpose: embedRow resets s.nn once per candidate, which
-	// would invalidate an arena-backed batch mid-fill. All are grown with
-	// the self-append idiom (growFloats and friends) so steady-state batched
-	// scoring allocates nothing.
-	stage   []float64 // f64 embedding batch (scoreBatched, group scoring)
-	stage32 []float32 // f32 embedding batch (quantized scoring)
-	row     []float64 // one f64 embedding row (embedRow32's conversion source)
-	qrow    []int8    // one row's quantized inputs (ForwardInferQuant staging)
-	qout    []float64 // quantized scores + bounds, interleaved [out | bound]
+	// stage is the cross-row embedding batch of scoreCandidates. It lives
+	// outside the nn arena on purpose: embedRow resets s.nn once per
+	// candidate, which would invalidate an arena-backed batch mid-fill. It is
+	// grown with the self-append idiom (growFloats) so steady-state scoring
+	// allocates nothing.
+	stage []float64
 }
 
 // growFloats extends buf to at least n elements. Growth is the plain
@@ -49,23 +45,7 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf
 }
 
-// growFloats32 is growFloats for float32 staging buffers.
-func growFloats32(buf []float32, n int) []float32 {
-	for len(buf) < n {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-// growInt8 is growFloats for int8 staging buffers.
-func growInt8(buf []int8, n int) []int8 {
-	for len(buf) < n {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-// scratchPool recycles inference scratch state across queries and workers.
+// scratchPool recycles inference scratch state across queries and goroutines.
 var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
 
 func getScratch() *inferScratch  { return scratchPool.Get().(*inferScratch) }
@@ -140,177 +120,32 @@ func (p *Predictor) embedRow(s *inferScratch, pl *plan.Plan, envs encoding.EnvSo
 	copy(dst, m.Data)
 }
 
-// scoreBatched fills costs for every candidate: embeddings are computed (or
-// fetched from the plan cache) per candidate — in parallel when the worker
-// budget allows — then stacked into one n×emb matrix and scored with a
-// single matrix-matrix forward through the cost head, replacing n
-// matrix-vector passes. Each output row is the same full-length dot product
-// the sequential head computes, so costs are bit-identical to scoring
-// candidates one at a time.
-func (p *Predictor) scoreBatched(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey, workers int) {
+// scoreCandidates is the one candidate-scoring core behind SelectPlan and
+// SelectPlanKeyed. Embeddings are computed (or fetched from the plan cache)
+// candidate by candidate, stacked into one n×emb matrix and scored with a
+// single matrix-matrix forward through the cost head. Each output row is the
+// same full-length dot product PredictCost computes, so costs are
+// bit-identical to scoring candidates one at a time. The XGBoost backbone has
+// no embedding to stage or cache and scores per candidate.
+func (p *Predictor) scoreCandidates(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
+	if p.cfg.Kind == KindXGBoost {
+		for i, c := range cands {
+			costs[i] = p.PredictCost(c, envs)
+		}
+		return
+	}
 	n := len(cands)
 	embDim := p.costHead.W.R
 	s := getScratch()
 	defer putScratch(s)
 	s.stage = growFloats(s.stage, n*embDim)
 	batch := s.stage[:n*embDim]
-	if workers == 1 || n < p.parallelThreshold() {
-		for i, c := range cands {
-			p.embedRow(s, c, envs, key, batch[i*embDim:(i+1)*embDim])
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := getScratch()
-				defer putScratch(ws)
-				for i := range next {
-					p.embedRow(ws, cands[i], envs, key, batch[i*embDim:(i+1)*embDim])
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	for i, c := range cands {
+		p.embedRow(s, c, envs, key, batch[i*embDim:(i+1)*embDim])
 	}
-
 	s.nn.Reset()
 	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: n, C: embDim, Data: batch})
 	for i := range costs {
 		costs[i] = p.denormalize(out.Data[i])
 	}
-}
-
-// embedRow32 writes the f32 staging copy of pl's embedding into dst. The
-// embedding itself is the exact f64 embedRow result (cache included); only
-// the final copy narrows, and that narrowing is the first term of the
-// quantization error model in internal/nn/quant.go.
-func (p *Predictor) embedRow32(s *inferScratch, pl *plan.Plan, envs encoding.EnvSource, key encoding.EnvKey, dst []float32) {
-	s.row = growFloats(s.row, len(dst))
-	row := s.row[:len(dst)]
-	p.embedRow(s, pl, envs, key, row)
-	for i, v := range row {
-		dst[i] = float32(v)
-	}
-}
-
-// quantMarginGuard is the absolute separation, in normalized-score times
-// sigmaY units (i.e. in log-cost space), demanded on top of the error bounds
-// before a quantized argmin is certified. The guard exists for one reason:
-// denormalize is exp(y·sigmaY + muY), and while it is strictly monotone over
-// the reals, two distinct f64 arguments closer than ~eps64·|arg| can round to
-// the same f64 cost — at which point the f64 path's ArgMin and the quantized
-// path's ArgMin could break the tie at different indices. Demanding the gap
-// exceed 1e-12 in log-cost space keeps both paths' denormalized costs
-// strictly ordered (1e-12 is ~40 ulps at |log cost| ≈ 50, versus the ≤ 4-ulp
-// wobble of the exp evaluations), so the certified index is the unique
-// argmin of BOTH cost vectors.
-const quantMarginGuard = 1e-12
-
-// quantArgminCertified reports whether the quantized normalized scores out —
-// each within ±bound[i] of its true f64 counterpart — provably have the same
-// unique argmin as the true scores. Certification demands, for the observed
-// minimum i1 and every other j:
-//
-//	(out[j] − bound[j]) − (out[i1] + bound[i1]) > guard/sigma
-//
-// i.e. even the most pessimistic placement of the true scores keeps i1
-// strictly smallest, with room to spare for denormalization rounding (see
-// quantMarginGuard). Any NaN score or ±Inf bound fails the comparison and
-// returns false, as does a tie for the observed minimum.
-func quantArgminCertified(out, bound []float64, sigma float64) bool {
-	best := 0
-	for i, v := range out {
-		if math.IsNaN(v) {
-			return false
-		}
-		if v < out[best] {
-			best = i
-		}
-	}
-	hi := out[best] + bound[best]
-	for i, v := range out {
-		if i == best {
-			continue
-		}
-		if !((v-bound[i]-hi)*sigma > quantMarginGuard) {
-			return false
-		}
-	}
-	return true
-}
-
-// scoreQuant attempts to score the candidate set through the quantized cost
-// head, filling costs with denormalized quantized estimates ONLY when the
-// argmin-preservation check certifies that the f64 path would pick the same
-// plan. It tries the int8 tier first, escalates to the f32 rescore tier on a
-// failed margin check (the staged f32 batch is already in hand), and returns
-// false — costs untouched — when neither tier certifies; the caller then
-// reruns the bit-exact f64 path and counts the fallback. Embeddings are
-// always computed (and cached) in full f64; quantization begins strictly at
-// the cost head.
-func (p *Predictor) scoreQuant(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) bool {
-	n := len(cands)
-	embDim := p.quant.In
-	s := getScratch()
-	defer putScratch(s)
-	s.stage32 = growFloats32(s.stage32, n*embDim)
-	batch := nn.Mat32{R: n, C: embDim, Data: s.stage32[:n*embDim]}
-	for i, c := range cands {
-		p.embedRow32(s, c, envs, key, batch.Row(i))
-	}
-	s.qrow = growInt8(s.qrow, embDim)
-	s.qout = growFloats(s.qout, 2*n)
-	out, bnd := s.qout[:n], s.qout[n:2*n]
-
-	p.quant.ForwardInferQuant(s.qrow[:embDim], batch, out, bnd)
-	if quantArgminCertified(out, bnd, p.sigmaY) {
-		p.tel.quantInt8.Inc()
-		for i := range costs {
-			costs[i] = p.denormalize(out[i])
-		}
-		return true
-	}
-	p.quant.ForwardInfer32(batch, out, bnd)
-	if quantArgminCertified(out, bnd, p.sigmaY) {
-		p.tel.quantF32.Inc()
-		for i := range costs {
-			costs[i] = p.denormalize(out[i])
-		}
-		return true
-	}
-	return false
-}
-
-// scoreXGB scores candidates through the XGBoost backbone, which has no
-// embedding to batch or cache; the per-candidate path fans out over the
-// worker pool exactly like the pre-fast-path SelectPlan.
-func (p *Predictor) scoreXGB(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, workers int) {
-	if workers == 1 || len(cands) < p.parallelThreshold() {
-		for i, c := range cands {
-			costs[i] = p.PredictCost(c, envs)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				costs[i] = p.PredictCost(cands[i], envs)
-			}
-		}()
-	}
-	for i := range cands {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

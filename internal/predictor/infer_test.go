@@ -2,6 +2,8 @@ package predictor
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,10 +15,15 @@ import (
 
 // referenceCosts scores candidates one at a time through the *training-path*
 // forward (autograd graph, no batching, no cache) — the ground truth every
-// serving path must reproduce bit for bit.
+// serving path must reproduce bit for bit. The XGBoost backbone has no
+// autograd forward; its reference is the booster on the flat encoding.
 func referenceCosts(p *Predictor, cands []*plan.Plan, envs encoding.EnvSource) []float64 {
 	out := make([]float64, len(cands))
 	for i, c := range cands {
+		if p.cfg.Kind == KindXGBoost {
+			out[i] = p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(c, envs)))
+			continue
+		}
 		emb := p.bb.embed(c, envs)
 		out[i] = p.denormalize(p.costHead.Forward(emb).Data[0])
 	}
@@ -36,10 +43,38 @@ func costsSameBits(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// TestScoringPathsBitIdentical verifies that every serving path — sequential,
-// batched-parallel, and cached keyed scoring (cold and warm) — produces
-// bit-identical costs and the same chosen plan as per-candidate training-path
-// forwards, for each neural backbone.
+// selectTelemetry is the per-call plan-selection telemetry of one registry:
+// the predictor.selectplan.* counters, candidates histogram and timer count.
+// Cache counters are left out — hits and misses are what cold and warm differ
+// in by design.
+func selectTelemetry(reg *telemetry.Registry) telemetry.Snapshot {
+	const prefix = "predictor.selectplan."
+	all := reg.Snapshot()
+	var out telemetry.Snapshot
+	for _, c := range all.Counters {
+		if strings.HasPrefix(c.Name, prefix) {
+			out.Counters = append(out.Counters, c)
+		}
+	}
+	for _, h := range all.Histograms {
+		if strings.HasPrefix(h.Name, prefix) {
+			out.Histograms = append(out.Histograms, h)
+		}
+	}
+	for _, tm := range all.Timers {
+		if strings.HasPrefix(tm.Name, prefix) {
+			out.Timers = append(out.Timers, tm)
+		}
+	}
+	return out
+}
+
+// TestScoringPathsBitIdentical verifies that the scoring entry points —
+// SelectPlan, and cached SelectPlanKeyed cold and warm — are signatures over
+// one core: each produces bit-identical costs and the same chosen plan as
+// per-candidate training-path forwards, and leaves identical per-call
+// telemetry (select calls, candidates histogram, NaN / no-finite counters),
+// for every backbone kind.
 func TestScoringPathsBitIdentical(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(80, 21)
@@ -47,38 +82,49 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cands = append(cands, samples[i*3].Plan)
 	}
-	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN} {
+	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
 		t.Run(kind.String(), func(t *testing.T) {
 			p, err := Train(tinyConfig(kind), enc, samples, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			p.EnablePlanCache(64)
 			envs := encoding.FixedEnv(p.TrainMeanEnv())
 			key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
 			want := referenceCosts(p, cands, envs)
 			wantBest := cands[floatsafe.ArgMin(want)]
 
-			check := func(name string, best *plan.Plan, costs []float64, err error) {
-				t.Helper()
+			keyed := func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, key) }
+			paths := []struct {
+				name string
+				call func() (*plan.Plan, []float64, error)
+			}{
+				{"SelectPlan", func() (*plan.Plan, []float64, error) { return p.SelectPlan(cands, envs) }},
+				{"SelectPlanKeyed cold", keyed},
+				{"SelectPlanKeyed warm", keyed},
+			}
+			var wantTel telemetry.Snapshot
+			for i, path := range paths {
+				reg := telemetry.NewRegistry()
+				p.Instrument(reg)
+				best, costs, err := path.call()
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s: %v", path.name, err)
 				}
-				costsSameBits(t, name, want, costs)
+				costsSameBits(t, path.name, want, costs)
 				if best != wantBest {
-					t.Fatalf("%s chose a different plan", name)
+					t.Fatalf("%s chose a different plan", path.name)
+				}
+				tel := selectTelemetry(reg)
+				if i == 0 {
+					wantTel = tel
+					if len(tel.Counters) != 4 || tel.Counters[0].Value != 1 || len(tel.Histograms) != 1 || tel.Histograms[0].Count != 1 {
+						t.Fatalf("%s: unexpected per-call telemetry %+v", path.name, tel)
+					}
+				} else if !reflect.DeepEqual(tel, wantTel) {
+					t.Fatalf("%s telemetry %+v, want %+v (as %s)", path.name, tel, wantTel, paths[0].name)
 				}
 			}
-
-			best, costs, err := p.SelectPlanParallel(cands, envs, 1)
-			check("sequential", best, costs, err)
-			best, costs, err = p.SelectPlanParallel(cands, envs, 4)
-			check("parallel", best, costs, err)
-
-			p.EnablePlanCache(64)
-			best, costs, err = p.SelectPlanKeyed(cands, envs, key)
-			check("keyed-cold", best, costs, err)
-			best, costs, err = p.SelectPlanKeyed(cands, envs, key)
-			check("keyed-warm", best, costs, err)
 
 			for i, c := range cands {
 				got := p.PredictCost(c, envs)
@@ -92,8 +138,8 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 
 // TestPlanCacheCounters pins the cache telemetry: first keyed select misses
 // once per distinct plan, the second hits once per plan, and totals are
-// independent of embedding-worker interleaving because hit/miss is decided
-// under the cache lock at lookup time.
+// independent of caller interleaving because hit/miss is decided under the
+// cache lock at lookup time.
 func TestPlanCacheCounters(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(60, 22)
@@ -391,7 +437,7 @@ func BenchmarkSelectPlanUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.SelectPlanParallel(cands, envs, 1); err != nil {
+		if _, _, err := p.SelectPlan(cands, envs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,5 +489,23 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
 	if allocs != 0 {
 		t.Fatalf("warmed PredictCost allocated %.1f times per run, want 0", allocs)
+	}
+
+	// The scoring core on a warm plan cache allocates only the costs slice
+	// SelectPlanKeyed returns.
+	p.EnablePlanCache(64)
+	key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
+	cands := make([]*plan.Plan, 8)
+	for i := range cands {
+		cands[i] = samples[i].Plan
+	}
+	warmSelect := func() {
+		if _, _, err := p.SelectPlanKeyed(cands, envs, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmSelect()
+	if allocs := testing.AllocsPerRun(100, warmSelect); allocs > 1 {
+		t.Fatalf("warm SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", allocs)
 	}
 }

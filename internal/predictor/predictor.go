@@ -10,7 +10,6 @@ package predictor
 import (
 	"errors"
 	"math"
-	"runtime"
 
 	"loam/internal/encoding"
 	"loam/internal/floatsafe"
@@ -103,14 +102,6 @@ type Predictor struct {
 	// the deployment layer; nil disables caching entirely.
 	cache *planCache
 
-	// scoring tunes the SelectPlan fast path (see ScoringConfig); quant is
-	// the calibrated int8/f32 cost head, non-nil iff scoring.Quantized and
-	// the model has a neural cost head. Both are runtime wiring configured
-	// via SetScoringConfig — serialized alongside the snapshot so a restored
-	// model keeps its scoring mode, recalibrated from the weights on load.
-	scoring ScoringConfig
-	quant   *nn.QuantLinear
-
 	metrics Metrics
 	tel     predictorTelemetry
 
@@ -147,11 +138,6 @@ type predictorTelemetry struct {
 	cacheEvictions *telemetry.Counter
 	cacheFlushes   *telemetry.Counter
 	cacheSize      *telemetry.Gauge
-
-	quantBatches   *telemetry.Counter
-	quantInt8      *telemetry.Counter
-	quantF32       *telemetry.Counter
-	quantFallbacks *telemetry.Counter
 }
 
 // Instrument wires the predictor's training and plan-selection metrics into
@@ -180,16 +166,6 @@ func (p *Predictor) Instrument(reg *telemetry.Registry) {
 		cacheEvictions: reg.Counter("predictor.cache.evictions"),
 		cacheFlushes:   reg.Counter("predictor.cache.flushes"),
 		cacheSize:      reg.Gauge("predictor.cache.size"),
-
-		// Registered unconditionally so the standard snapshot always carries
-		// the quant outcome counters (zero-valued when quantization is off —
-		// deterministic either way). batches counts select calls scored in
-		// quant mode; int8/f32 split them by the tier whose margin check
-		// certified the argmin; fallbacks counts the full-f64 recomputes.
-		quantBatches:   reg.Counter("predictor.quant.batches"),
-		quantInt8:      reg.Counter("predictor.quant.int8"),
-		quantF32:       reg.Counter("predictor.quant.f32"),
-		quantFallbacks: reg.Counter("predictor.quant.fallbacks"),
 	}
 }
 
@@ -220,7 +196,7 @@ func TrainInstrumented(cfg Config, enc *encoding.Encoder, train []Sample, candPl
 		return nil, ErrNoTrainingData
 	}
 	sw := walltime.Start()
-	p := &Predictor{cfg: cfg, enc: enc, encCfg: enc.Config(), scoring: DefaultScoringConfig()}
+	p := &Predictor{cfg: cfg, enc: enc, encCfg: enc.Config()}
 	p.Instrument(reg)
 	p.tel.trainRuns.Inc()
 	p.tel.trainSamples.Add(int64(len(train)))
@@ -521,105 +497,25 @@ func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]
 	}
 }
 
-// DefaultParallelThreshold is the candidate count at or above which
-// SelectPlan fans embedding work out to a worker pool when no ScoringConfig
-// overrides it. With the batched cost head, sequential scoring wins below
-// roughly this size — goroutine startup costs more than the embeddings —
-// which is why the old hardwired constant of 4 was wrong on 1-CPU CI.
-const DefaultParallelThreshold = 16
-
-// ScoringConfig tunes the SelectPlan fast path. The zero value is normalized
-// to the defaults at SetScoringConfig time.
-type ScoringConfig struct {
-	// ParallelThreshold is the candidate count at or above which embedding
-	// work fans out to a worker pool (<= 0 takes DefaultParallelThreshold).
-	// Parallel and sequential scoring are bit-identical, so this is purely a
-	// latency knob.
-	ParallelThreshold int `json:"parallelThreshold,omitempty"`
-	// Quantized enables the quantized select path: candidate embeddings are
-	// staged in float32 and the cost head is scored through calibrated int8
-	// weights (escalating to float32, then full f64) under the
-	// argmin-preservation contract — a quantized score is only used to pick
-	// a plan when the per-batch margin check proves the f64 argmin is
-	// unchanged; everything else falls back to the bit-exact f64 path,
-	// counted in predictor.quant.fallbacks. PredictCost point estimates are
-	// always pure f64 regardless of this flag: quantization accelerates
-	// choosing between candidates, never the reported cost of one.
-	Quantized bool `json:"quantized,omitempty"`
-}
-
-// DefaultScoringConfig returns the standard scoring configuration:
-// DefaultParallelThreshold, quantization off.
-func DefaultScoringConfig() ScoringConfig {
-	return ScoringConfig{ParallelThreshold: DefaultParallelThreshold}
-}
-
-// normalize fills zero fields with defaults.
-func (c ScoringConfig) normalize() ScoringConfig {
-	if c.ParallelThreshold <= 0 {
-		c.ParallelThreshold = DefaultParallelThreshold
-	}
-	return c
-}
-
-// SetScoringConfig installs cfg (zero fields normalized to defaults),
-// calibrating the quantized cost head when cfg.Quantized and the model has
-// a neural head (XGBoost models ignore the flag — there is no head to
-// quantize). Calibration is deterministic and data-free: absmax scales are
-// a pure function of the trained weights, so deploy, promote and restore
-// all reproduce the identical quantized model. Like EnablePlanCache, not
-// safe to call concurrently with serving.
-func (p *Predictor) SetScoringConfig(cfg ScoringConfig) {
-	p.scoring = cfg.normalize()
-	p.quant = nil
-	if p.scoring.Quantized && p.costHead != nil {
-		p.quant = nn.QuantizeLinear(p.costHead)
-	}
-}
-
-// ScoringConfig returns the active scoring configuration (normalized).
-func (p *Predictor) ScoringConfig() ScoringConfig { return p.scoring.normalize() }
-
-// parallelThreshold resolves the active fan-out threshold.
-func (p *Predictor) parallelThreshold() int {
-	if p.scoring.ParallelThreshold > 0 {
-		return p.scoring.ParallelThreshold
-	}
-	return DefaultParallelThreshold
-}
-
 // SelectPlan returns the candidate with the lowest estimated cost, along
-// with all estimates. Candidate embeddings are computed (or fetched from the
-// plan cache, when enabled and the environment is keyed) concurrently on a
-// bounded worker pool when the set is large enough, then scored through the
-// cost head in a single batched matrix-matrix pass. The batched pass produces
-// bit-identical costs to scoring candidates one at a time, and ties and NaN
-// handling match the sequential argmin, so the chosen plan never depends on
-// batching or the degree of parallelism.
+// with all estimates. Candidate embeddings are computed one by one, then
+// scored through the cost head in a single batched matrix-matrix pass
+// (scoreCandidates). The batched pass produces bit-identical costs to
+// PredictCost on each candidate, and ties and NaN handling follow
+// floatsafe.ArgMin, so the chosen plan never depends on batching.
 //
 // An empty candidate set returns ErrNoCandidates; candidates whose estimate
 // is NaN are skipped when choosing, and if every estimate is NaN the error is
 // ErrNoFiniteEstimate. The costs slice is returned even on
 // ErrNoFiniteEstimate so callers can log the estimates.
 func (p *Predictor) SelectPlan(cands []*plan.Plan, envs encoding.EnvSource) (best *plan.Plan, costs []float64, err error) {
-	return p.selectPlan(cands, envs, encoding.EnvKey{}, 0)
-}
-
-// SelectPlanParallel is SelectPlan with an explicit worker count: 0 means
-// runtime.GOMAXPROCS(0), 1 forces the sequential path (used by benchmarks to
-// compare against), and anything larger bounds the embedding pool.
-func (p *Predictor) SelectPlanParallel(cands []*plan.Plan, envs encoding.EnvSource, workers int) (best *plan.Plan, costs []float64, err error) {
-	return p.selectPlan(cands, envs, encoding.EnvKey{}, workers)
+	return p.SelectPlanKeyed(cands, envs, encoding.EnvKey{})
 }
 
 // SelectPlanKeyed is SelectPlan for a keyed environment source: key must
 // identify envs (see EnvKeyFor), which makes candidate embeddings eligible
 // for the plan cache. An unkeyed (zero) key degrades to uncached scoring.
 func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (best *plan.Plan, costs []float64, err error) {
-	return p.selectPlan(cands, envs, key, 0)
-}
-
-func (p *Predictor) selectPlan(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey, workers int) (best *plan.Plan, costs []float64, err error) {
 	p.tel.selectCalls.Inc()
 	if len(cands) == 0 {
 		p.tel.selectEmpty.Inc()
@@ -632,28 +528,8 @@ func (p *Predictor) selectPlan(cands []*plan.Plan, envs encoding.EnvSource, key 
 		envs = encoding.NoEnv()
 		key = encoding.NoEnvKey()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
 	costs = make([]float64, len(cands))
-	switch {
-	case p.cfg.Kind == KindXGBoost:
-		p.scoreXGB(costs, cands, envs, workers)
-	case p.quant != nil:
-		p.tel.quantBatches.Inc()
-		if !p.scoreQuant(costs, cands, envs, key) {
-			// The margin check could not certify the argmin (or a score was
-			// non-finite): recompute the whole batch on the bit-exact f64
-			// path, so a fallback is indistinguishable from quant-off.
-			p.tel.quantFallbacks.Inc()
-			p.scoreBatched(costs, cands, envs, key, workers)
-		}
-	default:
-		p.scoreBatched(costs, cands, envs, key, workers)
-	}
+	p.scoreCandidates(costs, cands, envs, key)
 	nans := int64(0)
 	for i := range costs {
 		if math.IsNaN(costs[i]) {

@@ -215,41 +215,6 @@ func TestSelectPlanAllNaN(t *testing.T) {
 	}
 }
 
-// TestSelectPlanParallelMatchesSequential pins the determinism contract: the
-// chosen plan and every estimate are byte-identical no matter how many
-// workers score the candidates.
-func TestSelectPlanParallelMatchesSequential(t *testing.T) {
-	enc := encoding.NewEncoder(encoding.DefaultConfig())
-	samples, _ := synthetic(150, 8)
-	p, err := Train(tinyConfig(KindXGBoost), enc, samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plans []*plan.Plan
-	for i := 0; i < 24; i++ {
-		plans = append(plans, samples[i].Plan)
-	}
-	envs := encoding.FixedEnv(p.TrainMeanEnv())
-	seqBest, seqCosts, err := p.SelectPlanParallel(plans, envs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 64} {
-		best, costs, err := p.SelectPlanParallel(plans, envs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if best != seqBest {
-			t.Fatalf("workers=%d chose a different plan", workers)
-		}
-		for i := range costs {
-			if costs[i] != seqCosts[i] {
-				t.Fatalf("workers=%d estimate %d differs: %g vs %g", workers, i, costs[i], seqCosts[i])
-			}
-		}
-	}
-}
-
 func TestTrainMeanEnvReflectsSamples(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	env := [4]float64{0.42, 0.06, 0.33, 0.58}

@@ -17,6 +17,11 @@ import (
 // snapshot is the serialized form of a trained predictor. Neural weights are
 // stored as a flat list in the architecture's deterministic parameter order;
 // Load rebuilds the architecture from Config and overwrites the weights.
+//
+// Snapshots from builds that had selectable scoring modes carry two more
+// objects (the mode and its calibration). Load ignores unknown keys, so they
+// still load and serve the f64 path those modes were certified to agree with
+// (TestLoadIgnoresRemovedScoringKeys); Save writes neither.
 type snapshot struct {
 	Version int `json:"version"`
 	// Model is the lifecycle lineage number (model.version) the predictor
@@ -34,31 +39,7 @@ type snapshot struct {
 	Params [][]float64 `json:"params,omitempty"`
 	// XGB holds the serialized booster (XGBoost kind only).
 	XGB json.RawMessage `json:"xgb,omitempty"`
-	// Scoring persists the serving-time scoring configuration (parallel
-	// threshold, quantized mode). Omitted when it matches the default, so
-	// pre-existing snapshots and default deployments serialize byte-identically
-	// to before the field existed.
-	Scoring *ScoringConfig `json:"scoring,omitempty"`
-	// Quant carries the quantized cost-head calibration when Scoring.Quantized
-	// is set. Calibration is a pure function of the weights, so Load always
-	// recalibrates from the restored weights; a stored Quant is a cross-check
-	// (mismatch means the snapshot is internally inconsistent), and its absence
-	// on a quantized snapshot simply recalibrates — the ISSUE's
-	// "recalibrated on restore if absent" contract.
-	Quant *quantSnap `json:"quant,omitempty"`
 }
-
-// quantSnap is the version-tagged serialized quantization state: the
-// per-column weight scales and absolute column sums of the calibrated cost
-// head. The int8/f32 weight matrices are NOT stored — they are recomputed
-// from the f64 weights, which the snapshot already carries exactly.
-type quantSnap struct {
-	Version int       `json:"version"`
-	SW      []float64 `json:"sw"`
-	ColAbs1 []float64 `json:"colAbs1"`
-}
-
-const quantSnapVersion = 1
 
 // Snapshot format history:
 //
@@ -137,16 +118,6 @@ func (p *Predictor) Save(w io.Writer) error {
 			snap.Params = append(snap.Params, append([]float64(nil), t.Data...))
 		}
 	}
-	if sc := p.scoring.normalize(); sc != DefaultScoringConfig() {
-		snap.Scoring = &sc
-	}
-	if p.quant != nil {
-		snap.Quant = &quantSnap{
-			Version: quantSnapVersion,
-			SW:      append([]float64(nil), p.quant.SW...),
-			ColAbs1: append([]float64(nil), p.quant.ColAbs1...),
-		}
-	}
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("marshal snapshot: %w", err)
@@ -220,9 +191,6 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 		if err := json.Unmarshal(snap.XGB, p.xgbModel); err != nil {
 			return nil, fmt.Errorf("%w: unmarshal booster: %v", ErrCorruptSnapshot, err)
 		}
-		if err := restoreScoring(p, snap); err != nil {
-			return nil, err
-		}
 		return p, nil
 	}
 
@@ -266,45 +234,5 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 	for i, t := range params {
 		copy(t.Data, snap.Params[i])
 	}
-	if err := restoreScoring(p, snap); err != nil {
-		return nil, err
-	}
 	return p, nil
-}
-
-// restoreScoring reinstates the serialized scoring configuration after the
-// weights are in place. Quantization state is always recalibrated from the
-// restored weights — it is a pure function of them — and then, when the
-// snapshot stored its calibration, cross-checked scale by scale: a mismatch
-// means the snapshot's weights and its recorded quantization disagree, which
-// is corruption, not drift. A quantized snapshot without stored calibration
-// (e.g. written by a future minimal writer) recalibrates silently.
-func restoreScoring(p *Predictor, snap *snapshot) error {
-	if snap.Scoring == nil {
-		p.scoring = DefaultScoringConfig()
-		return nil
-	}
-	p.SetScoringConfig(*snap.Scoring)
-	q := snap.Quant
-	if q == nil {
-		return nil
-	}
-	if q.Version != quantSnapVersion {
-		return fmt.Errorf("%w: unsupported quantization state version %d", ErrCorruptSnapshot, q.Version)
-	}
-	if p.quant == nil {
-		// Stored calibration for a model that cannot be quantized (booster
-		// kind, or quantization off): internally inconsistent.
-		return fmt.Errorf("%w: snapshot carries quantization state but quantized scoring is unavailable", ErrCorruptSnapshot)
-	}
-	if len(q.SW) != len(p.quant.SW) || len(q.ColAbs1) != len(p.quant.ColAbs1) {
-		return fmt.Errorf("%w: quantization state sized %d/%d, recalibration yields %d/%d",
-			ErrCorruptSnapshot, len(q.SW), len(q.ColAbs1), len(p.quant.SW), len(p.quant.ColAbs1))
-	}
-	for j := range q.SW {
-		if q.SW[j] != p.quant.SW[j] || q.ColAbs1[j] != p.quant.ColAbs1[j] {
-			return fmt.Errorf("%w: quantization scales disagree with recalibration at column %d", ErrCorruptSnapshot, j)
-		}
-	}
-	return nil
 }

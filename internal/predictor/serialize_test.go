@@ -9,6 +9,7 @@ import (
 
 	"loam/internal/atomicio"
 	"loam/internal/encoding"
+	"loam/internal/plan"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -213,5 +214,85 @@ func TestLoadRejectsBadArchitectureDims(t *testing.T) {
 		if lerr := loadSnapshot(t, snap); !errors.Is(lerr, ErrCorruptSnapshot) {
 			t.Fatalf("bad dims (%+v): want ErrCorruptSnapshot, got %v", cfg, lerr)
 		}
+	}
+}
+
+// TestLoadIgnoresRemovedScoringKeys is the snapshot back-compat contract for
+// the removed quantized / parallel scoring modes: a snapshot written when they
+// existed carries "scoring" and "quant" objects; it must still load (framed
+// v2 and bare v1 alike), serve exactly the f64 choices and estimates of the
+// same model without the keys, and re-save without them. The frame checksum
+// still guards the injected bytes.
+func TestLoadIgnoresRemovedScoringKeys(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	samples, _ := synthetic(60, 39)
+	orig, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := orig.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(framedPayload(t, saved.Bytes()), &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap["scoring"] = json.RawMessage(`{"parallelThreshold":9,"quantized":true}`)
+	snap["quant"] = json.RawMessage(`{"version":1,"sw":[0.5],"colAbs1":[3]}`)
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := append([]byte(snapshotMagic), atomicio.EncodeFrame(payload)...)
+	snap["version"] = json.RawMessage(`1`)
+	bare, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	envs := encoding.FixedEnv(orig.TrainMeanEnv())
+	for name, data := range map[string][]byte{"framed v2": framed, "bare v1": bare} {
+		loaded, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: snapshot with removed scoring keys must load, got %v", name, err)
+		}
+		for lo := 0; lo+8 <= len(samples); lo += 5 {
+			cands := make([]*plan.Plan, 2+lo%7)
+			for i := range cands {
+				cands[i] = samples[lo+i].Plan
+			}
+			wantBest, want, err := orig.SelectPlan(cands, envs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotBest, got, err := loaded.SelectPlan(cands, envs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotBest != wantBest {
+				t.Fatalf("%s set %d: restored predictor chose a different plan", name, lo)
+			}
+			costsSameBits(t, name, want, got)
+		}
+		var resaved bytes.Buffer
+		if err := loaded.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+			var again map[string]json.RawMessage
+			if err := json.Unmarshal(framedPayload(t, resaved.Bytes()), &again); err != nil {
+				t.Fatal(err)
+			}
+			_, scoring := again["scoring"]
+			_, quant := again["quant"]
+			t.Fatalf("%s: re-save differs from the key-free original (scoring key %v, quant key %v)", name, scoring, quant)
+		}
+	}
+
+	// Frame header: 8 length bytes, then the 8 checksum bytes.
+	framed[len(snapshotMagic)+15] ^= 0x40
+	if _, err := Load(bytes.NewReader(framed)); !errors.Is(err, ErrSnapshotIntegrity) {
+		t.Fatalf("tampered checksum: want ErrSnapshotIntegrity, got %v", err)
 	}
 }

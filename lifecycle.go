@@ -285,12 +285,6 @@ func (lc *Lifecycle) retrainLocked() {
 		lc.tel.retrainFailed.Inc()
 		return
 	}
-	// The successor inherits the incumbent's scoring configuration —
-	// quantized mode and parallel threshold are deployment policy, not model
-	// state, and a promote must not silently turn them off. Quantization
-	// recalibrates against the candidate's own weights inside
-	// SetScoringConfig.
-	cand.SetScoringConfig(lc.d.pred.Load().ScoringConfig())
 	shadow := lc.store.Recent(lc.cfg.ShadowWindow)
 	incErr := shadowError(lc.d.pred.Load(), shadow)
 	candErr := shadowError(cand, shadow)

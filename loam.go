@@ -277,9 +277,6 @@ type Deployment struct {
 	// cache, so embeddings can never outlive the weights that produced them.
 	pred         atomic.Pointer[predictor.Predictor]
 	planCacheCap int
-	// microBatch is the cross-query coalescing window (WithMicroBatch); ≤ 1
-	// serves without coalescing.
-	microBatch int
 	// governedCap is the plan-cache capacity granted by a fleet registry's
 	// budget governor, or -1 while the deployment serves ungoverned. Once a
 	// registry takes over (setGovernedCache), its grant — not the deploy-time
@@ -373,18 +370,37 @@ func (ps *ProjectSim) Deploy(cfg DeployConfig, opts ...DeployOption) (*Deploymen
 	if err != nil {
 		return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, err)
 	}
-	applyScoring(pred, o)
+	return ps.deployPredictor("deploy", pred, enc, len(train), test, o)
+}
+
+// deployPredictor binds a trained or restored predictor to the project as a
+// serving deployment and, under WithDurableStore, commits its initial
+// checkpoint. op prefixes a durable-store failure ("deploy" / "restore").
+func (ps *ProjectSim) deployPredictor(op string, pred *predictor.Predictor, enc *encoding.Encoder, trainSize int, test []history.Entry, o deployOptions) (*Deployment, error) {
 	// A fresh cache per deployment is the invalidation rule: embeddings can
 	// never outlive the weights that produced them.
 	pred.EnablePlanCache(o.planCache)
+	d := ps.newDeployment(pred, enc, trainSize, test, o)
+	if o.durableDir != "" {
+		if err := d.initDurable(o); err != nil {
+			return nil, fmt.Errorf("%s %s: %w", op, ps.Config.Name, err)
+		}
+	}
+	return d, nil
+}
+
+// newDeployment wires pred into a deployment: serving telemetry, guard, and
+// (WithLifecycle) the lifecycle manager. The plan cache and the durable state
+// are the caller's — deployPredictor installs fresh ones, RestoreDeployment
+// re-attaches what the store holds.
+func (ps *ProjectSim) newDeployment(pred *predictor.Predictor, enc *encoding.Encoder, trainSize int, test []history.Entry, o deployOptions) *Deployment {
 	d := &Deployment{
 		ProjectSim:   ps,
 		Encoder:      enc,
 		Strategy:     o.strategy,
-		TrainSize:    len(train),
+		TrainSize:    trainSize,
 		TestSet:      test,
 		planCacheCap: o.planCache,
-		microBatch:   o.microBatch,
 		inj:          o.injector,
 		tel:          o.metrics,
 		obs:          newServingTelemetry(o.metrics),
@@ -393,21 +409,7 @@ func (ps *ProjectSim) Deploy(cfg DeployConfig, opts ...DeployOption) (*Deploymen
 	d.pred.Store(pred)
 	d.grd = ps.newGuard(pred, o)
 	d.attachLifecycle(o)
-	if o.durableDir != "" {
-		if err := d.initDurable(o); err != nil {
-			return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, err)
-		}
-	}
-	return d, nil
-}
-
-// applyScoring installs the deploy-time scoring configuration on a predictor
-// about to serve. A nil option keeps whatever the predictor already carries —
-// training defaults, or the configuration a restored snapshot persisted.
-func applyScoring(pred *predictor.Predictor, o deployOptions) {
-	if o.scoring != nil {
-		pred.SetScoringConfig(*o.scoring)
-	}
+	return d
 }
 
 // attachLifecycle wires the model lifecycle manager when WithLifecycle was
@@ -440,9 +442,8 @@ func (ps *ProjectSim) newGuard(pred *predictor.Predictor, o deployOptions) *guar
 		Rough: func(day int, p *plan.Plan) float64 {
 			return nativeopt.New(ps.View(day)).RoughCost(p)
 		},
-		Injector:       o.injector,
-		Metrics:        o.metrics,
-		CoalesceWindow: o.microBatch,
+		Injector: o.injector,
+		Metrics:  o.metrics,
 	})
 }
 
@@ -493,6 +494,19 @@ func (d *Deployment) Optimize(q *query.Query) (*Choice, error) {
 // candidate counts, estimate spread, NaN estimates, and error counters —
 // into the deployment's registry, alongside the guard.* counters.
 func (d *Deployment) OptimizeCtx(ctx context.Context, q *query.Query) (*Choice, error) {
+	return d.serve(ctx, q, false, nil)
+}
+
+// serve is the one request → candidates → (env) → guard → Choice drive. An
+// admitted request (shed false) resolves the environment and runs the guard's
+// full ladder, learned path first. A shed request — one the fleet registry's
+// admission gate declined — still generates candidates (the fallback ladder
+// needs them) but goes straight to the guard's native-fallback rung: the
+// learned path's cost (env lookup, scoring, cache traffic, breaker
+// accounting) is withheld, and the Choice reports ErrLoadShed wrapping cause
+// in FallbackCause. Both feed the same serving telemetry, so fleet-wide serve
+// counters stay comparable.
+func (d *Deployment) serve(ctx context.Context, q *query.Query, shed bool, cause error) (*Choice, error) {
 	if err := ctx.Err(); err != nil {
 		d.obs.optimizeCancels.Inc()
 		return nil, err
@@ -507,15 +521,15 @@ func (d *Deployment) OptimizeCtx(ctx context.Context, q *query.Query) (*Choice, 
 		d.obs.optimizeCancels.Inc()
 		return nil, err
 	}
-	envs, envKey := d.envSource()
-	res, err := d.grd.Serve(ctx, guard.Request{
-		ID:     q.ID,
-		Day:    q.Day,
-		Query:  q,
-		Cands:  cands,
-		Envs:   envs,
-		EnvKey: envKey,
-	})
+	req := guard.Request{ID: q.ID, Day: q.Day, Query: q, Cands: cands}
+	var res guard.Result
+	var err error
+	if shed {
+		res, err = d.grd.ServeShed(req, cause)
+	} else {
+		req.Envs, req.EnvKey = d.envSource()
+		res, err = d.grd.Serve(ctx, req)
+	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			d.obs.optimizeCancels.Inc()
@@ -567,10 +581,6 @@ func (d *Deployment) OptimizeBatch(ctx context.Context, qs []*query.Query, paral
 		parallelism = len(qs)
 	}
 	if parallelism <= 1 {
-		if d.microBatch > 1 && len(qs) > 1 {
-			d.optimizeBatchCoalesced(ctx, qs, choices, errs)
-			return choices, batchError(qs, errs)
-		}
 		for i, q := range qs {
 			if err := ctx.Err(); err != nil {
 				fillUnstarted(errs, i, err)
@@ -605,88 +615,6 @@ feed:
 	close(jobs)
 	wg.Wait()
 	return choices, batchError(qs, errs)
-}
-
-// optimizeBatchCoalesced is the sequential OptimizeBatch drive with
-// micro-batching on (WithMicroBatch): queries are steered in chunks of the
-// coalescing window, and each chunk's learned-path scoring runs as one fused
-// cost-head pass through the guard's deterministic ServeBatch (observed in
-// the serve.batch.coalesced histogram). Per-query choices, estimates and
-// telemetry counts match the unfused sequential drive; estimate slices are
-// copied out of the guard's flush scratch because Choices outlive it.
-func (d *Deployment) optimizeBatchCoalesced(ctx context.Context, qs []*query.Query, choices []*Choice, errs []error) {
-	w := d.microBatch
-	reqs := make([]guard.Request, 0, w)
-	results := make([]guard.Result, w)
-	rerrs := make([]error, w)
-	for start := 0; start < len(qs); start += w {
-		if err := ctx.Err(); err != nil {
-			fillUnstarted(errs, start, err)
-			return
-		}
-		end := start + w
-		if end > len(qs) {
-			end = len(qs)
-		}
-		span := d.obs.optimizeLatency.Start()
-		reqs = reqs[:0]
-		for i := start; i < end; i++ {
-			q := qs[i]
-			d.obs.optimizeTotal.Inc()
-			cands := d.ProjectSim.Explorer(q.Day).Candidates(q)
-			d.obs.candidates.Observe(float64(len(cands)))
-			envs, envKey := d.envSource()
-			reqs = append(reqs, guard.Request{
-				ID:     q.ID,
-				Day:    q.Day,
-				Query:  q,
-				Cands:  cands,
-				Envs:   envs,
-				EnvKey: envKey,
-			})
-		}
-		res, re := results[:end-start], rerrs[:end-start]
-		for i := range re {
-			re[i] = nil
-		}
-		d.grd.ServeBatch(ctx, reqs, res, re)
-		for k := range reqs {
-			i := start + k
-			if err := re[k]; err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-					d.obs.optimizeCancels.Inc()
-					errs[i] = err
-					continue
-				}
-				d.obs.optimizeErrors.Inc()
-				errs[i] = fmt.Errorf("optimize %s: %w", d.ProjectSim.Config.Name, err)
-				continue
-			}
-			r := res[k]
-			var ests []float64
-			if r.Origin == guard.OriginLearned {
-				d.obs.observeEstimates(r.Estimates)
-				ests = append([]float64(nil), r.Estimates...)
-			}
-			idx := -1
-			for j := range reqs[k].Cands {
-				if reqs[k].Cands[j] == r.Chosen {
-					idx = j
-					break
-				}
-			}
-			choices[i] = &Choice{
-				Query:         qs[i],
-				Candidates:    reqs[k].Cands,
-				Estimates:     ests,
-				Chosen:        r.Chosen,
-				ChosenIdx:     idx,
-				Origin:        r.Origin,
-				FallbackCause: r.FallbackCause,
-			}
-		}
-		span.Stop()
-	}
 }
 
 // fillUnstarted marks batch indices [from, len) as abandoned with err.
@@ -753,29 +681,6 @@ func (ps *ProjectSim) DeployFromModel(r io.Reader, trainDays, testDays int, opts
 	}
 	o := resolveDeployOptions(opts)
 	pred.Instrument(o.metrics)
-	applyScoring(pred, o)
-	pred.EnablePlanCache(o.planCache)
 	train, test := ps.Repo.Split(trainDays, testDays, 0)
-	d := &Deployment{
-		ProjectSim:   ps,
-		Encoder:      encoding.NewEncoder(pred.EncoderConfig()),
-		Strategy:     o.strategy,
-		TrainSize:    len(train),
-		TestSet:      test,
-		planCacheCap: o.planCache,
-		microBatch:   o.microBatch,
-		inj:          o.injector,
-		tel:          o.metrics,
-		obs:          newServingTelemetry(o.metrics),
-	}
-	d.governedCap.Store(-1)
-	d.pred.Store(pred)
-	d.grd = ps.newGuard(pred, o)
-	d.attachLifecycle(o)
-	if o.durableDir != "" {
-		if err := d.initDurable(o); err != nil {
-			return nil, fmt.Errorf("restore %s: %w", ps.Config.Name, err)
-		}
-	}
-	return d, nil
+	return ps.deployPredictor("restore", pred, encoding.NewEncoder(pred.EncoderConfig()), len(train), test, o)
 }

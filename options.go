@@ -9,7 +9,7 @@ import (
 )
 
 // DeployOption configures a deployment at Deploy / DeployFromModel /
-// DeployAll time. Options replace post-hoc field mutation as the way to
+// DeployAllCtx time. Options replace post-hoc field mutation as the way to
 // shape a deployment: the Strategy field stays readable, but writes go
 // through WithStrategy (at deploy time) or SetStrategy (afterwards).
 type DeployOption func(*deployOptions)
@@ -29,8 +29,6 @@ type deployOptions struct {
 	guardCfg   guard.Config
 	injector   *faultinject.Injector
 	planCache  int
-	scoring    *predictor.ScoringConfig
-	microBatch int
 	lifecycle  *LifecycleConfig
 	durableDir string
 	durableFS  *atomicio.FS
@@ -99,38 +97,6 @@ func WithGuardConfig(cfg GuardConfig) DeployOption {
 // model never sees embeddings from older weights.
 func WithPlanCache(capacity int) DeployOption {
 	return func(o *deployOptions) { o.planCache = capacity }
-}
-
-// ScoringConfig aliases predictor.ScoringConfig — the WithScoringConfig
-// payload: parallel-embedding threshold and quantized-inference mode.
-type ScoringConfig = predictor.ScoringConfig
-
-// WithScoringConfig shapes how the deployment's predictor scores candidate
-// sets (see predictor.ScoringConfig): the sequential-vs-parallel embedding
-// threshold, and quantized inference. Quantized scoring routes plan selection
-// through an int8/f32 cost head under the argmin-preservation contract — the
-// quantized scores are used only when their rigorous error bounds prove the
-// f64 argmin unchanged, and every uncertifiable batch silently recomputes on
-// the bit-exact f64 path (counted in predictor.quant.fallbacks) — so the
-// chosen plans are identical with the option on or off. PredictCost point
-// estimates always stay pure f64. Without this option the predictor keeps
-// its existing configuration (the defaults for a fresh training run, or
-// whatever a restored snapshot carries).
-func WithScoringConfig(cfg ScoringConfig) DeployOption {
-	return func(o *deployOptions) { o.scoring = &cfg }
-}
-
-// WithMicroBatch enables cross-query micro-batching on the serving fast
-// path: up to window concurrent Optimize calls that land on the learned path
-// together are coalesced into one fused cost-head pass, and sequential
-// OptimizeBatch drives whole chunks of that size through the fused pass
-// deterministically (observed in the serve.batch.coalesced histogram).
-// Coalescing never changes any query's chosen plan or estimates — group
-// scoring is row-independent — and never delays a lone request (flushes are
-// driven by arrival, not timers; the window is measured in serve calls, not
-// wall time). window <= 1 disables coalescing (the default).
-func WithMicroBatch(window int) DeployOption {
-	return func(o *deployOptions) { o.microBatch = window }
 }
 
 // WithLifecycle attaches a model lifecycle manager to the deployment: every

@@ -236,21 +236,7 @@ func (ps *ProjectSim) RestoreDeployment(dir string, trainDays, testDays int, opt
 	}
 
 	train, test := ps.Repo.Split(trainDays, testDays, 0)
-	d := &Deployment{
-		ProjectSim:   ps,
-		Encoder:      encoding.NewEncoder(pred.EncoderConfig()),
-		Strategy:     o.strategy,
-		TrainSize:    len(train),
-		TestSet:      test,
-		planCacheCap: o.planCache,
-		inj:          o.injector,
-		tel:          o.metrics,
-		obs:          newServingTelemetry(o.metrics),
-	}
-	d.governedCap.Store(-1)
-	d.pred.Store(pred)
-	d.grd = ps.newGuard(pred, o)
-	d.attachLifecycle(o)
+	d := ps.newDeployment(pred, encoding.NewEncoder(pred.EncoderConfig()), len(train), test, o)
 	d.dur = &durableState{store: store, jour: jour}
 	if d.lc != nil {
 		if err := d.lc.resume(store, man, jour, ps, o); err != nil {

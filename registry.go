@@ -14,10 +14,10 @@ import (
 // This file is the root package's fleet-serving surface: the registry veneer
 // that makes fleet.Registry the single serving entry point for many
 // deployments at once, the adapter that plugs a *Deployment in as a fleet
-// backend, and the deployment-side seams the registry governs (the shed
-// serving path and the budgeted plan-cache capacity). The mechanics —
-// sharding, admission token buckets, global cache budget — live in
-// internal/fleet.
+// backend, and the deployment-side seam the registry governs (the budgeted
+// plan-cache capacity; the shed path is Deployment.serve in loam.go). The
+// mechanics — sharding, admission token buckets, global cache budget — live
+// in internal/fleet.
 
 // Fleet configuration and reporting types, re-exported so application code
 // never imports internal packages.
@@ -184,7 +184,7 @@ func (b *fleetBackend) OptimizeCtx(ctx context.Context, q *query.Query) (any, er
 
 // ShedCtx serves one load-shed query from the fallback ladder.
 func (b *fleetBackend) ShedCtx(ctx context.Context, q *query.Query, cause error) (any, error) {
-	c, err := b.d.optimizeShed(ctx, q, cause)
+	c, err := b.d.serve(ctx, q, true, cause)
 	if c == nil {
 		return nil, err
 	}
@@ -196,50 +196,6 @@ func (b *fleetBackend) CacheLen() int { return b.d.pred.Load().PlanCacheLen() }
 
 // SetCacheCapacity applies a fleet budget grant to the deployment.
 func (b *fleetBackend) SetCacheCapacity(n int) { b.d.setGovernedCache(n) }
-
-// optimizeShed serves one query the admission gate declined: candidates are
-// still generated (the fallback ladder needs them), but the guard goes
-// straight to the native-fallback rung — the learned path's cost (scoring,
-// cache traffic, breaker accounting) is withheld, and the Choice reports
-// ErrLoadShed wrapping cause in FallbackCause. It feeds the same serving
-// telemetry as OptimizeCtx, so fleet-wide serve counters stay comparable.
-func (d *Deployment) optimizeShed(ctx context.Context, q *query.Query, cause error) (*Choice, error) {
-	if err := ctx.Err(); err != nil {
-		d.obs.optimizeCancels.Inc()
-		return nil, err
-	}
-	d.obs.optimizeTotal.Inc()
-	span := d.obs.optimizeLatency.Start()
-	defer span.Stop()
-
-	cands := d.ProjectSim.Explorer(q.Day).Candidates(q)
-	d.obs.candidates.Observe(float64(len(cands)))
-	res, err := d.grd.ServeShed(guard.Request{
-		ID:    q.ID,
-		Day:   q.Day,
-		Query: q,
-		Cands: cands,
-	}, cause)
-	if err != nil {
-		d.obs.optimizeErrors.Inc()
-		return nil, fmt.Errorf("optimize %s: %w", d.ProjectSim.Config.Name, err)
-	}
-	idx := -1
-	for i := range cands {
-		if cands[i] == res.Chosen {
-			idx = i
-			break
-		}
-	}
-	return &Choice{
-		Query:         q,
-		Candidates:    cands,
-		Chosen:        res.Chosen,
-		ChosenIdx:     idx,
-		Origin:        res.Origin,
-		FallbackCause: res.FallbackCause,
-	}, nil
-}
 
 // setGovernedCache applies a fleet cache grant: the live predictor's cache is
 // resized in place (shrinks evict the LRU tail, survivors keep their

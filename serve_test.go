@@ -224,6 +224,33 @@ func TestOptimizeBatchCancelMidBatchSequential(t *testing.T) {
 	}
 }
 
+// TestServeCancelDuringExploration lands a cancellation between the entry
+// check and the post-exploration check of the serve drive, on the admitted
+// path and on the fleet's shed path: both must return ctx.Err() with no
+// choice, never reach the guard, and count the request identically — started
+// in serve.optimize.total, ended in serve.optimize.canceled.
+func TestServeCancelDuringExploration(t *testing.T) {
+	for _, shed := range []bool{false, true} {
+		dep, qs := serveDeployment(t, 38, 1)
+		ctx := &countdownCtx{Context: context.Background(), after: 1}
+		c, err := dep.serve(ctx, qs[0], shed, ErrTenantThrottled)
+		if err != context.Canceled || c != nil {
+			t.Fatalf("shed=%v: got choice %v, err %v; want nil, context.Canceled", shed, c, err)
+		}
+		snap := dep.Metrics()
+		for name, want := range map[string]int64{
+			"serve.optimize.total":    1,
+			"serve.optimize.canceled": 1,
+			"serve.optimize.errors":   0,
+			"guard.serve.total":       0,
+		} {
+			if got := counterValue(t, snap, name); got != want {
+				t.Fatalf("shed=%v: %s = %d, want %d", shed, name, got, want)
+			}
+		}
+	}
+}
+
 // TestOptimizeBatchCancelInFlight cancels concurrently with a parallel batch
 // and checks the invariants that must hold wherever the cancel lands: the
 // call returns, every nil choice has a matching batch entry, and any error
