@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-fleet bench-fleet-smoke bench-go lint lint-fix-hints lint-report chaos chaos-recover verify
+.PHONY: build test race bench bench-smoke bench-fleet bench-fleet-smoke bench-e2e bench-e2e-smoke bench-go lint lint-fix-hints lint-report chaos chaos-recover verify
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,19 @@ bench-fleet: build
 # bench-fleet-smoke is the tiny-scale CI variant of bench-fleet (100 tenants).
 bench-fleet-smoke: build
 	$(GO) run ./cmd/loam-bench -run fleet -tiny -quiet -fleetout BENCH_fleet.json
+
+# bench-e2e runs the BENCHMARK.json serving benchmark (bench/README.md): four
+# closed-loop workloads end to end — qps, latency, allocs/op, live heap per
+# OptimizeCtx / Route / optimize→execute iteration — ~4 min. Performance
+# claims are stated in its metric names; `-trace 1` adds the per-layer budget.
+bench-e2e:
+	bash bench/run.sh
+
+# bench-e2e-smoke is the test-sized scenario (~10 s after the first build):
+# every correctness check of the harness plus the four choices_digests, which
+# a change that claims no behaviour change must leave as they were.
+bench-e2e-smoke:
+	bash bench/run.sh -smoke
 
 # bench-go runs the go-test benchmark suite once through.
 bench-go:
@@ -83,4 +96,4 @@ chaos:
 chaos-recover:
 	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore|Grants' ./...
 
-verify: build lint test race chaos chaos-recover
+verify: build lint test race chaos chaos-recover bench-e2e-smoke

@@ -183,7 +183,7 @@ func BenchmarkThm1Verification(b *testing.B) {
 
 // --- Micro-benchmarks of the core building blocks ---
 
-func microProject(b *testing.B) (*loam.ProjectSim, *loam.Simulation) {
+func microProject(b testing.TB) (*loam.ProjectSim, *loam.Simulation) {
 	b.Helper()
 	sim := loam.NewSimulation(99, loam.DefaultSimulationConfig())
 	cfg := loam.DefaultProjectConfig("micro")
@@ -209,6 +209,20 @@ func BenchmarkExplorerCandidates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ex.Candidates(q)
+	}
+}
+
+// TestExplorerCandidatesAllocCeiling pins the allocation drop of planning a
+// request through one session (2,693 allocs/call when every setting planned
+// and estimated on its own; 578 when the ceiling was set): what remains is
+// the distinct candidate plans themselves — nodes, child and key slices.
+func TestExplorerCandidatesAllocCeiling(t *testing.T) {
+	ps, _ := microProject(t)
+	q := ps.Gen.Templates[0].Instantiate(ps.Rng("bench"), 1)
+	ex := ps.Explorer(1)
+	const ceiling = 650
+	if allocs := testing.AllocsPerRun(20, func() { _ = ex.Candidates(q) }); allocs > ceiling {
+		t.Fatalf("Explorer.Candidates: %.0f allocs/call, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -26,8 +26,8 @@ func TestHeadroomDiagnostic(t *testing.T) {
 
 		day := 3
 		ex := ps.Explorer(day)
-		exAll := ps.Explorer(day)
-		exAll.TopK = 0 // uncut candidate set: the exploration ceiling
+		exAll := *ps.Explorer(day) // a copy: the project's explorer is shared
+		exAll.TopK = 0             // uncut candidate set: the exploration ceiling
 		totalDef, totalBest := 0.0, 0.0
 		perQuery, perQueryAll := 0.0, 0.0
 		queries := 0

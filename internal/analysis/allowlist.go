@@ -42,13 +42,6 @@ func DefaultAllowlist() []AllowEntry {
 				"readings that never feed simulated state",
 		},
 		{
-			Rule:       "determinism",
-			PathPrefix: "internal/nativeopt/",
-			Contains:   "range over map \"remaining\"",
-			Reason: "greedy join-order loop reads only pure size estimates and breaks ties " +
-				"on the table name, a total order — the result is independent of iteration order",
-		},
-		{
 			Rule:       "lockdiscipline",
 			PathPrefix: "internal/cluster/cluster.go",
 			Contains:   "Cluster.Size",

@@ -76,58 +76,93 @@ type Estimator struct {
 
 // Result holds per-node output cardinalities for one plan.
 type Result struct {
-	rows   map[*plan.Node]float64
-	tables map[*plan.Node]int
+	cards map[*plan.Node]card
 }
 
+type card struct {
+	rows   float64
+	tables int
+}
+
+// NewResult returns an empty result sized for a plan of about size nodes,
+// for callers that fill it node by node with Estimator.Add.
+func NewResult(size int) *Result {
+	return &Result{cards: make(map[*plan.Node]card, size)}
+}
+
+// Reset empties the result, keeping its storage for the next plan.
+func (r *Result) Reset() { clear(r.cards) }
+
 // Rows returns the output cardinality of a node (0 for unknown nodes).
-func (r *Result) Rows(n *plan.Node) float64 { return r.rows[n] }
+func (r *Result) Rows(n *plan.Node) float64 { return r.cards[n].rows }
 
 // BaseTables returns how many distinct base tables feed a node.
-func (r *Result) BaseTables(n *plan.Node) int { return r.tables[n] }
+func (r *Result) BaseTables(n *plan.Node) int { return r.cards[n].tables }
 
-// Estimate computes output cardinalities for every node under root.
+// Estimate computes output cardinalities for every node under root: Add over
+// the tree, children first.
 func (e *Estimator) Estimate(root *plan.Node) *Result {
-	res := &Result{
-		rows:   make(map[*plan.Node]float64, root.Size()),
-		tables: make(map[*plan.Node]int, root.Size()),
-	}
-	e.walk(root, res)
+	res := NewResult(root.Size())
+	e.addTree(res, root)
 	return res
 }
 
-func (e *Estimator) walk(n *plan.Node, res *Result) (rows float64, tables int) {
+func (e *Estimator) addTree(res *Result, n *plan.Node) {
 	if n == nil {
-		return 0, 0
+		return
 	}
-	childRows := make([]float64, len(n.Children))
-	for i, c := range n.Children {
-		r, t := e.walk(c, res)
-		childRows[i] = r
-		tables += t
+	for _, c := range n.Children {
+		e.addTree(res, c)
 	}
-	rows = e.output(n, childRows)
+	e.Add(res, n)
+}
+
+// Add is the incremental step: it computes n's output cardinality from its
+// children's — which must already be in res — records it and returns it. A
+// planner that registers each node as it creates it therefore pays for every
+// node once, however often it reads sub-plan sizes back while building.
+func (e *Estimator) Add(res *Result, n *plan.Node) float64 {
+	sel := 1.0
+	if n.Op.IsFilterLike() {
+		sel = expr.Selectivity(n.Pred, e.Src.Dist)
+	}
+	return e.AddFiltered(res, n, sel)
+}
+
+// AddFiltered is Add for a caller that already holds sel, the selectivity of
+// n.Pred under e.Src.Dist (read only when n is filter-like) — selectivity is
+// by far the dearest input, and a planner that builds many plans over the
+// same table-local predicates evaluates each once.
+func (e *Estimator) AddFiltered(res *Result, n *plan.Node, sel float64) float64 {
+	tables := 0
+	for _, c := range n.Children {
+		tables += res.cards[c].tables
+	}
 	if n.Op == plan.OpTableScan {
 		tables = 1
 	}
+	rows := e.output(res, n, sel)
 	if e.CardScale > 0 && e.CardScale != 1 && tables >= 3 {
 		rows *= e.CardScale
 	}
 	if rows < 1 {
 		rows = 1
 	}
-	res.rows[n] = rows
-	res.tables[n] = tables
-	return rows, tables
+	res.cards[n] = card{rows: rows, tables: tables}
+	return rows
 }
 
-func (e *Estimator) output(n *plan.Node, in []float64) float64 {
-	first := func() float64 {
-		if len(in) > 0 {
-			return in[0]
-		}
-		return 1
+// in returns the recorded output of n's i-th child, or 1 when n has no such
+// child.
+func (r *Result) in(n *plan.Node, i int) float64 {
+	if i < len(n.Children) {
+		return r.cards[n.Children[i]].rows
 	}
+	return 1
+}
+
+func (e *Estimator) output(res *Result, n *plan.Node, sel float64) float64 {
+	first := res.in(n, 0)
 	switch {
 	case n.Op == plan.OpTableScan:
 		rows := e.Src.Rows(n.Table)
@@ -137,40 +172,33 @@ func (e *Estimator) output(n *plan.Node, in []float64) float64 {
 		}
 		return rows
 	case n.Op.IsFilterLike():
-		return first() * expr.Selectivity(n.Pred, e.Src.Dist)
+		return first * sel
 	case n.Op.IsJoin():
-		return e.joinOutput(n, in)
+		return e.joinOutput(n, first, res.in(n, 1))
 	case n.Op.IsAggregate():
-		return e.aggOutput(n, first())
+		return e.aggOutput(n, first)
 	case n.Op == plan.OpUnion:
 		total := 0.0
-		for _, r := range in {
-			total += r
+		for _, c := range n.Children {
+			total += res.cards[c].rows
 		}
 		return total
 	case n.Op == plan.OpLimit || n.Op == plan.OpTopN:
-		return math.Min(first(), 10_000)
+		return math.Min(first, 10_000)
 	case n.Op == plan.OpSample:
-		return first() * 0.01
+		return first * 0.01
 	case n.Op == plan.OpValues:
 		return 1
 	case n.Op == plan.OpExpand:
-		return first() * 2
+		return first * 2
 	default:
 		// Exchange, Sort, Spool, Project, Window, Select, Sink... preserve
 		// cardinality.
-		return first()
+		return first
 	}
 }
 
-func (e *Estimator) joinOutput(n *plan.Node, in []float64) float64 {
-	left, right := 1.0, 1.0
-	if len(in) > 0 {
-		left = in[0]
-	}
-	if len(in) > 1 {
-		right = in[1]
-	}
+func (e *Estimator) joinOutput(n *plan.Node, left, right float64) float64 {
 	// Containment assumption: each equi-join pair contributes
 	// 1/max(ndvL, ndvR).
 	sel := 1.0

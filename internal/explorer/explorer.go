@@ -35,9 +35,16 @@ type Explorer struct {
 	Wide bool
 }
 
+// defaultCardScales and wideCardScales are shared by every explorer New and
+// NewWide build; Candidates only reads them.
+var (
+	defaultCardScales = []float64{0.2, 0.5, 5.0}
+	wideCardScales    = []float64{0.1, 0.2, 0.5, 2, 5, 10}
+)
+
 // New builds an explorer with the paper's defaults.
 func New(v *stats.View) *Explorer {
-	return &Explorer{View: v, CardScales: []float64{0.2, 0.5, 5.0}, TopK: 5, SafetyFactor: 3}
+	return &Explorer{View: v, CardScales: defaultCardScales, TopK: 5, SafetyFactor: 3}
 }
 
 // NewWide builds a diversified explorer — the paper's §7.3 future-work
@@ -48,14 +55,15 @@ func New(v *stats.View) *Explorer {
 func NewWide(v *stats.View) *Explorer {
 	e := New(v)
 	e.Wide = true
-	e.CardScales = []float64{0.1, 0.2, 0.5, 2, 5, 10}
+	e.CardScales = wideCardScales
 	e.TopK = 8
 	return e
 }
 
-// singleFlagSets enumerates the six single-flag toggles.
-func singleFlagSets() []nativeopt.Flags {
-	return []nativeopt.Flags{
+// singleFlags are the six single-flag toggles; pairFlags every two-flag
+// combination (wide exploration).
+var (
+	singleFlags = [...]nativeopt.Flags{
 		{MergeJoin: true},
 		{BroadcastJoin: true},
 		{ShuffleCombine: true},
@@ -63,16 +71,14 @@ func singleFlagSets() []nativeopt.Flags {
 		{FilterPushdown: true},
 		{DopHigh: true},
 	}
-}
+	pairFlags = pairFlagSets()
+)
 
-// pairFlagSets enumerates every two-flag combination (wide exploration).
 func pairFlagSets() []nativeopt.Flags {
-	singles := singleFlagSets()
 	var out []nativeopt.Flags
-	for i := 0; i < len(singles); i++ {
-		for j := i + 1; j < len(singles); j++ {
-			f := merge(singles[i], singles[j])
-			out = append(out, f)
+	for i := 0; i < len(singleFlags); i++ {
+		for j := i + 1; j < len(singleFlags); j++ {
+			out = append(out, merge(singleFlags[i], singleFlags[j]))
 		}
 	}
 	return out
@@ -91,10 +97,12 @@ func merge(a, b nativeopt.Flags) nativeopt.Flags {
 
 // Candidates returns the candidate plan set for a query: the default plan
 // first, then up to TopK-1 distinct knob-tuned alternatives ranked by the
-// native rough cost.
+// native rough cost. Every setting is planned through one nativeopt.Session,
+// so the request evaluates each table-local predicate and each plan node
+// once.
 func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
-	base := nativeopt.New(e.View)
-	def := base.Optimize(q, nativeopt.Flags{})
+	session := nativeopt.NewSession(e.View, q)
+	def, defCost := session.Plan(nativeopt.Flags{}, 0)
 
 	type scored struct {
 		p    *plan.Plan
@@ -103,44 +111,56 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	// Candidates are sealed with the fingerprint the dedup pass computes
 	// anyway: the predictor's plan-embedding cache keys on it every time a
 	// candidate is scored, and re-walking the tree per lookup dominated the
-	// warm serving path before the seal (see plan.Seal).
-	def.Seal()
-	seen := map[uint64]bool{def.CacheFingerprint(): true}
-	defCost := base.RoughCost(def)
-	var alts []scored
+	// warm serving path before the seal (see plan.Seal). The rough cost
+	// planning produced rides along (plan.SealRough): the guard's sentinel
+	// asks nativeopt for it again on every learned serve.
+	settings := 1 + len(singleFlags) + len(e.CardScales)
+	if e.Wide {
+		settings += len(pairFlags)
+	}
+	seen := make([]uint64, 1, settings)
+	seen[0] = def.Seal()
+	def.SealRough(e.View, defCost)
+	alts := make([]scored, 0, settings-1)
 
-	add := func(p *plan.Plan) {
+	// A plan that is not kept goes back to the session, whose later
+	// plannings reuse its nodes.
+	add := func(p *plan.Plan, cost float64) {
 		fp := p.Seal()
-		if seen[fp] {
+		for _, s := range seen {
+			if s == fp {
+				session.Release(p)
+				return
+			}
+		}
+		seen = append(seen, fp)
+		if e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*defCost) {
+			session.Release(p) // drastically bad (or NaN) by the native estimate
 			return
 		}
-		seen[fp] = true
-		cost := base.RoughCost(p)
-		if e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*defCost) {
-			return // drastically bad (or NaN) by the native estimate
-		}
+		p.SealRough(e.View, cost)
 		alts = append(alts, scored{p: p, cost: cost})
 	}
 
-	for _, f := range singleFlagSets() {
-		add(base.Optimize(q, f))
+	for _, f := range singleFlags {
+		add(session.Plan(f, 0))
 	}
 	if e.Wide {
-		for _, f := range pairFlagSets() {
-			add(base.Optimize(q, f))
+		for _, f := range pairFlags {
+			add(session.Plan(f, 0))
 		}
 	}
 	for _, scale := range e.CardScales {
-		scaled := &nativeopt.Optimizer{View: e.View, CardScale: scale}
-		add(scaled.Optimize(q, nativeopt.Flags{}))
+		add(session.Plan(nativeopt.Flags{}, scale))
 	}
 
 	sort.Slice(alts, func(i, j int) bool { return floatsafe.SortLess(alts[i].cost, alts[j].cost) })
-	out := []*plan.Plan{def}
 	limit := len(alts)
 	if e.TopK > 0 && e.TopK-1 < limit {
 		limit = e.TopK - 1
 	}
+	out := make([]*plan.Plan, 1, 1+limit)
+	out[0] = def
 	for _, s := range alts[:limit] {
 		out = append(out, s.p)
 	}
@@ -149,5 +169,5 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 
 // DefaultPlan returns just the native optimizer's plan (no knobs).
 func (e *Explorer) DefaultPlan(q *query.Query) *plan.Plan {
-	return nativeopt.New(e.View).Optimize(q, nativeopt.Flags{})
+	return nativeopt.DefaultPlan(e.View, q)
 }

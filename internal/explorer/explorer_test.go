@@ -1,8 +1,17 @@
 package explorer
 
 import (
+	"encoding/json"
+	"math"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"loam/internal/floatsafe"
+	"loam/internal/nativeopt"
+	"loam/internal/plan"
+	"loam/internal/query"
 	"loam/internal/simrand"
 	"loam/internal/stats"
 	"loam/internal/warehouse"
@@ -142,4 +151,255 @@ func TestPairFlagSetsCount(t *testing.T) {
 			t.Fatalf("pair with %d knobs", len(f.Knobs()))
 		}
 	}
+}
+
+// referenceCandidates is Candidates as it was before one session served all
+// settings: an independent Optimize per setting (so nothing is shared between
+// plannings) and a RoughCost per distinct plan that estimates the finished
+// tree from scratch (the plans are never rough-sealed). It returns the kept
+// plans with the rough costs it ranked them by.
+func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) {
+	base := nativeopt.New(e.View)
+	def := base.Optimize(q, nativeopt.Flags{})
+	seen := map[uint64]bool{def.Root.Fingerprint(): true}
+	defCost := base.RoughCost(def)
+
+	type scored struct {
+		p    *plan.Plan
+		cost float64
+	}
+	var alts []scored
+	add := func(p *plan.Plan) {
+		fp := p.Root.Fingerprint()
+		if seen[fp] {
+			return
+		}
+		seen[fp] = true
+		cost := base.RoughCost(p)
+		if e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*defCost) {
+			return
+		}
+		alts = append(alts, scored{p: p, cost: cost})
+	}
+	flags := []nativeopt.Flags{
+		{MergeJoin: true}, {BroadcastJoin: true}, {ShuffleCombine: true},
+		{SpoolEager: true}, {FilterPushdown: true}, {DopHigh: true},
+	}
+	for _, f := range flags {
+		add(base.Optimize(q, f))
+	}
+	if e.Wide {
+		for i := range flags {
+			for j := i + 1; j < len(flags); j++ {
+				add(base.Optimize(q, merge(flags[i], flags[j])))
+			}
+		}
+	}
+	for _, scale := range e.CardScales {
+		add((&nativeopt.Optimizer{View: e.View, CardScale: scale}).Optimize(q, nativeopt.Flags{}))
+	}
+	sort.Slice(alts, func(i, j int) bool { return floatsafe.SortLess(alts[i].cost, alts[j].cost) })
+	plans, costs := []*plan.Plan{def}, []float64{defCost}
+	limit := len(alts)
+	if e.TopK > 0 && e.TopK-1 < limit {
+		limit = e.TopK - 1
+	}
+	for _, s := range alts[:limit] {
+		plans, costs = append(plans, s.p), append(costs, s.cost)
+	}
+	return plans, costs
+}
+
+// TestCandidatesMatchPerSettingReference: for every template of a
+// project1-shaped world (mostly fresh column statistics, 2–5 tables) and a
+// project2-shaped one (mostly missing, 3–6 tables), the default and the wide
+// explorer — cut and uncut — return the reference's fingerprints, knobs and
+// order, and seal exactly the rough costs the reference ranked by.
+func TestCandidatesMatchPerSettingReference(t *testing.T) {
+	type world struct {
+		name          string
+		seed          uint64
+		tables, cols  int
+		rowsMean      float64
+		pol           stats.Policy
+		minT, maxT    int
+		pushDifficult float64
+	}
+	worlds := []world{
+		{"project1", 101, 60, 14, 4.7,
+			stats.Policy{ColumnStatsProb: 0.85, FreshProb: 0.85, MaxStalenessDays: 10, NDVNoise: 0.2}, 2, 5, 0.25},
+		{"project2", 202, 30, 6, 6.2,
+			stats.Policy{ColumnStatsProb: 0.38, FreshProb: 0.30, MaxStalenessDays: 25, NDVNoise: 0.8}, 3, 6, 0.55},
+	}
+	for _, w := range worlds {
+		a := warehouse.DefaultArchetype()
+		a.Name = w.name
+		a.NumTables = w.tables
+		a.ColumnsPerTable = w.cols
+		a.RowsLog10Mean = w.rowsMean
+		p := warehouse.Generate(simrand.New(w.seed), a)
+		const day = 4
+		view := stats.Snapshot(simrand.New(w.seed+2), p, day, w.pol)
+		cfg := workload.DefaultConfig()
+		cfg.NumTemplates = 40
+		cfg.MinTables, cfg.MaxTables = w.minT, w.maxT
+		cfg.PushDifficultProb = w.pushDifficult
+		g := workload.NewGenerator(simrand.New(w.seed+1), p, cfg)
+
+		uncut := func(e *Explorer) *Explorer { e.TopK, e.SafetyFactor = 0, 0; return e }
+		explorers := map[string]*Explorer{
+			"default": New(view), "wide": NewWide(view),
+			"default uncut": uncut(New(view)), "wide uncut": uncut(NewWide(view)),
+		}
+		kept := 0
+		for _, tpl := range g.Templates {
+			q := tpl.Instantiate(simrand.New(w.seed+3), day)
+			for name, e := range explorers {
+				got := e.Candidates(q)
+				want, costs := referenceCandidates(e, q)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s %s: %d candidates, reference %d", w.name, name, q.ID, len(got), len(want))
+				}
+				kept += len(got)
+				for i := range got {
+					if got[i].Root.Fingerprint() != want[i].Root.Fingerprint() {
+						t.Fatalf("%s %s %s: candidate %d differs from the reference:\n%s\nvs\n%s",
+							w.name, name, q.ID, i, got[i], want[i])
+					}
+					if fp, ok := got[i].SealedFingerprint(); !ok || fp != got[i].Root.Fingerprint() {
+						t.Fatalf("%s %s %s: candidate %d fingerprint seal %x/%v", w.name, name, q.ID, i, fp, ok)
+					}
+					if strings.Join(got[i].Knobs, ",") != strings.Join(want[i].Knobs, ",") {
+						t.Fatalf("%s %s %s: candidate %d knobs %v, reference %v", w.name, name, q.ID, i, got[i].Knobs, want[i].Knobs)
+					}
+					sealed, ok := got[i].SealedRough(view)
+					if !ok || math.Float64bits(sealed) != math.Float64bits(costs[i]) {
+						t.Fatalf("%s %s %s: candidate %d sealed rough cost %v (%v), reference %v",
+							w.name, name, q.ID, i, sealed, ok, costs[i])
+					}
+				}
+			}
+		}
+		if kept == 0 {
+			t.Fatalf("%s: nothing compared", w.name)
+		}
+	}
+}
+
+// TestRoughSealValidity: every candidate carries the rough cost a fresh
+// estimate-and-walk computes, RoughCost answers from it only under the view
+// it was computed under with scaling off, and copies never inherit it.
+func TestRoughSealValidity(t *testing.T) {
+	e, g := fixture(11, stats.DefaultPolicy())
+	other := stats.Snapshot(simrand.New(99), g.Project, 3, stats.Policy{ColumnStatsProb: 0.2, FreshProb: 0.1, MaxStalenessDays: 25, NDVNoise: 0.9})
+	bits := math.Float64bits
+	differs := 0
+	for _, tpl := range g.Templates {
+		q := tpl.Instantiate(simrand.New(5), 3)
+		for i, c := range e.Candidates(q) {
+			sealed, ok := c.SealedRough(e.View)
+			if !ok {
+				t.Fatalf("%s candidate %d carries no rough seal", q.ID, i)
+			}
+			clone := c.Clone()
+			if _, ok := clone.SealedRough(e.View); ok {
+				t.Fatal("Clone kept the rough seal")
+			}
+			fresh := nativeopt.New(e.View).RoughCost(clone)
+			if bits(sealed) != bits(fresh) || bits(nativeopt.New(e.View).RoughCost(c)) != bits(fresh) {
+				t.Fatalf("%s candidate %d: sealed %v, fresh %v", q.ID, i, sealed, fresh)
+			}
+
+			// A different view, or a scaling optimizer, estimates afresh.
+			for name, o := range map[string]*nativeopt.Optimizer{
+				"other view": nativeopt.New(other),
+				"scale 5":    {View: e.View, CardScale: 5},
+				"scale 0.2":  {View: e.View, CardScale: 0.2},
+			} {
+				got, want := o.RoughCost(c), o.RoughCost(clone)
+				if bits(got) != bits(want) {
+					t.Fatalf("%s candidate %d under %s: %v from the sealed plan, %v from its unsealed clone", q.ID, i, name, got, want)
+				}
+				if bits(got) != bits(sealed) {
+					differs++
+				}
+			}
+			// Scale 1 is scaling off: the seal answers.
+			if got := (&nativeopt.Optimizer{View: e.View, CardScale: 1}).RoughCost(c); bits(got) != bits(sealed) {
+				t.Fatalf("scale 1: %v, sealed %v", got, sealed)
+			}
+
+			data, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back plan.Plan
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := back.SealedRough(e.View); ok {
+				t.Fatal("JSON round trip kept the rough seal")
+			}
+			if got := nativeopt.New(e.View).RoughCost(&back); bits(got) != bits(fresh) {
+				t.Fatalf("round-tripped plan costs %v, want %v", got, fresh)
+			}
+		}
+
+		// The guard's native-fallback re-plan never passes through the
+		// explorer: unsealed, and costed by estimating it.
+		native := nativeopt.DefaultPlan(e.View, q)
+		if _, ok := native.SealedRough(e.View); ok {
+			t.Fatal("native re-plan is sealed")
+		}
+		if got, want := nativeopt.New(e.View).RoughCost(native), nativeopt.New(e.View).RoughCost(e.Candidates(q)[0]); bits(got) != bits(want) {
+			t.Fatalf("native re-plan costs %v, the default candidate %v", got, want)
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no other view or scale ever produced a different cost: the validity checks compared nothing")
+	}
+}
+
+// TestCandidatesConcurrentOnOneView: planning sessions are goroutine-local
+// and the view is only read, so goroutines sharing one explorer get what a
+// lone caller gets (run under -race).
+func TestCandidatesConcurrentOnOneView(t *testing.T) {
+	e, g := fixture(13, stats.DefaultPolicy())
+	var queries []*query.Query
+	var want [][]uint64
+	fingerprints := func(q *query.Query) []uint64 {
+		var fps []uint64
+		for _, c := range e.Candidates(q) {
+			fps = append(fps, c.CacheFingerprint())
+		}
+		return fps
+	}
+	for _, tpl := range g.Templates {
+		q := tpl.Instantiate(simrand.New(6), 3)
+		queries = append(queries, q)
+		want = append(want, fingerprints(q))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i, q := range queries {
+					got := fingerprints(q)
+					if len(got) != len(want[i]) {
+						t.Errorf("%s: %d candidates, alone %d", q.ID, len(got), len(want[i]))
+						return
+					}
+					for j := range got {
+						if got[j] != want[i][j] {
+							t.Errorf("%s: candidate %d differs from the lone run", q.ID, j)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

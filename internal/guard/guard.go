@@ -205,7 +205,10 @@ type Options struct {
 	// candidate set; nil disables the first fallback rung.
 	Native func(q *query.Query) *plan.Plan
 	// Rough returns the native optimizer's rough cost of a plan against a
-	// day's statistics; nil disables the regression sentinel.
+	// day's statistics; nil disables the regression sentinel. The sentinel
+	// calls it twice per learned serve, on candidates the explorer has just
+	// costed: nativeopt.RoughCost answers those from the plan's rough seal,
+	// so the guard keeps no cost cache of its own.
 	Rough func(day int, p *plan.Plan) float64
 	// Injector forces faults for tests and chaos experiments; nil is a
 	// no-op.

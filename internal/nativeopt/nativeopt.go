@@ -111,27 +111,40 @@ func (o *Optimizer) estimator() *cardinality.Estimator {
 }
 
 // Optimize compiles a logical query into a physical plan under the given
-// flags. The result is deterministic in (query, view, flags, CardScale).
+// flags. The result is deterministic in (query, view, flags, CardScale). It
+// is the one-setting case of a planning Session.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
-	b := &builder{opt: o, q: q, flags: f, est: o.estimator()}
-	root := b.build()
-	knobs := f.Knobs()
-	if o.CardScale > 0 && o.CardScale != 1 {
-		knobs = append(knobs, "cardScale")
-	}
-	return &plan.Plan{Root: root, Knobs: knobs}
+	p, _ := NewSession(o.View, q).Plan(f, o.CardScale)
+	return p
 }
 
 // RoughCost is the native expert cost model: per-operator work over
 // *estimated* cardinalities, with no environment term. It ranks candidate
 // plans for the explorer's top-k cut and mirrors how the native optimizer
 // selects its default plan.
+//
+// A plan the explorer sealed with its rough cost (plan.SealRough) answers
+// from the seal when the seal's validity rule holds — same view, scaling
+// off — so the guard's sentinel, which asks about plans the explorer has
+// just costed, pays a lookup; every other plan is estimated and walked.
 func (o *Optimizer) RoughCost(p *plan.Plan) float64 {
-	est := o.estimator()
-	cards := est.Estimate(p.Root)
+	if !scales(o.CardScale) {
+		if c, ok := p.SealedRough(o.View); ok {
+			return c
+		}
+	}
+	return roughCost(p.Root, o.estimator().Estimate(p.Root))
+}
+
+// scales reports whether a CardScale value actually scales (0 and 1 are off).
+func scales(cardScale float64) bool { return cardScale > 0 && cardScale != 1 }
+
+// roughCost sums the expert model's per-operator work over root in preorder,
+// reading cardinalities from cards.
+func roughCost(root *plan.Node, cards *cardinality.Result) float64 {
 	coeffs := defaultRoughCoeffs
 	total := 0.0
-	p.Root.Walk(func(n *plan.Node) {
+	root.Walk(func(n *plan.Node) {
 		inst := 32
 		if n.Parallelism > 0 {
 			inst = n.Parallelism
@@ -201,40 +214,203 @@ func log2(v float64) float64 {
 	return math.Log2(v)
 }
 
-// builder constructs one physical plan.
-type builder struct {
-	opt   *Optimizer
-	q     *query.Query
-	flags Flags
-	est   *cardinality.Estimator
+// Session is one request's planning state for one (view, query): everything
+// a plan depends on that no steering setting changes — the selectivity of each
+// table-local predicate, each table's statistics facts, the join graph
+// resolved to table slots, the join order before the card-scale rotation —
+// computed once and shared by every setting the request plans (the explorer
+// plans ten). It also holds the cardinalities of the plan under construction:
+// the builder registers each node as it creates it, so every node is
+// estimated once and sizing decisions read sub-plan rows back.
+//
+// A Session belongs to one goroutine and one request. It keeps nothing past
+// its own lifetime and only reads the view.
+type Session struct {
+	view *stats.View
+	q    *query.Query
+	est  cardinality.Estimator // never scales: the rough cost ranks unscaled
 
-	// deferred predicates: table → predicate applied above that table's
-	// first join instead of at the scan.
-	deferred map[string]*expr.Node
+	tables []tableFacts // parallel to q.Tables, which are distinct
+	joins  []joinEnds   // parallel to q.Joins
+	base   []int        // join order as table slots, before scaleRotate
+	// q.Aggs split the way aggregate nodes carry them; like q.GroupBy, every
+	// plan of the session shares them.
+	aggFuncs []plan.AggFunc
+	aggCols  []expr.ColumnRef
+
+	cards  *cardinality.Result // the plan under construction, under est
+	scaled *cardinality.Result // the same plan under a scaling estimator; nil until one is planned
+
+	// Per-planning scratch, indexed by table slot.
+	subplans []*plan.Node
+	joined   []bool
+	deferred []bool // HardPred still to be applied above the table's first join
+
+	// free holds the nodes of released plans, reused by later plannings.
+	free []*plan.Node
 }
 
-func (b *builder) build() *plan.Node {
-	b.deferred = make(map[string]*expr.Node)
+// tableFacts are the setting-independent facts of one query table.
+type tableFacts struct {
+	name      string
+	in        *query.TableInput
+	selPred   float64 // selectivity of in.Pred under the view (1 for nil)
+	selHard   float64 // selectivity of in.HardPred under the view (1 for nil)
+	hasStats  bool
+	partsRead int
+}
+
+// joinEnds are a join edge's tables as slots (-1: not a table of the query).
+type joinEnds struct{ left, right int }
+
+// nodesPerTable sizes a session's cardinality results: a plan has about this
+// many operators per table (scan, two filters, join, two exchanges, and a
+// share of the spool, aggregate and select).
+const nodesPerTable = 8
+
+// NewSession evaluates the setting-independent inputs of planning q against v.
+func NewSession(v *stats.View, q *query.Query) *Session {
+	n := len(q.Tables)
+	s := &Session{
+		view:     v,
+		q:        q,
+		est:      cardinality.Estimator{Src: cardinality.ViewSource(v)},
+		tables:   make([]tableFacts, n),
+		joins:    make([]joinEnds, len(q.Joins)),
+		cards:    cardinality.NewResult(nodesPerTable * n),
+		aggFuncs: aggFuncs(q.Aggs),
+		aggCols:  aggCols(q.Aggs),
+		subplans: make([]*plan.Node, n),
+		joined:   make([]bool, n),
+		deferred: make([]bool, n),
+	}
+	for i, name := range q.Tables {
+		in := q.Input(name)
+		parts := v.PartitionEstimate(name)
+		read := parts
+		if in.PartitionFrac < 1 {
+			read = int(math.Ceil(in.PartitionFrac * float64(parts)))
+			if read < 1 {
+				read = 1
+			}
+		}
+		s.tables[i] = tableFacts{
+			name:      name,
+			in:        in,
+			selPred:   expr.Selectivity(in.Pred, v),
+			selHard:   expr.Selectivity(in.HardPred, v),
+			hasStats:  v.HasColumnStats(name),
+			partsRead: read,
+		}
+	}
+	for i, j := range q.Joins {
+		s.joins[i] = joinEnds{left: s.slot(j.LeftTable), right: s.slot(j.RightTable)}
+	}
+	s.base = s.baseOrder()
+	return s
+}
+
+func (s *Session) slot(table string) int {
+	for i := range s.tables {
+		if s.tables[i].name == table {
+			return i
+		}
+	}
+	return -1
+}
+
+// Plan compiles the query under one steering setting and returns the plan
+// with its native rough cost (see Optimizer.RoughCost). The cost is always
+// the unscaled one — cardScale steers which plan is built, not how candidates
+// are ranked against each other.
+func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64) {
+	b := builder{s: s, flags: f, sizes: s.cards}
+	s.cards.Reset()
+	knobs := f.Knobs()
+	if scales(cardScale) {
+		if s.scaled == nil {
+			s.scaled = cardinality.NewResult(nodesPerTable * len(s.tables))
+		}
+		s.scaled.Reset()
+		b.scaling = cardinality.Estimator{Src: s.est.Src, CardScale: cardScale}
+		b.sizes = s.scaled
+		knobs = append(knobs, "cardScale")
+	}
+	root := b.build(s.scaleRotate(s.base, cardScale))
+	return &plan.Plan{Root: root, Knobs: knobs}, roughCost(root, s.cards)
+}
+
+// Release hands a plan this session built back to it, to be dismantled: its
+// nodes become the material of later plannings, so a plan that turns out to
+// duplicate an earlier one costs the request no garbage. The caller gives the
+// plan up — it must hold no other reference to it or to any of its nodes.
+func (s *Session) Release(p *plan.Plan) {
+	p.Root.Walk(func(n *plan.Node) { s.free = append(s.free, n) })
+	p.Root = nil
+}
+
+// node returns a node to build with: a released one if there is any.
+func (s *Session) node() *plan.Node {
+	if last := len(s.free) - 1; last >= 0 {
+		n := s.free[last]
+		s.free = s.free[:last]
+		return n
+	}
+	return new(plan.Node)
+}
+
+// builder constructs one physical plan of a session. Predicates are shared
+// with the query, not copied: expression trees are immutable values, and
+// plan.Clone — the way to get a plan to edit — copies them.
+type builder struct {
+	s     *Session
+	flags Flags
+	// sizes is where sizing decisions read estimated rows: the session's
+	// cards, or — when the setting scales cardinalities — its scaled twin,
+	// which scaling fills in step.
+	sizes   *cardinality.Result
+	scaling cardinality.Estimator
+}
+
+// add makes v a node of the plan over the given children — registered
+// already — and registers it.
+func (b *builder) add(v plan.Node, children ...*plan.Node) *plan.Node {
+	return b.addFiltered(v, 1, children...)
+}
+
+// addFiltered is add for a filter-like node whose predicate selectivity the
+// session already holds.
+func (b *builder) addFiltered(v plan.Node, sel float64, children ...*plan.Node) *plan.Node {
+	n := b.s.node()
+	v.Children = append(n.Children[:0], children...)
+	*n = v
+	b.s.est.AddFiltered(b.s.cards, n, sel)
+	if b.sizes != b.s.cards {
+		b.scaling.AddFiltered(b.sizes, n, sel)
+	}
+	return n
+}
+
+func (b *builder) build(order []int) *plan.Node {
+	s := b.s
 
 	// 1. Scan subplans per table.
-	subplans := make(map[string]*plan.Node, len(b.q.Tables))
-	for _, t := range b.q.Tables {
-		subplans[t] = b.buildScan(t)
+	for i := range s.tables {
+		s.subplans[i] = b.buildScan(i)
 	}
 
-	// 2. Join order.
-	order := b.joinOrder()
-
-	// 3. Left-deep join tree with physical selection.
-	joined := map[string]bool{order[0]: true}
-	current := subplans[order[0]]
+	// 2. Left-deep join tree, in the given order, with physical selection.
+	joined := s.joined
+	clear(joined)
+	joined[order[0]] = true
+	current := s.subplans[order[0]]
 	if len(order) == 1 {
 		current = b.applyDeferred(current, order[0])
 	}
 	joinCount := 0
 	for _, t := range order[1:] {
-		edge, found := b.findEdge(joined, t)
-		current = b.buildJoin(current, subplans[t], edge, found)
+		edge, found := s.findEdge(joined, t)
+		current = b.buildJoin(current, s.subplans[t], edge, found)
 		joined[t] = true
 		joinCount++
 		// A non-pushable predicate referencing only t's columns legally sits
@@ -250,43 +426,35 @@ func (b *builder) build() *plan.Node {
 		// large (or the spool flag forces it), lazy otherwise.
 		if joinCount == 1 && len(order) > 2 {
 			op := plan.OpLazySpool
-			if b.flags.SpoolEager || b.est.Estimate(current).Rows(current) > spoolThreshold {
+			if b.flags.SpoolEager || b.sizes.Rows(current) > spoolThreshold {
 				op = plan.OpSpool
 			}
-			current = &plan.Node{Op: op, Children: []*plan.Node{current}}
+			current = b.add(plan.Node{Op: op}, current)
 		}
 	}
 
-	// 4. Any predicates still pending (single-table queries) land here.
+	// 3. Any predicates still pending (single-table queries) land here.
 	for _, t := range order {
 		current = b.applyDeferred(current, t)
 	}
 
-	// 5. Aggregation.
-	if len(b.q.Aggs) > 0 || len(b.q.GroupBy) > 0 {
+	// 4. Aggregation.
+	if len(s.q.Aggs) > 0 || len(s.q.GroupBy) > 0 {
 		current = b.buildAgg(current)
 	}
 
-	root := &plan.Node{Op: plan.OpSelect, Children: []*plan.Node{current}}
-	return root
+	return b.add(plan.Node{Op: plan.OpSelect}, current)
 }
 
-func (b *builder) buildScan(t string) *plan.Node {
-	in := b.q.Input(t)
-	parts := b.opt.View.PartitionEstimate(t)
-	read := parts
-	if in.PartitionFrac < 1 {
-		read = int(math.Ceil(in.PartitionFrac * float64(parts)))
-		if read < 1 {
-			read = 1
-		}
-	}
-	var node *plan.Node = &plan.Node{
+func (b *builder) buildScan(slot int) *plan.Node {
+	t := &b.s.tables[slot]
+	in := t.in
+	node := b.add(plan.Node{
 		Op:              plan.OpTableScan,
-		Table:           t,
-		PartitionsRead:  read,
+		Table:           t.name,
+		PartitionsRead:  t.partsRead,
 		ColumnsAccessed: maxInt(1, in.ColumnsAccessed),
-	}
+	})
 	if in.Pred != nil {
 		// Sargable predicates always land at the scan: simple ones fuse into
 		// a Calc, complex ones stay a Filter (pushdown fuses everything).
@@ -294,103 +462,105 @@ func (b *builder) buildScan(t string) *plan.Node {
 		if b.flags.FilterPushdown || in.Pred.Size() <= 2 {
 			op = plan.OpCalc
 		}
-		node = &plan.Node{Op: op, Pred: in.Pred.Clone(), Children: []*plan.Node{node}}
+		node = b.addFiltered(plan.Node{Op: op, Pred: in.Pred}, t.selPred, node)
 	}
+	// The conservative rule declines to push the non-sargable predicate
+	// below joins when no column statistics can justify the rewrite (§2.1:
+	// missing statistics disable transformations); it is then deferred to
+	// the table's first join. With statistics (or the flag forcing it) it is
+	// still evaluated at the scan.
+	b.s.deferred[slot] = false
 	if in.HardPred != nil {
-		if b.flags.FilterPushdown || b.opt.View.HasColumnStats(t) {
-			// Statistics justify the rewrite (or the flag forces it): the
-			// non-sargable predicate is still evaluated at the scan.
-			node = &plan.Node{Op: plan.OpFilter, Pred: in.HardPred.Clone(), Children: []*plan.Node{node}}
+		if b.flags.FilterPushdown || t.hasStats {
+			node = b.addFiltered(plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard, node)
 		} else {
-			// The conservative rule declines to push this predicate below
-			// joins when no column statistics can justify the rewrite
-			// (§2.1: missing statistics disable transformations).
-			b.deferred[t] = in.HardPred
+			b.s.deferred[slot] = true
 		}
 	}
 	return node
 }
 
-func (b *builder) applyDeferred(n *plan.Node, table string) *plan.Node {
-	pred, ok := b.deferred[table]
-	if !ok {
+// applyDeferred places a table's deferred predicate, if it is still pending,
+// above n (above a bare scan it is a Filter too, just not fused).
+func (b *builder) applyDeferred(n *plan.Node, slot int) *plan.Node {
+	if !b.s.deferred[slot] {
 		return n
 	}
-	delete(b.deferred, table)
-	if n.Op == plan.OpTableScan {
-		// No join yet: the predicate still lands above the scan, it is just
-		// not fused.
-		return &plan.Node{Op: plan.OpFilter, Pred: pred.Clone(), Children: []*plan.Node{n}}
-	}
-	return &plan.Node{Op: plan.OpFilter, Pred: pred.Clone(), Children: []*plan.Node{n}}
+	b.s.deferred[slot] = false
+	t := &b.s.tables[slot]
+	return b.addFiltered(plan.Node{Op: plan.OpFilter, Pred: t.in.HardPred}, t.selHard, n)
 }
 
-// joinOrder returns the order tables are joined in. With column statistics
-// for every table the optimizer greedily minimizes estimated intermediate
-// sizes; otherwise reordering is disabled (§2.1) and the syntactic order is
-// kept.
-func (b *builder) joinOrder() []string {
-	tables := b.q.Tables
-	if len(tables) <= 2 || !b.allStats() {
-		// Reordering disabled: syntactic order — but the Lero-style scaling
-		// knob still perturbs the structure the optimizer settles on, which
-		// we model as a deterministic rotation of the order.
-		return b.scaleRotate(tables)
+// baseOrder returns the order tables are joined in, as slots, before the
+// card-scale rotation — no flag changes it, so a session computes it once.
+// With column statistics for every table the optimizer greedily minimizes
+// estimated intermediate sizes; otherwise reordering is disabled (§2.1) and
+// the syntactic order is kept.
+func (s *Session) baseOrder() []int {
+	n := len(s.tables)
+	if n <= 2 || !s.allStats() {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		return order
 	}
 	// Greedy: start from the smallest estimated filtered input; repeatedly
 	// add the connected table minimizing the estimated joined size.
-	remaining := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		remaining[t] = true
+	filtered := make([]float64, n)
+	for i := range filtered {
+		filtered[i] = s.filteredRows(i)
 	}
-	estRows := make(map[string]float64, len(tables))
-	for _, t := range tables {
-		estRows[t] = b.estimatedFilteredRows(t)
-	}
-	first := tables[0]
-	for _, t := range tables[1:] {
-		if floatsafe.Less(estRows[t], estRows[first]) {
+	first := 0
+	for t := 1; t < n; t++ {
+		if floatsafe.Less(filtered[t], filtered[first]) {
 			first = t
 		}
 	}
-	order := []string{first}
-	delete(remaining, first)
-	joined := map[string]bool{first: true}
-	size := estRows[first]
-	for len(remaining) > 0 {
-		bestTable := ""
+	order := make([]int, 1, n)
+	order[0] = first
+	joined := s.joined
+	clear(joined)
+	joined[first] = true
+	size := filtered[first]
+	for len(order) < n {
+		// Ties break on the table name, a total order.
+		best := -1
 		bestSize := math.Inf(1)
-		for t := range remaining {
-			edge, connected := b.findEdge(joined, t)
-			var s float64
+		for t := 0; t < n; t++ {
+			if joined[t] {
+				continue
+			}
+			edge, connected := s.findEdge(joined, t)
+			var joinedSize float64
 			if connected {
-				ndv := math.Max(b.est.Src.NDV(edge.LeftCol), b.est.Src.NDV(edge.RightCol))
+				ndv := math.Max(s.est.Src.NDV(edge.LeftCol), s.est.Src.NDV(edge.RightCol))
 				if ndv < 1 {
 					ndv = 1
 				}
-				s = size * estRows[t] / ndv
+				joinedSize = size * filtered[t] / ndv
 			} else {
-				s = size * estRows[t] // cross join: heavily penalized by size
+				joinedSize = size * filtered[t] // cross join: heavily penalized by size
 			}
-			if s < bestSize || (s == bestSize && t < bestTable) {
-				bestSize = s
-				bestTable = t
+			if joinedSize < bestSize || (joinedSize == bestSize && best >= 0 && s.tables[t].name < s.tables[best].name) {
+				bestSize = joinedSize
+				best = t
 			}
 		}
-		order = append(order, bestTable)
-		joined[bestTable] = true
-		delete(remaining, bestTable)
+		order = append(order, best)
+		joined[best] = true
 		size = math.Max(1, bestSize)
 	}
-	return b.scaleRotate(order)
+	return order
 }
 
 // scaleRotate applies the Lero-style knob's structural effect: with
 // CardScale != 1, sub-plans spanning ≥3 tables are re-costed, which shifts
-// the order the optimizer settles on. Modeled as a deterministic rotation so
-// the knob reliably yields a structurally different join order.
-func (b *builder) scaleRotate(order []string) []string {
-	if b.opt.CardScale <= 0 || b.opt.CardScale == 1 || len(order) < 3 {
+// the order the optimizer settles on — also when reordering is disabled.
+// Modeled as a deterministic rotation so the knob reliably yields a
+// structurally different join order.
+func (s *Session) scaleRotate(order []int, cardScale float64) []int {
+	if !scales(cardScale) || len(order) < 3 {
 		return order
 	}
 	// Pick a different starting table per scale regime, then rebuild a
@@ -398,35 +568,38 @@ func (b *builder) scaleRotate(order []string) []string {
 	// must never introduce cross joins the query doesn't have.
 	start := 1
 	switch {
-	case b.opt.CardScale < 0.3:
+	case cardScale < 0.3:
 		start = len(order) - 1
-	case b.opt.CardScale < 1:
+	case cardScale < 1:
 		start = 1 % len(order)
 	default:
 		start = 2 % len(order)
 	}
-	return b.connectedOrder(order, order[start])
+	return s.connectedOrder(order, order[start])
 }
 
 // connectedOrder returns a join order starting at start in which every
 // subsequent table is connected to the already-joined set when the join
 // graph allows it (remaining disconnected tables are appended in the
 // original order).
-func (b *builder) connectedOrder(tables []string, start string) []string {
-	joined := map[string]bool{start: true}
-	out := []string{start}
+func (s *Session) connectedOrder(tables []int, start int) []int {
+	joined := s.joined
+	clear(joined)
+	joined[start] = true
+	out := make([]int, 1, len(tables))
+	out[0] = start
 	for len(out) < len(tables) {
-		next := ""
+		next := -1
 		for _, t := range tables {
 			if joined[t] {
 				continue
 			}
-			if _, connected := b.findEdge(joined, t); connected {
+			if _, connected := s.findEdge(joined, t); connected {
 				next = t
 				break
 			}
 		}
-		if next == "" {
+		if next < 0 {
 			// Disconnected component: fall back to original order.
 			for _, t := range tables {
 				if !joined[t] {
@@ -441,44 +614,47 @@ func (b *builder) connectedOrder(tables []string, start string) []string {
 	return out
 }
 
-func (b *builder) allStats() bool {
-	for _, t := range b.q.Tables {
-		if !b.opt.View.HasColumnStats(t) {
+func (s *Session) allStats() bool {
+	for i := range s.tables {
+		if !s.tables[i].hasStats {
 			return false
 		}
 	}
 	return true
 }
 
-func (b *builder) estimatedFilteredRows(t string) float64 {
-	rows := float64(b.opt.View.RowEstimate(t))
-	in := b.q.Input(t)
-	if in.PartitionFrac < 1 {
-		rows *= in.PartitionFrac
+// filteredRows estimates a table's rows after partition pruning and its full
+// table-local predicate. The conjunction of Pred and HardPred is the product
+// of the two selectivities: each is already clamped to [0,1], so clamping the
+// product again (as evaluating the conjoined tree would) changes nothing.
+func (s *Session) filteredRows(slot int) float64 {
+	t := &s.tables[slot]
+	rows := float64(s.view.RowEstimate(t.name))
+	if t.in.PartitionFrac < 1 {
+		rows *= t.in.PartitionFrac
 	}
-	if full := in.FullPred(); full != nil {
-		rows *= expr.Selectivity(full, b.opt.View)
-	}
+	rows *= t.selPred * t.selHard
 	if rows < 1 {
 		rows = 1
 	}
 	return rows
 }
 
-// findEdge locates a join edge between the joined set and table t. The
+// findEdge locates a join edge between the joined set and table slot t. The
 // boolean is false when t is only reachable by cross join.
-func (b *builder) findEdge(joined map[string]bool, t string) (query.JoinEdge, bool) {
-	for _, j := range b.q.Joins {
-		if j.LeftTable == t && joined[j.RightTable] {
+func (s *Session) findEdge(joined []bool, t int) (query.JoinEdge, bool) {
+	for i, ends := range s.joins {
+		if ends.left == t && ends.right >= 0 && joined[ends.right] {
 			// Flip so the new table is on the right.
+			j := s.q.Joins[i]
 			return query.JoinEdge{
 				LeftTable: j.RightTable, RightTable: j.LeftTable,
 				LeftCol: j.RightCol, RightCol: j.LeftCol,
 				Form: flipForm(j.Form),
 			}, true
 		}
-		if j.RightTable == t && joined[j.LeftTable] {
-			return j, true
+		if ends.right == t && ends.left >= 0 && joined[ends.left] {
+			return s.q.Joins[i], true
 		}
 	}
 	return query.JoinEdge{}, false
@@ -498,19 +674,15 @@ func flipForm(f plan.JoinForm) plan.JoinForm {
 // buildJoin attaches right to left with physical operator selection based on
 // estimated sizes.
 func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connected bool) *plan.Node {
-	lRows := b.est.Estimate(left).Rows(left)
-	rRows := b.est.Estimate(right).Rows(right)
+	lRows := b.sizes.Rows(left)
+	rRows := b.sizes.Rows(right)
 
 	if !connected {
 		// Cross join: nested loop, no exchange keys to hash on.
-		return &plan.Node{
-			Op:       plan.OpNestedLoopJoin,
-			JoinForm: plan.JoinInner,
-			Children: []*plan.Node{left, right},
-		}
+		return b.add(plan.Node{Op: plan.OpNestedLoopJoin, JoinForm: plan.JoinInner}, left, right)
 	}
 
-	node := &plan.Node{
+	node := plan.Node{
 		JoinForm:  edge.Form,
 		LeftCols:  []expr.ColumnRef{edge.LeftCol},
 		RightCols: []expr.ColumnRef{edge.RightCol},
@@ -540,11 +712,9 @@ func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connect
 	switch {
 	case lRows < nestedLoopThreshold && rRows < nestedLoopThreshold:
 		node.Op = plan.OpNestedLoopJoin
-		node.Children = []*plan.Node{left, right}
 	case rRows < threshold:
 		node.Op = plan.OpBroadcastJoin
-		bx := &plan.Node{Op: plan.OpBroadcastExchange, Children: []*plan.Node{right}, Parallelism: dop}
-		node.Children = []*plan.Node{left, bx}
+		right = b.add(plan.Node{Op: plan.OpBroadcastExchange, Parallelism: dop}, right)
 	default:
 		// Sort-merge by default when the build side is too large to hash;
 		// the merge-join flag forces it regardless.
@@ -553,9 +723,8 @@ func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connect
 		} else {
 			node.Op = plan.OpHashJoin
 		}
-		lx := &plan.Node{Op: plan.OpExchange, Children: []*plan.Node{left}, Parallelism: dop}
-		rx := &plan.Node{Op: plan.OpExchange, Children: []*plan.Node{right}, Parallelism: dop}
-		node.Children = []*plan.Node{lx, rx}
+		left = b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, left)
+		right = b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, right)
 	}
 	switch edge.Form {
 	case plan.JoinSemi:
@@ -563,7 +732,7 @@ func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connect
 	case plan.JoinAnti:
 		node.Op = plan.OpAntiJoin
 	}
-	return node
+	return b.add(node, left, right)
 }
 
 func swappable(f plan.JoinForm) bool {
@@ -571,6 +740,7 @@ func swappable(f plan.JoinForm) bool {
 }
 
 func (b *builder) buildAgg(input *plan.Node) *plan.Node {
+	q := b.s.q
 	dop := 0
 	if b.flags.DopHigh {
 		dop = highDOP
@@ -583,40 +753,36 @@ func (b *builder) buildAgg(input *plan.Node) *plan.Node {
 	// Combine-before-shuffle by default when the estimate says groups are
 	// far fewer than input rows; the flag forces it.
 	combine := b.flags.ShuffleCombine
-	if !combine && len(b.q.GroupBy) > 0 {
-		res := b.est.Estimate(input)
-		inRows := res.Rows(input)
+	if !combine && len(q.GroupBy) > 0 {
+		inRows := b.sizes.Rows(input)
 		groups := 1.0
-		for _, c := range b.q.GroupBy {
-			groups *= b.est.Src.NDV(c)
+		for _, c := range q.GroupBy {
+			groups *= b.s.est.Src.NDV(c)
 		}
 		combine = groups*combineRatio < inRows
 	}
-	if combine && len(b.q.GroupBy) > 0 {
-		partial := &plan.Node{
+	if combine && len(q.GroupBy) > 0 {
+		partial := b.add(plan.Node{
 			Op:        plan.OpPartialAggregate,
-			AggFuncs:  aggFuncs(b.q.Aggs),
-			AggCols:   aggCols(b.q.Aggs),
-			GroupCols: b.q.GroupBy,
-			Children:  []*plan.Node{input},
-		}
-		ex := &plan.Node{Op: plan.OpExchange, Children: []*plan.Node{partial}, Parallelism: dop}
-		return &plan.Node{
+			AggFuncs:  b.s.aggFuncs,
+			AggCols:   b.s.aggCols,
+			GroupCols: q.GroupBy,
+		}, input)
+		ex := b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, partial)
+		return b.add(plan.Node{
 			Op:        plan.OpFinalAggregate,
-			AggFuncs:  aggFuncs(b.q.Aggs),
-			AggCols:   aggCols(b.q.Aggs),
-			GroupCols: b.q.GroupBy,
-			Children:  []*plan.Node{ex},
-		}
+			AggFuncs:  b.s.aggFuncs,
+			AggCols:   b.s.aggCols,
+			GroupCols: q.GroupBy,
+		}, ex)
 	}
-	ex := &plan.Node{Op: plan.OpExchange, Children: []*plan.Node{input}, Parallelism: dop}
-	return &plan.Node{
+	ex := b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, input)
+	return b.add(plan.Node{
 		Op:        aggOp,
-		AggFuncs:  aggFuncs(b.q.Aggs),
-		AggCols:   aggCols(b.q.Aggs),
-		GroupCols: b.q.GroupBy,
-		Children:  []*plan.Node{ex},
-	}
+		AggFuncs:  b.s.aggFuncs,
+		AggCols:   b.s.aggCols,
+		GroupCols: q.GroupBy,
+	}, ex)
 }
 
 func aggFuncs(specs []query.AggSpec) []plan.AggFunc {

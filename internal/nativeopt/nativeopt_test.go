@@ -196,11 +196,10 @@ func TestSpoolEagerFlag(t *testing.T) {
 
 func TestJoinOrderSyntacticWithoutStats(t *testing.T) {
 	f := newFixture(t, missingPolicy())
-	b := &builder{opt: New(f.view), q: f.q, est: New(f.view).estimator()}
-	order := b.joinOrder()
-	for i, tb := range f.q.Tables {
-		if order[i] != tb {
-			t.Fatalf("order %v should be syntactic %v", order, f.q.Tables)
+	order := NewSession(f.view, f.q).base
+	for i := range f.q.Tables {
+		if order[i] != i {
+			t.Fatalf("order %v should be syntactic", order)
 		}
 	}
 }

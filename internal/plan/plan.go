@@ -58,6 +58,15 @@ type Plan struct {
 	// who mutates a copy can never observe a stale fingerprint.
 	sealFP uint64
 	sealed bool
+
+	// rough/roughScope memoize the native optimizer's rough cost of the
+	// plan, under the same write-before-share and dropped-by-Clone/JSON
+	// rules as the fingerprint seal. A rough cost is only meaningful for
+	// the statistics it was estimated from, so the seal carries the scope
+	// it was computed under and answers only for that scope (nil scope:
+	// unsealed).
+	rough      float64
+	roughScope any
 }
 
 // IsDefault reports whether the plan was produced with no exploration knobs.
@@ -88,6 +97,25 @@ func (p *Plan) SealAs(fp uint64) {
 // SealedFingerprint returns the sealed fingerprint, if any.
 func (p *Plan) SealedFingerprint() (uint64, bool) { return p.sealFP, p.sealed }
 
+// SealRough stores cost as the plan's native rough cost under scope — an
+// identity for everything the cost depends on besides the tree (the native
+// optimizer passes its *stats.View, and seals only unscaled estimates). scope
+// must be non-nil and comparable; the no-mutation and publish-before-share
+// rules of Seal apply.
+func (p *Plan) SealRough(scope any, cost float64) {
+	p.rough = cost
+	p.roughScope = scope
+}
+
+// SealedRough returns the sealed rough cost if one was stored under exactly
+// this scope.
+func (p *Plan) SealedRough(scope any) (float64, bool) {
+	if p.roughScope == nil || p.roughScope != scope {
+		return 0, false
+	}
+	return p.rough, true
+}
+
 // CacheFingerprint is the fingerprint used to key the predictor's
 // plan-embedding cache: the sealed value when present (no tree walk — the
 // serving hot path), otherwise a fresh Root.Fingerprint(). It never stores:
@@ -102,7 +130,7 @@ func (p *Plan) CacheFingerprint() uint64 {
 
 // Clone deep-copies the plan. The copy is unsealed regardless of the
 // receiver's seal state: a clone exists to be mutated, and a carried-over
-// fingerprint would go stale with the first edit.
+// fingerprint or rough cost would go stale with the first edit.
 func (p *Plan) Clone() *Plan {
 	if p == nil {
 		return nil

@@ -235,3 +235,45 @@ func TestWalkPreorder(t *testing.T) {
 		t.Fatalf("walk visited %d of %d", len(ops), p.Root.Size())
 	}
 }
+
+func TestRoughSealScope(t *testing.T) {
+	p := samplePlan()
+	scopeA, scopeB := new(int), new(int)
+	if _, ok := p.SealedRough(scopeA); ok {
+		t.Fatal("unsealed plan answered")
+	}
+	p.Seal()
+	p.SealRough(scopeA, 42.5)
+	if c, ok := p.SealedRough(scopeA); !ok || c != 42.5 {
+		t.Fatalf("sealed rough cost %v/%v under its own scope", c, ok)
+	}
+	if _, ok := p.SealedRough(scopeB); ok {
+		t.Fatal("seal answered under another scope")
+	}
+	if _, ok := p.SealedRough(nil); ok {
+		t.Fatal("seal answered under the nil scope")
+	}
+
+	// Copies are for mutation: neither seal survives Clone or JSON.
+	clone := p.Clone()
+	if _, ok := clone.SealedRough(scopeA); ok {
+		t.Fatal("Clone kept the rough seal")
+	}
+	if _, ok := clone.SealedFingerprint(); ok {
+		t.Fatal("Clone kept the fingerprint seal")
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Plan
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := back.SealedRough(scopeA); ok {
+		t.Fatal("JSON round trip kept the rough seal")
+	}
+	if back.Root.Fingerprint() != p.CacheFingerprint() {
+		t.Fatal("round trip changed the plan")
+	}
+}

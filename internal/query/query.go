@@ -66,12 +66,17 @@ type Query struct {
 	NoiseSigma float64
 }
 
-// Input returns the table input spec, or an empty default.
+// defaultInput is what Input returns for a table the query says nothing
+// about: a full scan of one column, no predicate.
+var defaultInput = TableInput{PartitionFrac: 1, ColumnsAccessed: 1}
+
+// Input returns the table input spec, or a shared empty default — callers
+// read the result, they do not modify it.
 func (q *Query) Input(table string) *TableInput {
 	if in, ok := q.Inputs[table]; ok {
 		return in
 	}
-	return &TableInput{PartitionFrac: 1, ColumnsAccessed: 1}
+	return &defaultInput
 }
 
 // NumTables returns the number of base tables.

@@ -130,13 +130,14 @@ func (s *Simulation) AddProject(cfg ProjectConfig) *ProjectSim {
 	prng := s.rng.Derive("project:" + cfg.Name)
 	proj := warehouse.Generate(prng.Derive("warehouse"), cfg.Archetype)
 	ps := &ProjectSim{
-		Config:   cfg,
-		Project:  proj,
-		Gen:      workload.NewGenerator(prng.Derive("workload"), proj, cfg.Workload),
-		Executor: exec.NewExecutor(prng.Derive("exec"), s.Cluster, proj),
-		Repo:     &history.Repository{},
-		rng:      prng,
-		views:    map[int]*stats.View{},
+		Config:    cfg,
+		Project:   proj,
+		Gen:       workload.NewGenerator(prng.Derive("workload"), proj, cfg.Workload),
+		Executor:  exec.NewExecutor(prng.Derive("exec"), s.Cluster, proj),
+		Repo:      &history.Repository{},
+		rng:       prng,
+		views:     map[int]*stats.View{},
+		explorers: map[int]*explorer.Explorer{},
 	}
 	ps.Executor.Instrument(s.tel)
 	s.Projects = append(s.Projects, ps)
@@ -164,9 +165,10 @@ type ProjectSim struct {
 	Executor *exec.Executor
 	Repo     *history.Repository
 
-	rng    *simrand.RNG
-	viewMu sync.Mutex
-	views  map[int]*stats.View
+	rng       *simrand.RNG
+	viewMu    sync.Mutex
+	views     map[int]*stats.View
+	explorers map[int]*explorer.Explorer // one per cached view, same lock
 }
 
 // View returns the (cached) optimizer statistics snapshot for a day. It is
@@ -175,6 +177,10 @@ type ProjectSim struct {
 func (ps *ProjectSim) View(day int) *stats.View {
 	ps.viewMu.Lock()
 	defer ps.viewMu.Unlock()
+	return ps.viewLocked(day)
+}
+
+func (ps *ProjectSim) viewLocked(day int) *stats.View {
 	if v, ok := ps.views[day]; ok {
 		return v
 	}
@@ -183,9 +189,19 @@ func (ps *ProjectSim) View(day int) *stats.View {
 	return v
 }
 
-// Explorer returns a plan explorer bound to a day's statistics view.
+// Explorer returns the plan explorer bound to a day's statistics view. Like
+// the view it is built once per day and shared by every caller, concurrent
+// ones included: use it as is, and copy it (`e := *ps.Explorer(day)`) to
+// change a setting.
 func (ps *ProjectSim) Explorer(day int) *explorer.Explorer {
-	return explorer.New(ps.View(day))
+	ps.viewMu.Lock()
+	defer ps.viewMu.Unlock()
+	if e, ok := ps.explorers[day]; ok {
+		return e
+	}
+	e := explorer.New(ps.viewLocked(day))
+	ps.explorers[day] = e
+	return e
 }
 
 // execOptions builds executor options for a query.
