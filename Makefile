@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-fleet bench-fleet-smoke bench-e2e bench-e2e-smoke bench-go lint lint-fix-hints lint-report chaos chaos-recover verify
+.PHONY: build test race bench-fleet bench-fleet-smoke bench-e2e bench-e2e-smoke bench-go lint lint-fix-hints lint-report chaos chaos-recover verify
 
 build:
 	$(GO) build ./...
@@ -12,21 +12,6 @@ test:
 # DESIGN.md's concurrency model); it is part of verification, not optional.
 race:
 	$(GO) test -race ./...
-
-# bench measures the serving fast path (PredictCost ns/op + allocs/op,
-# cached vs uncached SelectPlan q/s, OptimizeBatch q/s at parallelism 1/2/4)
-# and writes the machine-readable BENCH_serve.json.
-bench: build
-	$(GO) run ./cmd/loam-bench -run perf -quiet -benchout BENCH_serve.json
-
-# bench-smoke is the tiny-scale CI variant of bench. It also runs the perf
-# trend gate: results are compared against the committed BENCH_baseline.json
-# (recorded f64 serving numbers), with thresholds scaled by the two machines'
-# calibration ratio, and a >10% regression in warm-cache q/s or PredictCost
-# ns/op — or a broken identical-choices bit — fails the build.
-# The baseline is recorded at tiny scale, so only the tiny variant is gated.
-bench-smoke: build
-	$(GO) run ./cmd/loam-bench -run perf -tiny -quiet -benchout BENCH_serve.json -baseline BENCH_baseline.json
 
 # bench-fleet runs the multi-tenant fleet-serving experiment (10k synthetic
 # tenants + 2 real deployments, zipfian traffic, tenant-skew spike) and writes

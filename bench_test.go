@@ -274,24 +274,6 @@ func BenchmarkPredictorInference(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput measures the serving experiment end to end: one
-// deployment steering the test window's queries through OptimizeBatch at
-// each parallelism level, with sequential-vs-parallel choice verification.
-func BenchmarkServeThroughput(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := env.Serve(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Identical {
-			b.Fatal("parallel serving diverged from sequential plan choices")
-		}
-		render(b, r)
-	}
-}
-
 // serveBenchSetup builds a deployment plus a batch of fresh queries once,
 // shared by the OptimizeBatch sub-benchmarks.
 var (

@@ -1,15 +1,19 @@
 // Command loam-bench regenerates the paper's tables and figures from the
-// simulated MaxCompute deployment.
+// simulated MaxCompute deployment and runs the serving stack's scenario
+// proofs (guard, lifecycle, recover, fleet).
 //
 // Usage:
 //
-//	loam-bench [-run all|fig1|table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig15|fig16|sec73|thm1|ext1|ext2|ext3|serve|guard|lifecycle|recover|perf|fleet]
-//	           [-seed N] [-scale F] [-epochs N] [-eval N] [-tiny] [-quiet] [-metrics]
-//	           [-benchout FILE] [-fleetout FILE]
+//	loam-bench [-run all|ID[,ID...]] [-seed N] [-scale F] [-epochs N] [-eval N]
+//	           [-tiny] [-quiet] [-metrics] [-fleetout FILE]
+//
+// The ids are the entries of experimentTable, in the order `all` runs them;
+// `loam-bench -h` lists them and an id not in the table is an error.
 //
 // Each experiment prints the same rows/series the paper reports; absolute
 // numbers come from the simulator, shapes are the reproduction target (see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). Serving performance is not measured here: that is the
+// BENCHMARK.json harness in bench/.
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"loam/internal/atomicio"
@@ -33,24 +38,115 @@ func main() {
 	}
 }
 
+// bench is one invocation: where its experiments run and print.
+type bench struct {
+	ctx      context.Context
+	env      *experiments.Env
+	out      io.Writer
+	fleetout string
+	// f6 is the Fig. 6 evaluation the experiments marked onFig6 share; run
+	// computes it before the first of them.
+	f6 *experiments.Fig6Result
+}
+
+// experimentTable is every -run id, in the order `all` runs and prints them
+// (the section order of results_default.txt / results_ext.txt). The -run
+// help text and the unknown-id error are generated from it.
+var experimentTable = []struct {
+	id     string
+	onFig6 bool
+	run    func(b *bench) error
+}{
+	{"fig1", false, func(b *bench) error { return b.show(b.env.Fig1(), nil) }},
+	{"table1", false, func(b *bench) error { return b.show(b.env.Table1(), nil) }},
+	{"fig5", false, func(b *bench) error { return b.show(b.env.Fig5(), nil) }},
+	{"fig15", false, func(b *bench) error { return b.show(b.env.Fig15(), nil) }},
+	{"fig6", true, func(b *bench) error { return b.show(b.f6, nil) }},
+	{"fig7", true, func(b *bench) error { return b.show(b.env.Fig7(b.f6), nil) }},
+	{"fig9", true, func(b *bench) error { return b.show(b.env.Fig9(b.f6), nil) }},
+	{"fig11", true, func(b *bench) error { return b.show(b.env.Fig11(b.f6)) }},
+	{"fig10", true, func(b *bench) error { return b.show(b.env.Fig10(b.f6)) }},
+	{"fig8", true, func(b *bench) error { return b.show(b.env.Fig8(b.f6)) }},
+	{"thm1", false, func(b *bench) error { return b.show(b.env.Thm1(), nil) }},
+	{"ext1", false, func(b *bench) error { return b.show(b.env.Ext1(), nil) }},
+	{"ext2", false, func(b *bench) error { return b.show(b.env.Ext2()) }},
+	{"ext3", false, func(b *bench) error { return b.show(b.env.Ext3()) }},
+	{"fig12", false, func(b *bench) error { return b.show(b.env.Fig12(), nil) }},
+	{"fig16", false, func(b *bench) error { return b.show(b.env.Fig16(), nil) }},
+	{"sec73", true, func(b *bench) error { return b.show(b.env.Sec73(b.f6), nil) }},
+	{"guard", false, func(b *bench) error { return b.show(b.env.Guard(b.ctx)) }},
+	{"lifecycle", false, func(b *bench) error { return b.show(b.env.Lifecycle(b.ctx)) }},
+	{"recover", false, func(b *bench) error { return b.show(b.env.Recover(b.ctx)) }},
+	{"fleet", false, (*bench).fleet},
+}
+
+// show renders one experiment's result unless the experiment failed.
+func (b *bench) show(r interface{ Render(io.Writer) }, err error) error {
+	if err != nil {
+		return err
+	}
+	r.Render(b.out)
+	return nil
+}
+
+// fleet is the one experiment with a machine-readable artifact (-fleetout).
+func (b *bench) fleet() error {
+	r, err := b.env.FleetServe(b.ctx)
+	if err != nil {
+		return err
+	}
+	r.Render(b.out)
+	if b.fleetout == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := atomicio.Default.WriteFile(b.fleetout, append(data, '\n')); err != nil {
+		return fmt.Errorf("write %s: %w", b.fleetout, err)
+	}
+	fmt.Fprintf(b.out, "wrote %s\n", b.fleetout)
+	return nil
+}
+
+// validIDs is what -run accepts: all, then the table's ids.
+func validIDs() []string {
+	ids := []string{"all"}
+	for _, e := range experimentTable {
+		ids = append(ids, e.id)
+	}
+	return ids
+}
+
 func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("loam-bench", flag.ContinueOnError)
+	valid := validIDs()
 	var (
-		runSpec = fs.String("run", "all", "comma-separated experiment ids (all, fig1, table1, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig15, fig16, sec73, thm1, ext1, ext2, ext3, serve, guard, lifecycle, recover, perf, fleet)")
-		seed    = fs.Uint64("seed", 42, "root seed for the whole simulation")
-		scale   = fs.Float64("scale", 1, "workload scale multiplier (5 ≈ paper scale)")
-		epochs  = fs.Int("epochs", 0, "override training epochs (0 = default)")
-		evalQ   = fs.Int("eval", 0, "override test queries per project (0 = default)")
-		tiny    = fs.Bool("tiny", false, "tiny configuration for smoke runs")
-		quiet   = fs.Bool("quiet", false, "suppress progress logging")
-		metrics = fs.Bool("metrics", false, "dump the combined telemetry snapshot after the experiments")
-		benchout = fs.String("benchout", "", "write the perf experiment's machine-readable results to this JSON file (requires -run perf)")
-		baseline = fs.String("baseline", "", "compare the perf experiment against this committed baseline JSON (requires -run perf); exits non-zero on a >10% machine-scaled regression")
+		runSpec  = fs.String("run", "all", "comma-separated experiment ids ("+strings.Join(valid, ", ")+")")
+		seed     = fs.Uint64("seed", 42, "root seed for the whole simulation")
+		scale    = fs.Float64("scale", 1, "workload scale multiplier (5 ≈ paper scale)")
+		epochs   = fs.Int("epochs", 0, "override training epochs (0 = default)")
+		evalQ    = fs.Int("eval", 0, "override test queries per project (0 = default)")
+		tiny     = fs.Bool("tiny", false, "tiny configuration for smoke runs")
+		quiet    = fs.Bool("quiet", false, "suppress progress logging")
+		metrics  = fs.Bool("metrics", false, "dump the combined telemetry snapshot after the experiments")
 		fleetout = fs.String("fleetout", "", "write the fleet experiment's machine-readable results to this JSON file (requires -run fleet)")
 	)
 	fs.SetOutput(errw)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	// A misspelt or retired id fails the run instead of selecting nothing: a
+	// stale CI step must not pass vacuously.
+	want := map[string]bool{}
+	for _, id := range strings.Split(*runSpec, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if !slices.Contains(valid, id) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
 	}
 
 	cfg := experiments.Default()
@@ -71,227 +167,34 @@ func run(args []string, out, errw io.Writer) error {
 		cfg.Log = errw
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*runSpec, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	all := want["all"]
-	has := func(id string) bool { return all || want[id] }
-
 	sw := walltime.Start()
-	env := experiments.NewEnv(cfg)
-
-	section := func(id string) {
-		fmt.Fprintf(out, "\n==== %s ====\n", id)
-	}
-
-	if has("fig1") {
-		section("fig1")
-		env.Fig1().Render(out)
-	}
-	if has("table1") {
-		section("table1")
-		env.Table1().Render(out)
-	}
-	if has("fig5") {
-		section("fig5")
-		env.Fig5().Render(out)
-	}
-	if has("fig15") {
-		section("fig15")
-		env.Fig15().Render(out)
-	}
-
-	needF6 := has("fig6") || has("fig7") || has("fig8") || has("fig9") ||
-		has("fig10") || has("fig11") || has("sec73")
-	var f6 *experiments.Fig6Result
-	if needF6 {
-		var err error
-		f6, err = env.Fig6()
-		if err != nil {
-			return err
+	b := &bench{ctx: context.Background(), env: experiments.NewEnv(cfg), out: out, fleetout: *fleetout}
+	for _, e := range experimentTable {
+		if !want["all"] && !want[e.id] {
+			continue
 		}
-	}
-	if has("fig6") {
-		section("fig6")
-		f6.Render(out)
-	}
-	if has("fig7") {
-		section("fig7")
-		env.Fig7(f6).Render(out)
-	}
-	if has("fig9") {
-		section("fig9")
-		env.Fig9(f6).Render(out)
-	}
-	if has("fig11") {
-		section("fig11")
-		r, err := env.Fig11(f6)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("fig10") {
-		section("fig10")
-		r, err := env.Fig10(f6)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("fig8") {
-		section("fig8")
-		r, err := env.Fig8(f6)
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("thm1") {
-		section("thm1")
-		env.Thm1().Render(out)
-	}
-	if has("ext1") {
-		section("ext1")
-		env.Ext1().Render(out)
-	}
-	if has("ext2") {
-		section("ext2")
-		r, err := env.Ext2()
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("ext3") {
-		section("ext3")
-		r, err := env.Ext3()
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("fig12") {
-		section("fig12")
-		env.Fig12().Render(out)
-	}
-	if has("fig16") {
-		section("fig16")
-		env.Fig16().Render(out)
-	}
-	if has("sec73") {
-		section("sec73")
-		env.Sec73(f6).Render(out)
-	}
-	if has("serve") {
-		section("serve")
-		r, err := env.Serve(context.Background())
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("guard") {
-		section("guard")
-		r, err := env.Guard()
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("lifecycle") {
-		section("lifecycle")
-		r, err := env.Lifecycle()
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("recover") {
-		section("recover")
-		r, err := env.Recover(context.Background())
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-	}
-	if has("perf") {
-		section("perf")
-		r, err := env.Perf(context.Background())
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-		if *benchout != "" {
-			data, err := json.MarshalIndent(r, "", "  ")
+		if e.onFig6 && b.f6 == nil {
+			f6, err := b.env.Fig6()
 			if err != nil {
 				return err
 			}
-			if err := atomicio.Default.WriteFile(*benchout, append(data, '\n')); err != nil {
-				return fmt.Errorf("write %s: %w", *benchout, err)
-			}
-			fmt.Fprintf(out, "wrote %s\n", *benchout)
+			b.f6 = f6
 		}
-		if *baseline != "" {
-			if err := gateBaseline(out, r, *baseline); err != nil {
-				return err
-			}
-		}
-	}
-
-	if has("fleet") {
-		section("fleet")
-		r, err := env.FleetServe(context.Background())
-		if err != nil {
+		fmt.Fprintf(out, "\n==== %s ====\n", e.id)
+		if err := e.run(b); err != nil {
 			return err
-		}
-		r.Render(out)
-		if *fleetout != "" {
-			data, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := atomicio.Default.WriteFile(*fleetout, append(data, '\n')); err != nil {
-				return fmt.Errorf("write %s: %w", *fleetout, err)
-			}
-			fmt.Fprintf(out, "wrote %s\n", *fleetout)
 		}
 	}
 
 	if *metrics {
 		// The snapshot is deterministic (stable-ordered, no wall-clock
 		// values): identically-seeded runs print identical metrics sections.
-		section("metrics")
-		if err := env.Metrics().WriteText(out); err != nil {
+		fmt.Fprintf(out, "\n==== metrics ====\n")
+		if err := b.env.Metrics().WriteText(out); err != nil {
 			return err
 		}
 	}
 
 	fmt.Fprintf(out, "\ntotal: %.1fs\n", sw.Seconds())
-	return nil
-}
-
-// gateBaseline is the perf trend gate: it loads the committed baseline,
-// scales its thresholds by the two machines' calibration ratio, and fails
-// the run on any >10% regression (or a broken identical-choices bit).
-func gateBaseline(out io.Writer, r *experiments.PerfResult, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var b experiments.PerfBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	fmt.Fprintf(out, "baseline %s: warm cache %.2fx the committed f64 baseline (machine-scaled)\n",
-		path, r.BaselineSpeedup(&b))
-	if bad := r.CompareBaseline(&b); len(bad) > 0 {
-		for _, msg := range bad {
-			fmt.Fprintf(out, "baseline regression: %s\n", msg)
-		}
-		return fmt.Errorf("perf regressed against %s (%d violations)", path, len(bad))
-	}
-	fmt.Fprintf(out, "baseline gate: pass\n")
 	return nil
 }

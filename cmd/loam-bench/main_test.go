@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,46 +47,6 @@ func metricsSection(t *testing.T, s string) string {
 	}
 	body, _, _ := strings.Cut(rest, "\ntotal:")
 	return body
-}
-
-// TestRunServeMetricsDeterministic is the acceptance check for the -metrics
-// flag: the serve experiment runs with telemetry on, the dump is non-empty
-// and stable-ordered, and two identically-seeded runs print byte-identical
-// metrics sections despite parallel serving and wall-clock jitter.
-func TestRunServeMetricsDeterministic(t *testing.T) {
-	bench := func() string {
-		var out, errw bytes.Buffer
-		if err := run([]string{"-tiny", "-quiet", "-run", "serve", "-metrics"}, &out, &errw); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-		}
-		return out.String()
-	}
-	first := bench()
-	sec := metricsSection(t, first)
-	for _, want := range []string{
-		"counter serve.optimize.total",
-		"counter train.runs 1",
-		"counter exec.executions",
-		"gauge cluster.cpu_idle",
-		"timer serve.optimize.latency",
-	} {
-		if !strings.Contains(sec, want) {
-			t.Fatalf("metrics section missing %q:\n%s", want, sec)
-		}
-	}
-	// Stable order: the text exposition sorts each section by name.
-	names := counterNames(sec)
-	if len(names) < 5 {
-		t.Fatalf("suspiciously few counters: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("counters not name-sorted: %q before %q", names[i-1], names[i])
-		}
-	}
-	if again := metricsSection(t, bench()); again != sec {
-		t.Fatalf("same-seed metrics sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", sec, again)
-	}
 }
 
 // counterNames lists the counter names in exposition order.
@@ -165,46 +126,6 @@ func TestRunGuardMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunPerfBaselineGate drives the perf trend gate end to end: a generous
-// committed baseline passes (and prints the machine-scaled speedup), an
-// absurdly demanding one fails the run with the regressions spelled out.
-func TestRunPerfBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	generous := write("generous.json",
-		`{"calib_ns": 0, "predict_ns_per_op": 1e12, "warm_qps": 1e-3}`)
-	var out, errw bytes.Buffer
-	if err := run([]string{"-tiny", "-quiet", "-run", "perf", "-baseline", generous}, &out, &errw); err != nil {
-		t.Fatalf("generous baseline failed the gate: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "baseline gate: pass") {
-		t.Fatalf("no gate verdict in output:\n%s", out.String())
-	}
-
-	impossible := write("impossible.json",
-		`{"calib_ns": 0, "predict_ns_per_op": 1e-3, "warm_qps": 1e12}`)
-	out.Reset()
-	err := run([]string{"-tiny", "-quiet", "-run", "perf", "-baseline", impossible}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("impossible baseline passed the gate (err=%v)", err)
-	}
-	for _, want := range []string{"baseline regression", "PredictCost", "warm select"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("gate output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	if err := run([]string{"-tiny", "-quiet", "-run", "perf", "-baseline", filepath.Join(dir, "absent.json")}, &out, &errw); err == nil {
-		t.Fatal("missing baseline file accepted")
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out, &errw); err == nil {
@@ -212,13 +133,86 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-tiny", "-quiet", "-run", "nosuch"}, &out, &errw); err != nil {
-		t.Fatal(err)
+// TestRunUnknownExperimentFails: a misspelt id, or a retired one that a stale
+// script still names, is an error listing the valid ids — not a run that
+// selects nothing and exits 0 — and nothing runs before the error.
+func TestRunUnknownExperimentFails(t *testing.T) {
+	for _, spec := range []string{"nosuch", "perf", "serve", "fig1,pref"} {
+		var out, errw bytes.Buffer
+		err := run([]string{"-tiny", "-quiet", "-run", spec}, &out, &errw)
+		if err == nil {
+			t.Fatalf("-run %s accepted:\n%s", spec, out.String())
+		}
+		if !strings.Contains(err.Error(), "all, ") {
+			t.Fatalf("-run %s: error does not offer all: %v", spec, err)
+		}
+		for _, e := range experimentTable {
+			if !strings.Contains(err.Error(), " "+e.id) {
+				t.Fatalf("-run %s: error does not list %q: %v", spec, e.id, err)
+			}
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-run %s ran something before failing:\n%s", spec, out.String())
+		}
 	}
-	if strings.Contains(out.String(), "====") {
-		t.Fatal("unknown experiment produced sections")
+}
+
+// sectionIDs lists the "==== id ====" headers of a loam-bench output in
+// order, the closing metrics section excluded.
+func sectionIDs(s string) []string {
+	var ids []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "==== ") || !strings.HasSuffix(line, " ====") {
+			continue
+		}
+		if id := strings.TrimSuffix(strings.TrimPrefix(line, "==== "), " ===="); id != "metrics" {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestRunAllRunsTableInOrder pins the dispatch table: `all` runs every entry
+// once in table order, that order is the one below, and the committed
+// results files — each a run of a subset — list their sections in it.
+func TestRunAllRunsTableInOrder(t *testing.T) {
+	order := []string{
+		"fig1", "table1", "fig5", "fig15", "fig6", "fig7", "fig9", "fig11", "fig10", "fig8",
+		"thm1", "ext1", "ext2", "ext3", "fig12", "fig16", "sec73",
+		"guard", "lifecycle", "recover", "fleet",
+	}
+	var table []string
+	for _, e := range experimentTable {
+		table = append(table, e.id)
+	}
+	if !slices.Equal(table, order) {
+		t.Fatalf("table order %v, want %v", table, order)
+	}
+	for _, name := range []string{"results_default.txt", "results_ext.txt"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for _, id := range sectionIDs(string(data)) {
+			for next < len(order) && order[next] != id {
+				next++
+			}
+			if next == len(order) {
+				t.Fatalf("%s: section %q is not in table order", name, id)
+			}
+			next++
+		}
+	}
+	if testing.Short() {
+		t.Skip("short mode: not running every experiment")
+	}
+	var out, errw bytes.Buffer
+	if err := run([]string{"-tiny", "-quiet"}, &out, &errw); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
+	}
+	if got := sectionIDs(out.String()); !slices.Equal(got, order) {
+		t.Fatalf("all ran %v, want %v", got, order)
 	}
 }
 

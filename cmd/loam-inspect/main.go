@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -109,7 +110,7 @@ func run(args []string, out, errw io.Writer) error {
 	// Opt-in only: the metrics demo trains a model, so it never rides along
 	// with "all".
 	if *section == "metrics" {
-		if err := metricsDemo(out, sim, ps); err != nil {
+		if err := metricsDemo(context.Background(), out, sim, ps); err != nil {
 			return err
 		}
 	}
@@ -133,7 +134,7 @@ func fsck(out io.Writer, dir string) error {
 // metricsDemo exercises the full pipeline against the simulation's shared
 // registry — production history, a tiny training run, a few steered queries —
 // then dumps the deterministic snapshot and the wall timings.
-func metricsDemo(out io.Writer, sim *loam.Simulation, ps *loam.ProjectSim) error {
+func metricsDemo(ctx context.Context, out io.Writer, sim *loam.Simulation, ps *loam.ProjectSim) error {
 	ps.RunDays(0, 8)
 	dcfg := loam.DefaultDeployConfig()
 	dcfg.TrainDays = 6
@@ -148,7 +149,7 @@ func metricsDemo(out io.Writer, sim *loam.Simulation, ps *loam.ProjectSim) error
 		if i == 5 {
 			break
 		}
-		if _, err := dep.Optimize(q); err != nil {
+		if _, err := dep.OptimizeCtx(ctx, q); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,7 +116,7 @@ func fsckStore(t *testing.T) string {
 		if i == 3 {
 			break
 		}
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("optimize: %v", err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -72,9 +73,10 @@ func run(args []string, out, errw io.Writer) error {
 	if len(queries) > *steer {
 		queries = queries[:*steer]
 	}
+	ctx := context.Background()
 	var totalDefault, totalChosen float64
 	for _, q := range queries {
-		choice, err := dep.Optimize(q)
+		choice, err := dep.OptimizeCtx(ctx, q)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// One shared multi-tenant cluster, one project.
 	sim := loam.NewSimulation(7, loam.DefaultSimulationConfig())
 	cfg := loam.DefaultProjectConfig("quickstart")
@@ -39,7 +41,7 @@ func main() {
 	// Steer one fresh query: explore candidates, predict costs under the
 	// average-case environment, execute the cheapest.
 	q := ps.Gen.Day(10)[0]
-	choice, err := dep.Optimize(q)
+	choice, err := dep.OptimizeCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 	if err := reg.Register("quickstart", dep); err != nil {
 		log.Fatal(err)
 	}
-	routed, err := reg.Route(context.Background(), "quickstart", ps.Gen.Day(10)[1])
+	routed, err := reg.Route(ctx, "quickstart", ps.Gen.Day(10)[1])
 	if err != nil {
 		log.Fatal(err)
 	}

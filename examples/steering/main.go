@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sim := loam.NewSimulation(21, loam.DefaultSimulationConfig())
 
 	cfg := loam.DefaultProjectConfig("analytics")
@@ -58,7 +60,7 @@ func main() {
 		if len(results) >= limit {
 			break
 		}
-		choice, err := dep.Optimize(e.Query)
+		choice, err := dep.OptimizeCtx(ctx, e.Query)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestPlanCacheInvalidatedOnRedeploy(t *testing.T) {
 	dep, qs := serveDeployment(t, 43, 8)
 	first := make([]*Choice, len(qs))
 	for i, q := range qs {
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestPlanCacheInvalidatedOnRedeploy(t *testing.T) {
 		t.Fatalf("restored deployment inherited %d cached embeddings", n)
 	}
 	for i, q := range qs {
-		c, err := restored.Optimize(q)
+		c, err := restored.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestPlanCacheInvalidatedOnRedeploy(t *testing.T) {
 		t.Fatalf("WithPlanCache(0) deployment holds %d entries", n)
 	}
 	for _, q := range qs {
-		if _, err := uncached.Optimize(q); err != nil {
+		if _, err := uncached.OptimizeCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -129,7 +129,7 @@ func TestFullOutageTelemetryByteIdentical(t *testing.T) {
 func TestNaNInjectionClassifiedPermanent(t *testing.T) {
 	inj := NewFaultInjector(9, FaultInjectorConfig{NaNRate: 1})
 	dep, qs := guardedDeployment(t, 53, 1, WithFaultInjector(inj))
-	c, err := dep.Optimize(qs[0])
+	c, err := dep.OptimizeCtx(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestNaNInjectionClassifiedPermanent(t *testing.T) {
 func TestNativeFailureFallsToDefault(t *testing.T) {
 	inj := NewFaultInjector(10, FaultInjectorConfig{PredictorErrorRate: 1, NativeFailRate: 1})
 	dep, qs := guardedDeployment(t, 54, 1, WithFaultInjector(inj))
-	c, err := dep.Optimize(qs[0])
+	c, err := dep.OptimizeCtx(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestWithGuardConfigWiring(t *testing.T) {
 	if got := dep.Guard().Config().TripThreshold; got != 1 {
 		t.Fatalf("guard TripThreshold = %d, want 1", got)
 	}
-	if _, err := dep.Optimize(qs[0]); err != nil {
+	if _, err := dep.OptimizeCtx(context.Background(), qs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := dep.Guard().State(); got != BreakerOpen {
 		t.Fatalf("state %v after single failure with threshold 1, want open", got)
 	}
-	c, err := dep.Optimize(qs[1])
+	c, err := dep.OptimizeCtx(context.Background(), qs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestWithGuardConfigWiring(t *testing.T) {
 func TestHealthyServingStaysLearned(t *testing.T) {
 	dep, qs := guardedDeployment(t, 56, 6)
 	for i, q := range qs {
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

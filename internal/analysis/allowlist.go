@@ -131,16 +131,6 @@ func DefaultAllowlist() []AllowEntry {
 				"SelectPlan and friends; callers own it after return, so it cannot " +
 				"come from reused scratch",
 		},
-
-		// --- ctxflow ---
-		{
-			Rule:       "ctxflow",
-			PathPrefix: "loam.go",
-			Contains:   "in Optimize",
-			Reason: "Optimize is the public no-context compatibility shim and is " +
-				"documented as such: it deliberately roots a fresh context and " +
-				"delegates to OptimizeCtx, which is the deadline-honoring entry point",
-		},
 	}
 }
 

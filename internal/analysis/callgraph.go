@@ -284,9 +284,6 @@ func (cg *CallGraph) implementors(iface *types.Interface, method string) []*Func
 // index), in deterministic order.
 func (cg *CallGraph) NodesByName(name string) []*FuncNode { return cg.byName[name] }
 
-// NodeOf returns the node of a declaration's *types.Func, or nil.
-func (cg *CallGraph) NodeOf(fn *types.Func) *FuncNode { return cg.byObj[fn] }
-
 // RootSpec names a reachability root as "pkgsuffix.FuncName": the package
 // import path must end with pkgsuffix and the declaration's bare name must
 // equal FuncName (methods match by bare name, any receiver). Fixture modules

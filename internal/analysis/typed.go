@@ -6,7 +6,6 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -37,9 +36,6 @@ type TypeInfo struct {
 	// Errs holds the type errors the checker reported (empty on success).
 	Errs []error
 }
-
-// Complete reports whether the package checked without errors.
-func (ti *TypeInfo) Complete() bool { return ti != nil && len(ti.Errs) == 0 }
 
 // stdImporter is the shared source importer for standard-library packages.
 // It is constructed once and reused across programs: srcimporter caches the
@@ -191,27 +187,6 @@ func (prog *Program) checkPackage(pkg *Package, im *progImporter) (*TypeInfo, er
 	ti.Pkg = pkgObj
 	prog.typed[typedKey(pkg)] = ti
 	return ti, nil
-}
-
-// TypeErrors returns every package's type errors as findings-style strings
-// ("pkg: error"), sorted — the CLI surfaces them as a load warning so a
-// broken build does not silently weaken the typed rules.
-func (prog *Program) TypeErrors() []string {
-	if prog.TypeCheck() != nil {
-		return []string{fmt.Sprintf("typed load failed: %v", prog.typedErr)}
-	}
-	var out []string
-	for _, pkg := range prog.Packages {
-		ti := prog.Typed(pkg)
-		if ti == nil {
-			continue
-		}
-		for _, err := range ti.Errs {
-			out = append(out, fmt.Sprintf("%s: %v", pkg.ImportPath, err))
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- typed helper queries -------------------------------------------------

@@ -151,9 +151,6 @@ func avalanche(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// EnvVec converts raw metrics to the four normalized environment features.
-func EnvVec(m cluster.Metrics) [4]float64 { return m.Normalized() }
-
 // EncodeNode returns one node's feature vector. env carries the stage's
 // execution environment; hasEnv=false encodes "environment unobserved"
 // (training-time plans always have it; the inference strategies of §5 supply

@@ -15,7 +15,7 @@ import (
 )
 
 // Config scales the experiment suite. The default is a reduced, laptop-scale
-// configuration; PaperScale approaches the paper's workload sizes.
+// configuration; WorkloadScale 5 approaches the paper's workload sizes.
 type Config struct {
 	Seed uint64
 	// TrainDays and TestDays split each project's history (paper: 25/5).
@@ -74,15 +74,6 @@ func Tiny() Config {
 		FleetProjects: 8,
 		FleetTenants:  100,
 	}
-}
-
-// PaperScale approaches the paper's sizes (slow: hours of simulation).
-func PaperScale() Config {
-	c := Default()
-	c.Epochs = 30
-	c.EvalQueries = 200
-	c.WorkloadScale = 5
-	return c
 }
 
 func (c Config) logf(format string, args ...any) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -49,8 +50,9 @@ const guardPhaseQueries = 10
 // project: train a LOAM deployment armed with a deterministic fault injector
 // (off at first), then serve three phases — healthy, total learned-path
 // outage, recovery — and report per-phase serving origins plus the breaker's
-// lifecycle from the guard.* counters.
-func (e *Env) Guard() (*GuardResult, error) {
+// lifecycle from the guard.* counters. A canceled ctx is returned as the
+// error, not reported as an outage.
+func (e *Env) Guard(ctx context.Context) (*GuardResult, error) {
 	project := e.projects[0].Config.Name
 	ps := e.Project(project)
 
@@ -106,7 +108,7 @@ func (e *Env) Guard() (*GuardResult, error) {
 		phase := GuardPhase{Name: p.name}
 		for _, q := range qs[i*guardPhaseQueries : (i+1)*guardPhaseQueries] {
 			phase.Queries++
-			choice, err := dep.Optimize(q)
+			choice, err := dep.OptimizeCtx(ctx, q)
 			if err != nil {
 				phase.Errors++
 				continue
@@ -125,6 +127,9 @@ func (e *Env) Guard() (*GuardResult, error) {
 			project, phase.Name, phase.Learned, phase.Native, phase.Default,
 			phase.Errors, dep.Guard().State())
 		res.Phases = append(res.Phases, phase)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	after := breakerCounts(reg)

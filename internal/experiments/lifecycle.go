@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -58,8 +59,9 @@ const lifecycleQueries = 60
 // Lifecycle runs the continual-learning experiment on the first evaluation
 // project: deploy with a lifecycle manager and a hair-trigger regression
 // sentinel, serve a fixed query stream executing every choice, and record
-// the drift → retrain → shadow-score → promote → rollback trajectory.
-func (e *Env) Lifecycle() (*LifecycleResult, error) {
+// the drift → retrain → shadow-score → promote → rollback trajectory. A
+// canceled ctx is returned as the error, not reported as lost availability.
+func (e *Env) Lifecycle(ctx context.Context) (*LifecycleResult, error) {
 	project := e.projects[0].Config.Name
 	ps := e.Project(project)
 
@@ -116,7 +118,7 @@ func (e *Env) Lifecycle() (*LifecycleResult, error) {
 	served := 0
 	version := lc.Version()
 	for i, q := range qs {
-		choice, err := dep.Optimize(q)
+		choice, err := dep.OptimizeCtx(ctx, q)
 		if err != nil {
 			continue
 		}
@@ -131,6 +133,9 @@ func (e *Env) Lifecycle() (*LifecycleResult, error) {
 			e.Cfg.logf("lifecycle %s: serve %d %s -> v%d", project, i+1, kind, v)
 			version = v
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	after := lifecycleCounts(reg)

@@ -107,7 +107,7 @@ func (e *Env) Recover(ctx context.Context) (*RecoverResult, error) {
 	}
 	e.Cfg.logf("recover: trained chaos model (%.1fs)", sw.Seconds())
 
-	base, err := e.recoverRun(0, faultinject.FlavorBefore, model)
+	base, err := e.recoverRun(ctx, 0, faultinject.FlavorBefore, model)
 	if base != nil {
 		defer os.RemoveAll(base.dir)
 	}
@@ -146,7 +146,7 @@ func (e *Env) Recover(ctx context.Context) (*RecoverResult, error) {
 			return nil, err
 		}
 		flavor := faultinject.FlavorFor(n)
-		st, err := e.recoverRun(n, flavor, model)
+		st, err := e.recoverRun(ctx, n, flavor, model)
 		if st == nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func (e *Env) Recover(ctx context.Context) (*RecoverResult, error) {
 		var pt RecoverPoint
 		var p, ok int
 		if err == nil {
-			pt, p, ok, err = e.recoverPoint(st, n, flavor, model)
+			pt, p, ok, err = e.recoverPoint(ctx, st, n, flavor, model)
 		}
 		os.RemoveAll(st.dir)
 		if err != nil {
@@ -246,7 +246,7 @@ func (e *Env) recoverModel() ([]byte, error) {
 // store behind a kill-point FS, then serve the forced-drift stream. at == 0
 // never crashes (the baseline that counts the write schedule); otherwise the
 // injected *atomicio.Crash panic is recovered here and returned in the state.
-func (e *Env) recoverRun(at int, flavor faultinject.CrashFlavor, model []byte) (st *recoverRunState, err error) {
+func (e *Env) recoverRun(ctx context.Context, at int, flavor faultinject.CrashFlavor, model []byte) (st *recoverRunState, err error) {
 	ps := e.recoverProject()
 	dir, err := os.MkdirTemp("", "loam-recover-")
 	if err != nil {
@@ -282,7 +282,7 @@ func (e *Env) recoverRun(at int, flavor faultinject.CrashFlavor, model []byte) (
 				break
 			}
 			st.served++
-			c, err := dep.Optimize(q)
+			c, err := dep.OptimizeCtx(ctx, q)
 			if err != nil {
 				continue
 			}
@@ -305,7 +305,7 @@ func (e *Env) recoverRun(at int, flavor faultinject.CrashFlavor, model []byte) (
 // committed, redeploy into the same directory when the crash predates one),
 // probe-serve the recovered deployment, and fsck again. Every deviation from
 // a clean recovery is an error — the experiment is the proof.
-func (e *Env) recoverPoint(st *recoverRunState, n int, flavor faultinject.CrashFlavor, model []byte) (RecoverPoint, int, int, error) {
+func (e *Env) recoverPoint(ctx context.Context, st *recoverRunState, n int, flavor faultinject.CrashFlavor, model []byte) (RecoverPoint, int, int, error) {
 	out := RecoverPoint{Point: n, Flavor: flavor.String(), Op: st.crash.Op.String()}
 	rep := durable.Fsck(st.dir)
 	out.TornTail = rep.TornTail
@@ -356,7 +356,7 @@ func (e *Env) recoverPoint(st *recoverRunState, n int, flavor faultinject.CrashF
 				break
 			}
 			probes++
-			c, err := dep.Optimize(q)
+			c, err := dep.OptimizeCtx(ctx, q)
 			if err != nil {
 				continue
 			}

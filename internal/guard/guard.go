@@ -292,6 +292,12 @@ func (g *Guard) SwapScorer(s Scorer) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.scorer = s
+	g.resetHealthLocked()
+}
+
+// resetHealthLocked gives the learned path a clean health record: breaker
+// closed, sentinel windows empty, quarantine lifted and counted. g.mu held.
+func (g *Guard) resetHealthLocked() {
 	g.br = newBreaker(g.cfg)
 	g.winN, g.winAdverse, g.adverseRun = 0, 0, 0
 	if g.quarantined {
@@ -324,14 +330,7 @@ func (g *Guard) Quarantined() bool {
 func (g *Guard) Reset() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.br = newBreaker(g.cfg)
-	if g.quarantined {
-		g.quarantined = false
-		g.tel.quarantineReleased.Inc()
-	}
-	g.winN, g.winAdverse, g.adverseRun = 0, 0, 0
-	g.tel.breakerState.Set(float64(BreakerClosed))
-	g.tel.quarantineActive.Set(0)
+	g.resetHealthLocked()
 }
 
 // Serve runs one query through the guarded ladder. It returns an error only

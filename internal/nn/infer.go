@@ -137,65 +137,6 @@ func MatMulNTInto(dst, a, bt []float64, n, k, m int) {
 	}
 }
 
-// MatMulNTBlockedInto is the cache-blocked, 4-wide-unrolled variant of
-// MatMulNTInto: within each inferBlock tile it computes four output columns
-// per sweep of an a-row, sharing one zero-test per input element across all
-// four accumulators. Bit-exactness is preserved because the unroll is over
-// OUTPUT columns only: each accumulator s0..s3 still sums its own full-length
-// dot product over p ascending with exactly MatMulNTInto's a-side zero skip,
-// so per-element accumulation order — rule 1 of the file-top contract — is
-// untouched. The reduction dimension is never split.
-func MatMulNTBlockedInto(dst, a, bt []float64, n, k, m int) {
-	for i0 := 0; i0 < n; i0 += inferBlock {
-		i1 := i0 + inferBlock
-		if i1 > n {
-			i1 = n
-		}
-		for j0 := 0; j0 < m; j0 += inferBlock {
-			j1 := j0 + inferBlock
-			if j1 > m {
-				j1 = m
-			}
-			for i := i0; i < i1; i++ {
-				arow := a[i*k : (i+1)*k]
-				drow := dst[i*m : (i+1)*m]
-				j := j0
-				for ; j+4 <= j1; j += 4 {
-					b0 := bt[j*k : (j+1)*k]
-					b1 := bt[(j+1)*k : (j+2)*k]
-					b2 := bt[(j+2)*k : (j+3)*k]
-					b3 := bt[(j+3)*k : (j+4)*k]
-					var s0, s1, s2, s3 float64
-					for p, av := range arow {
-						if av == 0 {
-							continue
-						}
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-					drow[j] = s0
-					drow[j+1] = s1
-					drow[j+2] = s2
-					drow[j+3] = s3
-				}
-				for ; j < j1; j++ {
-					brow := bt[j*k : (j+1)*k]
-					s := 0.0
-					for p, av := range arow {
-						if av == 0 {
-							continue
-						}
-						s += av * brow[p]
-					}
-					drow[j] = s
-				}
-			}
-		}
-	}
-}
-
 // MatMulInto computes dst = a @ b for row-major a (n×k) and b (k×m), using
 // the same zero-skipping kernel as the autograd MatMul.
 func MatMulInto(dst, a, b []float64, n, k, m int) {
@@ -381,7 +322,7 @@ func (a *Attention) ForwardInfer(s *Scratch, x Mat) Mat {
 	k := a.WK.ForwardInfer(s, x)
 	v := a.WV.ForwardInfer(s, x)
 	scores := s.Mat(q.R, k.R)
-	MatMulNTBlockedInto(scores.Data, q.Data, k.Data, q.R, q.C, k.R)
+	MatMulNTInto(scores.Data, q.Data, k.Data, q.R, q.C, k.R)
 	ScaleInPlace(scores, 1/math.Sqrt(float64(a.dim)))
 	SoftmaxRowsInPlace(scores)
 	att := s.Mat(scores.R, v.C)

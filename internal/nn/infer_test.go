@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,29 +67,6 @@ func TestMatMulNTIntoMatchesMatMul(t *testing.T) {
 	sameBits(t, "matmulNT", want.Data, got)
 }
 
-// TestMatMulNTBlockedIntoBitIdentical: the blocked, 4-wide-unrolled kernel
-// must stay bit-identical to MatMulNTInto (and through it to autograd) across
-// shapes that exercise full tiles, partial tiles and the scalar column tail.
-func TestMatMulNTBlockedIntoBitIdentical(t *testing.T) {
-	rng := simrand.New(41)
-	for _, shape := range [][3]int{
-		{1, 7, 1},    // degenerate
-		{9, 14, 6},   // column tail (6 = 4+2)
-		{48, 33, 48}, // exactly one tile
-		{50, 40, 51}, // tile tails on both axes
-		{97, 21, 8},  // multiple row tiles
-	} {
-		n, k, m := shape[0], shape[1], shape[2]
-		a := randMat(rng, n, k)
-		bt := randMat(rng, m, k)
-		want := make([]float64, n*m)
-		got := make([]float64, n*m)
-		MatMulNTInto(want, a, bt, n, k, m)
-		MatMulNTBlockedInto(got, a, bt, n, k, m)
-		sameBits(t, "blocked", want, got)
-	}
-}
-
 func TestTreeConvForwardInferBitIdentical(t *testing.T) {
 	rng := simrand.New(13)
 	n, in, out := 7, 10, 8
@@ -122,17 +100,23 @@ func TestGCNForwardInferBitIdentical(t *testing.T) {
 	sameBits(t, "gcn", want.Data, got.Data)
 }
 
+// TestAttentionForwardInferBitIdentical compares the inference forward with
+// the autograd forward. The score matrix is seq×seq, so the sequence lengths
+// walk MatMulNTInto from a single element through small odd and even widths
+// to one row and one column past an inferBlock tile.
 func TestAttentionForwardInferBitIdentical(t *testing.T) {
 	rng := simrand.New(15)
-	seq, dim := 11, 12
-	a := NewAttention(rng.Derive("att"), dim, 2*dim)
-	x := randMat(rng, seq, dim)
+	dim := 12
+	for _, seq := range []int{11, 1, 3, 4, 5, inferBlock + 1} {
+		a := NewAttention(rng.Derive("att"), dim, 2*dim)
+		x := randMat(rng, seq, dim)
 
-	want := a.Forward(FromData(seq, dim, x))
+		want := a.Forward(FromData(seq, dim, x))
 
-	var s Scratch
-	got := a.ForwardInfer(&s, Mat{R: seq, C: dim, Data: x})
-	sameBits(t, "attention", want.Data, got.Data)
+		var s Scratch
+		got := a.ForwardInfer(&s, Mat{R: seq, C: dim, Data: x})
+		sameBits(t, fmt.Sprintf("attention seq=%d", seq), want.Data, got.Data)
+	}
 }
 
 func TestPoolingIntoBitIdentical(t *testing.T) {

@@ -62,9 +62,6 @@ func Param(r, c int) *Tensor {
 	return t
 }
 
-// RequiresGrad reports whether the tensor accumulates gradients.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
-
 // At returns element (i, j).
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.C+j] }
 

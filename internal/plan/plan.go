@@ -50,7 +50,7 @@ type Plan struct {
 	Knobs []string `json:"knobs,omitempty"`
 
 	// sealFP/sealed memoize Root.Fingerprint() for plans whose producer
-	// promises not to mutate the tree afterwards (Seal/SealAs). The seal is
+	// promises not to mutate the tree afterwards (Seal). The seal is
 	// plain state, not an atomic: it must be written before the plan is
 	// shared (the explorer seals candidates at generation, on the serving
 	// goroutine, before any worker sees them), and concurrent readers only
@@ -83,15 +83,6 @@ func (p *Plan) Seal() uint64 {
 	p.sealFP = p.Root.Fingerprint()
 	p.sealed = true
 	return p.sealFP
-}
-
-// SealAs installs fp as the plan's sealed fingerprint — for producers that
-// already computed Root.Fingerprint() (the explorer's dedup pass) and must
-// not pay for it twice. fp must equal Root.Fingerprint(); the same
-// no-mutation and publish-before-share rules as Seal apply.
-func (p *Plan) SealAs(fp uint64) {
-	p.sealFP = fp
-	p.sealed = true
 }
 
 // SealedFingerprint returns the sealed fingerprint, if any.

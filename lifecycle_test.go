@@ -2,6 +2,7 @@ package loam
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -60,7 +61,7 @@ func quickLifecycleConfig() LifecycleConfig {
 func serveDay(t *testing.T, ps *ProjectSim, dep *Deployment, day int) {
 	t.Helper()
 	for _, q := range ps.Gen.Day(day) {
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("optimize day %d: %v", day, err)
 		}
@@ -85,7 +86,7 @@ func TestLifecycleDriftRetrainPromotes(t *testing.T) {
 serve:
 	for day := 8; day < 14; day++ {
 		for _, q := range ps.Gen.Day(day) {
-			c, err := dep.Optimize(q)
+			c, err := dep.OptimizeCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("optimize day %d: %v", day, err)
 			}
@@ -208,7 +209,7 @@ func TestLifecycleSwapUnderConcurrentServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, q := range exec {
-			c, err := dep.Optimize(q)
+			c, err := dep.OptimizeCtx(context.Background(), q)
 			if err != nil {
 				t.Errorf("executor optimize: %v", err)
 				return
@@ -221,7 +222,7 @@ func TestLifecycleSwapUnderConcurrentServing(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(readers); i += 3 {
-				c, err := dep.Optimize(readers[i])
+				c, err := dep.OptimizeCtx(context.Background(), readers[i])
 				if err != nil {
 					t.Errorf("reader optimize: %v", err)
 					return

@@ -18,7 +18,7 @@
 //	ps.RunDays(0, 30)                        // build query history
 //	dep, err := ps.Deploy(loam.DefaultDeployConfig())
 //	if err != nil { ... }
-//	choice, err := dep.Optimize(q)           // steer one query
+//	choice, err := dep.OptimizeCtx(ctx, q)   // steer one query
 //	if err != nil { ... }
 package loam
 
@@ -156,7 +156,7 @@ func (s *Simulation) Project(name string) *ProjectSim {
 
 // ProjectSim is one project inside the simulation: its catalog, workload
 // generator, executor, and query history. The serving path (View, Explorer,
-// Optimize, ExecuteChoice) is safe for concurrent use; RunDays and the
+// OptimizeCtx, ExecuteChoice) is safe for concurrent use; RunDays and the
 // workload generator remain single-threaded.
 type ProjectSim struct {
 	Config   ProjectConfig
@@ -232,16 +232,6 @@ func (ps *ProjectSim) RunDays(from, to int) {
 	}
 }
 
-// ExecuteDefault plans and executes one query with the native optimizer and
-// logs it, returning the record.
-func (ps *ProjectSim) ExecuteDefault(q *query.Query) *exec.Record {
-	def := ps.Explorer(q.Day).DefaultPlan(q)
-	rec := ps.Executor.Execute(def, q.Day, ps.execOptions(q))
-	rec.TemplateID = q.TemplateID
-	ps.Repo.Append(history.Entry{Query: q, Record: rec})
-	return rec
-}
-
 // DeployConfig configures training a LOAM deployment for a project.
 type DeployConfig struct {
 	// Predictor holds the model hyperparameters.
@@ -271,7 +261,7 @@ func DefaultDeployConfig() DeployConfig {
 }
 
 // Deployment is a trained LOAM instance serving one project. Once trained it
-// is safe for concurrent use: Optimize, OptimizeBatch and ExecuteChoice may
+// is safe for concurrent use: OptimizeCtx, OptimizeBatch and ExecuteChoice may
 // be called from multiple goroutines against the same deployment (changing
 // the strategy concurrently with serving is not — call SetStrategy between
 // serving phases). The serving model is held behind an atomic pointer so the
@@ -322,7 +312,7 @@ func (d *Deployment) Lifecycle() *Lifecycle { return d.lc }
 
 // SetStrategy switches the deployment's inference strategy (§5). Like the
 // old direct field write it replaces, it must not race with in-flight
-// Optimize calls; switch between serving phases.
+// OptimizeCtx calls; switch between serving phases.
 func (d *Deployment) SetStrategy(s predictor.Strategy) { d.Strategy = s }
 
 // Telemetry returns the deployment's metrics registry — the private one
@@ -332,7 +322,7 @@ func (d *Deployment) Telemetry() *telemetry.Registry { return d.tel }
 
 // Guard returns the deployment's serving guard: inspect the breaker state
 // (State), check or lift a regression-sentinel quarantine (Quarantined,
-// Reset). Every Optimize/OptimizeCtx/OptimizeBatch call is routed through
+// Reset). Every OptimizeCtx/OptimizeBatch call is routed through
 // it; see DESIGN.md "Degraded-mode serving contract".
 func (d *Deployment) Guard() *Guard { return d.grd }
 
@@ -485,7 +475,7 @@ type Choice struct {
 	FallbackCause error
 }
 
-// Optimize steers one query: the plan explorer produces candidates, the
+// OptimizeCtx steers one query: the plan explorer produces candidates, the
 // predictor estimates their costs under the deployment's inference strategy,
 // and the cheapest is chosen (§3). The call is routed through the serving
 // guard: when the learned path fails — predictor error, deadline hit, open
@@ -494,21 +484,17 @@ type Choice struct {
 // and the failure in FallbackCause. An error is returned only when every
 // rung is exhausted (ErrNoServablePlan).
 //
-// Optimize is safe for concurrent use: candidate generation reads immutable
-// statistics views, the environment source reads the cluster under a shared
-// lock, plan scoring is read-only on the trained model, and the guard's
-// breaker accounting takes a short private lock. It is a thin wrapper over
-// OptimizeCtx with a background context.
-func (d *Deployment) Optimize(q *query.Query) (*Choice, error) {
-	return d.OptimizeCtx(context.Background(), q)
-}
-
-// OptimizeCtx is Optimize with cancellation: a canceled or expired ctx makes
-// it return ctx.Err() promptly, checked on entry and again between candidate
-// generation and plan scoring — caller cancellation is never masked by a
-// fallback plan. The call also feeds the serving telemetry — latency,
-// candidate counts, estimate spread, NaN estimates, and error counters —
-// into the deployment's registry, alongside the guard.* counters.
+// OptimizeCtx is safe for concurrent use: candidate generation reads
+// immutable statistics views, the environment source reads the cluster under
+// a shared lock, plan scoring is read-only on the trained model, and the
+// guard's breaker accounting takes a short private lock.
+//
+// A canceled or expired ctx makes it return ctx.Err() promptly, checked on
+// entry and again between candidate generation and plan scoring — caller
+// cancellation is never masked by a fallback plan. The call also feeds the
+// serving telemetry — latency, candidate counts, estimate spread, NaN
+// estimates, and error counters — into the deployment's registry, alongside
+// the guard.* counters.
 func (d *Deployment) OptimizeCtx(ctx context.Context, q *query.Query) (*Choice, error) {
 	return d.serve(ctx, q, false, nil)
 }

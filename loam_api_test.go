@@ -2,6 +2,7 @@ package loam
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -86,7 +87,7 @@ func TestOptimizeProducesValidChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ps.Gen.Day(5)[0]
-	choice, err := dep.Optimize(q)
+	choice, err := dep.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +147,12 @@ func TestDeploymentStrategySwitch(t *testing.T) {
 		t.Fatalf("WithStrategy not applied, got %v", dep.Strategy)
 	}
 	q := ps.Gen.Day(5)[0]
-	c1, err1 := dep.Optimize(q)
+	c1, err1 := dep.OptimizeCtx(context.Background(), q)
 	dep.SetStrategy(predictor.StrategyMeanEnv)
 	if dep.Strategy != predictor.StrategyMeanEnv {
 		t.Fatalf("SetStrategy not applied, got %v", dep.Strategy)
 	}
-	c2, err2 := dep.Optimize(q)
+	c2, err2 := dep.OptimizeCtx(context.Background(), q)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("optimize errors: %v / %v", err1, err2)
 	}
@@ -191,8 +192,8 @@ func TestSaveAndRestoreDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ps.Gen.Day(6)[0]
-	c1, err1 := dep.Optimize(q)
-	c2, err2 := restored.Optimize(q)
+	c1, err1 := dep.OptimizeCtx(context.Background(), q)
+	c2, err2 := restored.OptimizeCtx(context.Background(), q)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("optimize errors: %v / %v", err1, err2)
 	}
@@ -238,8 +239,8 @@ func TestSaveAndRestoreNonDefaultEncoding(t *testing.T) {
 		t.Fatalf("restored deployment encoder rebuilt from %+v, want %+v", got, dcfg.Encoder)
 	}
 	q := ps.Gen.Day(6)[0]
-	c1, err1 := dep.Optimize(q)
-	c2, err2 := restored.Optimize(q)
+	c1, err1 := dep.OptimizeCtx(context.Background(), q)
+	c2, err2 := restored.OptimizeCtx(context.Background(), q)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("optimize errors: %v / %v", err1, err2)
 	}

@@ -86,7 +86,7 @@ func TestDeployMetricsWiring(t *testing.T) {
 	if dep.Telemetry() != reg {
 		t.Fatal("WithMetrics registry not wired")
 	}
-	if _, err := dep.Optimize(ps.Gen.Day(6)[0]); err != nil {
+	if _, err := dep.OptimizeCtx(context.Background(), ps.Gen.Day(6)[0]); err != nil {
 		t.Fatal(err)
 	}
 	snap := dep.Metrics()
@@ -133,7 +133,7 @@ func TestDeployFromModelMetricsWiring(t *testing.T) {
 	if restored.Telemetry() != reg {
 		t.Fatal("WithMetrics registry not wired on restore")
 	}
-	if _, err := restored.Optimize(ps.Gen.Day(6)[0]); err != nil {
+	if _, err := restored.OptimizeCtx(context.Background(), ps.Gen.Day(6)[0]); err != nil {
 		t.Fatal(err)
 	}
 	snap := restored.Metrics()

@@ -52,7 +52,7 @@ func serveUntilPromoted(t *testing.T, ps *ProjectSim, dep *Deployment) {
 	t.Helper()
 	for day := 8; day < 16; day++ {
 		for _, q := range ps.Gen.Day(day) {
-			c, err := dep.Optimize(q)
+			c, err := dep.OptimizeCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("optimize day %d: %v", day, err)
 			}
@@ -123,7 +123,7 @@ func TestRestoreServesLastDurableVersion(t *testing.T) {
 		if len(qs) == 0 {
 			continue
 		}
-		if _, err := dep2.Optimize(qs[0]); err != nil {
+		if _, err := dep2.OptimizeCtx(context.Background(), qs[0]); err != nil {
 			t.Fatalf("restored deployment cannot serve: %v", err)
 		}
 		break
@@ -152,7 +152,7 @@ func TestRestoreMidProbationRollsBack(t *testing.T) {
 	promoted := dep2.Predictor()
 	for day := 16; day < 28; day++ {
 		for _, q := range ps.Gen.Day(day) {
-			c, err := dep2.Optimize(q)
+			c, err := dep2.OptimizeCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("optimize: %v", err)
 			}
@@ -242,7 +242,7 @@ func TestRestoreReplaysJournalIntoDetector(t *testing.T) {
 	}
 	served := 0
 	for _, q := range ps.Gen.Day(8) {
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("optimize: %v", err)
 		}

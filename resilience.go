@@ -58,7 +58,7 @@ var (
 	ErrModelQuarantined = guard.ErrQuarantined
 	// ErrNoServablePlan reports total exhaustion of the fallback ladder —
 	// learned, native re-plan and default candidate all unavailable. It is
-	// the only guard condition surfaced as an Optimize error rather than a
+	// the only guard condition surfaced as an OptimizeCtx error rather than a
 	// degraded Choice.
 	ErrNoServablePlan = guard.ErrNoServablePlan
 	// ErrInjectedFault marks failures forced by a fault injector; it wraps

@@ -46,7 +46,7 @@ func TestConcurrentOptimizeMatchesSequential(t *testing.T) {
 
 	seq := make([]*Choice, len(qs))
 	for i, q := range qs {
-		c, err := dep.Optimize(q)
+		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestConcurrentOptimizeMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conc[i], errs[i] = dep.Optimize(qs[i])
+			conc[i], errs[i] = dep.OptimizeCtx(context.Background(), qs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -93,7 +93,7 @@ func TestConcurrentExecuteChoice(t *testing.T) {
 		wg.Add(1)
 		go func(q *query.Query) {
 			defer wg.Done()
-			choice, err := dep.Optimize(q)
+			choice, err := dep.OptimizeCtx(context.Background(), q)
 			if err != nil {
 				t.Errorf("optimize %s: %v", q.ID, err)
 				return

@@ -1,6 +1,7 @@
 package loam
 
 import (
+	"context"
 	"testing"
 
 	"loam/internal/predictor"
@@ -39,7 +40,7 @@ func TestSmokePipeline(t *testing.T) {
 		t.Fatal("no test queries")
 	}
 	for _, e := range dep.TestSet[:min(3, len(dep.TestSet))] {
-		choice, err := dep.Optimize(e.Query)
+		choice, err := dep.OptimizeCtx(context.Background(), e.Query)
 		if err != nil {
 			t.Fatalf("optimize: %v", err)
 		}
