@@ -274,8 +274,8 @@ func BenchmarkPredictorInference(b *testing.B) {
 	}
 }
 
-// serveBenchSetup builds a deployment plus a batch of fresh queries once,
-// shared by the OptimizeBatch sub-benchmarks.
+// serveBenchSetup builds a deployment plus 64 fresh queries once, shared by
+// the BenchmarkOptimizeBatch sub-benchmarks.
 var (
 	serveBenchOnce sync.Once
 	serveBenchDep  *loam.Deployment
@@ -308,16 +308,15 @@ func getServeBench(b *testing.B) (*loam.Deployment, []*query.Query) {
 	return serveBenchDep, serveBenchQs
 }
 
-// BenchmarkOptimizeBatch reports per-batch serving latency at increasing
-// parallelism over an identical 64-query batch; linear-ish scaling here is
-// the tentpole claim of the concurrent serving layer.
+// BenchmarkOptimizeBatch reports the latency of serving an identical 64-query
+// set from an increasing number of concurrent OptimizeCtx callers.
 func BenchmarkOptimizeBatch(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+		b.Run(fmt.Sprintf("callers=%d", par), func(b *testing.B) {
 			dep, qs := getServeBench(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dep.OptimizeBatch(context.Background(), qs, par); err != nil {
+				if _, err := loam.OptimizeAll(context.Background(), dep, qs, par); err != nil {
 					b.Fatal(err)
 				}
 			}

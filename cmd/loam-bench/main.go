@@ -5,7 +5,7 @@
 // Usage:
 //
 //	loam-bench [-run all|ID[,ID...]] [-seed N] [-scale F] [-epochs N] [-eval N]
-//	           [-tiny] [-quiet] [-metrics] [-fleetout FILE]
+//	           [-tiny] [-quiet] [-metrics]
 //
 // The ids are the entries of experimentTable, in the order `all` runs them;
 // `loam-bench -h` lists them and an id not in the table is an error.
@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +25,6 @@ import (
 	"slices"
 	"strings"
 
-	"loam/internal/atomicio"
 	"loam/internal/experiments"
 	"loam/internal/walltime"
 )
@@ -40,10 +38,9 @@ func main() {
 
 // bench is one invocation: where its experiments run and print.
 type bench struct {
-	ctx      context.Context
-	env      *experiments.Env
-	out      io.Writer
-	fleetout string
+	ctx context.Context
+	env *experiments.Env
+	out io.Writer
 	// f6 is the Fig. 6 evaluation the experiments marked onFig6 share; run
 	// computes it before the first of them.
 	f6 *experiments.Fig6Result
@@ -77,7 +74,7 @@ var experimentTable = []struct {
 	{"guard", false, func(b *bench) error { return b.show(b.env.Guard(b.ctx)) }},
 	{"lifecycle", false, func(b *bench) error { return b.show(b.env.Lifecycle(b.ctx)) }},
 	{"recover", false, func(b *bench) error { return b.show(b.env.Recover(b.ctx)) }},
-	{"fleet", false, (*bench).fleet},
+	{"fleet", false, func(b *bench) error { return b.show(b.env.FleetServe(b.ctx)) }},
 }
 
 // show renders one experiment's result unless the experiment failed.
@@ -86,27 +83,6 @@ func (b *bench) show(r interface{ Render(io.Writer) }, err error) error {
 		return err
 	}
 	r.Render(b.out)
-	return nil
-}
-
-// fleet is the one experiment with a machine-readable artifact (-fleetout).
-func (b *bench) fleet() error {
-	r, err := b.env.FleetServe(b.ctx)
-	if err != nil {
-		return err
-	}
-	r.Render(b.out)
-	if b.fleetout == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := atomicio.Default.WriteFile(b.fleetout, append(data, '\n')); err != nil {
-		return fmt.Errorf("write %s: %w", b.fleetout, err)
-	}
-	fmt.Fprintf(b.out, "wrote %s\n", b.fleetout)
 	return nil
 }
 
@@ -123,15 +99,14 @@ func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("loam-bench", flag.ContinueOnError)
 	valid := validIDs()
 	var (
-		runSpec  = fs.String("run", "all", "comma-separated experiment ids ("+strings.Join(valid, ", ")+")")
-		seed     = fs.Uint64("seed", 42, "root seed for the whole simulation")
-		scale    = fs.Float64("scale", 1, "workload scale multiplier (5 ≈ paper scale)")
-		epochs   = fs.Int("epochs", 0, "override training epochs (0 = default)")
-		evalQ    = fs.Int("eval", 0, "override test queries per project (0 = default)")
-		tiny     = fs.Bool("tiny", false, "tiny configuration for smoke runs")
-		quiet    = fs.Bool("quiet", false, "suppress progress logging")
-		metrics  = fs.Bool("metrics", false, "dump the combined telemetry snapshot after the experiments")
-		fleetout = fs.String("fleetout", "", "write the fleet experiment's machine-readable results to this JSON file (requires -run fleet)")
+		runSpec = fs.String("run", "all", "comma-separated experiment ids ("+strings.Join(valid, ", ")+")")
+		seed    = fs.Uint64("seed", 42, "root seed for the whole simulation")
+		scale   = fs.Float64("scale", 1, "workload scale multiplier (5 ≈ paper scale)")
+		epochs  = fs.Int("epochs", 0, "override training epochs (0 = default)")
+		evalQ   = fs.Int("eval", 0, "override test queries per project (0 = default)")
+		tiny    = fs.Bool("tiny", false, "tiny configuration for smoke runs")
+		quiet   = fs.Bool("quiet", false, "suppress progress logging")
+		metrics = fs.Bool("metrics", false, "dump the combined telemetry snapshot after the experiments")
 	)
 	fs.SetOutput(errw)
 	if err := fs.Parse(args); err != nil {
@@ -168,7 +143,7 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	sw := walltime.Start()
-	b := &bench{ctx: context.Background(), env: experiments.NewEnv(cfg), out: out, fleetout: *fleetout}
+	b := &bench{ctx: context.Background(), env: experiments.NewEnv(cfg), out: out}
 	for _, e := range experimentTable {
 		if !want["all"] && !want[e.id] {
 			continue

@@ -1,35 +1,31 @@
 // Command loam-vet runs the repo's custom static-analysis suite
-// (internal/analysis): determinism, lockdiscipline, nansafety, errwrap,
-// guarddiscipline, inferencepurity, and the typed contracts allocdiscipline,
-// lockorder and ctxflow.
+// (internal/analysis): determinism, nansafety, errwrap, guarddiscipline,
+// lockorder, ctxflow and iodiscipline.
 // It loads every package under the module root with stdlib go/parser and
 // type-checks it with go/types — no build system, no dependencies — and
 // exits 1 on any finding not covered by the commented allowlist, or on any
 // allowlist entry that no longer matches a finding (stale suppressions are
-// bugs waiting to hide the next real finding).
+// bugs waiting to hide the next real finding; each is printed). A tree that
+// does not parse or type-check, a bad flag or an unknown -rules name exits 2.
 //
 // Usage:
 //
-//	loam-vet [-hints] [-json] [-rules determinism,errwrap]
-//	         [-roots pkg.Func,...] [-prune-allowlist] [./... | dir]
+//	loam-vet [-hints] [-rules determinism,errwrap] [-list] [./... | dir]
 //
 // With a directory argument the module root is resolved by walking up to
 // go.mod from there; the default "./..." resolves from the working
 // directory. -hints appends a suggested rewrite to each finding (the
-// `make lint-fix-hints` mode). -json emits the machine-readable report
-// (active findings, allowlisted findings with their Reasons, stale allowlist
-// entries) in a stable order for CI annotation. -roots overrides the
-// allocdiscipline serving-root set. -prune-allowlist prints removal hints
-// for stale entries instead of the findings listing.
+// `make lint-fix-hints` mode).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 
 	"loam/internal/analysis"
@@ -39,65 +35,17 @@ func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// jsonFinding is one row of the -json report. The field set and ordering are
-// pinned by TestJSONGolden — CI consumes this format.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	// Reason is set only on allowlisted findings.
-	Reason string `json:"reason,omitempty"`
-}
-
-// jsonReport is the -json document: findings first (the ones that fail the
-// run), then suppressions with their Reasons, then stale allowlist entries.
-type jsonReport struct {
-	Findings   []jsonFinding `json:"findings"`
-	Suppressed []jsonFinding `json:"suppressed"`
-	Stale      []jsonStale   `json:"stale"`
-}
-
-type jsonStale struct {
-	Rule       string `json:"rule"`
-	PathPrefix string `json:"path_prefix"`
-	Contains   string `json:"contains,omitempty"`
-	Reason     string `json:"reason"`
-}
-
 func run(out, errw io.Writer, args []string) int {
 	fs := flag.NewFlagSet("loam-vet", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	hints := fs.Bool("hints", false, "print a suggested rewrite under each finding")
 	rules := fs.String("rules", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit the stable-ordered JSON report (findings, suppressions, stale entries)")
-	roots := fs.String("roots", "", "comma-separated pkgsuffix.Func overrides for the allocdiscipline serving roots")
-	prune := fs.Bool("prune-allowlist", false, "print removal hints for allowlist entries that match nothing")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	analyzers := analysis.Analyzers()
-	if *roots != "" {
-		var specs []string
-		for _, r := range strings.Split(*roots, ",") {
-			r = strings.TrimSpace(r)
-			if r == "" {
-				continue
-			}
-			if _, ok := analysis.ParseRootSpec(r); !ok {
-				fmt.Fprintf(errw, "loam-vet: -roots entry %q is not pkgsuffix.Func\n", r)
-				return 2
-			}
-			specs = append(specs, r)
-		}
-		for i, a := range analyzers {
-			if a.Name == "allocdiscipline" {
-				analyzers[i] = analysis.AllocDisciplineWithRoots(specs)
-			}
-		}
-	}
 	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(out, "%-15s %s\n", a.Name, a.Doc)
@@ -110,13 +58,24 @@ func run(out, errw io.Writer, args []string) int {
 			want[strings.TrimSpace(r)] = true
 		}
 		var sel []*analysis.Analyzer
+		var valid []string
 		for _, a := range analyzers {
+			valid = append(valid, a.Name)
 			if want[a.Name] {
 				sel = append(sel, a)
+				delete(want, a.Name)
 			}
 		}
-		if len(sel) == 0 {
-			fmt.Fprintf(errw, "loam-vet: no analyzer matches -rules %q\n", *rules)
+		// Whatever is left names no analyzer: running the rest would check
+		// less than the caller asked for and still exit 0.
+		if len(want) > 0 {
+			var unknown []string
+			for r := range want {
+				unknown = append(unknown, strconv.Quote(r))
+			}
+			sort.Strings(unknown)
+			fmt.Fprintf(errw, "loam-vet: unknown analyzer %s in -rules (valid: %s)\n",
+				strings.Join(unknown, ", "), strings.Join(valid, ", "))
 			return 2
 		}
 		analyzers = sel
@@ -153,40 +112,24 @@ func run(out, errw io.Writer, args []string) int {
 		rep.Stale = nil
 	}
 
-	if *jsonOut {
-		if err := writeJSON(out, rep); err != nil {
-			fmt.Fprintf(errw, "loam-vet: %v\n", err)
-			return 2
+	for _, f := range rep.Findings {
+		fmt.Fprintln(out, f.String())
+		if *hints && f.Suggestion != "" {
+			fmt.Fprintf(out, "\thint: %s\n", f.Suggestion)
 		}
-	} else if *prune {
-		for _, e := range rep.Stale {
-			fmt.Fprintf(out, "stale allowlist entry: rule=%s path=%s contains=%q — remove it (reason was: %s)\n",
-				e.Rule, e.PathPrefix, e.Contains, e.Reason)
-		}
-		if len(rep.Stale) == 0 {
-			fmt.Fprintln(out, "allowlist is tight: every entry matches a live finding")
-		}
-	} else {
-		for _, f := range rep.Findings {
-			fmt.Fprintln(out, f.String())
-			if *hints && f.Suggestion != "" {
-				fmt.Fprintf(out, "\thint: %s\n", f.Suggestion)
-			}
-		}
+	}
+	for _, e := range rep.Stale {
+		fmt.Fprintf(out, "stale allowlist entry: rule=%s path=%s contains=%q — remove it (reason was: %s)\n",
+			e.Rule, e.PathPrefix, e.Contains, e.Reason)
 	}
 
 	exit := 0
 	if len(rep.Findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(out, "loam-vet: %d finding(s)\n", len(rep.Findings))
-		}
+		fmt.Fprintf(out, "loam-vet: %d finding(s)\n", len(rep.Findings))
 		exit = 1
 	}
 	if len(rep.Stale) > 0 {
-		if !*jsonOut && !*prune {
-			fmt.Fprintf(out, "loam-vet: %d stale allowlist entr%s (run with -prune-allowlist for removal hints)\n",
-				len(rep.Stale), plural(len(rep.Stale), "y", "ies"))
-		}
+		fmt.Fprintf(out, "loam-vet: %d stale allowlist entr%s\n", len(rep.Stale), plural(len(rep.Stale), "y", "ies"))
 		exit = 1
 	}
 	return exit
@@ -197,36 +140,6 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// writeJSON renders the report. Ordering is stable: analysis.Run sorts
-// findings and suppressions by (file, line, rule), stale entries keep
-// allowlist declaration order, and encoding/json preserves struct order.
-func writeJSON(out io.Writer, rep analysis.Report) error {
-	doc := jsonReport{
-		Findings:   []jsonFinding{},
-		Suppressed: []jsonFinding{},
-		Stale:      []jsonStale{},
-	}
-	for _, f := range rep.Findings {
-		doc.Findings = append(doc.Findings, jsonFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Analyzer: f.Rule, Message: f.Message,
-		})
-	}
-	for _, s := range rep.Suppressed {
-		doc.Suppressed = append(doc.Suppressed, jsonFinding{
-			File: s.Finding.Pos.Filename, Line: s.Finding.Pos.Line,
-			Analyzer: s.Finding.Rule, Message: s.Finding.Message, Reason: s.Reason,
-		})
-	}
-	for _, e := range rep.Stale {
-		doc.Stale = append(doc.Stale, jsonStale{
-			Rule: e.Rule, PathPrefix: e.PathPrefix, Contains: e.Contains, Reason: e.Reason,
-		})
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // findModuleRoot walks up from dir to the first directory containing go.mod.

@@ -9,21 +9,21 @@ import (
 	"loam/internal/query"
 )
 
-// TestOptimizeBatchParallelCacheIdentical runs the same recurring batch
-// sequentially and at parallelism 4 against one deployment with the default
-// plan cache enabled: plan choices and cost estimates must be bit-identical,
+// TestOptimizeBatchParallelCacheIdentical runs the same recurring queries
+// sequentially and from 4 concurrent OptimizeCtx callers against one
+// deployment with the default plan cache enabled: plan choices and cost estimates must be bit-identical,
 // and the second pass must be served largely from the cache.
 func TestOptimizeBatchParallelCacheIdentical(t *testing.T) {
 	dep, qs := serveDeployment(t, 41, 24)
 
-	seq, err := dep.OptimizeBatch(context.Background(), qs, 1)
+	seq, err := OptimizeAll(context.Background(), dep, qs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := dep.Predictor().PlanCacheLen(); n == 0 {
 		t.Fatal("default deployment served without populating the plan cache")
 	}
-	par, err := dep.OptimizeBatch(context.Background(), qs, 4)
+	par, err := OptimizeAll(context.Background(), dep, qs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +42,15 @@ func TestOptimizeBatchParallelCacheIdentical(t *testing.T) {
 	}
 }
 
-// TestOptimizeBatchCacheRace hammers one deployment's plan cache from
-// OptimizeBatch at high parallelism over a recurring workload; under -race
+// TestOptimizeBatchCacheRace hammers one deployment's plan cache from 8
+// concurrent OptimizeCtx callers over a recurring workload; under -race
 // this is the serving-layer data-race test for the singleflight cache.
 func TestOptimizeBatchCacheRace(t *testing.T) {
 	dep, qs := serveDeployment(t, 42, 16)
 	// Repeat the workload so most lookups hit the cache concurrently.
 	batch := append(append(append([]*query.Query{}, qs...), qs...), qs...)
 	for round := 0; round < 2; round++ {
-		if _, err := dep.OptimizeBatch(context.Background(), batch, 8); err != nil {
+		if _, err := OptimizeAll(context.Background(), dep, batch, 8); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,17 +34,17 @@ func guardedDeployment(t *testing.T, seed uint64, nQueries int, opts ...DeployOp
 }
 
 // TestFullOutageBatchServesEveryQuery is the tentpole acceptance test: with
-// the injector forcing a 100% learned-path failure rate, a parallel
-// OptimizeBatch still returns a valid non-nil Choice for every query — all
+// the injector forcing a 100% learned-path failure rate, 4 concurrent
+// OptimizeCtx callers still get a valid non-nil Choice for every query — all
 // from fallback rungs, all carrying the injected transient cause — and a
 // fallback choice executes normally.
 func TestFullOutageBatchServesEveryQuery(t *testing.T) {
 	inj := NewFaultInjector(7, FaultInjectorConfig{PredictorErrorRate: 1})
 	dep, qs := guardedDeployment(t, 51, 16, WithFaultInjector(inj))
 
-	choices, err := dep.OptimizeBatch(context.Background(), qs, 4)
+	choices, err := OptimizeAll(context.Background(), dep, qs, 4)
 	if err != nil {
-		t.Fatalf("full outage surfaced a batch error: %v", err)
+		t.Fatalf("full outage surfaced an error: %v", err)
 	}
 	for i, c := range choices {
 		if c == nil || c.Chosen == nil {
@@ -97,7 +97,7 @@ func TestFullOutageTelemetryByteIdentical(t *testing.T) {
 		for day := 6; len(qs) < 12; day++ {
 			qs = append(qs, ps.Gen.Day(day)...)
 		}
-		if _, err := dep.OptimizeBatch(context.Background(), qs[:12], 1); err != nil {
+		if _, err := OptimizeAll(context.Background(), dep, qs[:12], 1); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -1,28 +1,30 @@
 // Package analysis is a zero-dependency static-analysis framework for this
-// repository, built on stdlib go/parser, go/ast and go/token only. It loads
-// every package under the module root and runs a pluggable set of analyzers
-// that machine-check the repo's load-bearing conventions:
+// repository, built on the standard library's go/parser, go/ast and go/types.
+// It parses and type-checks every package under the module root and runs a
+// pluggable set of analyzers over the result. Each analyzer owns a code
+// contract that no test, race run or compiler check would otherwise catch
+// (DESIGN.md "Static analysis & code contracts" holds the mutation table that
+// decided the set):
 //
 //   - determinism: seed-reproducibility (no math/rand outside
 //     internal/simrand, no wall-clock reads outside internal/walltime, no
 //     order-sensitive iteration over maps)
-//   - lockdiscipline: all access to the mutex-guarded state of
-//     cluster.Cluster and history.Repository goes through guarded methods
 //   - nansafety: no raw float comparisons on cost/estimate values where a
 //     NaN operand would silently win or lose a plan choice
 //   - errwrap: errors are wrapped with %w and never double-prefixed
 //   - guarddiscipline: predictor plan scoring outside internal/guard and
-//     internal/predictor flows through the serving guard (guard.Guard), so
-//     deadline, circuit breaker and quarantine cannot be bypassed
-//   - inferencepurity: serving-path code (internal/guard, and predictor
-//     functions reachable from the serving entry points) never constructs
-//     gradient-tracked tensors or invokes autograd backpropagation
+//     internal/predictor flows through the serving guard (guard.Guard), model
+//     swaps stay in the lifecycle seam, and internal/fleet reaches a backend's
+//     full ladder only through the admission gate
+//   - lockorder: the lock-acquisition graph is acyclic and no hook or
+//     callback is invoked while a lock is held
+//   - ctxflow: library code mints no root context and threads the one it
+//     receives to every context-aware callee
 //   - iodiscipline: raw file writes (os.WriteFile/Create/Rename) outside
 //     internal/atomicio flow through atomicio.FS, so every durable artifact
 //     gets the atomic temp+fsync+rename treatment the crash-recovery
 //     contract assumes
 //
-
 // Findings are reported as "file:line: [rule] message". Intentional
 // exceptions live in the commented allowlist (see allowlist.go), never in
 // analyzer logic. The suite runs as cmd/loam-vet from `make lint`.
@@ -62,37 +64,26 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
-		LockDiscipline(),
 		NaNSafety(),
 		ErrWrap(),
 		GuardDiscipline(),
-		InferencePurity(),
-		AllocDiscipline(),
 		LockOrder(),
 		CtxFlow(),
 		IODiscipline(),
 	}
 }
 
-// Suppressed pairs an allowlisted finding with the entry's Reason, so tools
-// (loam-vet -json) can show what was waived and why.
-type Suppressed struct {
-	Finding Finding
-	Reason  string
-}
-
-// Report is the full result of one suite run: surviving findings, the
-// findings the allowlist absorbed, and the allowlist entries that matched
-// nothing — stale suppressions are bugs waiting to hide the next real
-// finding, so loam-vet fails on them.
+// Report is the full result of one suite run: the findings the allowlist did
+// not absorb, and the allowlist entries that matched nothing — stale
+// suppressions are bugs waiting to hide the next real finding, so loam-vet
+// fails on them.
 type Report struct {
-	Findings   []Finding
-	Suppressed []Suppressed
-	Stale      []AllowEntry
+	Findings []Finding
+	Stale    []AllowEntry
 }
 
 // Run executes the analyzers, filters through the allowlist, and tracks
-// which entries fired. Findings and suppressions come back sorted.
+// which entries fired. Findings come back sorted.
 func Run(prog *Program, analyzers []*Analyzer, allow []AllowEntry) Report {
 	var rep Report
 	matched := make([]bool, len(allow))
@@ -100,7 +91,6 @@ func Run(prog *Program, analyzers []*Analyzer, allow []AllowEntry) Report {
 		for _, f := range a.Run(prog) {
 			if i, ok := AllowedBy(allow, f); ok {
 				matched[i] = true
-				rep.Suppressed = append(rep.Suppressed, Suppressed{Finding: f, Reason: allow[i].Reason})
 			} else {
 				rep.Findings = append(rep.Findings, f)
 			}
@@ -112,16 +102,6 @@ func Run(prog *Program, analyzers []*Analyzer, allow []AllowEntry) Report {
 		}
 	}
 	SortFindings(rep.Findings)
-	sort.Slice(rep.Suppressed, func(i, j int) bool {
-		a, b := rep.Suppressed[i].Finding, rep.Suppressed[j].Finding
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Rule < b.Rule
-	})
 	return rep
 }
 

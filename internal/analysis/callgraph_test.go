@@ -5,19 +5,28 @@ import (
 )
 
 // nodeNamed finds a call-graph node by bare declaration name, failing if the
-// name is ambiguous in the fixture.
+// name is missing or ambiguous in the fixture.
 func nodeNamed(t *testing.T, cg *CallGraph, name string) *FuncNode {
 	t.Helper()
-	nodes := cg.NodesByName(name)
-	if len(nodes) != 1 {
-		t.Fatalf("NodesByName(%q) = %d nodes, want 1", name, len(nodes))
+	var found *FuncNode
+	for _, n := range cg.Nodes {
+		if n.Name() != name {
+			continue
+		}
+		if found != nil {
+			t.Fatalf("%q names more than one node", name)
+		}
+		found = n
 	}
-	return nodes[0]
+	if found == nil {
+		t.Fatalf("no node named %q", name)
+	}
+	return found
 }
 
-// TestCallGraphInterfaceDispatch is the unit test ISSUE.md asks for: a call
-// through an interface method resolves, via types.Implements, to the
-// in-module concrete implementation — and reachability flows through it.
+// TestCallGraphInterfaceDispatch: a call through an interface method
+// resolves, via types.Implements, to the in-module concrete implementation,
+// and a direct call to its one declaration.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	prog := fixture(t, map[string]string{"internal/p/p.go": `package p
 
@@ -29,82 +38,35 @@ type nnScorer struct{}
 
 func (nnScorer) Score(x int) int { return leaf(x) }
 
+type other struct{}
+
+func (other) Score(s string) string { return s }
+
 func leaf(x int) int { return x + 1 }
 
 func Root(s Scorer) int { return s.Score(3) }
-
-func unrelated() int { return leaf(9) }
 `})
-	cg := prog.BuildCallGraph()
-	roots := cg.Roots([]RootSpec{{PkgSuffix: "internal/p", Name: "Root"}})
-	if len(roots) != 1 {
-		t.Fatalf("Roots = %d, want 1", len(roots))
-	}
-	reach, parent := cg.ReachableFrom(roots)
-
-	score := nodeNamed(t, cg, "Score")
-	if !reach[score] {
-		t.Fatal("interface dispatch: nnScorer.Score not reachable from Root")
-	}
+	cg := prog.CallGraph()
 	leaf := nodeNamed(t, cg, "leaf")
-	if !reach[leaf] {
-		t.Fatal("transitive reachability: leaf not reachable from Root through nnScorer.Score")
-	}
-	if reach[nodeNamed(t, cg, "unrelated")] {
-		t.Fatal("unrelated must not be reachable from Root")
-	}
-	if r := rootOf(leaf, parent); r == nil || r.Name() != "Root" {
-		t.Fatalf("rootOf(leaf) = %v, want Root", r)
-	}
-
-	// The interface call site resolved to a concrete target, not the name
-	// fallback: the site must be marked Static.
-	root := nodeNamed(t, cg, "Root")
-	var found bool
-	for _, site := range root.Calls {
-		for _, tgt := range site.Targets {
-			if tgt == score {
-				found = true
-				if !site.Static {
-					t.Error("interface-dispatch site should be Static (resolved via types.Implements)")
-				}
-			}
+	var score *FuncNode
+	for _, n := range cg.Nodes {
+		if n.Name() == "Score" && recvNamed(n.Obj).Obj().Name() == "nnScorer" {
+			score = n
 		}
 	}
-	if !found {
-		t.Fatal("Root's call site never targeted nnScorer.Score")
-	}
-}
 
-// TestCallGraphFuncValueFallback: a call through a stored function value has
-// no checker-resolved target; the name fallback keeps the callee reachable
-// (over-approximation is the safe direction for purity/allocation rules).
-func TestCallGraphFuncValueFallback(t *testing.T) {
-	prog := fixture(t, map[string]string{"internal/p/p.go": `package p
-
-func work(x int) int { return x * 2 }
-
-func Root() int {
-	f := work
-	return f(21)
-}
-`})
-	cg := prog.BuildCallGraph()
-	reach, _ := cg.ReachableFrom(cg.Roots([]RootSpec{{PkgSuffix: "internal/p", Name: "Root"}}))
-	if !reach[nodeNamed(t, cg, "work")] {
-		t.Fatal("work must stay reachable: the value reference f := work adds an edge")
+	root := nodeNamed(t, cg, "Root")
+	if len(root.Calls) != 1 {
+		t.Fatalf("Root has %d call sites, want 1", len(root.Calls))
 	}
-}
-
-func TestParseRootSpec(t *testing.T) {
-	r, ok := ParseRootSpec("internal/predictor.PredictCost")
-	if !ok || r.PkgSuffix != "internal/predictor" || r.Name != "PredictCost" {
-		t.Fatalf("ParseRootSpec = %+v %v", r, ok)
+	site := root.Calls[0]
+	if len(site.Targets) != 1 || site.Targets[0] != score {
+		t.Fatalf("s.Score(3) targets %v, want only nnScorer.Score (other.Score does not implement Scorer)", site.Targets)
 	}
-	if _, ok := ParseRootSpec("noDotHere"); ok {
-		t.Fatal("spec without a dot must be rejected")
+	if site.StaticObj == nil || site.StaticObj.Name() != "Score" {
+		t.Fatalf("interface call lost its resolved method object: %v", site.StaticObj)
 	}
-	if _, ok := ParseRootSpec(""); ok {
-		t.Fatal("empty spec must be rejected")
+	if got := score.Calls[0].Targets; len(got) != 1 || got[0] != leaf {
+		t.Fatalf("leaf(x) targets %v, want the leaf declaration", got)
 	}
 }

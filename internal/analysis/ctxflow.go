@@ -20,9 +20,6 @@ import (
 //     anything not derived from the incoming context drops the deadline on
 //     the floor. Derivation is tracked through local assignments
 //     (ctx2, cancel := context.WithTimeout(ctx, ...) counts as threading).
-//
-// Rule 2 needs type information (parameter identity, callee signatures) and
-// silently narrows to rule 1 where the typed load is incomplete.
 func CtxFlow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
@@ -33,27 +30,18 @@ func CtxFlow() *Analyzer {
 
 func runCtxFlow(prog *Program) []Finding {
 	var out []Finding
-	cg := prog.BuildCallGraph()
-	for _, node := range cg.Nodes {
+	for _, node := range prog.CallGraph().Nodes {
 		if node.Pkg.Name == "main" || strings.HasSuffix(node.Pkg.ImportPath, "/walltime") {
 			continue
 		}
-		ti := prog.Typed(node.Pkg)
-		var info *types.Info
-		if ti != nil {
-			info = ti.Info
-		}
+		info := prog.Typed(node.Pkg).Info
 		out = append(out, freshRootContexts(prog, node, info)...)
-		if info != nil {
-			out = append(out, droppedContexts(prog, node, info)...)
-		}
+		out = append(out, droppedContexts(prog, node, info)...)
 	}
 	return out
 }
 
 // freshRootContexts flags context.Background() / context.TODO() calls.
-// Typed when possible; otherwise the file's import binding for "context"
-// disambiguates (the syntactic fallback).
 func freshRootContexts(prog *Program, node *FuncNode, info *types.Info) []Finding {
 	var out []Finding
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
@@ -65,12 +53,8 @@ func freshRootContexts(prog *Program, node *FuncNode, info *types.Info) []Findin
 		if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
 			return true
 		}
-		if info != nil {
-			obj, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "context" {
-				return true
-			}
-		} else if !isPkgCall(node.File, call, "context", sel.Sel.Name) {
+		obj, ok := info.Uses[sel.Sel].(*types.Func)
+		if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "context" {
 			return true
 		}
 		out = append(out, Finding{
@@ -207,8 +191,8 @@ func mentionsAny(info *types.Info, expr ast.Expr, objs map[types.Object]bool) bo
 }
 
 // calleeCtxSignature returns the callee's signature when its first parameter
-// is a context.Context and the callee is resolvable (in-module static target
-// or a known stdlib/function object).
+// is a context.Context and the checker resolved the callee (in-module or
+// stdlib).
 func calleeCtxSignature(site *CallSite) *types.Signature {
 	if site.StaticObj == nil {
 		return nil

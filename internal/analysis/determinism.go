@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // Determinism enforces the seed-reproducibility contract (DESIGN.md:
@@ -69,24 +70,25 @@ func runDeterminism(prog *Program) []Finding {
 			})
 		}
 		// Order-sensitive map iteration.
+		info := prog.Typed(pkg).Info
 		for _, fn := range fileFuncs(f) {
-			out = append(out, mapRangeFindings(prog, f, fn)...)
+			out = append(out, mapRangeFindings(prog, info, f, fn)...)
 		}
 	})
 	return out
 }
 
-// mapRangeFindings flags range statements over map-typed expressions whose
-// body observes iteration order.
-func mapRangeFindings(prog *Program, f *File, fn funcInfo) []Finding {
+// mapRangeFindings flags range statements over map-typed expressions (by the
+// checker's type for the ranged operand) whose body observes iteration order.
+func mapRangeFindings(prog *Program, info *types.Info, f *File, fn funcInfo) []Finding {
 	var out []Finding
 	pkgNames := importedPkgNames(f)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !isMapExpr(prog, fn, rs.X) {
+		if !ok || !isMapType(info.TypeOf(rs.X)) {
 			return true
 		}
-		if sink := orderSensitiveSink(prog, f, fn, pkgNames, rs); sink != "" {
+		if sink := orderSensitiveSink(prog, info, f, fn, pkgNames, rs); sink != "" {
 			out = append(out, Finding{
 				Pos:        prog.Fset.Position(rs.Pos()),
 				Rule:       "determinism",
@@ -99,92 +101,18 @@ func mapRangeFindings(prog *Program, f *File, fn funcInfo) []Finding {
 	return out
 }
 
-// isMapExpr decides syntactically whether e has map type: map literals and
-// make(map...), identifiers assigned from them (or declared as map params /
-// vars), fields declared as maps anywhere in the program, and calls to
-// functions returning maps.
-func isMapExpr(prog *Program, fn funcInfo, e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.CompositeLit:
-		_, ok := v.Type.(*ast.MapType)
-		return ok
-	case *ast.CallExpr:
-		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" && len(v.Args) > 0 {
-			_, ok := v.Args[0].(*ast.MapType)
-			return ok
-		}
-		var name string
-		switch fun := v.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		return prog.mapFuncs[name]
-	case *ast.SelectorExpr:
-		return prog.mapFields[v.Sel.Name] && !prog.nonMapFields[v.Sel.Name]
-	case *ast.Ident:
-		return identDeclaredAsMap(fn, v.Name)
+func isMapType(t types.Type) bool {
+	if t == nil {
+		return false
 	}
-	return false
-}
-
-// identDeclaredAsMap reports whether name is bound to a map inside fn: a
-// `name := make(map...)` / map-literal assignment, a `var name map[...]`
-// declaration, or a parameter declared with a literal map type.
-func identDeclaredAsMap(fn funcInfo, name string) bool {
-	if fn.Decl.Type.Params != nil {
-		for _, fld := range fn.Decl.Type.Params.List {
-			if _, ok := fld.Type.(*ast.MapType); !ok {
-				continue
-			}
-			for _, id := range fld.Names {
-				if id.Name == name {
-					return true
-				}
-			}
-		}
-	}
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name != name || i >= len(v.Rhs) {
-					continue
-				}
-				switch rhs := v.Rhs[i].(type) {
-				case *ast.CompositeLit:
-					if _, ok := rhs.Type.(*ast.MapType); ok {
-						found = true
-					}
-				case *ast.CallExpr:
-					if fid, ok := rhs.Fun.(*ast.Ident); ok && fid.Name == "make" && len(rhs.Args) > 0 {
-						if _, ok := rhs.Args[0].(*ast.MapType); ok {
-							found = true
-						}
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			if _, ok := v.Type.(*ast.MapType); ok {
-				for _, id := range v.Names {
-					if id.Name == name {
-						found = true
-					}
-				}
-			}
-		}
-		return !found
-	})
-	return found
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // orderSensitiveSink scans a map-range body for constructs that observe
 // iteration order, returning a short description of the first sink found
 // ("" when the body is order-insensitive).
-func orderSensitiveSink(prog *Program, f *File, fn funcInfo, pkgNames map[string]bool, rs *ast.RangeStmt) string {
+func orderSensitiveSink(prog *Program, info *types.Info, f *File, fn funcInfo, pkgNames map[string]bool, rs *ast.RangeStmt) string {
 	loopLocal := map[string]bool{}
 	declaredIdents(rs, loopLocal)
 
@@ -248,7 +176,8 @@ func orderSensitiveSink(prog *Program, f *File, fn funcInfo, pkgNames map[string
 				}
 			case *ast.Ident:
 				// Calls to program-defined functions passing outer state.
-				if !prog.funcNames[fun.Name] {
+				callee, ok := info.Uses[fun].(*types.Func)
+				if !ok || callee.Pkg() == nil || !prog.ownsImportPath(callee.Pkg().Path()) {
 					return true
 				}
 				for _, arg := range v.Args {

@@ -23,6 +23,15 @@ func ErrWrap() *Analyzer {
 }
 
 func runErrWrap(prog *Program) []Finding {
+	// Function/method name → the prefix tokens its own fmt.Errorf wraps apply.
+	wrapPrefixes := map[string][]string{}
+	prog.eachFile(func(_ *Package, f *File) {
+		for _, fn := range fileFuncs(f) {
+			name := fn.Decl.Name.Name
+			wrapPrefixes[name] = append(wrapPrefixes[name], errorfPrefixes(f, fn.Body)...)
+		}
+	})
+
 	var out []Finding
 	prog.eachSourceFile(func(pkg *Package, f *File) {
 		for _, fn := range fileFuncs(f) {
@@ -61,7 +70,7 @@ func runErrWrap(prog *Program) []Finding {
 					if tok == "" || callee == "" {
 						return true
 					}
-					for _, p := range prog.wrapPrefixes[callee] {
+					for _, p := range wrapPrefixes[callee] {
 						if p == tok {
 							out = append(out, Finding{
 								Pos:  prog.Fset.Position(v.Pos()),
@@ -128,4 +137,43 @@ func errorArg(args []ast.Expr) string {
 func errorLikeName(name string) bool {
 	return name == "err" || strings.HasSuffix(name, "Err") || strings.HasSuffix(name, "err") ||
 		strings.HasPrefix(name, "err")
+}
+
+// errorfPrefixes collects the wrap-prefix tokens of every
+// fmt.Errorf("prefix ...: ...") call in body.
+func errorfPrefixes(f *File, body *ast.BlockStmt) []string {
+	var out []string
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !isPkgCall(f, call, "fmt", "Errorf") {
+			return true
+		}
+		if tok := wrapPrefixToken(call); tok != "" {
+			out = append(out, tok)
+		}
+		return true
+	})
+	return out
+}
+
+// wrapPrefixToken extracts the leading prefix token of an Errorf format
+// literal: for `fmt.Errorf("deploy %s: %w", name, err)` it returns "deploy".
+// It returns "" when there is no stable textual prefix.
+func wrapPrefixToken(call *ast.CallExpr) string {
+	if len(call.Args) == 0 {
+		return ""
+	}
+	format, ok := stringLit(call.Args[0])
+	if !ok {
+		return ""
+	}
+	head, _, found := strings.Cut(format, ":")
+	if !found {
+		return ""
+	}
+	fields := strings.Fields(head)
+	if len(fields) == 0 || strings.Contains(fields[0], "%") {
+		return ""
+	}
+	return fields[0]
 }

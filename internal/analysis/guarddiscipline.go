@@ -23,10 +23,9 @@ import (
 // scorer from the deployment's predictor pointer — the swap must pair both
 // writes, reset the sentinel, and account the quarantine release.
 //
-// With type information available, the analyzer also flags method *values*:
-// `f := p.SelectPlanKeyed` smuggles the raw entry point past the call-site
-// scan and hands it to code that may invoke it anywhere — the exact false
-// negative the syntactic matcher had.
+// The analyzer also flags method *values*: `f := p.SelectPlanKeyed` smuggles
+// the raw entry point past the call-site scan and hands it to code that may
+// invoke it anywhere.
 func GuardDiscipline() *Analyzer {
 	return &Analyzer{
 		Name: "guarddiscipline",
@@ -156,20 +155,17 @@ func guardExempt(importPath string) bool {
 }
 
 // guardMethodValues flags references to the raw scoring entry points taken
-// as method values (not in call position). Typed-only: without resolution a
-// bare selector cannot be distinguished from an unrelated field access.
+// as method values (not in call position); the checker tells a method value
+// from an unrelated field access.
 func guardMethodValues(prog *Program, pkg *Package, f *File, callFuns map[*ast.SelectorExpr]bool) []Finding {
-	ti := prog.Typed(pkg)
-	if ti == nil {
-		return nil
-	}
+	info := prog.Typed(pkg).Info
 	var out []Finding
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok || callFuns[sel] {
 			return true
 		}
-		fn, ok := ti.Info.Uses[sel.Sel].(*types.Func)
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
 		if !ok || recvNamed(fn) == nil {
 			return true
 		}

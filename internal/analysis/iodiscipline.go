@@ -19,9 +19,9 @@ import (
 // every write the system performs. Test files are exempt (eachSourceFile
 // skips them): tests corrupt files on purpose.
 //
-// With type information available, the analyzer also flags function *values*:
-// `w := os.WriteFile` smuggles the raw primitive past the call-site scan and
-// hands it to code that may invoke it anywhere.
+// The analyzer also flags function *values*: `w := os.WriteFile` smuggles the
+// raw primitive past the call-site scan and hands it to code that may invoke
+// it anywhere.
 func IODiscipline() *Analyzer {
 	return &Analyzer{
 		Name: "iodiscipline",
@@ -82,20 +82,17 @@ func runIODiscipline(prog *Program) []Finding {
 }
 
 // ioFunctionValues flags references to the raw write primitives taken as
-// function values (not in call position). Typed-only: resolution through
-// types.Func pins the selector to package os even under an import alias.
+// function values (not in call position); resolution through types.Func pins
+// the selector to package os even under an import alias.
 func ioFunctionValues(prog *Program, pkg *Package, f *File, callFuns map[*ast.SelectorExpr]bool) []Finding {
-	ti := prog.Typed(pkg)
-	if ti == nil {
-		return nil
-	}
+	info := prog.Typed(pkg).Info
 	var out []Finding
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok || callFuns[sel] {
 			return true
 		}
-		fn, ok := ti.Info.Uses[sel.Sel].(*types.Func)
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
 			return true
 		}

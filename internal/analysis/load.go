@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // File is one parsed source file.
@@ -33,45 +32,23 @@ type Package struct {
 	Files      []*File
 }
 
-// Program is the fully loaded module plus the syntactic indexes shared by
-// analyzers. Everything is derived from syntax alone — no type checking, no
-// build system, no third-party loaders.
+// Program is the fully loaded module: every file parsed, every non-test
+// package type-checked with go/types (typed.go), and the call graph over the
+// result (callgraph.go). Loading fails on a package that does not type-check:
+// analyzers resolve names through the checker only, so there is nothing to
+// fall back to.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string
 	Root       string // absolute module root
 	Packages   []*Package
 
-	// mapFields holds struct field names declared with a map type. The index
-	// is name-keyed (no type checking), so to stay precision-first a name
-	// only counts as map-typed when every struct declaring it agrees — a
-	// field name used both ways (e.g. a slice in one struct, a map in
-	// another) is treated as not-a-map.
-	mapFields map[string]bool
-	// nonMapFields holds struct field names declared with any non-map type,
-	// used to resolve the ambiguity above.
-	nonMapFields map[string]bool
-	// mapFuncs holds function/method names whose single result is a map.
-	mapFuncs map[string]bool
-	// funcNames holds all top-level function (non-method) names.
-	funcNames map[string]bool
-	// wrapPrefixes maps a function/method name to the error-wrap prefix
-	// tokens it applies via fmt.Errorf("prefix ...: %w", ...).
-	wrapPrefixes map[string][]string
-	// fieldTypes maps a struct field name to its named type "pkg.Type" when
-	// the field is declared as T, *T, pkg.T or *pkg.T.
-	fieldTypes map[string]string
-
-	// Typed-engine state (typed.go, callgraph.go), built lazily and memoized.
-	typedMu  sync.Mutex
-	typed    map[string]*TypeInfo
-	typedErr error
-	cgMu     sync.Mutex
-	cg       *CallGraph
+	typed map[*Package]*TypeInfo
+	cg    *CallGraph
 }
 
-// LoadProgram parses every .go file under root (the module root, containing
-// go.mod), skipping vendor/testdata/hidden directories.
+// LoadProgram parses and type-checks every .go file under root (the module
+// root, containing go.mod), skipping vendor/testdata/hidden directories.
 func LoadProgram(root string) (*Program, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -148,8 +125,7 @@ func LoadProgram(root string) (*Program, error) {
 		sort.Slice(p.Files, func(i, j int) bool { return p.Files[i].Path < p.Files[j].Path })
 		prog.Packages = append(prog.Packages, p)
 	}
-	prog.buildIndexes()
-	return prog, nil
+	return prog.finish()
 }
 
 // NewProgram assembles a program from in-memory sources — the test fixture
@@ -183,7 +159,15 @@ func NewProgram(modPath string, files map[string]string) (*Program, error) {
 		}
 		p.Files = append(p.Files, &File{Path: rel, AST: astf, Test: strings.HasSuffix(rel, "_test.go")})
 	}
-	prog.buildIndexes()
+	return prog.finish()
+}
+
+// finish runs the typed half of the load over the parsed packages.
+func (prog *Program) finish() (*Program, error) {
+	if err := prog.typeCheck(); err != nil {
+		return nil, err
+	}
+	prog.cg = buildCallGraph(prog)
 	return prog, nil
 }
 
@@ -200,64 +184,6 @@ func modulePath(gomod string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("no module directive in %s", gomod)
-}
-
-// buildIndexes derives the program-wide syntactic indexes.
-func (prog *Program) buildIndexes() {
-	prog.mapFields = map[string]bool{}
-	prog.nonMapFields = map[string]bool{}
-	prog.mapFuncs = map[string]bool{}
-	prog.funcNames = map[string]bool{}
-	prog.wrapPrefixes = map[string][]string{}
-	prog.fieldTypes = map[string]string{}
-	prog.eachFile(func(pkg *Package, f *File) {
-		for _, decl := range f.AST.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fld := range st.Fields.List {
-						for _, name := range fld.Names {
-							if _, ok := fld.Type.(*ast.MapType); ok {
-								prog.mapFields[name.Name] = true
-							} else {
-								prog.nonMapFields[name.Name] = true
-							}
-							if tn := namedTypeString(fld.Type); tn != "" {
-								// Unqualified names resolve within the
-								// declaring package.
-								if !strings.Contains(tn, ".") {
-									tn = pkg.Name + "." + tn
-								}
-								prog.fieldTypes[name.Name] = tn
-							}
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					prog.funcNames[d.Name.Name] = true
-				}
-				if d.Type.Results != nil && len(d.Type.Results.List) == 1 {
-					if _, ok := d.Type.Results.List[0].Type.(*ast.MapType); ok {
-						prog.mapFuncs[d.Name.Name] = true
-					}
-				}
-				if d.Body != nil {
-					for _, p := range errorfPrefixes(f, d.Body) {
-						prog.wrapPrefixes[d.Name.Name] = append(prog.wrapPrefixes[d.Name.Name], p)
-					}
-				}
-			}
-		}
-	})
 }
 
 // eachFile visits every file of every package.
@@ -277,43 +203,4 @@ func (prog *Program) eachSourceFile(fn func(*Package, *File)) {
 			fn(pkg, f)
 		}
 	})
-}
-
-// errorfPrefixes collects the wrap-prefix tokens of every
-// fmt.Errorf("prefix ...: ...") call in body.
-func errorfPrefixes(f *File, body *ast.BlockStmt) []string {
-	var out []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isPkgCall(f, call, "fmt", "Errorf") {
-			return true
-		}
-		if tok := wrapPrefixToken(call); tok != "" {
-			out = append(out, tok)
-		}
-		return true
-	})
-	return out
-}
-
-// wrapPrefixToken extracts the leading prefix token of an Errorf format
-// literal: for `fmt.Errorf("deploy %s: %w", name, err)` it returns "deploy".
-// It returns "" when there is no stable textual prefix.
-func wrapPrefixToken(call *ast.CallExpr) string {
-	if len(call.Args) == 0 {
-		return ""
-	}
-	format, ok := stringLit(call.Args[0])
-	if !ok {
-		return ""
-	}
-	head, _, found := strings.Cut(format, ":")
-	if !found {
-		return ""
-	}
-	fields := strings.Fields(head)
-	if len(fields) == 0 || strings.Contains(fields[0], "%") {
-		return ""
-	}
-	return fields[0]
 }

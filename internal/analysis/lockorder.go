@@ -27,13 +27,8 @@ import (
 // is a linear in-source-order scan per function: Lock/RLock adds, Unlock/
 // RUnlock removes, defer Unlock holds to function end. Function literals are
 // scanned as their own contexts (their bodies run later, not under the
-// current held set). Acquisition summaries propagate over static call edges
-// only — the name fallback would invent lock edges out of coincidental
-// method names.
-//
-// Typed-only: packages without type information contribute nothing (the
-// syntactic load cannot identify mutex fields), so fixture programs opt in
-// simply by type-checking.
+// current held set). Acquisition summaries propagate over the call graph's
+// resolved targets (direct calls and interface dispatch).
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
@@ -51,7 +46,7 @@ type lockEdge struct {
 }
 
 func runLockOrder(prog *Program) []Finding {
-	cg := prog.BuildCallGraph()
+	cg := prog.CallGraph()
 
 	// Pass 1: per-function direct scans — acquisitions, hook-under-lock
 	// findings, and calls made under a held set.
@@ -65,11 +60,7 @@ func runLockOrder(prog *Program) []Finding {
 	var out []Finding
 
 	for _, node := range cg.Nodes {
-		ti := prog.Typed(node.Pkg)
-		if ti == nil {
-			continue
-		}
-		sc := &lockScan{prog: prog, info: ti.Info, node: node,
+		sc := &lockScan{prog: prog, info: prog.Typed(node.Pkg).Info, node: node,
 			acquired: map[lockID]token.Pos{}}
 		sc.scan(node.Decl.Body, map[lockID]token.Pos{})
 		acquires[node] = sc.acquired
@@ -80,7 +71,7 @@ func runLockOrder(prog *Program) []Finding {
 		out = append(out, sc.findings...)
 	}
 
-	// Pass 2: transitive acquisition summaries over static edges.
+	// Pass 2: transitive acquisition summaries over resolved call targets.
 	summary := map[*FuncNode]map[lockID]bool{}
 	var summarize func(n *FuncNode, stack map[*FuncNode]bool) map[lockID]bool
 	summarize = func(n *FuncNode, stack map[*FuncNode]bool) map[lockID]bool {
@@ -97,9 +88,6 @@ func runLockOrder(prog *Program) []Finding {
 			s[l] = true
 		}
 		for _, site := range n.Calls {
-			if !site.Static {
-				continue
-			}
 			for _, t := range site.Targets {
 				for l := range summarize(t, stack) {
 					s[l] = true
@@ -113,13 +101,10 @@ func runLockOrder(prog *Program) []Finding {
 		summarize(n, map[*FuncNode]bool{})
 	}
 
-	// Pass 3: indirect edges — a static call made under a held set reaches
-	// every lock in the callee's summary.
+	// Pass 3: indirect edges — a call made under a held set reaches every
+	// lock in the callee's summary.
 	for _, n := range cg.Nodes {
 		for _, hc := range heldCalls[n] {
-			if !hc.site.Static {
-				continue
-			}
 			for _, t := range hc.site.Targets {
 				for _, to := range sortedLocks(summary[t]) {
 					for _, from := range sortedLocks(hc.held) {
@@ -404,9 +389,6 @@ func (c *CallSite) HookFieldType() (*types.Signature, bool) {
 
 // isParamOf reports whether v is a parameter of the node's declaration.
 func isParamOf(node *FuncNode, v *types.Var) bool {
-	if node.Obj == nil {
-		return false
-	}
 	sig, ok := node.Obj.Type().(*types.Signature)
 	if !ok || sig.Params() == nil {
 		return false

@@ -25,7 +25,7 @@ import (
 // Suppressed when the enclosing function guards one of the compared
 // expressions with math.IsNaN — that is precisely the vetted-argmin shape.
 //
-// With type information, the name heuristic gets two refinements: operands
+// The checker refines the name heuristic twice: operands
 // the checker proves non-float are skipped (an integer "costCount" cannot be
 // NaN), and typed constants count as literals (a comparison against a named
 // threshold like maxCost fails closed exactly like a literal one).
@@ -40,10 +40,7 @@ func NaNSafety() *Analyzer {
 func runNaNSafety(prog *Program) []Finding {
 	var out []Finding
 	prog.eachSourceFile(func(pkg *Package, f *File) {
-		var info *types.Info
-		if ti := prog.Typed(pkg); ti != nil {
-			info = ti.Info
-		}
+		info := prog.Typed(pkg).Info
 		for _, fn := range fileFuncs(f) {
 			guardedExprs := isNaNGuards(f, fn)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -170,9 +167,6 @@ func isCompare(op token.Token) bool {
 // typedConst reports whether the checker evaluated e to a constant — named
 // thresholds (maxCost) fail closed under NaN just like literal ones.
 func typedConst(info *types.Info, e ast.Expr) bool {
-	if info == nil {
-		return false
-	}
 	tv, ok := info.Types[e]
 	return ok && tv.Value != nil
 }
@@ -180,9 +174,6 @@ func typedConst(info *types.Info, e ast.Expr) bool {
 // provedNonFloat reports whether the checker proves e is not float-typed —
 // integer or string operands cannot hold a NaN, whatever their name says.
 func provedNonFloat(info *types.Info, e ast.Expr) bool {
-	if info == nil {
-		return false
-	}
 	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false

@@ -10,31 +10,25 @@ import (
 	"sync"
 )
 
-// This file is the typed half of the analysis engine. The syntactic load
-// (load.go) stays the source of truth for file discovery and positions; on
-// top of it, TypeCheck runs the stdlib go/types checker over every non-test
-// package, resolving identifiers, selections, and expression types. Still
-// dependency-free: in-module imports are checked recursively from our own
-// parsed ASTs, and standard-library imports go through go/importer's source
-// importer (which type-checks GOROOT source — no build cache, no export
-// data, no third-party loaders).
+// This file is the typed half of the load. The parse (load.go) is the source
+// of truth for file discovery and positions; typeCheck then runs the stdlib
+// go/types checker over every non-test package, resolving identifiers,
+// selections and expression types. Dependency-free: in-module imports are
+// checked recursively from our own parsed ASTs, and standard-library imports
+// go through go/importer's source importer (which type-checks GOROOT source —
+// no build cache, no export data, no third-party loaders).
 //
-// Type information is best-effort by design: a package that fails to check
-// (fixture programs are often deliberately skeletal) records its errors and
-// keeps whatever partial types.Info the checker produced. Analyzers that
-// consume types must degrade to their syntactic behavior when info is
-// missing — the typed index removes false negatives, it never becomes a
-// load-bearing single point of failure.
+// Type information is load-bearing: an analyzer that needs a type or a callee
+// gets it from the checker and nowhere else, so the first type error fails
+// the load (loam-vet exits 2) rather than leaving a rule to guess from syntax. `make verify` builds the tree
+// before it lints, so a package that does not type-check never gets this far.
 
 // TypeInfo is one package's type-check result.
 type TypeInfo struct {
-	// Pkg is the checked package object (never nil, possibly incomplete).
 	Pkg *types.Package
 	// Info holds the resolved maps (Types, Defs, Uses, Selections,
-	// Implicits, Scopes). Partially filled when Errs is non-empty.
+	// Implicits, Scopes).
 	Info *types.Info
-	// Errs holds the type errors the checker reported (empty on success).
-	Errs []error
 }
 
 // stdImporter is the shared source importer for standard-library packages.
@@ -61,9 +55,9 @@ func importStd(path string) (*types.Package, error) {
 // standard library and goes through the shared source importer.
 type progImporter struct {
 	prog *Program
-	// checking guards against import cycles (which the syntactic load
-	// cannot have ruled out for fixture programs).
-	checking map[string]bool
+	// checking guards against import cycles (which parsing alone cannot
+	// have ruled out for fixture programs).
+	checking map[*Package]bool
 }
 
 func (im *progImporter) Import(path string) (*types.Package, error) {
@@ -100,58 +94,35 @@ func (prog *Program) packageByImportPath(path string) *Package {
 	return nil
 }
 
-// TypeCheck type-checks every non-test package in the program, memoized; it
-// is safe to call more than once. The returned error reports only
-// infrastructure failures (import cycles, unresolvable module imports);
-// ordinary type errors land in each package's TypeInfo.Errs instead.
-func (prog *Program) TypeCheck() error {
-	prog.typedMu.Lock()
-	defer prog.typedMu.Unlock()
-	if prog.typed != nil {
-		return prog.typedErr
-	}
-	prog.typed = map[string]*TypeInfo{}
-	im := &progImporter{prog: prog, checking: map[string]bool{}}
+// typeCheck type-checks the non-test files of every package in the program,
+// failing on the first type error, import cycle or unresolvable module
+// import.
+func (prog *Program) typeCheck() error {
+	prog.typed = map[*Package]*TypeInfo{}
+	im := &progImporter{prog: prog, checking: map[*Package]bool{}}
 	for _, pkg := range prog.Packages {
-		if strings.HasSuffix(pkg.Name, "_test") {
-			continue
-		}
 		if _, err := prog.checkPackage(pkg, im); err != nil {
-			prog.typedErr = err
 			return err
 		}
 	}
 	return nil
 }
 
-// Typed returns the type-check result for pkg, running TypeCheck on first
-// use. It returns nil for test packages, after infrastructure failures, and
-// for packages the load never saw — callers treat nil as "no type info".
-func (prog *Program) Typed(pkg *Package) *TypeInfo {
-	if prog.TypeCheck() != nil {
-		return nil
-	}
-	prog.typedMu.Lock()
-	defer prog.typedMu.Unlock()
-	return prog.typed[typedKey(pkg)]
-}
+// Typed returns the type-check result for pkg. Only non-test files are
+// checked, so an external test package (pkg_test) has an empty one.
+func (prog *Program) Typed(pkg *Package) *TypeInfo { return prog.typed[pkg] }
 
-// typedKey distinguishes the per-dir package variants (pkg vs pkg_test).
-func typedKey(pkg *Package) string { return pkg.Dir + "\x00" + pkg.Name }
-
-// checkPackage type-checks one package (memoized). Callers hold typedMu via
-// TypeCheck; recursion happens only through the importer, on the same
-// goroutine.
+// checkPackage type-checks one package (memoized); recursion happens only
+// through the importer.
 func (prog *Program) checkPackage(pkg *Package, im *progImporter) (*TypeInfo, error) {
-	key := typedKey(pkg)
-	if ti, ok := prog.typed[key]; ok {
+	if ti, ok := prog.typed[pkg]; ok {
 		return ti, nil
 	}
-	if im.checking[key] {
+	if im.checking[pkg] {
 		return nil, fmt.Errorf("import cycle through %s", pkg.ImportPath)
 	}
-	im.checking[key] = true
-	defer delete(im.checking, key)
+	im.checking[pkg] = true
+	defer delete(im.checking, pkg)
 
 	// Only non-test files: the contracts cover the production surface, and
 	// in-package test files may import packages the module does not contain.
@@ -171,21 +142,13 @@ func (prog *Program) checkPackage(pkg *Package, im *progImporter) (*TypeInfo, er
 			Scopes:     map[ast.Node]*types.Scope{},
 		},
 	}
-	conf := types.Config{
-		Importer: im,
-		Error:    func(err error) { ti.Errs = append(ti.Errs, err) },
-	}
+	conf := types.Config{Importer: im}
 	pkgObj, err := conf.Check(pkg.ImportPath, prog.Fset, files, ti.Info)
-	if pkgObj == nil {
-		// Checker failed before producing a package object; synthesize an
-		// empty one so downstream consumers never see nil.
-		pkgObj = types.NewPackage(pkg.ImportPath, pkg.Name)
-		if err != nil {
-			ti.Errs = append(ti.Errs, err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", pkg.ImportPath, err)
 	}
 	ti.Pkg = pkgObj
-	prog.typed[typedKey(pkg)] = ti
+	prog.typed[pkg] = ti
 	return ti, nil
 }
 
@@ -265,9 +228,6 @@ func (l lockID) String() string {
 // when the selected field is a sync.Mutex / sync.RWMutex. It also resolves
 // promoted fields (embedded mutexes).
 func lockFieldOf(info *types.Info, sel *ast.SelectorExpr) (lockID, bool) {
-	if info == nil {
-		return lockID{}, false
-	}
 	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return lockID{}, false

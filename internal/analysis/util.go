@@ -121,22 +121,6 @@ func isPkgCall(f *File, call *ast.CallExpr, pkgPath, fn string) bool {
 	return id.Name == importLocalName(f, pkgPath)
 }
 
-// namedTypeString renders a field/param type as "Name", "pkg.Name",
-// stripping pointers; "" for anonymous/compound types.
-func namedTypeString(t ast.Expr) string {
-	switch v := t.(type) {
-	case *ast.StarExpr:
-		return namedTypeString(v.X)
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		if x, ok := v.X.(*ast.Ident); ok {
-			return x.Name + "." + v.Sel.Name
-		}
-	}
-	return ""
-}
-
 // enclosingFuncs returns every function body in a file paired with its
 // declaration (top-level funcs and methods; function literals are visited as
 // part of their enclosing declaration's body).
@@ -193,27 +177,4 @@ func declaredIdents(node ast.Node, into map[string]bool) {
 		}
 		return true
 	})
-}
-
-// paramTypes maps parameter (and receiver) names of a function declaration
-// to their rendered named types.
-func paramTypes(fd *ast.FuncDecl) map[string]string {
-	out := map[string]string{}
-	add := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			tn := namedTypeString(fld.Type)
-			if tn == "" {
-				continue
-			}
-			for _, name := range fld.Names {
-				out[name.Name] = tn
-			}
-		}
-	}
-	add(fd.Recv)
-	add(fd.Type.Params)
-	return out
 }

@@ -119,7 +119,7 @@ func (i *Injector) roll(kind, id string, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	return i.root.Derive(kind + ":" + id).Float64() < rate
+	return i.root.Derive(kind+":"+id).Float64() < rate
 }
 
 // PredictorError reports whether to force a scorer error for this query.

@@ -2,7 +2,7 @@
 // API and the learned predictor: the reason a mis-trained or unhealthy model
 // can never take serving availability down with it.
 //
-// Every OptimizeCtx/OptimizeBatch call routes through Guard.Serve, which
+// Every OptimizeCtx call routes through Guard.Serve, which
 //
 //  1. enforces a per-query deadline on the learned path (a wall-clock
 //     watchdog for genuine hangs; deterministic deadline testing goes
@@ -334,8 +334,8 @@ func (g *Guard) Reset() {
 }
 
 // Serve runs one query through the guarded ladder. It returns an error only
-// for caller cancellation (ctx.Err(), passed through unwrapped so batch
-// cancellation semantics are unchanged) or when every rung failed
+// for caller cancellation (ctx.Err(), passed through unwrapped so callers
+// can compare it directly) or when every rung failed
 // (ErrNoServablePlan); every other learned-path failure degrades to a
 // fallback Result instead.
 func (g *Guard) Serve(ctx context.Context, req Request) (Result, error) {

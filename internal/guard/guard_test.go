@@ -178,14 +178,14 @@ func TestRecoveryCyclePinnedSequence(t *testing.T) {
 		cause  error // sentinel the FallbackCause must match; nil = learned
 	}
 	expected := []event{
-		{OriginLearned, BreakerClosed, nil},           // healthy
-		{OriginNativeFallback, BreakerClosed, ErrTransient},   // failure 1/2
-		{OriginNativeFallback, BreakerOpen, ErrTransient},     // failure 2/2 trips
-		{OriginNativeFallback, BreakerOpen, ErrBreakerOpen},   // cooldown 3→2
-		{OriginNativeFallback, BreakerOpen, ErrBreakerOpen},   // cooldown 2→1
-		{OriginLearned, BreakerHalfOpen, nil},         // cooldown expires, probe 1
-		{OriginLearned, BreakerClosed, nil},           // probe 2 closes
-		{OriginLearned, BreakerClosed, nil},           // healthy again
+		{OriginLearned, BreakerClosed, nil},                 // healthy
+		{OriginNativeFallback, BreakerClosed, ErrTransient}, // failure 1/2
+		{OriginNativeFallback, BreakerOpen, ErrTransient},   // failure 2/2 trips
+		{OriginNativeFallback, BreakerOpen, ErrBreakerOpen}, // cooldown 3→2
+		{OriginNativeFallback, BreakerOpen, ErrBreakerOpen}, // cooldown 2→1
+		{OriginLearned, BreakerHalfOpen, nil},               // cooldown expires, probe 1
+		{OriginLearned, BreakerClosed, nil},                 // probe 2 closes
+		{OriginLearned, BreakerClosed, nil},                 // healthy again
 	}
 	for i, want := range expected {
 		res, err := h.g.Serve(context.Background(), h.req)
@@ -210,14 +210,14 @@ func TestRecoveryCyclePinnedSequence(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]int64{
-		"guard.serve.total":                      8,
-		"guard.serve.learned":                    4,
-		"guard.fallback.native":                  4,
-		"guard.breaker.opened":                   1,
-		"guard.breaker.half_opened":              1,
-		"guard.breaker.closed":                   1,
-		"guard.fallback.reason.breaker_open":     2,
-		"guard.fallback.reason.predictor_error":  2,
+		"guard.serve.total":                     8,
+		"guard.serve.learned":                   4,
+		"guard.fallback.native":                 4,
+		"guard.breaker.opened":                  1,
+		"guard.breaker.half_opened":             1,
+		"guard.breaker.closed":                  1,
+		"guard.fallback.reason.breaker_open":    2,
+		"guard.fallback.reason.predictor_error": 2,
 	} {
 		if got := h.counter(t, name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -502,8 +502,8 @@ func TestInjectedDelayIsDeterministicDeadline(t *testing.T) {
 }
 
 // TestCancellationPassesThrough: caller cancellation is returned unwrapped —
-// no fallback plan, no breaker charge — preserving the serving layer's batch
-// cancellation semantics.
+// no fallback plan, no breaker charge — so OptimizeCtx and Route hand the
+// caller its own ctx.Err().
 func TestCancellationPassesThrough(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Deadline = time.Minute // watchdog armed so ctx.Done is selected

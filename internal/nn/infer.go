@@ -225,7 +225,8 @@ func GatherConcat3Into(dst Mat, x Mat, self, left, right []int) {
 
 // gatherRows copies x's rows selected by idx into dst at column offset
 // dstOff, skipping index -1. A named function rather than a closure keeps
-// GatherConcat3Into capture-free under the allocdiscipline contract.
+// GatherConcat3Into capture-free: a capturing literal would allocate on the
+// zero-allocation inference path (TestPredictCostZeroAlloc).
 func gatherRows(dst Mat, dstOff int, x Mat, idx []int) {
 	for i, ix := range idx {
 		if ix < 0 {

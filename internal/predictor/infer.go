@@ -35,9 +35,9 @@ type inferScratch struct {
 }
 
 // growFloats extends buf to at least n elements. Growth is the plain
-// self-append idiom — x = append(x, ...) — which the allocdiscipline
-// analyzer exempts as amortized: after warm-up the loop body never runs and
-// the serving path performs zero allocations.
+// self-append idiom — x = append(x, ...) — and amortized: after warm-up the
+// loop body never runs and the serving path performs zero allocations
+// (TestPredictCostZeroAlloc).
 func growFloats(buf []float64, n int) []float64 {
 	for len(buf) < n {
 		buf = append(buf, 0)

@@ -466,46 +466,49 @@ func BenchmarkSelectPlanCached(b *testing.B) {
 	}
 }
 
-// TestPredictCostZeroAlloc is the serving-path allocation regression test:
-// after warm-up, PredictCost on a binary predicate-free plan performs zero
-// heap allocations (scratch comes from the pool, encoders and kernels reuse
-// their buffers, and no autograd graph is built).
+// TestPredictCostZeroAlloc is the serving-path allocation regression test,
+// over every neural backbone: after warm-up, PredictCost on a binary
+// predicate-free plan performs zero heap allocations (scratch comes from the
+// pool, encoders and kernels reuse their buffers, and no autograd graph is
+// built), and the scoring core on a warm plan cache allocates only the costs
+// slice SelectPlanKeyed returns. This test owns the fast path's
+// zero-allocation contract (DESIGN.md "Static analysis & code contracts").
 func TestPredictCostZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
 	}
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(60, 26)
-	p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pl := &plan.Plan{Root: &plan.Node{Op: plan.OpSelect, Children: []*plan.Node{
 		{Op: plan.OpTableScan, Table: "mid", PartitionsRead: 4, ColumnsAccessed: 2},
 		{Op: plan.OpTableScan, Table: "big", PartitionsRead: 2, ColumnsAccessed: 3},
 	}}}
-	envs := encoding.FixedEnv(p.TrainMeanEnv())
-	p.PredictCost(pl, envs) // warm the pooled scratch
-	allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
-	if allocs != 0 {
-		t.Fatalf("warmed PredictCost allocated %.1f times per run, want 0", allocs)
-	}
-
-	// The scoring core on a warm plan cache allocates only the costs slice
-	// SelectPlanKeyed returns.
-	p.EnablePlanCache(64)
-	key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
 	cands := make([]*plan.Plan, 8)
 	for i := range cands {
 		cands[i] = samples[i].Plan
 	}
-	warmSelect := func() {
-		if _, _, err := p.SelectPlanKeyed(cands, envs, key); err != nil {
-			t.Fatal(err)
+	for _, kind := range []Kind{KindTCN, KindGCN, KindTransformer} {
+		p, err := Train(tinyConfig(kind), enc, samples, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
 		}
-	}
-	warmSelect()
-	if allocs := testing.AllocsPerRun(100, warmSelect); allocs > 1 {
-		t.Fatalf("warm SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", allocs)
+		envs := encoding.FixedEnv(p.TrainMeanEnv())
+		p.PredictCost(pl, envs) // warm the pooled scratch
+		allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
+		if allocs != 0 {
+			t.Fatalf("%v: warmed PredictCost allocated %.1f times per run, want 0", kind, allocs)
+		}
+
+		p.EnablePlanCache(64)
+		key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
+		warmSelect := func() {
+			if _, _, err := p.SelectPlanKeyed(cands, envs, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warmSelect()
+		if allocs := testing.AllocsPerRun(100, warmSelect); allocs > 1 {
+			t.Fatalf("%v: warm SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
+		}
 	}
 }

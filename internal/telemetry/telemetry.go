@@ -9,8 +9,8 @@
 //   - Every value in a Snapshot is an ORDER-INDEPENDENT aggregate — integer
 //     increments, bucket counts, minima/maxima — so two identically-seeded
 //     runs produce byte-identical snapshots even when observations arrive
-//     from concurrently scheduled goroutines (OptimizeBatch workers). This
-//     is why histograms deliberately carry no floating-point sum: float
+//     from concurrently scheduled goroutines (several OptimizeCtx callers).
+//     This is why histograms deliberately carry no floating-point sum: float
 //     addition is not associative, and a sum's low bits would leak goroutine
 //     scheduling into the snapshot.
 //   - Wall-clock readings never enter a Snapshot. Timers route through

@@ -92,8 +92,8 @@ func TestTimerCountsDeterministicSecondsSegregated(t *testing.T) {
 
 // TestSnapshotOrderIndependent hammers one registry from many goroutines and
 // requires the snapshot to equal a sequentially built one — the contract
-// that makes serving-path metrics deterministic under OptimizeBatch
-// parallelism.
+// that makes serving-path metrics deterministic under concurrent OptimizeCtx
+// callers.
 func TestSnapshotOrderIndependent(t *testing.T) {
 	build := func(parallel bool) telemetry.Snapshot {
 		r := telemetry.NewRegistry()

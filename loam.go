@@ -261,9 +261,9 @@ func DefaultDeployConfig() DeployConfig {
 }
 
 // Deployment is a trained LOAM instance serving one project. Once trained it
-// is safe for concurrent use: OptimizeCtx, OptimizeBatch and ExecuteChoice may
-// be called from multiple goroutines against the same deployment (changing
-// the strategy concurrently with serving is not — call SetStrategy between
+// is safe for concurrent use: OptimizeCtx and ExecuteChoice may be called
+// from multiple goroutines against the same deployment (changing the
+// strategy concurrently with serving is not — call SetStrategy between
 // serving phases). The serving model is held behind an atomic pointer so the
 // lifecycle manager (WithLifecycle) can hot-swap a retrained predictor under
 // live traffic; read it via Predictor().
@@ -322,8 +322,7 @@ func (d *Deployment) Telemetry() *telemetry.Registry { return d.tel }
 
 // Guard returns the deployment's serving guard: inspect the breaker state
 // (State), check or lift a regression-sentinel quarantine (Quarantined,
-// Reset). Every OptimizeCtx/OptimizeBatch call is routed through
-// it; see DESIGN.md "Degraded-mode serving contract".
+// Reset). Every OptimizeCtx call is routed through it; see DESIGN.md "Degraded-mode serving contract".
 func (d *Deployment) Guard() *Guard { return d.grd }
 
 // Metrics returns a deterministic, stable-ordered snapshot of the
@@ -559,71 +558,6 @@ func (d *Deployment) serve(ctx context.Context, q *query.Query, shed bool, cause
 		Origin:        res.Origin,
 		FallbackCause: res.FallbackCause,
 	}, nil
-}
-
-// OptimizeBatch steers a batch of queries, running up to parallelism
-// OptimizeCtx calls concurrently (≤1 means sequential) — the paper's §7
-// serving deployment, where a fleet of optimizer frontends scores plans
-// against one live cluster. Choices are returned in query order; a query
-// that fails to optimize leaves a nil choice and contributes a BatchError to
-// the returned BatchErrors. The parallel path chooses exactly the same plans
-// as the sequential path: plan scoring is deterministic and per-query
-// independent.
-//
-// Cancelling ctx stops the batch promptly: queries not yet started are
-// abandoned with nil choices and per-query BatchError entries wrapping
-// ctx.Err(), so errors.Is(err, context.Canceled) reports the cancellation.
-func (d *Deployment) OptimizeBatch(ctx context.Context, qs []*query.Query, parallelism int) ([]*Choice, error) {
-	d.obs.batchTotal.Inc()
-	d.obs.batchQueries.Add(int64(len(qs)))
-	d.obs.batchSize.Observe(float64(len(qs)))
-	choices := make([]*Choice, len(qs))
-	errs := make([]error, len(qs))
-	if parallelism > len(qs) {
-		parallelism = len(qs)
-	}
-	if parallelism <= 1 {
-		for i, q := range qs {
-			if err := ctx.Err(); err != nil {
-				fillUnstarted(errs, i, err)
-				break
-			}
-			choices[i], errs[i] = d.OptimizeCtx(ctx, q)
-		}
-		return choices, batchError(qs, errs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				choices[i], errs[i] = d.OptimizeCtx(ctx, qs[i])
-			}
-		}()
-	}
-feed:
-	for i := range qs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Indices >= i were never dispatched, so no worker touches them:
-			// mark them abandoned before waiting the workers out.
-			fillUnstarted(errs, i, ctx.Err())
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return choices, batchError(qs, errs)
-}
-
-// fillUnstarted marks batch indices [from, len) as abandoned with err.
-func fillUnstarted(errs []error, from int, err error) {
-	for i := from; i < len(errs); i++ {
-		errs[i] = err
-	}
 }
 
 // envSource resolves the deployment's inference strategy against the live

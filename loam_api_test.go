@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"loam/internal/encoding"
@@ -26,6 +27,10 @@ func TestDeployFailsWithoutHistory(t *testing.T) {
 	_, err := ps.Deploy(DefaultDeployConfig())
 	if !errors.Is(err, predictor.ErrNoTrainingData) {
 		t.Fatalf("want ErrNoTrainingData, got %v", err)
+	}
+	// The project prefix is applied once, by Deploy itself.
+	if msg := err.Error(); !strings.HasPrefix(msg, "deploy api:") || strings.Count(msg, "deploy api:") != 1 {
+		t.Fatalf("want one \"deploy api:\" prefix, got %q", msg)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // metricsRun drives one full identically-seeded pipeline — simulation,
-// production history, training, parallel serving — with everything routed
+// production history, training, concurrent serving — with everything routed
 // into the simulation's shared registry, and returns the snapshot's text
 // exposition.
 func metricsRun(t *testing.T, seed uint64) string {
@@ -31,7 +31,7 @@ func metricsRun(t *testing.T, seed uint64) string {
 	for day := 6; len(qs) < 8; day++ {
 		qs = append(qs, ps.Gen.Day(day)...)
 	}
-	if _, err := dep.OptimizeBatch(context.Background(), qs[:8], 4); err != nil {
+	if _, err := OptimizeAll(context.Background(), dep, qs[:8], 4); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -42,7 +42,7 @@ func metricsRun(t *testing.T, seed uint64) string {
 }
 
 // TestMetricsSnapshotDeterministic runs the pipeline twice with the same
-// seed — including a parallelism-4 OptimizeBatch, so goroutine scheduling
+// seed — including 4 concurrent OptimizeCtx callers, so goroutine scheduling
 // differs between runs — and requires byte-identical snapshot text: the
 // telemetry layer's core contract.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
@@ -53,7 +53,6 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 	for _, want := range []string{
 		"counter serve.optimize.total 8",
-		"counter serve.batch.queries 8",
 		"counter train.runs 1",
 		"counter exec.executions",
 		"gauge cluster.cpu_idle",

@@ -8,9 +8,9 @@ import (
 
 // servingTelemetry holds the deployment's resolved serving-path instruments.
 // Every field is a nil-safe no-op when no registry is wired, and every value
-// that reaches a snapshot is an order-independent aggregate, so parallel
-// OptimizeBatch runs snapshot identically to sequential ones (the telemetry
-// contract, DESIGN.md).
+// that reaches a snapshot is an order-independent aggregate, so concurrent
+// OptimizeCtx callers snapshot identically to a sequential run (the
+// telemetry contract, DESIGN.md).
 type servingTelemetry struct {
 	optimizeTotal   *telemetry.Counter
 	optimizeErrors  *telemetry.Counter
@@ -19,9 +19,6 @@ type servingTelemetry struct {
 	candidates      *telemetry.Histogram
 	estimateSpread  *telemetry.Histogram
 	nanEstimates    *telemetry.Counter
-	batchTotal      *telemetry.Counter
-	batchQueries    *telemetry.Counter
-	batchSize       *telemetry.Histogram
 }
 
 // newServingTelemetry resolves the serving instruments from a registry.
@@ -34,9 +31,6 @@ func newServingTelemetry(reg *telemetry.Registry) servingTelemetry {
 		candidates:      reg.Histogram("serve.candidates", telemetry.LinearBuckets(1, 1, 8)),
 		estimateSpread:  reg.Histogram("serve.estimate.rel_spread", []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 5}),
 		nanEstimates:    reg.Counter("serve.estimates.nan"),
-		batchTotal:      reg.Counter("serve.batch.total"),
-		batchQueries:    reg.Counter("serve.batch.queries"),
-		batchSize:       reg.Histogram("serve.batch.size", telemetry.ExpBuckets(1, 4, 7)),
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // DeployOption configures a deployment at Deploy / DeployFromModel /
-// DeployAllCtx time. Options replace post-hoc field mutation as the way to
+// RestoreDeployment time. Options replace post-hoc field mutation as the way to
 // shape a deployment: the Strategy field stays readable, but writes go
 // through WithStrategy (at deploy time) or SetStrategy (afterwards).
 type DeployOption func(*deployOptions)
@@ -20,9 +20,7 @@ type DeployOption func(*deployOptions)
 // embedding-heavy models stay within a few MB.
 const DefaultPlanCacheCapacity = 4096
 
-// deployOptions is the resolved option set. The fleet-level fields
-// (parallelism, selector) only matter to DeployAllCtx; single-project
-// Deploy/DeployFromModel ignore them.
+// deployOptions is the resolved option set.
 type deployOptions struct {
 	strategy   predictor.Strategy
 	metrics    *telemetry.Registry
@@ -32,12 +30,6 @@ type deployOptions struct {
 	lifecycle  *LifecycleConfig
 	durableDir string
 	durableFS  *atomicio.FS
-
-	parallelism    int
-	selector       bool
-	selectorPass   func(*ProjectSim) bool
-	selectorScores map[string]float64
-	selectorTopN   int
 }
 
 // resolveDeployOptions applies opts over the defaults: the paper's MeanEnv
@@ -46,11 +38,10 @@ type deployOptions struct {
 // injector.
 func resolveDeployOptions(opts []DeployOption) deployOptions {
 	o := deployOptions{
-		strategy:    predictor.StrategyMeanEnv,
-		metrics:     telemetry.NewRegistry(),
-		guardCfg:    guard.DefaultConfig(),
-		planCache:   DefaultPlanCacheCapacity,
-		parallelism: 1,
+		strategy:  predictor.StrategyMeanEnv,
+		metrics:   telemetry.NewRegistry(),
+		guardCfg:  guard.DefaultConfig(),
+		planCache: DefaultPlanCacheCapacity,
 	}
 	for _, opt := range opts {
 		if opt != nil {
@@ -110,30 +101,6 @@ func WithPlanCache(capacity int) DeployOption {
 // for the standard loop.
 func WithLifecycle(cfg LifecycleConfig) DeployOption {
 	return func(o *deployOptions) { o.lifecycle = &cfg }
-}
-
-// WithParallelism bounds how many projects DeployAllCtx trains concurrently
-// (default 1 — sequential; values below 1 are treated as 1). Training reads
-// only per-project state, so parallel trainings are independent; see
-// WithMetrics for the one caveat about sharing a registry across them.
-// Single-project Deploy/DeployFromModel ignore the option.
-func WithParallelism(n int) DeployOption {
-	return func(o *deployOptions) { o.parallelism = n }
-}
-
-// WithSelector restricts DeployAllCtx to the §6 two-stage selection pipeline:
-// pass filters projects on their App.-D.1 metrics (nil keeps all), scores
-// maps project name → estimated improvement space (e.g. from a trained
-// selector.Ranker), and the top-N survivors by score train. Projects absent
-// from scores rank last; topN <= 0 keeps every survivor. Single-project
-// Deploy/DeployFromModel ignore the option.
-func WithSelector(pass func(*ProjectSim) bool, scores map[string]float64, topN int) DeployOption {
-	return func(o *deployOptions) {
-		o.selector = true
-		o.selectorPass = pass
-		o.selectorScores = scores
-		o.selectorTopN = topN
-	}
 }
 
 // WithDurableStore roots the deployment's crash-safe persistence at dir (see

@@ -6,131 +6,35 @@ import (
 	"testing"
 
 	"loam/internal/fleet"
-	"loam/internal/predictor"
 	"loam/internal/query"
 )
 
-// TestDeployAllCtxAggregatesFleetErrors pins the typed error surface: one
-// FleetError per failed project, carrying the fleet index and project name,
-// with the underlying sentinel visible through both Unwrap levels.
-func TestDeployAllCtxAggregatesFleetErrors(t *testing.T) {
-	sim := fleetSim(t)
-	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithParallelism(2))
-	if len(results) != 4 {
-		t.Fatalf("results %d", len(results))
+// fleetSim builds three small projects with five days of history each, plus
+// one project ("empty") with none.
+func fleetSim(t *testing.T) *Simulation {
+	t.Helper()
+	sim := NewSimulation(51, DefaultSimulationConfig())
+	for i, name := range []string{"fa", "fb", "fc"} {
+		cfg := DefaultProjectConfig(name)
+		cfg.Archetype.NumTables = 8 + i
+		cfg.Workload.NumTemplates = 4
+		cfg.Workload.QueriesPerDayMean = 4
+		ps := sim.AddProject(cfg)
+		ps.RunDays(0, 5)
 	}
-	if err == nil {
-		t.Fatal("empty project should surface in the aggregate error")
-	}
-	var fe FleetErrors
-	if !errors.As(err, &fe) {
-		t.Fatalf("aggregate is %T, want FleetErrors", err)
-	}
-	if len(fe) != 1 || fe[0].Project != "empty" || fe[0].Index != 3 {
-		t.Fatalf("wrong failure entries: %+v", fe)
-	}
-	if !errors.Is(err, predictor.ErrNoTrainingData) {
-		t.Fatalf("sentinel lost through the aggregate: %v", err)
-	}
-	for _, r := range results[:3] {
-		if r.Err != nil || r.Deployment == nil {
-			t.Fatalf("%s: %v", r.Project, r.Err)
-		}
-	}
+	// One project with no history at all.
+	cfg := DefaultProjectConfig("empty")
+	sim.AddProject(cfg)
+	return sim
 }
 
-// TestDeployAllCtxCancellation cancels the fleet after the first project's
-// training starts: that project completes (training is not interruptible),
-// every later project is abandoned with ctx.Err(), and the aggregate reports
-// the cancellation via errors.Is.
-func TestDeployAllCtxCancellation(t *testing.T) {
-	sim := fleetSim(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Option resolution runs once at DeployAllCtx entry, then once per
-	// project deploy — the second resolution is the first project's.
-	calls := 0
-	tripwire := DeployOption(func(o *deployOptions) {
-		calls++
-		if calls == 2 {
-			cancel()
-		}
-	})
-	results, err := sim.DeployAllCtx(ctx, fleetDeployConfig(), tripwire)
-	if len(results) != 4 {
-		t.Fatalf("results %d", len(results))
-	}
-	if results[0].Err != nil || results[0].Deployment == nil {
-		t.Fatalf("in-flight training should finish: %v", results[0].Err)
-	}
-	for _, r := range results[1:] {
-		if r.Deployment != nil {
-			t.Fatalf("%s: trained after cancellation", r.Project)
-		}
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("%s: want context.Canceled, got %v", r.Project, r.Err)
-		}
-		if r.Project == "" {
-			t.Fatal("abandoned result lost its project name")
-		}
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("aggregate should report the cancellation: %v", err)
-	}
-}
-
-// TestDeployAllCtxPreCancelled: a context cancelled before the call abandons
-// every project without starting any training.
-func TestDeployAllCtxPreCancelled(t *testing.T) {
-	sim := fleetSim(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := sim.DeployAllCtx(ctx, fleetDeployConfig(), WithParallelism(3))
-	for _, r := range results {
-		if r.Deployment != nil || !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("%s: dep=%v err=%v", r.Project, r.Deployment, r.Err)
-		}
-	}
-	var fe FleetErrors
-	if !errors.As(err, &fe) || len(fe) != 4 {
-		t.Fatalf("want 4 FleetErrors, got %v", err)
-	}
-}
-
-// TestDeployAllCtxParallelRace trains the fleet at parallelism above the
-// project count; meaningful mainly under -race (make race), where it verifies
-// the channel-based result collection has no write races.
-func TestDeployAllCtxParallelRace(t *testing.T) {
-	sim := fleetSim(t)
-	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(), WithParallelism(8))
-	if len(results) != 4 {
-		t.Fatalf("results %d", len(results))
-	}
-	var fe FleetErrors
-	if !errors.As(err, &fe) || len(fe) != 1 {
-		t.Fatalf("want exactly the empty project failing, got %v", err)
-	}
-	for i, r := range results {
-		if r.Project != sim.Projects[i].Config.Name {
-			t.Fatal("result order broken")
-		}
-	}
-}
-
-// TestDeployAllCtxSelector: WithSelector reproduces the SelectAndDeploy
-// pipeline through the new entry point.
-func TestDeployAllCtxSelector(t *testing.T) {
-	sim := fleetSim(t)
-	pass := func(ps *ProjectSim) bool { return ps.Repo.Len() > 0 }
-	scores := map[string]float64{"fa": 0.1, "fb": 0.9, "fc": 0.5}
-	results, err := sim.DeployAllCtx(context.Background(), fleetDeployConfig(),
-		WithSelector(pass, scores, 2), WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Project != "fb" || results[1].Project != "fc" {
-		t.Fatalf("wrong top-2: %v", resultNames(results))
-	}
+func fleetDeployConfig() DeployConfig {
+	dcfg := DefaultDeployConfig()
+	dcfg.TrainDays = 4
+	dcfg.TestDays = 1
+	dcfg.Predictor.Epochs = 2
+	dcfg.DomainPlans = 4
+	return dcfg
 }
 
 // registryFixture deploys two small projects and registers them on a fleet
@@ -139,8 +43,6 @@ func TestDeployAllCtxSelector(t *testing.T) {
 func registryFixture(t *testing.T, adm FleetAdmissionConfig) (*FleetRegistry, map[string]*Deployment, map[string][]*query.Query) {
 	t.Helper()
 	sim := fleetSim(t)
-	results, _ := sim.DeployAllCtx(context.Background(), fleetDeployConfig(),
-		WithSelector(func(ps *ProjectSim) bool { return ps.Repo.Len() > 0 }, nil, 2))
 	cfg := DefaultFleetConfig()
 	cfg.Shards = 2
 	cfg.CacheBudget = 32
@@ -149,17 +51,18 @@ func registryFixture(t *testing.T, adm FleetAdmissionConfig) (*FleetRegistry, ma
 	reg := sim.NewFleet(cfg)
 	deps := map[string]*Deployment{}
 	qs := map[string][]*query.Query{}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if err := reg.Register(r.Project, r.Deployment); err != nil {
+	for _, name := range []string{"fa", "fb"} {
+		ps := sim.Project(name)
+		dep, err := ps.Deploy(fleetDeployConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
-		deps[r.Project] = r.Deployment
-		ps := sim.Project(r.Project)
-		for day := 6; len(qs[r.Project]) < 16; day++ {
-			qs[r.Project] = append(qs[r.Project], ps.Gen.Day(day)...)
+		if err := reg.Register(name, dep); err != nil {
+			t.Fatal(err)
+		}
+		deps[name] = dep
+		for day := 6; len(qs[name]) < 16; day++ {
+			qs[name] = append(qs[name], ps.Gen.Day(day)...)
 		}
 	}
 	return reg, deps, qs
@@ -256,6 +159,52 @@ func TestFleetRouteShedTrajectory(t *testing.T) {
 		c, err := reg.Route(context.Background(), name, qs[name][i])
 		if err != nil || errors.Is(c.FallbackCause, ErrLoadShed) {
 			t.Fatalf("post-tick query %d: err=%v cause=%v", i, err, c.FallbackCause)
+		}
+	}
+}
+
+// TestFleetRouteHonoursContext: Route passes the caller's context all the way
+// down. An already-cancelled context is refused before the admission gate —
+// no route counted, no token charged — and a cancellation that lands while
+// the backend is exploring surfaces through Route as ctx.Err() with no
+// Choice, before the guard is ever reached.
+func TestFleetRouteHonoursContext(t *testing.T) {
+	reg, deps, qs := registryFixture(t, FleetAdmissionConfig{
+		Burst: 8, RefillPerServe: 0, RefillPerTick: 1,
+		StandardCost: 1, RecurringCost: 1, RecurringTemplates: 0,
+	})
+	name, q := "fa", qs["fa"][0]
+	fleetMetrics := reg.Registry().Config().Metrics
+	before, _ := reg.Stats(name)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c, err := reg.Route(ctx, name, q)
+	if err != context.Canceled || c != nil {
+		t.Fatalf("pre-cancelled Route: served=%v err=%v, want no choice and context.Canceled", c != nil, err)
+	}
+	if got := counterValue(t, fleetMetrics.Snapshot(), "fleet.route.total"); got != 0 {
+		t.Fatalf("refused request counted as a route: fleet.route.total = %d", got)
+	}
+	if after, _ := reg.Stats(name); after.Tokens != before.Tokens || after.Served != before.Served {
+		t.Fatalf("refused request touched the admission bucket: %+v -> %+v", before, after)
+	}
+
+	// Err checks on the way down: Route's entry, serve's entry, then serve's
+	// post-exploration check — the third one trips.
+	mid := &countdownCtx{Context: context.Background(), after: 2}
+	c, err = reg.Route(mid, name, q)
+	if err != context.Canceled || c != nil {
+		t.Fatalf("Route cancelled during exploration: served=%v err=%v, want no choice and context.Canceled", c != nil, err)
+	}
+	snap := deps[name].Metrics()
+	for metric, want := range map[string]int64{
+		"serve.optimize.total":    1,
+		"serve.optimize.canceled": 1,
+		"guard.serve.total":       0,
+	} {
+		if got := counterValue(t, snap, metric); got != want {
+			t.Fatalf("%s = %d, want %d", metric, got, want)
 		}
 	}
 }
