@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-e2e bench-e2e-smoke bench-go lint lint-fix-hints chaos chaos-recover verify
+.PHONY: build test race bench-e2e bench-e2e-smoke lint lint-fix-hints chaos chaos-recover verify
 
 build:
 	$(GO) build ./...
@@ -26,10 +26,6 @@ bench-e2e:
 bench-e2e-smoke:
 	bash bench/run.sh -smoke
 
-# bench-go runs the go-test benchmark suite once through.
-bench-go:
-	$(GO) test -bench=. -benchtime=1x ./...
-
 # lint checks formatting, runs stock go vet, then loam-vet, the repo's own
 # analyzer suite (internal/analysis): determinism, nansafety, errwrap,
 # guarddiscipline, lockorder, ctxflow and iodiscipline — each the only check
@@ -50,18 +46,19 @@ lint-fix-hints:
 	$(GO) run ./cmd/loam-vet -hints ./...
 
 # chaos re-runs the resilience suite — fault injection, circuit-breaker
-# transitions, quarantine, forced outages, and the model-lifecycle fault
-# scenario (a retrain failing mid-promote must leave the incumbent serving)
-# — under the race detector. It overlaps `race` on purpose: a focused, fast
-# loop for iterating on the guarded serving layer (see DESIGN.md
-# "Degraded-mode serving contract" and "Model lifecycle contract").
+# transitions, quarantine, forced outages, the model-lifecycle fault scenario
+# (a retrain failing mid-promote must leave the incumbent serving) and the
+# fleet's admission shedding and budget invariant — under the race detector.
+# It overlaps `race` on purpose: a focused, fast loop for iterating on the
+# guarded serving layer (see DESIGN.md "Degraded-mode serving contract",
+# "Model lifecycle contract" and "Fleet serving contract").
 chaos:
-	$(GO) test -race -count=1 -run 'Guard|Breaker|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer' ./...
+	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel' ./...
 
-# chaos-recover is the durability twin of chaos: the kill-point crash sweep,
-# the atomic-write primitive, the journal's torn-tail repair, snapshot
-# integrity, fsck, and warm restore — under the race detector (see DESIGN.md
-# "Durability & recovery contract").
+# chaos-recover is the durability twin of chaos: the kill-point crash sweep
+# (TestKillPointSweepRecoversEveryWrite), the atomic-write primitive, the
+# journal's torn-tail repair, snapshot integrity, fsck, and warm restore —
+# under the race detector (see DESIGN.md "Durability & recovery contract").
 chaos-recover:
 	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore|Grants' ./...
 

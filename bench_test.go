@@ -3,12 +3,10 @@ package loam_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
 	"loam"
-	"loam/internal/experiments"
 	"loam/internal/plan"
 	"loam/internal/predictor"
 	"loam/internal/query"
@@ -16,170 +14,6 @@ import (
 	"loam/internal/theory"
 	"loam/internal/xgb"
 )
-
-// The per-figure benchmarks run the experiment suite at tiny scale so
-// `go test -bench=.` terminates quickly; `cmd/loam-bench` runs the same
-// experiments at default or paper scale. The environment (projects, 30-day
-// histories, trained models, candidate measurements) is shared and cached
-// across benchmarks, so each benchmark times its experiment's own work.
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-	benchF6      *experiments.Fig6Result
-)
-
-func getBenchEnv(b *testing.B) (*experiments.Env, *experiments.Fig6Result) {
-	b.Helper()
-	benchEnvOnce.Do(func() {
-		cfg := experiments.Tiny()
-		benchEnv = experiments.NewEnv(cfg)
-		f6, err := benchEnv.Fig6()
-		if err != nil {
-			b.Fatalf("fig6: %v", err)
-		}
-		benchF6 = f6
-	})
-	if benchEnv == nil {
-		b.Skip("environment failed to build")
-	}
-	return benchEnv, benchF6
-}
-
-func render(b *testing.B, r interface{ Render(io.Writer) }) {
-	b.Helper()
-	if b.N == 1 {
-		b.Log("rendering suppressed; run cmd/loam-bench for full output")
-	}
-}
-
-func BenchmarkFig1CostVariance(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := env.Fig1()
-		render(b, r)
-	}
-}
-
-func BenchmarkTable1ProjectStats(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Table1())
-	}
-}
-
-func BenchmarkFig5LoadResponse(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig5())
-	}
-}
-
-func BenchmarkFig6EndToEnd(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := env.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		render(b, r)
-	}
-}
-
-func BenchmarkFig7PerQuery(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig7(f6))
-	}
-}
-
-func BenchmarkFig8TrainingSize(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := env.Fig8(f6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		render(b, r)
-	}
-}
-
-func BenchmarkFig9Overheads(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig9(f6))
-	}
-}
-
-func BenchmarkFig10InferenceStrategies(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := env.Fig10(f6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		render(b, r)
-	}
-}
-
-func BenchmarkFig11AdaptiveAblation(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := env.Fig11(f6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		render(b, r)
-	}
-}
-
-func BenchmarkFig12RankerQuality(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig12())
-	}
-}
-
-func BenchmarkFig15LogNormalFit(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig15())
-	}
-}
-
-func BenchmarkFig16RankerTrainingSize(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Fig16())
-	}
-}
-
-func BenchmarkSec73FleetBenefit(b *testing.B) {
-	env, f6 := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Sec73(f6))
-	}
-}
-
-func BenchmarkThm1Verification(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Thm1())
-	}
-}
 
 // --- Micro-benchmarks of the core building blocks ---
 
@@ -275,7 +109,7 @@ func BenchmarkPredictorInference(b *testing.B) {
 }
 
 // serveBenchSetup builds a deployment plus 64 fresh queries once, shared by
-// the BenchmarkOptimizeBatch sub-benchmarks.
+// the BenchmarkConcurrentOptimize sub-benchmarks.
 var (
 	serveBenchOnce sync.Once
 	serveBenchDep  *loam.Deployment
@@ -308,9 +142,9 @@ func getServeBench(b *testing.B) (*loam.Deployment, []*query.Query) {
 	return serveBenchDep, serveBenchQs
 }
 
-// BenchmarkOptimizeBatch reports the latency of serving an identical 64-query
-// set from an increasing number of concurrent OptimizeCtx callers.
-func BenchmarkOptimizeBatch(b *testing.B) {
+// BenchmarkConcurrentOptimize reports the latency of serving an identical
+// 64-query set from an increasing number of concurrent OptimizeCtx callers.
+func BenchmarkConcurrentOptimize(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("callers=%d", par), func(b *testing.B) {
 			dep, qs := getServeBench(b)
@@ -368,13 +202,5 @@ func BenchmarkPlanClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkPlan = p.Clone()
-	}
-}
-
-func BenchmarkExt1ExplorationCeiling(b *testing.B) {
-	env, _ := getBenchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render(b, env.Ext1())
 	}
 }

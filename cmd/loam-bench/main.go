@@ -1,6 +1,5 @@
 // Command loam-bench regenerates the paper's tables and figures from the
-// simulated MaxCompute deployment and runs the serving stack's scenario
-// proofs (guard, lifecycle, recover, fleet).
+// simulated MaxCompute deployment.
 //
 // Usage:
 //
@@ -12,12 +11,13 @@
 //
 // Each experiment prints the same rows/series the paper reports; absolute
 // numbers come from the simulator, shapes are the reproduction target (see
-// EXPERIMENTS.md). Serving performance is not measured here: that is the
-// BENCHMARK.json harness in bench/.
+// EXPERIMENTS.md). Serving performance is not measured here — that is the
+// BENCHMARK.json harness in bench/ — and the serving stack's proofs are Go
+// tests (`make chaos`, `make chaos-recover`).
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +38,6 @@ func main() {
 
 // bench is one invocation: where its experiments run and print.
 type bench struct {
-	ctx context.Context
 	env *experiments.Env
 	out io.Writer
 	// f6 is the Fig. 6 evaluation the experiments marked onFig6 share; run
@@ -46,9 +45,10 @@ type bench struct {
 	f6 *experiments.Fig6Result
 }
 
-// experimentTable is every -run id, in the order `all` runs and prints them
-// (the section order of results_default.txt / results_ext.txt). The -run
-// help text and the unknown-id error are generated from it.
+// experimentTable is every -run id, in the order `all` runs and prints them:
+// exactly the sections of results_default.txt and results_ext.txt, each file
+// listing its own in this order. The -run help text and the unknown-id error
+// are generated from it.
 var experimentTable = []struct {
 	id     string
 	onFig6 bool
@@ -71,10 +71,6 @@ var experimentTable = []struct {
 	{"fig12", false, func(b *bench) error { return b.show(b.env.Fig12(), nil) }},
 	{"fig16", false, func(b *bench) error { return b.show(b.env.Fig16(), nil) }},
 	{"sec73", true, func(b *bench) error { return b.show(b.env.Sec73(b.f6), nil) }},
-	{"guard", false, func(b *bench) error { return b.show(b.env.Guard(b.ctx)) }},
-	{"lifecycle", false, func(b *bench) error { return b.show(b.env.Lifecycle(b.ctx)) }},
-	{"recover", false, func(b *bench) error { return b.show(b.env.Recover(b.ctx)) }},
-	{"fleet", false, func(b *bench) error { return b.show(b.env.FleetServe(b.ctx)) }},
 }
 
 // show renders one experiment's result unless the experiment failed.
@@ -110,6 +106,9 @@ func run(args []string, out, errw io.Writer) error {
 	)
 	fs.SetOutput(errw)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for it is not a failure
+		}
 		return err
 	}
 
@@ -143,7 +142,7 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	sw := walltime.Start()
-	b := &bench{ctx: context.Background(), env: experiments.NewEnv(cfg), out: out}
+	b := &bench{env: experiments.NewEnv(cfg), out: out}
 	for _, e := range experimentTable {
 		if !want["all"] && !want[e.id] {
 			continue

@@ -26,110 +26,47 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
+// TestRunThm1AndFig15 also owns the CLI half of a standing invariant: two
+// identically-seeded runs print byte-identical experiment sections and
+// -metrics snapshots (everything but the wall-clock total).
 func TestRunThm1AndFig15(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-tiny", "-quiet", "-run", "thm1,fig15"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Theorem 1") || !strings.Contains(out.String(), "Q-Q") {
-		t.Fatalf("output incomplete:\n%s", out.String())
-	}
-}
-
-// metricsSection extracts the demarcated metrics dump from a full run's
-// output; everything around it (wall-clock totals, serving throughput) is
-// timing-dependent and excluded from the determinism comparison.
-func metricsSection(t *testing.T, s string) string {
-	t.Helper()
-	_, rest, ok := strings.Cut(s, "==== metrics ====")
-	if !ok {
-		t.Fatalf("no metrics section in output:\n%s", s)
-	}
-	body, _, _ := strings.Cut(rest, "\ntotal:")
-	return body
-}
-
-// counterNames lists the counter names in exposition order.
-func counterNames(sec string) []string {
-	var names []string
-	for _, line := range strings.Split(sec, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 3 && fields[0] == "counter" {
-			names = append(names, fields[1])
-		}
-	}
-	return names
-}
-
-// TestRunGuardMetricsDeterministic is the acceptance check for the guarded
-// serving experiment: `-run guard` walks the breaker through trip → cooldown
-// → half-open probe → recovery with 100% availability, the guard.* counters
-// render in the stable-ordered metrics dump, and two identically-seeded runs
-// print byte-identical guard sections and metrics sections.
-func TestRunGuardMetricsDeterministic(t *testing.T) {
 	bench := func() string {
 		var out, errw bytes.Buffer
-		if err := run([]string{"-tiny", "-quiet", "-run", "guard", "-metrics"}, &out, &errw); err != nil {
+		if err := run([]string{"-tiny", "-quiet", "-run", "thm1,fig15", "-metrics"}, &out, &errw); err != nil {
 			t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 		}
-		return out.String()
-	}
-	first := bench()
-	for _, want := range []string{
-		"==== guard ====",
-		"availability 100%",
-		"trip(s)",
-		"half-open probe window(s)",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("guard section missing %q:\n%s", want, first)
-		}
-	}
-	sec := metricsSection(t, first)
-	for _, want := range []string{
-		"counter guard.serve.total 30",
-		"counter guard.serve.learned 15",
-		"counter guard.fallback.native 15",
-		"counter guard.fallback.reason.breaker_open",
-		"counter guard.fallback.reason.predictor_error",
-		"counter guard.inject.predictor_errors",
-		"counter guard.breaker.opened 2",
-		"counter guard.breaker.half_opened 2",
-		"counter guard.breaker.closed 1",
-		"gauge guard.breaker.state",
-	} {
-		if !strings.Contains(sec, want) {
-			t.Fatalf("metrics section missing %q:\n%s", want, sec)
-		}
-	}
-	names := counterNames(sec)
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("counters not name-sorted: %q before %q", names[i-1], names[i])
-		}
-	}
-	second := bench()
-	guardSection := func(s string) string {
-		_, rest, ok := strings.Cut(s, "==== guard ====")
-		if !ok {
-			t.Fatalf("no guard section:\n%s", s)
-		}
-		body, _, _ := strings.Cut(rest, "====")
+		body, _, _ := strings.Cut(out.String(), "\ntotal:")
 		return body
 	}
-	if guardSection(second) != guardSection(first) {
-		t.Fatalf("same-seed guard sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			guardSection(first), guardSection(second))
+	first := bench()
+	for _, want := range []string{"Theorem 1", "Q-Q", "==== metrics ====\ncounter "} {
+		if !strings.Contains(first, want) {
+			t.Fatalf("output missing %q:\n%s", want, first)
+		}
 	}
-	if again := metricsSection(t, second); again != sec {
-		t.Fatalf("same-seed metrics sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", sec, again)
+	if second := bench(); second != first {
+		t.Fatalf("same-seed runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first, second)
 	}
 }
 
+// TestRunRejectsBadFlags: an unknown flag and -h both print the usage on the
+// error writer and run nothing; only the unknown flag is an error.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &out, &errw); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, c := range []struct {
+		arg     string
+		wantErr bool
+	}{
+		{"-definitely-not-a-flag", true},
+		{"-h", false},
+	} {
+		var out, errw bytes.Buffer
+		err := run([]string{c.arg}, &out, &errw)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.arg, err, c.wantErr)
+		}
+		if !strings.Contains(errw.String(), "Usage of loam-bench") || out.Len() != 0 {
+			t.Fatalf("%s: usage not on the error writer alone:\nstdout: %s\nstderr: %s", c.arg, out.String(), errw.String())
+		}
 	}
 }
 
@@ -137,7 +74,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // script still names, is an error listing the valid ids — not a run that
 // selects nothing and exits 0 — and nothing runs before the error.
 func TestRunUnknownExperimentFails(t *testing.T) {
-	for _, spec := range []string{"nosuch", "perf", "serve", "fig1,pref"} {
+	for _, spec := range []string{"nosuch", "perf", "serve", "guard", "lifecycle", "recover", "fleet", "fig1,pref"} {
 		var out, errw bytes.Buffer
 		err := run([]string{"-tiny", "-quiet", "-run", spec}, &out, &errw)
 		if err == nil {
@@ -172,14 +109,15 @@ func sectionIDs(s string) []string {
 	return ids
 }
 
-// TestRunAllRunsTableInOrder pins the dispatch table: `all` runs every entry
-// once in table order, that order is the one below, and the committed
-// results files — each a run of a subset — list their sections in it.
+// TestRunAllRunsTableInOrder pins the dispatch table to the committed results
+// files: the table's ids are exactly the sections of results_default.txt and
+// results_ext.txt together — what `loam-bench` regenerates is what is
+// committed, nothing else — each file lists its sections in table order, and
+// `all` runs every entry once in that order.
 func TestRunAllRunsTableInOrder(t *testing.T) {
 	order := []string{
 		"fig1", "table1", "fig5", "fig15", "fig6", "fig7", "fig9", "fig11", "fig10", "fig8",
 		"thm1", "ext1", "ext2", "ext3", "fig12", "fig16", "sec73",
-		"guard", "lifecycle", "recover", "fleet",
 	}
 	var table []string
 	for _, e := range experimentTable {
@@ -188,6 +126,7 @@ func TestRunAllRunsTableInOrder(t *testing.T) {
 	if !slices.Equal(table, order) {
 		t.Fatalf("table order %v, want %v", table, order)
 	}
+	var committed []string
 	for _, name := range []string{"results_default.txt", "results_ext.txt"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
@@ -202,7 +141,13 @@ func TestRunAllRunsTableInOrder(t *testing.T) {
 				t.Fatalf("%s: section %q is not in table order", name, id)
 			}
 			next++
+			committed = append(committed, id)
 		}
+	}
+	slices.Sort(committed)
+	slices.Sort(table)
+	if !slices.Equal(committed, table) {
+		t.Fatalf("committed sections %v, table ids %v: every -run id needs a committed section and vice versa", committed, table)
 	}
 	if testing.Short() {
 		t.Skip("short mode: not running every experiment")
@@ -213,192 +158,5 @@ func TestRunAllRunsTableInOrder(t *testing.T) {
 	}
 	if got := sectionIDs(out.String()); !slices.Equal(got, order) {
 		t.Fatalf("all ran %v, want %v", got, order)
-	}
-}
-
-// TestRunLifecycleMetricsDeterministic is the acceptance check for the model
-// lifecycle experiment: `-run lifecycle` drives drift → retrain →
-// shadow-score → hot-swap → sentinel-tripped rollback with 100% availability
-// throughout, the lifecycle.* counters render in the stable-ordered metrics
-// dump, and two identically-seeded runs print byte-identical lifecycle and
-// metrics sections.
-func TestRunLifecycleMetricsDeterministic(t *testing.T) {
-	bench := func() string {
-		var out, errw bytes.Buffer
-		if err := run([]string{"-tiny", "-quiet", "-run", "lifecycle", "-metrics"}, &out, &errw); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-		}
-		return out.String()
-	}
-	first := bench()
-	for _, want := range []string{
-		"==== lifecycle ====",
-		"availability 100%",
-		"promote  -> v2",
-		"rollback -> v1",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("lifecycle section missing %q:\n%s", want, first)
-		}
-	}
-	sec := metricsSection(t, first)
-	for _, want := range []string{
-		"counter lifecycle.feedback.harvested 60",
-		"counter lifecycle.drift.signals",
-		"counter lifecycle.retrain.runs",
-		"counter lifecycle.promote",
-		"counter lifecycle.rollback",
-		"counter guard.quarantine.trips",
-		"counter guard.quarantine.released",
-		"gauge model.version",
-		"gauge lifecycle.feedback.size",
-	} {
-		if !strings.Contains(sec, want) {
-			t.Fatalf("metrics section missing %q:\n%s", want, sec)
-		}
-	}
-	second := bench()
-	lifecycleSection := func(s string) string {
-		_, rest, ok := strings.Cut(s, "==== lifecycle ====")
-		if !ok {
-			t.Fatalf("no lifecycle section:\n%s", s)
-		}
-		body, _, _ := strings.Cut(rest, "====")
-		return body
-	}
-	if lifecycleSection(second) != lifecycleSection(first) {
-		t.Fatalf("same-seed lifecycle sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			lifecycleSection(first), lifecycleSection(second))
-	}
-	if again := metricsSection(t, second); again != sec {
-		t.Fatalf("same-seed metrics sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", sec, again)
-	}
-}
-
-// TestRunRecoverMetricsDeterministic is the acceptance check for the
-// kill-point chaos harness: `-run recover` sweeps an injected crash across
-// every durable write point of a forced-drift lifecycle run, every point
-// recovers to a consistent servable version with 100% post-recovery
-// availability, the durable.* counters render in the stable-ordered metrics
-// dump, and two identically-seeded runs print byte-identical recover and
-// metrics sections.
-func TestRunRecoverMetricsDeterministic(t *testing.T) {
-	bench := func() string {
-		var out, errw bytes.Buffer
-		if err := run([]string{"-tiny", "-quiet", "-run", "recover", "-metrics"}, &out, &errw); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-		}
-		return out.String()
-	}
-	first := bench()
-	for _, want := range []string{
-		"==== recover ====",
-		"post-recovery availability 100%",
-		"promote  -> v2",
-		"rollback -> v1",
-		"restore",
-		"redeploy",
-		"torn-tail",
-		"fsck clean at every point",
-		"fleet grants: 3 tenants survive a registry restart",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("recover section missing %q:\n%s", want, first)
-		}
-	}
-	sec := metricsSection(t, first)
-	for _, want := range []string{
-		"counter durable.checkpoints",
-		"counter durable.restores",
-		"counter durable.errors 0",
-		"counter durable.journal.appends",
-		"counter durable.journal.replayed",
-		"counter durable.journal.truncated",
-		"counter durable.grants.saves",
-		"counter durable.grants.restores 1",
-		"gauge durable.version",
-	} {
-		if !strings.Contains(sec, want) {
-			t.Fatalf("metrics section missing %q:\n%s", want, sec)
-		}
-	}
-	second := bench()
-	recoverSection := func(s string) string {
-		_, rest, ok := strings.Cut(s, "==== recover ====")
-		if !ok {
-			t.Fatalf("no recover section:\n%s", s)
-		}
-		body, _, _ := strings.Cut(rest, "====")
-		return body
-	}
-	if recoverSection(second) != recoverSection(first) {
-		t.Fatalf("same-seed recover sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			recoverSection(first), recoverSection(second))
-	}
-	if again := metricsSection(t, second); again != sec {
-		t.Fatalf("same-seed metrics sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", sec, again)
-	}
-}
-
-// TestRunFleetMetricsDeterministic is the acceptance check for multi-tenant
-// fleet serving: `-run fleet` routes zipfian traffic for the synthetic tenant
-// fleet plus two real deployments through the sharded registry, survives the
-// tenant-skew spike with 100% availability and the cache budget respected at
-// every wave boundary, the fleet.* counters render in the stable-ordered
-// metrics dump, and two identically-seeded runs print byte-identical fleet
-// and metrics sections despite parallel routing.
-func TestRunFleetMetricsDeterministic(t *testing.T) {
-	bench := func() string {
-		var out, errw bytes.Buffer
-		if err := run([]string{"-tiny", "-quiet", "-run", "fleet", "-metrics"}, &out, &errw); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-		}
-		return out.String()
-	}
-	first := bench()
-	for _, want := range []string{
-		"==== fleet ====",
-		"availability 100.0%",
-		"warmup", "steady", "spike", "recover",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("fleet section missing %q:\n%s", want, first)
-		}
-	}
-	if strings.Contains(first, "OVER") {
-		t.Fatalf("cache budget exceeded at a wave boundary:\n%s", first)
-	}
-	sec := metricsSection(t, first)
-	for _, want := range []string{
-		"counter fleet.route.total",
-		"counter fleet.admission.admitted",
-		"counter fleet.admission.shed",
-		"counter fleet.admission.lane.recurring",
-		"counter fleet.budget.rebalances 4",
-		"counter fleet.route.errors 0",
-		"counter fleet.route.unknown_tenant 0",
-		"gauge fleet.cache.budget",
-		"gauge fleet.tenants.active",
-		"timer fleet.route.latency",
-	} {
-		if !strings.Contains(sec, want) {
-			t.Fatalf("metrics section missing %q:\n%s", want, sec)
-		}
-	}
-	second := bench()
-	fleetSection := func(s string) string {
-		_, rest, ok := strings.Cut(s, "==== fleet ====")
-		if !ok {
-			t.Fatalf("no fleet section:\n%s", s)
-		}
-		body, _, _ := strings.Cut(rest, "====")
-		return body
-	}
-	if fleetSection(second) != fleetSection(first) {
-		t.Fatalf("same-seed fleet sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			fleetSection(first), fleetSection(second))
-	}
-	if again := metricsSection(t, second); again != sec {
-		t.Fatalf("same-seed metrics sections differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", sec, again)
 	}
 }

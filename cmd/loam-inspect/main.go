@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,6 +62,9 @@ func run(args []string, out, errw io.Writer) error {
 	)
 	fs.SetOutput(errw)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for it is not a failure
+		}
 		return err
 	}
 	if fs.NArg() > 0 {

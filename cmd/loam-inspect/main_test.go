@@ -85,10 +85,20 @@ func TestInspectAllOmitsMetrics(t *testing.T) {
 	}
 }
 
+// TestInspectRejectsUnknownSubcommand: an unknown subcommand is an error;
+// -h prints the usage on the error writer, nothing on stdout, and is not.
 func TestInspectRejectsUnknownSubcommand(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"bogus"}, &out, &errw); err == nil {
 		t.Fatal("unknown subcommand accepted")
+	}
+	out.Reset()
+	errw.Reset()
+	if err := run([]string{"-h"}, &out, &errw); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(errw.String(), "Usage of loam-inspect") || out.Len() != 0 {
+		t.Fatalf("-h: usage not on the error writer alone:\nstdout: %s\nstderr: %s", out.String(), errw.String())
 	}
 }
 

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +38,9 @@ func run(args []string, out, errw io.Writer) error {
 	)
 	fs.SetOutput(errw)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for it is not a failure
+		}
 		return err
 	}
 

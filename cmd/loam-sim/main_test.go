@@ -20,9 +20,23 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: an unknown flag and -h both print the usage on the
+// error writer and run nothing; only the unknown flag is an error.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-nope"}, &out, &errw); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, c := range []struct {
+		arg     string
+		wantErr bool
+	}{
+		{"-nope", true},
+		{"-h", false},
+	} {
+		var out, errw bytes.Buffer
+		err := run([]string{c.arg}, &out, &errw)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.arg, err, c.wantErr)
+		}
+		if !strings.Contains(errw.String(), "Usage of loam-sim") || out.Len() != 0 {
+			t.Fatalf("%s: usage not on the error writer alone:\nstdout: %s\nstderr: %s", c.arg, out.String(), errw.String())
+		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"loam/internal/query"
 )
 
-// TestOptimizeBatchParallelCacheIdentical runs the same recurring queries
+// TestConcurrentOptimizeCacheIdentical runs the same recurring queries
 // sequentially and from 4 concurrent OptimizeCtx callers against one
 // deployment with the default plan cache enabled: plan choices and cost estimates must be bit-identical,
 // and the second pass must be served largely from the cache.
-func TestOptimizeBatchParallelCacheIdentical(t *testing.T) {
+func TestConcurrentOptimizeCacheIdentical(t *testing.T) {
 	dep, qs := serveDeployment(t, 41, 24)
 
 	seq, err := OptimizeAll(context.Background(), dep, qs, 1)
@@ -42,10 +42,10 @@ func TestOptimizeBatchParallelCacheIdentical(t *testing.T) {
 	}
 }
 
-// TestOptimizeBatchCacheRace hammers one deployment's plan cache from 8
+// TestConcurrentOptimizeCacheRace hammers one deployment's plan cache from 8
 // concurrent OptimizeCtx callers over a recurring workload; under -race
 // this is the serving-layer data-race test for the singleflight cache.
-func TestOptimizeBatchCacheRace(t *testing.T) {
+func TestConcurrentOptimizeCacheRace(t *testing.T) {
 	dep, qs := serveDeployment(t, 42, 16)
 	// Repeat the workload so most lookups hit the cache concurrently.
 	batch := append(append(append([]*query.Query{}, qs...), qs...), qs...)

@@ -33,12 +33,12 @@ func guardedDeployment(t *testing.T, seed uint64, nQueries int, opts ...DeployOp
 	return dep, qs[:nQueries]
 }
 
-// TestFullOutageBatchServesEveryQuery is the tentpole acceptance test: with
+// TestFullOutageServesEveryQuery is the tentpole acceptance test: with
 // the injector forcing a 100% learned-path failure rate, 4 concurrent
 // OptimizeCtx callers still get a valid non-nil Choice for every query — all
 // from fallback rungs, all carrying the injected transient cause — and a
 // fallback choice executes normally.
-func TestFullOutageBatchServesEveryQuery(t *testing.T) {
+func TestFullOutageServesEveryQuery(t *testing.T) {
 	inj := NewFaultInjector(7, FaultInjectorConfig{PredictorErrorRate: 1})
 	dep, qs := guardedDeployment(t, 51, 16, WithFaultInjector(inj))
 
@@ -78,7 +78,7 @@ func TestFullOutageBatchServesEveryQuery(t *testing.T) {
 // snapshot byte-identically. Serving is sequential here so the breaker's
 // arrival-order transitions are pinned; every guard.* value is an
 // order-independent count, and the parallel-availability half of the
-// acceptance lives in TestFullOutageBatchServesEveryQuery.
+// acceptance lives in TestFullOutageServesEveryQuery.
 func TestFullOutageTelemetryByteIdentical(t *testing.T) {
 	outageRun := func() string {
 		sim, ps := tinyProject(t, 52)

@@ -15,8 +15,8 @@ import (
 // that atomicio packages correctly (fsync the temp file AND the directory,
 // then rename). Every durable artifact — model snapshots, manifests, journal
 // segments, grant tables, benchmark output — must flow through atomicio.FS so
-// the kill-point chaos harness (loam-bench -run recover) actually exercises
-// every write the system performs. Test files are exempt (eachSourceFile
+// the kill-point sweep (TestKillPointSweepRecoversEveryWrite, `make
+// chaos-recover`) actually exercises every write the system performs. Test files are exempt (eachSourceFile
 // skips them): tests corrupt files on purpose.
 //
 // The analyzer also flags function *values*: `w := os.WriteFile` smuggles the

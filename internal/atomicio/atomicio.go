@@ -16,12 +16,13 @@
 //     and DecodeFrame distinguishes truncation from checksum mismatch.
 //
 // The FS carries an optional fault hook so the durability layer's kill-point
-// chaos harness (internal/faultinject, loam-bench -run recover) can crash a
-// run at any write point with a deterministically torn, pending, or
-// bit-flipped artifact on disk. A crash outcome panics with *Crash and
-// permanently deadens the FS — a dead process writes nothing more — which is
-// exactly the state a kill -9 leaves behind. A production FS (NewFS(nil) or
-// the package Default) never panics and adds no overhead beyond the fsyncs.
+// sweep (internal/faultinject; TestKillPointSweepRecoversEveryWrite, `make
+// chaos-recover`) can crash a run at any write point with a deterministically
+// torn, pending, or bit-flipped artifact on disk. A crash outcome panics with
+// *Crash and permanently deadens the FS — a dead process writes nothing more
+// — which is exactly the state a kill -9 leaves behind. A production FS
+// (NewFS(nil) or the package Default) never panics and adds no overhead
+// beyond the fsyncs.
 package atomicio
 
 import (

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7): one function per artifact, shared by the loam-bench CLI
-// and the repository's benchmark suite. DESIGN.md carries the experiment
-// index; EXPERIMENTS.md records paper-vs-measured results.
+// evaluation (§7): one function per artifact, run by the loam-bench CLI.
+// DESIGN.md carries the experiment index; EXPERIMENTS.md records
+// paper-vs-measured results.
 package experiments
 
 import (
@@ -36,15 +36,12 @@ type Config struct {
 	// FleetProjects is the project-fleet size for selector experiments
 	// (paper: 28–30 sampled projects).
 	FleetProjects int
-	// FleetTenants is the synthetic-tenant count for the fleet-serving
-	// experiment (the paper's deployment serves >100k projects; the
-	// experiment defaults to 10k in miniature).
-	FleetTenants int
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
 
-// Default returns the reduced-scale configuration used by `go test` benches.
+// Default returns the reduced-scale configuration loam-bench runs without
+// -tiny.
 func Default() Config {
 	return Config{
 		Seed:          42,
@@ -56,7 +53,6 @@ func Default() Config {
 		EvalReps:      5,
 		WorkloadScale: 1,
 		FleetProjects: 28,
-		FleetTenants:  10_000,
 	}
 }
 
@@ -72,7 +68,6 @@ func Tiny() Config {
 		EvalReps:      3,
 		WorkloadScale: 0.4,
 		FleetProjects: 8,
-		FleetTenants:  100,
 	}
 }
 

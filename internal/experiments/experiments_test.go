@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -325,20 +323,5 @@ func TestExt3EncodingAblation(t *testing.T) {
 	r.Render(&buf)
 	if !strings.Contains(buf.String(), "multi-segment") {
 		t.Fatal("render missing title")
-	}
-}
-
-// TestScenarioProofsHonorCancellation: Guard and Lifecycle serve through the
-// caller's context, so a canceled one comes back as the error rather than as
-// a run that lost availability.
-func TestScenarioProofsHonorCancellation(t *testing.T) {
-	env := tinyEnv(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := env.Guard(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Guard(canceled ctx) err = %v, want context.Canceled", err)
-	}
-	if _, err := env.Lifecycle(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Lifecycle(canceled ctx) err = %v, want context.Canceled", err)
 	}
 }

@@ -1,18 +1,13 @@
 package faultinject
 
 // Disk fault injection for the durability layer (internal/durable via
-// internal/atomicio). Two deterministic instruments:
+// internal/atomicio): KillPoint, a countdown hook that crashes the process
+// (atomicio's *Crash panic) at exactly the Nth durable write operation, with
+// a chosen crash flavor. TestKillPointSweepRecoversEveryWrite (`make
+// chaos-recover`) enumerates N over a run's full write schedule to prove
+// recovery from every write point.
 //
-//   - KillPoint: a countdown hook that crashes the process (atomicio's
-//     *Crash panic) at exactly the Nth durable write operation, with a
-//     chosen crash flavor. The chaos harness (loam-bench -run recover)
-//     enumerates N over a run's full write schedule to prove recovery from
-//     every write point.
-//   - DiskHook: a rate-based hook whose per-op decisions are pure functions
-//     of (seed, op, sequence number) — same-seed runs corrupt the same
-//     writes, keeping trajectories byte-identical.
-//
-// Both count operations in the order the FS issues them; since the durable
+// Operations are counted in the order the FS issues them; since the durable
 // layer serializes its writes under the lifecycle lock, the count is
 // deterministic for a deterministic workload.
 
@@ -95,70 +90,4 @@ func (k *KillPoint) Decide(op atomicio.Op, path string) atomicio.Decision {
 		return decisionFor(k.flavor, k.seed, n)
 	}
 	return atomicio.Decision{}
-}
-
-// DiskConfig sets rate-based disk corruption. Rates are probabilities in
-// [0, 1] rolled per write operation.
-type DiskConfig struct {
-	// TornWriteRate crashes a write mid-stream, leaving a torn prefix.
-	TornWriteRate float64
-	// PartialRenameRate crashes with the temp file durable but the rename
-	// pending.
-	PartialRenameRate float64
-	// BitFlipRate completes the write but flips one deterministic bit —
-	// silent corruption the read-side checksums must catch.
-	BitFlipRate float64
-}
-
-// DiskHook is a rate-based atomicio.Hook. Each write op rolls once per
-// fault kind on a stream derived from (seed, kind, op sequence), so
-// decisions replay identically for a same-seed run.
-type DiskHook struct {
-	root *simrand.RNG
-	cfg  DiskConfig
-	ops  atomic.Int64
-}
-
-// NewDiskHook returns a hook whose corruption decisions derive from seed.
-func NewDiskHook(seed uint64, cfg DiskConfig) *DiskHook {
-	return &DiskHook{root: simrand.New(seed), cfg: cfg}
-}
-
-// Decide implements atomicio.Hook.
-func (h *DiskHook) Decide(op atomicio.Op, path string) atomicio.Decision {
-	n := h.ops.Add(1)
-	id := op.String() + ":" + itoa(n)
-	roll := func(kind string, rate float64) bool {
-		if rate <= 0 {
-			return false
-		}
-		if rate >= 1 {
-			return true
-		}
-		return h.root.Derive(kind+":"+id).Float64() < rate
-	}
-	switch {
-	case roll("torn", h.cfg.TornWriteRate):
-		return atomicio.Decision{Outcome: atomicio.CrashTorn, KeepBytes: int(n) % 61}
-	case roll("rename", h.cfg.PartialRenameRate):
-		return atomicio.Decision{Outcome: atomicio.CrashAfterTemp}
-	case roll("bitflip", h.cfg.BitFlipRate):
-		return atomicio.Decision{Outcome: atomicio.BitFlip, FlipBit: int(n) * 13}
-	}
-	return atomicio.Decision{}
-}
-
-// itoa avoids strconv for a hot tiny path.
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -62,47 +61,5 @@ func TestTornDecisionIsDeterministic(t *testing.T) {
 	}
 	if a.Outcome != atomicio.CrashTorn {
 		t.Fatalf("outcome = %v, want CrashTorn", a.Outcome)
-	}
-}
-
-func TestDiskHookSameSeedSameDecisions(t *testing.T) {
-	cfg := DiskConfig{TornWriteRate: 0.2, PartialRenameRate: 0.2, BitFlipRate: 0.2}
-	a, b := NewDiskHook(11, cfg), NewDiskHook(11, cfg)
-	for i := 0; i < 200; i++ {
-		da := a.Decide(atomicio.OpWriteFile, "p")
-		db := b.Decide(atomicio.OpWriteFile, "p")
-		if da != db {
-			t.Fatalf("op %d: %+v vs %+v", i, da, db)
-		}
-	}
-	// A different seed diverges somewhere in the run.
-	c := NewDiskHook(12, cfg)
-	diverged := false
-	a2 := NewDiskHook(11, cfg)
-	for i := 0; i < 200; i++ {
-		if a2.Decide(atomicio.OpWriteFile, "p") != c.Decide(atomicio.OpWriteFile, "p") {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("different seeds never diverged")
-	}
-}
-
-func TestDiskHookBitFlipSurfacesOnRead(t *testing.T) {
-	dir := t.TempDir()
-	fs := atomicio.NewFS(NewDiskHook(3, DiskConfig{BitFlipRate: 1}))
-	path := filepath.Join(dir, "f")
-	payload := atomicio.EncodeFrame([]byte("checksummed payload"))
-	if err := fs.WriteFile(path, payload); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := atomicio.DecodeFrame(data); err == nil {
-		t.Fatal("bit flip went undetected by the frame checksum")
 	}
 }

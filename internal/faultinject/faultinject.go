@@ -5,8 +5,8 @@
 // the failure modes nobody schedules: a predictor that starts erroring, a
 // model that emits NaN estimates, a scorer that stalls past its deadline, a
 // cluster that load-spikes under a noisy neighbor. The injector forces each
-// of those on demand so tests and the `loam-bench -run guard` experiment can
-// prove the fallback ladder and circuit breaker keep serving.
+// of those on demand so tests (`make chaos`) can prove the fallback ladder and
+// circuit breaker keep serving.
 //
 // Determinism contract: every injection decision is a pure function of
 // (injector seed, fault kind, query ID), computed through a simrand-derived
@@ -14,7 +14,7 @@
 // wall time — two same-seed runs inject exactly the same faults into exactly
 // the same queries, which is what lets same-seed telemetry snapshots stay
 // byte-identical under injection. The only stateful toggle is SetEnabled,
-// which experiments flip between serving phases (never mid-batch when
+// which a caller flips between serving phases (never mid-batch when
 // byte-identical snapshots are asserted).
 package faultinject
 
@@ -55,14 +55,6 @@ type Config struct {
 	// starts — the mid-promote crash scenario. The incumbent model must keep
 	// serving (or keep its quarantine fallback) when this fires.
 	RetrainFailRate float64
-	// TenantSkewRate selects which tenants a fleet-level load spike lands
-	// on: each tenant ID rolls once, so a spike wave multiplies the selected
-	// tenants' traffic by TenantSkewFactor while the rest stay flat — the
-	// multi-tenant hotspot scenario the admission gate must absorb.
-	TenantSkewRate float64
-	// TenantSkewFactor is the traffic multiplier for skewed tenants
-	// (values <= 1 leave volumes unchanged).
-	TenantSkewFactor float64
 }
 
 // Injector decides, per query, which faults to force. The zero of *Injector
@@ -90,8 +82,8 @@ func (i *Injector) Config() Config {
 	return i.cfg
 }
 
-// SetEnabled toggles the whole injector. Experiments use it to phase an
-// outage: healthy traffic, then a 100%-failure burst, then recovery.
+// SetEnabled toggles the whole injector, to phase an outage: healthy
+// traffic, then a 100%-failure burst, then recovery.
 func (i *Injector) SetEnabled(on bool) {
 	if i != nil {
 		i.enabled.Store(on)
@@ -147,24 +139,6 @@ func (i *Injector) NativeFail(id string) bool {
 // of (seed, attempt) — independent of when during serving the retrain fires.
 func (i *Injector) RetrainFail(id string) bool {
 	return i.roll("retrain", id, i.Config().RetrainFailRate)
-}
-
-// TenantSkew reports whether a fleet load spike lands on this tenant. Like
-// every other decision it is a pure function of (seed, "tenantskew", id):
-// the same tenants spike in every same-seed run regardless of registration
-// or serving order.
-func (i *Injector) TenantSkew(id string) bool {
-	return i.roll("tenantskew", id, i.Config().TenantSkewRate)
-}
-
-// SkewFactor returns the traffic multiplier for skewed tenants, clamped to a
-// minimum of 1 so a zero-value config never shrinks traffic.
-func (i *Injector) SkewFactor() float64 {
-	f := i.Config().TenantSkewFactor
-	if f < 1 {
-		return 1
-	}
-	return f
 }
 
 // LoadSpike decides a load spike for this query and, when a cluster is

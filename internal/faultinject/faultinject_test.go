@@ -113,43 +113,6 @@ func TestLoadSpikeHitsCluster(t *testing.T) {
 	}
 }
 
-// TestTenantSkew pins the fleet-spike decision: per-tenant, order-independent,
-// roughly rate-proportional, with the factor clamped to >= 1.
-func TestTenantSkew(t *testing.T) {
-	inj := New(17, Config{TenantSkewRate: 0.1, TenantSkewFactor: 20})
-	hits := 0
-	var first []bool
-	for i := 0; i < 500; i++ {
-		id := "tenant" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-		d := inj.TenantSkew(id)
-		first = append(first, d)
-		if d {
-			hits++
-		}
-	}
-	if hits < 20 || hits > 90 {
-		t.Fatalf("rate 0.1 skewed %d/500 tenants", hits)
-	}
-	// Same seed, fresh injector, reverse order: identical decisions.
-	again := New(17, Config{TenantSkewRate: 0.1, TenantSkewFactor: 20})
-	for i := 499; i >= 0; i-- {
-		id := "tenant" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-		if again.TenantSkew(id) != first[i] {
-			t.Fatalf("tenant %s decision differs between call orders", id)
-		}
-	}
-	if f := inj.SkewFactor(); f != 20 {
-		t.Fatalf("SkewFactor = %v, want 20", f)
-	}
-	if f := New(1, Config{TenantSkewRate: 1}).SkewFactor(); f != 1 {
-		t.Fatalf("zero-value factor = %v, want clamp to 1", f)
-	}
-	var nilInj *Injector
-	if nilInj.TenantSkew("t") || nilInj.SkewFactor() != 1 {
-		t.Fatal("nil injector skewed")
-	}
-}
-
 // TestConcurrentDecisions hammers one injector from many goroutines under
 // -race; decisions must be safe and stable.
 func TestConcurrentDecisions(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,24 +343,40 @@ func routeAll(t *testing.T, r *Registry, names []string, perTenant [][]*query.Qu
 
 // TestTelemetryParallelByteIdentical is the satellite contract: the same
 // per-tenant traffic, served sequentially vs with 8 workers, snapshots the
-// fleet.* (and synthetic cache) telemetry byte-identically.
+// fleet.* (and synthetic cache) telemetry byte-identically, and after every
+// wave's Tick + Rebalance the cache budget holds: entries <= granted <=
+// budget.
 func TestTelemetryParallelByteIdentical(t *testing.T) {
 	build := func(workers int) string {
 		reg := telemetry.NewRegistry()
 		r := New(testConfig(reg))
 		names := registerN(t, r, reg, 40)
 		perTenant := make([][]*query.Query, len(names))
+		var perWave int64
 		for i, name := range names {
 			n := 4 + i%7
 			for j := 0; j < n; j++ {
 				perTenant[i] = append(perTenant[i], q(name, j, fmt.Sprintf("tpl%d", j%3)))
 			}
+			perWave += int64(n)
 		}
-		for wave := 0; wave < 3; wave++ {
+		const waves = 3
+		for wave := 0; wave < waves; wave++ {
 			routeAll(t, r, names, perTenant, workers)
 			r.Tick()
 			r.Rebalance()
-			r.Budget()
+			if st := r.Budget(); st.Entries > st.Granted || st.Granted > st.Budget {
+				t.Fatalf("workers=%d wave %d: budget invariant broken: entries %d, granted %d, budget %d",
+					workers, wave, st.Entries, st.Granted, st.Budget)
+			}
+		}
+		// Every route was admitted or shed and none failed: shedding serves.
+		c := func(name string) int64 { return reg.Counter(name).Value() }
+		if total := c("fleet.route.total"); total != waves*perWave ||
+			c("fleet.admission.admitted")+c("fleet.admission.shed") != total ||
+			c("fleet.route.errors") != 0 || c("fleet.route.unknown_tenant") != 0 ||
+			c("fleet.budget.rebalances") != waves {
+			t.Fatalf("workers=%d: route counters do not add up:\n%v", workers, reg.Snapshot().Counters)
 		}
 		var buf bytes.Buffer
 		if err := reg.Snapshot().WriteText(&buf); err != nil {
@@ -372,8 +389,13 @@ func TestTelemetryParallelByteIdentical(t *testing.T) {
 	if seq != par {
 		t.Fatalf("parallel snapshot differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
-	if seq == "" {
-		t.Fatal("empty snapshot")
+	for _, want := range []string{
+		"counter fleet.admission.lane.recurring", "gauge fleet.cache.budget",
+		"gauge fleet.tenants.active", "timer fleet.route.latency",
+	} {
+		if !strings.Contains(seq, want) {
+			t.Fatalf("snapshot lacks %q:\n%s", want, seq)
+		}
 	}
 }
 

@@ -314,42 +314,6 @@ func ReLU(a *Tensor) *Tensor {
 	return out
 }
 
-// Tanh applies tanh element-wise.
-func Tanh(a *Tensor) *Tensor {
-	out := child(a.R, a.C, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	if out.requiresGrad {
-		out.back = func() {
-			a.ensureGrad()
-			for i := range a.Grad {
-				y := out.Data[i]
-				a.Grad[i] += (1 - y*y) * out.Grad[i]
-			}
-		}
-	}
-	return out
-}
-
-// Sigmoid applies 1/(1+e^-x) element-wise.
-func Sigmoid(a *Tensor) *Tensor {
-	out := child(a.R, a.C, a)
-	for i, v := range a.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	if out.requiresGrad {
-		out.back = func() {
-			a.ensureGrad()
-			for i := range a.Grad {
-				y := out.Data[i]
-				a.Grad[i] += y * (1 - y) * out.Grad[i]
-			}
-		}
-	}
-	return out
-}
-
 // ConcatCols concatenates tensors with equal row counts along columns.
 func ConcatCols(ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {

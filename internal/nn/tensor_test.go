@@ -93,21 +93,11 @@ func TestAddRowGrad(t *testing.T) {
 
 func TestActivationGrads(t *testing.T) {
 	rng := simrand.New(5)
-	cases := []struct {
-		name string
-		fn   func(*Tensor) *Tensor
-	}{
-		{"relu", ReLU},
-		{"tanh", Tanh},
-		{"sigmoid", Sigmoid},
-	}
-	for _, tc := range cases {
-		a := randParam(rng, 2, 3)
-		w := randParam(rng, 3, 1)
-		checkGrads(t, tc.name, []*Tensor{a, w}, func() *Tensor {
-			return MSE(MatMul(tc.fn(a), w), []float64{0.5, -0.5})
-		})
-	}
+	a := randParam(rng, 2, 3)
+	w := randParam(rng, 3, 1)
+	checkGrads(t, "relu", []*Tensor{a, w}, func() *Tensor {
+		return MSE(MatMul(ReLU(a), w), []float64{0.5, -0.5})
+	})
 }
 
 func TestConcatColsGrad(t *testing.T) {

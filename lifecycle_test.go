@@ -3,37 +3,59 @@ package loam
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 )
 
-// lifecycleHarness deploys a tiny project whose serving guard is tuned to
-// quarantine quickly (a near-zero divergence band makes every learned sample
-// adverse), so drift→retrain→promote→rollback trajectories run in a handful
-// of serves. The drift detector is parked out of reach: the sentinel is the
-// only drift trigger, which keeps each test's trajectory easy to reason
-// about.
-func lifecycleHarness(t *testing.T, seed uint64, lcfg LifecycleConfig, opts ...DeployOption) (*ProjectSim, *Deployment) {
-	t.Helper()
+// lifecycleProject builds the tiny project every forced-drift fixture deploys,
+// in a fresh simulation with eight days of history. It is seeded only by its
+// arguments, so every call replays an identical workload — the property that
+// makes "crash at the Nth durable write" the same write in every run of the
+// kill-point sweep.
+func lifecycleProject(seed uint64, name string) *ProjectSim {
 	sim := NewSimulation(seed, DefaultSimulationConfig())
-	cfg := DefaultProjectConfig("lc")
+	cfg := DefaultProjectConfig(name)
 	cfg.Archetype.NumTables = 12
 	cfg.Workload.NumTemplates = 8
 	cfg.Workload.QueriesPerDayMean = 8
 	ps := sim.AddProject(cfg)
 	ps.RunDays(0, 8)
+	return ps
+}
 
-	gcfg := DefaultGuardConfig()
-	gcfg.DivergenceBand = 0.01
-	gcfg.DivergenceWindow = 4
-	gcfg.QuarantineWindows = 1
-
+// lifecycleDeployConfig trains lifecycleProject's model: six days of history,
+// two of validation.
+func lifecycleDeployConfig() DeployConfig {
 	dcfg := DefaultDeployConfig()
 	dcfg.TrainDays = 6
 	dcfg.TestDays = 2
 	dcfg.Predictor.Epochs = 3
 	dcfg.DomainPlans = 16
-	dep, err := ps.Deploy(dcfg, append(opts, WithGuardConfig(gcfg), WithLifecycle(lcfg))...)
+	return dcfg
+}
+
+// hairTriggerGuardConfig tunes the serving guard to quarantine quickly: a
+// near-zero divergence band makes every learned sample adverse, so one
+// 4-sample sentinel window indicts whatever model serves.
+func hairTriggerGuardConfig() GuardConfig {
+	gcfg := DefaultGuardConfig()
+	gcfg.DivergenceBand = 0.01
+	gcfg.DivergenceWindow = 4
+	gcfg.QuarantineWindows = 1
+	return gcfg
+}
+
+// lifecycleHarness deploys lifecycleProject behind the hair-trigger guard, so
+// drift→retrain→promote→rollback trajectories run in a handful of serves.
+// The drift detector is parked out of reach (quickLifecycleConfig): the
+// sentinel is the only drift trigger, which keeps each test's trajectory
+// easy to reason about.
+func lifecycleHarness(t *testing.T, seed uint64, lcfg LifecycleConfig, opts ...DeployOption) (*ProjectSim, *Deployment) {
+	t.Helper()
+	ps := lifecycleProject(seed, "lc")
+	dep, err := ps.Deploy(lifecycleDeployConfig(),
+		append(opts, WithGuardConfig(hairTriggerGuardConfig()), WithLifecycle(lcfg))...)
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -57,16 +79,19 @@ func quickLifecycleConfig() LifecycleConfig {
 }
 
 // serveDay optimizes and executes one generated day of queries, failing the
-// test on any serve error (the lifecycle must never cost availability).
-func serveDay(t *testing.T, ps *ProjectSim, dep *Deployment, day int) {
+// test on any serve error (the lifecycle must never cost availability), and
+// returns how many it served.
+func serveDay(t *testing.T, ps *ProjectSim, dep *Deployment, day int) int {
 	t.Helper()
-	for _, q := range ps.Gen.Day(day) {
+	qs := ps.Gen.Day(day)
+	for _, q := range qs {
 		c, err := dep.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("optimize day %d: %v", day, err)
 		}
 		dep.ExecuteChoice(c)
 	}
+	return len(qs)
 }
 
 func TestLifecycleDriftRetrainPromotes(t *testing.T) {
@@ -240,25 +265,34 @@ func TestLifecycleSwapUnderConcurrentServing(t *testing.T) {
 // TestLifecycleTrajectoryDeterministic runs the same seeded drift→retrain→
 // promote→rollback scenario twice and requires byte-identical telemetry
 // snapshots — the lifecycle must not introduce any order- or wall-clock-
-// dependent state.
+// dependent state — with every executed serve harvested exactly once.
 func TestLifecycleTrajectoryDeterministic(t *testing.T) {
-	run := func() ([]byte, int) {
+	run := func() (snap []byte, version, served int) {
 		ps, dep := lifecycleHarness(t, 31, quickLifecycleConfig())
 		for day := 8; day < 16; day++ {
-			serveDay(t, ps, dep, day)
+			served += serveDay(t, ps, dep, day)
 		}
 		var buf bytes.Buffer
 		if err := dep.Metrics().WriteText(&buf); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		return buf.Bytes(), dep.Lifecycle().Version()
+		return buf.Bytes(), dep.Lifecycle().Version(), served
 	}
-	a, va := run()
-	b, vb := run()
+	a, va, served := run()
+	b, vb, _ := run()
 	if va != vb {
 		t.Fatalf("version diverged: %d vs %d", va, vb)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed lifecycle runs snapshot differently:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("counter lifecycle.feedback.harvested %d\n", served),
+		"counter lifecycle.retrain.runs", "counter guard.quarantine.trips",
+		"gauge lifecycle.feedback.size", "gauge model.version",
+	} {
+		if !bytes.Contains(a, []byte(want)) {
+			t.Fatalf("snapshot lacks %q:\n%s", want, a)
+		}
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"loam/internal/atomicio"
 	"loam/internal/durable"
+	"loam/internal/faultinject"
 )
 
 // durableHarness is lifecycleHarness with a durable store rooted in a test
@@ -16,30 +19,13 @@ import (
 func durableHarness(t *testing.T, seed uint64, lcfg LifecycleConfig) (*ProjectSim, *Deployment, string, []DeployOption) {
 	t.Helper()
 	dir := t.TempDir()
-	gcfg := DefaultGuardConfig()
-	gcfg.DivergenceBand = 0.01
-	gcfg.DivergenceWindow = 4
-	gcfg.QuarantineWindows = 1
 	opts := []DeployOption{
-		WithGuardConfig(gcfg),
+		WithGuardConfig(hairTriggerGuardConfig()),
 		WithLifecycle(lcfg),
 		WithDurableStore(dir),
 	}
-
-	sim := NewSimulation(seed, DefaultSimulationConfig())
-	cfg := DefaultProjectConfig("dur")
-	cfg.Archetype.NumTables = 12
-	cfg.Workload.NumTemplates = 8
-	cfg.Workload.QueriesPerDayMean = 8
-	ps := sim.AddProject(cfg)
-	ps.RunDays(0, 8)
-
-	dcfg := DefaultDeployConfig()
-	dcfg.TrainDays = 6
-	dcfg.TestDays = 2
-	dcfg.Predictor.Epochs = 3
-	dcfg.DomainPlans = 16
-	dep, err := ps.Deploy(dcfg, opts...)
+	ps := lifecycleProject(seed, "dur")
+	dep, err := ps.Deploy(lifecycleDeployConfig(), opts...)
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -289,6 +275,193 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// scheduleHook is a kill point that also records the kind of every durable
+// write it is asked about: the baseline run's record is the write schedule
+// the sweep crashes its way through.
+type scheduleHook struct {
+	*faultinject.KillPoint
+	ops []atomicio.Op
+}
+
+func (h *scheduleHook) Decide(op atomicio.Op, path string) atomicio.Decision {
+	h.ops = append(h.ops, op)
+	return h.KillPoint.Decide(op, path)
+}
+
+// TestKillPointSweepRecoversEveryWrite is the durability contract's proof. A
+// forced-drift run (deploy → promote → probation rollback) executes once
+// cleanly to record its durable write schedule, then once per write with the
+// process killed at exactly that operation, the crash flavors cycling (before
+// any byte lands, torn mid-write, temp complete but rename pending). After
+// every crash the store must fsck clean, RestoreDeployment — or, when the
+// crash predates the first committed checkpoint, a redeploy into the same
+// directory — must come back on exactly what the manifest records, the
+// recovered deployment must serve every probe, and the store must fsck clean
+// again with any torn journal tail repaired.
+func TestKillPointSweepRecoversEveryWrite(t *testing.T) {
+	const seed, probes = 31, 6
+	ctx := context.Background()
+
+	// Train once; every run deploys the same bytes, so the sweep's cost is in
+	// serving, not training.
+	var model bytes.Buffer
+	trained, err := lifecycleProject(seed, "dur").Deploy(lifecycleDeployConfig())
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	if err := trained.SaveModel(&model); err != nil {
+		t.Fatalf("save model: %v", err)
+	}
+	opts := []DeployOption{WithGuardConfig(hairTriggerGuardConfig()), WithLifecycle(quickLifecycleConfig())}
+	deploy := func(ps *ProjectSim, extra ...DeployOption) (*Deployment, error) {
+		return ps.DeployFromModel(bytes.NewReader(model.Bytes()), 6, 2, append(extra, opts...)...)
+	}
+
+	// run replays the serve stream in a fresh, identically seeded simulation
+	// behind a kill point at write `at` (0: never). It serves `limit` queries,
+	// or with limit 0 until the first rollback, and returns how many it served
+	// and the crash that ended it, if one did.
+	type runState struct {
+		ps     *ProjectSim
+		dir    string
+		hook   *scheduleHook
+		dep    *Deployment
+		served int
+		crash  *atomicio.Crash
+	}
+	run := func(at, limit int) (st *runState) {
+		st = &runState{
+			ps:   lifecycleProject(seed, "dur"),
+			dir:  t.TempDir(),
+			hook: &scheduleHook{KillPoint: faultinject.NewKillPoint(seed, at, faultinject.FlavorFor(at))},
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				c, ok := r.(*atomicio.Crash)
+				if !ok {
+					panic(r)
+				}
+				st.crash = c
+			}
+		}()
+		dep, err := deploy(st.ps, WithDurableStore(st.dir), WithDurableFS(atomicio.NewFS(st.hook)))
+		if err != nil {
+			t.Fatalf("kill %d: deploy: %v", at, err)
+		}
+		st.dep = dep
+		rollbacks := dep.Telemetry().Counter("lifecycle.rollback")
+		for day := 8; day < 28; day++ {
+			for _, q := range st.ps.Gen.Day(day) {
+				if limit == 0 && rollbacks.Value() > 0 || limit > 0 && st.served == limit {
+					return st
+				}
+				c, err := dep.OptimizeCtx(ctx, q)
+				if err != nil {
+					t.Fatalf("kill %d: optimize: %v", at, err)
+				}
+				dep.ExecuteChoice(c)
+				st.served++
+			}
+		}
+		return st
+	}
+
+	base := run(0, 0)
+	if base.crash != nil {
+		t.Fatalf("baseline crashed: %v", base.crash)
+	}
+	reg := base.dep.Telemetry()
+	if reg.Counter("lifecycle.promote").Value() == 0 || reg.Counter("lifecycle.rollback").Value() == 0 {
+		t.Fatalf("baseline trajectory has no promote and rollback in %d serves: the sweep would not cover every checkpoint kind", base.served)
+	}
+	if n := reg.Counter("durable.errors").Value(); n != 0 {
+		t.Fatalf("baseline counted %d durable errors", n)
+	}
+	schedule := base.hook.ops
+	if len(schedule) != base.hook.Ops() || len(schedule) == 0 {
+		t.Fatalf("recorded %d durable writes, kill point counted %d", len(schedule), base.hook.Ops())
+	}
+
+	flavors := map[faultinject.CrashFlavor]bool{}
+	var restores, redeploys, tornTails int
+	for n := 1; n <= len(schedule); n++ {
+		st := run(n, base.served)
+		if st.crash == nil {
+			t.Fatalf("kill point %d/%d never fired", n, len(schedule))
+		}
+		// Same seed, same schedule: write n is the op the baseline recorded, so
+		// the sweep crashes every op kind the schedule holds.
+		if st.crash.Op != schedule[n-1] {
+			t.Fatalf("kill %d crashed a %v, the baseline's write %d is a %v", n, st.crash.Op, n, schedule[n-1])
+		}
+		flavors[faultinject.FlavorFor(n)] = true
+
+		// Fsck the store the dead process left behind, then recover from it.
+		rep := durable.Fsck(st.dir)
+		var dep *Deployment
+		var err error
+		if rep.Manifest == nil {
+			// Died before the first checkpoint committed: nothing is durable,
+			// so the only tolerable problem is the missing recovery point and
+			// the consistent recovery is a redeploy into the same directory.
+			for _, p := range rep.Problems {
+				if !strings.Contains(p.Detail, "no recovery point") {
+					t.Fatalf("kill %d: fsck %s: %s", n, p.Path, p.Detail)
+				}
+			}
+			redeploys++
+			if dep, err = deploy(st.ps, WithDurableStore(st.dir)); err != nil {
+				t.Fatalf("kill %d: redeploy: %v", n, err)
+			}
+		} else {
+			if !rep.OK() {
+				t.Fatalf("kill %d: fsck: %+v", n, rep.Problems)
+			}
+			restores++
+			if dep, err = st.ps.RestoreDeployment(st.dir, 6, 2, opts...); err != nil {
+				t.Fatalf("kill %d: restore: %v", n, err)
+			}
+			lc, man := dep.Lifecycle(), rep.Manifest
+			if lc.Version() != man.Version || lc.InProbation() != (man.Probation > 0) {
+				t.Fatalf("kill %d: restored v%d probation=%v, manifest %+v", n, lc.Version(), lc.InProbation(), man)
+			}
+		}
+		if rep.TornTail {
+			tornTails++
+			if got := dep.Telemetry().Counter("durable.journal.truncated").Value(); got != 1 {
+				t.Fatalf("kill %d: fsck saw a torn journal tail, recovery truncated %d", n, got)
+			}
+		}
+
+		// The recovered deployment serves; probe days sit past the stream so
+		// the generator hands out fresh queries. The probes journal (and may
+		// checkpoint a probe-time rollback): the store must stay consistent.
+		for day, served := 28, 0; served < probes; day++ {
+			for _, q := range st.ps.Gen.Day(day) {
+				c, err := dep.OptimizeCtx(ctx, q)
+				if err != nil {
+					t.Fatalf("kill %d: recovered deployment cannot serve: %v", n, err)
+				}
+				dep.ExecuteChoice(c)
+				if served++; served == probes {
+					break
+				}
+			}
+		}
+		if rep := durable.Fsck(st.dir); !rep.OK() || rep.TornTail {
+			t.Fatalf("kill %d: post-probe fsck: tornTail=%v problems=%+v", n, rep.TornTail, rep.Problems)
+		}
+	}
+
+	if !flavors[faultinject.FlavorBefore] || !flavors[faultinject.FlavorTorn] || !flavors[faultinject.FlavorAfterTemp] {
+		t.Fatalf("sweep hit crash flavors %v, want all three", flavors)
+	}
+	if restores == 0 || redeploys == 0 || tornTails == 0 {
+		t.Fatalf("sweep of %d kill points: %d restores, %d redeploys, %d repaired torn tails — each must occur",
+			len(schedule), restores, redeploys, tornTails)
+	}
+}
+
 func TestFleetGrantsSurviveRestart(t *testing.T) {
 	sim := fleetSim(t)
 	dir := t.TempDir()
@@ -361,6 +534,12 @@ func TestFleetGrantsSurviveRestart(t *testing.T) {
 	b := f2.Budget()
 	if b.Granted > b.Budget || b.Entries > b.Granted {
 		t.Fatalf("budget invariant broken after restore: %+v", b)
+	}
+	snap := sim.Metrics()
+	saves := counterValue(t, snap, "durable.grants.saves")
+	restores := counterValue(t, snap, "durable.grants.restores")
+	if errs := counterValue(t, snap, "durable.errors"); saves == 0 || restores != 1 || errs != 0 {
+		t.Fatalf("durable.grants.saves %d, restores %d (want 1), durable.errors %d (want 0)", saves, restores, errs)
 	}
 
 	// A third process with no saved table reports no restore.

@@ -205,12 +205,12 @@ func TestConcurrentClusterReads(t *testing.T) {
 	wg.wait()
 }
 
-// TestOptimizeBatchCancelLeaksNoGoroutines cancels concurrent OptimizeCtx
+// TestConcurrentOptimizeCancelLeaksNoGoroutines cancels concurrent OptimizeCtx
 // callers mid-flight and checks the goroutine count settles back to its
 // baseline: the regression test for a watchdog goroutine outliving a
 // canceled request (the guard arms a deadline watchdog per learned scoring
 // call; every one must unwind when its caller gives up).
-func TestOptimizeBatchCancelLeaksNoGoroutines(t *testing.T) {
+func TestConcurrentOptimizeCancelLeaksNoGoroutines(t *testing.T) {
 	dep, qs := serveDeployment(t, 38, 16)
 	// Warm-up: one full pass so lazily-started runtime goroutines don't
 	// count against the baseline.
