@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-e2e bench-e2e-smoke lint lint-fix-hints chaos chaos-recover verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke lint lint-fix-hints chaos chaos-recover verify
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,21 @@ test:
 
 # The race run exercises the concurrent serving layer (see serve_test.go and
 # DESIGN.md's concurrency model); it is part of verification, not optional.
+# ./bench runs after the other packages, not beside them: its
+# TestStageSumMatchesUntracedLatency compares wall-clock stage timings, which
+# a second test binary on a 2-CPU box pushes past their bounds.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^loam/bench$$')
+	$(GO) test -race ./bench
+
+# fuzz-smoke runs each native fuzz target for 10 s from its f.Add seeds (there
+# are no corpus files): the frame scanner every journal open reads through,
+# and predictor.Load on raw bytes and on a well-framed JSON payload. A crasher
+# is written to the package's testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s ./internal/atomicio
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPayload$$' -fuzztime 10s ./internal/predictor
 
 # bench-e2e runs the BENCHMARK.json serving benchmark (bench/README.md): four
 # closed-loop workloads end to end — qps, latency, allocs/op, live heap per
@@ -49,9 +62,10 @@ lint-fix-hints:
 # transitions, quarantine, forced outages, the model-lifecycle fault scenario
 # (a retrain failing mid-promote must leave the incumbent serving) and the
 # fleet's admission shedding and budget invariant — under the race detector.
-# It overlaps `race` on purpose: a focused, fast loop for iterating on the
-# guarded serving layer (see DESIGN.md "Degraded-mode serving contract",
-# "Model lifecycle contract" and "Fleet serving contract").
+# It is a -run subset of `race`, so `verify` does not run it again: a focused,
+# fast loop for iterating on the guarded serving layer (see DESIGN.md
+# "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
+# serving contract").
 chaos:
 	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel' ./...
 
@@ -59,7 +73,8 @@ chaos:
 # (TestKillPointSweepRecoversEveryWrite), the atomic-write primitive, the
 # journal's torn-tail repair, snapshot integrity, fsck, and warm restore —
 # under the race detector (see DESIGN.md "Durability & recovery contract").
+# Like chaos, a developer loop over a subset of `race`, not a `verify` step.
 chaos-recover:
 	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore|Grants' ./...
 
-verify: build lint test race chaos chaos-recover bench-e2e-smoke
+verify: build lint test race fuzz-smoke bench-e2e-smoke

@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	loam-inspect [-seed N] [-day N] [-section catalog|stats|templates|query|all]
+//	loam-inspect [-seed N] [-day N] [-section catalog|stats|templates|query|metrics|all]
 //	             [-template N] [-tables N] [-statsprob F]
-//	loam-inspect metrics [-seed N]
+//	loam-inspect metrics [-seed N] [-tables N]
 //	loam-inspect fsck <store-dir>
 //
 // The metrics section (also reachable as -section metrics) is opt-in and not
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,38 +51,54 @@ func main() {
 	}
 }
 
+// sections are the valid -section values; "metrics" is opt-in, not in "all".
+const sections = "catalog|stats|templates|query|metrics|all"
+
 func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("loam-inspect", flag.ContinueOnError)
 	var (
 		seed      = fs.Uint64("seed", 7, "simulation seed")
 		day       = fs.Int("day", 3, "catalog/statistics day to inspect")
-		section   = fs.String("section", "all", "catalog|stats|templates|query|all")
+		section   = fs.String("section", "all", sections)
 		template  = fs.Int("template", 0, "template index for -section query")
 		tables    = fs.Int("tables", 20, "tables in the generated project")
 		statsProb = fs.Float64("statsprob", 0.5, "probability a table has column statistics")
 	)
 	fs.SetOutput(errw)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h printed the usage; asking for it is not a failure
+	// Flags may follow a subcommand as well as precede it (loam-inspect
+	// metrics -seed 9): parse up to each positional argument and resume after.
+	var pos []string
+	for rest := args; ; rest = fs.Args()[1:] {
+		if err := fs.Parse(rest); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return nil // -h printed the usage; asking for it is not a failure
+			}
+			return err
 		}
-		return err
+		if fs.NArg() == 0 {
+			break
+		}
+		pos = append(pos, fs.Arg(0))
 	}
-	if fs.NArg() > 0 {
-		switch fs.Arg(0) {
+	if len(pos) > 0 {
+		switch pos[0] {
 		case "metrics":
-			if fs.NArg() > 1 {
-				return fmt.Errorf("unknown arguments %q after \"metrics\"", fs.Args()[1:])
+			if len(pos) > 1 {
+				return fmt.Errorf("unknown arguments %q after \"metrics\"", pos[1:])
 			}
 			*section = "metrics"
 		case "fsck":
-			if fs.NArg() != 2 {
+			if len(pos) != 2 {
 				return fmt.Errorf("usage: loam-inspect fsck <store-dir>")
 			}
-			return fsck(out, fs.Arg(1))
+			return fsck(out, pos[1])
 		default:
-			return fmt.Errorf("unknown arguments %q (subcommands: \"metrics\", \"fsck <store-dir>\")", fs.Args())
+			return fmt.Errorf("unknown arguments %q (subcommands: \"metrics\", \"fsck <store-dir>\")", pos)
 		}
+	}
+
+	if !slices.Contains(strings.Split(sections, "|"), *section) {
+		return fmt.Errorf("unknown -section %q (valid: %s)", *section, sections)
 	}
 
 	sim := loam.NewSimulation(*seed, loam.DefaultSimulationConfig())

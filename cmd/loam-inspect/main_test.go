@@ -71,6 +71,20 @@ func TestInspectMetricsSubcommand(t *testing.T) {
 	if strings.Contains(s, "== catalog") {
 		t.Fatal("metrics demo should not drag other sections along")
 	}
+
+	// The documented form: flags after the subcommand are parsed (seed 9 is a
+	// different world from the default 7), not rejected as unknown arguments.
+	var nine bytes.Buffer
+	if err := run([]string{"metrics", "-tables", "8", "-seed", "9"}, &nine, &errw); err != nil {
+		t.Fatalf("metrics -seed 9: %v", err)
+	}
+	snapshot := func(o string) string { return strings.Split(o, "== wall timings")[0] }
+	if snapshot(nine.String()) == snapshot(s) || !strings.Contains(nine.String(), "counter serve.optimize.total 5") {
+		t.Fatalf("metrics -seed 9 ignored the seed or lost the snapshot:\n%s", nine.String())
+	}
+	if err := run([]string{"metrics", "stray"}, &out, &errw); err == nil {
+		t.Fatal("stray argument after the subcommand accepted")
+	}
 }
 
 // TestInspectAllOmitsMetrics pins the opt-in contract: -section all must not
@@ -91,6 +105,12 @@ func TestInspectRejectsUnknownSubcommand(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"bogus"}, &out, &errw); err == nil {
 		t.Fatal("unknown subcommand accepted")
+	}
+	// An unknown -section is an error naming the valid ones, before anything
+	// runs — not a silent no-op.
+	err := run([]string{"-section", "nosuch"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), sections) || out.Len() != 0 {
+		t.Fatalf("-section nosuch: err %v, stdout %q", err, out.String())
 	}
 	out.Reset()
 	errw.Reset()

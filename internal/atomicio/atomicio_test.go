@@ -354,3 +354,32 @@ func TestRemoveIdempotent(t *testing.T) {
 		t.Fatalf("second Remove = %v, want nil", err)
 	}
 }
+
+// FuzzScanFrames: whatever the bytes, ScanFrames never panics, stops with an
+// error exactly when it could not consume them all, and returns frames whose
+// re-encoding — length, freshly computed checksum, payload — is the clean
+// prefix byte for byte: no bad checksum returned, nothing skipped or invented.
+func FuzzScanFrames(f *testing.F) {
+	two := AppendFrame(EncodeFrame([]byte("first")), []byte("second payload"))
+	flipped := append([]byte(nil), two...)
+	flipped[frameHeaderLen+2] ^= 0x10
+	for _, seed := range [][]byte{nil, two, two[:len(two)-3], flipped, EncodeFrame(nil), {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, clean, err := ScanFrames(data)
+		if clean < 0 || clean > len(data) || (err == nil) != (clean == len(data)) {
+			t.Fatalf("clean = %d of %d bytes with tailErr %v", clean, len(data), err)
+		}
+		if err != nil && !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("unclassified tail error: %v", err)
+		}
+		var re []byte
+		for _, p := range frames {
+			re = AppendFrame(re, p)
+		}
+		if !bytes.Equal(re, data[:clean]) {
+			t.Fatalf("re-encoding %d frames gives %d bytes that differ from the %d-byte clean prefix", len(frames), len(re), clean)
+		}
+	})
+}

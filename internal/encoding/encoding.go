@@ -151,31 +151,6 @@ func avalanche(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// EncodeNode returns one node's feature vector. env carries the stage's
-// execution environment; hasEnv=false encodes "environment unobserved"
-// (training-time plans always have it; the inference strategies of §5 supply
-// synthetic values).
-func (e *Encoder) EncodeNode(n *plan.Node, env [4]float64, hasEnv bool) []float64 {
-	v := make([]float64, e.dim)
-	e.EncodeNodeInto(v, n, env, hasEnv)
-	return v
-}
-
-// Tree is a canonical-binary-tree of node feature vectors — the input to the
-// tree convolutional network.
-type Tree struct {
-	Feat        []float64
-	Left, Right *Tree
-}
-
-// Size returns the number of nodes in the tree.
-func (t *Tree) Size() int {
-	if t == nil {
-		return 0
-	}
-	return 1 + t.Left.Size() + t.Right.Size()
-}
-
 // EnvSource supplies per-node environment features. ok=false means the
 // environment is unobserved for that node.
 type EnvSource func(n *plan.Node) (env [4]float64, ok bool)
@@ -203,100 +178,21 @@ func NoEnv() EnvSource {
 	return func(*plan.Node) ([4]float64, bool) { return [4]float64{}, false }
 }
 
-// EncodeTree vectorizes a plan into the canonical binary tree form.
-func (e *Encoder) EncodeTree(p *plan.Plan, envs EnvSource) *Tree {
-	root := p.Root.Canonicalize()
-	return e.encodeTree(root, p.Root, envs)
-}
-
-// encodeTree walks the canonicalized tree but resolves environments against
-// the original nodes where possible (canonicalization clones nodes, so env
-// lookup falls back to structural pairing).
-func (e *Encoder) encodeTree(n, orig *plan.Node, envs EnvSource) *Tree {
-	if n == nil {
-		return nil
-	}
-	lookup := n
-	if orig != nil {
-		lookup = orig
-	}
-	env, ok := envs(lookup)
-	t := &Tree{Feat: e.EncodeNode(n, env, ok)}
-	var lo, ro *plan.Node
-	if orig != nil && len(orig.Children) == len(n.Children) {
-		if len(orig.Children) > 0 {
-			lo = orig.Children[0]
-		}
-		if len(orig.Children) > 1 {
-			ro = orig.Children[1]
-		}
-	}
-	if len(n.Children) > 0 {
-		t.Left = e.encodeTree(n.Children[0], lo, envs)
-	}
-	if len(n.Children) > 1 {
-		t.Right = e.encodeTree(n.Children[1], ro, envs)
-	}
-	return t
-}
-
-// Graph is the node-feature + edge-list view consumed by the GCN backbone.
-type Graph struct {
-	Feats [][]float64
-	// Edges are (parent, child) index pairs over Feats.
-	Edges [][2]int
-}
-
-// EncodeGraph vectorizes a plan into graph form.
-func (e *Encoder) EncodeGraph(p *plan.Plan, envs EnvSource) *Graph {
-	g := &Graph{}
-	var walk func(n *plan.Node) int
-	walk = func(n *plan.Node) int {
-		env, ok := envs(n)
-		idx := len(g.Feats)
-		g.Feats = append(g.Feats, e.EncodeNode(n, env, ok))
-		for _, c := range n.Children {
-			ci := walk(c)
-			g.Edges = append(g.Edges, [2]int{idx, ci})
-		}
-		return idx
-	}
-	walk(p.Root)
-	return g
-}
-
-// EncodeSequence vectorizes a plan into a preorder sequence with a depth
-// scalar appended — the Transformer backbone's input.
-func (e *Encoder) EncodeSequence(p *plan.Plan, envs EnvSource) [][]float64 {
-	var out [][]float64
-	var walk func(n *plan.Node, depth int)
-	walk = func(n *plan.Node, depth int) {
-		env, ok := envs(n)
-		v := e.EncodeNode(n, env, ok)
-		v = append(v, plan.LogNorm(float64(depth), 32))
-		out = append(out, v)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(p.Root, 0)
-	return out
-}
-
-// SeqDim returns the per-token dimension of EncodeSequence output.
+// SeqDim returns the per-token dimension of EncodeSequenceFlatInto output.
 func (e *Encoder) SeqDim() int { return e.dim + 1 }
 
 // EncodeFlat pools node features (sum over nodes, element-wise) into a
-// single vector — the XGBoost backbone's input. Counts rather than binaries
-// preserve multiplicity information.
+// single vector of Dim()+1 values — the XGBoost backbone's input. Counts
+// rather than binaries preserve multiplicity information.
 func (e *Encoder) EncodeFlat(p *plan.Plan, envs EnvSource) []float64 {
-	v := make([]float64, e.dim)
+	v := make([]float64, e.dim+1)
+	row := make([]float64, e.dim)
 	count := 0.0
 	p.Root.Walk(func(n *plan.Node) {
 		env, ok := envs(n)
-		nv := e.EncodeNode(n, env, ok)
-		for i := range v {
-			v[i] += nv[i]
+		e.EncodeNodeInto(row, n, env, ok)
+		for i, x := range row {
+			v[i] += x
 		}
 		count++
 	})
@@ -306,15 +202,9 @@ func (e *Encoder) EncodeFlat(p *plan.Plan, envs EnvSource) []float64 {
 			v[i] /= count
 		}
 	}
-	return append(v, plan.LogNorm(count, 256))
+	v[e.dim] = plan.LogNorm(count, 256)
+	return v
 }
-
-// FlatDim returns the dimension of EncodeFlat output.
-func (e *Encoder) FlatDim() int { return e.dim + 1 }
-
-// EnvOffset exposes where the 4 environment features live in a node vector;
-// tests and the inference strategies use it.
-func (e *Encoder) EnvOffset() int { return e.layout.envOff }
 
 // RankerDim is the dimension of RankerFeatures output: 1 (operator count) +
 // patternBuckets (parent-child pattern counts) + 3 (top table sizes) + 1

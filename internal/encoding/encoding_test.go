@@ -12,6 +12,13 @@ import (
 
 func enc() *Encoder { return NewEncoder(DefaultConfig()) }
 
+// encodeNode returns one node's feature vector in a fresh slice.
+func encodeNode(e *Encoder, n *plan.Node, env [4]float64, hasEnv bool) []float64 {
+	v := make([]float64, e.Dim())
+	e.EncodeNodeInto(v, n, env, hasEnv)
+	return v
+}
+
 func testPlan() *plan.Plan {
 	scanA := &plan.Node{Op: plan.OpTableScan, Table: "p.t1", PartitionsRead: 8, ColumnsAccessed: 3}
 	scanB := &plan.Node{Op: plan.OpTableScan, Table: "p.t2", PartitionsRead: 2, ColumnsAccessed: 1}
@@ -41,21 +48,18 @@ func testPlan() *plan.Plan {
 
 func TestDimConsistency(t *testing.T) {
 	e := enc()
-	v := e.EncodeNode(&plan.Node{Op: plan.OpSort}, [4]float64{}, false)
-	if len(v) != e.Dim() {
-		t.Fatalf("node vector %d != Dim %d", len(v), e.Dim())
+	// The layout's last block ends where Dim says a node vector does.
+	if e.layout.hasEnvOff+1 != e.Dim() {
+		t.Fatalf("layout ends at %d, Dim %d", e.layout.hasEnvOff+1, e.Dim())
 	}
 	if e.SeqDim() != e.Dim()+1 {
 		t.Fatal("SeqDim wrong")
-	}
-	if e.FlatDim() != e.Dim()+1 {
-		t.Fatal("FlatDim wrong")
 	}
 }
 
 func TestOpOneHot(t *testing.T) {
 	e := enc()
-	v := e.EncodeNode(&plan.Node{Op: plan.OpMergeJoin, JoinForm: plan.JoinInner}, [4]float64{}, false)
+	v := encodeNode(e, &plan.Node{Op: plan.OpMergeJoin, JoinForm: plan.JoinInner}, [4]float64{}, false)
 	ones := 0
 	for i := 0; i < plan.NumOpTypes; i++ {
 		if v[i] == 1 {
@@ -74,7 +78,7 @@ func TestHashSegmentsSetOneBitEach(t *testing.T) {
 	e := enc()
 	cfg := DefaultConfig()
 	n := &plan.Node{Op: plan.OpTableScan, Table: "some.table", PartitionsRead: 1, ColumnsAccessed: 1}
-	v := e.EncodeNode(n, [4]float64{}, false)
+	v := encodeNode(e, n, [4]float64{}, false)
 	off := e.layout.tableOff
 	for s := 0; s < cfg.Segments; s++ {
 		bits := 0
@@ -97,7 +101,7 @@ func TestHashEncodingSeparatesIdentifiers(t *testing.T) {
 	e := enc()
 	signature := func(id string, segments int) string {
 		n := &plan.Node{Op: plan.OpTableScan, Table: id, PartitionsRead: 1, ColumnsAccessed: 1}
-		v := e.EncodeNode(n, [4]float64{}, false)
+		v := encodeNode(e, n, [4]float64{}, false)
 		sig := ""
 		for j := e.layout.tableOff; j < e.layout.tableOff+segments*e.cfg.SegmentDim; j++ {
 			if v[j] == 1 {
@@ -136,9 +140,9 @@ func TestEnvBlock(t *testing.T) {
 	e := enc()
 	env := [4]float64{0.5, 0.05, 0.4, 0.6}
 	n := &plan.Node{Op: plan.OpSort}
-	with := e.EncodeNode(n, env, true)
-	without := e.EncodeNode(n, env, false)
-	off := e.EnvOffset()
+	with := encodeNode(e, n, env, true)
+	without := encodeNode(e, n, env, false)
+	off := e.layout.envOff
 	for i := 0; i < 4; i++ {
 		if with[off+i] != env[i] {
 			t.Fatalf("env feature %d = %g", i, with[off+i])
@@ -162,7 +166,7 @@ func TestFilterFeatures(t *testing.T) {
 		),
 		Children: []*plan.Node{{Op: plan.OpTableScan, Table: "t"}},
 	}
-	v := e.EncodeNode(n, [4]float64{}, false)
+	v := encodeNode(e, n, [4]float64{}, false)
 	fnBits := 0
 	for i := 0; i < expr.NumFuncs; i++ {
 		if v[e.layout.filterFnOff+i] == 1 {
@@ -179,8 +183,8 @@ func TestFilterFeatures(t *testing.T) {
 
 func TestParallelismFeature(t *testing.T) {
 	e := enc()
-	plain := e.EncodeNode(&plan.Node{Op: plan.OpExchange}, [4]float64{}, false)
-	dop := e.EncodeNode(&plan.Node{Op: plan.OpExchange, Parallelism: 128}, [4]float64{}, false)
+	plain := encodeNode(e, &plan.Node{Op: plan.OpExchange}, [4]float64{}, false)
+	dop := encodeNode(e, &plan.Node{Op: plan.OpExchange, Parallelism: 128}, [4]float64{}, false)
 	if plain[e.layout.dopOff] != 0 || dop[e.layout.dopOff] <= 0 {
 		t.Fatal("parallelism feature wrong")
 	}
@@ -188,28 +192,28 @@ func TestParallelismFeature(t *testing.T) {
 
 func TestEncodeTreeMatchesCanonicalSize(t *testing.T) {
 	e := enc()
-	p := testPlan()
-	tree := e.EncodeTree(p, NoEnv())
-	if got, want := tree.Size(), p.Root.Canonicalize().Size(); got != want {
-		t.Fatalf("tree size %d, want %d", got, want)
-	}
-	if len(tree.Feat) != e.Dim() {
-		t.Fatal("tree feature dim wrong")
+	for _, p := range []*plan.Plan{testPlan(), unionPlan()} {
+		var ft FlatTree
+		e.EncodeTreeFlatInto(&ft, p, NoEnv())
+		if got, want := ft.Len(), p.Root.Canonicalize().Size(); got != want {
+			t.Fatalf("tree size %d, want %d", got, want)
+		}
+		if len(ft.Feats) != ft.Len()*e.Dim() {
+			t.Fatal("tree feature dim wrong")
+		}
 	}
 }
 
 func TestEncodeGraph(t *testing.T) {
 	e := enc()
 	p := testPlan()
-	g := e.EncodeGraph(p, NoEnv())
-	if len(g.Feats) != p.Root.Size() {
-		t.Fatalf("graph nodes %d", len(g.Feats))
-	}
-	if len(g.Edges) != p.Root.Size()-1 {
-		t.Fatalf("graph edges %d", len(g.Edges))
+	var g FlatGraph
+	e.EncodeGraphFlatInto(&g, p, NoEnv())
+	if g.Len() != p.Root.Size() || len(g.Feats) != g.Len()*e.Dim() || len(g.Edges) != g.Len()-1 {
+		t.Fatalf("graph: %d nodes, %d features, %d edges", g.Len(), len(g.Feats), len(g.Edges))
 	}
 	for _, e2 := range g.Edges {
-		if e2[0] < 0 || e2[0] >= len(g.Feats) || e2[1] < 0 || e2[1] >= len(g.Feats) {
+		if e2[0] < 0 || e2[0] >= g.Len() || e2[1] < 0 || e2[1] >= g.Len() {
 			t.Fatal("edge index out of range")
 		}
 	}
@@ -218,14 +222,10 @@ func TestEncodeGraph(t *testing.T) {
 func TestEncodeSequence(t *testing.T) {
 	e := enc()
 	p := testPlan()
-	seq := e.EncodeSequence(p, NoEnv())
-	if len(seq) != p.Root.Size() {
-		t.Fatalf("sequence length %d", len(seq))
-	}
-	for _, tok := range seq {
-		if len(tok) != e.SeqDim() {
-			t.Fatalf("token dim %d", len(tok))
-		}
+	var seq FlatSeq
+	e.EncodeSequenceFlatInto(&seq, p, NoEnv())
+	if seq.Len() != p.Root.Size() || len(seq.Feats) != seq.Len()*e.SeqDim() {
+		t.Fatalf("%d tokens, %d features of dim %d", seq.Len(), len(seq.Feats), e.SeqDim())
 	}
 }
 
@@ -233,7 +233,7 @@ func TestEncodeFlat(t *testing.T) {
 	e := enc()
 	p := testPlan()
 	flat := e.EncodeFlat(p, NoEnv())
-	if len(flat) != e.FlatDim() {
+	if len(flat) != e.Dim()+1 {
 		t.Fatalf("flat dim %d", len(flat))
 	}
 	// Count features reflect multiplicity: two scans.
@@ -328,8 +328,8 @@ func TestEncodeNodeDeterministic(t *testing.T) {
 			PartitionsRead:  int(parts),
 			ColumnsAccessed: int(cols),
 		}
-		v1 := e.EncodeNode(n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
-		v2 := e.EncodeNode(n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
+		v1 := encodeNode(e, n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
+		v2 := encodeNode(e, n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
 		for i := range v1 {
 			if v1[i] != v2[i] {
 				return false

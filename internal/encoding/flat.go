@@ -9,17 +9,15 @@ import (
 	"loam/internal/plan"
 )
 
-// This file holds the serving fast path's encoding support: reusable
-// flattened views (FlatTree/FlatGraph/FlatSeq) that the predictor's
-// inference mode fills in place instead of allocating per-node feature
-// slices, and EnvKey, the hashable identity of an inference-time environment
-// source used to key the plan-embedding cache.
+// This file holds the plan encoders the neural backbones read, in training
+// and in serving alike: reusable flattened views (FlatTree/FlatGraph/FlatSeq)
+// filled in place, one row-major feature matrix per plan instead of one slice
+// per node — serving fills a pooled view per call, training one it owns until
+// Backward — and EnvKey, the hashable identity of an inference-time
+// environment source used to key the plan-embedding cache.
 //
-// Every *Into encoder walks nodes in exactly the same order and computes
-// exactly the same feature values as its allocating counterpart
-// (EncodeTree+flatten, EncodeGraph, EncodeSequence) — row order feeds the
-// pooling reductions, so preserving it is part of the bit-exactness
-// contract, not a nicety.
+// Rows are in preorder. Row order feeds the pooling reductions, so it is part
+// of what a trained model's weights mean, not a nicety.
 
 // EnvKey is a hashable fingerprint of an EnvSource whose output does not
 // depend on the node — the fixed-vector strategies of §5 (mean-env,
@@ -57,8 +55,10 @@ func NoEnvKey() EnvKey {
 	return EnvKey{Sum: h.Sum64(), Keyed: true}
 }
 
-// EncodeNodeInto writes one node's feature vector into dst (length Dim,
-// any prior contents overwritten) — EncodeNode without the allocation.
+// EncodeNodeInto writes one node's feature vector into dst (length Dim, any
+// prior contents overwritten). env carries the stage's execution environment;
+// hasEnv=false encodes "environment unobserved" (training-time plans always
+// have it; the inference strategies of §5 supply synthetic values).
 func (e *Encoder) EncodeNodeInto(dst []float64, n *plan.Node, env [4]float64, hasEnv bool) {
 	for i := range dst {
 		dst[i] = 0
@@ -152,20 +152,26 @@ func (ft *FlatTree) reset(dim int) {
 	ft.Right = ft.Right[:0]
 }
 
+// appendRow extends feats by one dim-wide row for the caller to overwrite,
+// doubling the backing array when full so a reused view stops allocating.
+func appendRow(feats []float64, dim int) []float64 {
+	n := len(feats)
+	if cap(feats) < n+dim {
+		grown := make([]float64, n, 2*(n+dim))
+		copy(grown, feats)
+		feats = grown
+	}
+	return feats[:n+dim]
+}
+
 // addRow appends one node slot and returns its feature row and index.
 func (ft *FlatTree) addRow() ([]float64, int) {
 	idx := len(ft.Self)
-	n := len(ft.Feats)
-	if cap(ft.Feats) < n+ft.dim {
-		grown := make([]float64, n, 2*(n+ft.dim))
-		copy(grown, ft.Feats)
-		ft.Feats = grown
-	}
-	ft.Feats = ft.Feats[:n+ft.dim]
+	ft.Feats = appendRow(ft.Feats, ft.dim)
 	ft.Self = append(ft.Self, idx)
 	ft.Left = append(ft.Left, -1)
 	ft.Right = append(ft.Right, -1)
-	return ft.Feats[n : n+ft.dim], idx
+	return ft.Feats[idx*ft.dim:], idx
 }
 
 // needsCanon reports whether any node has more than two children, i.e.
@@ -185,22 +191,25 @@ func needsCanon(n *plan.Node) bool {
 	return false
 }
 
-// EncodeTreeFlatInto fills ft with the canonical-binary-tree encoding of p —
-// the same rows, in the same preorder, as flattening EncodeTree's output,
-// without the per-node allocations. Plans that are already binary (the
-// overwhelmingly common case) skip the canonicalization clone entirely.
+// EncodeTreeFlatInto fills ft with the canonical-binary-tree encoding of p,
+// rows in preorder — the tree convolutional network's input. Plans that are
+// already binary (the overwhelmingly common case) skip the canonicalization
+// clone entirely.
 func (e *Encoder) EncodeTreeFlatInto(ft *FlatTree, p *plan.Plan, envs EnvSource) {
 	ft.reset(e.dim)
 	root := p.Root
 	if needsCanon(root) {
-		// Folding clones the tree; pair environments against the original
-		// nodes exactly like EncodeTree does.
+		// Folding clones the tree, so environments are looked up on the
+		// original nodes for as long as the two trees pair structurally.
 		e.encodeTreeFlat(ft, root.Canonicalize(), root, envs)
 		return
 	}
 	e.encodeTreeFlat(ft, root, root, envs)
 }
 
+// encodeTreeFlat encodes n's subtree. orig is the original plan's node at n's
+// position (n itself when nothing was folded), or nil below a folded n-ary
+// operator: there the clone is looked up — unobserved, for an identity-keyed source.
 func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSource) int {
 	lookup := n
 	if orig != nil {
@@ -229,8 +238,8 @@ func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSourc
 	return idx
 }
 
-// FlatGraph is a reusable node-feature + edge-list view for the GCN
-// backbone's inference path.
+// FlatGraph is a reusable node-feature + edge-list view, the GCN backbone's
+// input.
 type FlatGraph struct {
 	Feats []float64 // n×dim row-major
 	Edges [][2]int  // (parent, child) index pairs
@@ -241,21 +250,8 @@ type FlatGraph struct {
 // Len returns the number of encoded nodes.
 func (fg *FlatGraph) Len() int { return fg.n }
 
-func (fg *FlatGraph) addRow() ([]float64, int) {
-	idx := fg.n
-	n := len(fg.Feats)
-	if cap(fg.Feats) < n+fg.dim {
-		grown := make([]float64, n, 2*(n+fg.dim))
-		copy(grown, fg.Feats)
-		fg.Feats = grown
-	}
-	fg.Feats = fg.Feats[:n+fg.dim]
-	fg.n++
-	return fg.Feats[n : n+fg.dim], idx
-}
-
-// EncodeGraphFlatInto fills fg with the graph encoding of p — identical
-// node order and edge list to EncodeGraph.
+// EncodeGraphFlatInto fills fg with the graph encoding of p: nodes in preorder,
+// one (parent, child) edge per child, emitted as the child's subtree completes.
 func (e *Encoder) EncodeGraphFlatInto(fg *FlatGraph, p *plan.Plan, envs EnvSource) {
 	fg.dim = e.dim
 	fg.Feats = fg.Feats[:0]
@@ -266,8 +262,10 @@ func (e *Encoder) EncodeGraphFlatInto(fg *FlatGraph, p *plan.Plan, envs EnvSourc
 
 func (e *Encoder) encodeGraphFlat(fg *FlatGraph, n *plan.Node, envs EnvSource) int {
 	env, ok := envs(n)
-	row, idx := fg.addRow()
-	e.EncodeNodeInto(row, n, env, ok)
+	idx := fg.n
+	fg.n++
+	fg.Feats = appendRow(fg.Feats, fg.dim)
+	e.EncodeNodeInto(fg.Feats[idx*fg.dim:], n, env, ok)
 	for _, c := range n.Children {
 		ci := e.encodeGraphFlat(fg, c, envs)
 		fg.Edges = append(fg.Edges, [2]int{idx, ci})
@@ -276,8 +274,7 @@ func (e *Encoder) encodeGraphFlat(fg *FlatGraph, n *plan.Node, envs EnvSource) i
 }
 
 // FlatSeq is a reusable preorder-sequence view (dim+1 features per token,
-// the extra column being the depth scalar) for the Transformer backbone's
-// inference path.
+// the extra column being the depth scalar), the Transformer backbone's input.
 type FlatSeq struct {
 	Feats []float64 // n×(dim+1) row-major
 	dim   int       // per-token dimension (e.dim + 1)
@@ -287,20 +284,8 @@ type FlatSeq struct {
 // Len returns the number of encoded tokens.
 func (fs *FlatSeq) Len() int { return fs.n }
 
-func (fs *FlatSeq) addRow() []float64 {
-	n := len(fs.Feats)
-	if cap(fs.Feats) < n+fs.dim {
-		grown := make([]float64, n, 2*(n+fs.dim))
-		copy(grown, fs.Feats)
-		fs.Feats = grown
-	}
-	fs.Feats = fs.Feats[:n+fs.dim]
-	fs.n++
-	return fs.Feats[n : n+fs.dim]
-}
-
-// EncodeSequenceFlatInto fills fs with the sequence encoding of p —
-// identical token order and values to EncodeSequence.
+// EncodeSequenceFlatInto fills fs with the preorder token sequence of p,
+// each token its node's features plus the log-normalized depth.
 func (e *Encoder) EncodeSequenceFlatInto(fs *FlatSeq, p *plan.Plan, envs EnvSource) {
 	fs.dim = e.dim + 1
 	fs.Feats = fs.Feats[:0]
@@ -310,7 +295,9 @@ func (e *Encoder) EncodeSequenceFlatInto(fs *FlatSeq, p *plan.Plan, envs EnvSour
 
 func (e *Encoder) encodeSeqFlat(fs *FlatSeq, n *plan.Node, depth int, envs EnvSource) {
 	env, ok := envs(n)
-	row := fs.addRow()
+	fs.Feats = appendRow(fs.Feats, fs.dim)
+	row := fs.Feats[fs.n*fs.dim:]
+	fs.n++
 	e.EncodeNodeInto(row[:e.dim], n, env, ok)
 	row[e.dim] = plan.LogNorm(float64(depth), 32)
 	for _, c := range n.Children {

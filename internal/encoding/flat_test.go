@@ -3,6 +3,7 @@ package encoding
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"loam/internal/expr"
@@ -23,8 +24,8 @@ func unionPlan() *plan.Plan {
 }
 
 // compoundFilterPlan has a connective predicate with repeated functions and a
-// repeated column, pinning encodePred's direct walk to the dedup-and-sort
-// Funcs()/Columns() reference: idempotent bit sets make the two equivalent.
+// repeated column, for pinning encodePred's direct walk to the dedup-and-sort
+// Funcs()/Columns() reference.
 func compoundFilterPlan() *plan.Plan {
 	scan := &plan.Node{Op: plan.OpTableScan, Table: "p.t1", PartitionsRead: 4, ColumnsAccessed: 2}
 	c1 := expr.ColumnRef{Table: "p.t1", Column: "c1"}
@@ -37,104 +38,121 @@ func compoundFilterPlan() *plan.Plan {
 	return &plan.Plan{Root: filter}
 }
 
-func flatRowsEqual(t *testing.T, name string, want [][]float64, got []float64, dim int) {
+// preorder lists a subtree's nodes in the order the flat encoders emit rows.
+func preorder(root *plan.Node) []*plan.Node {
+	var out []*plan.Node
+	root.Walk(func(n *plan.Node) { out = append(out, n) })
+	return out
+}
+
+// pointerEnv observes exactly the nodes of p — an EnvSource keyed on node
+// identity, as RecordEnv's is. FixedEnv cannot tell an original node from the
+// clone canonicalization makes of it.
+func pointerEnv(env [4]float64, p *plan.Plan) EnvSource {
+	nodes := preorder(p.Root)
+	return func(n *plan.Node) ([4]float64, bool) { return env, slices.Contains(nodes, n) }
+}
+
+// wantRows checks that feats holds one stride-wide row per node of want: its
+// own vector (columns past Dim are the caller's to check), environment-observed
+// below index observed and unobserved from there on.
+func wantRows(t *testing.T, e *Encoder, feats []float64, stride int, env [4]float64, want []*plan.Node, observed int) {
 	t.Helper()
-	if len(got) != len(want)*dim {
-		t.Fatalf("%s: %d values, want %d rows × %d", name, len(got), len(want), dim)
+	if len(feats) != len(want)*stride {
+		t.Fatalf("%d values, want %d rows × %d", len(feats), len(want), stride)
 	}
-	for i, row := range want {
+	for i, n := range want {
+		row := encodeNode(e, n, env, i < observed)
 		for j, v := range row {
-			g := got[i*dim+j]
-			if math.Float64bits(v) != math.Float64bits(g) {
-				t.Fatalf("%s: row %d col %d: %v != %v", name, i, j, v, g)
+			if g := feats[i*stride+j]; math.Float64bits(v) != math.Float64bits(g) {
+				t.Fatalf("row %d (%v) col %d: %v, want %v", i, n.Op, j, g, v)
 			}
 		}
 	}
 }
 
+// TestEncodeTreeFlatMatchesEncodeTree pins the tree encoder to literal
+// expectations (until PR 20 its reference was the allocating EncodeTree):
+// which node each preorder row encodes, the gather indices, and the pairing
+// rule — below a folded n-ary operator the clone is looked up, so an
+// identity-keyed environment source reads as unobserved.
 func TestEncodeTreeFlatMatchesEncodeTree(t *testing.T) {
 	e := enc()
+	env := [4]float64{0.3, 0.1, 0.9, 0.5}
+	binary, union, compound := testPlan(), unionPlan(), compoundFilterPlan()
+	u := union.Root
 	for _, tc := range []struct {
-		name string
-		p    *plan.Plan
+		name        string
+		p           *plan.Plan
+		rows        []*plan.Node
+		observed    int
+		left, right []int
 	}{
-		{"binary", testPlan()},
-		{"nary-union", unionPlan()},
-		{"compound-filter", compoundFilterPlan()},
+		// agg(join(exch(filter(scanA)), exch(scanB)))
+		{"binary", binary, preorder(binary.Root), 7, []int{1, 2, 3, 4, -1, 6, -1}, []int{-1, 5, -1, -1, -1, -1, -1}},
+		// Union(a, b, c) folds left-deep to Union(Union(a, b), c); only the
+		// root still pairs with an original node.
+		{"nary-union", union, []*plan.Node{u, {Op: plan.OpUnion}, u.Children[0], u.Children[1], u.Children[2]}, 1,
+			[]int{1, 2, -1, -1, -1}, []int{4, 3, -1, -1, -1}},
+		{"compound-filter", compound, preorder(compound.Root), 2, []int{1, -1}, []int{-1, -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			envs := FixedEnv([4]float64{0.3, 0.1, 0.9, 0.5})
-
-			// Reference: the allocating tree encoder, flattened in preorder.
-			var feats [][]float64
-			var self, left, right []int
-			var walk func(n *Tree) int
-			walk = func(n *Tree) int {
-				idx := len(feats)
-				feats = append(feats, n.Feat)
-				self = append(self, idx)
-				left = append(left, -1)
-				right = append(right, -1)
-				if n.Left != nil {
-					left[idx] = walk(n.Left)
-				}
-				if n.Right != nil {
-					right[idx] = walk(n.Right)
-				}
-				return idx
-			}
-			walk(e.EncodeTree(tc.p, envs))
-
 			var ft FlatTree
-			e.EncodeTreeFlatInto(&ft, tc.p, envs)
-			if ft.Len() != len(feats) {
-				t.Fatalf("flat tree has %d nodes, want %d", ft.Len(), len(feats))
-			}
-			flatRowsEqual(t, "feats", feats, ft.Feats, e.Dim())
-			for i := range self {
-				if ft.Self[i] != self[i] || ft.Left[i] != left[i] || ft.Right[i] != right[i] {
-					t.Fatalf("index row %d: (%d,%d,%d) != (%d,%d,%d)", i,
-						ft.Self[i], ft.Left[i], ft.Right[i], self[i], left[i], right[i])
+			e.EncodeTreeFlatInto(&ft, tc.p, pointerEnv(env, tc.p))
+			wantRows(t, e, ft.Feats, e.Dim(), env, tc.rows, tc.observed)
+			for i := range tc.rows {
+				if ft.Self[i] != i || ft.Left[i] != tc.left[i] || ft.Right[i] != tc.right[i] {
+					t.Fatalf("Self %v Left %v Right %v, want 0.. %v %v", ft.Self, ft.Left, ft.Right, tc.left, tc.right)
 				}
 			}
 		})
 	}
-}
 
-func TestEncodeGraphFlatMatchesEncodeGraph(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	envs := FixedEnv([4]float64{0.2, 0.4, 0.6, 0.8})
-	g := e.EncodeGraph(p, envs)
-
-	var fg FlatGraph
-	e.EncodeGraphFlatInto(&fg, p, envs)
-	if fg.Len() != len(g.Feats) {
-		t.Fatalf("flat graph has %d nodes, want %d", fg.Len(), len(g.Feats))
+	// encodePred's direct walk sets exactly the bits of the dedup-and-sort
+	// Funcs()/Columns() reference: idempotent bit sets make the two equal.
+	pred := compound.Root.Pred
+	ref := make([]float64, e.Dim())
+	for _, fn := range pred.Funcs() {
+		ref[e.layout.filterFnOff+int(fn)-1] = 1
 	}
-	flatRowsEqual(t, "feats", g.Feats, fg.Feats, e.Dim())
-	if len(fg.Edges) != len(g.Edges) {
-		t.Fatalf("%d edges, want %d", len(fg.Edges), len(g.Edges))
+	for _, c := range pred.Columns() {
+		e.hashID(ref, e.layout.filterColsOff, c.String())
 	}
-	for i := range g.Edges {
-		if fg.Edges[i] != g.Edges[i] {
-			t.Fatalf("edge %d: %v != %v", i, fg.Edges[i], g.Edges[i])
+	got := encodeNode(e, compound.Root, env, false)
+	for j := e.layout.filterFnOff; j < e.layout.predNumOff; j++ {
+		if got[j] != ref[j] {
+			t.Fatalf("predicate feature %d = %v, reference %v", j, got[j], ref[j])
 		}
 	}
 }
 
+// TestEncodeGraphFlatMatchesEncodeGraph pins the graph encoder: preorder
+// rows, and one (parent, child) edge per child in subtree-completion order.
+func TestEncodeGraphFlatMatchesEncodeGraph(t *testing.T) {
+	e := enc()
+	p := testPlan()
+	env := [4]float64{0.2, 0.4, 0.6, 0.8}
+	var fg FlatGraph
+	e.EncodeGraphFlatInto(&fg, p, pointerEnv(env, p))
+	wantRows(t, e, fg.Feats, e.Dim(), env, preorder(p.Root), fg.Len())
+	if want := [][2]int{{3, 4}, {2, 3}, {1, 2}, {5, 6}, {1, 5}, {0, 1}}; !slices.Equal(fg.Edges, want) {
+		t.Fatalf("edges %v, want %v", fg.Edges, want)
+	}
+}
+
+// TestEncodeSequenceFlatMatchesEncodeSequence pins the sequence encoder:
+// preorder tokens, each its node's vector plus the log-normalized depth.
 func TestEncodeSequenceFlatMatchesEncodeSequence(t *testing.T) {
 	e := enc()
 	p := testPlan()
-	envs := NoEnv()
-	seq := e.EncodeSequence(p, envs)
-
 	var fs FlatSeq
-	e.EncodeSequenceFlatInto(&fs, p, envs)
-	if fs.Len() != len(seq) {
-		t.Fatalf("flat seq has %d tokens, want %d", fs.Len(), len(seq))
+	e.EncodeSequenceFlatInto(&fs, p, NoEnv())
+	wantRows(t, e, fs.Feats, e.SeqDim(), [4]float64{}, preorder(p.Root), 0)
+	for i, depth := range []float64{0, 1, 2, 3, 4, 2, 3} {
+		if got, want := fs.Feats[i*e.SeqDim()+e.Dim()], plan.LogNorm(depth, 32); got != want {
+			t.Fatalf("token %d depth column %v, want %v (depth %v)", i, got, want, depth)
+		}
 	}
-	flatRowsEqual(t, "tokens", seq, fs.Feats, e.SeqDim())
 }
 
 // TestFlatEncodersReuseBuffers verifies the *Into encoders stop allocating

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"loam"
 	"loam/internal/encoding"
 	"loam/internal/predictor"
 )
@@ -34,13 +35,9 @@ func (e *Env) trainOn(project string, labelOf func(cost, latency float64) float6
 	ps := e.Project(project)
 	train, _ := ps.Repo.Split(e.Cfg.TrainDays, e.Cfg.TestDays, e.Cfg.MaxTrain)
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
-	samples := make([]predictor.Sample, len(train))
+	samples := loam.TrainingSamples(train)
 	for i, entry := range train {
-		samples[i] = predictor.Sample{
-			Plan: entry.Record.Plan,
-			Envs: encoding.RecordEnv(entry.Record.NodeEnv),
-			Cost: labelOf(entry.Record.CPUCost, entry.Record.LatencySec),
-		}
+		samples[i].Cost = labelOf(entry.Record.CPUCost, entry.Record.LatencySec)
 	}
 	pcfg := e.Cfg.predictorConfig(predictor.KindTCN)
 	pcfg.Adapt = false // isolate the label effect; adaptation is orthogonal
@@ -127,17 +124,9 @@ func (e *Env) Ext3() (*Ext3Result, error) {
 				ecfg.SegmentDim = 40 // same total width, one hash function
 			}
 			enc := encoding.NewEncoder(ecfg)
-			samples := make([]predictor.Sample, len(train))
-			for i, entry := range train {
-				samples[i] = predictor.Sample{
-					Plan: entry.Record.Plan,
-					Envs: encoding.RecordEnv(entry.Record.NodeEnv),
-					Cost: entry.Record.CPUCost,
-				}
-			}
 			pcfg := e.Cfg.predictorConfig(predictor.KindTCN)
 			pcfg.Adapt = false
-			pred, err := predictor.Train(pcfg, enc, samples, nil)
+			pred, err := predictor.Train(pcfg, enc, loam.TrainingSamples(train), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -2,24 +2,26 @@ package nn
 
 import "math"
 
-// This file is the inference-only forward mode: the serving path's
-// counterpart to the autograd ops in tensor.go. It never builds the autograd
-// graph, never allocates Grad buffers, and places every activation in a
-// caller-owned Scratch arena, so a warmed-up forward pass performs zero heap
-// allocations.
+// This file is the inference-only forward mode: the kernels serving runs, and
+// the layer forwards composed from them. It never builds the autograd graph,
+// never allocates Grad buffers, and places every activation in a caller-owned
+// Scratch arena, so a warmed-up forward pass performs zero heap allocations.
 //
-// Bit-exactness contract: every kernel here produces float64 results
-// bit-identical to the corresponding autograd op. That is what lets the
-// predictor route PredictCost/SelectPlan through this path without moving a
-// single seeded experiment result. Two rules keep the contract honest:
+// A served cost is bit-identical to the training-path forward of the same
+// weights, so routing PredictCost/SelectPlan through this path moves no
+// seeded experiment result. Most of that holds by construction:
 //
-//  1. Per-element accumulation order is preserved. A dot product always runs
-//     p = 0..k-1 ascending and skips a-side zeros exactly like
-//     matmulAccum's !ta&&!tb case, so blocking may tile rows and columns but
-//     never the reduction dimension.
-//  2. Element-wise ops replicate the training loops verbatim (same guards,
-//     same operation order), including ReLU writing explicit zeros where the
-//     autograd version relied on zero-initialized output tensors.
+//  1. The element-wise, gather and pooling kernels and MatMulInto are the
+//     arithmetic of the autograd ops in tensor.go, which call them on their
+//     output tensor; there is no second loop to keep in step.
+//  2. Three things remain two implementations, each pinned Float64bits-equal
+//     by test: the layers' composition of kernels, MaxRowsInto beside MaxRows
+//     (which records the argmax its backward needs), and MatMulNTInto beside
+//     attention's Transpose+MatMul (whose backward shape the trained
+//     Transformer weights depend on). For the last, accumulation order is
+//     the rule: a dot product runs p = 0..k-1 ascending and skips a-side
+//     zeros exactly like matmulAccum's !ta&&!tb case, so blocking may tile
+//     rows and columns but never the reduction dimension.
 
 // Mat is a lightweight row-major matrix view used by the inference fast
 // path. It carries no autograd state; Data is typically Scratch-owned and
@@ -28,9 +30,6 @@ type Mat struct {
 	R, C int
 	Data []float64
 }
-
-// Row returns row i of the matrix.
-func (m Mat) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
 
 // scratchSlabSize is the default arena slab, sized so a typical plan forward
 // pass fits in one or two slabs.
@@ -153,18 +152,22 @@ func MatMulInto(dst, a, b []float64, n, k, m int) {
 func (l *Linear) ForwardInfer(s *Scratch, x Mat) Mat {
 	out := s.Mat(x.R, l.W.C)
 	MatMulInto(out.Data, x.Data, l.W.Data, x.R, x.C, l.W.C)
-	b := l.B.Data
-	for i := 0; i < out.R; i++ {
-		row := out.Data[i*out.C : (i+1)*out.C]
-		for j := range row {
-			row[j] += b[j]
-		}
-	}
+	AddRowInPlace(out, l.B.Data)
 	return out
 }
 
-// ReLUInPlace applies max(0, x) element-wise, writing explicit zeros where
-// the autograd ReLU relied on a zero-initialized output tensor.
+// AddRowInPlace adds the C-element row to every row of m — the bias step.
+func AddRowInPlace(m Mat, row []float64) {
+	for i := 0; i < m.R; i++ {
+		mr := m.Data[i*m.C : (i+1)*m.C]
+		for j := range mr {
+			mr[j] += row[j]
+		}
+	}
+}
+
+// ReLUInPlace applies max(0, x) element-wise; anything not above zero (NaN
+// included) becomes +0.
 func ReLUInPlace(m Mat) {
 	for i, v := range m.Data {
 		if v > 0 {
@@ -189,8 +192,8 @@ func AddInto(dst, a, b Mat) {
 	}
 }
 
-// SoftmaxRowsInPlace applies a row-wise softmax with the exact loop structure
-// of the autograd SoftmaxRows (max-shift, exp, accumulate, divide).
+// SoftmaxRowsInPlace applies a row-wise softmax (max-shift, exp, accumulate,
+// divide).
 func SoftmaxRowsInPlace(m Mat) {
 	for i := 0; i < m.R; i++ {
 		row := m.Data[i*m.C : (i+1)*m.C]
@@ -212,8 +215,8 @@ func SoftmaxRowsInPlace(m Mat) {
 }
 
 // GatherConcat3Into builds, for each row i, [x[self[i]]; x[left[i]];
-// x[right[i]]] into dst (len(self)×3C), zeros for index -1 — the inference
-// twin of GatherConcat3.
+// x[right[i]]] into dst (len(self)×3C), zeros for index -1 — the input
+// assembly step of binary tree convolution.
 func GatherConcat3Into(dst Mat, x Mat, self, left, right []int) {
 	for i := range dst.Data {
 		dst.Data[i] = 0
@@ -236,8 +239,8 @@ func gatherRows(dst Mat, dstOff int, x Mat, idx []int) {
 	}
 }
 
-// MeanRowsInto pools an n×C matrix into the C-element dst by averaging rows,
-// matching MeanRows' accumulation order exactly.
+// MeanRowsInto pools an n×C matrix into the C-element dst by averaging rows
+// (each element scaled before it is accumulated, rows ascending).
 func MeanRowsInto(dst []float64, a Mat) {
 	for j := range dst {
 		dst[j] = 0
@@ -272,8 +275,9 @@ func MaxRowsInto(dst []float64, a Mat) {
 	}
 }
 
-// SumRowsInto pools an n×C matrix into dst by summing rows scaled by s,
-// matching SumRows' accumulation order exactly.
+// SumRowsInto pools an n×C matrix into dst by summing rows scaled by s — the
+// extensive-quantity pooling used by cost prediction (plan cost is a sum of
+// per-operator contributions).
 func SumRowsInto(dst []float64, a Mat, s float64) {
 	for j := range dst {
 		dst[j] = 0

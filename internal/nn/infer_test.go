@@ -119,24 +119,15 @@ func TestAttentionForwardInferBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPoolingIntoBitIdentical pins the one pooling kernel that is still two
+// implementations: MaxRows keeps its own loop for the argmax its backward
+// needs. MeanRows and SumRows call their *Into kernels.
 func TestPoolingIntoBitIdentical(t *testing.T) {
 	rng := simrand.New(16)
 	x := randMat(rng, 9, 13)
-	xt := FromData(9, 13, x)
-	xm := Mat{R: 9, C: 13, Data: x}
-
-	var s Scratch
-	mean := s.Floats(13)
-	MeanRowsInto(mean, xm)
-	sameBits(t, "mean", MeanRows(xt).Data, mean)
-
-	max := s.Floats(13)
-	MaxRowsInto(max, xm)
-	sameBits(t, "max", MaxRows(xt).Data, max)
-
-	sum := s.Floats(13)
-	SumRowsInto(sum, xm, 1.0/16)
-	sameBits(t, "sum", SumRows(xt, 1.0/16).Data, sum)
+	max := make([]float64, 13)
+	MaxRowsInto(max, Mat{R: 9, C: 13, Data: x})
+	sameBits(t, "max", MaxRows(FromData(9, 13, x)).Data, max)
 }
 
 // TestScratchReuse verifies that a Scratch grows once and then serves

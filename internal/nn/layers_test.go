@@ -38,15 +38,15 @@ func TestTreeConvLearnsChildDependentTarget(t *testing.T) {
 	params := append(tc.Params(), head.Params()...)
 	opt := NewAdam(params, 0.01)
 
-	self := []int{0, 1}
-	left := []int{1, -1}
-	right := []int{-1, -1}
+	// Only the root's output is scored, so only its row is convolved.
+	self := []int{0}
+	left := []int{1}
+	right := []int{-1}
 	var last float64
 	for step := 0; step < 300; step++ {
 		childVal := rng.Uniform(-1, 1)
-		x := FromRows([][]float64{{0.5, 0.5}, {childVal, 0}})
-		h := tc.Forward(x, self, left, right)
-		pred := head.Forward(Row(h, 0))
+		x := FromData(2, 2, []float64{0.5, 0.5, childVal, 0})
+		pred := head.Forward(tc.Forward(x, self, left, right))
 		loss := MSE(pred, []float64{2 * childVal})
 		opt.ZeroGrad()
 		loss.Backward()
@@ -130,16 +130,16 @@ func TestAdamConvergesOnLinearRegression(t *testing.T) {
 	trueW := []float64{1.5, -2, 0.5}
 	var last float64
 	for step := 0; step < 400; step++ {
-		rows := make([][]float64, 8)
+		x := New(8, 3)
 		targets := make([]float64, 8)
-		for i := range rows {
-			rows[i] = []float64{rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)}
+		for i := range targets {
 			for j, w := range trueW {
-				targets[i] += w * rows[i][j]
+				x.Set(i, j, rng.Normal(0, 1))
+				targets[i] += w * x.At(i, j)
 			}
 			targets[i] += 0.3
 		}
-		loss := MSE(l.Forward(FromRows(rows)), targets)
+		loss := MSE(l.Forward(x), targets)
 		opt.ZeroGrad()
 		loss.Backward()
 		opt.Step()

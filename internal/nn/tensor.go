@@ -41,19 +41,6 @@ func FromData(r, c int, data []float64) *Tensor {
 	return &Tensor{R: r, C: c, Data: data}
 }
 
-// FromRows stacks row vectors (copied) into a constant tensor.
-func FromRows(rows [][]float64) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	t := New(len(rows), c)
-	for i, r := range rows {
-		copy(t.Data[i*c:(i+1)*c], r)
-	}
-	return t
-}
-
 // Param allocates a trainable tensor (requires gradients).
 func Param(r, c int) *Tensor {
 	t := New(r, c)
@@ -67,6 +54,11 @@ func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.C+j] }
 
 // Set assigns element (i, j).
 func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.C+j] = v }
+
+// mat views the tensor's values as the inference kernels' matrix type: the
+// element-wise, gather and pooling ops below compute their forward through
+// those kernels (infer.go), so each arithmetic loop exists once.
+func (t *Tensor) mat() Mat { return Mat{R: t.R, C: t.C, Data: t.Data} }
 
 // ensureGrad allocates the gradient buffer lazily.
 func (t *Tensor) ensureGrad() {
@@ -222,9 +214,7 @@ func matmulAccum(dst, a, b []float64, n, k, m int, ta, tb bool) {
 func Add(a, b *Tensor) *Tensor {
 	mustSameShape("Add", a, b)
 	out := child(a.R, a.C, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	AddInto(out.mat(), a.mat(), b.mat())
 	if out.requiresGrad {
 		out.back = func() {
 			if a.requiresGrad {
@@ -250,11 +240,8 @@ func AddRow(a, row *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: AddRow %dx%d + %dx%d", a.R, a.C, row.R, row.C))
 	}
 	out := child(a.R, a.C, a, row)
-	for i := 0; i < a.R; i++ {
-		for j := 0; j < a.C; j++ {
-			out.Data[i*a.C+j] = a.Data[i*a.C+j] + row.Data[j]
-		}
-	}
+	copy(out.Data, a.Data)
+	AddRowInPlace(out.mat(), row.Data)
 	if out.requiresGrad {
 		out.back = func() {
 			if a.requiresGrad {
@@ -279,9 +266,8 @@ func AddRow(a, row *Tensor) *Tensor {
 // Scale returns s * a.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := child(a.R, a.C, a)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * s
-	}
+	copy(out.Data, a.Data)
+	ScaleInPlace(out.mat(), s)
 	if out.requiresGrad {
 		out.back = func() {
 			a.ensureGrad()
@@ -296,11 +282,8 @@ func Scale(a *Tensor, s float64) *Tensor {
 // ReLU applies max(0, x) element-wise.
 func ReLU(a *Tensor) *Tensor {
 	out := child(a.R, a.C, a)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
+	copy(out.Data, a.Data)
+	ReLUInPlace(out.mat())
 	if out.requiresGrad {
 		out.back = func() {
 			a.ensureGrad()
@@ -354,23 +337,11 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// GatherConcat3 builds, for each output row i, the concatenation
-// [x[self[i]]; x[left[i]]; x[right[i]]] where index -1 yields zeros — the
-// input assembly step of binary tree convolution.
+// GatherConcat3 is GatherConcat3Into with the scatter that backpropagates
+// through it.
 func GatherConcat3(x *Tensor, self, left, right []int) *Tensor {
-	n := len(self)
-	out := child(n, 3*x.C, x)
-	gather := func(dstOff int, idx []int) {
-		for i, ix := range idx {
-			if ix < 0 {
-				continue
-			}
-			copy(out.Data[i*out.C+dstOff:i*out.C+dstOff+x.C], x.Data[ix*x.C:(ix+1)*x.C])
-		}
-	}
-	gather(0, self)
-	gather(x.C, left)
-	gather(2*x.C, right)
+	out := child(len(self), 3*x.C, x)
+	GatherConcat3Into(out.mat(), x.mat(), self, left, right)
 	if out.requiresGrad {
 		out.back = func() {
 			x.ensureGrad()
@@ -395,15 +366,8 @@ func GatherConcat3(x *Tensor, self, left, right []int) *Tensor {
 // MeanRows pools an n×C tensor to 1×C by averaging rows.
 func MeanRows(a *Tensor) *Tensor {
 	out := child(1, a.C, a)
-	if a.R == 0 {
-		return out
-	}
-	inv := 1 / float64(a.R)
-	for i := 0; i < a.R; i++ {
-		for j := 0; j < a.C; j++ {
-			out.Data[j] += a.Data[i*a.C+j] * inv
-		}
-	}
+	MeanRowsInto(out.Data, a.mat())
+	inv := 1 / float64(a.R) // unused when there are no rows to spread it over
 	if out.requiresGrad {
 		out.back = func() {
 			a.ensureGrad()
@@ -417,7 +381,8 @@ func MeanRows(a *Tensor) *Tensor {
 	return out
 }
 
-// MaxRows pools an n×C tensor to 1×C by max over rows.
+// MaxRows pools an n×C tensor to 1×C by max over rows, in its own loop beside
+// MaxRowsInto: backward needs each column's argmax.
 func MaxRows(a *Tensor) *Tensor {
 	out := child(1, a.C, a)
 	if a.R == 0 {
@@ -440,21 +405,6 @@ func MaxRows(a *Tensor) *Tensor {
 			a.ensureGrad()
 			for j := 0; j < a.C; j++ {
 				a.Grad[argmax[j]*a.C+j] += out.Grad[j]
-			}
-		}
-	}
-	return out
-}
-
-// Row extracts row i as a 1×C tensor sharing gradients with the source.
-func Row(a *Tensor, i int) *Tensor {
-	out := child(1, a.C, a)
-	copy(out.Data, a.Data[i*a.C:(i+1)*a.C])
-	if out.requiresGrad {
-		out.back = func() {
-			a.ensureGrad()
-			for j := 0; j < a.C; j++ {
-				a.Grad[i*a.C+j] += out.Grad[j]
 			}
 		}
 	}
@@ -592,24 +542,8 @@ func CrossEntropy(logits *Tensor, labels []int) *Tensor {
 // SoftmaxRows applies a row-wise softmax (used by attention).
 func SoftmaxRows(a *Tensor) *Tensor {
 	out := child(a.R, a.C, a)
-	for i := 0; i < a.R; i++ {
-		row := a.Data[i*a.C : (i+1)*a.C]
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum := 0.0
-		orow := out.Data[i*a.C : (i+1)*a.C]
-		for j, v := range row {
-			orow[j] = math.Exp(v - maxV)
-			sum += orow[j]
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
+	copy(out.Data, a.Data)
+	SoftmaxRowsInPlace(out.mat())
 	if out.requiresGrad {
 		out.back = func() {
 			a.ensureGrad()
@@ -657,16 +591,10 @@ func mustSameShape(op string, a, b *Tensor) {
 	}
 }
 
-// SumRows pools an n×C tensor to 1×C by summing rows, scaled by s — the
-// extensive-quantity pooling used by cost prediction (plan cost is a sum of
-// per-operator contributions).
+// SumRows pools an n×C tensor to 1×C by summing rows, scaled by s.
 func SumRows(a *Tensor, s float64) *Tensor {
 	out := child(1, a.C, a)
-	for i := 0; i < a.R; i++ {
-		for j := 0; j < a.C; j++ {
-			out.Data[j] += a.Data[i*a.C+j] * s
-		}
-	}
+	SumRowsInto(out.Data, a.mat(), s)
 	if out.requiresGrad {
 		out.back = func() {
 			a.ensureGrad()

@@ -151,15 +151,6 @@ func TestPoolingGrads(t *testing.T) {
 	}
 }
 
-func TestRowGrad(t *testing.T) {
-	rng := simrand.New(10)
-	x := randParam(rng, 3, 2)
-	w := randParam(rng, 2, 1)
-	checkGrads(t, "row", []*Tensor{x, w}, func() *Tensor {
-		return MSE(MatMul(Row(x, 1), w), []float64{0.3})
-	})
-}
-
 func TestTransposeGrad(t *testing.T) {
 	rng := simrand.New(11)
 	x := randParam(rng, 2, 3)
@@ -266,8 +257,8 @@ func TestShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-func TestFromRowsAndAccessors(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+func TestFromDataAndAccessors(t *testing.T) {
+	m := FromData(2, 2, []float64{1, 2, 3, 4})
 	if m.R != 2 || m.C != 2 {
 		t.Fatalf("shape %dx%d", m.R, m.C)
 	}
@@ -281,7 +272,7 @@ func TestFromRowsAndAccessors(t *testing.T) {
 }
 
 func TestMaxRowsSelectsArgmax(t *testing.T) {
-	m := FromRows([][]float64{{1, 9}, {5, 2}})
+	m := FromData(2, 2, []float64{1, 9, 5, 2})
 	out := MaxRows(m)
 	if out.Data[0] != 5 || out.Data[1] != 9 {
 		t.Fatalf("MaxRows = %v", out.Data)

@@ -38,38 +38,12 @@ func (k Kind) String() string {
 // backbone turns an encoded plan into a 1×emb embedding (PlanEmb in Fig. 3).
 // embed builds the autograd graph used during training; embedInfer is the
 // allocation-free serving path (see infer.go) and must return bit-identical
-// values in scratch-backed storage.
+// values in scratch-backed storage. Both read the same flat encoding; embed
+// fills a view it owns, because the graph holds Feats until Backward.
 type backbone interface {
 	embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor
 	embedInfer(s *inferScratch, p *plan.Plan, envs encoding.EnvSource) nn.Mat
 	params() []*nn.Tensor
-}
-
-// flatTree is a plan tree flattened for the tree-convolution gather step.
-type flatTree struct {
-	feats             [][]float64
-	self, left, right []int
-}
-
-func flattenTree(t *encoding.Tree) *flatTree {
-	f := &flatTree{}
-	var walk func(n *encoding.Tree) int
-	walk = func(n *encoding.Tree) int {
-		idx := len(f.feats)
-		f.feats = append(f.feats, n.Feat)
-		f.self = append(f.self, idx)
-		f.left = append(f.left, -1)
-		f.right = append(f.right, -1)
-		if n.Left != nil {
-			f.left[idx] = walk(n.Left)
-		}
-		if n.Right != nil {
-			f.right[idx] = walk(n.Right)
-		}
-		return idx
-	}
-	walk(t)
-	return f
 }
 
 // tcnBackbone is LOAM's tree convolutional network: stacked tree
@@ -92,10 +66,11 @@ func newTCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *t
 }
 
 func (b *tcnBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
-	ft := flattenTree(b.enc.EncodeTree(p, envs))
-	x := nn.FromRows(ft.feats)
+	var ft encoding.FlatTree
+	b.enc.EncodeTreeFlatInto(&ft, p, envs)
+	x := nn.FromData(ft.Len(), b.enc.Dim(), ft.Feats)
 	for _, l := range b.layers {
-		x = l.Forward(x, ft.self, ft.left, ft.right)
+		x = l.Forward(x, ft.Self, ft.Left, ft.Right)
 	}
 	pooled := nn.ConcatCols(nn.MeanRows(x), nn.MaxRows(x), nn.SumRows(x, 1.0/16))
 	return nn.ReLU(b.proj.Forward(pooled))
@@ -128,9 +103,10 @@ func newGCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *g
 }
 
 func (b *gcnBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
-	g := b.enc.EncodeGraph(p, envs)
-	ahat := nn.NormalizedAdjacency(len(g.Feats), g.Edges)
-	x := nn.FromRows(g.Feats)
+	var fg encoding.FlatGraph
+	b.enc.EncodeGraphFlatInto(&fg, p, envs)
+	ahat := nn.NormalizedAdjacency(fg.Len(), fg.Edges)
+	x := nn.FromData(fg.Len(), b.enc.Dim(), fg.Feats)
 	for _, l := range b.layers {
 		x = l.Forward(ahat, x)
 	}
@@ -167,8 +143,9 @@ func newTransformer(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb
 }
 
 func (b *transformerBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
-	seq := b.enc.EncodeSequence(p, envs)
-	x := b.inProj.Forward(nn.FromRows(seq))
+	var fs encoding.FlatSeq
+	b.enc.EncodeSequenceFlatInto(&fs, p, envs)
+	x := b.inProj.Forward(nn.FromData(fs.Len(), b.enc.SeqDim(), fs.Feats))
 	for _, blk := range b.blocks {
 		x = blk.Forward(x)
 	}

@@ -10,11 +10,12 @@ import (
 
 // This file is the predictor's inference fast path: per-call scratch arenas,
 // allocation-free backbone forwards (embedInfer), and the batched cost-head
-// scoring (scoreCandidates) behind SelectPlan and SelectPlanKeyed. Everything
-// here is bit-identical to the autograd training-path forwards (see
-// internal/nn/infer.go for the kernel-level contract), so routing serving
-// through it changes latency and allocation counts but never a single
-// predicted cost or plan choice.
+// scoring (scoreCandidates) behind SelectPlan and SelectPlanKeyed. It reads
+// the encoders and runs the kernels the training-path embed wraps (see
+// internal/nn/infer.go for which are shared and which pinned by test); what
+// differs is how layers are chained, held bit-identical by
+// TestScoringPathsBitIdentical — so serving changes latency and allocation
+// counts but never a single predicted cost or plan choice.
 
 // inferScratch bundles one call's reusable inference state: the nn
 // activation arena plus the flat encoding buffers each backbone kind fills

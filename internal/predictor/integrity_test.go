@@ -3,7 +3,8 @@ package predictor
 // Pinned tests for the snapshot corruption taxonomy (ISSUE 9): integrity
 // failures (bad checksum, truncated frame, unrecognizable header) must wrap
 // BOTH ErrSnapshotIntegrity and ErrCorruptSnapshot; structural failures stay
-// ErrCorruptSnapshot-only; legacy v1 bare-JSON snapshots still load.
+// ErrCorruptSnapshot-only; a retired v1 bare-JSON snapshot is an unrecognizable
+// header (ISSUE 20).
 
 import (
 	"bytes"
@@ -99,16 +100,7 @@ func TestLoadIntegrityChecksumMismatch(t *testing.T) {
 
 func TestStructuralErrorIsNotIntegrity(t *testing.T) {
 	snap := savedSnapshot(t, KindTCN)
-	var params [][]float64
-	if err := json.Unmarshal(snap["params"], &params); err != nil {
-		t.Fatal(err)
-	}
-	params = params[:len(params)-1]
-	trunc, err := json.Marshal(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap["params"] = trunc
+	editParams(t, snap, func(p [][]float64) [][]float64 { return p[:len(p)-1] })
 	lerr := loadSnapshot(t, snap)
 	if !errors.Is(lerr, ErrCorruptSnapshot) {
 		t.Fatalf("want ErrCorruptSnapshot, got %v", lerr)
@@ -118,9 +110,12 @@ func TestStructuralErrorIsNotIntegrity(t *testing.T) {
 	}
 }
 
-func TestLoadV1Compat(t *testing.T) {
-	orig, framed := trainedSnapshotBytes(t)
-	// Reconstruct the legacy v1 form: bare JSON, version 1, no model field.
+// TestLoadRejectsV1Snapshot: the bare-JSON v1 form — which nothing has
+// written since PR 9, and which carries no checksum to verify before decoding
+// — is no longer read. An otherwise perfectly valid v1 snapshot is an
+// unrecognized header, like any other bytes without the magic.
+func TestLoadRejectsV1Snapshot(t *testing.T) {
+	_, framed := trainedSnapshotBytes(t)
 	var snap map[string]json.RawMessage
 	if err := json.Unmarshal(framedPayload(t, framed), &snap); err != nil {
 		t.Fatal(err)
@@ -131,27 +126,8 @@ func TestLoadV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 snapshot should load: %v", err)
-	}
-	if loaded.ModelVersion() != 0 {
-		t.Fatalf("v1 snapshot model version = %d, want 0 (untracked)", loaded.ModelVersion())
-	}
-	envs := encoding.FixedEnv(orig.TrainMeanEnv())
-	samples, _ := synthetic(40, 24)
-	for i := 0; i < 5; i++ {
-		if want, got := orig.PredictCost(samples[i].Plan, envs), loaded.PredictCost(samples[i].Plan, envs); want != got {
-			t.Fatalf("v1 round trip changed prediction: %g vs %g", want, got)
-		}
-	}
-
-	// A v1 payload claiming a later version must be rejected, not guessed at.
-	snap["version"] = json.RawMessage("3")
-	v3, _ := json.Marshal(snap)
-	if _, err := Load(bytes.NewReader(v3)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("bare-JSON v3: want ErrCorruptSnapshot, got %v", err)
-	}
+	_, err = Load(bytes.NewReader(v1))
+	wantIntegrity(t, err, "bare-JSON v1 snapshot")
 }
 
 func TestModelVersionRoundTrip(t *testing.T) {

@@ -216,21 +216,8 @@ func TrainInstrumented(cfg Config, enc *encoding.Encoder, train []Sample, candPl
 	}
 
 	rng := simrand.New(cfg.Seed)
-	switch cfg.Kind {
-	case KindTransformer:
-		p.bb = newTransformer(rng, enc, cfg.Hidden, 2, cfg.EmbDim)
-	case KindGCN:
-		p.bb = newGCN(rng, enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
-	default:
-		p.bb = newTCN(rng, enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
-	}
-	p.costHead = nn.NewLinear(rng.Derive("cost"), cfg.EmbDim, 1)
-	p.domHid = nn.NewLinear(rng.Derive("domHid"), cfg.EmbDim, cfg.Hidden)
-	p.domOut = nn.NewLinear(rng.Derive("domOut"), cfg.Hidden, 2)
-
-	params := append(p.bb.params(), p.costHead.Params()...)
-	params = append(params, p.domHid.Params()...)
-	params = append(params, p.domOut.Params()...)
+	p.build(rng)
+	params := p.allParams()
 	opt := nn.NewAdam(params, cfg.LR)
 
 	p.trainLoop(rng, opt, train, candPlans)
@@ -239,6 +226,24 @@ func TrainInstrumented(cfg Config, enc *encoding.Encoder, train []Sample, candPl
 	p.metrics.ModelBytes = nn.ParamBytes(params)
 	p.metrics.Epochs = cfg.Epochs
 	return p, nil
+}
+
+// build constructs the neural architecture p.cfg describes over p.enc —
+// backbone, cost head, domain classifier — initialized from rng. Train fits
+// it; Load overwrites its weights, after checkParams has sized it by arithmetic.
+func (p *Predictor) build(rng *simrand.RNG) {
+	cfg := p.cfg
+	switch cfg.Kind {
+	case KindTransformer:
+		p.bb = newTransformer(rng, p.enc, cfg.Hidden, 2, cfg.EmbDim)
+	case KindGCN:
+		p.bb = newGCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
+	default:
+		p.bb = newTCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
+	}
+	p.costHead = nn.NewLinear(rng.Derive("cost"), cfg.EmbDim, 1)
+	p.domHid = nn.NewLinear(rng.Derive("domHid"), cfg.EmbDim, cfg.Hidden)
+	p.domOut = nn.NewLinear(rng.Derive("domOut"), cfg.Hidden, 2)
 }
 
 func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, candPlans []*plan.Plan) {

@@ -356,14 +356,15 @@ func TestFlattenTree(t *testing.T) {
 			{Op: plan.OpTableScan, Table: "b", PartitionsRead: 1},
 		},
 	}}
-	ft := flattenTree(enc.EncodeTree(p, encoding.NoEnv()))
-	if len(ft.feats) != 3 {
-		t.Fatalf("flattened %d nodes", len(ft.feats))
+	var ft encoding.FlatTree
+	enc.EncodeTreeFlatInto(&ft, p, encoding.NoEnv())
+	if ft.Len() != 3 || len(ft.Feats) != 3*enc.Dim() {
+		t.Fatalf("flattened %d nodes, %d features", ft.Len(), len(ft.Feats))
 	}
-	if ft.left[0] != 1 || ft.right[0] != 2 {
-		t.Fatalf("children indices %v %v", ft.left, ft.right)
+	if ft.Left[0] != 1 || ft.Right[0] != 2 {
+		t.Fatalf("children indices %v %v", ft.Left, ft.Right)
 	}
-	if ft.left[1] != -1 || ft.right[2] != -1 {
+	if ft.Left[1] != -1 || ft.Right[2] != -1 {
 		t.Fatal("leaf children should be -1")
 	}
 }

@@ -25,8 +25,8 @@ import (
 type snapshot struct {
 	Version int `json:"version"`
 	// Model is the lifecycle lineage number (model.version) the predictor
-	// was serving as when saved; 0 means untracked (v1 snapshots, or a
-	// predictor trained outside a lifecycle).
+	// was serving as when saved; 0 means untracked (a predictor trained
+	// outside a lifecycle).
 	Model   int             `json:"model,omitempty"`
 	Config  Config          `json:"config"`
 	Encoder encoding.Config `json:"encoder"`
@@ -43,13 +43,16 @@ type snapshot struct {
 
 // Snapshot format history:
 //
-//	v1 — bare JSON object (no framing, no checksum, no model version).
+//	v1 — bare JSON object (no framing, no checksum, no model version),
+//	     written until PR 9. Its reader is retired: it decoded whatever began
+//	     with '{' with nothing to verify first. Such bytes are now an
+//	     unrecognized header.
 //	v2 — snapshotMagic followed by one atomicio frame whose payload is the
 //	     JSON object; the frame checksum makes bit rot and truncation
 //	     detectable before the decoder runs, and the object carries the
 //	     lifecycle model version.
 //
-// Save always writes the current version; Load accepts both.
+// Save writes, and Load accepts, the current version only.
 const (
 	snapshotVersion = 2
 	snapshotMagic   = "LOAMSNP2"
@@ -57,10 +60,11 @@ const (
 
 // ErrCorruptSnapshot marks a snapshot whose payload disagrees with the
 // architecture its own config describes — truncated or missing tensors,
-// shape mismatches, a booster-kind snapshot without a booster, or
-// non-positive architecture dimensions. The lifecycle's hot-swap path (and
-// any DeployFromModel caller) matches it with errors.Is to tell corruption
-// from I/O failures; a Load that returns it has mutated nothing.
+// shape mismatches, dimensions the carried weights cannot fill, or a
+// booster-kind snapshot without a walkable booster of the encoder's width.
+// The lifecycle's hot-swap path (and any DeployFromModel caller) matches it
+// with errors.Is to tell corruption from I/O failures; a Load that returns it
+// has mutated nothing.
 var ErrCorruptSnapshot = errors.New("predictor: corrupt model snapshot")
 
 // ErrSnapshotIntegrity marks a snapshot whose bytes failed verification
@@ -129,46 +133,91 @@ func (p *Predictor) Save(w io.Writer) error {
 	return nil
 }
 
-// Load restores a predictor saved with Save. It accepts both the current
-// framed format and legacy v1 bare-JSON snapshots. The returned predictor
-// serves predictions exactly as the original did.
+// Load restores a predictor saved with Save; it serves predictions exactly as
+// the original did. Load never panics and never returns a model that can:
+// the bytes must be the magic and one checksummed frame (else
+// ErrSnapshotIntegrity), and the config must need exactly the weights carried
+// — or a booster of walkable trees as wide as the encoder (else
+// ErrCorruptSnapshot).
 func Load(r io.Reader) (*Predictor, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("read snapshot: %w", err)
 	}
-	var snap snapshot
-	switch {
-	case bytes.HasPrefix(data, []byte(snapshotMagic)):
-		payload, rest, err := atomicio.DecodeFrame(data[len(snapshotMagic):])
-		if err != nil {
-			return nil, integrityErr(err)
-		}
-		if len(rest) != 0 {
-			return nil, integrityErr(fmt.Errorf("%d trailing bytes after snapshot frame", len(rest)))
-		}
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			// The frame checksum passed, so this is a writer bug, not media
-			// corruption — structural, not integrity.
-			return nil, fmt.Errorf("%w: decode snapshot: %v", ErrCorruptSnapshot, err)
-		}
-		if snap.Version != snapshotVersion {
-			return nil, fmt.Errorf("%w: framed snapshot declares version %d, want %d",
-				ErrCorruptSnapshot, snap.Version, snapshotVersion)
-		}
-	case len(data) > 0 && data[0] == '{':
-		// Legacy v1: bare JSON, no checksum to verify first.
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("%w: decode v1 snapshot: %v", ErrCorruptSnapshot, err)
-		}
-		if snap.Version != 1 {
-			return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorruptSnapshot, snap.Version)
-		}
-	default:
-		// Neither magic nor JSON: truncated below the header, or garbage.
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		// Truncated below the header, a retired bare-JSON v1 file, or garbage.
 		return nil, integrityErr(fmt.Errorf("unrecognized snapshot header (%d bytes)", len(data)))
 	}
+	payload, rest, err := atomicio.DecodeFrame(data[len(snapshotMagic):])
+	if err != nil {
+		return nil, integrityErr(err)
+	}
+	if len(rest) != 0 {
+		return nil, integrityErr(fmt.Errorf("%d trailing bytes after snapshot frame", len(rest)))
+	}
+	var snap snapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		// The frame checksum passed, so this is a writer bug, not media
+		// corruption — structural, not integrity.
+		return nil, fmt.Errorf("%w: decode snapshot: %v", ErrCorruptSnapshot, err)
+	}
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("%w: framed snapshot declares version %d, want %d",
+			ErrCorruptSnapshot, snap.Version, snapshotVersion)
+	}
 	return rebuildSnapshot(&snap)
+}
+
+// encoderWithin reports whether an encoder of configuration c (as NewEncoder
+// normalized it: both sizes positive) is at most width features wide — by
+// division, so sizes whose product overflows cannot pass as small.
+func encoderWithin(c encoding.Config, width int) bool {
+	return c.Segments <= width/c.SegmentDim
+}
+
+// checkParams decides by arithmetic, before any layer is allocated, whether
+// cfg's architecture over enc is exactly the tensors a snapshot carries: an
+// in×out weight tensor and a 1×out bias per Linear layer, in allParams order
+// — as build and the backbone constructors make them (TestSaveLoadRoundTrip
+// fails for a kind whose two statements disagree). Widths must be positive
+// (the constructors panic on others, make on huge ones) and the encoder no
+// wider than the first tensor, which reads it; sizes compare by division, and
+// a width is some bias's real length before it is multiplied, so no product
+// overflows and a huge Layers stops at the first missing tensor.
+func checkParams(cfg Config, enc *encoding.Encoder, params [][]float64) error {
+	n, encDim := 0, enc.Dim()
+	linear := func(in, out int) bool {
+		if 2*n+1 >= len(params) {
+			return false
+		}
+		w, b := params[2*n], params[2*n+1]
+		n++
+		return out > 0 && len(b) == out && len(w)%out == 0 && len(w)/out == in
+	}
+	h, emb := cfg.Hidden, cfg.EmbDim
+	ok := cfg.Layers > 0 && len(params) > 0 && encoderWithin(enc.Config(), len(params[0]))
+	if cfg.Kind == KindTransformer {
+		ok = ok && linear(encDim+1, h)
+		for i := 0; i < 2 && ok; i++ {
+			ok = linear(h, h) && linear(h, h) && linear(h, h) && linear(h, 2*h) && linear(2*h, h)
+		}
+		ok = ok && linear(2*h, emb)
+	} else {
+		fan, in := 3, encDim // a tree convolution reads [self; left; right]
+		if cfg.Kind == KindGCN {
+			fan = 1
+		}
+		for i := 0; i < cfg.Layers && ok; i++ {
+			ok = linear(fan*in, h)
+			in = h
+		}
+		ok = ok && linear(3*h, emb)
+	}
+	if ok = ok && linear(emb, 1) && linear(emb, h) && linear(h, 2); !ok || 2*n != len(params) {
+		return fmt.Errorf("%w: %v hidden=%d layers=%d embdim=%d over encoder %+v does not take the %d tensors carried (mismatch at layer %d)",
+			ErrCorruptSnapshot, cfg.Kind, h, cfg.Layers, emb, enc.Config(), len(params), n)
+	}
+	return nil
 }
 
 // rebuildSnapshot rebuilds a predictor from a decoded snapshot.
@@ -191,47 +240,29 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 		if err := json.Unmarshal(snap.XGB, p.xgbModel); err != nil {
 			return nil, fmt.Errorf("%w: unmarshal booster: %v", ErrCorruptSnapshot, err)
 		}
+		// EncodeFlat allocates the encoder's width on every PredictCost; the
+		// booster was binned over exactly that many features.
+		if f := p.xgbModel.NumFeatures(); !encoderWithin(p.enc.Config(), f) || p.enc.Dim()+1 != f {
+			return nil, fmt.Errorf("%w: booster has %d features, encoder %+v does not produce them",
+				ErrCorruptSnapshot, f, p.enc.Config())
+		}
 		return p, nil
 	}
 
-	// Validate the architecture dimensions before rebuilding: a tampered
-	// config with non-positive sizes would otherwise panic inside the layer
-	// constructors.
-	if snap.Config.Hidden <= 0 || snap.Config.Layers <= 0 || snap.Config.EmbDim <= 0 {
-		return nil, fmt.Errorf("%w: non-positive architecture dims (hidden=%d layers=%d embdim=%d)",
-			ErrCorruptSnapshot, snap.Config.Hidden, snap.Config.Layers, snap.Config.EmbDim)
+	// A tampered config is sized against its own weights before it is built.
+	if err := checkParams(snap.Config, p.enc, snap.Params); err != nil {
+		return nil, err
 	}
 
-	// Rebuild the architecture, then overwrite the weights.
-	rng := simrand.New(snap.Config.Seed)
-	switch snap.Config.Kind {
-	case KindTransformer:
-		p.bb = newTransformer(rng, p.enc, snap.Config.Hidden, 2, snap.Config.EmbDim)
-	case KindGCN:
-		p.bb = newGCN(rng, p.enc, snap.Config.Hidden, snap.Config.Layers, snap.Config.EmbDim)
-	default:
-		p.bb = newTCN(rng, p.enc, snap.Config.Hidden, snap.Config.Layers, snap.Config.EmbDim)
-	}
-	p.costHead = nn.NewLinear(rng.Derive("cost"), snap.Config.EmbDim, 1)
-	p.domHid = nn.NewLinear(rng.Derive("domHid"), snap.Config.EmbDim, snap.Config.Hidden)
-	p.domOut = nn.NewLinear(rng.Derive("domOut"), snap.Config.Hidden, 2)
-
-	// Every tensor is validated against the rebuilt architecture before any
-	// weight is copied: a truncated or reshaped Params list (including a
-	// neural-kind snapshot carrying a booster payload instead) fails loudly
-	// here rather than panicking or silently corrupting weights.
+	// Rebuild the architecture, then overwrite the weights. checkParams
+	// counted by arithmetic; the built tensors have the last word.
+	p.build(simrand.New(snap.Config.Seed))
 	params := p.allParams()
-	if len(params) != len(snap.Params) {
-		return nil, fmt.Errorf("%w: snapshot has %d tensors, architecture needs %d",
-			ErrCorruptSnapshot, len(snap.Params), len(params))
-	}
 	for i, t := range params {
-		if len(t.Data) != len(snap.Params[i]) {
-			return nil, fmt.Errorf("%w: tensor %d size mismatch: snapshot %d vs architecture %d",
-				ErrCorruptSnapshot, i, len(snap.Params[i]), len(t.Data))
+		if len(params) != len(snap.Params) || len(t.Data) != len(snap.Params[i]) {
+			return nil, fmt.Errorf("%w: tensor %d of %d: built architecture disagrees with the %d tensors checkParams passed",
+				ErrCorruptSnapshot, i, len(params), len(snap.Params))
 		}
-	}
-	for i, t := range params {
 		copy(t.Data, snap.Params[i])
 	}
 	return p, nil

@@ -67,7 +67,7 @@ func TestLoadRejectsTamperedParams(t *testing.T) {
 
 // framedPayload splits a Save output into its JSON payload, failing the test
 // on any framing error.
-func framedPayload(t *testing.T, framed []byte) []byte {
+func framedPayload(t testing.TB, framed []byte) []byte {
 	t.Helper()
 	if !bytes.HasPrefix(framed, []byte(snapshotMagic)) {
 		t.Fatalf("snapshot missing magic header")
@@ -114,18 +114,19 @@ func loadSnapshot(t *testing.T, snap map[string]json.RawMessage) error {
 	return lerr
 }
 
-func TestLoadRejectsTruncatedParamList(t *testing.T) {
-	snap := savedSnapshot(t, KindTCN)
+// editParams rewrites a decoded snapshot's tensor list.
+func editParams(t *testing.T, snap map[string]json.RawMessage, edit func([][]float64) [][]float64) {
+	t.Helper()
 	var params [][]float64
 	if err := json.Unmarshal(snap["params"], &params); err != nil {
 		t.Fatal(err)
 	}
-	params = params[:len(params)-1]
-	trunc, err := json.Marshal(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap["params"] = trunc
+	snap["params"], _ = json.Marshal(edit(params))
+}
+
+func TestLoadRejectsTruncatedParamList(t *testing.T) {
+	snap := savedSnapshot(t, KindTCN)
+	editParams(t, snap, func(p [][]float64) [][]float64 { return p[:len(p)-1] })
 	lerr := loadSnapshot(t, snap)
 	if lerr == nil {
 		t.Fatal("truncated param list should fail")
@@ -137,19 +138,12 @@ func TestLoadRejectsTruncatedParamList(t *testing.T) {
 
 func TestLoadRejectsWrongTensorShape(t *testing.T) {
 	snap := savedSnapshot(t, KindTCN)
-	var params [][]float64
-	if err := json.Unmarshal(snap["params"], &params); err != nil {
-		t.Fatal(err)
-	}
 	// Same tensor count, one tensor shortened: per-tensor validation must
 	// catch it before any weight is copied.
-	last := len(params) - 1
-	params[last] = params[last][:len(params[last])-1]
-	resized, err := json.Marshal(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap["params"] = resized
+	editParams(t, snap, func(p [][]float64) [][]float64 {
+		p[len(p)-1] = p[len(p)-1][:len(p[len(p)-1])-1]
+		return p
+	})
 	lerr := loadSnapshot(t, snap)
 	if lerr == nil {
 		t.Fatal("reshaped tensor should fail")
@@ -165,64 +159,104 @@ func TestLoadRejectsWrongTensorShape(t *testing.T) {
 // Both must fail with ErrCorruptSnapshot instead of panicking or building a
 // model with garbage weights.
 func TestLoadRejectsKindMismatch(t *testing.T) {
-	swapKind := func(snap map[string]json.RawMessage, kind Kind) {
-		var cfg Config
-		if err := json.Unmarshal(snap["config"], &cfg); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Kind = kind
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap["config"] = raw
-	}
-
 	neural := savedSnapshot(t, KindTCN)
-	swapKind(neural, KindXGBoost)
+	tamperSnapshot(t, neural, func(c *Config, _ *encoding.Config) { c.Kind = KindXGBoost })
 	if err := loadSnapshot(t, neural); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("neural snapshot relabeled xgboost: want ErrCorruptSnapshot, got %v", err)
 	}
 
 	booster := savedSnapshot(t, KindXGBoost)
-	swapKind(booster, KindTCN)
+	tamperSnapshot(t, booster, func(c *Config, _ *encoding.Config) { c.Kind = KindTCN })
 	if err := loadSnapshot(t, booster); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("xgboost snapshot relabeled neural: want ErrCorruptSnapshot, got %v", err)
 	}
 }
 
+// tamperSnapshot rewrites a decoded snapshot's predictor and encoder configs.
+func tamperSnapshot(t *testing.T, snap map[string]json.RawMessage, tamper func(*Config, *encoding.Config)) {
+	t.Helper()
+	var cfg Config
+	var ecfg encoding.Config
+	if err := json.Unmarshal(snap["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(snap["encoder"], &ecfg); err != nil {
+		t.Fatal(err)
+	}
+	tamper(&cfg, &ecfg)
+	snap["config"], _ = json.Marshal(cfg)
+	snap["encoder"], _ = json.Marshal(ecfg)
+}
+
 // TestLoadRejectsBadArchitectureDims pins the pre-rebuild validation: a
-// tampered config with non-positive layer sizes must fail cleanly instead
-// of panicking inside the layer constructors.
+// correctly checksummed snapshot whose config does not need exactly the
+// weights it carries fails as structural corruption, not integrity, before
+// any layer is allocated. Only non-positive sizes used to be caught: Hidden
+// 1<<40 panicked in nn.New, an oversized encoder at the first PredictCost.
 func TestLoadRejectsBadArchitectureDims(t *testing.T) {
-	for _, tamper := range []func(*Config){
-		func(c *Config) { c.Hidden = 0 },
-		func(c *Config) { c.Layers = -1 },
-		func(c *Config) { c.EmbDim = 0 },
+	type tamper = func(*Config, *encoding.Config)
+	layers := []tamper{
+		func(c *Config, _ *encoding.Config) { c.Hidden = 0 },
+		func(c *Config, _ *encoding.Config) { c.Layers = -1 },
+		func(c *Config, _ *encoding.Config) { c.EmbDim = 0 },
+		func(c *Config, _ *encoding.Config) { c.Hidden = 1 << 40 },
+		func(c *Config, _ *encoding.Config) { c.EmbDim = 1 << 40 },
+		func(c *Config, _ *encoding.Config) { c.Hidden++ },
+	}
+	// The Transformer has a fixed two blocks, so only the stacked kinds can
+	// be asked for more layers than tensors.
+	stacked := append([]tamper{func(c *Config, _ *encoding.Config) { c.Layers = 1 << 40 }}, layers...)
+	encoder := []tamper{
+		func(_ *Config, e *encoding.Config) { e.Segments = 1 << 40 },
+		func(_ *Config, e *encoding.Config) { e.SegmentDim = 1 << 40 },
+		// A product that wraps to zero must not pass as a narrow encoder.
+		func(_ *Config, e *encoding.Config) { e.Segments, e.SegmentDim = 1<<32, 1<<32 },
+		func(_ *Config, e *encoding.Config) { e.SegmentDim++ },
+	}
+	for kind, tampers := range map[Kind][]tamper{KindTCN: append(stacked, encoder...), KindGCN: stacked, KindTransformer: layers, KindXGBoost: encoder} {
+		for i, tamper := range tampers {
+			snap := savedSnapshot(t, kind)
+			tamperSnapshot(t, snap, tamper)
+			lerr := loadSnapshot(t, snap)
+			if !errors.Is(lerr, ErrCorruptSnapshot) || errors.Is(lerr, ErrSnapshotIntegrity) {
+				t.Fatalf("%v tamper %d (config %s, encoder %s): want ErrCorruptSnapshot and not integrity, got %v", kind, i, snap["config"], snap["encoder"], lerr)
+			}
+		}
+	}
+}
+
+// TestLoadRejectsMalformedBooster: a booster tree predict cannot walk used to
+// load cleanly, then panic (empty tree, child out of range, negative feature)
+// or hang (a child pointing back at its parent) inside the first PredictCost,
+// on the guard's scoring goroutine. Load rejects each as structural corruption.
+func TestLoadRejectsMalformedBooster(t *testing.T) {
+	for name, tree := range map[string]string{
+		"empty tree":         `[]`,
+		"child out of range": `[{"f":0,"t":0.5,"l":1,"r":7},{"leaf":true},{"leaf":true}]`,
+		"child is parent":    `[{"f":0,"t":0.5,"l":0,"r":1},{"leaf":true}]`,
+		"child before node":  `[{"leaf":true},{"f":0,"t":0.5,"l":0,"r":2},{"leaf":true}]`,
+		"negative feature":   `[{"f":-1,"t":0.5,"l":1,"r":2},{"leaf":true},{"leaf":true}]`,
 	} {
-		snap := savedSnapshot(t, KindTCN)
-		var cfg Config
-		if err := json.Unmarshal(snap["config"], &cfg); err != nil {
+		snap := savedSnapshot(t, KindXGBoost)
+		var booster map[string]json.RawMessage
+		if err := json.Unmarshal(snap["xgb"], &booster); err != nil {
 			t.Fatal(err)
 		}
-		tamper(&cfg)
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap["config"] = raw
-		if lerr := loadSnapshot(t, snap); !errors.Is(lerr, ErrCorruptSnapshot) {
-			t.Fatalf("bad dims (%+v): want ErrCorruptSnapshot, got %v", cfg, lerr)
+		booster["trees"] = json.RawMessage(`[` + tree + `]`)
+		snap["xgb"], _ = json.Marshal(booster)
+		lerr := loadSnapshot(t, snap)
+		if !errors.Is(lerr, ErrCorruptSnapshot) || errors.Is(lerr, ErrSnapshotIntegrity) {
+			t.Fatalf("%s: want ErrCorruptSnapshot and not integrity, got %v", name, lerr)
 		}
 	}
 }
 
 // TestLoadIgnoresRemovedScoringKeys is the snapshot back-compat contract for
 // the removed quantized / parallel scoring modes: a snapshot written when they
-// existed carries "scoring" and "quant" objects; it must still load (framed
-// v2 and bare v1 alike), serve exactly the f64 choices and estimates of the
-// same model without the keys, and re-save without them. The frame checksum
-// still guards the injected bytes.
+// existed carries "scoring" and "quant" objects; it must still load, serve
+// exactly the f64 choices and estimates of the same model without the keys,
+// and re-save without them. The frame checksum still guards the injected
+// bytes.
 func TestLoadIgnoresRemovedScoringKeys(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(60, 39)
@@ -245,49 +279,42 @@ func TestLoadIgnoresRemovedScoringKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	framed := append([]byte(snapshotMagic), atomicio.EncodeFrame(payload)...)
-	snap["version"] = json.RawMessage(`1`)
-	bare, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	envs := encoding.FixedEnv(orig.TrainMeanEnv())
-	for name, data := range map[string][]byte{"framed v2": framed, "bare v1": bare} {
-		loaded, err := Load(bytes.NewReader(data))
+	loaded, err := Load(bytes.NewReader(framed))
+	if err != nil {
+		t.Fatalf("snapshot with removed scoring keys must load, got %v", err)
+	}
+	for lo := 0; lo+8 <= len(samples); lo += 5 {
+		cands := make([]*plan.Plan, 2+lo%7)
+		for i := range cands {
+			cands[i] = samples[lo+i].Plan
+		}
+		wantBest, want, err := orig.SelectPlan(cands, envs)
 		if err != nil {
-			t.Fatalf("%s: snapshot with removed scoring keys must load, got %v", name, err)
-		}
-		for lo := 0; lo+8 <= len(samples); lo += 5 {
-			cands := make([]*plan.Plan, 2+lo%7)
-			for i := range cands {
-				cands[i] = samples[lo+i].Plan
-			}
-			wantBest, want, err := orig.SelectPlan(cands, envs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBest, got, err := loaded.SelectPlan(cands, envs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotBest != wantBest {
-				t.Fatalf("%s set %d: restored predictor chose a different plan", name, lo)
-			}
-			costsSameBits(t, name, want, got)
-		}
-		var resaved bytes.Buffer
-		if err := loaded.Save(&resaved); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
-			var again map[string]json.RawMessage
-			if err := json.Unmarshal(framedPayload(t, resaved.Bytes()), &again); err != nil {
-				t.Fatal(err)
-			}
-			_, scoring := again["scoring"]
-			_, quant := again["quant"]
-			t.Fatalf("%s: re-save differs from the key-free original (scoring key %v, quant key %v)", name, scoring, quant)
+		gotBest, got, err := loaded.SelectPlan(cands, envs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if gotBest != wantBest {
+			t.Fatalf("set %d: restored predictor chose a different plan", lo)
+		}
+		costsSameBits(t, "restored", want, got)
+	}
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		var again map[string]json.RawMessage
+		if err := json.Unmarshal(framedPayload(t, resaved.Bytes()), &again); err != nil {
+			t.Fatal(err)
+		}
+		_, scoring := again["scoring"]
+		_, quant := again["quant"]
+		t.Fatalf("re-save differs from the key-free original (scoring key %v, quant key %v)", scoring, quant)
 	}
 
 	// Frame header: 8 length bytes, then the 8 checksum bytes.

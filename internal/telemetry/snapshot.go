@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -179,18 +178,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the snapshot as indented JSON. Stable for equal
-// snapshots: all sections are name-sorted slices and every value is finite.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("telemetry: marshal snapshot: %w", err)
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // WallTiming is one timer's wall-clock reading: reporting-only, excluded

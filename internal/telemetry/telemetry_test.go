@@ -2,7 +2,6 @@ package telemetry_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -153,27 +152,6 @@ func TestSnapshotStableText(t *testing.T) {
 		"timer t count=0\n"
 	if b1.String() != want {
 		t.Fatalf("text exposition:\n%q\nwant:\n%q", b1.String(), want)
-	}
-}
-
-func TestSnapshotJSONRoundTrips(t *testing.T) {
-	r := telemetry.NewRegistry()
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(2.25)
-	r.Histogram("h", []float64{1, 10}).Observe(3)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got telemetry.Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("snapshot JSON invalid: %v\n%s", err, buf.String())
-	}
-	if len(got.Counters) != 1 || got.Counters[0].Value != 1 {
-		t.Fatalf("round-trip counters %+v", got.Counters)
-	}
-	if len(got.Histograms) != 1 || got.Histograms[0].Count != 1 {
-		t.Fatalf("round-trip histograms %+v", got.Histograms)
 	}
 }
 

@@ -7,6 +7,7 @@ package xgb
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -138,6 +139,9 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return out
 }
+
+// NumFeatures returns the width of the samples the booster was binned over.
+func (m *Model) NumFeatures() int { return len(m.binEdges) }
 
 // NumTrees returns how many trees were fit.
 func (m *Model) NumTrees() int { return len(m.trees) }
@@ -328,22 +332,29 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// UnmarshalJSON restores a trained booster.
+// UnmarshalJSON restores a trained booster, rejecting any tree predict could
+// not walk: an empty one, a split on a negative feature, or children out of
+// range or not after their parent (as grow numbers them; anything else is a
+// stray index or a cycle). m is left untouched on error.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var dto modelDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return err
 	}
-	m.cfg = dto.Config
-	m.base = dto.Base
-	m.binEdges = dto.BinEdges
-	m.trees = nil
-	for _, nodes := range dto.Trees {
+	trees := make([]*tree, len(dto.Trees))
+	for ti, nodes := range dto.Trees {
+		if len(nodes) == 0 {
+			return fmt.Errorf("xgb: tree %d is empty", ti)
+		}
 		t := &tree{nodes: make([]node, len(nodes))}
 		for i, n := range nodes {
+			if !n.Leaf && (n.Feature < 0 || n.Left <= i || n.Left >= len(nodes) || n.Right <= i || n.Right >= len(nodes)) {
+				return fmt.Errorf("xgb: tree %d node %d of %d: split on feature %d, children %d and %d", ti, i, len(nodes), n.Feature, n.Left, n.Right)
+			}
 			t.nodes[i] = node{feature: n.Feature, threshold: n.Threshold, left: n.Left, right: n.Right, leaf: n.Leaf, value: n.Value}
 		}
-		m.trees = append(m.trees, t)
+		trees[ti] = t
 	}
+	m.cfg, m.base, m.binEdges, m.trees = dto.Config, dto.Base, dto.BinEdges, trees
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"loam/internal/exec"
 	"loam/internal/feedback"
 	"loam/internal/floatsafe"
-	"loam/internal/plan"
+	"loam/internal/history"
 	"loam/internal/predictor"
 )
 
@@ -277,7 +277,11 @@ func (lc *Lifecycle) retrainLocked() {
 		return
 	}
 	window := lc.store.Recent(lc.cfg.RetrainWindow)
-	samples, domain := lc.retrainSet(window)
+	entries := make([]history.Entry, len(window))
+	for i, e := range window {
+		entries[i] = history.Entry{Query: e.Query, Record: e.Record}
+	}
+	samples, domain := lc.d.ProjectSim.trainingSet(entries, lc.baseCfg.Adapt, lc.cfg.DomainPlans)
 	cfg := lc.baseCfg
 	cfg.Seed = lc.baseCfg.Seed + uint64(candVer)
 	cand, err := predictor.TrainInstrumented(cfg, lc.d.Encoder, samples, domain, lc.d.tel)
@@ -296,37 +300,6 @@ func (lc *Lifecycle) retrainLocked() {
 	lc.promoteLocked(cand, candVer)
 }
 
-// retrainSet converts a feedback window into predictor training samples plus
-// domain-alignment candidate plans (re-explored from the window's queries,
-// as Deploy does from history).
-func (lc *Lifecycle) retrainSet(window []feedback.Entry) ([]predictor.Sample, []*plan.Plan) {
-	samples := make([]predictor.Sample, len(window))
-	for i, e := range window {
-		samples[i] = predictor.Sample{
-			Plan: e.Record.Plan,
-			Envs: encoding.RecordEnv(e.Record.NodeEnv),
-			Cost: e.Record.CPUCost,
-		}
-	}
-	var domain []*plan.Plan
-	if lc.baseCfg.Adapt && lc.cfg.DomainPlans > 0 {
-		stride := len(window)/lc.cfg.DomainPlans + 1
-		for i := 0; i < len(window) && len(domain) < lc.cfg.DomainPlans; i += stride {
-			e := window[i]
-			if e.Query == nil {
-				continue
-			}
-			ex := lc.d.ProjectSim.Explorer(e.Record.Day)
-			for _, c := range ex.Candidates(e.Query) {
-				if !c.IsDefault() {
-					domain = append(domain, c)
-				}
-			}
-		}
-	}
-	return samples, domain
-}
-
 // promoteLocked hot-swaps the candidate in as the serving model. The swap is
 // atomic at both read points: the predictor pointer (environment source,
 // SaveModel) and the guard scorer flip to the candidate in one step each,
@@ -334,14 +307,14 @@ func (lc *Lifecycle) retrainSet(window []feedback.Entry) ([]predictor.Sample, []
 // plan cache, so no embedding from the incumbent's weights survives the
 // swap; the guard's breaker and sentinel restart clean (releasing any
 // quarantine), and the drift detector starts a fresh history. Callers hold
-// lc.mu. The fresh cache is sized by the live fleet grant when a registry
-// governs this deployment (promoteCacheCapacity) — a promote never resets a
-// tenant's capacity back to its deploy-time setting; if a Rebalance lands
-// between the read and the swap, the next Rebalance re-applies its grant and
-// the fleet re-converges.
+// lc.mu. The fresh cache takes the incumbent cache's current capacity — the
+// WithPlanCache value until a fleet registry resizes it, the live grant
+// afterwards — so a promote never resets a tenant's capacity back to its
+// deploy-time setting; if a Rebalance lands between the read and the swap,
+// the next Rebalance re-applies its grant and the fleet re-converges.
 func (lc *Lifecycle) promoteLocked(cand *predictor.Predictor, ver int) {
-	cand.EnablePlanCache(lc.d.promoteCacheCapacity())
 	lc.prev, lc.prevVer = lc.d.pred.Load(), lc.version
+	cand.EnablePlanCache(lc.prev.PlanCacheCap())
 	lc.probationLeft = lc.cfg.Probation
 	lc.version = ver
 	lc.d.pred.Store(cand)

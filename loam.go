@@ -281,15 +281,8 @@ type Deployment struct {
 	// (Lifecycle promote/rollback), which pairs the pointer store with a
 	// guard scorer swap; each stored predictor carries its own fresh plan
 	// cache, so embeddings can never outlive the weights that produced them.
-	pred         atomic.Pointer[predictor.Predictor]
-	planCacheCap int
-	// governedCap is the plan-cache capacity granted by a fleet registry's
-	// budget governor, or -1 while the deployment serves ungoverned. Once a
-	// registry takes over (setGovernedCache), its grant — not the deploy-time
-	// WithPlanCache capacity — sizes every fresh cache a lifecycle promote
-	// installs.
-	governedCap atomic.Int64
-	inj         *faultinject.Injector
+	pred atomic.Pointer[predictor.Predictor]
+	inj  *faultinject.Injector
 
 	tel *telemetry.Registry
 	obs servingTelemetry
@@ -344,38 +337,54 @@ func (ps *ProjectSim) Deploy(cfg DeployConfig, opts ...DeployOption) (*Deploymen
 		return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, predictor.ErrNoTrainingData)
 	}
 	enc := encoding.NewEncoder(cfg.Encoder)
-
-	samples := make([]predictor.Sample, len(train))
-	for i, e := range train {
-		samples[i] = predictor.Sample{
-			Plan: e.Record.Plan,
-			Envs: encoding.RecordEnv(e.Record.NodeEnv),
-			Cost: e.Record.CPUCost,
-		}
-	}
-
-	// Unexecuted candidate plans for domain alignment: explore a spread of
-	// training queries. Generation is cheap (§7.2.1) and costs no execution.
-	var domain []*plan.Plan
-	if cfg.Predictor.Adapt && cfg.DomainPlans > 0 {
-		stride := len(train)/cfg.DomainPlans + 1
-		for i := 0; i < len(train) && len(domain) < cfg.DomainPlans; i += stride {
-			e := train[i]
-			ex := ps.Explorer(e.Record.Day)
-			for _, c := range ex.Candidates(e.Query) {
-				if !c.IsDefault() {
-					domain = append(domain, c)
-				}
-			}
-		}
-	}
-
+	samples, domain := ps.trainingSet(train, cfg.Predictor.Adapt, cfg.DomainPlans)
 	o := resolveDeployOptions(opts)
 	pred, err := predictor.TrainInstrumented(cfg.Predictor, enc, samples, domain, o.metrics)
 	if err != nil {
 		return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, err)
 	}
 	return ps.deployPredictor("deploy", pred, enc, len(train), test, o)
+}
+
+// TrainingSamples turns executed queries into predictor training samples:
+// the executed plan, its logged per-stage environments and its CPU cost. The
+// one constructor behind every training set (the ablations relabel its Cost).
+func TrainingSamples(entries []history.Entry) []predictor.Sample {
+	samples := make([]predictor.Sample, len(entries))
+	for i, e := range entries {
+		samples[i] = predictor.Sample{
+			Plan: e.Record.Plan,
+			Envs: encoding.RecordEnv(e.Record.NodeEnv),
+			Cost: e.Record.CPUCost,
+		}
+	}
+	return samples
+}
+
+// trainingSet is what a deploy and a lifecycle retrain alike feed
+// predictor.Train, so the two cannot drift: the samples and, under adaptive
+// training, about want unexecuted candidate plans explored from a
+// stride-sampled spread of the entries — the unlabeled domain of §4, cheap to
+// generate (§7.2.1) and never executed. An entry without a logical query (a
+// hand-built Choice's feedback) has nothing to explore.
+func (ps *ProjectSim) trainingSet(entries []history.Entry, adapt bool, want int) ([]predictor.Sample, []*plan.Plan) {
+	if !adapt {
+		want = 0
+	}
+	var domain []*plan.Plan
+	stride := len(entries)/max(want, 1) + 1
+	for i := 0; i < len(entries) && len(domain) < want; i += stride {
+		e := entries[i]
+		if e.Query == nil {
+			continue
+		}
+		for _, c := range ps.Explorer(e.Record.Day).Candidates(e.Query) {
+			if !c.IsDefault() {
+				domain = append(domain, c)
+			}
+		}
+	}
+	return TrainingSamples(entries), domain
 }
 
 // deployPredictor binds a trained or restored predictor to the project as a
@@ -400,17 +409,15 @@ func (ps *ProjectSim) deployPredictor(op string, pred *predictor.Predictor, enc 
 // re-attaches what the store holds.
 func (ps *ProjectSim) newDeployment(pred *predictor.Predictor, enc *encoding.Encoder, trainSize int, test []history.Entry, o deployOptions) *Deployment {
 	d := &Deployment{
-		ProjectSim:   ps,
-		Encoder:      enc,
-		Strategy:     o.strategy,
-		TrainSize:    trainSize,
-		TestSet:      test,
-		planCacheCap: o.planCache,
-		inj:          o.injector,
-		tel:          o.metrics,
-		obs:          newServingTelemetry(o.metrics),
+		ProjectSim: ps,
+		Encoder:    enc,
+		Strategy:   o.strategy,
+		TrainSize:  trainSize,
+		TestSet:    test,
+		inj:        o.injector,
+		tel:        o.metrics,
+		obs:        newServingTelemetry(o.metrics),
 	}
-	d.governedCap.Store(-1)
 	d.pred.Store(pred)
 	d.grd = ps.newGuard(pred, o)
 	d.attachLifecycle(o)

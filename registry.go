@@ -194,26 +194,9 @@ func (b *fleetBackend) ShedCtx(ctx context.Context, q *query.Query, cause error)
 // CacheLen reports the deployment's current plan-cache entry count.
 func (b *fleetBackend) CacheLen() int { return b.d.pred.Load().PlanCacheLen() }
 
-// SetCacheCapacity applies a fleet budget grant to the deployment.
-func (b *fleetBackend) SetCacheCapacity(n int) { b.d.setGovernedCache(n) }
-
-// setGovernedCache applies a fleet cache grant: the live predictor's cache is
-// resized in place (shrinks evict the LRU tail, survivors keep their
-// embeddings), and the grant is remembered so a lifecycle promote sizes the
-// new model's fresh cache from it. Called by the registry with its
-// control-plane locks held; the predictor read is atomic, so a concurrent
-// promote either sees the grant (promoteCacheCapacity) or gets resized here.
-func (d *Deployment) setGovernedCache(n int) {
-	d.governedCap.Store(int64(n))
-	d.pred.Load().SetPlanCacheCapacity(n)
-}
-
-// promoteCacheCapacity is the plan-cache capacity a newly promoted model's
-// fresh cache gets: the live fleet grant once a registry governs this
-// deployment, the deploy-time WithPlanCache capacity before that.
-func (d *Deployment) promoteCacheCapacity() int {
-	if g := d.governedCap.Load(); g >= 0 {
-		return int(g)
-	}
-	return d.planCacheCap
-}
+// SetCacheCapacity applies a fleet budget grant: the live predictor's cache
+// is resized in place (shrinks evict the LRU tail, survivors keep their
+// embeddings). Its capacity is the only record of the grant — promoteLocked
+// sizes the next model's cache from it. The predictor read is atomic, so a
+// concurrent promote either copies the granted capacity or gets resized here.
+func (b *fleetBackend) SetCacheCapacity(n int) { b.d.pred.Load().SetPlanCacheCapacity(n) }

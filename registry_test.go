@@ -209,30 +209,39 @@ func TestFleetRouteHonoursContext(t *testing.T) {
 	}
 }
 
-// TestGovernedPromoteCapacity: once a registry governs a deployment, a
-// lifecycle promote sizes the fresh cache from the live grant, not the
-// deploy-time WithPlanCache capacity.
+// TestGovernedPromoteCapacity: a lifecycle promote sizes the fresh cache from
+// the incumbent cache's current capacity — the deploy-time WithPlanCache value
+// until a registry grant resizes it, the live grant afterwards, zero included.
 func TestGovernedPromoteCapacity(t *testing.T) {
 	sim := fleetSim(t)
-	dep, err := sim.Project("fa").Deploy(fleetDeployConfig(), WithPlanCache(100))
+	dep, err := sim.Project("fa").Deploy(fleetDeployConfig(), WithPlanCache(100), WithLifecycle(DefaultLifecycleConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dep.promoteCacheCapacity(); got != 100 {
-		t.Fatalf("ungoverned promote capacity %d, want the WithPlanCache 100", got)
+	other, err := sim.Project("fa").Deploy(fleetDeployConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	dep.setGovernedCache(5)
-	if got := dep.Predictor().PlanCacheCap(); got != 5 {
+	lc, grant, first := dep.Lifecycle(), fleetBackend{d: dep}, dep.Predictor()
+	if got := first.PlanCacheCap(); got != 100 {
+		t.Fatalf("ungoverned capacity %d, want the WithPlanCache 100", got)
+	}
+	grant.SetCacheCapacity(5)
+	if got := first.PlanCacheCap(); got != 5 {
 		t.Fatalf("grant not applied to the live cache: cap %d", got)
 	}
-	if got := dep.promoteCacheCapacity(); got != 5 {
-		t.Fatalf("governed promote capacity %d, want the grant 5", got)
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	lc.promoteLocked(other.Predictor(), 2)
+	if got := dep.Predictor().PlanCacheCap(); dep.Predictor() == first || got != 5 {
+		t.Fatalf("promoted model's capacity %d (swapped: %v), want the grant 5", got, dep.Predictor() != first)
 	}
-	// A zero grant still counts as governed: promoted models start uncached
+	// A zero grant still governs: the next promoted model starts uncached
 	// until the tenant earns budget back.
-	dep.setGovernedCache(0)
-	if got := dep.promoteCacheCapacity(); got != 0 {
-		t.Fatalf("zero grant ignored: %d", got)
+	grant.SetCacheCapacity(0)
+	lc.promoteLocked(first, 3)
+	if got := dep.Predictor().PlanCacheCap(); got != 0 {
+		t.Fatalf("zero grant ignored: promoted model's capacity %d", got)
 	}
 }
 
