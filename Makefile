@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke lint lint-fix-hints chaos chaos-recover verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover verify
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,16 @@ bench-e2e:
 bench-e2e-smoke:
 	bash bench/run.sh -smoke
 
+# bench-align prints where the cold path's hot loops landed in the bench
+# binary, modulo a cache line. The same source has read dayroll ±10% between
+# two builds because one of them moved from 0 to 32 mod 64 (an edit in any
+# package linked earlier shifts them); compare this on both checkouts before
+# believing a paired run that moved by that much.
+bench-align:
+	@test -x .bench_build/loam-bench || bash bench/run.sh -smoke >/dev/null
+	@$(GO) tool nm .bench_build/loam-bench | grep -E 'nn\.(\(\*TreeConv\)\.ForwardInfer|\(\*Scratch\)\.sparsify|matmulAccum)$$' | \
+		while read -r addr _ sym; do printf '%s  %2d mod 64  %s\n' "$$addr" "$$((0x$$addr % 64))" "$$sym"; done
+
 # lint checks formatting, runs stock go vet, then loam-vet, the repo's own
 # analyzer suite (internal/analysis): determinism, nansafety, errwrap,
 # guarddiscipline, lockorder, ctxflow and iodiscipline — each the only check
@@ -60,14 +70,16 @@ lint-fix-hints:
 
 # chaos re-runs the resilience suite — fault injection, circuit-breaker
 # transitions, quarantine, forced outages, the model-lifecycle fault scenario
-# (a retrain failing mid-promote must leave the incumbent serving) and the
-# fleet's admission shedding and budget invariant — under the race detector.
+# (a retrain failing mid-promote must leave the incumbent serving), the
+# fleet's admission shedding and budget invariant, and the plan cache's
+# claim → compute → publish → wait protocol (crossing candidate orders, a
+# panic mid-forest) — under the race detector.
 # It is a -run subset of `race`, so `verify` does not run it again: a focused,
 # fast loop for iterating on the guarded serving layer (see DESIGN.md
 # "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
 # serving contract").
 chaos:
-	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel' ./...
+	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest' ./...
 
 # chaos-recover is the durability twin of chaos: the kill-point crash sweep
 # (TestKillPointSweepRecoversEveryWrite), the atomic-write primitive, the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"loam"
+	"loam/internal/encoding"
 	"loam/internal/plan"
 	"loam/internal/predictor"
 	"loam/internal/query"
@@ -106,6 +107,52 @@ func BenchmarkPredictorInference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _, _ = dep.Predictor().SelectPlan(cands, envs)
 	}
+}
+
+// BenchmarkSelectPlanColdExplorerSet is the cold path in seconds: one op is
+// one unkeyed SelectPlan — no plan cache, so every candidate is embedded —
+// over the real Explorer.Candidates set of one request of the default project,
+// cycling through a day's requests. It owns the sharing ratio the forest
+// forward rests on: rows/op is the plan nodes a request's candidates hold,
+// distinct-rows/total the share of them the TCN convolves (ROADMAP item 1's
+// go/no-go was 0.6).
+func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
+	sim := loam.NewSimulation(99, loam.DefaultSimulationConfig())
+	ps := sim.AddProject(loam.DefaultProjectConfig("cold"))
+	ps.RunDays(0, 3)
+	dcfg := loam.DefaultDeployConfig()
+	dcfg.TrainDays = 3
+	dcfg.TestDays = 0
+	dcfg.Predictor.Epochs = 2
+	dcfg.DomainPlans = 8
+	dep, err := ps.Deploy(dcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := dep.Predictor()
+	envs := pred.EnvSourceFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
+	var sets [][]*plan.Plan
+	var forest encoding.Forest
+	nodes, distinct := 0, 0
+	ex := ps.Explorer(3)
+	for _, q := range ps.Gen.Day(3) {
+		cands := ex.Candidates(q)
+		sets = append(sets, cands)
+		dep.Encoder.EncodeForestInto(&forest, cands, envs)
+		for k := range cands {
+			nodes += len(forest.PlanRows(k))
+		}
+		distinct += forest.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := pred.SelectPlan(sets[i%len(sets)], envs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(distinct)/float64(nodes), "distinct-rows/total")
+	b.ReportMetric(float64(nodes)/float64(len(sets)), "rows/op")
 }
 
 // serveBenchSetup builds a deployment plus 64 fresh queries once, shared by

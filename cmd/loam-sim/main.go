@@ -43,6 +43,15 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		return err
 	}
+	// Usage errors run nothing; -steer -2 used to panic after a full deploy.
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *days < 0 || *templates < 0 || *steer < 0 || *qpd < 0 {
+		fs.Usage()
+		return errors.New("-days, -templates, -qpd and -steer must not be negative")
+	}
 
 	sim := loam.NewSimulation(*seed, loam.DefaultSimulationConfig())
 	cfg := loam.DefaultProjectConfig("demo")

@@ -20,23 +20,30 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: an unknown flag and -h both print the usage on the
-// error writer and run nothing; only the unknown flag is an error.
+// TestRunRejectsBadFlags: an unknown flag, a negative count, a stray
+// positional argument and -h all print the usage on the error writer and run
+// nothing; only -h is not an error.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
-		arg     string
+		args    []string
 		wantErr bool
 	}{
-		{"-nope", true},
-		{"-h", false},
+		{[]string{"-nope"}, true},
+		{[]string{"-h"}, false},
+		{[]string{"-steer", "-2"}, true}, // was a slice-bounds panic after a full deploy
+		{[]string{"-days", "-1"}, true},  // printed "0 executions over -1 days" before failing
+		{[]string{"-templates", "-1"}, true},
+		{[]string{"-qpd", "-0.5"}, true},
+		{[]string{"foo"}, true}, // was silently ignored
+		{[]string{"-days", "6", "extra"}, true},
 	} {
 		var out, errw bytes.Buffer
-		err := run([]string{c.arg}, &out, &errw)
+		err := run(c.args, &out, &errw)
 		if (err != nil) != c.wantErr {
-			t.Fatalf("%s: err = %v, want error %v", c.arg, err, c.wantErr)
+			t.Fatalf("%v: err = %v, want error %v", c.args, err, c.wantErr)
 		}
 		if !strings.Contains(errw.String(), "Usage of loam-sim") || out.Len() != 0 {
-			t.Fatalf("%s: usage not on the error writer alone:\nstdout: %s\nstderr: %s", c.arg, out.String(), errw.String())
+			t.Fatalf("%v: usage not on the error writer alone:\nstdout: %s\nstderr: %s", c.args, out.String(), errw.String())
 		}
 	}
 }

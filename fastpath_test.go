@@ -6,8 +6,93 @@ import (
 	"math"
 	"testing"
 
+	"loam/internal/encoding"
+	"loam/internal/explorer"
+	"loam/internal/plan"
+	"loam/internal/predictor"
 	"loam/internal/query"
+	"loam/internal/stats"
 )
+
+// TestForestScoringMatchesPerPlanOnExplorerSets: over the candidate sets the
+// real explorers build — default and wide, on a well-statted few-join project
+// and a poorly-statted many-join one — scoring a set as one forest gives,
+// bit for bit, the cost of scoring each candidate alone (a forest of one
+// shares nothing across plans; internal/predictor pins that to the training
+// forward), unkeyed and through the plan cache cold and warm. It also holds
+// the sets to the sharing the forest was built for.
+func TestForestScoringMatchesPerPlanOnExplorerSets(t *testing.T) {
+	for _, shape := range []struct {
+		name       string
+		seed       uint64
+		tables     int
+		pol        stats.Policy
+		minT, maxT int
+		pushHard   float64
+	}{
+		{"project1", 101, 60, stats.Policy{ColumnStatsProb: 0.85, FreshProb: 0.85, MaxStalenessDays: 10, NDVNoise: 0.2}, 2, 5, 0.25},
+		{"project2", 202, 30, stats.Policy{ColumnStatsProb: 0.38, FreshProb: 0.30, MaxStalenessDays: 25, NDVNoise: 0.8}, 3, 6, 0.55},
+	} {
+		sim := NewSimulation(shape.seed, DefaultSimulationConfig())
+		cfg := DefaultProjectConfig(shape.name)
+		cfg.Archetype.NumTables = shape.tables
+		cfg.StatsPolicy = shape.pol
+		cfg.Workload.NumTemplates = 12
+		cfg.Workload.QueriesPerDayMean = 3
+		cfg.Workload.MinTables, cfg.Workload.MaxTables = shape.minT, shape.maxT
+		cfg.Workload.PushDifficultProb = shape.pushHard
+		ps := sim.AddProject(cfg)
+		ps.RunDays(0, 4)
+		dcfg := smallDeployConfig()
+		dcfg.TrainDays, dcfg.TestDays = 4, 0
+		dep, err := ps.Deploy(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := dep.Predictor()
+		envs := pred.EnvSourceFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
+		key := pred.EnvKeyFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
+		const day = 4
+		var forest encoding.Forest
+		for name, ex := range map[string]*explorer.Explorer{"default": ps.Explorer(day), "wide": explorer.NewWide(ps.View(day))} {
+			nodes, distinct := 0, 0
+			for _, q := range ps.Gen.Day(day) {
+				cands := ex.Candidates(q)
+				want := make([]float64, len(cands))
+				for i, c := range cands {
+					want[i] = pred.PredictCost(c, envs)
+				}
+				same := func(path string, score func() (*plan.Plan, []float64, error)) {
+					t.Helper()
+					_, costs, err := score()
+					if err != nil {
+						t.Fatalf("%s %s %s %s: %v", shape.name, name, q.ID, path, err)
+					}
+					for i := range want {
+						if math.Float64bits(costs[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s %s %s %s: candidate %d of %d costs %v in the forest, %v alone",
+								shape.name, name, q.ID, path, i, len(cands), costs[i], want[i])
+						}
+					}
+				}
+				keyed := func() (*plan.Plan, []float64, error) { return pred.SelectPlanKeyed(cands, envs, key) }
+				same("unkeyed", func() (*plan.Plan, []float64, error) { return pred.SelectPlan(cands, envs) })
+				pred.EnablePlanCache(256)
+				same("keyed cold", keyed)
+				same("keyed warm", keyed)
+				dep.Encoder.EncodeForestInto(&forest, cands, envs)
+				for k := range cands {
+					nodes += len(forest.PlanRows(k))
+				}
+				distinct += forest.Len()
+			}
+			if nodes == 0 || float64(distinct) > 0.7*float64(nodes) {
+				t.Fatalf("%s %s: %d distinct rows for %d nodes — the explorer's candidates no longer share what the forest forward is built on",
+					shape.name, name, distinct, nodes)
+			}
+		}
+	}
+}
 
 // TestConcurrentOptimizeCacheIdentical runs the same recurring queries
 // sequentially and from 4 concurrent OptimizeCtx callers against one

@@ -12,8 +12,9 @@ import (
 // This file holds the plan encoders the neural backbones read, in training
 // and in serving alike: reusable flattened views (FlatTree/FlatGraph/FlatSeq)
 // filled in place, one row-major feature matrix per plan instead of one slice
-// per node — serving fills a pooled view per call, training one it owns until
-// Backward — and EnvKey, the hashable identity of an inference-time
+// per node — serving fills a pooled view per call (for the TCN a Forest: a
+// whole candidate set, each distinct subtree held once), training one it owns
+// until Backward — and EnvKey, the hashable identity of an inference-time
 // environment source used to key the plan-embedding cache.
 //
 // Rows are in preorder. Row order feeds the pooling reductions, so it is part
@@ -192,25 +193,30 @@ func needsCanon(n *plan.Node) bool {
 }
 
 // EncodeTreeFlatInto fills ft with the canonical-binary-tree encoding of p,
-// rows in preorder — the tree convolutional network's input. Plans that are
-// already binary (the overwhelmingly common case) skip the canonicalization
-// clone entirely.
+// rows in preorder — the tree convolutional network's input.
 func (e *Encoder) EncodeTreeFlatInto(ft *FlatTree, p *plan.Plan, envs EnvSource) {
 	ft.reset(e.dim)
-	root := p.Root
-	if needsCanon(root) {
-		// Folding clones the tree, so environments are looked up on the
-		// original nodes for as long as the two trees pair structurally.
-		e.encodeTreeFlat(ft, root.Canonicalize(), root, envs)
-		return
+	n, orig := canonRoot(p)
+	e.encodeTreeFlat(ft, nil, n, orig, envs)
+}
+
+// canonRoot returns p's canonical binary root and the original beside it.
+// Binary plans (the overwhelmingly common case) skip the clone; when folding
+// does clone the tree, environments are looked up on the original nodes for
+// as long as the two trees pair structurally.
+func canonRoot(p *plan.Plan) (n, orig *plan.Node) {
+	if needsCanon(p.Root) {
+		return p.Root.Canonicalize(), p.Root
 	}
-	e.encodeTreeFlat(ft, root, root, envs)
+	return p.Root, p.Root
 }
 
 // encodeTreeFlat encodes n's subtree. orig is the original plan's node at n's
 // position (n itself when nothing was folded), or nil below a folded n-ary
 // operator: there the clone is looked up — unobserved, for an identity-keyed source.
-func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSource) int {
+// With f non-nil, ft is f's view: the node joins the plan's row list, and a
+// subtree the forest already holds gives its row back.
+func (e *Encoder) encodeTreeFlat(ft *FlatTree, f *Forest, n, orig *plan.Node, envs EnvSource) int {
 	lookup := n
 	if orig != nil {
 		lookup = orig
@@ -218,6 +224,11 @@ func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSourc
 	env, ok := envs(lookup)
 	row, idx := ft.addRow()
 	e.EncodeNodeInto(row, n, env, ok)
+	at := 0
+	if f != nil {
+		at = len(f.order)
+		f.order = append(f.order, idx)
+	}
 	var lo, ro *plan.Node
 	if orig != nil && len(orig.Children) == len(n.Children) {
 		if len(orig.Children) > 0 {
@@ -228,14 +239,134 @@ func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSourc
 		}
 	}
 	if len(n.Children) > 0 {
-		li := e.encodeTreeFlat(ft, n.Children[0], lo, envs)
+		li := e.encodeTreeFlat(ft, f, n.Children[0], lo, envs)
 		ft.Left[idx] = li
 	}
 	if len(n.Children) > 1 {
-		ri := e.encodeTreeFlat(ft, n.Children[1], ro, envs)
+		ri := e.encodeTreeFlat(ft, f, n.Children[1], ro, envs)
 		ft.Right[idx] = ri
 	}
+	if f != nil {
+		// Every node below a subtree seen before was seen before too and kept
+		// no row, so this node's is still the last: drop it.
+		if seen := f.tab.intern(ft, bucketHash(n, ft.Left[idx], ft.Right[idx]), idx); seen != idx {
+			ft.Feats = ft.Feats[:idx*ft.dim]
+			ft.Self, ft.Left, ft.Right = ft.Self[:idx], ft.Left[:idx], ft.Right[:idx]
+			f.order[at], idx = seen, seen
+		}
+	}
 	return idx
+}
+
+// Forest is the flattened view of several plans at once — one request's
+// candidates — with one row per distinct subtree instead of one per node.
+// Candidates differ in a join operator, an order rotation or a pushdown and
+// repeat every other subtree, and a node's activation at every
+// tree-convolution layer is a function of its subtree's rows alone, so
+// convolving each distinct subtree once and pooling each plan over its own
+// row list computes exactly what a forward per plan computes.
+//
+// The embedded FlatTree carries the rows, Self the identity; a plan that
+// shares nothing has its rows in EncodeTreeFlatInto's order. Two nodes share
+// a row only if their encoded rows are Float64bits-equal and so are both
+// child ids — by induction, their whole encoded subtrees. Nothing is
+// hash-trusted, and the environment features are in the row, so nodes a
+// per-node EnvSource tells apart never share.
+type Forest struct {
+	FlatTree
+	order []int // every plan's preorder list of row ids, back to back
+	ends  []int // plan k's list is order[ends[k]:ends[k+1]]
+	tab   subtreeTable
+}
+
+// PlanRows returns plan k's row ids — one per node, where Len counts distinct
+// rows — in the preorder EncodeTreeFlatInto emits its nodes in: the order the
+// pooling reductions run in.
+func (f *Forest) PlanRows(k int) []int { return f.order[f.ends[k]:f.ends[k+1]] }
+
+// EncodeForestInto fills f with the canonical-binary-tree encodings of plans,
+// n-ary operators folded exactly as EncodeTreeFlatInto folds them.
+func (e *Encoder) EncodeForestInto(f *Forest, plans []*plan.Plan, envs EnvSource) {
+	f.reset(e.dim)
+	f.order, f.ends = f.order[:0], append(f.ends[:0], 0)
+	f.tab.reset()
+	for _, p := range plans {
+		n, orig := canonRoot(p)
+		e.encodeTreeFlat(&f.FlatTree, f, n, orig, envs)
+		f.ends = append(f.ends, len(f.order))
+	}
+}
+
+// bucketHash picks a node's bucket from a few cheap fields and the child ids.
+// It only has to spread: equality is decided on the encoded rows, so nodes
+// that differ elsewhere (join columns, predicates) cost one row compare.
+func bucketHash(n *plan.Node, left, right int) uint64 {
+	h := fnvOffset64
+	for _, v := range [6]int{int(n.Op), n.PartitionsRead, int(n.JoinForm), n.Parallelism, left, right} {
+		h = (h ^ uint64(v)) * fnvPrime64
+	}
+	return avalanche(fnvString(h, n.Table))
+}
+
+// subtreeSlots sizes the subtree table: several times the rows of any
+// request the explorers build (≈ 70 default, a few hundred wide).
+const subtreeSlots = 1024
+
+// subtreeTable is the open-addressed index from bucket hash to the row that
+// first held a subtree: fixed arrays in a pooled Forest, emptied by bumping a
+// generation stamp, so interning never allocates. Three-quarters full it stops
+// taking rows and later subtrees get a row each: sharing is lost, not exactness.
+type subtreeTable struct {
+	gens [subtreeSlots]uint32 // slot i is occupied when gens[i] == gen
+	rows [subtreeSlots]int32
+	gen  uint32
+	used int
+
+	oneBucket bool // test hook: every node goes to bucket 0
+}
+
+func (t *subtreeTable) reset() {
+	t.used = 0
+	t.gen++
+	if t.gen == 0 { // stamps from before the wrap could read as current
+		t.gens = [subtreeSlots]uint32{}
+		t.gen = 1
+	}
+}
+
+// intern returns the earlier row of ft equal to row id — same feature bits,
+// same child ids — or records id under hash and returns it.
+func (t *subtreeTable) intern(ft *FlatTree, hash uint64, id int) int {
+	if t.used >= subtreeSlots*3/4 {
+		return id
+	}
+	if t.oneBucket {
+		hash = 0
+	}
+	row := ft.Feats[id*ft.dim : (id+1)*ft.dim]
+	for i := hash % subtreeSlots; ; i = (i + 1) % subtreeSlots {
+		if t.gens[i] != t.gen {
+			t.gens[i], t.rows[i] = t.gen, int32(id)
+			t.used++
+			return id
+		}
+		r := int(t.rows[i])
+		if ft.Left[r] == ft.Left[id] && ft.Right[r] == ft.Right[id] && sameBits(ft.Feats[r*ft.dim:(r+1)*ft.dim], row) {
+			return r
+		}
+	}
+}
+
+// sameBits reports whether a and b (equal lengths) are Float64bits-equal
+// element for element: -0 differs from +0 and a NaN equals only itself.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FlatGraph is a reusable node-feature + edge-list view, the GCN backbone's

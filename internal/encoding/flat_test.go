@@ -126,6 +126,185 @@ func TestEncodeTreeFlatMatchesEncodeTree(t *testing.T) {
 	}
 }
 
+// explorerStyleSet is a candidate set shaped like the explorer's: a base plan
+// and clones that each differ from it in one place — a join operator, a join
+// order rotation, a pushed predicate, a PartitionsRead — plus a plan holding
+// the same scan subtree twice and the 3-way Union that folds.
+func explorerStyleSet() []*plan.Plan {
+	base := testPlan()
+	join := func(p *plan.Plan) *plan.Node { return p.Root.Children[0] }
+	flip := base.Clone()
+	join(flip).Op = plan.OpMergeJoin
+	rotate := base.Clone()
+	j := join(rotate)
+	j.Children[0], j.Children[1] = j.Children[1], j.Children[0]
+	j.LeftCols, j.RightCols = j.RightCols, j.LeftCols
+	push := base.Clone()
+	exB := join(push).Children[1]
+	exB.Children[0] = &plan.Node{
+		Op:       plan.OpFilter,
+		Pred:     expr.Compare(expr.FuncGT, expr.ColumnRef{Table: "p.t2", Column: "c2"}, 1),
+		Children: []*plan.Node{exB.Children[0]},
+	}
+	parts := base.Clone()
+	join(parts).Children[1].Children[0].PartitionsRead = 3
+	twice := base.Clone()
+	join(twice).Children[1] = join(twice).Children[0].Clone()
+	return []*plan.Plan{base, flip, rotate, push, parts, twice, unionPlan()}
+}
+
+// wantForestOf checks that f expands to exactly the per-plan encodings: plan
+// k's row list names, in EncodeTreeFlatInto's preorder, rows whose feature
+// bits are that encoding's and whose children are the rows of its children.
+func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs EnvSource) {
+	t.Helper()
+	if len(f.ends) != len(plans)+1 {
+		t.Fatalf("forest holds %d plans, want %d", len(f.ends)-1, len(plans))
+	}
+	child := func(rows, idx []int, i int) int {
+		if idx[i] < 0 {
+			return -1
+		}
+		return rows[idx[i]]
+	}
+	nodes := 0
+	for k, p := range plans {
+		var ft FlatTree
+		e.EncodeTreeFlatInto(&ft, p, envs)
+		rows := f.PlanRows(k)
+		if len(rows) != ft.Len() {
+			t.Fatalf("plan %d: %d rows, want %d", k, len(rows), ft.Len())
+		}
+		nodes += len(rows)
+		for i, r := range rows {
+			if !sameBits(ft.Feats[i*e.Dim():(i+1)*e.Dim()], f.Feats[r*e.Dim():(r+1)*e.Dim()]) {
+				t.Fatalf("plan %d node %d: forest row %d holds other features", k, i, r)
+			}
+			if f.Self[r] != r || f.Left[r] != child(rows, ft.Left, i) || f.Right[r] != child(rows, ft.Right, i) {
+				t.Fatalf("plan %d node %d: forest row %d has children (%d, %d), want (%d, %d)",
+					k, i, r, f.Left[r], f.Right[r], child(rows, ft.Left, i), child(rows, ft.Right, i))
+			}
+		}
+	}
+	if len(f.order) != nodes {
+		t.Fatalf("%d nodes listed, want %d", len(f.order), nodes)
+	}
+}
+
+// TestEncodeForestSharesExactly pins the forest encoder: it expands to the
+// per-plan encodings under every kind of environment source, shares what a
+// literal candidate set says it must, and shares nothing a per-node source
+// tells apart.
+func TestEncodeForestSharesExactly(t *testing.T) {
+	e := enc()
+	env := [4]float64{0.3, 0.1, 0.9, 0.5}
+	set := explorerStyleSet()
+
+	// Every node its own environment: no two rows are equal, nothing shares.
+	perNode := map[*plan.Node][4]float64{}
+	for _, p := range set {
+		for _, n := range preorder(p.Root) {
+			perNode[n] = [4]float64{float64(len(perNode)) / 1024}
+		}
+	}
+	for _, src := range []struct {
+		name     string
+		envs     EnvSource
+		distinct int // 0: only bounded
+	}{
+		{"FixedEnv", FixedEnv(env), 0},
+		{"NoEnv", NoEnv(), 0},
+		// Only the base plan's nodes are observed, as RecordEnv observes only
+		// the nodes of the record it was built from.
+		{"pointerEnv", pointerEnv(env, set[0]), 0},
+		{"perNode", func(n *plan.Node) ([4]float64, bool) { v, ok := perNode[n]; return v, ok }, -1},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			var f Forest
+			e.EncodeForestInto(&f, set, src.envs)
+			wantForestOf(t, e, &f, set, src.envs)
+			if src.distinct < 0 {
+				// The folded Union's nested clone and third scan are looked
+				// up as clones, unobserved — and differ anyway.
+				if f.Len() != len(f.order) {
+					t.Fatalf("per-node environments shared rows: %d rows for %d nodes", f.Len(), len(f.order))
+				}
+				// Sharing nothing, the rows are in EncodeTreeFlatInto's order.
+				for i, r := range f.order {
+					if r != i {
+						t.Fatalf("unshared forest lists row %d at preorder position %d", r, i)
+					}
+				}
+				return
+			}
+			if f.Len() >= len(f.order)*2/3 {
+				t.Fatalf("%d rows for %d nodes: the set's common subtrees were not shared", f.Len(), len(f.order))
+			}
+
+			// Exactness does not rest on the hash: with every node in one
+			// bucket the forest is the same forest, compare by compare.
+			var one Forest
+			one.tab.oneBucket = true
+			e.EncodeForestInto(&one, set, src.envs)
+			if !slices.Equal(one.order, f.order) || !slices.Equal(one.ends, f.ends) ||
+				!slices.Equal(one.Left, f.Left) || !slices.Equal(one.Right, f.Right) || !sameBits(one.Feats, f.Feats) {
+				t.Fatal("a constant bucket hash changed the forest")
+			}
+		})
+	}
+
+	// A literal set: the base (7 nodes); a flipped join operator re-uses both
+	// exchange subtrees and adds the join and the aggregate above it (2); a
+	// changed PartitionsRead adds the scan and everything above it (4).
+	var f Forest
+	literal := []*plan.Plan{set[0], set[1], set[4]}
+	e.EncodeForestInto(&f, literal, FixedEnv(env))
+	if f.Len() != 13 || len(f.order) != 21 {
+		t.Fatalf("literal set: %d rows for %d nodes, want 13 for 21", f.Len(), len(f.order))
+	}
+	if a, b := f.PlanRows(0), f.PlanRows(1); a[2] != b[2] || a[5] != b[5] || a[1] == b[1] || a[0] == b[0] {
+		t.Fatalf("flipped join: rows %v vs %v, want the exchanges shared and the join and aggregate apart", a, b)
+	}
+	// The same subtree twice in one plan is one row, listed twice.
+	e.EncodeForestInto(&f, set[5:6], FixedEnv(env))
+	if rows := f.PlanRows(0); rows[2] != rows[5] || f.Len() != 5 {
+		t.Fatalf("repeated subtree: rows %v over %d distinct, want one exchange subtree and 5", rows, f.Len())
+	}
+}
+
+// TestEncodeForestTableFullStopsSharing fills the subtree table for real —
+// more distinct subtrees than it takes — and checks what the guard promises:
+// from there on every node gets a row of its own, and the forest still
+// expands to the per-plan encodings. A reused forest starts empty again, also
+// across the generation stamp's wrap.
+func TestEncodeForestTableFullStopsSharing(t *testing.T) {
+	e := enc()
+	envs := FixedEnv([4]float64{0.5, 0.5, 0.5, 0.5})
+	var filler []*plan.Plan
+	for i := 0; i < subtreeSlots*3/4; i++ {
+		filler = append(filler, &plan.Plan{Root: &plan.Node{Op: plan.OpTableScan, Table: "p.t", PartitionsRead: i + 1, ColumnsAccessed: 1}})
+	}
+	set := explorerStyleSet()
+	all := append(append([]*plan.Plan{}, filler...), set...)
+	all = append(all, filler[0]) // in the table, and still not shared once it is full
+
+	var f Forest
+	e.EncodeForestInto(&f, all, envs)
+	wantForestOf(t, e, &f, all, envs)
+	if f.Len() != len(f.order) {
+		t.Fatalf("full table still shared: %d rows for %d nodes", f.Len(), len(f.order))
+	}
+
+	f.tab.gen = math.MaxUint32 // the next reset wraps
+	for range 2 {
+		e.EncodeForestInto(&f, set, envs)
+		wantForestOf(t, e, &f, set, envs)
+		if f.Len() >= len(f.order)*2/3 {
+			t.Fatalf("reused forest: %d rows for %d nodes, sharing lost", f.Len(), len(f.order))
+		}
+	}
+}
+
 // TestEncodeGraphFlatMatchesEncodeGraph pins the graph encoder: preorder
 // rows, and one (parent, child) edge per child in subtree-completion order.
 func TestEncodeGraphFlatMatchesEncodeGraph(t *testing.T) {
@@ -191,6 +370,13 @@ func TestFlatEncodersReuseBuffers(t *testing.T) {
 	e.EncodeTreeFlatInto(&ft, p, envs)
 	if allocs := testing.AllocsPerRun(50, func() { e.EncodeTreeFlatInto(&ft, p, envs) }); allocs != 0 {
 		t.Fatalf("warmed EncodeTreeFlatInto allocated %.1f/run, want 0", allocs)
+	}
+
+	var f Forest
+	pair := []*plan.Plan{p, p}
+	e.EncodeForestInto(&f, pair, envs)
+	if allocs := testing.AllocsPerRun(50, func() { e.EncodeForestInto(&f, pair, envs) }); allocs != 0 {
+		t.Fatalf("warmed EncodeForestInto allocated %.1f/run, want 0", allocs)
 	}
 
 	var fg FlatGraph

@@ -14,14 +14,17 @@ import "math"
 //  1. The element-wise, gather and pooling kernels and MatMulInto are the
 //     arithmetic of the autograd ops in tensor.go, which call them on their
 //     output tensor; there is no second loop to keep in step.
-//  2. Three things remain two implementations, each pinned Float64bits-equal
+//  2. Four things remain two implementations, each pinned Float64bits-equal
 //     by test: the layers' composition of kernels, MaxRowsInto beside MaxRows
-//     (which records the argmax its backward needs), and MatMulNTInto beside
+//     (which records the argmax its backward needs), MatMulNTInto beside
 //     attention's Transpose+MatMul (whose backward shape the trained
-//     Transformer weights depend on). For the last, accumulation order is
-//     the rule: a dot product runs p = 0..k-1 ascending and skips a-side
-//     zeros exactly like matmulAccum's !ta&&!tb case, so blocking may tile
-//     rows and columns but never the reduction dimension.
+//     Transformer weights depend on), and TreeConv.ForwardInfer's fused
+//     sparse loop beside the GatherConcat3 → MatMul → AddRow → ReLU training
+//     keeps for its backward. For the last two, accumulation order is the
+//     rule: a dot product starts at +0, runs p = 0..k-1 ascending and skips
+//     a-side zeros exactly like matmulAccum's !ta&&!tb case, so a kernel may
+//     tile rows and columns and hold sums in registers, but never split or
+//     reorder the reduction.
 
 // Mat is a lightweight row-major matrix view used by the inference fast
 // path. It carries no autograd state; Data is typically Scratch-owned and
@@ -44,6 +47,13 @@ type Scratch struct {
 	slabs [][]float64
 	slab  int // index of the slab currently being filled
 	off   int // fill offset within the active slab
+
+	// Sparse working set of TreeConv.ForwardInfer, rebuilt per layer, grown by
+	// append: input row r has its nonzeros at nzOff/nzVal[rowEnd[r]:rowEnd[r+1]]
+	// (nzOff: the offset of the column's weight row within one of W's three
+	// blocks); catOff/catVal are the list of the output row being computed.
+	rowEnd, nzOff, catOff []int
+	nzVal, catVal         []float64
 }
 
 // Reset recycles every slab; previously returned slices become invalid.
@@ -170,12 +180,16 @@ func AddRowInPlace(m Mat, row []float64) {
 // included) becomes +0.
 func ReLUInPlace(m Mat) {
 	for i, v := range m.Data {
-		if v > 0 {
-			m.Data[i] = v
-		} else {
-			m.Data[i] = 0
-		}
+		m.Data[i] = relu(v)
 	}
+}
+
+// relu is the one rule both ReLU forms apply per element.
+func relu(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -214,23 +228,9 @@ func SoftmaxRowsInPlace(m Mat) {
 	}
 }
 
-// GatherConcat3Into builds, for each row i, [x[self[i]]; x[left[i]];
-// x[right[i]]] into dst (len(self)×3C), zeros for index -1 — the input
-// assembly step of binary tree convolution.
-func GatherConcat3Into(dst Mat, x Mat, self, left, right []int) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	gatherRows(dst, 0, x, self)
-	gatherRows(dst, x.C, x, left)
-	gatherRows(dst, 2*x.C, x, right)
-}
-
-// gatherRows copies x's rows selected by idx into dst at column offset
-// dstOff, skipping index -1. A named function rather than a closure keeps
-// GatherConcat3Into capture-free: a capturing literal would allocate on the
-// zero-allocation inference path (TestPredictCostZeroAlloc).
-func gatherRows(dst Mat, dstOff int, x Mat, idx []int) {
+// GatherRowsInto copies x's rows selected by idx into dst's rows at column
+// offset dstOff, skipping index -1 (that row of dst is left as it was).
+func GatherRowsInto(dst Mat, dstOff int, x Mat, idx []int) {
 	for i, ix := range idx {
 		if ix < 0 {
 			continue
@@ -289,12 +289,97 @@ func SumRowsInto(dst []float64, a Mat, s float64) {
 	}
 }
 
-// ForwardInfer applies the tree convolution inside the scratch arena.
+// sparsify rebuilds the sparse view of x for a layer of output width m: each
+// row's nonzeros once, columns ascending; NaN kept, -0 dropped, as matmulAccum
+// does. Every element is stored and the cursor moves only past a nonzero (any
+// bit but the sign set): no unpredictable branch on a ReLU output's zeros.
+func (s *Scratch) sparsify(x Mat, m int) {
+	s.rowEnd = append(s.rowEnd[:0], 0)
+	k := 0
+	for r := 0; r < x.R; r++ {
+		for len(s.nzOff) < k+x.C { // room for a full row past the cursor
+			s.nzOff = append(s.nzOff, 0)
+			s.nzVal = append(s.nzVal, 0)
+		}
+		off, val := s.nzOff[k:k+x.C], s.nzVal[k:k+x.C]
+		n := 0
+		for c, v := range x.Data[r*x.C : (r+1)*x.C] {
+			off[n], val[n] = c*m, v
+			if math.Float64bits(v)<<1 != 0 {
+				n++
+			}
+		}
+		k += n
+		s.rowEnd = append(s.rowEnd, k)
+	}
+}
+
+// concat3 lists the nonzeros of [x[self]; x[left]; x[right]] in column order,
+// each with its weight row's offset in W (one blockLen = C·m block per
+// position). A -1 position adds nothing, as its zero block would.
+func (s *Scratch) concat3(blockLen, self, left, right int) {
+	off, val := s.catOff[:0], s.catVal[:0]
+	for pos, r := range [3]int{self, left, right} {
+		if r < 0 {
+			continue
+		}
+		base := pos * blockLen
+		for k := s.rowEnd[r]; k < s.rowEnd[r+1]; k++ {
+			off = append(off, base+s.nzOff[k])
+			val = append(val, s.nzVal[k])
+		}
+	}
+	s.catOff, s.catVal = off, val
+}
+
+// ForwardInfer applies the tree convolution inside the scratch arena: row i
+// of the result is ReLU([x[self[i]]; x[left[i]]; x[right[i]]] @ W + b) — the
+// training path's GatherConcat3 → MatMul → AddRow → ReLU as one loop that
+// never builds the n×3C gather matrix. The input is scanned for nonzeros once
+// per layer, not once per parent reading a row; each output element is summed
+// in a register, eight columns of W at a time, and meets bias and ReLU at the
+// store. The reduction is the dense one's (the order rule above), so a row of
+// x may feed any number of output rows — a forest sharing subtrees — exactly.
 func (tc *TreeConv) ForwardInfer(s *Scratch, x Mat, self, left, right []int) Mat {
-	g := s.Mat(len(self), 3*x.C)
-	GatherConcat3Into(g, x, self, left, right)
-	out := tc.Lin.ForwardInfer(s, g)
-	ReLUInPlace(out)
+	w, bias, m := tc.Lin.W.Data, tc.Lin.B.Data, tc.Lin.W.C
+	s.sparsify(x, m)
+	out := s.Mat(len(self), m)
+	for i := range self {
+		s.concat3(x.C*m, self[i], left[i], right[i])
+		off, val := s.catOff, s.catVal
+		o := out.Data[i*m : (i+1)*m]
+		j := 0
+		for ; j+8 <= m; j += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for k, av := range val {
+				b := w[off[k]+j : off[k]+j+8 : off[k]+j+8]
+				a0 += av * b[0]
+				a1 += av * b[1]
+				a2 += av * b[2]
+				a3 += av * b[3]
+				a4 += av * b[4]
+				a5 += av * b[5]
+				a6 += av * b[6]
+				a7 += av * b[7]
+			}
+			bj, oj := bias[j:j+8:j+8], o[j:j+8:j+8]
+			oj[0] = relu(a0 + bj[0])
+			oj[1] = relu(a1 + bj[1])
+			oj[2] = relu(a2 + bj[2])
+			oj[3] = relu(a3 + bj[3])
+			oj[4] = relu(a4 + bj[4])
+			oj[5] = relu(a5 + bj[5])
+			oj[6] = relu(a6 + bj[6])
+			oj[7] = relu(a7 + bj[7])
+		}
+		for ; j < m; j++ {
+			a := 0.0
+			for k, av := range val {
+				a += av * w[off[k]+j]
+			}
+			o[j] = relu(a + bias[j])
+		}
+	}
 	return out
 }
 

@@ -67,20 +67,52 @@ func TestMatMulNTIntoMatchesMatMul(t *testing.T) {
 	sameBits(t, "matmulNT", want.Data, got)
 }
 
+// TestTreeConvForwardInferBitIdentical holds the fused sparse kernel to the
+// training path's GatherConcat3 → MatMul → AddRow → ReLU. The output widths
+// walk the eight-column register block from a lone tail column through one
+// full block, a block plus a tail, and several blocks; the index lists are a
+// forest, not a tree — a row read by two parents, a row nobody reads, left,
+// right and both children absent, a node that is its own only child — and the
+// input carries all-zero rows and -0.0, which the reduction must skip as it
+// skips +0.
 func TestTreeConvForwardInferBitIdentical(t *testing.T) {
 	rng := simrand.New(13)
-	n, in, out := 7, 10, 8
-	tc := NewTreeConv(rng.Derive("tc"), in, out)
-	x := randMat(rng, n, in)
-	self := []int{0, 1, 2, 3, 4, 5, 6}
-	left := []int{1, 3, 5, -1, -1, -1, -1}
-	right := []int{2, 4, 6, -1, -1, -1, -1}
+	const n, in = 9, 10
+	self := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	left := []int{1, 3, 3, -1, -1, 7, -1, -1, 8}
+	right := []int{2, 4, 6, -1, 5, -1, -1, -1, -1}
+	for _, out := range []int{1, 7, 8, 9, 32, 33} {
+		tc := NewTreeConv(rng.DeriveN("tc", out), in, out)
+		InitXavier(rng.DeriveN("bias", out), tc.Lin.B)
+		x := randMat(rng, n, in)
+		for j := 0; j < in; j++ {
+			x[3*in+j] = 0 // the shared child, all zeros
+			x[7*in+j] = 0
+		}
+		x[0], x[4*in+2], x[6*in+9] = math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1)
 
-	want := tc.Forward(FromData(n, in, x), self, left, right)
+		want := tc.Forward(FromData(n, in, x), self, left, right)
+		var s Scratch
+		got := tc.ForwardInfer(&s, Mat{R: n, C: in, Data: x}, self, left, right)
+		sameBits(t, fmt.Sprintf("treeconv out=%d", out), want.Data, got.Data)
 
-	var s Scratch
-	got := tc.ForwardInfer(&s, Mat{R: n, C: in, Data: x}, self, left, right)
-	sameBits(t, "treeconv", want.Data, got.Data)
+		// A reused scratch must not carry one layer's sparse view into the next.
+		s.Reset()
+		again := tc.ForwardInfer(&s, Mat{R: n, C: in, Data: x}, self, left, right)
+		sameBits(t, fmt.Sprintf("treeconv out=%d, reused scratch", out), want.Data, again.Data)
+
+		// NaN weights poison the sums they reach; ReLU still writes +0 there.
+		tc.Lin.W.Data[0], tc.Lin.W.Data[(in+3)*out+out-1] = math.NaN(), math.NaN()
+		want = tc.Forward(FromData(n, in, x), self, left, right)
+		s.Reset()
+		got = tc.ForwardInfer(&s, Mat{R: n, C: in, Data: x}, self, left, right)
+		sameBits(t, fmt.Sprintf("treeconv out=%d, NaN weights", out), want.Data, got.Data)
+		for _, v := range got.Data {
+			if math.IsNaN(v) || math.Signbit(v) {
+				t.Fatalf("out=%d: ReLU let %v through", out, v)
+			}
+		}
+	}
 }
 
 func TestGCNForwardInferBitIdentical(t *testing.T) {

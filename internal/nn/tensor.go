@@ -337,11 +337,14 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// GatherConcat3 is GatherConcat3Into with the scatter that backpropagates
-// through it.
+// GatherConcat3 builds, for each row i, [x[self[i]]; x[left[i]]; x[right[i]]]
+// (len(self)×3C, zeros for index -1) — the input assembly step of binary tree
+// convolution — with the scatter that backpropagates through it.
 func GatherConcat3(x *Tensor, self, left, right []int) *Tensor {
 	out := child(len(self), 3*x.C, x)
-	GatherConcat3Into(out.mat(), x.mat(), self, left, right)
+	for pos, idx := range [3][]int{self, left, right} {
+		GatherRowsInto(out.mat(), pos*x.C, x.mat(), idx)
+	}
 	if out.requiresGrad {
 		out.back = func() {
 			x.ensureGrad()

@@ -37,12 +37,13 @@ func (k Kind) String() string {
 
 // backbone turns an encoded plan into a 1×emb embedding (PlanEmb in Fig. 3).
 // embed builds the autograd graph used during training; embedInfer is the
-// allocation-free serving path (see infer.go) and must return bit-identical
-// values in scratch-backed storage. Both read the same flat encoding; embed
+// allocation-free serving path (see infer.go): it writes the embedding of
+// plans[k] into row k of dst (len(plans)×emb, row-major), each bit-identical
+// to embed's of that plan alone. Both read the same node encoding; embed
 // fills a view it owns, because the graph holds Feats until Backward.
 type backbone interface {
 	embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor
-	embedInfer(s *inferScratch, p *plan.Plan, envs encoding.EnvSource) nn.Mat
+	embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource)
 	params() []*nn.Tensor
 }
 

@@ -7,13 +7,22 @@ import "sync"
 // determine a backbone embedding (weights are fixed per deployed predictor;
 // deployment replaces the cache wholesale, which is the invalidation rule).
 //
-// It is a singleflight cache: the first goroutine to miss a key inserts an
-// in-flight entry and computes; concurrent lookups of the same key count as
-// hits and block on the entry's done channel instead of recomputing. That
-// keeps hit/miss totals a function of the request sequence alone, not of
-// scheduling — required by the deterministic-telemetry contract. Eviction is
-// strict LRU from the tail of an intrusive list, so with a fixed request
-// order the eviction sequence is deterministic too.
+// It is a singleflight cache: the first scoring pass to miss a key inserts an
+// in-flight entry and owns its computation; a lookup that finds an entry —
+// final or in flight — counts as a hit and reads the entry once its done
+// channel closes, instead of recomputing. That keeps hit/miss totals a
+// function of the request sequence alone, not of scheduling — required by the
+// deterministic-telemetry contract. Eviction is strict LRU from the tail of
+// an intrusive list, so with a fixed request order the eviction sequence is
+// deterministic too.
+//
+// One protocol (Predictor.embedCached): claim every candidate; compute the
+// entries this pass owns; publish them; only then wait on entries another
+// pass owns. Lookups, inserts and evictions so happen in the order
+// per-candidate lookups would make them. claim never blocks, and a pass never
+// waits while it holds an unpublished claim — two passes scoring [A, B] and
+// [B, A] would otherwise each hold one entry and wait for the other's, and a
+// set that repeats a fingerprint for itself.
 type planCache struct {
 	mu   sync.Mutex
 	cap  int
@@ -82,27 +91,24 @@ func (c *planCache) moveFront(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// getOrCompute returns the cached embedding for key, computing it via compute
-// on a miss. The returned slice is cache-owned and must not be mutated.
-// Whether a lookup is a hit depends only on whether the key was present (or
-// in flight) at lookup time, so totals do not vary with worker interleaving
-// of *distinct* keys.
-func (c *planCache) getOrCompute(key cacheKey, compute func() []float64) []float64 {
+// claim looks key up and never blocks. A present entry — final or in flight,
+// another pass's or this pass's own earlier claim — is a hit: counted, moved
+// to the LRU front, returned with owner false; emb may be read once done has
+// closed (and is computed locally if the entry failed). An absent key is a
+// miss: counted, inserted in flight at the front, the tail evicted while over
+// capacity — possibly the new entry itself — and the caller owns it: it must
+// publish or fail it before it waits on anything. A lookup hits iff the key
+// was present at lookup time, so totals do not vary with the interleaving of
+// *distinct* keys.
+func (c *planCache) claim(key cacheKey) (e *cacheEntry, owner bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
 		c.moveFront(e)
 		c.tel.cacheHits.Inc()
-		c.mu.Unlock()
-		<-e.done
-		if !e.failed {
-			return e.emb
-		}
-		// The computing goroutine died; fall back to computing locally
-		// without touching the cache.
-		return compute()
+		return e, false
 	}
-
-	e := &cacheEntry{key: key, done: make(chan struct{})}
+	e = &cacheEntry{key: key, done: make(chan struct{})}
 	c.m[key] = e
 	c.pushFront(e)
 	c.tel.cacheMisses.Inc()
@@ -113,30 +119,29 @@ func (c *planCache) getOrCompute(key cacheKey, compute func() []float64) []float
 		c.tel.cacheEvictions.Inc()
 	}
 	c.tel.cacheSize.Set(float64(len(c.m)))
-	c.mu.Unlock()
+	return e, true
+}
 
-	computed := false
-	defer func() {
-		if computed {
-			return
-		}
-		// compute panicked: drop the in-flight entry (unless already
-		// evicted) and release waiters so they retry locally.
-		c.mu.Lock()
-		if c.m[key] == e {
-			c.unlink(e)
-			delete(c.m, key)
-			c.tel.cacheSize.Set(float64(len(c.m)))
-		}
-		c.mu.Unlock()
-		e.failed = true
-		close(e.done)
-	}()
-	emb := compute()
+// publish makes emb the entry's final, cache-owned value and releases its
+// waiters. An entry evicted or flushed while in flight is still delivered to
+// whoever holds it; it is just no longer retained.
+func (e *cacheEntry) publish(emb []float64) {
 	e.emb = emb
-	computed = true
 	close(e.done)
-	return emb
+}
+
+// fail gives up an owned entry whose computation died: it leaves the map
+// (unless eviction already took it) and its waiters compute locally.
+func (c *planCache) fail(e *cacheEntry) {
+	c.mu.Lock()
+	if c.m[e.key] == e {
+		c.unlink(e)
+		delete(c.m, e.key)
+		c.tel.cacheSize.Set(float64(len(c.m)))
+	}
+	c.mu.Unlock()
+	e.failed = true
+	close(e.done)
 }
 
 // setCapacity resizes the cache in place. Shrinking evicts strict-LRU tail

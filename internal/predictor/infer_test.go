@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"loam/internal/cluster"
 	"loam/internal/encoding"
+	"loam/internal/expr"
 	"loam/internal/floatsafe"
 	"loam/internal/plan"
 	"loam/internal/telemetry"
@@ -133,6 +135,166 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// explorerStyleCands is a candidate set shaped like the explorer's — the
+// unrelated plans above cannot see a sharing bug: a base plan and clones that
+// each differ from it in one place (a join operator, a join order rotation, a
+// pushed predicate, a PartitionsRead, a ColumnsAccessed the bucket hash does
+// not read), a plan holding the same scan subtree twice, and a 3-way Union,
+// which folds.
+func explorerStyleCands() []*plan.Plan {
+	scan := func(t string, parts int) *plan.Node {
+		return &plan.Node{Op: plan.OpTableScan, Table: t, PartitionsRead: parts, ColumnsAccessed: 2}
+	}
+	c1, c2 := expr.ColumnRef{Table: "big", Column: "c1"}, expr.ColumnRef{Table: "mid", Column: "c2"}
+	base := &plan.Plan{Root: &plan.Node{
+		Op: plan.OpHashAggregate, AggFuncs: []plan.AggFunc{plan.AggSum}, AggCols: []expr.ColumnRef{c1}, GroupCols: []expr.ColumnRef{c2},
+		Children: []*plan.Node{{
+			Op: plan.OpHashJoin, JoinForm: plan.JoinInner, LeftCols: []expr.ColumnRef{c1}, RightCols: []expr.ColumnRef{c2},
+			Children: []*plan.Node{
+				{Op: plan.OpExchange, Parallelism: 64, Children: []*plan.Node{{
+					Op: plan.OpFilter, Pred: expr.Compare(expr.FuncGT, c1, 3), Children: []*plan.Node{scan("big", 8)},
+				}}},
+				{Op: plan.OpExchange, Children: []*plan.Node{scan("mid", 2)}},
+			},
+		}},
+	}}
+	join := func(p *plan.Plan) *plan.Node { return p.Root.Children[0] }
+	flip := base.Clone()
+	join(flip).Op = plan.OpMergeJoin
+	rotate := base.Clone()
+	j := join(rotate)
+	j.Children[0], j.Children[1] = j.Children[1], j.Children[0]
+	j.LeftCols, j.RightCols = j.RightCols, j.LeftCols
+	push := base.Clone()
+	ex := join(push).Children[1]
+	ex.Children[0] = &plan.Node{Op: plan.OpFilter, Pred: expr.Compare(expr.FuncLT, c2, 9), Children: []*plan.Node{ex.Children[0]}}
+	parts := base.Clone()
+	join(parts).Children[1].Children[0].PartitionsRead = 3
+	cols := base.Clone()
+	join(cols).Children[1].Children[0].ColumnsAccessed = 3
+	twice := base.Clone()
+	join(twice).Children[1] = join(twice).Children[0].Clone()
+	union := &plan.Plan{Root: &plan.Node{Op: plan.OpUnion, Children: []*plan.Node{scan("mid", 2), scan("big", 8), scan("mid", 2)}}}
+	return []*plan.Plan{base, flip, rotate, push, parts, cols, twice, union}
+}
+
+// TestScoringPathsBitIdenticalSharedSubtrees is TestScoringPathsBitIdentical
+// over candidates that share subtrees, where scoring them as one forest could
+// go wrong and scoring eight unrelated plans cannot: under a fixed
+// environment, no environment, and a per-node RecordEnv source that observes
+// only one candidate's nodes (so rows equal in everything but the environment
+// must stay apart), the forest reproduces the one-at-a-time training forward
+// bit for bit — unkeyed, and through the plan cache cold, with a mix of hits
+// and misses, and warm. Every backbone kind runs the same skeleton.
+func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	samples, _ := synthetic(80, 21)
+	cands := explorerStyleCands()
+	perNode := map[*plan.Node]cluster.Metrics{}
+	for _, c := range cands[:2] {
+		c.Root.Walk(func(n *plan.Node) {
+			perNode[n] = cluster.Metrics{CPUIdle: 0.5, IOWait: float64(len(perNode)%3) / 8, Load5: 2, MemUsage: 0.4}
+		})
+	}
+	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
+		t.Run(kind.String(), func(t *testing.T) {
+			p, err := Train(tinyConfig(kind), enc, samples, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []struct {
+				name string
+				envs encoding.EnvSource
+				key  encoding.EnvKey
+			}{
+				{"FixedEnv", encoding.FixedEnv(p.TrainMeanEnv()), encoding.FixedEnvKey(p.TrainMeanEnv())},
+				{"NoEnv", encoding.NoEnv(), encoding.NoEnvKey()},
+				{"RecordEnv", encoding.RecordEnv(func(n *plan.Node) (cluster.Metrics, bool) { m, ok := perNode[n]; return m, ok }), encoding.EnvKey{}},
+			} {
+				want := referenceCosts(p, cands, src.envs)
+				_, costs, err := p.SelectPlan(cands, src.envs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				costsSameBits(t, src.name+" unkeyed", want, costs)
+				for i, c := range cands {
+					if got := p.PredictCost(c, src.envs); math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: PredictCost(%d) = %v, want %v", src.name, i, got, want[i])
+					}
+				}
+				if !src.key.Keyed {
+					continue
+				}
+				p.EnablePlanCache(64)
+				// Half the set first, so the full set is a mix of hits and
+				// misses; then cold entries are all warm.
+				if _, _, err := p.SelectPlanKeyed([]*plan.Plan{cands[1], cands[3], cands[5], cands[7]}, src.envs, src.key); err != nil {
+					t.Fatal(err)
+				}
+				for _, pass := range []string{"mixed", "warm"} {
+					_, costs, err := p.SelectPlanKeyed(cands, src.envs, src.key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					costsSameBits(t, src.name+" keyed "+pass, want, costs)
+				}
+				p.EnablePlanCache(64)
+				_, costs, err = p.SelectPlanKeyed(cands, src.envs, src.key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				costsSameBits(t, src.name+" keyed cold", want, costs)
+			}
+		})
+	}
+}
+
+// TestForestFullTableAndBucketCollisionsBitIdentical drives the two places
+// where the forest's sharing could be approximate and must not be. A
+// candidate set with more distinct subtrees than the subtree table takes
+// fills it, after which the pass shares nothing — same bits. And candidates
+// that differ only in fields the bucket hash does not read land in one bucket
+// by construction, where only the row compare keeps them apart: their costs
+// are the reference's, and differ from one another.
+func TestForestFullTableAndBucketCollisionsBitIdentical(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	samples, _ := synthetic(80, 31)
+	p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := encoding.FixedEnv(p.TrainMeanEnv())
+
+	var big []*plan.Plan
+	for i := 0; i < 800; i++ {
+		big = append(big, &plan.Plan{Root: &plan.Node{Op: plan.OpTableScan, Table: "mid", PartitionsRead: 1 + i, ColumnsAccessed: 1}})
+	}
+	big = append(big, explorerStyleCands()...)
+	_, costs, err := p.SelectPlan(big, envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costsSameBits(t, "table full", referenceCosts(p, big, envs), costs)
+
+	var collide []*plan.Plan
+	for cols := 1; cols <= 4; cols++ {
+		collide = append(collide, &plan.Plan{Root: &plan.Node{Op: plan.OpSelect, Children: []*plan.Node{
+			{Op: plan.OpTableScan, Table: "big", PartitionsRead: 4, ColumnsAccessed: cols},
+		}}})
+	}
+	want := referenceCosts(p, collide, envs)
+	_, costs, err = p.SelectPlan(collide, envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costsSameBits(t, "one bucket", want, costs)
+	for i := 1; i < len(want); i++ {
+		if want[i] == want[0] {
+			t.Fatalf("candidates %d and 0 cost the same (%v): the set does not tell sharing from not sharing", i, want[i])
+		}
 	}
 }
 
@@ -470,8 +632,8 @@ func BenchmarkSelectPlanCached(b *testing.B) {
 // over every neural backbone: after warm-up, PredictCost on a binary
 // predicate-free plan performs zero heap allocations (scratch comes from the
 // pool, encoders and kernels reuse their buffers, and no autograd graph is
-// built), and the scoring core on a warm plan cache allocates only the costs
-// slice SelectPlanKeyed returns. This test owns the fast path's
+// built), and the scoring core — cold, every candidate embedded, and on a
+// warm plan cache — allocates only the costs slice it returns. This test owns the fast path's
 // zero-allocation contract (DESIGN.md "Static analysis & code contracts").
 func TestPredictCostZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -497,6 +659,24 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
 		if allocs != 0 {
 			t.Fatalf("%v: warmed PredictCost allocated %.1f times per run, want 0", kind, allocs)
+		}
+
+		// The cold path: every candidate embedded, by the TCN as one forest.
+		// Binary plans only — folding an n-ary operator clones the tree.
+		var binary []*plan.Plan
+		for _, sm := range samples {
+			if len(sm.Plan.Root.Children) <= 2 && len(binary) < 8 {
+				binary = append(binary, sm.Plan)
+			}
+		}
+		coldSelect := func() {
+			if _, _, err := p.SelectPlan(binary, envs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		coldSelect()
+		if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
+			t.Fatalf("%v: warmed unkeyed SelectPlan allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
 		}
 
 		p.EnablePlanCache(64)

@@ -46,15 +46,38 @@ func wantIntegrity(t *testing.T, err error, what string) {
 
 func TestLoadIntegrityTruncationEveryBoundary(t *testing.T) {
 	_, framed := trainedSnapshotBytes(t)
-	// Every truncation point — inside the magic, inside the frame header,
+	// A truncation anywhere — inside the magic, inside the frame header,
 	// inside the payload — must fail as an integrity error, never load a
-	// partial model, and never panic.
-	for n := 0; n < len(framed); n++ {
+	// partial model, and never panic. Load reads all it is given before it
+	// looks at any of it, so a Load per byte of a ~300 KB snapshot is
+	// quadratic; what is tried instead is every byte where the branch taken
+	// can change — all of the magic and the frame header, one byte either
+	// side of each boundary, the last 64 bytes — and a 257-point stride
+	// through the payload, where every length fails the same length check
+	// (FuzzLoad seeds truncations too).
+	const header = len(snapshotMagic) + 16 // magic, then the frame's length and checksum
+	cuts := map[int]bool{}
+	for n := 0; n <= header+1; n++ {
+		cuts[n] = true
+	}
+	for n := len(framed) - 64; n < len(framed); n++ {
+		cuts[n] = true
+	}
+	for n := header; n < len(framed); n += (len(framed)-header)/257 + 1 {
+		cuts[n] = true
+	}
+	for n := range cuts {
+		if n < 0 || n >= len(framed) {
+			continue
+		}
 		_, err := Load(bytes.NewReader(framed[:n]))
 		if err == nil {
 			t.Fatalf("truncation at byte %d loaded successfully", n)
 		}
 		wantIntegrity(t, err, "truncation")
+	}
+	if len(cuts) < header+64+257 {
+		t.Fatalf("only %d truncation points tried", len(cuts))
 	}
 	if _, err := Load(bytes.NewReader(framed)); err != nil {
 		t.Fatalf("untruncated snapshot: %v", err)

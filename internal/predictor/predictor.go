@@ -444,10 +444,11 @@ func (p *Predictor) PredictCost(pl *plan.Plan, envs encoding.EnvSource) float64 
 	}
 	s := getScratch()
 	defer putScratch(s)
-	s.nn.Reset()
-	emb := p.bb.embedInfer(s, pl, envs)
-	out := p.costHead.ForwardInfer(&s.nn, emb)
-	return p.denormalize(out.Data[0])
+	var cost [1]float64
+	s.one[0] = pl
+	p.score(s, cost[:], s.one[:], envs, encoding.EnvKey{})
+	s.one[0] = nil
+	return cost[0]
 }
 
 // Strategy selects how environment features are set at inference time, when
@@ -503,11 +504,11 @@ func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]
 }
 
 // SelectPlan returns the candidate with the lowest estimated cost, along
-// with all estimates. Candidate embeddings are computed one by one, then
-// scored through the cost head in a single batched matrix-matrix pass
-// (scoreCandidates). The batched pass produces bit-identical costs to
-// PredictCost on each candidate, and ties and NaN handling follow
-// floatsafe.ArgMin, so the chosen plan never depends on batching.
+// with all estimates. The candidates are embedded together — by the TCN as
+// one forest, each distinct subtree convolved once — then scored in a single
+// batched pass through the cost head (scoreCandidates). Costs are
+// bit-identical to PredictCost on each candidate, and ties and NaN handling
+// follow floatsafe.ArgMin, so the chosen plan never depends on batching.
 //
 // An empty candidate set returns ErrNoCandidates; candidates whose estimate
 // is NaN are skipped when choosing, and if every estimate is NaN the error is

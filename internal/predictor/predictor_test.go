@@ -147,10 +147,10 @@ func (b stubBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
 	return nn.FromData(1, 1, []float64{b.vals[p.Root.Table]})
 }
 
-func (b stubBackbone) embedInfer(s *inferScratch, p *plan.Plan, envs encoding.EnvSource) nn.Mat {
-	m := s.nn.Mat(1, 1)
-	m.Data[0] = b.vals[p.Root.Table]
-	return m
+func (b stubBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
+	for k, p := range plans {
+		dst[k] = b.vals[p.Root.Table]
+	}
 }
 
 func (b stubBackbone) params() []*nn.Tensor { return nil }
