@@ -10,12 +10,16 @@ test:
 
 # The race run exercises the concurrent serving layer (see serve_test.go and
 # DESIGN.md's concurrency model); it is part of verification, not optional.
-# ./bench runs after the other packages, not beside them: its
-# TestStageSumMatchesUntracedLatency compares wall-clock stage timings, which
-# a second test binary on a 2-CPU box pushes past their bounds.
+# ./bench runs after the other packages, not beside them, and without
+# TestStageSumMatchesUntracedLatency: the race run is for data races, and that
+# test asserts wall-clock shares of a recurring request, which the detector's
+# instrumentation moves. With exploration as cheap as it now is,
+# predictor.share reads 0.104-0.107 under -race against a 0.1 bound (every run
+# fails; explorer.share 0.55 against its 0.5 floor) and 0.03 without it.
+# `make test` runs the test un-instrumented.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^loam/bench$$')
-	$(GO) test -race ./bench
+	$(GO) test -race -skip '^TestStageSumMatchesUntracedLatency$$' ./bench
 
 # fuzz-smoke runs each native fuzz target for 10 s from its f.Add seeds (there
 # are no corpus files): the frame scanner every journal open reads through,

@@ -90,8 +90,15 @@ func NewResult(size int) *Result {
 	return &Result{cards: make(map[*plan.Node]card, size)}
 }
 
-// Reset empties the result, keeping its storage for the next plan.
-func (r *Result) Reset() { clear(r.cards) }
+// Adopt records the cardinalities of n's subtree as src holds them — for a
+// subtree whose estimate is the same under both results' estimators, such as
+// a sub-plan of fewer than three tables under any CardScale.
+func (r *Result) Adopt(src *Result, n *plan.Node) {
+	r.cards[n] = src.cards[n]
+	for _, c := range n.Children {
+		r.Adopt(src, c)
+	}
+}
 
 // Rows returns the output cardinality of a node (0 for unknown nodes).
 func (r *Result) Rows(n *plan.Node) float64 { return r.cards[n].rows }

@@ -1,13 +1,13 @@
 // Package explorer implements LOAM's plan explorer (§3): steering the native
 // optimizer with knobs to produce a diverse set of candidate plans. It
 // combines Bao-style flag toggling with Lero-style cardinality scaling for
-// sub-plans with at least three inputs, deduplicates by plan fingerprint,
-// and keeps the top-k candidates by the native optimizer's rough cost —
-// always including the default plan, mirroring the paper's evaluation setup
-// (§7.1).
+// sub-plans with at least three inputs, drops duplicate plans, and keeps the
+// top-k candidates by the native optimizer's rough cost — always including
+// the default plan, mirroring the paper's evaluation setup (§7.1).
 package explorer
 
 import (
+	"math"
 	"sort"
 
 	"loam/internal/floatsafe"
@@ -78,94 +78,119 @@ func pairFlagSets() []nativeopt.Flags {
 	var out []nativeopt.Flags
 	for i := 0; i < len(singleFlags); i++ {
 		for j := i + 1; j < len(singleFlags); j++ {
-			out = append(out, merge(singleFlags[i], singleFlags[j]))
+			out = append(out, singleFlags[i].Union(singleFlags[j]))
 		}
 	}
 	return out
-}
-
-func merge(a, b nativeopt.Flags) nativeopt.Flags {
-	return nativeopt.Flags{
-		MergeJoin:      a.MergeJoin || b.MergeJoin,
-		BroadcastJoin:  a.BroadcastJoin || b.BroadcastJoin,
-		ShuffleCombine: a.ShuffleCombine || b.ShuffleCombine,
-		SpoolEager:     a.SpoolEager || b.SpoolEager,
-		FilterPushdown: a.FilterPushdown || b.FilterPushdown,
-		DopHigh:        a.DopHigh || b.DopHigh,
-	}
 }
 
 // Candidates returns the candidate plan set for a query: the default plan
 // first, then up to TopK-1 distinct knob-tuned alternatives ranked by the
 // native rough cost. Every setting is planned through one nativeopt.Session,
-// so the request evaluates each table-local predicate and each plan node
-// once.
+// so the request evaluates each table-local predicate, each scan subplan and
+// each plan node once — the returned plans share their scan subtrees, and are
+// read-only like any sealed plan (Clone to edit).
 func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	session := nativeopt.NewSession(e.View, q)
-	def, defCost := session.Plan(nativeopt.Flags{}, 0)
-
 	type scored struct {
 		p    *plan.Plan
 		cost float64
 	}
-	// Candidates are sealed with the fingerprint the dedup pass computes
-	// anyway: the predictor's plan-embedding cache keys on it every time a
-	// candidate is scored, and re-walking the tree per lookup dominated the
-	// warm serving path before the seal (see plan.Seal). The rough cost
-	// planning produced rides along (plan.SealRough): the guard's sentinel
-	// asks nativeopt for it again on every learned serve.
-	settings := 1 + len(singleFlags) + len(e.CardScales)
-	if e.Wide {
-		settings += len(pairFlags)
-	}
-	seen := make([]uint64, 1, settings)
-	seen[0] = def.Seal()
-	def.SealRough(e.View, defCost)
-	alts := make([]scored, 0, settings-1)
-
-	// A plan that is not kept goes back to the session, whose later
-	// plannings reuse its nodes.
-	add := func(p *plan.Plan, cost float64) {
-		fp := p.Seal()
-		for _, s := range seen {
-			if s == fp {
+	// kept[0] is the default plan; the alternatives follow in planning order,
+	// the order the (unstable) sort below needs for cost ties to rank as ever.
+	kept := make([]scored, 0, e.settings())
+	e.plannings(session, func(p *plan.Plan, cost float64) {
+		// Equal plans have equal cost bits — the same tree over the same
+		// cardinalities, summed in the same order — so the structural compare
+		// runs only on a tie. A plan that is not kept goes back to the
+		// session, whose later plannings reuse its nodes.
+		for _, k := range kept {
+			if math.Float64bits(k.cost) == math.Float64bits(cost) && k.p.Root.Equal(p.Root) {
 				session.Release(p)
 				return
 			}
 		}
-		seen = append(seen, fp)
-		if e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*defCost) {
-			session.Release(p) // drastically bad (or NaN) by the native estimate
+		// Drastically bad (or NaN) by the native estimate. The cut plan is not
+		// remembered: a later twin costs the same and is cut here too.
+		if len(kept) > 0 && e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*kept[0].cost) {
+			session.Release(p)
 			return
 		}
-		p.SealRough(e.View, cost)
-		alts = append(alts, scored{p: p, cost: cost})
-	}
+		kept = append(kept, scored{p: p, cost: cost})
+	})
 
-	for _, f := range singleFlags {
-		add(session.Plan(f, 0))
-	}
-	if e.Wide {
-		for _, f := range pairFlags {
-			add(session.Plan(f, 0))
-		}
-	}
-	for _, scale := range e.CardScales {
-		add(session.Plan(nativeopt.Flags{}, scale))
-	}
-
+	alts := kept[1:]
 	sort.Slice(alts, func(i, j int) bool { return floatsafe.SortLess(alts[i].cost, alts[j].cost) })
-	limit := len(alts)
-	if e.TopK > 0 && e.TopK-1 < limit {
-		limit = e.TopK - 1
+	if e.TopK > 0 && e.TopK-1 < len(alts) {
+		alts = alts[:e.TopK-1]
 	}
-	out := make([]*plan.Plan, 1, 1+limit)
-	out[0] = def
-	for _, s := range alts[:limit] {
-		out = append(out, s.p)
+	// Only what is returned is sealed: with its fingerprint, which the
+	// predictor's plan-embedding cache keys on (plan.Seal), and with the rough
+	// cost planning produced (plan.SealRough), which the guard's sentinel asks
+	// nativeopt for again on every learned serve.
+	out := make([]*plan.Plan, 0, 1+len(alts))
+	for _, k := range kept[:1+len(alts)] {
+		k.p.Seal()
+		k.p.SealRough(e.View, k.cost)
+		out = append(out, k.p)
 	}
 	return out
 }
+
+// settings is how many steering settings the explorer chooses from.
+func (e *Explorer) settings() int {
+	n := 1 + len(singleFlags) + len(e.CardScales)
+	if e.Wide {
+		n += len(pairFlags)
+	}
+	return n
+}
+
+// plannings plans the query under every setting that can build a plan no
+// earlier setting built — the default, the single flags, with Wide the pairs,
+// then the card scales — and hands each plan and its rough cost to visit, in
+// that order. A setting is skipped only on a proof (nativeopt.Session.Plan:
+// adding a flag that did not decide rebuilds the plan), so what is skipped is
+// always the later twin of a plan visit has seen: no candidate, knob label or
+// order changes.
+func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64)) {
+	p, cost, base := s.Plan(nativeopt.Flags{}, 0)
+	visit(p, cost)
+
+	// decisive[i] is the decisive set of singleFlags[i]'s planning; a single
+	// flag inert in the default planning builds the default plan by the
+	// default's choices, decisive set included.
+	var decisive [len(singleFlags)]nativeopt.Flags
+	for i, f := range singleFlags {
+		decisive[i] = base
+		if decides(base, f) {
+			p, cost, decisive[i] = s.Plan(f, 0)
+			visit(p, cost)
+		}
+	}
+	if e.Wide {
+		// {a, b} builds {a}'s plan when b is inert there, {b}'s when a is.
+		k := 0
+		for i, a := range singleFlags {
+			for j := i + 1; j < len(singleFlags); j++ {
+				if decides(decisive[i], singleFlags[j]) && decides(decisive[j], a) {
+					p, cost, _ := s.Plan(pairFlags[k], 0)
+					visit(p, cost)
+				}
+				k++
+			}
+		}
+	}
+	if s.Scales() {
+		for _, scale := range e.CardScales {
+			p, cost, _ := s.Plan(nativeopt.Flags{}, scale)
+			visit(p, cost)
+		}
+	}
+}
+
+// decides reports whether every flag of f is in the decisive set.
+func decides(decisive, f nativeopt.Flags) bool { return decisive.Union(f) == decisive }
 
 // DefaultPlan returns just the native optimizer's plan (no knobs).
 func (e *Explorer) DefaultPlan(q *query.Query) *plan.Plan {

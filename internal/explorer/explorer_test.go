@@ -191,7 +191,7 @@ func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) 
 	if e.Wide {
 		for i := range flags {
 			for j := i + 1; j < len(flags); j++ {
-				add(base.Optimize(q, merge(flags[i], flags[j])))
+				add(base.Optimize(q, flags[i].Union(flags[j])))
 			}
 		}
 	}
@@ -210,13 +210,19 @@ func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) 
 	return plans, costs
 }
 
-// TestCandidatesMatchPerSettingReference: for every template of a
-// project1-shaped world (mostly fresh column statistics, 2–5 tables) and a
-// project2-shaped one (mostly missing, 3–6 tables), the default and the wide
-// explorer — cut and uncut — return the reference's fingerprints, knobs and
-// order, and seal exactly the rough costs the reference ranked by.
-func TestCandidatesMatchPerSettingReference(t *testing.T) {
-	type world struct {
+// oracleWorld is one project shape of the reference test and the benchmark:
+// a statistics view and one query per template.
+type oracleWorld struct {
+	name    string
+	view    *stats.View
+	queries []*query.Query
+}
+
+// oracleWorlds builds a project1-shaped world (mostly fresh column statistics,
+// 2–5 tables), a project2-shaped one (mostly missing, 3–6 tables) and one of
+// small queries (1–2 tables, where no card scale can change the plan).
+func oracleWorlds() []oracleWorld {
+	shapes := []struct {
 		name          string
 		seed          uint64
 		tables, cols  int
@@ -224,14 +230,16 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 		pol           stats.Policy
 		minT, maxT    int
 		pushDifficult float64
-	}
-	worlds := []world{
+	}{
 		{"project1", 101, 60, 14, 4.7,
 			stats.Policy{ColumnStatsProb: 0.85, FreshProb: 0.85, MaxStalenessDays: 10, NDVNoise: 0.2}, 2, 5, 0.25},
 		{"project2", 202, 30, 6, 6.2,
 			stats.Policy{ColumnStatsProb: 0.38, FreshProb: 0.30, MaxStalenessDays: 25, NDVNoise: 0.8}, 3, 6, 0.55},
+		{"small", 303, 20, 12, 5.0,
+			stats.Policy{ColumnStatsProb: 0.38, FreshProb: 0.30, MaxStalenessDays: 25, NDVNoise: 0.8}, 1, 2, 0.7},
 	}
-	for _, w := range worlds {
+	var out []oracleWorld
+	for _, w := range shapes {
 		a := warehouse.DefaultArchetype()
 		a.Name = w.name
 		a.NumTables = w.tables
@@ -239,21 +247,46 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 		a.RowsLog10Mean = w.rowsMean
 		p := warehouse.Generate(simrand.New(w.seed), a)
 		const day = 4
-		view := stats.Snapshot(simrand.New(w.seed+2), p, day, w.pol)
 		cfg := workload.DefaultConfig()
 		cfg.NumTemplates = 40
 		cfg.MinTables, cfg.MaxTables = w.minT, w.maxT
 		cfg.PushDifficultProb = w.pushDifficult
 		g := workload.NewGenerator(simrand.New(w.seed+1), p, cfg)
+		world := oracleWorld{name: w.name, view: stats.Snapshot(simrand.New(w.seed+2), p, day, w.pol)}
+		for _, tpl := range g.Templates {
+			world.queries = append(world.queries, tpl.Instantiate(simrand.New(w.seed+3), day))
+		}
+		out = append(out, world)
+	}
+	return out
+}
 
+// planned counts the plannings Candidates makes for q.
+func (e *Explorer) planned(q *query.Query) int {
+	n := 0
+	e.plannings(nativeopt.NewSession(e.View, q), func(*plan.Plan, float64) { n++ })
+	return n
+}
+
+// TestCandidatesMatchPerSettingReference: for every template of every world,
+// the default and the wide explorer — cut and uncut — return the
+// fingerprints, knobs and order of the reference, which plans every setting,
+// and seal exactly the rough costs the reference ranked by. The comparison
+// must not be idle: every explorer has to skip plannings (a pruning that
+// never fires would pass), and alternatives have to tie on cost, since what
+// the unstable sort does with a tie depends on the order they are handed over
+// in.
+func TestCandidatesMatchPerSettingReference(t *testing.T) {
+	for _, w := range oracleWorlds() {
+		view := w.view
 		uncut := func(e *Explorer) *Explorer { e.TopK, e.SafetyFactor = 0, 0; return e }
 		explorers := map[string]*Explorer{
 			"default": New(view), "wide": NewWide(view),
 			"default uncut": uncut(New(view)), "wide uncut": uncut(NewWide(view)),
 		}
-		kept := 0
-		for _, tpl := range g.Templates {
-			q := tpl.Instantiate(simrand.New(w.seed+3), day)
+		kept, ties := 0, 0
+		skipped := map[string]int{}
+		for _, q := range w.queries {
 			for name, e := range explorers {
 				got := e.Candidates(q)
 				want, costs := referenceCandidates(e, q)
@@ -261,6 +294,7 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 					t.Fatalf("%s %s %s: %d candidates, reference %d", w.name, name, q.ID, len(got), len(want))
 				}
 				kept += len(got)
+				skipped[name] += e.settings() - e.planned(q)
 				for i := range got {
 					if got[i].Root.Fingerprint() != want[i].Root.Fingerprint() {
 						t.Fatalf("%s %s %s: candidate %d differs from the reference:\n%s\nvs\n%s",
@@ -277,12 +311,46 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 						t.Fatalf("%s %s %s: candidate %d sealed rough cost %v (%v), reference %v",
 							w.name, name, q.ID, i, sealed, ok, costs[i])
 					}
+					if i > 1 && math.Float64bits(costs[i]) == math.Float64bits(costs[i-1]) {
+						ties++
+					}
 				}
 			}
 		}
-		if kept == 0 {
-			t.Fatalf("%s: nothing compared", w.name)
+		if kept == 0 || ties == 0 {
+			t.Fatalf("%s: %d candidates compared, %d cost ties between alternatives", w.name, kept, ties)
 		}
+		for name, e := range explorers {
+			t.Logf("%s %s: %d of %d plannings skipped", w.name, name, skipped[name], len(w.queries)*e.settings())
+			if skipped[name] == 0 {
+				t.Fatalf("%s %s: no planning was ever skipped", w.name, name)
+			}
+		}
+	}
+}
+
+// BenchmarkExplorerCandidates is the warm path in seconds: one op is one
+// Explorer.Candidates call, cycling through the templates of a project1-shaped
+// and a project2-shaped world. planned/op is the plannings a request makes of
+// the explorer's ten settings, counted from the decisive sets the plannings
+// return; kept/op the candidates it returns.
+func BenchmarkExplorerCandidates(b *testing.B) {
+	for _, w := range oracleWorlds()[:2] {
+		b.Run(w.name, func(b *testing.B) {
+			e := New(w.view)
+			planned, kept := 0, 0
+			for _, q := range w.queries {
+				planned += e.planned(q)
+				kept += len(e.Candidates(q))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = e.Candidates(w.queries[i%len(w.queries)])
+			}
+			b.ReportMetric(float64(planned)/float64(len(w.queries)), "planned/op")
+			b.ReportMetric(float64(kept)/float64(len(w.queries)), "kept/op")
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package expr
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Hash is an inline FNV-1a 64-bit accumulator for the zero-allocation
 // structural hashes used on the serving hot path (predicate hashing here,
@@ -68,4 +71,18 @@ func (n *Node) AppendHash(h Hash) Hash {
 		h = c.AppendHash(h)
 	}
 	return h
+}
+
+// Equal reports whether the two predicates have the same structure: exactly
+// the fields AppendHash folds, constants by their IEEE-754 bits.
+func (n *Node) Equal(m *Node) bool {
+	if n == m {
+		return true
+	}
+	if n == nil || m == nil {
+		return false
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return n.Fn == m.Fn && n.Col == m.Col && slices.EqualFunc(n.Args, m.Args, sameBits) &&
+		slices.EqualFunc(n.Children, m.Children, (*Node).Equal)
 }

@@ -311,9 +311,10 @@ func (r *Registry) Deregister(project string) bool {
 // Route serves one query for project: resolve the tenant on the lock-free
 // snapshot, run the admission gate, then either the full ladder (admitted)
 // or the backend's shed path (over budget). It returns the backend's choice
-// value; the error is non-nil only for unknown tenants, caller
-// cancellation, or a backend whose every serving rung failed — a shed, by
-// design, still succeeds.
+// value; the error is non-nil only for unknown tenants, a nil query
+// (query.ErrInvalid, refused before the gate), caller cancellation, or a
+// backend that could not serve — every rung failed, or the query is one it
+// cannot plan; a shed, by design, still succeeds.
 func (r *Registry) Route(ctx context.Context, project string, q *query.Query) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -325,6 +326,13 @@ func (r *Registry) Route(ctx context.Context, project string, q *query.Query) (a
 	if t == nil {
 		r.tel.routeUnknown.Inc()
 		return nil, fmt.Errorf("route %q: %w", project, ErrUnknownTenant)
+	}
+	// Before the gate, which reads the query: a request no backend can serve
+	// must not cost the tenant a token. What else makes a query unservable is
+	// the backend's to say (a synthetic tenant serves one that names no table).
+	if q == nil {
+		r.tel.routeErrors.Inc()
+		return nil, fmt.Errorf("route %q: %w", project, query.ErrInvalid)
 	}
 	admitted, recurring := t.admit(q)
 	if recurring {

@@ -25,7 +25,9 @@ type diffWorld struct {
 
 // diffWorlds builds the two shapes the evaluation leans on: project1 (many
 // narrow tables, mostly fresh column statistics, 2–5 tables per query) and
-// project2 (few wide tables, column statistics mostly missing, 3–6 tables).
+// project2 (few wide tables, column statistics mostly missing, 3–6 tables) —
+// and the queries neither has: one or two tables, where no card scale can act
+// and a lone table has no join to defer a predicate to.
 func diffWorlds() []diffWorld {
 	shape := func(name string, seed uint64, tables, cols int, rowsMean, rowsStd float64,
 		pol stats.Policy, minT, maxT int, pushDifficult float64) diffWorld {
@@ -53,6 +55,7 @@ func diffWorlds() []diffWorld {
 	return []diffWorld{
 		shape("project1", 101, 60, 14, 4.7, 0.9, moderate, 2, 5, 0.25),
 		shape("project2", 202, 30, 6, 6.2, 0.7, degraded, 3, 6, 0.55),
+		shape("small", 303, 20, 12, 5.0, 1.0, degraded, 1, 2, 0.7),
 	}
 }
 
@@ -99,7 +102,7 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 			released := false
 			for _, scale := range diffScales {
 				for _, f := range flags {
-					p, rough := s.Plan(f, scale)
+					p, rough, _ := s.Plan(f, scale)
 
 					plain := &cardinality.Estimator{Src: cardinality.ViewSource(w.view)}
 					sameRows(t, w.name, q, "unscaled", p.Root, s.cards, plain.Estimate(p.Root))
@@ -125,6 +128,159 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d queries, tables per query %v", w.name, len(w.queries), sizes)
+	}
+}
+
+// singleFlags are the six flags, one set each, in Flags field order.
+var singleFlags = [...]Flags{
+	{MergeJoin: true}, {BroadcastJoin: true}, {ShuffleCombine: true},
+	{SpoolEager: true}, {FilterPushdown: true}, {DopHigh: true},
+}
+
+// TestDecisiveFlagsExact checks the rule the explorer prunes by, in both
+// directions, for every template of every world: planned on top of the default
+// and of every single flag, a flag outside the planning's decisive set
+// rebuilds that planning's plan — same tree, same cost bits, same decisive
+// set, which is what lets the explorer take an unplanned single's set from the
+// default (soundness: a skipped setting is always a duplicate) — and a flag
+// inside it builds a different plan (tightness: a decision point that
+// over-reports costs plannings and fails here). Below three tables every card
+// scale rebuilds the unscaled plan. A decision point that stops reporting
+// turns plans that differ into "skipped", and fails the first direction —
+// provided the worlds hold queries it decides on, which the counts assert.
+func TestDecisiveFlagsExact(t *testing.T) {
+	decided, inert := map[Flags]int{}, map[Flags]int{}
+	unscalable := 0
+	for _, w := range diffWorlds() {
+		for _, q := range w.queries {
+			s := NewSession(w.view, q)
+			bases := append([]Flags{{}}, singleFlags[:]...)
+			for _, f := range bases {
+				base, baseCost, decisive := s.Plan(f, 0)
+				for _, x := range singleFlags {
+					if f.Union(x) == f {
+						continue
+					}
+					p, cost, got := s.Plan(f.Union(x), 0)
+					same := p.Root.Equal(base.Root)
+					if same != (p.Root.Fingerprint() == base.Root.Fingerprint()) {
+						t.Fatalf("%s %s %v+%v: Equal %v, fingerprints disagree", w.name, q.ID, f.Knobs(), x.Knobs(), same)
+					}
+					if decisive.Union(x) != decisive { // x did not decide
+						if f == (Flags{}) {
+							inert[x]++
+						}
+						if !same || math.Float64bits(cost) != math.Float64bits(baseCost) || got != decisive {
+							t.Fatalf("%s %s: %v is outside the decisive set %v of planning %v, yet adding it plans (decisive %v)\n%s\nnot\n%s",
+								w.name, q.ID, x.Knobs(), decisive.Knobs(), f.Knobs(), got.Knobs(), p, base)
+						}
+					} else {
+						if f == (Flags{}) {
+							decided[x]++
+						}
+						if same {
+							t.Fatalf("%s %s: %v is in the decisive set %v of planning %v, yet adding it rebuilds the plan\n%s",
+								w.name, q.ID, x.Knobs(), decisive.Knobs(), f.Knobs(), base)
+						}
+					}
+					s.Release(p)
+				}
+				if !s.Scales() {
+					unscalable++
+					for _, scale := range diffScales {
+						p, cost, got := s.Plan(f, scale)
+						if !p.Root.Equal(base.Root) || math.Float64bits(cost) != math.Float64bits(baseCost) || got != decisive {
+							t.Fatalf("%s %s %v: %d tables, yet scale %g plans\n%s\nnot\n%s",
+								w.name, q.ID, f.Knobs(), len(q.Tables), scale, p, base)
+						}
+						s.Release(p)
+					}
+				}
+				s.Release(base)
+			}
+		}
+	}
+	for _, x := range singleFlags {
+		t.Logf("%v: decides the default planning of %d queries, inert on %d", x.Knobs(), decided[x], inert[x])
+		if decided[x] == 0 {
+			t.Fatalf("%v never decided: its decision point's soundness went unchecked", x.Knobs())
+		}
+	}
+	if len(inert) == 0 || unscalable == 0 {
+		t.Fatalf("%d flags ever inert, %d unscalable plannings: the rule never skipped", len(inert), unscalable)
+	}
+}
+
+// TestSharedScansNeverAlias drives one session per query the way no explorer
+// would — twenty rounds over ten settings, two of three plans released as soon
+// as they are built — and then holds every plan it kept to the contract: it is
+// still the plan a fresh optimizer builds for its setting (a released plan
+// took no shared node with it, and no later planning wrote one), no node sits
+// at two positions of one plan, and what two plans do share is scan subplans
+// only.
+func TestSharedScansNeverAlias(t *testing.T) {
+	type setting struct {
+		f     Flags
+		scale float64
+	}
+	settings := []setting{{}, {scale: 0.2}, {scale: 0.5}, {scale: 5}}
+	for _, f := range singleFlags {
+		settings = append(settings, setting{f: f})
+	}
+	shared := 0
+	for _, w := range diffWorlds() {
+		for _, q := range w.queries {
+			type kept struct {
+				setting
+				p *plan.Plan
+			}
+			var keep []kept
+			s := NewSession(w.view, q)
+			for round := 0; round < 20; round++ {
+				for i, st := range settings {
+					p, _, _ := s.Plan(st.f, st.scale)
+					if (round+i)%3 == 0 {
+						keep = append(keep, kept{st, p})
+					} else {
+						s.Release(p)
+					}
+				}
+			}
+			owner := map[*plan.Node]*plan.Plan{}
+			for _, k := range keep {
+				fresh := (&Optimizer{View: w.view, CardScale: k.scale}).Optimize(q, k.f)
+				if !k.p.Root.Equal(fresh.Root) || k.p.String() != fresh.String() {
+					t.Fatalf("%s %s %v scale %g: the kept plan is no longer its setting's plan:\n%s\nvs\n%s",
+						w.name, q.ID, k.f.Knobs(), k.scale, k.p, fresh)
+				}
+				var visit func(n *plan.Node, inScan bool)
+				visit = func(n *plan.Node, inScan bool) {
+					switch owner[n] {
+					case k.p:
+						t.Fatalf("%s %s %v scale %g: %s is at two positions of one plan", w.name, q.ID, k.f.Knobs(), k.scale, n.Op)
+					case nil:
+						owner[n] = k.p
+					default:
+						shared++
+						inScan = true
+						if tables := n.Tables(); len(tables) != 1 || !(n.Op == plan.OpTableScan || n.Op.IsFilterLike()) {
+							t.Fatalf("%s %s: two plans share a %s over %v: only scan subplans are shared", w.name, q.ID, n.Op, tables)
+						}
+						owner[n] = k.p
+					}
+					if inScan && len(n.Children) > 1 {
+						t.Fatalf("%s %s: a shared subtree joins", w.name, q.ID)
+					}
+					for _, c := range n.Children {
+						visit(c, inScan)
+					}
+				}
+				visit(k.p.Root, false)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two kept plans shared a node: the sharing contract went unchecked")
 	}
 }
 

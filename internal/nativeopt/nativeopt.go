@@ -67,6 +67,18 @@ func (f Flags) Knobs() []string {
 	return out
 }
 
+// Union returns the flags set in f or in g.
+func (f Flags) Union(g Flags) Flags {
+	return Flags{
+		MergeJoin:      f.MergeJoin || g.MergeJoin,
+		BroadcastJoin:  f.BroadcastJoin || g.BroadcastJoin,
+		ShuffleCombine: f.ShuffleCombine || g.ShuffleCombine,
+		SpoolEager:     f.SpoolEager || g.SpoolEager,
+		FilterPushdown: f.FilterPushdown || g.FilterPushdown,
+		DopHigh:        f.DopHigh || g.DopHigh,
+	}
+}
+
 // IsZero reports whether no flag is set.
 func (f Flags) IsZero() bool { return f == Flags{} }
 
@@ -114,7 +126,7 @@ func (o *Optimizer) estimator() *cardinality.Estimator {
 // flags. The result is deterministic in (query, view, flags, CardScale). It
 // is the one-setting case of a planning Session.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
-	p, _ := NewSession(o.View, q).Plan(f, o.CardScale)
+	p, _, _ := NewSession(o.View, q).Plan(f, o.CardScale)
 	return p
 }
 
@@ -217,11 +229,12 @@ func log2(v float64) float64 {
 // Session is one request's planning state for one (view, query): everything
 // a plan depends on that no steering setting changes — the selectivity of each
 // table-local predicate, each table's statistics facts, the join graph
-// resolved to table slots, the join order before the card-scale rotation —
-// computed once and shared by every setting the request plans (the explorer
-// plans ten). It also holds the cardinalities of the plan under construction:
-// the builder registers each node as it creates it, so every node is
-// estimated once and sizing decisions read sub-plan rows back.
+// resolved to table slots, the join order before the card-scale rotation, each
+// table's scan subplan — computed once and shared by every setting the
+// request plans (the explorer plans up to ten). It also holds the
+// cardinalities of every node it built: the builder registers each node as it
+// creates it, so every node is estimated once and sizing decisions read
+// sub-plan rows back.
 //
 // A Session belongs to one goroutine and one request. It keeps nothing past
 // its own lifetime and only reads the view.
@@ -238,13 +251,23 @@ type Session struct {
 	aggFuncs []plan.AggFunc
 	aggCols  []expr.ColumnRef
 
-	cards  *cardinality.Result // the plan under construction, under est
-	scaled *cardinality.Result // the same plan under a scaling estimator; nil until one is planned
+	// scans holds each table's scan subplan — the scan, its Calc or Filter
+	// and its HardPred where that is evaluated at the scan — by table slot
+	// under the default rules, then by slot again under FilterPushdown; built
+	// on first use and shared by every plan of the session that scans the
+	// table that way. A shared node is never written again and never
+	// released, and any one plan holds it once.
+	scans []*plan.Node
+	// pushdown reports whether FilterPushdown changes any table's subplan.
+	pushdown bool
 
-	// Per-planning scratch, indexed by table slot.
-	subplans []*plan.Node
-	joined   []bool
-	deferred []bool // HardPred still to be applied above the table's first join
+	// cards and scaled are never reset between plannings: the shared scans'
+	// entries must outlive the planning that made them, and a recycled node
+	// overwrites its own entry before any parent reads it.
+	cards  *cardinality.Result // every node built, under est
+	scaled *cardinality.Result // the nodes of scaling plannings, under their estimator; nil until one is planned
+
+	joined []bool // scratch, by table slot
 
 	// free holds the nodes of released plans, reused by later plannings.
 	free []*plan.Node
@@ -258,6 +281,13 @@ type tableFacts struct {
 	selHard   float64 // selectivity of in.HardPred under the view (1 for nil)
 	hasStats  bool
 	partsRead int
+	// What FilterPushdown changes for the table. fuses: in.Pred is complex
+	// enough that the default rules keep it a Filter where pushdown fuses it
+	// into a Calc. defers: the default rules decline to push in.HardPred below
+	// joins when no column statistics can justify the rewrite (§2.1: missing
+	// statistics disable transformations) and place it above the table's first
+	// join — so a query of one table, having no join, never defers.
+	fuses, defers bool
 }
 
 // joinEnds are a join edge's tables as slots (-1: not a table of the query).
@@ -277,12 +307,11 @@ func NewSession(v *stats.View, q *query.Query) *Session {
 		est:      cardinality.Estimator{Src: cardinality.ViewSource(v)},
 		tables:   make([]tableFacts, n),
 		joins:    make([]joinEnds, len(q.Joins)),
+		scans:    make([]*plan.Node, 2*n),
 		cards:    cardinality.NewResult(nodesPerTable * n),
 		aggFuncs: aggFuncs(q.Aggs),
 		aggCols:  aggCols(q.Aggs),
-		subplans: make([]*plan.Node, n),
 		joined:   make([]bool, n),
-		deferred: make([]bool, n),
 	}
 	for i, name := range q.Tables {
 		in := q.Input(name)
@@ -294,14 +323,18 @@ func NewSession(v *stats.View, q *query.Query) *Session {
 				read = 1
 			}
 		}
+		hasStats := v.HasColumnStats(name)
 		s.tables[i] = tableFacts{
 			name:      name,
 			in:        in,
 			selPred:   expr.Selectivity(in.Pred, v),
 			selHard:   expr.Selectivity(in.HardPred, v),
-			hasStats:  v.HasColumnStats(name),
+			hasStats:  hasStats,
 			partsRead: read,
+			fuses:     in.Pred.Size() > 2,
+			defers:    in.HardPred != nil && !hasStats && n > 1,
 		}
+		s.pushdown = s.pushdown || s.tables[i].fuses || s.tables[i].defers
 	}
 	for i, j := range q.Joins {
 		s.joins[i] = joinEnds{left: s.slot(j.LeftTable), right: s.slot(j.RightTable)}
@@ -319,34 +352,62 @@ func (s *Session) slot(table string) int {
 	return -1
 }
 
-// Plan compiles the query under one steering setting and returns the plan
-// with its native rough cost (see Optimizer.RoughCost). The cost is always
-// the unscaled one — cardScale steers which plan is built, not how candidates
-// are ranked against each other.
-func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64) {
+// Plan compiles the query under one steering setting and returns the plan,
+// its native rough cost (see Optimizer.RoughCost) and the planning's decisive
+// set. The cost is always the unscaled one — cardScale steers which plan is
+// built, not how candidates are ranked against each other. The plan shares its
+// scan subplans with the session's other plans: read it, Clone it to edit.
+//
+// The decisive set holds every flag whose value settled at least one choice
+// of this planning — one its other value would have made differently, given
+// everything planned up to it. By induction over the build's choices,
+// Plan(f ∪ {x}, cardScale) builds this very plan whenever x is not in the
+// set: the two builds meet every choice in the same state and x changes none
+// (DESIGN.md "Plan exploration contract"). The set describes this planning
+// alone, hence a return value and not session state.
+func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64, Flags) {
 	b := builder{s: s, flags: f, sizes: s.cards}
-	s.cards.Reset()
 	knobs := f.Knobs()
 	if scales(cardScale) {
 		if s.scaled == nil {
 			s.scaled = cardinality.NewResult(nodesPerTable * len(s.tables))
 		}
-		s.scaled.Reset()
 		b.scaling = cardinality.Estimator{Src: s.est.Src, CardScale: cardScale}
 		b.sizes = s.scaled
 		knobs = append(knobs, "cardScale")
 	}
 	root := b.build(s.scaleRotate(s.base, cardScale))
-	return &plan.Plan{Root: root, Knobs: knobs}, roughCost(root, s.cards)
+	return &plan.Plan{Root: root, Knobs: knobs}, roughCost(root, s.cards), b.decisive
 }
 
+// Scales reports whether a card scale can change the query's plan: scaleRotate
+// keeps the order of fewer than three tables and the estimator scales only
+// sub-plans spanning at least three, so below that every scale plans the
+// unscaled plan.
+func (s *Session) Scales() bool { return len(s.tables) >= 3 }
+
 // Release hands a plan this session built back to it, to be dismantled: its
-// nodes become the material of later plannings, so a plan that turns out to
-// duplicate an earlier one costs the request no garbage. The caller gives the
-// plan up — it must hold no other reference to it or to any of its nodes.
+// nodes — but for the scan subplans, which stay the session's — become the
+// material of later plannings, so a plan that turns out to duplicate an
+// earlier one costs the request no garbage. The caller gives the plan up — it
+// must hold no other reference to it or to any node above its scans.
 func (s *Session) Release(p *plan.Plan) {
-	p.Root.Walk(func(n *plan.Node) { s.free = append(s.free, n) })
+	s.release(p.Root)
 	p.Root = nil
+}
+
+func (s *Session) release(n *plan.Node) {
+	if n.Op.IsFilterLike() || n.Op == plan.OpTableScan {
+		for _, root := range s.scans {
+			if n == root {
+				return
+			}
+		}
+	}
+	s.free = append(s.free, n)
+	for _, c := range n.Children {
+		s.release(c)
+	}
 }
 
 // node returns a node to build with: a released one if there is any.
@@ -370,21 +431,31 @@ type builder struct {
 	// which scaling fills in step.
 	sizes   *cardinality.Result
 	scaling cardinality.Estimator
+	// decisive collects the flags that settled a choice (see Session.Plan).
+	// Each is recorded where the flag is read, under the condition that its
+	// two values part ways there.
+	decisive Flags
 }
 
-// add makes v a node of the plan over the given children — registered
-// already — and registers it.
+// add makes v a node over the given children — registered already — and
+// registers it under the session's estimator; sel is the selectivity of
+// v.Pred (read only for filter-like nodes), which the session already holds.
+func (s *Session) add(v plan.Node, sel float64, children ...*plan.Node) *plan.Node {
+	n := s.node()
+	v.Children = append(n.Children[:0], children...)
+	*n = v
+	s.est.AddFiltered(s.cards, n, sel)
+	return n
+}
+
+// add makes v a node of the plan under construction.
 func (b *builder) add(v plan.Node, children ...*plan.Node) *plan.Node {
 	return b.addFiltered(v, 1, children...)
 }
 
-// addFiltered is add for a filter-like node whose predicate selectivity the
-// session already holds.
+// addFiltered is add for a filter-like node.
 func (b *builder) addFiltered(v plan.Node, sel float64, children ...*plan.Node) *plan.Node {
-	n := b.s.node()
-	v.Children = append(n.Children[:0], children...)
-	*n = v
-	b.s.est.AddFiltered(b.s.cards, n, sel)
+	n := b.s.add(v, sel, children...)
 	if b.sizes != b.s.cards {
 		b.scaling.AddFiltered(b.sizes, n, sel)
 	}
@@ -393,24 +464,18 @@ func (b *builder) addFiltered(v plan.Node, sel float64, children ...*plan.Node) 
 
 func (b *builder) build(order []int) *plan.Node {
 	s := b.s
+	b.decisive.FilterPushdown = s.pushdown
 
-	// 1. Scan subplans per table.
-	for i := range s.tables {
-		s.subplans[i] = b.buildScan(i)
-	}
-
-	// 2. Left-deep join tree, in the given order, with physical selection.
+	// 1. Left-deep join tree over the session's scan subplans, in the given
+	// order, with physical selection.
 	joined := s.joined
 	clear(joined)
 	joined[order[0]] = true
-	current := s.subplans[order[0]]
-	if len(order) == 1 {
-		current = b.applyDeferred(current, order[0])
-	}
+	current := b.scan(order[0])
 	joinCount := 0
 	for _, t := range order[1:] {
 		edge, found := s.findEdge(joined, t)
-		current = b.buildJoin(current, s.subplans[t], edge, found)
+		current = b.buildJoin(current, b.scan(t), edge, found)
 		joined[t] = true
 		joinCount++
 		// A non-pushable predicate referencing only t's columns legally sits
@@ -425,20 +490,17 @@ func (b *builder) build(order []int) *plan.Node {
 		// multi-join query: eager when the estimate says the intermediate is
 		// large (or the spool flag forces it), lazy otherwise.
 		if joinCount == 1 && len(order) > 2 {
+			large := b.sizes.Rows(current) > spoolThreshold
+			b.decisive.SpoolEager = !large
 			op := plan.OpLazySpool
-			if b.flags.SpoolEager || b.sizes.Rows(current) > spoolThreshold {
+			if large || b.flags.SpoolEager {
 				op = plan.OpSpool
 			}
 			current = b.add(plan.Node{Op: op}, current)
 		}
 	}
 
-	// 3. Any predicates still pending (single-table queries) land here.
-	for _, t := range order {
-		current = b.applyDeferred(current, t)
-	}
-
-	// 4. Aggregation.
+	// 2. Aggregation.
 	if len(s.q.Aggs) > 0 || len(s.q.GroupBy) > 0 {
 		current = b.buildAgg(current)
 	}
@@ -446,48 +508,65 @@ func (b *builder) build(order []int) *plan.Node {
 	return b.add(plan.Node{Op: plan.OpSelect}, current)
 }
 
-func (b *builder) buildScan(slot int) *plan.Node {
-	t := &b.s.tables[slot]
+// scan returns the table's scan subplan under this planning's pushdown
+// setting. The scaled twin takes the subplan's rows as the session holds
+// them: a sub-plan of one table is never scaled.
+func (b *builder) scan(slot int) *plan.Node {
+	root := b.s.scan(slot, b.flags.FilterPushdown)
+	if b.sizes != b.s.cards {
+		b.sizes.Adopt(b.s.cards, root)
+	}
+	return root
+}
+
+// scan returns the session's scan subplan of a table, building it the first
+// time a planning asks. Pushdown has a subplan of its own only for a table it
+// changes.
+func (s *Session) scan(slot int, pushdown bool) *plan.Node {
+	t := &s.tables[slot]
+	pushdown = pushdown && (t.fuses || t.defers)
+	if pushdown {
+		slot += len(s.tables)
+	}
+	if s.scans[slot] == nil {
+		s.scans[slot] = s.buildScan(t, pushdown)
+	}
+	return s.scans[slot]
+}
+
+func (s *Session) buildScan(t *tableFacts, pushdown bool) *plan.Node {
 	in := t.in
-	node := b.add(plan.Node{
+	node := s.add(plan.Node{
 		Op:              plan.OpTableScan,
 		Table:           t.name,
 		PartitionsRead:  t.partsRead,
-		ColumnsAccessed: maxInt(1, in.ColumnsAccessed),
-	})
+		ColumnsAccessed: max(1, in.ColumnsAccessed),
+	}, 1)
 	if in.Pred != nil {
 		// Sargable predicates always land at the scan: simple ones fuse into
 		// a Calc, complex ones stay a Filter (pushdown fuses everything).
 		op := plan.OpFilter
-		if b.flags.FilterPushdown || in.Pred.Size() <= 2 {
+		if pushdown || !t.fuses {
 			op = plan.OpCalc
 		}
-		node = b.addFiltered(plan.Node{Op: op, Pred: in.Pred}, t.selPred, node)
+		node = s.add(plan.Node{Op: op, Pred: in.Pred}, t.selPred, node)
 	}
-	// The conservative rule declines to push the non-sargable predicate
-	// below joins when no column statistics can justify the rewrite (§2.1:
-	// missing statistics disable transformations); it is then deferred to
-	// the table's first join. With statistics (or the flag forcing it) it is
-	// still evaluated at the scan.
-	b.s.deferred[slot] = false
-	if in.HardPred != nil {
-		if b.flags.FilterPushdown || t.hasStats {
-			node = b.addFiltered(plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard, node)
-		} else {
-			b.s.deferred[slot] = true
-		}
+	// With statistics, or the flag forcing it, the non-sargable predicate is
+	// evaluated at the scan (above it a Filter, not fused); deferred, it is
+	// applyDeferred's.
+	if in.HardPred != nil && (pushdown || !t.defers) {
+		node = s.add(plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard, node)
 	}
 	return node
 }
 
-// applyDeferred places a table's deferred predicate, if it is still pending,
-// above n (above a bare scan it is a Filter too, just not fused).
+// applyDeferred places a table's deferred predicate above n. Every table is
+// passed here once, after the join that introduces it.
 func (b *builder) applyDeferred(n *plan.Node, slot int) *plan.Node {
-	if !b.s.deferred[slot] {
+	t := &b.s.tables[slot]
+	if !t.defers || b.flags.FilterPushdown {
 		return n
 	}
-	b.s.deferred[slot] = false
-	t := &b.s.tables[slot]
 	return b.addFiltered(plan.Node{Op: plan.OpFilter, Pred: t.in.HardPred}, t.selHard, n)
 }
 
@@ -709,16 +788,28 @@ func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connect
 		dop = highDOP
 	}
 
+	nested := lRows < nestedLoopThreshold && rRows < nestedLoopThreshold
+	if !nested {
+		// Between the two thresholds the flag makes the join a broadcast;
+		// either way it exchanges, at the flagged parallelism.
+		b.decisive.BroadcastJoin = b.decisive.BroadcastJoin ||
+			rRows >= broadcastThresholdDefault && rRows < broadcastThresholdFlagged
+		b.decisive.DopHigh = true
+	}
 	switch {
-	case lRows < nestedLoopThreshold && rRows < nestedLoopThreshold:
+	case nested:
 		node.Op = plan.OpNestedLoopJoin
 	case rRows < threshold:
 		node.Op = plan.OpBroadcastJoin
 		right = b.add(plan.Node{Op: plan.OpBroadcastExchange, Parallelism: dop}, right)
 	default:
 		// Sort-merge by default when the build side is too large to hash;
-		// the merge-join flag forces it regardless.
-		if b.flags.MergeJoin || rRows > mergeJoinThreshold {
+		// the merge-join flag forces it regardless — unless the edge is a
+		// semi or anti join, whose operator replaces either below.
+		large := rRows > mergeJoinThreshold
+		b.decisive.MergeJoin = b.decisive.MergeJoin ||
+			!large && edge.Form != plan.JoinSemi && edge.Form != plan.JoinAnti
+		if large || b.flags.MergeJoin {
 			node.Op = plan.OpMergeJoin
 		} else {
 			node.Op = plan.OpHashJoin
@@ -745,23 +836,21 @@ func (b *builder) buildAgg(input *plan.Node) *plan.Node {
 	if b.flags.DopHigh {
 		dop = highDOP
 	}
-	aggOp := plan.OpHashAggregate
-	if b.flags.MergeJoin || sortedOutput(input) {
-		// Sorted inputs favor sort-based aggregation.
-		aggOp = plan.OpSortAggregate
-	}
+	b.decisive.DopHigh = true // both shapes below exchange
 	// Combine-before-shuffle by default when the estimate says groups are
 	// far fewer than input rows; the flag forces it.
-	combine := b.flags.ShuffleCombine
-	if !combine && len(q.GroupBy) > 0 {
+	combine := false
+	if len(q.GroupBy) > 0 {
 		inRows := b.sizes.Rows(input)
 		groups := 1.0
 		for _, c := range q.GroupBy {
 			groups *= b.s.est.Src.NDV(c)
 		}
 		combine = groups*combineRatio < inRows
+		b.decisive.ShuffleCombine = !combine
+		combine = combine || b.flags.ShuffleCombine
 	}
-	if combine && len(q.GroupBy) > 0 {
+	if combine {
 		partial := b.add(plan.Node{
 			Op:        plan.OpPartialAggregate,
 			AggFuncs:  b.s.aggFuncs,
@@ -775,6 +864,13 @@ func (b *builder) buildAgg(input *plan.Node) *plan.Node {
 			AggCols:   b.s.aggCols,
 			GroupCols: q.GroupBy,
 		}, ex)
+	}
+	// Sorted inputs favor sort-based aggregation; the merge-join flag forces it.
+	sorted := sortedOutput(input)
+	b.decisive.MergeJoin = b.decisive.MergeJoin || !sorted
+	aggOp := plan.OpHashAggregate
+	if sorted || b.flags.MergeJoin {
+		aggOp = plan.OpSortAggregate
 	}
 	ex := b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, input)
 	return b.add(plan.Node{
@@ -799,13 +895,6 @@ func aggCols(specs []query.AggSpec) []expr.ColumnRef {
 		out[i] = s.Col
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sortedOutput reports whether a subtree's output is already sorted (its

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"loam/internal/expr"
@@ -270,6 +271,27 @@ func (n *Node) fingerprint(h expr.Hash) expr.Hash {
 		h = c.fingerprint(h)
 	}
 	return h
+}
+
+// Equal reports whether the two subtrees are the same plan: node for node,
+// exactly the fields fingerprint folds (TestEqualCoversFingerprintFields holds
+// the two to the same list). It is how the explorer finds duplicate plans
+// without hashing them; subtrees the plans share by pointer compare in one
+// step, as do predicates, which plans share with the query.
+func (n *Node) Equal(m *Node) bool {
+	if n == m {
+		return true
+	}
+	if n == nil || m == nil {
+		return false
+	}
+	return n.Op == m.Op && n.Table == m.Table &&
+		n.PartitionsRead == m.PartitionsRead && n.ColumnsAccessed == m.ColumnsAccessed &&
+		n.JoinForm == m.JoinForm && n.Parallelism == m.Parallelism &&
+		slices.Equal(n.LeftCols, m.LeftCols) && slices.Equal(n.RightCols, m.RightCols) &&
+		slices.Equal(n.AggFuncs, m.AggFuncs) && slices.Equal(n.AggCols, m.AggCols) &&
+		slices.Equal(n.GroupCols, m.GroupCols) && n.Pred.Equal(m.Pred) &&
+		slices.EqualFunc(n.Children, m.Children, (*Node).Equal)
 }
 
 // MarshalJSON round-trips the plan through encoding/json.

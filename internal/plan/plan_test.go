@@ -2,6 +2,7 @@ package plan
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,6 +86,70 @@ func TestFingerprintSensitivity(t *testing.T) {
 		mut(p)
 		if p.Root.Fingerprint() == base {
 			t.Fatalf("mutation %d did not change fingerprint", i)
+		}
+	}
+}
+
+// TestEqualCoversFingerprintFields holds Node.Equal and Node.fingerprint to
+// one field list: the explorer drops a plan Equal calls a duplicate, and
+// everything downstream identifies plans by fingerprint, so the two must
+// never disagree on what makes plans differ. Each row mutates one field of one
+// node; a row changes both or neither. Every field of Node and of expr.Node
+// must have a row, so a field added to either struct fails here until Equal
+// and fingerprint both learn it.
+func TestEqualCoversFingerprintFields(t *testing.T) {
+	join := func(p *Plan) *Node { return p.Root.Children[0].Children[0] }
+	agg := func(p *Plan) *Node { return p.Root.Children[0] }
+	filter := func(p *Plan) *Node { return join(p).Children[0].Children[0] }
+	other := expr.ColumnRef{Table: "p.t3", Column: "x"}
+	rows := []struct {
+		field   string // the Node (or expr.Node, "Pred.") field mutated
+		differs bool
+		mutate  func(p *Plan)
+	}{
+		{"Op", true, func(p *Plan) { agg(p).Op = OpSortAggregate }},
+		{"Children", true, func(p *Plan) { p.Root.Children = append(p.Root.Children, &Node{Op: OpValues}) }},
+		{"Children", true, func(p *Plan) { j := join(p); j.Children[0], j.Children[1] = j.Children[1], j.Children[0] }},
+		{"Children", false, func(p *Plan) { p.Root.Children = append([]*Node(nil), p.Root.Children...) }},
+		{"Table", true, func(p *Plan) { findScan(p.Root, "p.t2").Table = "p.t9" }},
+		{"PartitionsRead", true, func(p *Plan) { findScan(p.Root, "p.t1").PartitionsRead = 2 }},
+		{"ColumnsAccessed", true, func(p *Plan) { findScan(p.Root, "p.t1").ColumnsAccessed = 9 }},
+		{"JoinForm", true, func(p *Plan) { join(p).JoinForm = JoinLeft }},
+		{"LeftCols", true, func(p *Plan) { join(p).LeftCols[0] = other }},
+		{"RightCols", true, func(p *Plan) { join(p).RightCols = append(join(p).RightCols, other) }},
+		{"AggFuncs", true, func(p *Plan) { agg(p).AggFuncs[0] = AggMax }},
+		{"AggCols", true, func(p *Plan) { agg(p).AggCols[0].Column = "z" }},
+		{"GroupCols", true, func(p *Plan) { agg(p).GroupCols = nil }},
+		{"Parallelism", true, func(p *Plan) { join(p).Children[1].Parallelism = 128 }},
+		{"Pred", true, func(p *Plan) { filter(p).Pred = nil }},
+		{"Pred", true, func(p *Plan) { findScan(p.Root, "p.t2").Pred = expr.Compare(expr.FuncIsNull, other) }},
+		{"Pred", false, func(p *Plan) { filter(p).Pred = filter(p).Pred.Clone() }},
+		{"Pred.Fn", true, func(p *Plan) { filter(p).Pred.Fn = expr.FuncNE }},
+		{"Pred.Col", true, func(p *Plan) { filter(p).Pred.Col = other }},
+		{"Pred.Args", true, func(p *Plan) { filter(p).Pred.Args[0] = 6 }},
+		{"Pred.Args", true, func(p *Plan) { filter(p).Pred.Args = append(filter(p).Pred.Args, 5) }},
+		{"Pred.Children", true, func(p *Plan) { filter(p).Pred = expr.Not(filter(p).Pred) }},
+		// Not a tree field: the knob labels name the setting, not the plan.
+		{"", false, func(p *Plan) { p.Knobs = []string{"flag:mergeJoin"} }},
+	}
+	covered := map[string]bool{}
+	base := samplePlan()
+	for i, row := range rows {
+		covered[row.field] = true
+		p := samplePlan()
+		row.mutate(p)
+		fpDiffers := p.Root.Fingerprint() != base.Root.Fingerprint()
+		eqDiffers := !p.Root.Equal(base.Root) || !base.Root.Equal(p.Root)
+		if fpDiffers != row.differs || eqDiffers != row.differs {
+			t.Errorf("row %d (%s): fingerprint differs %v, Equal differs %v, want %v",
+				i, row.field, fpDiffers, eqDiffers, row.differs)
+		}
+	}
+	for prefix, typ := range map[string]reflect.Type{"": reflect.TypeOf(Node{}), "Pred.": reflect.TypeOf(expr.Node{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if name := prefix + typ.Field(i).Name; !covered[name] {
+				t.Errorf("no row mutates %s: is it compared by Equal and folded by fingerprint?", name)
+			}
 		}
 	}
 }

@@ -5,9 +5,16 @@
 package query
 
 import (
+	"errors"
+
 	"loam/internal/expr"
 	"loam/internal/plan"
 )
+
+// ErrInvalid reports a query no plan can be built for: a nil query, or one
+// that names no table. Serving entry points return it before anything reads
+// the query.
+var ErrInvalid = errors.New("query: no tables")
 
 // JoinEdge is one equi-join between two tables.
 type JoinEdge struct {
@@ -77,6 +84,14 @@ func (q *Query) Input(table string) *TableInput {
 		return in
 	}
 	return &defaultInput
+}
+
+// Check returns ErrInvalid for a query that cannot be planned (nil included).
+func (q *Query) Check() error {
+	if q == nil || len(q.Tables) == 0 {
+		return ErrInvalid
+	}
+	return nil
 }
 
 // NumTables returns the number of base tables.

@@ -64,6 +64,11 @@ type TableStats struct {
 type View struct {
 	AsOfDay int
 	Tables  map[string]*TableStats
+
+	// zipf memoizes the harmonic head of each estimated skew a selectivity
+	// was asked under, so the requests served from this view compute it once
+	// between them. Column statistics do not change once a view is read.
+	zipf warehouse.ZipfHeads
 }
 
 var _ expr.DistProvider = (*View)(nil)
@@ -170,7 +175,7 @@ func (v *View) CompareSelectivity(col expr.ColumnRef, fn expr.Func, args []float
 	if ok && ts.Columns != nil {
 		if cs, ok := ts.Columns[col.Column]; ok {
 			est := &warehouse.Column{ID: col.Column, NDV: cs.NDV, Skew: cs.Skew, NullFrac: cs.NullFrac}
-			return warehouse.ColumnSelectivity(est, fn, args)
+			return warehouse.ColumnSelectivity(est, &v.zipf, fn, args)
 		}
 	}
 	switch fn {

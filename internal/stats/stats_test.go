@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"loam/internal/expr"
@@ -145,6 +146,40 @@ func TestEstimatedSelectivityUsesStats(t *testing.T) {
 	if math.Abs(got-0.01) > 1e-9 { // uniform over 100 values
 		t.Fatalf("EQ with stats = %g, want 0.01", got)
 	}
+}
+
+// TestFirstSelectivityConcurrentOnFreshView: goroutines taking a fresh view's
+// first selectivities at once — the view fills its Zipf memo on first use —
+// all read what the memo-less arithmetic computes (run under -race).
+func TestFirstSelectivityConcurrentOnFreshView(t *testing.T) {
+	p := project()
+	v := Snapshot(simrand.New(12), p, 3, Policy{ColumnStatsProb: 1, FreshProb: 1, NDVNoise: 0.3})
+	type ask struct {
+		col  expr.ColumnRef
+		want float64
+	}
+	args := []float64{80, 900}
+	var asks []ask
+	for _, tb := range p.Tables[:8] {
+		for _, c := range tb.Columns {
+			cs := v.Tables[tb.ID].Columns[c.ID]
+			est := &warehouse.Column{NDV: cs.NDV, Skew: cs.Skew, NullFrac: cs.NullFrac}
+			asks = append(asks, ask{c.Ref(tb), warehouse.ColumnSelectivity(est, nil, expr.FuncBetween, args)})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range asks {
+				if got := v.CompareSelectivity(a.col, expr.FuncBetween, args); math.Float64bits(got) != math.Float64bits(a.want) {
+					t.Errorf("%v: %v from the view, %v without the memo", a.col, got, a.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNDVNoisePerturbsEstimates(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"loam/internal/expr"
 	"loam/internal/simrand"
@@ -84,6 +85,7 @@ type Project struct {
 	Tables []*Table `json:"tables"`
 
 	byID map[string]*Table
+	zipf ZipfHeads // of the true column skews
 }
 
 // Table returns the table with the given ID, or nil.
@@ -156,12 +158,15 @@ func (tr *Truth) CompareSelectivity(col expr.ColumnRef, fn expr.Func, args []flo
 	if c == nil {
 		return 1
 	}
-	return ColumnSelectivity(c, fn, args)
+	return ColumnSelectivity(c, &tr.Project.zipf, fn, args)
 }
 
-// ColumnSelectivity evaluates an atomic comparison against a column's true
-// Zipf(skew) distribution over NDV ranks.
-func ColumnSelectivity(c *Column, fn expr.Func, args []float64) float64 {
+// ColumnSelectivity evaluates an atomic comparison against a column's
+// Zipf(skew) distribution over NDV ranks. heads memoizes the head of the
+// distribution's harmonic sums for whoever owns the column's statistics — a
+// catalog for the truth, a statistics view for an estimate; nil computes it
+// per call, to the same bits.
+func ColumnSelectivity(c *Column, heads *ZipfHeads, fn expr.Func, args []float64) float64 {
 	n := c.NDV
 	if n <= 0 {
 		n = 1
@@ -169,21 +174,21 @@ func ColumnSelectivity(c *Column, fn expr.Func, args []float64) float64 {
 	nonNull := 1 - c.NullFrac
 	switch fn {
 	case expr.FuncEQ:
-		return nonNull * zipfPMF(rank(args, 0, n), n, c.Skew)
+		return nonNull * zipfPMF(rank(args, 0, n), n, c.Skew, heads)
 	case expr.FuncNE:
-		return nonNull * (1 - zipfPMF(rank(args, 0, n), n, c.Skew))
+		return nonNull * (1 - zipfPMF(rank(args, 0, n), n, c.Skew, heads))
 	case expr.FuncLT:
-		return nonNull * zipfCDF(rank(args, 0, n), n, c.Skew) // ranks strictly below r
+		return nonNull * zipfCDF(rank(args, 0, n), n, c.Skew, heads) // ranks strictly below r
 	case expr.FuncLE:
-		return nonNull * zipfCDF(rank(args, 0, n)+1, n, c.Skew)
+		return nonNull * zipfCDF(rank(args, 0, n)+1, n, c.Skew, heads)
 	case expr.FuncGT:
-		return nonNull * (1 - zipfCDF(rank(args, 0, n)+1, n, c.Skew))
+		return nonNull * (1 - zipfCDF(rank(args, 0, n)+1, n, c.Skew, heads))
 	case expr.FuncGE:
-		return nonNull * (1 - zipfCDF(rank(args, 0, n), n, c.Skew))
+		return nonNull * (1 - zipfCDF(rank(args, 0, n), n, c.Skew, heads))
 	case expr.FuncIn:
 		s := 0.0
 		for i := range args {
-			s += zipfPMF(rank(args, i, n), n, c.Skew)
+			s += zipfPMF(rank(args, i, n), n, c.Skew, heads)
 		}
 		return clamp01(nonNull * s)
 	case expr.FuncBetween:
@@ -191,7 +196,7 @@ func ColumnSelectivity(c *Column, fn expr.Func, args []float64) float64 {
 		if hi < lo {
 			lo, hi = hi, lo
 		}
-		return nonNull * (zipfCDF(hi+1, n, c.Skew) - zipfCDF(lo, n, c.Skew))
+		return nonNull * (zipfCDF(hi+1, n, c.Skew, heads) - zipfCDF(lo, n, c.Skew, heads))
 	case expr.FuncLike:
 		// Pattern selectivity is not derivable from rank statistics; model it
 		// as a deterministic function of the pattern argument so recurring
@@ -238,11 +243,49 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// zipfHeadLen is how many leading terms of a harmonic sum are added up
+// exactly before the integral takes over.
+const zipfHeadLen = 64
+
+// ZipfHeads memoizes H(zipfHeadLen, s), the exact head of genHarmonic, by
+// skew: the head is 64 math.Pow calls that depend on nothing else, and every
+// PMF or CDF over more than 64 ranks needs it — twice per range predicate,
+// for every request that evaluates the predicate. It lives with the column
+// statistics the skews come from (a Project's truth, a stats.View's
+// estimates), holds one float per skew a selectivity was asked under, fills on
+// first use and is safe for concurrent use. The zero value is ready; a nil
+// *ZipfHeads memoizes nothing.
+type ZipfHeads struct {
+	mu    sync.Mutex
+	heads map[uint64]float64 // by math.Float64bits(s)
+}
+
+// head returns H(zipfHeadLen, s) — the float64 genHarmonic's loop computes,
+// whether it comes from the memo or not.
+func (z *ZipfHeads) head(s float64) float64 {
+	if z == nil {
+		return genHarmonic(zipfHeadLen, s, nil)
+	}
+	key := math.Float64bits(s)
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	h, ok := z.heads[key]
+	if !ok {
+		h = genHarmonic(zipfHeadLen, s, nil)
+		if z.heads == nil {
+			z.heads = make(map[uint64]float64)
+		}
+		z.heads[key] = h
+	}
+	return h
+}
+
 // genHarmonic approximates the generalized harmonic number H(k, s) =
 // sum_{i=1..k} i^-s using an Euler–Maclaurin integral correction. The
 // approximation is monotone in k, which is the property selectivity
-// arithmetic depends on.
-func genHarmonic(k int64, s float64) float64 {
+// arithmetic depends on. Past zipfHeadLen terms the exact head comes from
+// heads.
+func genHarmonic(k int64, s float64, heads *ZipfHeads) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -250,7 +293,7 @@ func genHarmonic(k int64, s float64) float64 {
 	if s == 0 {
 		return kf
 	}
-	if k <= 64 {
+	if k <= zipfHeadLen {
 		total := 0.0
 		for i := int64(1); i <= k; i++ {
 			total += math.Pow(float64(i), -s)
@@ -258,9 +301,8 @@ func genHarmonic(k int64, s float64) float64 {
 		return total
 	}
 	// Exact head + integral tail with midpoint correction.
-	const head = 64
-	total := genHarmonic(head, s)
-	a, b := float64(head), kf
+	total := heads.head(s)
+	a, b := float64(zipfHeadLen), kf
 	if s == 1 {
 		total += math.Log(b) - math.Log(a)
 	} else {
@@ -271,18 +313,18 @@ func genHarmonic(k int64, s float64) float64 {
 }
 
 // zipfPMF returns P(rank = r) for ranks 0-based over n values.
-func zipfPMF(r, n int64, s float64) float64 {
+func zipfPMF(r, n int64, s float64, heads *ZipfHeads) float64 {
 	if n <= 0 {
 		return 0
 	}
 	if s == 0 {
 		return 1 / float64(n)
 	}
-	return math.Pow(float64(r+1), -s) / genHarmonic(n, s)
+	return math.Pow(float64(r+1), -s) / genHarmonic(n, s, heads)
 }
 
 // zipfCDF returns P(rank < r) = H(r,s)/H(n,s) for 0-based ranks.
-func zipfCDF(r, n int64, s float64) float64 {
+func zipfCDF(r, n int64, s float64, heads *ZipfHeads) float64 {
 	if r <= 0 {
 		return 0
 	}
@@ -292,7 +334,7 @@ func zipfCDF(r, n int64, s float64) float64 {
 	if s == 0 {
 		return float64(r) / float64(n)
 	}
-	return genHarmonic(r, s) / genHarmonic(n, s)
+	return genHarmonic(r, s, heads) / genHarmonic(n, s, heads)
 }
 
 // Archetype parameterizes project generation. The experiments package holds

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,13 +108,13 @@ func TestZipfCDFMonotone(t *testing.T) {
 	for _, s := range []float64{0, 0.7, 1, 1.5} {
 		prev := -1.0
 		for r := int64(0); r <= 1000; r += 37 {
-			v := zipfCDF(r, 1000, s)
+			v := zipfCDF(r, 1000, s, nil)
 			if v < prev-1e-12 {
 				t.Fatalf("CDF decreasing at r=%d s=%g", r, s)
 			}
 			prev = v
 		}
-		if math.Abs(zipfCDF(1000, 1000, s)-1) > 1e-9 {
+		if math.Abs(zipfCDF(1000, 1000, s, nil)-1) > 1e-9 {
 			t.Fatalf("CDF(n) != 1 for s=%g", s)
 		}
 	}
@@ -122,13 +123,13 @@ func TestZipfCDFMonotone(t *testing.T) {
 func TestColumnSelectivityComplements(t *testing.T) {
 	c := &Column{NDV: 500, Skew: 0.8}
 	for _, r := range []float64{0, 10, 250, 499} {
-		lt := ColumnSelectivity(c, expr.FuncLT, []float64{r})
-		ge := ColumnSelectivity(c, expr.FuncGE, []float64{r})
+		lt := ColumnSelectivity(c, nil, expr.FuncLT, []float64{r})
+		ge := ColumnSelectivity(c, nil, expr.FuncGE, []float64{r})
 		if math.Abs(lt+ge-1) > 1e-9 {
 			t.Fatalf("LT+GE = %g at rank %g", lt+ge, r)
 		}
-		eq := ColumnSelectivity(c, expr.FuncEQ, []float64{r})
-		ne := ColumnSelectivity(c, expr.FuncNE, []float64{r})
+		eq := ColumnSelectivity(c, nil, expr.FuncEQ, []float64{r})
+		ne := ColumnSelectivity(c, nil, expr.FuncNE, []float64{r})
 		if math.Abs(eq+ne-1) > 1e-9 {
 			t.Fatalf("EQ+NE = %g at rank %g", eq+ne, r)
 		}
@@ -137,10 +138,10 @@ func TestColumnSelectivityComplements(t *testing.T) {
 
 func TestColumnSelectivityNullFraction(t *testing.T) {
 	c := &Column{NDV: 100, NullFrac: 0.1}
-	if got := ColumnSelectivity(c, expr.FuncIsNull, nil); math.Abs(got-0.1) > 1e-12 {
+	if got := ColumnSelectivity(c, nil, expr.FuncIsNull, nil); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("IS NULL %g", got)
 	}
-	le := ColumnSelectivity(c, expr.FuncLE, []float64{99})
+	le := ColumnSelectivity(c, nil, expr.FuncLE, []float64{99})
 	if math.Abs(le-0.9) > 1e-9 {
 		t.Fatalf("full-range LE should be 1-null = %g", le)
 	}
@@ -148,13 +149,13 @@ func TestColumnSelectivityNullFraction(t *testing.T) {
 
 func TestColumnSelectivityBetween(t *testing.T) {
 	c := &Column{NDV: 100}
-	full := ColumnSelectivity(c, expr.FuncBetween, []float64{0, 99})
+	full := ColumnSelectivity(c, nil, expr.FuncBetween, []float64{0, 99})
 	if math.Abs(full-1) > 1e-9 {
 		t.Fatalf("full BETWEEN %g", full)
 	}
 	// Swapped bounds normalize.
-	a := ColumnSelectivity(c, expr.FuncBetween, []float64{10, 20})
-	b := ColumnSelectivity(c, expr.FuncBetween, []float64{20, 10})
+	a := ColumnSelectivity(c, nil, expr.FuncBetween, []float64{10, 20})
+	b := ColumnSelectivity(c, nil, expr.FuncBetween, []float64{20, 10})
 	if math.Abs(a-b) > 1e-12 {
 		t.Fatalf("BETWEEN not symmetric: %g vs %g", a, b)
 	}
@@ -165,7 +166,7 @@ func TestColumnSelectivityBounds(t *testing.T) {
 		c := &Column{NDV: int64(ndvRaw%5000) + 2, Skew: float64(skewRaw%20) / 10}
 		fns := []expr.Func{expr.FuncEQ, expr.FuncNE, expr.FuncLT, expr.FuncLE, expr.FuncGT, expr.FuncGE, expr.FuncLike, expr.FuncBetween, expr.FuncIn}
 		fn := fns[int(fnIdx)%len(fns)]
-		s := ColumnSelectivity(c, fn, []float64{float64(rankRaw), float64(rankRaw) + 5})
+		s := ColumnSelectivity(c, nil, fn, []float64{float64(rankRaw), float64(rankRaw) + 5})
 		return s >= 0 && s <= 1
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -173,8 +174,8 @@ func TestColumnSelectivityBounds(t *testing.T) {
 }
 
 func TestZipfPMFSkewConcentrates(t *testing.T) {
-	flat := zipfPMF(0, 1000, 0)
-	skewed := zipfPMF(0, 1000, 1.2)
+	flat := zipfPMF(0, 1000, 0, nil)
+	skewed := zipfPMF(0, 1000, 1.2, nil)
 	if skewed <= flat {
 		t.Fatalf("skew should concentrate mass on rank 0: %g vs %g", skewed, flat)
 	}
@@ -184,12 +185,59 @@ func TestGenHarmonicMonotone(t *testing.T) {
 	for _, s := range []float64{0.3, 1, 1.7} {
 		prev := 0.0
 		for _, k := range []int64{1, 10, 63, 64, 65, 100, 10000, 1000000} {
-			v := genHarmonic(k, s)
+			v := genHarmonic(k, s, nil)
 			if v <= prev {
 				t.Fatalf("H(%d, %g) = %g not increasing (prev %g)", k, s, v, prev)
 			}
 			prev = v
 		}
+	}
+}
+
+// TestZipfHeadMemoBitIdentical: a harmonic sum that takes its head from the
+// memo is, bit for bit, the sum that computes it — on the first ask, which
+// fills the memo, and on the second, which reads it — so every selectivity,
+// and every cardinality and rough cost downstream, keeps its bits; and
+// goroutines racing for a fresh memo's first entry all read that value (run
+// under -race).
+func TestZipfHeadMemoBitIdentical(t *testing.T) {
+	bits := math.Float64bits
+	skews := []float64{0, 0.3, 1, 1.2, 1.68}
+	var heads ZipfHeads
+	for _, s := range skews {
+		for _, k := range []int64{1, 64, 65, 1e6} {
+			want := genHarmonic(k, s, nil)
+			for ask := 0; ask < 2; ask++ {
+				if got := genHarmonic(k, s, &heads); bits(got) != bits(want) {
+					t.Fatalf("H(%d, %g) ask %d: %v with the memo, %v without", k, s, ask, got, want)
+				}
+			}
+		}
+	}
+	if len(heads.heads) != len(skews)-1 {
+		t.Fatalf("memo holds %d heads, want one per non-zero skew asked past %d terms", len(heads.heads), zipfHeadLen)
+	}
+
+	fns := []expr.Func{expr.FuncEQ, expr.FuncNE, expr.FuncLT, expr.FuncLE, expr.FuncGT, expr.FuncGE,
+		expr.FuncIn, expr.FuncBetween, expr.FuncLike, expr.FuncIsNull}
+	args := []float64{70, 4000}
+	for _, s := range skews {
+		c := &Column{NDV: 5000, Skew: s, NullFrac: 0.02}
+		var fresh ZipfHeads
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, fn := range fns {
+					got, want := ColumnSelectivity(c, &fresh, fn, args), ColumnSelectivity(c, nil, fn, args)
+					if bits(got) != bits(want) {
+						t.Errorf("skew %g %v: %v with the memo, %v without", s, fn, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -488,7 +488,8 @@ type Choice struct {
 // circuit breaker, quarantined model — the guard degrades to a native
 // re-plan or the default candidate and the Choice reports the rung in Origin
 // and the failure in FallbackCause. An error is returned only when every
-// rung is exhausted (ErrNoServablePlan).
+// rung is exhausted (ErrNoServablePlan) or the query cannot be planned at all
+// (ErrInvalidQuery: nil, or naming no table).
 //
 // OptimizeCtx is safe for concurrent use: candidate generation reads
 // immutable statistics views, the environment source reads the cluster under
@@ -520,6 +521,10 @@ func (d *Deployment) serve(ctx context.Context, q *query.Query, shed bool, cause
 		return nil, err
 	}
 	d.obs.optimizeTotal.Inc()
+	if err := q.Check(); err != nil {
+		d.obs.optimizeErrors.Inc()
+		return nil, fmt.Errorf("optimize %s: %w", d.ProjectSim.Config.Name, err)
+	}
 	span := d.obs.optimizeLatency.Start()
 	defer span.Stop()
 

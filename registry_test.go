@@ -273,3 +273,40 @@ func TestFleetRegistryMixedBackends(t *testing.T) {
 		t.Fatalf("native value lost: %T", out)
 	}
 }
+
+// TestInvalidQueryRefusedAtEveryEntryPoint: a nil query and one that names no
+// table get ErrInvalidQuery — not a panic on the serving goroutine — from
+// OptimizeCtx, from a shed serve and from Route, admitted or shed; the
+// deployment counts an optimize error each time and plans nothing. A nil
+// query never reaches the admission gate, so it costs the tenant no token.
+func TestInvalidQueryRefusedAtEveryEntryPoint(t *testing.T) {
+	reg, deps, _ := registryFixture(t, FleetAdmissionConfig{
+		Burst: 1, RefillPerServe: 0, RefillPerTick: 1,
+		StandardCost: 1, RecurringCost: 1, RecurringTemplates: 4,
+	})
+	ctx := context.Background()
+	d := deps["fa"]
+	for name, q := range map[string]*query.Query{"nil": nil, "no tables": {ID: "q", TemplateID: "tpl"}} {
+		errs0 := d.obs.optimizeErrors.Value()
+		if c, err := d.OptimizeCtx(ctx, q); c != nil || !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("%s: OptimizeCtx = %v, %v; want ErrInvalidQuery", name, c, err)
+		}
+		if out, err := (&fleetBackend{d}).ShedCtx(ctx, q, ErrTenantThrottled); out != nil || !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("%s: shed serve = %v, %v; want ErrInvalidQuery", name, out, err)
+		}
+		if got := d.obs.optimizeErrors.Value() - errs0; got != 2 {
+			t.Fatalf("%s: %d optimize errors counted, want 2", name, got)
+		}
+		// The first Route finds a token in the bucket, the second is shed.
+		for _, lane := range []string{"admitted", "shed"} {
+			before, _ := reg.Stats("fa")
+			if c, err := reg.Route(ctx, "fa", q); c != nil || !errors.Is(err, ErrInvalidQuery) {
+				t.Fatalf("%s %s: Route = %v, %v; want ErrInvalidQuery", name, lane, c, err)
+			}
+			if after, _ := reg.Stats("fa"); q == nil && after != before {
+				t.Fatalf("nil %s: Route charged the tenant: %+v -> %+v", lane, before, after)
+			}
+		}
+		reg.Tick()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"loam/internal/faultinject"
 	"loam/internal/guard"
 	"loam/internal/predictor"
+	"loam/internal/query"
 )
 
 // This file is the root package's resilience surface: the failure sentinels
@@ -12,6 +13,13 @@ import (
 // mechanics live in internal/guard and internal/faultinject; everything a
 // caller needs is re-exported here so application code never imports
 // internal packages.
+
+// ErrInvalidQuery reports a request that cannot be planned — a nil query, or
+// one naming no table. OptimizeCtx and a deployment's shed path return it
+// (wrapped) before exploring or scoring anything, counted as an optimize
+// error; FleetRegistry.Route passes it on, and refuses a nil query itself,
+// before the admission gate charges for it.
+var ErrInvalidQuery = query.ErrInvalid
 
 // Predictor sentinels. These are the permanent, per-query/per-model failure
 // modes of the learned path, re-exported so callers don't need to know which
