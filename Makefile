@@ -5,8 +5,15 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# ./bench runs after the other packages, not beside them, as in `race`: its
+# TestStageSumMatchesUntracedLatency compares wall-clock stage sums of a
+# recurring request with the untraced latency (loam.trace_coverage >= 0.85),
+# and on a 2-CPU box it reads 0.70-0.84 when internal/experiments (11 s of
+# CPU) shares the machine. By itself it still trips about once in twelve runs,
+# at any commit; re-run before looking for a cause.
 test:
-	$(GO) test ./...
+	$(GO) test $$($(GO) list ./... | grep -v '^loam/bench$$')
+	$(GO) test ./bench
 
 # The race run exercises the concurrent serving layer (see serve_test.go and
 # DESIGN.md's concurrency model); it is part of verification, not optional.

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"loam/internal/encoding"
+	"loam/internal/plan"
 	"loam/internal/predictor"
 	"loam/internal/query"
 )
@@ -210,6 +213,44 @@ func TestHealthyServingStaysLearned(t *testing.T) {
 	}
 }
 
+// panicOnceScorer is the live predictor with a fault the injector cannot
+// model: its first scoring call panics.
+type panicOnceScorer struct {
+	*predictor.Predictor
+	fired atomic.Bool
+}
+
+func (s *panicOnceScorer) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error) {
+	if s.fired.CompareAndSwap(false, true) {
+		panic("index out of range [7] with length 4")
+	}
+	return s.Predictor.SelectPlanKeyed(cands, envs, key)
+}
+
+// TestScorerPanicServesAPlan: a deployment whose scorer panics once, under the
+// default 2 s deadline, answers that OptimizeCtx with a fallback plan whose
+// cause is a permanent ErrScorerPanic, and the next one from the learned path.
+// The same test killed the test binary while the guard scored on a watchdog
+// goroutine of its own: no caller's recover can reach a panic there.
+func TestScorerPanicServesAPlan(t *testing.T) {
+	dep, qs := guardedDeployment(t, 57, 2)
+	dep.grd.SwapScorer(&panicOnceScorer{Predictor: dep.Predictor()})
+
+	c, err := dep.OptimizeCtx(context.Background(), qs[0])
+	if err != nil || c == nil || c.Chosen == nil {
+		t.Fatalf("panicking scorer: choice %v, err %v; want a plan", c, err)
+	}
+	if c.Origin == OriginLearned || !errors.Is(c.FallbackCause, ErrScorerPanic) || !errors.Is(c.FallbackCause, ErrPermanentFailure) {
+		t.Fatalf("origin %v cause %v, want a fallback with a permanent scorer-panic cause", c.Origin, c.FallbackCause)
+	}
+	if got := counterValue(t, dep.Metrics(), "guard.scorer.panics"); got != 1 {
+		t.Fatalf("guard.scorer.panics = %d, want 1", got)
+	}
+	if c, err = dep.OptimizeCtx(context.Background(), qs[1]); err != nil || c.Origin != OriginLearned {
+		t.Fatalf("after the panic: origin %v, err %v; want learned", c.Origin, err)
+	}
+}
+
 // TestRootSentinelsAliasInternalOnes: satellite of the resilience surface —
 // the root sentinels are the same error values the internal packages
 // produce, so errors.Is works across the API boundary.
@@ -229,7 +270,7 @@ func TestRootSentinelsAliasInternalOnes(t *testing.T) {
 	}
 	if ErrTransientFailure == nil || ErrPermanentFailure == nil || ErrLearnedDeadline == nil ||
 		ErrBreakerOpen == nil || ErrModelQuarantined == nil || ErrNoServablePlan == nil ||
-		ErrInjectedFault == nil {
+		ErrInjectedFault == nil || ErrScorerPanic == nil {
 		t.Fatal("nil resilience sentinel")
 	}
 }

@@ -13,8 +13,8 @@ import (
 //  1. context.Background() / context.TODO() are banned outside package main,
 //     test files, and the internal/walltime boundary. A fresh root context
 //     in library code severs the caller's deadline and cancellation — the
-//     guard's watchdog (DESIGN.md "Guarded serving") only works if the
-//     deadline it sets actually reaches the blocking call.
+//     guard hands a canceled caller its own ctx.Err() (DESIGN.md
+//     "Degraded-mode serving contract") only if that context reaches it.
 //  2. A function that receives a context.Context must thread it to every
 //     in-module callee that accepts one: calling a ctx-aware callee with
 //     anything not derived from the incoming context drops the deadline on

@@ -13,7 +13,7 @@ import (
 // predictor's SelectPlan / SelectPlanKeyed directly. Every serving-path score
 // must flow through guard.Guard — Serve for guarded serving, or
 // ScoreLearned where raw model failures must surface (validation) — so the
-// deadline watchdog, circuit breaker and regression sentinel cannot be
+// deadline check, circuit breaker and regression sentinel cannot be
 // bypassed by a new call site. Test files are exempt (eachSourceFile skips
 // them): tests and benchmarks probe the raw model on purpose.
 //

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"loam/internal/simrand"
@@ -114,7 +113,22 @@ type Cluster struct {
 	histPos int
 	histLen int
 
+	// poolAvg and histAvg memoize ClusterAverage and HistoryAverage between
+	// mutations (the OK flags say which is fresh): stepLocked and AddLoad
+	// stale poolAvg, recordHistoryLocked refills it and stales histAvg. All
+	// four are written under the write lock only.
+	poolAvg, histAvg Metrics
+	poolOK, histOK   bool
+	// top is Allocate's buffer, capacity Size(); the write lock owns it.
+	top []slot
+
 	tel clusterTelemetry
+}
+
+// slot is one machine in Allocate's top-n.
+type slot struct {
+	id   int
+	idle float64 // CPUIdle plus the scheduler's jitter
 }
 
 // clusterTelemetry holds the cluster's resolved instruments. All fields are
@@ -148,7 +162,7 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		steps:    reg.Counter("cluster.steps"),
 	}
 	c.tel.machines.Set(float64(len(c.machines)))
-	c.refreshTelemetryLocked(c.clusterAverageLocked())
+	c.refreshTelemetryLocked(c.poolAverageLocked())
 }
 
 // New builds a cluster with the given config, deterministic in rng.
@@ -164,6 +178,7 @@ func New(rng *simrand.RNG, cfg Config) *Cluster {
 		machines: make([]machine, cfg.Machines),
 		rng:      rng.Derive("cluster"),
 		history:  make([]Metrics, cfg.HistorySize),
+		top:      make([]slot, 0, cfg.Machines),
 	}
 	for i := range c.machines {
 		mr := c.rng.DeriveN("machine", i)
@@ -209,6 +224,7 @@ func (c *Cluster) Advance(seconds float64) {
 }
 
 func (c *Cluster) stepLocked() {
+	c.poolOK = false
 	dayFrac := c.now / 86400.0
 	for i := range c.machines {
 		m := &c.machines[i]
@@ -249,11 +265,11 @@ func (c *Cluster) machineMetricsLocked(id int) Metrics {
 
 // Average returns the mean metrics over a set of machines.
 func (c *Cluster) Average(ids []int) Metrics {
+	if len(ids) == 0 {
+		return c.ClusterAverage()
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(ids) == 0 {
-		return c.clusterAverageLocked()
-	}
 	var sum Metrics
 	for _, id := range ids {
 		sum = sum.Add(c.machineMetricsLocked(id))
@@ -264,12 +280,25 @@ func (c *Cluster) Average(ids []int) Metrics {
 // ClusterAverage returns the mean metrics over the whole pool — what the
 // LOAM-CB inference variant observes at optimization time.
 func (c *Cluster) ClusterAverage() Metrics {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.clusterAverageLocked()
+	if v, ok := c.fresh(&c.poolAvg, &c.poolOK); ok {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.poolAvg, c.poolOK = c.poolAverageLocked(), true
+	return c.poolAvg
 }
 
-func (c *Cluster) clusterAverageLocked() Metrics {
+// fresh reads a memo under the read lock; its caller refills a stale one under
+// the write lock — under RLock two readers would race on it.
+func (c *Cluster) fresh(v *Metrics, ok *bool) (Metrics, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return *v, *ok
+}
+
+// poolAverageLocked scans the pool; callers hold either lock.
+func (c *Cluster) poolAverageLocked() Metrics {
 	var sum Metrics
 	for i := range c.machines {
 		sum = sum.Add(c.machineMetricsLocked(i))
@@ -278,10 +307,11 @@ func (c *Cluster) clusterAverageLocked() Metrics {
 }
 
 // recordHistoryLocked appends the current cluster average to the ring buffer
-// and refreshes the utilization gauges from the same scan; callers hold the
-// write lock (or, in New, exclusive ownership).
+// and refreshes the utilization gauges and the ClusterAverage memo from the
+// same scan; callers hold the write lock (or, in New, exclusive ownership).
 func (c *Cluster) recordHistoryLocked() {
-	avg := c.clusterAverageLocked()
+	avg := c.poolAverageLocked()
+	c.poolAvg, c.poolOK, c.histOK = avg, true, false
 	c.history[c.histPos] = avg
 	c.histPos = (c.histPos + 1) % len(c.history)
 	if c.histLen < len(c.history) {
@@ -307,45 +337,50 @@ func (c *Cluster) refreshTelemetryLocked(avg Metrics) {
 // window (up to 24 h) — what the LOAM-CE inference variant fits its
 // environment distribution from.
 func (c *Cluster) HistoryAverage() Metrics {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.histLen == 0 {
-		return c.clusterAverageLocked()
+	if v, ok := c.fresh(&c.histAvg, &c.histOK); ok {
+		return v
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// The ring's filled slots in index order, not chronological order (the
+	// bits depend on it); histLen >= 1 since New.
 	var sum Metrics
 	for i := 0; i < c.histLen; i++ {
 		sum = sum.Add(c.history[i])
 	}
-	return sum.Scale(1 / float64(c.histLen))
+	c.histAvg, c.histOK = sum.Scale(1/float64(c.histLen)), true
+	return c.histAvg
 }
 
 // Allocate picks n machine IDs for a stage's instances, preferring idle
 // machines — Fuxi schedules onto machines with more idle resources (§7.2.5).
 // Allocation is randomized among the idlest half to model contention.
 // Allocate takes the write lock: it draws from the scheduler's RNG stream.
+// The result is idlest first (equal keys: lower id first), kept as a
+// descending top-n during one scan of the pool.
 func (c *Cluster) Allocate(n int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(c.machines) {
-		n = len(c.machines)
-	}
-	type cand struct {
-		id   int
-		idle float64
-	}
-	cands := make([]cand, len(c.machines))
+	n = min(max(n, 1), len(c.machines))
+	top := c.top[:0]
 	for i := range c.machines {
-		m := c.machineMetricsLocked(i)
-		// Jitter breaks ties and models imperfect scheduler information.
-		cands[i] = cand{id: i, idle: m.CPUIdle + c.rng.Uniform(0, 0.15)}
+		// Jitter breaks ties and models imperfect scheduler information: one
+		// draw per machine, whether or not it enters the top-n.
+		idle := c.machineMetricsLocked(i).CPUIdle + c.rng.Uniform(0, 0.15)
+		if len(top) < n {
+			top = append(top, slot{})
+		} else if !(idle > top[n-1].idle) {
+			continue
+		}
+		j := len(top) - 1
+		for ; j > 0 && idle > top[j-1].idle; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = slot{id: i, idle: idle}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].idle > cands[j].idle })
 	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = cands[i].id
+	for i := range out {
+		out[i] = top[i].id
 	}
 	return out
 }
@@ -355,6 +390,7 @@ func (c *Cluster) Allocate(n int) []int {
 func (c *Cluster) AddLoad(ids []int, amount float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.poolOK = false
 	for _, id := range ids {
 		c.machines[id].burst = clamp01(c.machines[id].burst + amount)
 	}

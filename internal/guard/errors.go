@@ -14,8 +14,9 @@ import (
 //     a deadline hit, an injected fault, a breaker rejection during an
 //     outage. Transient failures feed the circuit breaker's sliding window.
 //   - ErrPermanent: the failure is deterministic for this query or model —
-//     the explorer produced no candidates, or no candidate had a finite
-//     estimate. Retrying the same query against the same model cannot help.
+//     the explorer produced no candidates, no candidate had a finite
+//     estimate, or the scorer panicked. Retrying the same query against the
+//     same model cannot help.
 //
 // Specific causes (deadline, breaker-open, quarantine) are separate
 // sentinels wrapped alongside the class, so both
@@ -28,6 +29,8 @@ var (
 	ErrPermanent = errors.New("guard: permanent learned-path failure")
 	// ErrDeadline reports the learned path exceeding its per-query deadline.
 	ErrDeadline = errors.New("guard: learned-path deadline exceeded")
+	// ErrScorerPanic reports a recovered scorer panic; the message has its value.
+	ErrScorerPanic = errors.New("guard: scorer panicked")
 	// ErrBreakerOpen reports the learned path being skipped because the
 	// circuit breaker is open (cooling down after repeated failures).
 	ErrBreakerOpen = errors.New("guard: circuit breaker open")
@@ -58,7 +61,7 @@ func (f *failure) Unwrap() []error { return []error{f.class, f.cause} }
 
 // classify wraps a raw learned-path error with its taxonomy class.
 func classify(err error) *failure {
-	if errors.Is(err, predictor.ErrNoCandidates) || errors.Is(err, predictor.ErrNoFiniteEstimate) {
+	if errors.Is(err, predictor.ErrNoCandidates) || errors.Is(err, predictor.ErrNoFiniteEstimate) || errors.Is(err, ErrScorerPanic) {
 		return &failure{class: ErrPermanent, cause: err}
 	}
 	return &failure{class: ErrTransient, cause: err}

@@ -4,9 +4,9 @@
 //
 // Every OptimizeCtx call routes through Guard.Serve, which
 //
-//  1. enforces a per-query deadline on the learned path (a wall-clock
-//     watchdog for genuine hangs; deterministic deadline testing goes
-//     through internal/faultinject's simulated delays),
+//  1. enforces a per-query deadline on the learned path (one stopwatch
+//     read when the scorer returns, on the caller's goroutine; deterministic
+//     deadline testing goes through internal/faultinject's simulated delays),
 //  2. classifies failures into the transient/permanent taxonomy
 //     (errors.go), re-exported as root-package sentinels,
 //  3. falls back on any learned-path failure: first a fresh native-optimizer
@@ -71,10 +71,10 @@ func (o Origin) String() string {
 // Config tunes the guard. The zero value is normalized by New to
 // DefaultConfig's settings field-by-field.
 type Config struct {
-	// Deadline bounds real scoring time per query (<= 0 disables the
-	// watchdog). It is the one wall-clock input: on a healthy run scoring
-	// finishes orders of magnitude sooner, so expiry only changes behavior
-	// on runs that were already hung.
+	// Deadline bounds real scoring time per query (<= 0: no bound). It is
+	// the one wall-clock input: on a healthy run scoring finishes orders of
+	// magnitude sooner, so expiry only changes behavior on runs that were
+	// already overloaded.
 	Deadline time.Duration
 	// WindowSize is the sliding failure window over recent learned calls.
 	WindowSize int
@@ -114,7 +114,7 @@ func DefaultConfig() Config {
 }
 
 // normalize fills zero fields from the defaults (Deadline excepted: 0 there
-// legitimately means "no watchdog").
+// legitimately means "no deadline").
 func (c Config) normalize() Config {
 	d := DefaultConfig()
 	if c.WindowSize <= 0 {
@@ -234,8 +234,8 @@ type Guard struct {
 
 	mu sync.Mutex
 	// scorer is the live learned path. It is mutable: the model lifecycle
-	// hot-swaps it on promote and rollback (SwapScorer); every read goes
-	// through currentScorer.
+	// hot-swaps it on promote and rollback (SwapScorer); ScoreLearnedKeyed is
+	// its one reader.
 	scorer      Scorer
 	br          breaker
 	quarantined bool
@@ -269,13 +269,6 @@ func (g *Guard) Config() Config { return g.cfg }
 // Serve. The model lifecycle uses it to turn "quarantine and stall" into
 // "trigger retrain".
 func (g *Guard) SetDriftHook(fn func()) { g.onQuarantine = fn }
-
-// currentScorer returns the live scorer.
-func (g *Guard) currentScorer() Scorer {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.scorer
-}
 
 // SwapScorer atomically replaces the learned path with s — the model
 // lifecycle's hot-swap seam (promote and rollback both land here). The new
@@ -381,37 +374,34 @@ func (g *Guard) ServeShed(req Request, cause error) (Result, error) {
 	return g.fallback(req, &failure{class: ErrTransient, cause: shed})
 }
 
-// ScoreLearned scores candidates on the raw learned path — no breaker, no
-// fallback, no injection. It exists for the pre-deployment validation gate
+// ScoreLearnedKeyed scores candidates on the raw learned path — no breaker,
+// no fallback, no injection — for the pre-deployment validation gate
 // (loam.Validate), which must observe the model's unmasked behavior; serving
 // traffic goes through Serve. This and the predictor's own internals are the
-// only sanctioned SelectPlan call sites (loam-vet's guarddiscipline rule).
-func (g *Guard) ScoreLearned(cands []*plan.Plan, envs encoding.EnvSource) (*plan.Plan, []float64, error) {
-	return g.currentScorer().SelectPlan(cands, envs)
-}
-
-// ScoreLearnedKeyed is ScoreLearned for a keyed environment source: when the
-// scorer supports keyed scoring the predictor's plan-embedding cache applies,
-// which is what serving benchmarks measure. Results are bit-identical to
-// ScoreLearned either way.
+// only sanctioned SelectPlan call sites (loam-vet's guarddiscipline rule). A
+// keyed request to a KeyedScorer reuses cached plan embeddings, to the same
+// bits. The scorer is read once per call: a request concurrent with a
+// lifecycle swap scores entirely under one model or the other.
 func (g *Guard) ScoreLearnedKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error) {
-	scorer := g.currentScorer()
+	g.mu.Lock()
+	scorer := g.scorer
+	g.mu.Unlock()
 	if ks, ok := scorer.(KeyedScorer); ok && key.Keyed {
 		return ks.SelectPlanKeyed(cands, envs, key)
 	}
 	return scorer.SelectPlan(cands, envs)
 }
 
-// selectLearned routes one request to the live scorer, using the keyed entry
-// point when both the scorer and the request support it. The scorer is read
-// once per call: a request concurrent with a lifecycle swap scores entirely
-// under one model or the other, never a mixture.
-func (g *Guard) selectLearned(req Request) (*plan.Plan, []float64, error) {
-	scorer := g.currentScorer()
-	if ks, ok := scorer.(KeyedScorer); ok && req.EnvKey.Keyed {
-		return ks.SelectPlanKeyed(req.Cands, req.Envs, req.EnvKey)
-	}
-	return scorer.SelectPlan(req.Cands, req.Envs)
+// selectLearned is ScoreLearnedKeyed for one request with a scorer panic
+// contained, as safeNative contains the planner's: it becomes ErrScorerPanic.
+func (g *Guard) selectLearned(req Request) (chosen *plan.Plan, costs []float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			g.tel.scorerPanics.Inc()
+			chosen, costs, err = nil, nil, fmt.Errorf("%w: %v", ErrScorerPanic, r)
+		}
+	}()
+	return g.ScoreLearnedKeyed(req.Cands, req.Envs, req.EnvKey)
 }
 
 // admit ticks the breaker's logical clock and decides whether the learned
@@ -433,20 +423,19 @@ func (g *Guard) admit() (bool, *failure) {
 	return true, nil
 }
 
-// score runs the learned path with fault injection and the deadline
-// watchdog.
+// score runs the learned path with fault injection and the deadline check.
 func (g *Guard) score(ctx context.Context, req Request) (*plan.Plan, []float64, error) {
 	if g.inj.PredictorError(req.ID) {
 		g.tel.injPredictor.Inc()
 		return nil, nil, fmt.Errorf("%w: forced predictor error", faultinject.ErrInjected)
 	}
 	if g.inj.Delay(req.ID) {
-		// Simulated stall: treated as a deadline hit without arming a real
-		// timer, so deadline behavior is testable deterministically.
+		// Simulated stall: treated as a deadline hit without reading the
+		// clock, so deadline behavior is testable deterministically.
 		g.tel.injDelay.Inc()
 		return nil, nil, fmt.Errorf("%w: %w", faultinject.ErrInjected, ErrDeadline)
 	}
-	chosen, costs, err := g.scoreWithWatchdog(ctx, req)
+	chosen, costs, err := g.scoreLearned(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,36 +450,22 @@ func (g *Guard) score(ctx context.Context, req Request) (*plan.Plan, []float64, 
 	return chosen, costs, nil
 }
 
-// scoreWithWatchdog calls the scorer under the per-query deadline. The
-// scorer runs in its own goroutine only when a watchdog is armed; on expiry
-// or cancellation the goroutine is abandoned (its result is discarded on
-// arrival) — scoring is read-only on the trained model, so abandonment is
-// safe.
-func (g *Guard) scoreWithWatchdog(ctx context.Context, req Request) (*plan.Plan, []float64, error) {
-	if g.cfg.Deadline <= 0 {
-		return g.selectLearned(req)
+// scoreLearned calls the scorer on the caller's goroutine and judges the call
+// when it returns: a caller that gave up meanwhile gets its own ctx.Err()
+// (checked first: cancellation is never booked as a model failure), and an
+// answer later than the deadline is discarded as ErrDeadline, so an overloaded
+// box still sheds to native through the breaker. Nothing pre-empts a scorer
+// inside one call (DESIGN "Degraded-mode serving contract").
+func (g *Guard) scoreLearned(ctx context.Context, req Request) (*plan.Plan, []float64, error) {
+	sw := walltime.Start()
+	chosen, costs, err := g.selectLearned(req)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, nil, ctxErr
 	}
-	type outcome struct {
-		chosen *plan.Plan
-		costs  []float64
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		o.chosen, o.costs, o.err = g.selectLearned(req)
-		ch <- o
-	}()
-	wd := walltime.NewWatchdog(g.cfg.Deadline)
-	defer wd.Stop()
-	select {
-	case o := <-ch:
-		return o.chosen, o.costs, o.err
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	case <-wd.Expired():
+	if g.cfg.Deadline > 0 && sw.Elapsed() > g.cfg.Deadline {
 		return nil, nil, ErrDeadline
 	}
+	return chosen, costs, err
 }
 
 // observeLearned records a learned-path success: breaker credit plus one

@@ -35,6 +35,7 @@ type guardTelemetry struct {
 	breakerState      *telemetry.Gauge
 
 	deadlineHits       *telemetry.Counter
+	scorerPanics       *telemetry.Counter
 	quarantineTrips    *telemetry.Counter
 	quarantineReleased *telemetry.Counter
 	quarantineActive   *telemetry.Gauge
@@ -73,6 +74,7 @@ func newGuardTelemetry(reg *telemetry.Registry) guardTelemetry {
 		breakerState:      reg.Gauge("guard.breaker.state"),
 
 		deadlineHits:       reg.Counter("guard.deadline.hits"),
+		scorerPanics:       reg.Counter("guard.scorer.panics"),
 		quarantineTrips:    reg.Counter("guard.quarantine.trips"),
 		quarantineReleased: reg.Counter("guard.quarantine.released"),
 		quarantineActive:   reg.Gauge("guard.quarantine.active"),

@@ -10,7 +10,11 @@
 //
 // The contract for callers: a Stopwatch reading may be logged, rendered or
 // stored in a metrics struct, but must never influence simulated state, plan
-// choice, or any other seed-reproducible output.
+// choice, or any other seed-reproducible output. The one exception is the
+// guard's learned-path deadline (internal/guard): Elapsed is compared with it
+// after the scorer returns, which only changes behavior on a run that was
+// already overloaded; deadline *tests* use internal/faultinject's simulated
+// delays, which never read the clock.
 package walltime
 
 import "time"
@@ -19,30 +23,6 @@ import "time"
 type Stopwatch struct {
 	start time.Time
 }
-
-// Watchdog bounds real (not simulated) work: a one-shot wall-clock timer the
-// guarded serving path arms around learned-plan scoring so a genuinely hung
-// scorer cannot stall a query forever. Like Stopwatch, it lives here because
-// walltime is the repo's only wall-clock boundary — but the determinism
-// contract is stricter than for metrics readings: on any seed-reproducible
-// run the scorer finishes long before a sanely configured watchdog fires, so
-// expiry only ever changes behavior on runs that were already broken (a real
-// hang). Deterministic deadline *testing* goes through
-// internal/faultinject's simulated delays, which never arm a real timer.
-type Watchdog struct {
-	t *time.Timer
-}
-
-// NewWatchdog arms a watchdog that expires after d.
-func NewWatchdog(d time.Duration) *Watchdog {
-	return &Watchdog{t: time.NewTimer(d)}
-}
-
-// Expired fires once when the deadline passes.
-func (w *Watchdog) Expired() <-chan time.Time { return w.t.C }
-
-// Stop disarms the watchdog and releases its timer.
-func (w *Watchdog) Stop() { w.t.Stop() }
 
 // Start begins a stopwatch at the current wall-clock instant.
 func Start() Stopwatch {

@@ -73,7 +73,7 @@ func WithMetrics(reg *telemetry.Registry) DeployOption {
 // deadline, the circuit breaker's window/threshold/cooldown, and the
 // regression sentinel's divergence band (see GuardConfig). Zero fields keep
 // their defaults, except Deadline, where an explicit zero disables the
-// learned-path watchdog entirely.
+// learned-path deadline.
 func WithGuardConfig(cfg GuardConfig) DeployOption {
 	return func(o *deployOptions) { o.guardCfg = cfg }
 }

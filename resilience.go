@@ -50,11 +50,14 @@ var (
 	// on their own (deadline hits, injected faults, breaker rejections).
 	ErrTransientFailure = guard.ErrTransient
 	// ErrPermanentFailure classifies failures deterministic for the query
-	// or model (no candidates, no finite estimate, quarantine).
+	// or model (no candidates, no finite estimate, scorer panic, quarantine).
 	ErrPermanentFailure = guard.ErrPermanent
 	// ErrLearnedDeadline reports the learned path exceeding its per-query
 	// deadline (GuardConfig.Deadline).
 	ErrLearnedDeadline = guard.ErrDeadline
+	// ErrScorerPanic reports a panic inside the model's scoring call: the
+	// query is served from a fallback rung, the cause carries the panic value.
+	ErrScorerPanic = guard.ErrScorerPanic
 	// ErrBreakerOpen reports the learned path skipped while the circuit
 	// breaker cools down.
 	ErrBreakerOpen = guard.ErrBreakerOpen

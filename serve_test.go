@@ -172,12 +172,25 @@ func TestServeCancelDuringExploration(t *testing.T) {
 // substrates — the cluster and the project's history repository — while
 // RunDays advances simulated time and appends executions: under -race this
 // is the owner of their lock discipline (a reader that skips the lock,
-// directly or through a *Locked helper, is a reported data race).
+// directly or through a *Locked helper, is a reported data race). One more
+// writer only calls AddLoad — the injector's load spike, which stales the
+// pool-average memo with no Advance behind it — so readers keep meeting a
+// stale memo: one filled under RLock is a race reported here and nowhere else.
 func TestConcurrentClusterReads(t *testing.T) {
 	sim, ps := tinyProject(t, 34)
 	cl, repo := sim.Cluster, ps.Repo
 	done := make(chan struct{})
 	var wg wg2
+	wg.go_(func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				cl.AddLoad([]int{0}, 0)
+			}
+		}
+	})
 	for r := 0; r < 4; r++ {
 		wg.go_(func() {
 			for {
@@ -207,9 +220,10 @@ func TestConcurrentClusterReads(t *testing.T) {
 
 // TestConcurrentOptimizeCancelLeaksNoGoroutines cancels concurrent OptimizeCtx
 // callers mid-flight and checks the goroutine count settles back to its
-// baseline: the regression test for a watchdog goroutine outliving a
-// canceled request (the guard arms a deadline watchdog per learned scoring
-// call; every one must unwind when its caller gives up).
+// baseline. Serving starts no goroutine at all — the learned path scores on
+// the caller's (guard's TestServeStartsNoGoroutine) — so a canceled request
+// has nothing to leave behind; this pins that end to end, under the default
+// deadline, for whatever a later change puts on the request path.
 func TestConcurrentOptimizeCancelLeaksNoGoroutines(t *testing.T) {
 	dep, qs := serveDeployment(t, 38, 16)
 	// Warm-up: one full pass so lazily-started runtime goroutines don't
