@@ -82,15 +82,17 @@ lint-fix-hints:
 # chaos re-runs the resilience suite — fault injection, circuit-breaker
 # transitions, quarantine, forced outages, the model-lifecycle fault scenario
 # (a retrain failing mid-promote must leave the incumbent serving), the
-# fleet's admission shedding and budget invariant, and the plan cache's
-# claim → compute → publish → wait protocol (crossing candidate orders, a
-# panic mid-forest) — under the race detector.
+# fleet's admission shedding and budget invariant (every internal/fleet test,
+# the tenant table's reference check and the concurrent control plane
+# included), and the plan cache's claim → compute → publish → wait protocol
+# (crossing candidate orders, a panic mid-forest) — under the race detector.
 # It is a -run subset of `race`, so `verify` does not run it again: a focused,
 # fast loop for iterating on the guarded serving layer (see DESIGN.md
 # "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
 # serving contract").
 chaos:
 	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest' ./...
+	$(GO) test -race -count=1 ./internal/fleet
 
 # chaos-recover is the durability twin of chaos: the kill-point crash sweep
 # (TestKillPointSweepRecoversEveryWrite), the atomic-write primitive, the
@@ -98,6 +100,6 @@ chaos:
 # under the race detector (see DESIGN.md "Durability & recovery contract").
 # Like chaos, a developer loop over a subset of `race`, not a `verify` step.
 chaos-recover:
-	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore|Grants' ./...
+	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore' ./...
 
 verify: build lint test race fuzz-smoke bench-e2e-smoke

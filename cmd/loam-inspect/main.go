@@ -19,10 +19,10 @@
 //
 // The fsck subcommand checks a durable model store offline (see DESIGN.md
 // "Durability & recovery contract"): the manifest frame, every referenced
-// snapshot's checksum, journal segment integrity, and the fleet grant table
-// if present. It prints a deterministic report and exits non-zero when the
-// store is corrupt; repairable residue of a crash (a torn journal tail, an
-// orphaned snapshot) is reported but does not fail the check.
+// snapshot's checksum, and journal segment integrity. It prints a
+// deterministic report and exits non-zero when the store is corrupt;
+// repairable residue of a crash (a torn journal tail, an orphaned snapshot)
+// is reported but does not fail the check.
 package main
 
 import (

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"loam"
-	"loam/internal/exec"
 	"loam/internal/selector"
 	"loam/internal/simrand"
 	"loam/internal/stats"
@@ -115,7 +114,7 @@ func measure(ps *loam.ProjectSim) ([]selector.RankerSample, float64) {
 		e := entries[i]
 		cands := ps.Explorer(e.Record.Day).Candidates(e.Query)
 		dists := make([]theory.LogNormal, len(cands))
-		opt := exec.DefaultOptions()
+		opt := ps.ExecOptions(e.Query)
 		for ci, c := range cands {
 			costs := make([]float64, 3)
 			for r := range costs {

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("executed: CPU cost %.0f (latency %.0fs across %d stages)\n",
 		rec.CPUCost, rec.LatencySec, len(rec.StageCosts))
 
-	// Fleet serving: put the same deployment behind the sharded registry.
+	// Fleet serving: put the same deployment behind the fleet registry.
 	// Route is the multi-tenant entry point — admission control, the
 	// recurring-query lane and the global plan-cache budget all apply here.
 	reg := sim.NewFleet(loam.DefaultFleetConfig())

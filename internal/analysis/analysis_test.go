@@ -145,8 +145,9 @@ func Drain(m map[string]int, s *Sink) {
 			want: [][2]string{{"determinism", "call s.Add on shared state"}},
 		},
 		{
-			// The shape of fleet.Registry.Tenants with its sort dropped: the
-			// ranged operand is a local whose map type only the checker knows.
+			// A map published through an atomic.Pointer, ranged with no sort
+			// after: the ranged operand is a local whose map type only the
+			// checker knows.
 			name: "map loaded through a pointer is still a map",
 			src: `package p
 import "sync/atomic"

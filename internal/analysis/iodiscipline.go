@@ -14,7 +14,7 @@ import (
 // os.Create and os.Rename are the raw halves of the temp+fsync+rename dance
 // that atomicio packages correctly (fsync the temp file AND the directory,
 // then rename). Every durable artifact — model snapshots, manifests, journal
-// segments, grant tables, benchmark output — must flow through atomicio.FS so
+// segments, benchmark output — must flow through atomicio.FS so
 // the kill-point sweep (TestKillPointSweepRecoversEveryWrite, `make
 // chaos-recover`) actually exercises every write the system performs. Test files are exempt (eachSourceFile
 // skips them): tests corrupt files on purpose.

@@ -1,8 +1,8 @@
 // Package atomicio is the repository's one sanctioned write primitive: every
 // byte the serving stack persists — model checkpoints, manifests, feedback
-// journal segments, fleet grant tables, benchmark artifacts — flows through
-// this package (loam-vet's iodiscipline analyzer confines the raw os write
-// calls here). It provides exactly two mechanisms, and no policy:
+// journal segments, benchmark artifacts — flows through this package
+// (loam-vet's iodiscipline analyzer confines the raw os write calls here).
+// It provides exactly two mechanisms, and no policy:
 //
 //   - Atomic whole-file replacement. FS.WriteFile writes to a temp file in
 //     the destination directory, fsyncs it, renames it over the target, and

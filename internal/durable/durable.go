@@ -1,17 +1,16 @@
 // Package durable is the crash-safe persistence layer for the serving
-// stack's continual-learning state: model checkpoints with lineage, the
-// feedback journal the drift detector resumes from, and the fleet's
-// cache-grant table. It stores opaque snapshot bytes — serialization belongs
-// to the predictor — and guarantees exactly one thing: after a crash at ANY
-// write point, Open lands on the last committed manifest and every byte that
-// manifest references verifies against its recorded checksum.
+// stack's continual-learning state: model checkpoints with lineage and the
+// feedback journal the drift detector resumes from. It stores opaque
+// snapshot bytes — serialization belongs to the predictor — and guarantees
+// exactly one thing: after a crash at ANY write point, Open lands on the last
+// committed manifest and every byte that manifest references verifies against
+// its recorded checksum.
 //
 // On-disk layout (all writes go through internal/atomicio):
 //
 //	<dir>/MANIFEST          one checksummed frame: the JSON Manifest
 //	<dir>/models/v%06d.snap predictor snapshots (self-checksummed, v2 framed)
 //	<dir>/journal/seg-%06d.log  feedback journal segments (frames)
-//	<dir>/grants            one checksummed frame: the JSON GrantTable
 //
 // The write-point ordering that makes the manifest the recovery point:
 // snapshot file first (atomic), then MANIFEST (atomic swap), then GC of
@@ -95,7 +94,6 @@ const (
 	manifestFile = "MANIFEST"
 	modelsDir    = "models"
 	journalDir   = "journal"
-	grantsFile   = "grants"
 )
 
 // storeTelemetry holds the durable layer's instruments; nil fields are

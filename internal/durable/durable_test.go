@@ -207,48 +207,6 @@ func TestStoreTelemetry(t *testing.T) {
 	}
 }
 
-func TestFleetStoreGrantsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	fsStore, err := OpenFleet(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := GrantTable{Budget: 100, Grants: []GrantEntry{
-		{Name: "zeta", Granted: 40},
-		{Name: "alpha", Granted: 60},
-	}}
-	if err := fsStore.SaveGrants(table); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fsStore.LoadGrants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Budget != 100 || len(got.Grants) != 2 {
-		t.Fatalf("grants = %+v", got)
-	}
-	// Sorted by name on disk.
-	if got.Grants[0].Name != "alpha" || got.Grants[1].Name != "zeta" {
-		t.Fatalf("grants not sorted: %+v", got.Grants)
-	}
-
-	// Missing table is nil, not an error; corrupt table is ErrCorruptStore.
-	empty, err := OpenFleet(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab, err := empty.LoadGrants(); tab != nil || err != nil {
-		t.Fatalf("fresh fleet store: table=%v err=%v", tab, err)
-	}
-	path := filepath.Join(dir, grantsFile)
-	data, _ := os.ReadFile(path)
-	data[len(data)-2] ^= 0x40
-	os.WriteFile(path, data, 0o644)
-	if _, err := fsStore.LoadGrants(); !errors.Is(err, ErrCorruptStore) {
-		t.Fatalf("corrupt grants: want ErrCorruptStore, got %v", err)
-	}
-}
-
 func TestFsckCleanAndRendersDeterministically(t *testing.T) {
 	dir := t.TempDir()
 	s := commitDeploy(t, dir, nil, []byte("model"))

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,10 +29,8 @@ type Report struct {
 	// TornTail reports a repairable partial frame at the journal's end.
 	TornTail bool `json:"tornTail"`
 	// Orphans are model files no manifest references (repairable by GC).
-	Orphans []string `json:"orphans,omitempty"`
-	// GrantTenants counts persisted grants (-1 when no table exists).
-	GrantTenants int       `json:"grantTenants"`
-	Problems     []Problem `json:"problems,omitempty"`
+	Orphans  []string  `json:"orphans,omitempty"`
+	Problems []Problem `json:"problems,omitempty"`
 }
 
 // OK reports whether the store is consistent (torn tails and orphans are
@@ -61,31 +58,24 @@ func (r *Report) Render(w io.Writer) {
 	for _, o := range r.Orphans {
 		fmt.Fprintf(w, "orphan %s\n", o)
 	}
-	if r.GrantTenants >= 0 {
-		fmt.Fprintf(w, "grants tenants=%d\n", r.GrantTenants)
-	}
 	for _, p := range r.Problems {
 		fmt.Fprintf(w, "problem %s: %s\n", p.Path, p.Detail)
 	}
 }
 
 // Fsck verifies a store directory offline without mutating it: the manifest
-// frame, every referenced snapshot's checksum, journal segment integrity,
-// and the grant table if present. It never repairs; Open does that.
+// frame, every referenced snapshot's checksum, and journal segment
+// integrity. It never repairs; Open does that.
 func Fsck(dir string) *Report {
-	r := &Report{GrantTenants: -1}
+	r := &Report{}
 	problem := func(path, format string, args ...any) {
 		r.Problems = append(r.Problems, Problem{Path: path, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	// A grants file alone marks a fleet store, which has no manifest.
-	_, statGrantsErr := os.Stat(filepath.Join(dir, grantsFile))
-	fleetOnly := statGrantsErr == nil
-
 	man, err := readManifest(dir)
 	if err != nil {
 		problem(manifestFile, "%v", errors.Unwrap(err))
-	} else if man == nil && !fleetOnly {
+	} else if man == nil {
 		problem(manifestFile, "missing: store has no recovery point")
 	}
 	r.Manifest = man
@@ -163,21 +153,6 @@ func Fsck(dir string) *Report {
 			r.TornTail = true
 		} else {
 			problem(rel, "%v", tailErr)
-		}
-	}
-
-	// Grants, when the directory doubles as a fleet store.
-	if data, err := os.ReadFile(filepath.Join(dir, grantsFile)); err == nil {
-		payload, rest, err := atomicio.DecodeFrame(data)
-		if err != nil || len(rest) != 0 {
-			problem(grantsFile, "frame: %v", err)
-		} else {
-			var t GrantTable
-			if err := json.Unmarshal(payload, &t); err != nil {
-				problem(grantsFile, "payload: %v", err)
-			} else {
-				r.GrantTenants = len(t.Grants)
-			}
 		}
 	}
 	return r

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"loam"
-	"loam/internal/exec"
 	"loam/internal/history"
 	"loam/internal/plan"
 	"loam/internal/predictor"
@@ -146,7 +145,7 @@ func (e *Env) Eval(name string) *ProjectEval {
 			Means:           make([]float64, len(cands)),
 			Dists:           make([]theory.LogNormal, len(cands)),
 		}
-		opt := psExecOptions(entry)
+		opt := ps.ExecOptions(entry.Query)
 		for i, c := range cands {
 			costs := make([]float64, e.Cfg.EvalReps)
 			for r := range costs {
@@ -169,15 +168,6 @@ func (e *Env) Eval(name string) *ProjectEval {
 		name, len(pe.Queries), e.Cfg.EvalReps, sw.Seconds())
 	e.evals[name] = pe
 	return pe
-}
-
-// psExecOptions mirrors the project's execution options for a query.
-func psExecOptions(entry history.Entry) exec.Options {
-	opt := exec.DefaultOptions()
-	if entry.Query.NoiseSigma > 0 {
-		opt.NoiseSigma = entry.Query.NoiseSigma
-	}
-	return opt
 }
 
 // Variant identifies one trained model configuration.

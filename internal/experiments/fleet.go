@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"loam"
-	"loam/internal/exec"
 	"loam/internal/selector"
 	"loam/internal/simrand"
 	"loam/internal/stats"
@@ -85,10 +84,7 @@ func (e *Env) Fleet() []*FleetProject {
 			ex := ps.Explorer(entry.Record.Day)
 			cands := ex.Candidates(entry.Query)
 			dists := make([]theory.LogNormal, len(cands))
-			opt := exec.DefaultOptions()
-			if entry.Query.NoiseSigma > 0 {
-				opt.NoiseSigma = entry.Query.NoiseSigma
-			}
+			opt := ps.ExecOptions(entry.Query)
 			for ci, c := range cands {
 				costs := make([]float64, 3)
 				for r := range costs {

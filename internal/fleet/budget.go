@@ -15,11 +15,8 @@ import "sort"
 // not matter.
 func (r *Registry) Tick() {
 	r.tel.ticks.Inc()
-	for _, sh := range r.shards {
-		m := *sh.view.Load()
-		for _, t := range m {
-			t.refill(t.adm.RefillPerTick)
-		}
+	for _, t := range r.table.Load().sorted {
+		t.refill(t.adm.RefillPerTick)
 	}
 }
 
@@ -32,21 +29,14 @@ func (r *Registry) Tick() {
 // The division is exact and deterministic: floor(budget·w/W) per tenant in
 // sorted name order, with the remainder distributed one entry at a time to
 // the heaviest tenants (name-ordered among ties). Grants are applied under
-// each tenant's shard lock, so cache evictions triggered by shrinking are
-// serialized with view swaps.
+// the registry lock, so cache evictions triggered by shrinking are
+// serialized with table swaps.
 func (r *Registry) Rebalance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tel.rebalances.Inc()
 
-	var ts []*tenant
-	for _, sh := range r.shards {
-		m := *sh.view.Load()
-		for _, t := range m {
-			ts = append(ts, t)
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
+	ts := r.table.Load().sorted
 	if len(ts) == 0 {
 		r.granted = 0
 		r.tel.grantedGauge.Set(0)
@@ -93,56 +83,8 @@ func (r *Registry) Rebalance() {
 		if grants[i] == t.grant {
 			continue
 		}
-		sh := r.shardFor(t.name)
-		sh.mu.Lock()
 		t.setGrant(grants[i])
-		sh.mu.Unlock()
 		r.tel.grantChanges.Inc()
-	}
-	r.granted = granted
-	r.tel.grantedGauge.Set(float64(granted))
-}
-
-// ApplyGrants installs a saved grant table — the fleet's warm-restore path
-// after a restart. Tenants are visited in sorted name order; a tenant named
-// in grants takes that grant, one absent from the table keeps its current
-// grant, and every grant is clamped so the running total never exceeds the
-// budget. Unknown names in grants (tenants deregistered since the save) are
-// ignored. The granted sum is recomputed from what was actually applied, so
-// the Granted <= Budget invariant holds whatever the table says.
-func (r *Registry) ApplyGrants(grants map[string]int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	var ts []*tenant
-	for _, sh := range r.shards {
-		m := *sh.view.Load()
-		for _, t := range m {
-			ts = append(ts, t)
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
-
-	granted := 0
-	for _, t := range ts {
-		g, ok := grants[t.name]
-		if !ok {
-			g = t.grant
-		}
-		if g < 0 {
-			g = 0
-		}
-		if free := r.cfg.CacheBudget - granted; g > free {
-			g = free
-		}
-		granted += g
-		if g != t.grant {
-			sh := r.shardFor(t.name)
-			sh.mu.Lock()
-			t.setGrant(g)
-			sh.mu.Unlock()
-			r.tel.grantChanges.Inc()
-		}
 	}
 	r.granted = granted
 	r.tel.grantedGauge.Set(float64(granted))
@@ -168,14 +110,7 @@ type BudgetStatus struct {
 func (r *Registry) Budget() BudgetStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ts []*tenant
-	for _, sh := range r.shards {
-		m := *sh.view.Load()
-		for _, t := range m {
-			ts = append(ts, t)
-		}
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
+	ts := r.table.Load().sorted
 	entries := 0
 	for _, t := range ts {
 		entries += t.backend.CacheLen()
@@ -184,7 +119,7 @@ func (r *Registry) Budget() BudgetStatus {
 		Budget:  r.cfg.CacheBudget,
 		Granted: r.granted,
 		Entries: entries,
-		Tenants: r.count,
+		Tenants: len(ts),
 	}
 	r.tel.entriesGauge.Set(float64(entries))
 	return st

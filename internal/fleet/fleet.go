@@ -1,6 +1,6 @@
 // Package fleet is the multi-tenant serving layer: a deployment registry
-// that routes per-project traffic to hash-sharded backends behind one public
-// entry point (Route), governs a global plan-cache memory budget across all
+// that routes per-project traffic to its backend behind one public entry
+// point (Route), governs a global plan-cache memory budget across all
 // tenants, and applies per-tenant admission control so one hot project
 // degrades itself — never its neighbors — under load.
 //
@@ -8,11 +8,11 @@
 // registry is that warehouse-scale shape in miniature. Three disciplines
 // carry over from the rest of the repo:
 //
-//   - Lock-free request-path reads. Each shard publishes its tenant table as
-//     an atomic snapshot (the same atomic.Pointer discipline lifecycle.go
-//     uses for predictor hot-swap); Route loads the snapshot and never takes
-//     a control-plane lock. Register/Deregister copy-and-swap under the
-//     shard lock.
+//   - Lock-free request-path reads. The registry publishes its tenant table
+//     as one immutable atomic snapshot (the same atomic.Pointer discipline
+//     lifecycle.go uses for predictor hot-swap); Route loads the snapshot
+//     and never takes a control-plane lock. Register/Deregister build the
+//     next table and swap it in under the registry lock.
 //   - Deterministic admission. Token buckets are clocked on serve calls,
 //     never wall time (the circuit breaker's convention): each serve refills
 //     a fixed fraction and charges a per-lane price, and Tick — a
@@ -23,7 +23,7 @@
 //   - Deterministic budget governance. The global cache budget is divided by
 //     Rebalance in sorted tenant order using integer arithmetic — hot
 //     projects (by serve count since the last rebalance) earn cache, cold
-//     ones shrink — and grants are applied under the shard lock, so
+//     ones shrink — and grants are applied under the registry lock, so
 //     eviction sequences and fleet.cache.* gauges are reproducible.
 //
 // An over-budget tenant is never queued: Route degrades it to the backend's
@@ -37,9 +37,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +88,8 @@ type Backend interface {
 // Config tunes the registry. The zero value is normalized to DefaultConfig
 // field-by-field.
 type Config struct {
-	// Shards is the number of serving shards tenants hash across.
+	// Shards has no effect: the registry keeps one tenant table, not hash
+	// shards. The field stays only because bench/scenario.go still sets it.
 	Shards int
 	// CacheBudget is the global plan-cache budget: the sum of all tenants'
 	// cache grants never exceeds it.
@@ -129,7 +131,6 @@ type AdmissionConfig struct {
 // DefaultConfig returns serving-scale registry settings.
 func DefaultConfig() Config {
 	return Config{
-		Shards:       8,
 		CacheBudget:  4096,
 		InitialGrant: 64,
 		Admission: AdmissionConfig{
@@ -146,9 +147,6 @@ func DefaultConfig() Config {
 // normalize fills non-positive or non-finite fields from the defaults.
 func (c Config) normalize() Config {
 	d := DefaultConfig()
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
-	}
 	if c.CacheBudget <= 0 {
 		c.CacheBudget = d.CacheBudget
 	}
@@ -182,42 +180,43 @@ func (a AdmissionConfig) normalize(d AdmissionConfig) AdmissionConfig {
 	return a
 }
 
-// Registry is the sharded deployment registry — the single public serving
-// entry point for a fleet. Route is safe for unbounded concurrency; the
+// Registry is the deployment registry — the single public serving entry
+// point for a fleet. Route is safe for unbounded concurrency; the
 // control-plane methods (Register, Deregister, Tick, Rebalance) serialize on
 // the registry lock and may run concurrently with serving.
 type Registry struct {
-	cfg    Config
-	shards []*shard
-	tel    fleetTelemetry
+	cfg   Config
+	table atomic.Pointer[tenantTable]
+	tel   fleetTelemetry
 
 	// mu serializes the control plane: registration, deregistration and
-	// budget accounting. Lock order: mu -> shard.mu -> tenant.mu.
+	// budget accounting. Lock order: mu -> tenant.mu.
 	mu      sync.Mutex
 	granted int // Σ live cache grants; invariant: granted <= cfg.CacheBudget
-	count   int // live tenants
 }
 
-// shard holds one hash partition of the tenant table. The request path reads
-// the view pointer only; mutations copy the map and swap under mu.
-type shard struct {
-	mu   sync.Mutex
-	view atomic.Pointer[map[string]*tenant]
+// tenantTable is one immutable snapshot of the registered tenants: the
+// request path's lookup map and the control plane's walk order. Register and
+// Deregister build the next table under Registry.mu and swap the pointer;
+// nothing writes to a published table.
+type tenantTable struct {
+	byName map[string]*tenant
+	sorted []*tenant // by name
+}
+
+// find returns the index of name in sorted, or where it would be inserted.
+func (tab *tenantTable) find(name string) int {
+	i, _ := slices.BinarySearchFunc(tab.sorted, name, func(t *tenant, name string) int {
+		return strings.Compare(t.name, name)
+	})
+	return i
 }
 
 // New builds an empty registry (Config normalized via DefaultConfig).
 func New(cfg Config) *Registry {
 	cfg = cfg.normalize()
-	r := &Registry{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		tel:    newFleetTelemetry(cfg.Metrics),
-	}
-	empty := map[string]*tenant{}
-	for i := range r.shards {
-		r.shards[i] = &shard{}
-		r.shards[i].view.Store(&empty)
-	}
+	r := &Registry{cfg: cfg, tel: newFleetTelemetry(cfg.Metrics)}
+	r.table.Store(&tenantTable{byName: map[string]*tenant{}})
 	r.tel.budget.Set(float64(cfg.CacheBudget))
 	return r
 }
@@ -225,33 +224,17 @@ func New(cfg Config) *Registry {
 // Config returns the registry's normalized configuration.
 func (r *Registry) Config() Config { return r.cfg }
 
-// shardFor hashes a project name onto its shard (FNV-1a).
-func (r *Registry) shardFor(project string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(project))
-	return r.shards[int(h.Sum32())%len(r.shards)]
-}
-
-// lookup resolves a project on the lock-free request path.
-func (r *Registry) lookup(project string) *tenant {
-	m := r.shardFor(project).view.Load()
-	return (*m)[project]
-}
-
 // Register adds a backend for project and grants it cache capacity from the
 // unallocated pool (up to InitialGrant). The new tenant becomes routable the
-// moment the shard view swaps.
+// moment the table swaps.
 func (r *Registry) Register(project string, b Backend) error {
 	if b == nil {
 		return fmt.Errorf("register %q: %w", project, ErrNilBackend)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sh := r.shardFor(project)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.view.Load()
-	if _, ok := old[project]; ok {
+	old := r.table.Load()
+	if _, ok := old.byName[project]; ok {
 		return fmt.Errorf("register %q: %w", project, ErrDuplicateTenant)
 	}
 	grant := r.cfg.InitialGrant
@@ -264,16 +247,15 @@ func (r *Registry) Register(project string, b Backend) error {
 	t := newTenant(project, b, r.cfg.Admission)
 	t.grant = grant
 	b.SetCacheCapacity(grant)
-	next := make(map[string]*tenant, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	next := &tenantTable{
+		byName: maps.Clone(old.byName),
+		sorted: slices.Insert(slices.Clone(old.sorted), old.find(project), t),
 	}
-	next[project] = t
-	sh.view.Store(&next)
+	next.byName[project] = t
+	r.table.Store(next)
 	r.granted += grant
-	r.count++
 	r.tel.registered.Inc()
-	r.tel.tenants.Set(float64(r.count))
+	r.tel.tenants.Set(float64(len(next.sorted)))
 	r.tel.grantedGauge.Set(float64(r.granted))
 	return nil
 }
@@ -284,26 +266,22 @@ func (r *Registry) Register(project string, b Backend) error {
 func (r *Registry) Deregister(project string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sh := r.shardFor(project)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.view.Load()
-	t, ok := old[project]
+	old := r.table.Load()
+	t, ok := old.byName[project]
 	if !ok {
 		return false
 	}
-	next := make(map[string]*tenant, len(old)-1)
-	for k, v := range old {
-		if k != project {
-			next[k] = v
-		}
+	i := old.find(project)
+	next := &tenantTable{
+		byName: maps.Clone(old.byName),
+		sorted: slices.Delete(slices.Clone(old.sorted), i, i+1),
 	}
-	sh.view.Store(&next)
+	delete(next.byName, project)
+	r.table.Store(next)
 	r.granted -= t.grant
-	r.count--
 	t.backend.SetCacheCapacity(0)
 	r.tel.deregistered.Inc()
-	r.tel.tenants.Set(float64(r.count))
+	r.tel.tenants.Set(float64(len(next.sorted)))
 	r.tel.grantedGauge.Set(float64(r.granted))
 	return true
 }
@@ -322,7 +300,7 @@ func (r *Registry) Route(ctx context.Context, project string, q *query.Query) (a
 	r.tel.routeTotal.Inc()
 	span := r.tel.routeLatency.Start()
 	defer span.Stop()
-	t := r.lookup(project)
+	t := r.table.Load().byName[project]
 	if t == nil {
 		r.tel.routeUnknown.Inc()
 		return nil, fmt.Errorf("route %q: %w", project, ErrUnknownTenant)
@@ -367,14 +345,11 @@ func (r *Registry) serveAdmitted(ctx context.Context, t *tenant, q *query.Query)
 
 // Tenants returns the registered project names, sorted.
 func (r *Registry) Tenants() []string {
-	var names []string
-	for _, sh := range r.shards {
-		m := *sh.view.Load()
-		for name := range m {
-			names = append(names, name)
-		}
+	sorted := r.table.Load().sorted
+	names := make([]string, len(sorted))
+	for i, t := range sorted {
+		names[i] = t.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -390,7 +365,7 @@ type TenantStats struct {
 
 // Stats returns project's current stats; ok is false for unknown tenants.
 func (r *Registry) Stats(project string) (TenantStats, bool) {
-	t := r.lookup(project)
+	t := r.table.Load().byName[project]
 	if t == nil {
 		return TenantStats{}, false
 	}

@@ -5,17 +5,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"loam/internal/query"
+	"loam/internal/simrand"
 	"loam/internal/telemetry"
 )
 
 func testConfig(reg *telemetry.Registry) Config {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
 	cfg.CacheBudget = 64
 	cfg.InitialGrant = 8
 	cfg.Admission = AdmissionConfig{
@@ -449,22 +451,84 @@ func TestConcurrentControlPlane(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardDistribution sanity-checks FNV sharding: many tenants spread
-// over all shards, and lookup resolves every one.
-func TestShardDistribution(t *testing.T) {
+// TestTenantTableMatchesReference drives a seeded mix of control-plane
+// steps — Register, duplicate Register, Deregister, unknown Deregister,
+// Rebalance — and checks the registry against a plain reference set after
+// every one: Tenants() is the set's names in order, every live name routes
+// and every dead one is ErrUnknownTenant, Budget().Tenants is the set's
+// size, and Budget().Granted is the sum of the live grants, within budget.
+// It also checks that a step never writes to the table published before it:
+// readers on the request path may still hold that one.
+func TestTenantTableMatchesReference(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := testConfig(reg)
-	cfg.Shards = 8
-	r := New(cfg)
-	names := registerN(t, r, reg, 200)
-	seen := map[*shard]int{}
-	for _, name := range names {
-		if r.lookup(name) == nil {
-			t.Fatalf("lookup %s failed", name)
-		}
-		seen[r.shardFor(name)]++
+	r := New(testConfig(reg))
+	rng := simrand.New(25)
+	pool := make([]string, 24)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("p%02d", rng.Intn(100)) // repeats are fine: more duplicates
 	}
-	if len(seen) != 8 {
-		t.Fatalf("200 tenants landed on %d/8 shards", len(seen))
+	order := func(tab *tenantTable) []string {
+		names := make([]string, len(tab.sorted))
+		for i, tn := range tab.sorted {
+			names[i] = "<nil>"
+			if tn != nil {
+				names[i] = tn.name
+			}
+		}
+		return names
+	}
+	live := map[string]bool{}
+	const steps = 2000
+	for step := 0; step < steps; step++ {
+		prev := r.table.Load()
+		prevOrder := order(prev)
+		name := pool[rng.Intn(len(pool))]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			err := r.Register(name, NewSyntheticTenant(name, reg))
+			if live[name] && !errors.Is(err, ErrDuplicateTenant) || !live[name] && err != nil {
+				t.Fatalf("step %d: Register(%s) live=%v: %v", step, name, live[name], err)
+			}
+			live[name] = true
+		case op < 7:
+			if got := r.Deregister(name); got != live[name] {
+				t.Fatalf("step %d: Deregister(%s) = %v, live=%v", step, name, got, live[name])
+			}
+			delete(live, name)
+		case op < 8:
+			if r.Deregister(fmt.Sprintf("ghost%d", step)) {
+				t.Fatalf("step %d: unknown tenant deregistered", step)
+			}
+		default:
+			r.Rebalance()
+		}
+
+		if got := order(prev); !slices.Equal(got, prevOrder) || len(prev.byName) != len(prevOrder) {
+			t.Fatalf("step %d wrote to the table published before it: %v (%d map entries), was %v",
+				step, got, len(prev.byName), prevOrder)
+		}
+		want := make([]string, 0, len(live))
+		for n := range live {
+			want = append(want, n)
+		}
+		sort.Strings(want)
+		if got := r.Tenants(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Tenants() = %v, want %v", step, got, want)
+		}
+		for i, n := range pool {
+			_, err := r.Route(context.Background(), n, q(n, step*len(pool)+i, "tpl"))
+			if live[n] && err != nil || !live[n] && !errors.Is(err, ErrUnknownTenant) {
+				t.Fatalf("step %d: Route(%s) live=%v: %v", step, n, live[n], err)
+			}
+		}
+		granted := 0
+		for _, n := range want {
+			s, _ := r.Stats(n)
+			granted += s.Grant
+		}
+		st := r.Budget()
+		if st.Tenants != len(want) || st.Granted != granted || st.Granted > st.Budget {
+			t.Fatalf("step %d: Budget() = %+v, want %d tenants and Σ grants %d <= budget", step, st, len(want), granted)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package selector
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"loam/internal/encoding"
 	"loam/internal/history"
@@ -213,61 +212,4 @@ func TopN(ranked []string, n int) []string {
 		n = len(ranked)
 	}
 	return append([]string(nil), ranked[:n]...)
-}
-
-// OnlineRanker accumulates (default-plan, improvement) pairs as more
-// projects are deployed and evaluated, and periodically retrains the Ranker
-// — the continuous-improvement loop of §6.
-type OnlineRanker struct {
-	mu      sync.Mutex
-	samples []RankerSample
-	ranker  *Ranker
-	// RetrainEvery triggers a refit after this many new samples (default
-	// 64).
-	RetrainEvery int
-	pending      int
-}
-
-// NewOnlineRanker builds an updating ranker, optionally seeded with initial
-// samples.
-func NewOnlineRanker(seed []RankerSample) *OnlineRanker {
-	o := &OnlineRanker{RetrainEvery: 64}
-	o.samples = append(o.samples, seed...)
-	o.ranker = TrainRanker(o.samples)
-	return o
-}
-
-// Add appends evaluation pairs; the model refits once enough new data
-// accumulates.
-func (o *OnlineRanker) Add(samples ...RankerSample) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.samples = append(o.samples, samples...)
-	o.pending += len(samples)
-	if o.pending >= o.RetrainEvery {
-		o.ranker = TrainRanker(o.samples)
-		o.pending = 0
-	}
-}
-
-// Retrain forces an immediate refit.
-func (o *OnlineRanker) Retrain() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.ranker = TrainRanker(o.samples)
-	o.pending = 0
-}
-
-// Estimate predicts the improvement space for one default plan's features.
-func (o *OnlineRanker) Estimate(features []float64) float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.ranker.Estimate(features)
-}
-
-// SampleCount returns how many training pairs have accumulated.
-func (o *OnlineRanker) SampleCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.samples)
 }

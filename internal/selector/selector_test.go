@@ -177,51 +177,3 @@ func TestFeaturesWrapper(t *testing.T) {
 		t.Fatal("no features")
 	}
 }
-
-func TestOnlineRankerRetrains(t *testing.T) {
-	rng := simrand.New(9)
-	mk := func(n int, slope float64) []RankerSample {
-		out := make([]RankerSample, n)
-		for i := range out {
-			f := []float64{rng.Uniform(0, 1)}
-			out[i] = RankerSample{Features: f, Improvement: slope * f[0]}
-		}
-		return out
-	}
-	o := NewOnlineRanker(mk(100, 1))
-	if o.SampleCount() != 100 {
-		t.Fatalf("seed count %d", o.SampleCount())
-	}
-	before := o.Estimate([]float64{0.9})
-
-	// Feed contradicting data past the retrain threshold: the model must
-	// move toward the new signal.
-	o.RetrainEvery = 50
-	o.Add(mk(400, -1)...)
-	after := o.Estimate([]float64{0.9})
-	if after >= before {
-		t.Fatalf("online ranker did not adapt: %g -> %g", before, after)
-	}
-	if o.SampleCount() != 500 {
-		t.Fatalf("sample count %d", o.SampleCount())
-	}
-}
-
-func TestOnlineRankerForceRetrain(t *testing.T) {
-	o := NewOnlineRanker(nil)
-	o.RetrainEvery = 1000000 // never auto-refit
-	rng := simrand.New(10)
-	var samples []RankerSample
-	for i := 0; i < 50; i++ {
-		f := []float64{rng.Uniform(0, 1)}
-		samples = append(samples, RankerSample{Features: f, Improvement: f[0]})
-	}
-	o.Add(samples...)
-	if o.Estimate([]float64{0.9}) != 0 {
-		t.Fatal("model refit before Retrain")
-	}
-	o.Retrain()
-	if o.Estimate([]float64{0.9}) == 0 {
-		t.Fatal("Retrain had no effect")
-	}
-}

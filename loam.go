@@ -67,8 +67,6 @@ type ProjectConfig struct {
 	Workload workload.Config
 	// StatsPolicy degrades the optimizer-visible statistics (Challenge C2).
 	StatsPolicy stats.Policy
-	// ExecMaxInstances caps stage parallelism.
-	ExecMaxInstances int
 }
 
 // DefaultProjectConfig returns a mid-sized project named name.
@@ -204,14 +202,14 @@ func (ps *ProjectSim) Explorer(day int) *explorer.Explorer {
 	return e
 }
 
-// execOptions builds executor options for a query.
-func (ps *ProjectSim) execOptions(q *query.Query) exec.Options {
+// ExecOptions returns the executor options the project uses for a query:
+// the executor defaults with the query's own noise level. It is the one rule;
+// tools that execute plans out-of-band (flighting comparisons, experiments)
+// call it too.
+func (ps *ProjectSim) ExecOptions(q *query.Query) exec.Options {
 	opt := exec.DefaultOptions()
 	if q.NoiseSigma > 0 {
 		opt.NoiseSigma = q.NoiseSigma
-	}
-	if ps.Config.ExecMaxInstances > 0 {
-		opt.MaxInstances = ps.Config.ExecMaxInstances
 	}
 	return opt
 }
@@ -225,7 +223,7 @@ func (ps *ProjectSim) RunDays(from, to int) {
 		ex := ps.Explorer(day)
 		for _, q := range ps.Gen.Day(day) {
 			def := ex.DefaultPlan(q)
-			rec := ps.Executor.Execute(def, day, ps.execOptions(q))
+			rec := ps.Executor.Execute(def, day, ps.ExecOptions(q))
 			rec.TemplateID = q.TemplateID
 			ps.Repo.Append(history.Entry{Query: q, Record: rec})
 		}
@@ -593,7 +591,7 @@ func (d *Deployment) envSource() (encoding.EnvSource, encoding.EnvKey) {
 // model's serving-time estimate — and gives the lifecycle its chance to
 // react to drift: retrain, promote, or roll back (see Lifecycle).
 func (d *Deployment) ExecuteChoice(c *Choice) *exec.Record {
-	rec := d.ProjectSim.Executor.Execute(c.Chosen, c.Query.Day, d.ProjectSim.execOptions(c.Query))
+	rec := d.ProjectSim.Executor.Execute(c.Chosen, c.Query.Day, d.ProjectSim.ExecOptions(c.Query))
 	rec.TemplateID = c.Query.TemplateID
 	d.ProjectSim.Repo.Append(history.Entry{Query: c.Query, Record: rec})
 	if d.lc != nil {
@@ -605,10 +603,6 @@ func (d *Deployment) ExecuteChoice(c *Choice) *exec.Record {
 // Rng derives a named deterministic random stream from the project's root
 // stream — used by experiments that need reproducible ad-hoc draws.
 func (ps *ProjectSim) Rng(name string) *simrand.RNG { return ps.rng.Derive(name) }
-
-// ExecOptions returns the executor options the project uses for a query —
-// exported for tools that execute plans out-of-band (flighting comparisons).
-func (ps *ProjectSim) ExecOptions(q *query.Query) exec.Options { return ps.execOptions(q) }
 
 // SaveModel serializes the deployment's current serving predictor — after a
 // lifecycle promote, that is the promoted model.

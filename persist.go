@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"loam/internal/atomicio"
 	"loam/internal/durable"
 	"loam/internal/encoding"
 	"loam/internal/predictor"
@@ -298,73 +297,4 @@ func (lc *Lifecycle) resume(store *durable.Store, man *durable.Manifest, jour *d
 	}
 	lc.pendingRetrain = fired
 	return nil
-}
-
-// EnableDurableGrants roots the fleet registry's grant persistence at dir:
-// from now on every Register, Deregister and Rebalance atomically rewrites
-// the grant table. Any table a previous process saved is read NOW — before
-// this process's registrations start overwriting it — and held for
-// RestoreGrants to apply once the tenants are re-registered; a table that
-// fails its checksum surfaces here as ErrCorruptStore. fs nil uses the
-// default filesystem; the chaos harness passes an injected one.
-func (f *FleetRegistry) EnableDurableGrants(dir string, fs *atomicio.FS) error {
-	st, err := durable.OpenFleet(dir, fs)
-	if err != nil {
-		return err
-	}
-	if m := f.reg.Config().Metrics; m != nil {
-		st.Instrument(m)
-	}
-	saved, err := st.LoadGrants()
-	if err != nil {
-		return err
-	}
-	f.store = st
-	f.saved = saved
-	return nil
-}
-
-// saveGrants persists the registry's current grant table. Fail-open like the
-// deployment checkpoints: an error is counted by the store's telemetry and
-// the fleet keeps serving from memory.
-func (f *FleetRegistry) saveGrants() {
-	if f.store == nil {
-		return
-	}
-	f.persistMu.Lock()
-	defer f.persistMu.Unlock()
-	budget := f.reg.Budget()
-	table := durable.GrantTable{Budget: int64(budget.Budget)}
-	for _, name := range f.reg.Tenants() {
-		st, ok := f.reg.Stats(name)
-		if !ok {
-			continue
-		}
-		table.Grants = append(table.Grants, durable.GrantEntry{Name: name, Granted: int64(st.Grant)})
-	}
-	// Injected crashes panic through; plain write errors are already counted.
-	_ = f.store.SaveGrants(table)
-}
-
-// RestoreGrants applies the grant table EnableDurableGrants found on disk to
-// the registry's current tenants (register them first) and reports whether
-// one existed. Grants for tenants that no longer exist are dropped; tenants
-// registered since the save keep their live grants; the total is clamped to
-// the budget (see fleet.ApplyGrants). The applied state is re-saved so the
-// table and the registry agree again.
-func (f *FleetRegistry) RestoreGrants() (bool, error) {
-	if f.store == nil {
-		return false, fmt.Errorf("loam: RestoreGrants before EnableDurableGrants")
-	}
-	if f.saved == nil {
-		return false, nil
-	}
-	grants := make(map[string]int, len(f.saved.Grants))
-	for _, g := range f.saved.Grants {
-		grants[g.Name] = int(g.Granted)
-	}
-	f.saved = nil
-	f.reg.ApplyGrants(grants)
-	f.saveGrants()
-	return true, nil
 }

@@ -461,93 +461,3 @@ func TestKillPointSweepRecoversEveryWrite(t *testing.T) {
 			len(schedule), restores, redeploys, tornTails)
 	}
 }
-
-func TestFleetGrantsSurviveRestart(t *testing.T) {
-	sim := fleetSim(t)
-	dir := t.TempDir()
-	fcfg := DefaultFleetConfig()
-	fcfg.CacheBudget = 120
-	fcfg.InitialGrant = 40
-
-	deploy := func(name string) *Deployment {
-		dep, err := sim.Project(name).Deploy(fleetDeployConfig())
-		if err != nil {
-			t.Fatalf("deploy %s: %v", name, err)
-		}
-		return dep
-	}
-	f := sim.NewFleet(fcfg)
-	if err := f.EnableDurableGrants(dir, nil); err != nil {
-		t.Fatalf("enable grants: %v", err)
-	}
-	for _, name := range []string{"fa", "fb"} {
-		if err := f.Register(name, deploy(name)); err != nil {
-			t.Fatalf("register %s: %v", name, err)
-		}
-	}
-	// Skew traffic so Rebalance produces unequal grants.
-	ctx := context.Background()
-	for i, q := range sim.Project("fa").Gen.Day(5) {
-		if _, err := f.Route(ctx, "fa", q); err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		if i >= 7 {
-			break
-		}
-	}
-	for _, q := range sim.Project("fb").Gen.Day(5) {
-		if _, err := f.Route(ctx, "fb", q); err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		break
-	}
-	f.Rebalance()
-	want := map[string]int{}
-	for _, name := range f.Tenants() {
-		st, _ := f.Stats(name)
-		want[name] = st.Grant
-	}
-	if want["fa"] == want["fb"] {
-		t.Fatalf("traffic skew produced equal grants: %v", want)
-	}
-
-	// "Restart" the fleet: fresh registry, re-register, restore.
-	f2 := sim.NewFleet(fcfg)
-	if err := f2.EnableDurableGrants(dir, nil); err != nil {
-		t.Fatalf("re-enable grants: %v", err)
-	}
-	for _, name := range []string{"fa", "fb"} {
-		if err := f2.Register(name, deploy(name)); err != nil {
-			t.Fatalf("re-register %s: %v", name, err)
-		}
-	}
-	restored, err := f2.RestoreGrants()
-	if err != nil || !restored {
-		t.Fatalf("restore grants: restored=%v err=%v", restored, err)
-	}
-	for name, grant := range want {
-		st, ok := f2.Stats(name)
-		if !ok || st.Grant != grant {
-			t.Fatalf("%s grant = %d, want %d", name, st.Grant, grant)
-		}
-	}
-	b := f2.Budget()
-	if b.Granted > b.Budget || b.Entries > b.Granted {
-		t.Fatalf("budget invariant broken after restore: %+v", b)
-	}
-	snap := sim.Metrics()
-	saves := counterValue(t, snap, "durable.grants.saves")
-	restores := counterValue(t, snap, "durable.grants.restores")
-	if errs := counterValue(t, snap, "durable.errors"); saves == 0 || restores != 1 || errs != 0 {
-		t.Fatalf("durable.grants.saves %d, restores %d (want 1), durable.errors %d (want 0)", saves, restores, errs)
-	}
-
-	// A third process with no saved table reports no restore.
-	f3 := sim.NewFleet(fcfg)
-	if err := f3.EnableDurableGrants(t.TempDir(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if restored, err := f3.RestoreGrants(); restored || err != nil {
-		t.Fatalf("fresh dir: restored=%v err=%v", restored, err)
-	}
-}

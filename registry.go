@@ -3,9 +3,7 @@ package loam
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"loam/internal/durable"
 	"loam/internal/fleet"
 	"loam/internal/guard"
 	"loam/internal/query"
@@ -16,14 +14,14 @@ import (
 // deployments at once, the adapter that plugs a *Deployment in as a fleet
 // backend, and the deployment-side seam the registry governs (the budgeted
 // plan-cache capacity; the shed path is Deployment.serve in loam.go). The
-// mechanics — sharding, admission token buckets, global cache budget — live
-// in internal/fleet.
+// mechanics — the tenant table, admission token buckets, global cache
+// budget — live in internal/fleet.
 
 // Fleet configuration and reporting types, re-exported so application code
 // never imports internal packages.
 type (
-	// FleetConfig tunes a fleet registry: shard count, global plan-cache
-	// budget, admission token buckets. The zero value takes defaults.
+	// FleetConfig tunes a fleet registry: global plan-cache budget,
+	// admission token buckets. The zero value takes defaults.
 	FleetConfig = fleet.Config
 	// FleetAdmissionConfig tunes the per-tenant admission token buckets.
 	FleetAdmissionConfig = fleet.AdmissionConfig
@@ -58,7 +56,7 @@ var (
 )
 
 // FleetRegistry is the multi-tenant serving layer over a set of deployments:
-// per-project backends hash-sharded for lock-free routing, per-tenant
+// per-project backends in one table for lock-free routing, per-tenant
 // admission control clocked on serve calls, and a global plan-cache budget
 // divided across tenants by observed traffic. Route is the single public
 // serving entry point for a fleet — it runs the admission gate and then the
@@ -66,14 +64,6 @@ var (
 // over-budget tenant. See DESIGN.md "Fleet serving contract".
 type FleetRegistry struct {
 	reg *fleet.Registry
-	// store persists the grant table when EnableDurableGrants armed it; nil
-	// keeps budget state in memory only. saved holds the table a previous
-	// process left behind, read at enable time, until RestoreGrants applies
-	// it. persistMu serializes saves: control-plane calls serialize inside
-	// fleet.Registry, but the post-call save runs outside that lock.
-	persistMu sync.Mutex
-	store     *durable.FleetStore
-	saved     *durable.GrantTable
 }
 
 // NewFleetRegistry builds a standalone fleet registry. Wire cfg.Metrics to
@@ -101,33 +91,19 @@ func (f *FleetRegistry) Register(project string, d *Deployment) error {
 	if d == nil {
 		return fmt.Errorf("register %q: %w", project, fleet.ErrNilBackend)
 	}
-	if err := f.reg.Register(project, &fleetBackend{d: d}); err != nil {
-		return err
-	}
-	f.saveGrants()
-	return nil
+	return f.reg.Register(project, &fleetBackend{d: d})
 }
 
 // RegisterBackend adds a custom FleetBackend (e.g. a fleet.SyntheticTenant)
 // as project's serving engine. Route on such a tenant returns a nil *Choice —
 // read its native value via Registry().Route instead.
 func (f *FleetRegistry) RegisterBackend(project string, b FleetBackend) error {
-	if err := f.reg.Register(project, b); err != nil {
-		return err
-	}
-	f.saveGrants()
-	return nil
+	return f.reg.Register(project, b)
 }
 
 // Deregister removes project's backend, returning its cache grant to the
 // pool. Reports whether the project was registered.
-func (f *FleetRegistry) Deregister(project string) bool {
-	ok := f.reg.Deregister(project)
-	if ok {
-		f.saveGrants()
-	}
-	return ok
-}
+func (f *FleetRegistry) Deregister(project string) bool { return f.reg.Deregister(project) }
 
 // Route serves one query for project through the admission gate: an admitted
 // query runs the deployment's full guarded ladder (learned path first), an
@@ -148,10 +124,7 @@ func (f *FleetRegistry) Tick() { f.reg.Tick() }
 // Rebalance re-divides the global plan-cache budget across tenants in
 // proportion to traffic since the last call — hot projects earn cache, cold
 // ones shrink (deterministically; see internal/fleet).
-func (f *FleetRegistry) Rebalance() {
-	f.reg.Rebalance()
-	f.saveGrants()
-}
+func (f *FleetRegistry) Rebalance() { f.reg.Rebalance() }
 
 // Budget reports the current global cache budget status.
 func (f *FleetRegistry) Budget() FleetBudgetStatus { return f.reg.Budget() }

@@ -74,7 +74,7 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	var impCount int
 	for _, e := range test {
 		cands := ps.Explorer(e.Record.Day).Candidates(e.Query)
-		opt := ps.execOptions(e.Query)
+		opt := ps.ExecOptions(e.Query)
 
 		// Flighting measurements per candidate.
 		means := make([]float64, len(cands))
