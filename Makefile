@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm verify
 
 build:
 	$(GO) build ./...
@@ -101,5 +101,16 @@ chaos:
 # Like chaos, a developer loop over a subset of `race`, not a `verify` step.
 chaos-recover:
 	$(GO) test -race -count=1 -run 'Recover|Durable|Journal|Fsck|Atomic|KillPoint|TornTail|Integrity|Restore' ./...
+
+# warm is the warm path's developer loop, like chaos not a verify step: the
+# explorer's and nativeopt's reference and differential tests (every plan vs.
+# an independent planning, every node's rows vs. a fresh estimate, the
+# decisive-set rule, the sharing contract), the allocation and retained-heap
+# ceilings and plan.Node's size, then one Explorer.Candidates per op over a
+# project1- and a project2-shaped query set (~5 s; DESIGN.md "Exploration
+# budget").
+warm:
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan .
+	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 
 verify: build lint test race fuzz-smoke bench-e2e-smoke

@@ -74,9 +74,13 @@ type Estimator struct {
 	CardScale float64
 }
 
-// Result holds per-node output cardinalities for one plan.
+// Result holds per-node output cardinalities. Estimate keys them by node; a
+// planner that numbers the nodes it builds (plan.Node.Slot) holds them in a
+// slotted result instead, a slice indexed by slot, so no read or write
+// hashes.
 type Result struct {
-	cards map[*plan.Node]card
+	byNode map[*plan.Node]card // nil in a slotted result
+	bySlot []card
 }
 
 type card struct {
@@ -84,32 +88,49 @@ type card struct {
 	tables int
 }
 
-// NewResult returns an empty result sized for a plan of about size nodes,
-// for callers that fill it node by node with Estimator.Add.
-func NewResult(size int) *Result {
-	return &Result{cards: make(map[*plan.Node]card, size)}
+// NewSlotted returns an empty result for nodes numbered 1 to slots-1, for a
+// planner that fills it node by node with Estimator.Add as it builds them.
+// A slot is the node's entry: a node built on a reused slot must be added
+// again before anything reads it.
+func NewSlotted(slots int) *Result {
+	return &Result{bySlot: make([]card, slots)}
+}
+
+func (r *Result) get(n *plan.Node) card {
+	if r.byNode != nil {
+		return r.byNode[n]
+	}
+	return r.bySlot[n.Slot]
+}
+
+func (r *Result) set(n *plan.Node, c card) {
+	if r.byNode != nil {
+		r.byNode[n] = c
+		return
+	}
+	r.bySlot[n.Slot] = c
 }
 
 // Adopt records the cardinalities of n's subtree as src holds them — for a
 // subtree whose estimate is the same under both results' estimators, such as
 // a sub-plan of fewer than three tables under any CardScale.
 func (r *Result) Adopt(src *Result, n *plan.Node) {
-	r.cards[n] = src.cards[n]
+	r.set(n, src.get(n))
 	for _, c := range n.Children {
 		r.Adopt(src, c)
 	}
 }
 
 // Rows returns the output cardinality of a node (0 for unknown nodes).
-func (r *Result) Rows(n *plan.Node) float64 { return r.cards[n].rows }
+func (r *Result) Rows(n *plan.Node) float64 { return r.get(n).rows }
 
 // BaseTables returns how many distinct base tables feed a node.
-func (r *Result) BaseTables(n *plan.Node) int { return r.cards[n].tables }
+func (r *Result) BaseTables(n *plan.Node) int { return r.get(n).tables }
 
 // Estimate computes output cardinalities for every node under root: Add over
 // the tree, children first.
 func (e *Estimator) Estimate(root *plan.Node) *Result {
-	res := NewResult(root.Size())
+	res := &Result{byNode: make(map[*plan.Node]card, root.Size())}
 	e.addTree(res, root)
 	return res
 }
@@ -130,20 +151,25 @@ func (e *Estimator) addTree(res *Result, n *plan.Node) {
 // node once, however often it reads sub-plan sizes back while building.
 func (e *Estimator) Add(res *Result, n *plan.Node) float64 {
 	sel := 1.0
-	if n.Op.IsFilterLike() {
+	switch {
+	case n.Op.IsFilterLike():
 		sel = expr.Selectivity(n.Pred, e.Src.Dist)
+	case n.Op.IsJoin():
+		sel = e.KeySelectivity(n.LeftCols, n.RightCols)
 	}
 	return e.AddFiltered(res, n, sel)
 }
 
 // AddFiltered is Add for a caller that already holds sel, the selectivity of
-// n.Pred under e.Src.Dist (read only when n is filter-like) — selectivity is
-// by far the dearest input, and a planner that builds many plans over the
-// same table-local predicates evaluates each once.
+// n's own condition — of n.Pred under e.Src.Dist when n is filter-like, of its
+// key pairs (KeySelectivity) when n is a join; read for no other operator.
+// Both are the dearest inputs of the rule, evaluated by name, and a planner
+// that builds many plans over the same table-local predicates and join edges
+// evaluates each once.
 func (e *Estimator) AddFiltered(res *Result, n *plan.Node, sel float64) float64 {
 	tables := 0
 	for _, c := range n.Children {
-		tables += res.cards[c].tables
+		tables += res.get(c).tables
 	}
 	if n.Op == plan.OpTableScan {
 		tables = 1
@@ -155,7 +181,7 @@ func (e *Estimator) AddFiltered(res *Result, n *plan.Node, sel float64) float64 
 	if rows < 1 {
 		rows = 1
 	}
-	res.cards[n] = card{rows: rows, tables: tables}
+	res.set(n, card{rows: rows, tables: tables})
 	return rows
 }
 
@@ -163,7 +189,7 @@ func (e *Estimator) AddFiltered(res *Result, n *plan.Node, sel float64) float64 
 // child.
 func (r *Result) in(n *plan.Node, i int) float64 {
 	if i < len(n.Children) {
-		return r.cards[n.Children[i]].rows
+		return r.get(n.Children[i]).rows
 	}
 	return 1
 }
@@ -181,13 +207,13 @@ func (e *Estimator) output(res *Result, n *plan.Node, sel float64) float64 {
 	case n.Op.IsFilterLike():
 		return first * sel
 	case n.Op.IsJoin():
-		return e.joinOutput(n, first, res.in(n, 1))
+		return joinOutput(n.JoinForm, first, res.in(n, 1), sel)
 	case n.Op.IsAggregate():
 		return e.aggOutput(n, first)
 	case n.Op == plan.OpUnion:
 		total := 0.0
 		for _, c := range n.Children {
-			total += res.cards[c].rows
+			total += res.get(c).rows
 		}
 		return total
 	case n.Op == plan.OpLimit || n.Op == plan.OpTopN:
@@ -205,15 +231,17 @@ func (e *Estimator) output(res *Result, n *plan.Node, sel float64) float64 {
 	}
 }
 
-func (e *Estimator) joinOutput(n *plan.Node, left, right float64) float64 {
-	// Containment assumption: each equi-join pair contributes
-	// 1/max(ndvL, ndvR).
+// KeySelectivity is the selectivity of a join on the given key pairs under
+// the containment assumption: each equi-join pair contributes
+// 1/max(ndvL, ndvR); no keys is a cross join. The pair's order does not
+// matter.
+func (e *Estimator) KeySelectivity(left, right []expr.ColumnRef) float64 {
 	sel := 1.0
-	for i := range n.LeftCols {
-		ndvL := e.Src.NDV(n.LeftCols[i])
+	for i := range left {
+		ndvL := e.Src.NDV(left[i])
 		ndvR := ndvL
-		if i < len(n.RightCols) {
-			ndvR = e.Src.NDV(n.RightCols[i])
+		if i < len(right) {
+			ndvR = e.Src.NDV(right[i])
 		}
 		m := math.Max(ndvL, ndvR)
 		if m < 1 {
@@ -221,11 +249,15 @@ func (e *Estimator) joinOutput(n *plan.Node, left, right float64) float64 {
 		}
 		sel /= m
 	}
-	if len(n.LeftCols) == 0 {
+	if len(left) == 0 {
 		sel = 1 // cross join
 	}
+	return sel
+}
+
+func joinOutput(form plan.JoinForm, left, right, sel float64) float64 {
 	out := left * right * sel
-	switch n.JoinForm {
+	switch form {
 	case plan.JoinSemi:
 		return math.Min(left, out)
 	case plan.JoinAnti:

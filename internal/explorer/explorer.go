@@ -8,7 +8,7 @@ package explorer
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"loam/internal/floatsafe"
 	"loam/internal/nativeopt"
@@ -89,7 +89,9 @@ func pairFlagSets() []nativeopt.Flags {
 // native rough cost. Every setting is planned through one nativeopt.Session,
 // so the request evaluates each table-local predicate, each scan subplan and
 // each plan node once — the returned plans share their scan subtrees, and are
-// read-only like any sealed plan (Clone to edit).
+// read-only like any sealed plan (Clone to edit). Each is kept out of the
+// session's scratch into storage of its own, so holding one pins no other
+// plan of the request.
 func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	session := nativeopt.NewSession(e.View, q)
 	type scored struct {
@@ -102,25 +104,34 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	e.plannings(session, func(p *plan.Plan, cost float64) {
 		// Equal plans have equal cost bits — the same tree over the same
 		// cardinalities, summed in the same order — so the structural compare
-		// runs only on a tie. A plan that is not kept goes back to the
-		// session, whose later plannings reuse its nodes.
+		// runs only on a tie. A plan that is not kept stays in the session's
+		// scratch, which the next planning builds over.
 		for _, k := range kept {
 			if math.Float64bits(k.cost) == math.Float64bits(cost) && k.p.Root.Equal(p.Root) {
-				session.Release(p)
 				return
 			}
 		}
 		// Drastically bad (or NaN) by the native estimate. The cut plan is not
 		// remembered: a later twin costs the same and is cut here too.
 		if len(kept) > 0 && e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*kept[0].cost) {
-			session.Release(p)
 			return
 		}
-		kept = append(kept, scored{p: p, cost: cost})
+		kept = append(kept, scored{p: session.Keep(p), cost: cost})
 	})
 
+	// slices.SortFunc runs the pdqsort sort.Slice runs (both are generated
+	// from one template) and asks only whether cmp < 0, which holds exactly
+	// when SortLess does: the same comparisons, so the same order of ties.
 	alts := kept[1:]
-	sort.Slice(alts, func(i, j int) bool { return floatsafe.SortLess(alts[i].cost, alts[j].cost) })
+	slices.SortFunc(alts, func(a, b scored) int {
+		switch {
+		case floatsafe.SortLess(a.cost, b.cost):
+			return -1
+		case floatsafe.SortLess(b.cost, a.cost):
+			return 1
+		}
+		return 0
+	})
 	if e.TopK > 0 && e.TopK-1 < len(alts) {
 		alts = alts[:e.TopK-1]
 	}
@@ -149,10 +160,11 @@ func (e *Explorer) settings() int {
 // plannings plans the query under every setting that can build a plan no
 // earlier setting built — the default, the single flags, with Wide the pairs,
 // then the card scales — and hands each plan and its rough cost to visit, in
-// that order. A setting is skipped only on a proof (nativeopt.Session.Plan:
-// adding a flag that did not decide rebuilds the plan), so what is skipped is
-// always the later twin of a plan visit has seen: no candidate, knob label or
-// order changes.
+// that order. Each plan is in the session's scratch until the next planning:
+// visit keeps what it holds on to (nativeopt.Session.Keep). A setting is
+// skipped only on a proof (nativeopt.Session.Plan: adding a flag that did not
+// decide rebuilds the plan), so what is skipped is always the later twin of a
+// plan visit has seen: no candidate, knob label or order changes.
 func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64)) {
 	p, cost, base := s.Plan(nativeopt.Flags{}, 0)
 	visit(p, cost)

@@ -3,6 +3,7 @@ package explorer
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -154,13 +155,18 @@ func TestPairFlagSetsCount(t *testing.T) {
 }
 
 // referenceCandidates is Candidates as it was before one session served all
-// settings: an independent Optimize per setting (so nothing is shared between
-// plannings) and a RoughCost per distinct plan that estimates the finished
-// tree from scratch (the plans are never rough-sealed). It returns the kept
-// plans with the rough costs it ranked them by.
+// settings: an independent planning per setting (so nothing is shared between
+// plannings) whose plan is copied out of its session by plan.Clone, not by
+// the session's Keep, and a RoughCost per distinct plan that estimates the
+// finished tree from scratch (the plans are never rough-sealed). It returns
+// the kept plans with the rough costs it ranked them by.
 func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) {
 	base := nativeopt.New(e.View)
-	def := base.Optimize(q, nativeopt.Flags{})
+	optimize := func(f nativeopt.Flags, scale float64) *plan.Plan {
+		p, _, _ := nativeopt.NewSession(e.View, q).Plan(f, scale)
+		return p.Clone()
+	}
+	def := optimize(nativeopt.Flags{}, 0)
 	seen := map[uint64]bool{def.Root.Fingerprint(): true}
 	defCost := base.RoughCost(def)
 
@@ -186,17 +192,17 @@ func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) 
 		{SpoolEager: true}, {FilterPushdown: true}, {DopHigh: true},
 	}
 	for _, f := range flags {
-		add(base.Optimize(q, f))
+		add(optimize(f, 0))
 	}
 	if e.Wide {
 		for i := range flags {
 			for j := i + 1; j < len(flags); j++ {
-				add(base.Optimize(q, flags[i].Union(flags[j])))
+				add(optimize(flags[i].Union(flags[j]), 0))
 			}
 		}
 	}
 	for _, scale := range e.CardScales {
-		add((&nativeopt.Optimizer{View: e.View, CardScale: scale}).Optimize(q, nativeopt.Flags{}))
+		add(optimize(nativeopt.Flags{}, scale))
 	}
 	sort.Slice(alts, func(i, j int) bool { return floatsafe.SortLess(alts[i].cost, alts[j].cost) })
 	plans, costs := []*plan.Plan{def}, []float64{defCost}
@@ -269,13 +275,15 @@ func (e *Explorer) planned(q *query.Query) int {
 }
 
 // TestCandidatesMatchPerSettingReference: for every template of every world,
-// the default and the wide explorer — cut and uncut — return the
-// fingerprints, knobs and order of the reference, which plans every setting,
-// and seal exactly the rough costs the reference ranked by. The comparison
-// must not be idle: every explorer has to skip plannings (a pruning that
-// never fires would pass), and alternatives have to tie on cost, since what
-// the unstable sort does with a tie depends on the order they are handed over
-// in.
+// the default and the wide explorer — cut and uncut — return the plans (Equal,
+// and the same fingerprints), knobs and order of the reference, which plans
+// every setting and copies each plan by Clone, and seal exactly the rough
+// costs the reference ranked by. A kept candidate is a copy out of the
+// session's scratch, so this is also the check that copying it lost nothing.
+// The comparison must not be idle: every explorer has to skip plannings (a
+// pruning that never fires would pass), and alternatives have to tie on cost,
+// since what the unstable sort does with a tie depends on the order they are
+// handed over in.
 func TestCandidatesMatchPerSettingReference(t *testing.T) {
 	for _, w := range oracleWorlds() {
 		view := w.view
@@ -296,7 +304,7 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 				kept += len(got)
 				skipped[name] += e.settings() - e.planned(q)
 				for i := range got {
-					if got[i].Root.Fingerprint() != want[i].Root.Fingerprint() {
+					if !got[i].Root.Equal(want[i].Root) || got[i].Root.Fingerprint() != want[i].Root.Fingerprint() {
 						t.Fatalf("%s %s %s: candidate %d differs from the reference:\n%s\nvs\n%s",
 							w.name, name, q.ID, i, got[i], want[i])
 					}
@@ -351,6 +359,43 @@ func BenchmarkExplorerCandidates(b *testing.B) {
 			b.ReportMetric(float64(planned)/float64(len(w.queries)), "planned/op")
 			b.ReportMetric(float64(kept)/float64(len(w.queries)), "kept/op")
 		})
+	}
+}
+
+// TestRetainedPlanBytes holds the default plan of 400 requests per world —
+// what a request history keeps of each — and bounds the heap they pin, after
+// two collections, at the bytes per plan the commit before scratch planning
+// pinned plus 5% (3,316.6 / 4,750.0 / 1,696.6 bytes then, 3,320.7 / 4,754.2 /
+// 1,699.0 now). It is the check on who owns a kept plan's nodes: a kept plan
+// that shares storage with the rest of its request — a request-wide node
+// slab, or the session's scratch — pins every plan the request built.
+func TestRetainedPlanBytes(t *testing.T) {
+	ceilings := map[string]float64{"project1": 3482, "project2": 4988, "small": 1781}
+	for _, w := range oracleWorlds() {
+		e := New(w.view)
+		for _, q := range w.queries {
+			e.Candidates(q) // fills what the view memoizes lazily
+		}
+		const rounds = 10
+		held := make([]*plan.Plan, 0, rounds*len(w.queries))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			for _, q := range w.queries {
+				held = append(held, e.Candidates(q)[0])
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perPlan := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(held))
+		runtime.KeepAlive(held)
+		t.Logf("%s: %.1f bytes per held default plan (ceiling %.0f)", w.name, perPlan, ceilings[w.name])
+		if perPlan > ceilings[w.name] {
+			t.Fatalf("%s: a held default plan pins %.1f bytes, ceiling %.0f", w.name, perPlan, ceilings[w.name])
+		}
 	}
 }
 

@@ -82,34 +82,66 @@ var diffScales = []float64{0, 0.1, 0.2, 0.5, 2, 5, 10}
 
 // TestIncrementalRowsMatchWholeTreeEstimate plans every template of both
 // worlds under every steering setting through ONE session per query and
-// checks, at Float64bits, that the rows the builder registered node by node —
-// from memoized selectivities, in a Result reused across plannings — are the
-// rows a fresh whole-tree Estimate computes for the finished plan, for every
-// node, under both the unscaled estimator (which ranks) and the scaled one
-// (which sizes); that the rough cost that fell out of the planning is the
-// one a fresh RoughCost computes; and that a plan built from the nodes of
-// released plans is the plan a fresh optimizer builds.
+// checks, at Float64bits, that the rows and base-table counts the builder
+// registered node by node — by slot, in the session's dense stores, from
+// memoized selectivities — are what a fresh whole-tree Estimate computes for
+// the finished plan, for every node, under both the unscaled estimator (which
+// ranks) and the scaled one (which sizes), in the first planning and in every
+// later one, which builds over scratch slots earlier plannings registered;
+// that every sizing decision in the finished tree is the one the fresh
+// estimate it sized by calls for (misSized; on scaled plannings the unscaled
+// rows must call for another one somewhere, or reading the wrong store would
+// go unseen); that no two nodes of a plan share a slot; that the rough cost
+// that fell out of the planning is the one a fresh RoughCost computes; that
+// the plan is the plan a fresh optimizer builds; and that every third plan,
+// kept, is Equal to it with its fingerprint — and still is once the query's
+// other 150 plannings have built over the scratch it was copied from.
 func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 	flags := steeringFlags()
 	if len(flags) != 22 {
 		t.Fatalf("%d steering flag sets, want 1+6+15", len(flags))
 	}
+	type kept struct {
+		f     Flags
+		scale float64
+		p     *plan.Plan
+		fp    uint64
+	}
+	scaleDecided := 0
 	for _, w := range diffWorlds() {
 		sizes := map[int]int{}
 		for _, q := range w.queries {
 			sizes[len(q.Tables)]++
 			s := NewSession(w.view, q)
-			released := false
+			var keep []kept
+			planned := 0
 			for _, scale := range diffScales {
 				for _, f := range flags {
 					p, rough, _ := s.Plan(f, scale)
 
 					plain := &cardinality.Estimator{Src: cardinality.ViewSource(w.view)}
-					sameRows(t, w.name, q, "unscaled", p.Root, s.cards, plain.Estimate(p.Root))
+					unscaled := plain.Estimate(p.Root)
+					sameRows(t, w.name, q, "unscaled", p.Root, s.cards, unscaled)
+					sizing := unscaled
 					if scales(scale) {
 						scaled := &cardinality.Estimator{Src: plain.Src, CardScale: scale}
-						sameRows(t, w.name, q, "scaled", p.Root, s.scaled, scaled.Estimate(p.Root))
+						sizing = scaled.Estimate(p.Root)
+						sameRows(t, w.name, q, "scaled", p.Root, s.scaled, sizing)
+						if misSized(p.Root, f, w.view, unscaled) != nil {
+							scaleDecided++
+						}
 					}
+					if n := misSized(p.Root, f, w.view, sizing); n != nil {
+						t.Fatalf("%s %s %v scale %g: the %s over %v is not what its estimated rows call for:\n%s",
+							w.name, q.ID, f.Knobs(), scale, n.Op, n.Tables(), p)
+					}
+					slots := map[int32]plan.OpType{}
+					p.Root.Walk(func(n *plan.Node) {
+						if op, dup := slots[n.Slot]; dup || n.Slot == 0 {
+							t.Fatalf("%s %s: %s has slot %d, like %s", w.name, q.ID, n.Op, n.Slot, op)
+						}
+						slots[n.Slot] = n.Op
+					})
 					fresh := (&Optimizer{View: w.view, CardScale: scale}).Optimize(q, f)
 					if p.Root.Fingerprint() != fresh.Root.Fingerprint() || p.String() != fresh.String() {
 						t.Fatalf("%s %s %v scale %g: session plan differs from a fresh optimizer's:\n%s\nvs\n%s",
@@ -119,16 +151,82 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 						t.Fatalf("%s %s %v scale %g: planning's rough cost %v, fresh RoughCost %v",
 							w.name, q.ID, f, scale, rough, want)
 					}
-					// Every other plan goes back for parts, so half the
-					// plannings build from recycled nodes.
-					if released = !released; released {
-						s.Release(p)
+					if planned++; planned%3 == 1 {
+						k := s.Keep(p)
+						if !k.Root.Equal(p.Root) || k.Root.Fingerprint() != p.Root.Fingerprint() {
+							t.Fatalf("%s %s %v scale %g: the kept copy differs:\n%s\nvs\n%s", w.name, q.ID, f, scale, k, p)
+						}
+						keep = append(keep, kept{f, scale, k, p.Root.Fingerprint()})
 					}
+				}
+			}
+			for _, k := range keep {
+				fresh := (&Optimizer{View: w.view, CardScale: k.scale}).Optimize(q, k.f)
+				if !k.p.Root.Equal(fresh.Root) || k.p.Root.Fingerprint() != k.fp {
+					t.Fatalf("%s %s %v scale %g: a kept plan changed as later plannings reused the scratch:\n%s\nvs\n%s",
+						w.name, q.ID, k.f, k.scale, k.p, fresh)
 				}
 			}
 		}
 		t.Logf("%s: %d queries, tables per query %v", w.name, len(w.queries), sizes)
 	}
+	t.Logf("%d scaled plannings decided by their scaled rows where unscaled ones call for another plan", scaleDecided)
+	if scaleDecided == 0 {
+		t.Fatal("no scaled planning's decisions depend on scaled rows: the sizing audit of scaled plannings compared nothing")
+	}
+}
+
+// misSized re-derives, from the rows est holds for the finished tree, each
+// sizing decision the builder took — nested loop, broadcast or shuffle and
+// which side builds at a keyed join, eager or lazy spool, combine before the
+// shuffle at a grouped aggregate — and returns the first node that disagrees
+// with them, or nil. The rules are the builder's, restated.
+func misSized(root *plan.Node, f Flags, v *stats.View, est *cardinality.Result) *plan.Node {
+	below := func(n *plan.Node) (*plan.Node, plan.OpType) { // the input under an exchange the decision added
+		if n.Op.IsExchange() {
+			return n.Children[0], n.Op
+		}
+		return n, 0
+	}
+	var bad *plan.Node
+	root.Walk(func(n *plan.Node) {
+		ok := true
+		switch {
+		case n.Op.IsJoin() && len(n.LeftCols) > 0:
+			l, lx := below(n.Children[0])
+			r, rx := below(n.Children[1])
+			lRows, rRows := est.Rows(l), est.Rows(r)
+			threshold := float64(broadcastThresholdDefault)
+			if f.BroadcastJoin {
+				threshold = broadcastThresholdFlagged
+			}
+			switch {
+			case lRows < nestedLoopThreshold && rRows < nestedLoopThreshold:
+				ok = lx == 0 && rx == 0
+			case rRows < threshold:
+				ok = lx == 0 && rx == plan.OpBroadcastExchange
+			default:
+				ok = lx == plan.OpExchange && rx == plan.OpExchange
+				if n.Op != plan.OpSemiJoin && n.Op != plan.OpAntiJoin {
+					ok = ok && (n.Op == plan.OpMergeJoin) == (rRows > mergeJoinThreshold || f.MergeJoin)
+				}
+			}
+			ok = ok && (!swappable(n.JoinForm) || lRows >= rRows)
+		case n.Op == plan.OpSpool || n.Op == plan.OpLazySpool:
+			ok = (n.Op == plan.OpSpool) == (est.Rows(n.Children[0]) > spoolThreshold || f.SpoolEager)
+		case n.Op.IsAggregate() && len(n.GroupCols) > 0 && n.Op != plan.OpFinalAggregate:
+			input, _ := below(n.Children[0])
+			groups := 1.0
+			for _, c := range n.GroupCols {
+				groups *= float64(v.NDVEstimate(c))
+			}
+			ok = (n.Op == plan.OpPartialAggregate) == (groups*combineRatio < est.Rows(input) || f.ShuffleCombine)
+		}
+		if !ok && bad == nil {
+			bad = n
+		}
+	})
+	return bad
 }
 
 // singleFlags are the six flags, one set each, in Flags field order.
@@ -156,7 +254,8 @@ func TestDecisiveFlagsExact(t *testing.T) {
 			s := NewSession(w.view, q)
 			bases := append([]Flags{{}}, singleFlags[:]...)
 			for _, f := range bases {
-				base, baseCost, decisive := s.Plan(f, 0)
+				p, baseCost, decisive := s.Plan(f, 0)
+				base := s.Keep(p)
 				for _, x := range singleFlags {
 					if f.Union(x) == f {
 						continue
@@ -183,7 +282,6 @@ func TestDecisiveFlagsExact(t *testing.T) {
 								w.name, q.ID, x.Knobs(), decisive.Knobs(), f.Knobs(), base)
 						}
 					}
-					s.Release(p)
 				}
 				if !s.Scales() {
 					unscalable++
@@ -193,10 +291,8 @@ func TestDecisiveFlagsExact(t *testing.T) {
 							t.Fatalf("%s %s %v: %d tables, yet scale %g plans\n%s\nnot\n%s",
 								w.name, q.ID, f.Knobs(), len(q.Tables), scale, p, base)
 						}
-						s.Release(p)
 					}
 				}
-				s.Release(base)
 			}
 		}
 	}
@@ -212,12 +308,11 @@ func TestDecisiveFlagsExact(t *testing.T) {
 }
 
 // TestSharedScansNeverAlias drives one session per query the way no explorer
-// would — twenty rounds over ten settings, two of three plans released as soon
-// as they are built — and then holds every plan it kept to the contract: it is
-// still the plan a fresh optimizer builds for its setting (a released plan
-// took no shared node with it, and no later planning wrote one), no node sits
-// at two positions of one plan, and what two plans do share is scan subplans
-// only.
+// would — twenty rounds over ten settings, one plan in three kept — and then
+// holds every plan it kept to the contract: it is still the plan a fresh
+// optimizer builds for its setting (no later planning wrote a node it holds:
+// not a shared scan, not the scratch it was copied from), no node sits at two
+// positions of one plan, and what two plans do share is scan subplans only.
 func TestSharedScansNeverAlias(t *testing.T) {
 	type setting struct {
 		f     Flags
@@ -240,9 +335,7 @@ func TestSharedScansNeverAlias(t *testing.T) {
 				for i, st := range settings {
 					p, _, _ := s.Plan(st.f, st.scale)
 					if (round+i)%3 == 0 {
-						keep = append(keep, kept{st, p})
-					} else {
-						s.Release(p)
+						keep = append(keep, kept{st, s.Keep(p)})
 					}
 				}
 			}

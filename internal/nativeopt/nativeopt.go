@@ -13,6 +13,7 @@ package nativeopt
 
 import (
 	"math"
+	"slices"
 
 	"loam/internal/cardinality"
 	"loam/internal/expr"
@@ -43,29 +44,51 @@ type Flags struct {
 	DopHigh bool
 }
 
-// Knobs renders the flags as the knob labels recorded on plans.
-func (f Flags) Knobs() []string {
-	var out []string
-	if f.MergeJoin {
-		out = append(out, "flag:mergeJoin")
+// Knobs renders the flags as the knob labels recorded on plans. The slice is
+// shared by every caller that asks for the same flags: read it, never write
+// it (it is capacity-limited, so an append copies).
+func (f Flags) Knobs() []string { return knobLabels[f.bits()] }
+
+// knobs is the label set a planning records: the flags', then "cardScale"
+// when it scales.
+func (f Flags) knobs(scaled bool) []string {
+	if scaled {
+		return knobLabels[f.bits()+len(knobLabels)/2]
 	}
-	if f.BroadcastJoin {
-		out = append(out, "flag:broadcastJoin")
+	return knobLabels[f.bits()]
+}
+
+// bits numbers the flag set, one bit per flag in field order.
+func (f Flags) bits() int {
+	b := 0
+	for i, set := range [...]bool{f.MergeJoin, f.BroadcastJoin, f.ShuffleCombine, f.SpoolEager, f.FilterPushdown, f.DopHigh} {
+		if set {
+			b |= 1 << i
+		}
 	}
-	if f.ShuffleCombine {
-		out = append(out, "flag:shuffleCombine")
-	}
-	if f.SpoolEager {
-		out = append(out, "flag:spoolEager")
-	}
-	if f.FilterPushdown {
-		out = append(out, "flag:filterPushdown")
-	}
-	if f.DopHigh {
-		out = append(out, "flag:dopHigh")
+	return b
+}
+
+// knobLabels holds the labels of every setting, built once: index
+// Flags.bits(), plus 64 for the same flags scaling cardinalities. Each slice
+// is capacity-limited, and the unscaled default's is nil.
+var knobLabels = func() (out [128][]string) {
+	names := [...]string{"flag:mergeJoin", "flag:broadcastJoin", "flag:shuffleCombine",
+		"flag:spoolEager", "flag:filterPushdown", "flag:dopHigh"}
+	for i := range out {
+		var labels []string
+		for bit, name := range names {
+			if i&(1<<bit) != 0 {
+				labels = append(labels, name)
+			}
+		}
+		if i >= len(out)/2 {
+			labels = append(labels, "cardScale")
+		}
+		out[i] = slices.Clip(labels)
 	}
 	return out
-}
+}()
 
 // Union returns the flags set in f or in g.
 func (f Flags) Union(g Flags) Flags {
@@ -124,10 +147,11 @@ func (o *Optimizer) estimator() *cardinality.Estimator {
 
 // Optimize compiles a logical query into a physical plan under the given
 // flags. The result is deterministic in (query, view, flags, CardScale). It
-// is the one-setting case of a planning Session.
+// is the one-setting case of a planning Session: one planning, kept.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
-	p, _, _ := NewSession(o.View, q).Plan(f, o.CardScale)
-	return p
+	s := NewSession(o.View, q)
+	p, _, _ := s.Plan(f, o.CardScale)
+	return s.Keep(p)
 }
 
 // RoughCost is the native expert cost model: per-operator work over
@@ -228,13 +252,28 @@ func log2(v float64) float64 {
 
 // Session is one request's planning state for one (view, query): everything
 // a plan depends on that no steering setting changes — the selectivity of each
-// table-local predicate, each table's statistics facts, the join graph
-// resolved to table slots, the join order before the card-scale rotation, each
-// table's scan subplan — computed once and shared by every setting the
-// request plans (the explorer plans up to ten). It also holds the
-// cardinalities of every node it built: the builder registers each node as it
-// creates it, so every node is estimated once and sizing decisions read
-// sub-plan rows back.
+// table-local predicate and of each join edge's keys, each table's statistics
+// facts, the join graph resolved to table slots, the join order before the
+// card-scale rotation, each table's scan subplan — computed once and shared by
+// every setting the request plans (the explorer plans up to ten). It also
+// holds the cardinalities of every node it built: the builder registers each
+// node as it creates it, so every node is estimated once and sizing decisions
+// read sub-plan rows back.
+//
+// Who owns a node. A planning builds the nodes above the scans in the
+// session's scratch, which the next planning builds over again, so a plan that
+// is dropped — a duplicate, one over the safety cut — costs nothing. Keep
+// copies a plan out of the scratch into storage of its own. The scan subplans
+// are allocated one subplan at a time and shared by every plan that scans the
+// table that way. A kept plan therefore pins its own nodes and its scan
+// subplans, and nothing else of the request.
+//
+// The slot rule. Every node the session builds is numbered (plan.Node.Slot)
+// and its cardinalities sit at that index of cards, and of scaled for a
+// scaling planning: scratch position i is slot i+1, and a scan node gets the
+// next slot after the scratch's for good. A scratch slot is re-registered by
+// every planning that builds on it, before any parent reads it. A kept copy
+// has no slot: nothing reads its rows from the session again.
 //
 // A Session belongs to one goroutine and one request. It keeps nothing past
 // its own lifetime and only reads the view.
@@ -244,7 +283,7 @@ type Session struct {
 	est  cardinality.Estimator // never scales: the rough cost ranks unscaled
 
 	tables []tableFacts // parallel to q.Tables, which are distinct
-	joins  []joinEnds   // parallel to q.Joins
+	joins  []joinEdge   // parallel to q.Joins
 	base   []int        // join order as table slots, before scaleRotate
 	// q.Aggs split the way aggregate nodes carry them; like q.GroupBy, every
 	// plan of the session shares them.
@@ -255,22 +294,32 @@ type Session struct {
 	// and its HardPred where that is evaluated at the scan — by table slot
 	// under the default rules, then by slot again under FilterPushdown; built
 	// on first use and shared by every plan of the session that scans the
-	// table that way. A shared node is never written again and never
-	// released, and any one plan holds it once.
+	// table that way. A shared node is never written again, and any one plan
+	// holds it once.
 	scans []*plan.Node
 	// pushdown reports whether FilterPushdown changes any table's subplan.
 	pushdown bool
 
-	// cards and scaled are never reset between plannings: the shared scans'
-	// entries must outlive the planning that made them, and a recycled node
-	// overwrites its own entry before any parent reads it.
-	cards  *cardinality.Result // every node built, under est
-	scaled *cardinality.Result // the nodes of scaling plannings, under their estimator; nil until one is planned
+	cards    *cardinality.Result // every node built, under est, by slot
+	scaled   *cardinality.Result // the nodes of scaling plannings, under their estimator; nil until one is planned
+	slots    int                 // the length of both: slot 0, the scratch's, the scans'
+	nextSlot int32               // the slot the next scan node gets
+
+	// scratch holds the nodes above the scans of the latest planning, used
+	// up to used; latest is its plan.
+	scratch []scratchNode
+	used    int
+	latest  plan.Plan
 
 	joined []bool // scratch, by table slot
+	order  []int  // scratch: the rotated join order
+}
 
-	// free holds the nodes of released plans, reused by later plannings.
-	free []*plan.Node
+// scratchNode is a scratch node with its child array: a node this optimizer
+// builds has at most two children.
+type scratchNode struct {
+	plan.Node
+	kids [2]*plan.Node
 }
 
 // tableFacts are the setting-independent facts of one query table.
@@ -290,13 +339,25 @@ type tableFacts struct {
 	fuses, defers bool
 }
 
-// joinEnds are a join edge's tables as slots (-1: not a table of the query).
-type joinEnds struct{ left, right int }
+// joinEdge is one join edge of the query, resolved once per session: its
+// tables as slots (-1: not a table of the query), its form, its key columns as
+// the one-element slices every join node over it carries (all edges' in one
+// array), and the selectivity of those keys under the view.
+type joinEdge struct {
+	left, right       int
+	form              plan.JoinForm
+	leftKey, rightKey []expr.ColumnRef
+	sel               float64
+}
 
-// nodesPerTable sizes a session's cardinality results: a plan has about this
-// many operators per table (scan, two filters, join, two exchanges, and a
-// share of the spool, aggregate and select).
-const nodesPerTable = 8
+// maxPlanNodes bounds the nodes a plan of n tables has above its scans: per
+// join the join and up to two exchanges, one deferred filter per table, the
+// spool, up to three aggregate nodes and the select.
+func maxPlanNodes(n int) int { return 3*(n-1) + n + 1 + 3 + 1 }
+
+// maxScanNodes bounds a query's scan nodes: a scan, a Calc or Filter and a
+// HardPred filter per table, under each pushdown setting.
+func maxScanNodes(n int) int { return 2 * 3 * n }
 
 // NewSession evaluates the setting-independent inputs of planning q against v.
 func NewSession(v *stats.View, q *query.Query) *Session {
@@ -306,13 +367,17 @@ func NewSession(v *stats.View, q *query.Query) *Session {
 		q:        q,
 		est:      cardinality.Estimator{Src: cardinality.ViewSource(v)},
 		tables:   make([]tableFacts, n),
-		joins:    make([]joinEnds, len(q.Joins)),
+		joins:    make([]joinEdge, len(q.Joins)),
 		scans:    make([]*plan.Node, 2*n),
-		cards:    cardinality.NewResult(nodesPerTable * n),
+		scratch:  make([]scratchNode, maxPlanNodes(n)),
 		aggFuncs: aggFuncs(q.Aggs),
 		aggCols:  aggCols(q.Aggs),
 		joined:   make([]bool, n),
+		order:    make([]int, 0, n),
 	}
+	s.slots = 1 + len(s.scratch) + maxScanNodes(n)
+	s.nextSlot = int32(1 + len(s.scratch))
+	s.cards = cardinality.NewSlotted(s.slots)
 	for i, name := range q.Tables {
 		in := q.Input(name)
 		parts := v.PartitionEstimate(name)
@@ -336,8 +401,15 @@ func NewSession(v *stats.View, q *query.Query) *Session {
 		}
 		s.pushdown = s.pushdown || s.tables[i].fuses || s.tables[i].defers
 	}
+	keys := make([]expr.ColumnRef, 2*len(q.Joins))
 	for i, j := range q.Joins {
-		s.joins[i] = joinEnds{left: s.slot(j.LeftTable), right: s.slot(j.RightTable)}
+		keys[2*i], keys[2*i+1] = j.LeftCol, j.RightCol
+		e := &s.joins[i]
+		*e = joinEdge{
+			left: s.slot(j.LeftTable), right: s.slot(j.RightTable), form: j.Form,
+			leftKey: keys[2*i : 2*i+1 : 2*i+1], rightKey: keys[2*i+1 : 2*i+2 : 2*i+2],
+		}
+		e.sel = s.est.KeySelectivity(e.leftKey, e.rightKey)
 	}
 	s.base = s.baseOrder()
 	return s
@@ -355,8 +427,11 @@ func (s *Session) slot(table string) int {
 // Plan compiles the query under one steering setting and returns the plan,
 // its native rough cost (see Optimizer.RoughCost) and the planning's decisive
 // set. The cost is always the unscaled one — cardScale steers which plan is
-// built, not how candidates are ranked against each other. The plan shares its
-// scan subplans with the session's other plans: read it, Clone it to edit.
+// built, not how candidates are ranked against each other.
+//
+// The plan lives in the session's scratch: the next Plan call builds over it.
+// Read it before then, or Keep it. A kept plan shares its scan subplans with
+// the session's other plans: read it, Clone it to edit.
 //
 // The decisive set holds every flag whose value settled at least one choice
 // of this planning — one its other value would have made differently, given
@@ -367,17 +442,18 @@ func (s *Session) slot(table string) int {
 // alone, hence a return value and not session state.
 func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64, Flags) {
 	b := builder{s: s, flags: f, sizes: s.cards}
-	knobs := f.Knobs()
-	if scales(cardScale) {
+	scaled := scales(cardScale)
+	if scaled {
 		if s.scaled == nil {
-			s.scaled = cardinality.NewResult(nodesPerTable * len(s.tables))
+			s.scaled = cardinality.NewSlotted(s.slots)
 		}
 		b.scaling = cardinality.Estimator{Src: s.est.Src, CardScale: cardScale}
 		b.sizes = s.scaled
-		knobs = append(knobs, "cardScale")
 	}
+	s.used = 0
 	root := b.build(s.scaleRotate(s.base, cardScale))
-	return &plan.Plan{Root: root, Knobs: knobs}, roughCost(root, s.cards), b.decisive
+	s.latest = plan.Plan{Root: root, Knobs: f.knobs(scaled)}
+	return &s.latest, roughCost(root, s.cards), b.decisive
 }
 
 // Scales reports whether a card scale can change the query's plan: scaleRotate
@@ -386,38 +462,75 @@ func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64, Flags) 
 // unscaled plan.
 func (s *Session) Scales() bool { return len(s.tables) >= 3 }
 
-// Release hands a plan this session built back to it, to be dismantled: its
-// nodes — but for the scan subplans, which stay the session's — become the
-// material of later plannings, so a plan that turns out to duplicate an
-// earlier one costs the request no garbage. The caller gives the plan up — it
-// must hold no other reference to it or to any node above its scans.
-func (s *Session) Release(p *plan.Plan) {
-	s.release(p.Root)
-	p.Root = nil
+// Keep copies the plan of the session's latest planning out of the scratch
+// and returns the copy: its nodes above the scan subplans in storage
+// allocated for it alone (see nodeRuns), over the session's shared scan
+// subplans. Holding it pins those and nothing else of the request; the copy
+// has no slots. p must be what the latest Plan returned.
+func (s *Session) Keep(p *plan.Plan) *plan.Plan {
+	nodes, kids := s.census(p.Root)
+	runs := nodeRuns{left: nodes}
+	links := make([]*plan.Node, kids)
+	return &plan.Plan{Root: s.copyOut(p.Root, &runs, &links), Knobs: p.Knobs}
 }
 
-func (s *Session) release(n *plan.Node) {
-	if n.Op.IsFilterLike() || n.Op == plan.OpTableScan {
-		for _, root := range s.scans {
-			if n == root {
-				return
-			}
-		}
+// inScratch reports whether n is a node of the latest planning, built on a
+// scratch slot.
+func (s *Session) inScratch(n *plan.Node) bool {
+	return n.Slot > 0 && int(n.Slot) <= len(s.scratch)
+}
+
+// census counts the scratch nodes under n and their child pointers.
+func (s *Session) census(n *plan.Node) (nodes, kids int) {
+	if !s.inScratch(n) {
+		return 0, 0
 	}
-	s.free = append(s.free, n)
+	nodes, kids = 1, len(n.Children)
 	for _, c := range n.Children {
-		s.release(c)
+		cn, ck := s.census(c)
+		nodes, kids = nodes+cn, kids+ck
 	}
+	return nodes, kids
 }
 
-// node returns a node to build with: a released one if there is any.
-func (s *Session) node() *plan.Node {
-	if last := len(s.free) - 1; last >= 0 {
-		n := s.free[last]
-		s.free = s.free[:last]
+// copyOut copies the scratch nodes under n, in preorder, onto nodes taken
+// from runs, with their child pointers in links, and returns n's copy — or n
+// itself, a scan subplan, which every plan shares.
+func (s *Session) copyOut(n *plan.Node, runs *nodeRuns, links *[]*plan.Node) *plan.Node {
+	if !s.inScratch(n) {
 		return n
 	}
-	return new(plan.Node)
+	out := runs.next()
+	*out = *n
+	out.Slot = 0
+	k := len(n.Children)
+	out.Children = (*links)[:k:k]
+	*links = (*links)[k:]
+	for i, c := range n.Children {
+		out.Children[i] = s.copyOut(c, runs, links)
+	}
+	return out
+}
+
+// nodeRuns hands out the nodes the session keeps — a kept plan's, a scan
+// subplan's — two to an allocation. Go rounds every allocation up to a size
+// class; plan.Node is 208 bytes, and 208 and 416 are classes, so kept nodes
+// pin exactly their own bytes, as nodes allocated one by one did. One array
+// of a plan's k nodes would waste up to 15% (k = 17: 3,536 bytes in the 4,096
+// class), and kept plans are what a request history holds on to.
+type nodeRuns struct {
+	left int // nodes still to hand out
+	run  []plan.Node
+}
+
+func (r *nodeRuns) next() *plan.Node {
+	if len(r.run) == 0 {
+		r.run = make([]plan.Node, min(r.left, 2))
+	}
+	n := &r.run[0]
+	r.run = r.run[1:]
+	r.left--
+	return n
 }
 
 // builder constructs one physical plan of a session. Predicates are shared
@@ -437,24 +550,29 @@ type builder struct {
 	decisive Flags
 }
 
-// add makes v a node over the given children — registered already — and
-// registers it under the session's estimator; sel is the selectivity of
-// v.Pred (read only for filter-like nodes), which the session already holds.
-func (s *Session) add(v plan.Node, sel float64, children ...*plan.Node) *plan.Node {
-	n := s.node()
-	v.Children = append(n.Children[:0], children...)
-	*n = v
-	s.est.AddFiltered(s.cards, n, sel)
-	return n
+// add copies v onto the next scratch slot as a node over the given children —
+// registered already — and registers it under the session's estimator; sel is
+// the selectivity of v's own condition (cardinality.Estimator.AddFiltered),
+// which the session already holds. v is taken by pointer so the 208-byte node
+// is copied once, not once per call on the way down.
+func (s *Session) add(v *plan.Node, sel float64, children ...*plan.Node) *plan.Node {
+	n := &s.scratch[s.used]
+	s.used++
+	n.Node = *v
+	n.Slot = int32(s.used)
+	n.Children = n.kids[:copy(n.kids[:], children)]
+	s.est.AddFiltered(s.cards, &n.Node, sel)
+	return &n.Node
 }
 
 // add makes v a node of the plan under construction.
-func (b *builder) add(v plan.Node, children ...*plan.Node) *plan.Node {
+func (b *builder) add(v *plan.Node, children ...*plan.Node) *plan.Node {
 	return b.addFiltered(v, 1, children...)
 }
 
-// addFiltered is add for a filter-like node.
-func (b *builder) addFiltered(v plan.Node, sel float64, children ...*plan.Node) *plan.Node {
+// addFiltered is add for a node with a condition of its own: a filter or a
+// join.
+func (b *builder) addFiltered(v *plan.Node, sel float64, children ...*plan.Node) *plan.Node {
 	n := b.s.add(v, sel, children...)
 	if b.sizes != b.s.cards {
 		b.scaling.AddFiltered(b.sizes, n, sel)
@@ -474,8 +592,8 @@ func (b *builder) build(order []int) *plan.Node {
 	current := b.scan(order[0])
 	joinCount := 0
 	for _, t := range order[1:] {
-		edge, found := s.findEdge(joined, t)
-		current = b.buildJoin(current, b.scan(t), edge, found)
+		edge, flipped := s.findEdge(joined, t)
+		current = b.buildJoin(current, b.scan(t), edge, flipped)
 		joined[t] = true
 		joinCount++
 		// A non-pushable predicate referencing only t's columns legally sits
@@ -496,7 +614,7 @@ func (b *builder) build(order []int) *plan.Node {
 			if large || b.flags.SpoolEager {
 				op = plan.OpSpool
 			}
-			current = b.add(plan.Node{Op: op}, current)
+			current = b.add(&plan.Node{Op: op}, current)
 		}
 	}
 
@@ -505,7 +623,7 @@ func (b *builder) build(order []int) *plan.Node {
 		current = b.buildAgg(current)
 	}
 
-	return b.add(plan.Node{Op: plan.OpSelect}, current)
+	return b.add(&plan.Node{Op: plan.OpSelect}, current)
 }
 
 // scan returns the table's scan subplan under this planning's pushdown
@@ -534,14 +652,20 @@ func (s *Session) scan(slot int, pushdown bool) *plan.Node {
 	return s.scans[slot]
 }
 
+// buildScan builds a table's scan subplan for good: the chain is allocated by
+// itself, so a kept plan that scans the table this way pins it and no more,
+// and its nodes take the next scan slots.
 func (s *Session) buildScan(t *tableFacts, pushdown bool) *plan.Node {
 	in := t.in
-	node := s.add(plan.Node{
+	var chain [3]plan.Node
+	var sel [3]float64
+	chain[0], sel[0] = plan.Node{
 		Op:              plan.OpTableScan,
 		Table:           t.name,
 		PartitionsRead:  t.partsRead,
 		ColumnsAccessed: max(1, in.ColumnsAccessed),
-	}, 1)
+	}, 1
+	k := 1
 	if in.Pred != nil {
 		// Sargable predicates always land at the scan: simple ones fuse into
 		// a Calc, complex ones stay a Filter (pushdown fuses everything).
@@ -549,13 +673,30 @@ func (s *Session) buildScan(t *tableFacts, pushdown bool) *plan.Node {
 		if pushdown || !t.fuses {
 			op = plan.OpCalc
 		}
-		node = s.add(plan.Node{Op: op, Pred: in.Pred}, t.selPred, node)
+		chain[k], sel[k] = plan.Node{Op: op, Pred: in.Pred}, t.selPred
+		k++
 	}
 	// With statistics, or the flag forcing it, the non-sargable predicate is
 	// evaluated at the scan (above it a Filter, not fused); deferred, it is
 	// applyDeferred's.
 	if in.HardPred != nil && (pushdown || !t.defers) {
-		node = s.add(plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard, node)
+		chain[k], sel[k] = plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard
+		k++
+	}
+	runs := nodeRuns{left: k}
+	links := make([]*plan.Node, k-1)
+	var node *plan.Node
+	for i := range k {
+		n := runs.next()
+		*n = chain[i]
+		n.Slot = s.nextSlot
+		s.nextSlot++
+		if i > 0 {
+			links[i-1] = node
+			n.Children = links[i-1 : i : i]
+		}
+		s.est.AddFiltered(s.cards, n, sel[i])
+		node = n
 	}
 	return node
 }
@@ -567,7 +708,7 @@ func (b *builder) applyDeferred(n *plan.Node, slot int) *plan.Node {
 	if !t.defers || b.flags.FilterPushdown {
 		return n
 	}
-	return b.addFiltered(plan.Node{Op: plan.OpFilter, Pred: t.in.HardPred}, t.selHard, n)
+	return b.addFiltered(&plan.Node{Op: plan.OpFilter, Pred: t.in.HardPred}, t.selHard, n)
 }
 
 // baseOrder returns the order tables are joined in, as slots, before the
@@ -610,10 +751,10 @@ func (s *Session) baseOrder() []int {
 			if joined[t] {
 				continue
 			}
-			edge, connected := s.findEdge(joined, t)
+			edge, _ := s.findEdge(joined, t)
 			var joinedSize float64
-			if connected {
-				ndv := math.Max(s.est.Src.NDV(edge.LeftCol), s.est.Src.NDV(edge.RightCol))
+			if edge != nil {
+				ndv := math.Max(s.est.Src.NDV(edge.leftKey[0]), s.est.Src.NDV(edge.rightKey[0]))
 				if ndv < 1 {
 					ndv = 1
 				}
@@ -665,15 +806,14 @@ func (s *Session) connectedOrder(tables []int, start int) []int {
 	joined := s.joined
 	clear(joined)
 	joined[start] = true
-	out := make([]int, 1, len(tables))
-	out[0] = start
+	out := append(s.order[:0], start)
 	for len(out) < len(tables) {
 		next := -1
 		for _, t := range tables {
 			if joined[t] {
 				continue
 			}
-			if _, connected := s.findEdge(joined, t); connected {
+			if edge, _ := s.findEdge(joined, t); edge != nil {
 				next = t
 				break
 			}
@@ -719,24 +859,20 @@ func (s *Session) filteredRows(slot int) float64 {
 	return rows
 }
 
-// findEdge locates a join edge between the joined set and table slot t. The
-// boolean is false when t is only reachable by cross join.
-func (s *Session) findEdge(joined []bool, t int) (query.JoinEdge, bool) {
-	for i, ends := range s.joins {
-		if ends.left == t && ends.right >= 0 && joined[ends.right] {
-			// Flip so the new table is on the right.
-			j := s.q.Joins[i]
-			return query.JoinEdge{
-				LeftTable: j.RightTable, RightTable: j.LeftTable,
-				LeftCol: j.RightCol, RightCol: j.LeftCol,
-				Form: flipForm(j.Form),
-			}, true
+// findEdge locates a join edge between the joined set and table slot t — nil
+// when t is only reachable by cross join — and reports whether it must be
+// flipped to put t on the right.
+func (s *Session) findEdge(joined []bool, t int) (*joinEdge, bool) {
+	for i := range s.joins {
+		e := &s.joins[i]
+		if e.left == t && e.right >= 0 && joined[e.right] {
+			return e, true
 		}
-		if ends.right == t && ends.left >= 0 && joined[ends.left] {
-			return s.q.Joins[i], true
+		if e.right == t && e.left >= 0 && joined[e.left] {
+			return e, false
 		}
 	}
-	return query.JoinEdge{}, false
+	return nil, false
 }
 
 func flipForm(f plan.JoinForm) plan.JoinForm {
@@ -750,22 +886,23 @@ func flipForm(f plan.JoinForm) plan.JoinForm {
 	}
 }
 
-// buildJoin attaches right to left with physical operator selection based on
-// estimated sizes.
-func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connected bool) *plan.Node {
+// buildJoin attaches right to left over edge (nil: a cross join), flipped
+// when the edge names right's table first, with physical operator selection
+// based on estimated sizes.
+func (b *builder) buildJoin(left, right *plan.Node, edge *joinEdge, flipped bool) *plan.Node {
 	lRows := b.sizes.Rows(left)
 	rRows := b.sizes.Rows(right)
 
-	if !connected {
+	if edge == nil {
 		// Cross join: nested loop, no exchange keys to hash on.
-		return b.add(plan.Node{Op: plan.OpNestedLoopJoin, JoinForm: plan.JoinInner}, left, right)
+		return b.add(&plan.Node{Op: plan.OpNestedLoopJoin, JoinForm: plan.JoinInner}, left, right)
 	}
 
-	node := plan.Node{
-		JoinForm:  edge.Form,
-		LeftCols:  []expr.ColumnRef{edge.LeftCol},
-		RightCols: []expr.ColumnRef{edge.RightCol},
+	form, leftKey, rightKey := edge.form, edge.leftKey, edge.rightKey
+	if flipped {
+		form, leftKey, rightKey = flipForm(form), rightKey, leftKey
 	}
+	node := plan.Node{JoinForm: form, LeftCols: leftKey, RightCols: rightKey}
 	if node.JoinForm == 0 {
 		node.JoinForm = plan.JoinInner
 	}
@@ -801,29 +938,29 @@ func (b *builder) buildJoin(left, right *plan.Node, edge query.JoinEdge, connect
 		node.Op = plan.OpNestedLoopJoin
 	case rRows < threshold:
 		node.Op = plan.OpBroadcastJoin
-		right = b.add(plan.Node{Op: plan.OpBroadcastExchange, Parallelism: dop}, right)
+		right = b.add(&plan.Node{Op: plan.OpBroadcastExchange, Parallelism: dop}, right)
 	default:
 		// Sort-merge by default when the build side is too large to hash;
 		// the merge-join flag forces it regardless — unless the edge is a
 		// semi or anti join, whose operator replaces either below.
 		large := rRows > mergeJoinThreshold
 		b.decisive.MergeJoin = b.decisive.MergeJoin ||
-			!large && edge.Form != plan.JoinSemi && edge.Form != plan.JoinAnti
+			!large && form != plan.JoinSemi && form != plan.JoinAnti
 		if large || b.flags.MergeJoin {
 			node.Op = plan.OpMergeJoin
 		} else {
 			node.Op = plan.OpHashJoin
 		}
-		left = b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, left)
-		right = b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, right)
+		left = b.add(&plan.Node{Op: plan.OpExchange, Parallelism: dop}, left)
+		right = b.add(&plan.Node{Op: plan.OpExchange, Parallelism: dop}, right)
 	}
-	switch edge.Form {
+	switch form {
 	case plan.JoinSemi:
 		node.Op = plan.OpSemiJoin
 	case plan.JoinAnti:
 		node.Op = plan.OpAntiJoin
 	}
-	return b.add(node, left, right)
+	return b.addFiltered(&node, edge.sel, left, right)
 }
 
 func swappable(f plan.JoinForm) bool {
@@ -851,14 +988,14 @@ func (b *builder) buildAgg(input *plan.Node) *plan.Node {
 		combine = combine || b.flags.ShuffleCombine
 	}
 	if combine {
-		partial := b.add(plan.Node{
+		partial := b.add(&plan.Node{
 			Op:        plan.OpPartialAggregate,
 			AggFuncs:  b.s.aggFuncs,
 			AggCols:   b.s.aggCols,
 			GroupCols: q.GroupBy,
 		}, input)
-		ex := b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, partial)
-		return b.add(plan.Node{
+		ex := b.add(&plan.Node{Op: plan.OpExchange, Parallelism: dop}, partial)
+		return b.add(&plan.Node{
 			Op:        plan.OpFinalAggregate,
 			AggFuncs:  b.s.aggFuncs,
 			AggCols:   b.s.aggCols,
@@ -872,8 +1009,8 @@ func (b *builder) buildAgg(input *plan.Node) *plan.Node {
 	if sorted || b.flags.MergeJoin {
 		aggOp = plan.OpSortAggregate
 	}
-	ex := b.add(plan.Node{Op: plan.OpExchange, Parallelism: dop}, input)
-	return b.add(plan.Node{
+	ex := b.add(&plan.Node{Op: plan.OpExchange, Parallelism: dop}, input)
+	return b.add(&plan.Node{
 		Op:        aggOp,
 		AggFuncs:  b.s.aggFuncs,
 		AggCols:   b.s.aggCols,

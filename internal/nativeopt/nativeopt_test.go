@@ -251,8 +251,15 @@ func TestFlagsKnobsAndIsZero(t *testing.T) {
 		t.Fatal("set flags should not be zero")
 	}
 	knobs := f.Knobs()
-	if len(knobs) != 2 {
+	if len(knobs) != 2 || knobs[0] != "flag:mergeJoin" || knobs[1] != "flag:dopHigh" {
 		t.Fatalf("knobs %v", knobs)
+	}
+	// The labels are shared between plannings: an append must copy them.
+	if cap(knobs) != len(knobs) || cap(f.knobs(true)) != 3 || f.knobs(true)[2] != "cardScale" {
+		t.Fatalf("knobs %v (cap %d), scaled %v", knobs, cap(knobs), f.knobs(true))
+	}
+	if (Flags{}).Knobs() != nil {
+		t.Fatal("the default setting records no knobs")
 	}
 }
 

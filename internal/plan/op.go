@@ -120,8 +120,9 @@ func (o OpType) IsFilterLike() bool {
 	return o == OpFilter || o == OpCalc
 }
 
-// JoinForm is the logical form of a join.
-type JoinForm int
+// JoinForm is the logical form of a join. It is 32 bits wide so that
+// Node.Slot fits beside it (see TestPlanNodeSize).
+type JoinForm int32
 
 // Join forms, one-hot encoded by the plan vectorizer.
 const (

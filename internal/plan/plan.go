@@ -24,7 +24,12 @@ type Node struct {
 	ColumnsAccessed int    `json:"columnsAccessed,omitempty"`
 
 	// Join attributes.
-	JoinForm  JoinForm         `json:"joinForm,omitempty"`
+	JoinForm JoinForm `json:"joinForm,omitempty"`
+	// Slot numbers the node inside the planning session that built it: the
+	// index of its cardinalities in the session's dense estimates
+	// (cardinality.NewSlotted). 0 is no slot. It is not part of the plan:
+	// JSON, Equal and the fingerprint ignore it, and Clone zeroes it.
+	Slot      int32            `json:"-"`
 	LeftCols  []expr.ColumnRef `json:"leftCols,omitempty"`
 	RightCols []expr.ColumnRef `json:"rightCols,omitempty"`
 
@@ -47,7 +52,9 @@ type Node struct {
 type Plan struct {
 	Root *Node `json:"root"`
 	// Knobs lists the exploration knobs applied ("flag:mergeJoin",
-	// "cardScale:2.0", ...); empty for the default plan.
+	// "cardScale", ...; the label names the knob, not the scale); empty for
+	// the default plan. Plans of one setting may share the slice: read it,
+	// never write it in place.
 	Knobs []string `json:"knobs,omitempty"`
 
 	// sealFP/sealed memoize Root.Fingerprint() for plans whose producer
@@ -140,6 +147,7 @@ func (n *Node) Clone() *Node {
 		return nil
 	}
 	out := *n
+	out.Slot = 0
 	out.Children = nil
 	if len(n.Children) > 0 {
 		out.Children = make([]*Node, len(n.Children))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"loam/internal/expr"
 )
@@ -72,6 +73,35 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
+// TestPlanNodeSize pins Node at 208 bytes, which is exactly one of Go's
+// allocation size classes: every retained plan is mostly nodes, and one more
+// word would put each in the 224-byte class, 7.7% more heap per plan. Slot
+// fits only because JoinForm is 32 bits wide beside it.
+func TestPlanNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 208 {
+		t.Fatalf("plan.Node is %d bytes, want 208", got)
+	}
+}
+
+// TestSlotIsNotPlanState: a node's session slot never leaves the session —
+// JSON drops it and Clone zeroes it.
+func TestSlotIsNotPlanState(t *testing.T) {
+	p := samplePlan()
+	p.Root.Walk(func(n *Node) { n.Slot = 3 })
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(strings.ToLower(string(data)), "slot") {
+		t.Fatalf("JSON carries the slot: %s", data)
+	}
+	p.Clone().Root.Walk(func(n *Node) {
+		if n.Slot != 0 {
+			t.Fatalf("Clone kept slot %d on %s", n.Slot, n.Op)
+		}
+	})
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	base := samplePlan().Root.Fingerprint()
 	mutations := []func(p *Plan){
@@ -115,6 +145,8 @@ func TestEqualCoversFingerprintFields(t *testing.T) {
 		{"PartitionsRead", true, func(p *Plan) { findScan(p.Root, "p.t1").PartitionsRead = 2 }},
 		{"ColumnsAccessed", true, func(p *Plan) { findScan(p.Root, "p.t1").ColumnsAccessed = 9 }},
 		{"JoinForm", true, func(p *Plan) { join(p).JoinForm = JoinLeft }},
+		// Not a plan field: where the building session kept the node's rows.
+		{"Slot", false, func(p *Plan) { join(p).Slot = 7 }},
 		{"LeftCols", true, func(p *Plan) { join(p).LeftCols[0] = other }},
 		{"RightCols", true, func(p *Plan) { join(p).RightCols = append(join(p).RightCols, other) }},
 		{"AggFuncs", true, func(p *Plan) { agg(p).AggFuncs[0] = AggMax }},
