@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm cold verify
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,14 @@ race:
 
 # fuzz-smoke runs each native fuzz target for 10 s from its f.Add seeds (there
 # are no corpus files): the frame scanner every journal open reads through,
-# and predictor.Load on raw bytes and on a well-framed JSON payload. A crasher
-# is written to the package's testdata/fuzz and fails the target.
+# predictor.Load on raw bytes and on a well-framed JSON payload, and
+# durable.Open on an arbitrary MANIFEST. A crasher is written to the package's
+# testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPayload$$' -fuzztime 10s ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/durable
 
 # bench-e2e runs the BENCHMARK.json serving benchmark (bench/README.md): four
 # closed-loop workloads end to end — qps, latency, allocs/op, live heap per
@@ -112,5 +114,15 @@ chaos-recover:
 warm:
 	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
+
+# cold is the cold path's developer loop, like warm not a verify step: the
+# forest encoder's exactness tests, the layer-class census, every scoring path
+# against the training forward, the zero-allocation ceilings, then one unkeyed
+# SelectPlan per op over a default project's explorer sets, reporting the rows
+# its TreeConv layers convolve and the nodes it encodes per plan node
+# (DESIGN.md "Inference fast path & caching contract").
+cold:
+	$(GO) test -count=1 -run 'Forest|BitIdentical|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
+	$(GO) test -run '^$$' -bench SelectPlanColdExplorerSet -benchtime 20000x -cpu 2 .
 
 verify: build lint test race fuzz-smoke bench-e2e-smoke

@@ -158,10 +158,11 @@ func BenchmarkPredictorInference(b *testing.B) {
 // BenchmarkSelectPlanColdExplorerSet is the cold path in seconds: one op is
 // one unkeyed SelectPlan — no plan cache, so every candidate is embedded —
 // over the real Explorer.Candidates set of one request of the default project,
-// cycling through a day's requests. It owns the sharing ratio the forest
-// forward rests on: rows/op is the plan nodes a request's candidates hold,
-// distinct-rows/total the share of them the TCN convolves (ROADMAP item 1's
-// go/no-go was 0.6).
+// cycling through a day's requests. It owns the sharing ratios the forest
+// forward rests on, per plan node of a request's candidates (nodes/op):
+// conv-rows/node, the rows its TreeConv layers convolve — one per layer class
+// (layerClasses) — and encoded/node, the nodes it encodes, a pointer the set
+// already holds being listed instead.
 func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 	sim := loam.NewSimulation(99, loam.DefaultSimulationConfig())
 	ps := sim.AddProject(loam.DefaultProjectConfig("cold"))
@@ -179,16 +180,17 @@ func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 	envs := pred.EnvSourceFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
 	var sets [][]*plan.Plan
 	var forest encoding.Forest
-	nodes, distinct := 0, 0
+	nodes, encoded, convRows := 0, 0, 0
 	ex := ps.Explorer(3)
 	for _, q := range ps.Gen.Day(3) {
 		cands := ex.Candidates(q)
 		sets = append(sets, cands)
 		dep.Encoder.EncodeForestInto(&forest, cands, envs)
 		for k := range cands {
-			nodes += len(forest.PlanRows(k))
+			nodes += len(forest.PlanNodes(k))
 		}
-		distinct += forest.Len()
+		encoded += len(forest.Row)
+		convRows += layerClasses(&forest, dcfg.Predictor.Layers)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -197,8 +199,38 @@ func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(distinct)/float64(nodes), "distinct-rows/total")
-	b.ReportMetric(float64(nodes)/float64(len(sets)), "rows/op")
+	b.ReportMetric(float64(convRows)/float64(nodes), "conv-rows/node")
+	b.ReportMetric(float64(encoded)/float64(nodes), "encoded/node")
+	b.ReportMetric(float64(nodes)/float64(len(sets)), "nodes/op")
+}
+
+// layerClasses counts the rows a forward over f convolves in its first
+// layers TreeConv layers: at each, one per distinct (self, left, right)
+// triple of the entries' classes one layer down, the feature rows at layer 0.
+// It is a census by map, independent of the predictor's class table.
+func layerClasses(f *encoding.Forest, layers int) int {
+	of, total := append([]int(nil), f.Row...), 0
+	for range layers {
+		ids := map[[3]int]int{}
+		next := make([]int, len(of))
+		for e, s := range of {
+			key := [3]int{s, -1, -1}
+			if l := f.Left[e]; l >= 0 {
+				key[1] = of[l]
+			}
+			if r := f.Right[e]; r >= 0 {
+				key[2] = of[r]
+			}
+			id, ok := ids[key]
+			if !ok {
+				id = len(ids)
+				ids[key] = id
+			}
+			next[e] = id
+		}
+		of, total = next, total+len(ids)
+	}
+	return total
 }
 
 // serveBenchSetup builds a deployment plus 64 fresh queries once, shared by

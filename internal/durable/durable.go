@@ -177,6 +177,14 @@ func readManifest(dir string) (*Manifest, error) {
 	if man.Snapshot == "" {
 		return nil, fmt.Errorf("%w: manifest references no snapshot", ErrCorruptStore)
 	}
+	// A snapshot is a file directly under models/: gc keeps the names the
+	// manifest holds, so one spelled as a path ("./v000001.snap") would read
+	// and verify, then be collected as unreferenced.
+	for _, name := range []string{man.Snapshot, man.PrevSnapshot} {
+		if name != "" && (name != filepath.Base(name) || name == "." || name == "..") {
+			return nil, fmt.Errorf("%w: manifest names snapshot %q, not a file under %s/", ErrCorruptStore, name, modelsDir)
+		}
+	}
 	return &man, nil
 }
 

@@ -13,7 +13,8 @@ import (
 // and in serving alike: reusable flattened views (FlatTree/FlatGraph/FlatSeq)
 // filled in place, one row-major feature matrix per plan instead of one slice
 // per node — serving fills a pooled view per call (for the TCN a Forest: a
-// whole candidate set, each distinct subtree held once), training one it owns
+// whole candidate set, each distinct feature row and each node pointer held
+// once), training one it owns
 // until Backward — and EnvKey, the hashable identity of an inference-time
 // environment source used to key the plan-embedding cache.
 //
@@ -197,7 +198,7 @@ func needsCanon(n *plan.Node) bool {
 func (e *Encoder) EncodeTreeFlatInto(ft *FlatTree, p *plan.Plan, envs EnvSource) {
 	ft.reset(e.dim)
 	n, orig := canonRoot(p)
-	e.encodeTreeFlat(ft, nil, n, orig, envs)
+	e.encodeTreeFlat(ft, n, orig, envs)
 }
 
 // canonRoot returns p's canonical binary root and the original beside it.
@@ -211,147 +212,205 @@ func canonRoot(p *plan.Plan) (n, orig *plan.Node) {
 	return p.Root, p.Root
 }
 
-// encodeTreeFlat encodes n's subtree. orig is the original plan's node at n's
-// position (n itself when nothing was folded), or nil below a folded n-ary
-// operator: there the clone is looked up — unobserved, for an identity-keyed source.
-// With f non-nil, ft is f's view: the node joins the plan's row list, and a
-// subtree the forest already holds gives its row back.
-func (e *Encoder) encodeTreeFlat(ft *FlatTree, f *Forest, n, orig *plan.Node, envs EnvSource) int {
-	lookup := n
-	if orig != nil {
-		lookup = orig
-	}
-	env, ok := envs(lookup)
+// encodeTreeFlat encodes n's subtree and returns its row.
+func (e *Encoder) encodeTreeFlat(ft *FlatTree, n, orig *plan.Node, envs EnvSource) int {
+	env, ok := envs(lookupNode(n, orig))
 	row, idx := ft.addRow()
 	e.EncodeNodeInto(row, n, env, ok)
-	at := 0
-	if f != nil {
-		at = len(f.order)
-		f.order = append(f.order, idx)
-	}
-	var lo, ro *plan.Node
-	if orig != nil && len(orig.Children) == len(n.Children) {
-		if len(orig.Children) > 0 {
-			lo = orig.Children[0]
-		}
-		if len(orig.Children) > 1 {
-			ro = orig.Children[1]
-		}
-	}
+	lo, ro := pairChildren(n, orig)
 	if len(n.Children) > 0 {
-		li := e.encodeTreeFlat(ft, f, n.Children[0], lo, envs)
+		li := e.encodeTreeFlat(ft, n.Children[0], lo, envs)
 		ft.Left[idx] = li
 	}
 	if len(n.Children) > 1 {
-		ri := e.encodeTreeFlat(ft, f, n.Children[1], ro, envs)
+		ri := e.encodeTreeFlat(ft, n.Children[1], ro, envs)
 		ft.Right[idx] = ri
-	}
-	if f != nil {
-		// Every node below a subtree seen before was seen before too and kept
-		// no row, so this node's is still the last: drop it.
-		if seen := f.tab.intern(ft, bucketHash(n, ft.Left[idx], ft.Right[idx]), idx); seen != idx {
-			ft.Feats = ft.Feats[:idx*ft.dim]
-			ft.Self, ft.Left, ft.Right = ft.Self[:idx], ft.Left[:idx], ft.Right[:idx]
-			f.order[at], idx = seen, seen
-		}
 	}
 	return idx
 }
 
-// Forest is the flattened view of several plans at once — one request's
-// candidates — with one row per distinct subtree instead of one per node.
-// Candidates differ in a join operator, an order rotation or a pushdown and
-// repeat every other subtree, and a node's activation at every
-// tree-convolution layer is a function of its subtree's rows alone, so
-// convolving each distinct subtree once and pooling each plan over its own
-// row list computes exactly what a forward per plan computes.
-//
-// The embedded FlatTree carries the rows, Self the identity; a plan that
-// shares nothing has its rows in EncodeTreeFlatInto's order. Two nodes share
-// a row only if their encoded rows are Float64bits-equal and so are both
-// child ids — by induction, their whole encoded subtrees. Nothing is
-// hash-trusted, and the environment features are in the row, so nodes a
-// per-node EnvSource tells apart never share.
-type Forest struct {
-	FlatTree
-	order []int // every plan's preorder list of row ids, back to back
-	ends  []int // plan k's list is order[ends[k]:ends[k+1]]
-	tab   subtreeTable
+// lookupNode is the node n's environment is looked up on. orig is the
+// original plan's node at n's position (n itself when nothing was folded), or
+// nil below a folded n-ary operator: there the clone is looked up —
+// unobserved, for an identity-keyed source.
+func lookupNode(n, orig *plan.Node) *plan.Node {
+	if orig != nil {
+		return orig
+	}
+	return n
 }
 
-// PlanRows returns plan k's row ids — one per node, where Len counts distinct
-// rows — in the preorder EncodeTreeFlatInto emits its nodes in: the order the
-// pooling reductions run in.
-func (f *Forest) PlanRows(k int) []int { return f.order[f.ends[k]:f.ends[k+1]] }
+// pairChildren returns the original nodes at the positions of n's two
+// children: orig's own while the two trees pair structurally, nil from a
+// folded n-ary operator down.
+func pairChildren(n, orig *plan.Node) (lo, ro *plan.Node) {
+	if orig == nil || len(orig.Children) != len(n.Children) {
+		return nil, nil
+	}
+	if len(orig.Children) > 0 {
+		lo = orig.Children[0]
+	}
+	if len(orig.Children) > 1 {
+		ro = orig.Children[1]
+	}
+	return lo, ro
+}
+
+// Forest is the flattened view of several plans at once — one request's
+// candidates — that the TCN convolves by class instead of by node.
+// Candidates differ in a join operator, an order rotation or a pushdown and
+// repeat everything else, most of it as the very same scan subplans.
+//
+// Feats holds each distinct feature row once: a node's layer-0 class is the
+// first Float64bits-equal row. An entry is one encoded node — Row its feature
+// row, Left and Right its children's entries (-1 absent) — and each plan
+// lists its nodes' entries in the preorder EncodeTreeFlatInto emits, the
+// order the pooling reductions run in. A node pointer met again outside a
+// folded n-ary operator is not encoded again: its subtree's entries are
+// listed once more. That is exact because EncodeNodeInto and the EnvSource
+// are pure functions of the node, and every node below a plan's own node is
+// the plan's own too. A layer-k activation is a function of the node's
+// depth-k neighbourhood alone, so the TCN interns classes per layer over the
+// entries and convolves one row per class (internal/predictor).
+//
+// Nothing is hash-trusted, and the environment features are in the row, so
+// nodes a per-node EnvSource tells apart never share a row. After
+// EncodeForestInto returns, the Forest holds no plan node.
+type Forest struct {
+	Feats            []float64
+	Row, Left, Right []int
+
+	span  [][2]int // entry e's subtree is listed at order[span[e][0]:span[e][1]]
+	order []int    // every plan's preorder list of entries, back to back
+	ends  []int    // plan k's list is order[ends[k]:ends[k+1]]
+	memo  map[*plan.Node]int
+	tab   rowTable
+	dim   int
+}
+
+// Rows returns the number of distinct feature rows, the layer-0 classes.
+func (f *Forest) Rows() int { return len(f.Feats) / f.dim }
+
+// PlanNodes returns plan k's entries, one per node, in preorder.
+func (f *Forest) PlanNodes(k int) []int { return f.order[f.ends[k]:f.ends[k+1]] }
 
 // EncodeForestInto fills f with the canonical-binary-tree encodings of plans,
 // n-ary operators folded exactly as EncodeTreeFlatInto folds them.
 func (e *Encoder) EncodeForestInto(f *Forest, plans []*plan.Plan, envs EnvSource) {
-	f.reset(e.dim)
-	f.order, f.ends = f.order[:0], append(f.ends[:0], 0)
+	f.dim = e.dim
+	f.Feats, f.Row, f.Left, f.Right = f.Feats[:0], f.Row[:0], f.Left[:0], f.Right[:0]
+	f.span, f.order, f.ends = f.span[:0], f.order[:0], append(f.ends[:0], 0)
 	f.tab.reset()
+	if f.memo == nil {
+		f.memo = map[*plan.Node]int{}
+	}
+	defer clear(f.memo)
 	for _, p := range plans {
 		n, orig := canonRoot(p)
-		e.encodeTreeFlat(&f.FlatTree, f, n, orig, envs)
+		e.encodeForest(f, n, orig, envs)
 		f.ends = append(f.ends, len(f.order))
 	}
 }
 
-// bucketHash picks a node's bucket from a few cheap fields and the child ids.
-// It only has to spread: equality is decided on the encoded rows, so nodes
-// that differ elsewhere (join columns, predicates) cost one row compare.
-func bucketHash(n *plan.Node, left, right int) uint64 {
+// encodeForest lists n's subtree in f and returns n's entry.
+func (e *Encoder) encodeForest(f *Forest, n, orig *plan.Node, envs EnvSource) int {
+	own := orig == n
+	if own {
+		if id, ok := f.memo[n]; ok {
+			s := f.span[id]
+			f.order = append(f.order, f.order[s[0]:s[1]]...)
+			return id
+		}
+	}
+	env, ok := envs(lookupNode(n, orig))
+	id := len(f.Row)
+	f.Row = append(f.Row, f.internRow(e, n, env, ok))
+	f.Left, f.Right = append(f.Left, -1), append(f.Right, -1)
+	f.span = append(f.span, [2]int{len(f.order), 0})
+	f.order = append(f.order, id)
+	lo, ro := pairChildren(n, orig)
+	if len(n.Children) > 0 {
+		li := e.encodeForest(f, n.Children[0], lo, envs)
+		f.Left[id] = li
+	}
+	if len(n.Children) > 1 {
+		ri := e.encodeForest(f, n.Children[1], ro, envs)
+		f.Right[id] = ri
+	}
+	f.span[id][1] = len(f.order)
+	if own {
+		f.memo[n] = id
+	}
+	return id
+}
+
+// internRow encodes n's feature row past the end of Feats and returns the
+// first Float64bits-equal row, taking the new one back if it repeats one.
+func (f *Forest) internRow(e *Encoder, n *plan.Node, env [4]float64, ok bool) int {
+	id := f.Rows()
+	f.Feats = appendRow(f.Feats, f.dim)
+	e.EncodeNodeInto(f.Feats[id*f.dim:], n, env, ok)
+	if seen := f.tab.intern(f.Feats, f.dim, bucketHash(n), id); seen != id {
+		f.Feats = f.Feats[:id*f.dim]
+		return seen
+	}
+	return id
+}
+
+// bucketHash picks a node's bucket from a few cheap fields. It only has to
+// spread: equality is decided on the encoded rows, so nodes that differ
+// elsewhere (join columns, predicates, environment) cost one row compare.
+func bucketHash(n *plan.Node) uint64 {
 	h := fnvOffset64
-	for _, v := range [6]int{int(n.Op), n.PartitionsRead, int(n.JoinForm), n.Parallelism, left, right} {
+	for _, v := range [4]int{int(n.Op), n.PartitionsRead, int(n.JoinForm), n.Parallelism} {
 		h = (h ^ uint64(v)) * fnvPrime64
 	}
 	return avalanche(fnvString(h, n.Table))
 }
 
-// subtreeSlots sizes the subtree table: several times the rows of any
-// request the explorers build (≈ 70 default, a few hundred wide).
-const subtreeSlots = 1024
+// rowSlots sizes the row table: several times the distinct feature rows of
+// any request the explorers build.
+const rowSlots = 1024
 
-// subtreeTable is the open-addressed index from bucket hash to the row that
-// first held a subtree: fixed arrays in a pooled Forest, emptied by bumping a
+// rowTable is the open-addressed index from bucket hash to the first of each
+// distinct feature row: fixed arrays in a pooled Forest, emptied by bumping a
 // generation stamp, so interning never allocates. Three-quarters full it stops
-// taking rows and later subtrees get a row each: sharing is lost, not exactness.
-type subtreeTable struct {
-	gens [subtreeSlots]uint32 // slot i is occupied when gens[i] == gen
-	rows [subtreeSlots]int32
+// taking rows and every later row is its own: sharing is lost, not exactness.
+type rowTable struct {
+	gens [rowSlots]uint32 // slot i is occupied when gens[i] == gen
+	rows [rowSlots]int32
 	gen  uint32
 	used int
 
-	oneBucket bool // test hook: every node goes to bucket 0
+	oneBucket bool // test hook: every row goes to bucket 0
 }
 
-func (t *subtreeTable) reset() {
+func (t *rowTable) reset() {
 	t.used = 0
 	t.gen++
 	if t.gen == 0 { // stamps from before the wrap could read as current
-		t.gens = [subtreeSlots]uint32{}
+		t.gens = [rowSlots]uint32{}
 		t.gen = 1
 	}
 }
 
-// intern returns the earlier row of ft equal to row id — same feature bits,
-// same child ids — or records id under hash and returns it.
-func (t *subtreeTable) intern(ft *FlatTree, hash uint64, id int) int {
-	if t.used >= subtreeSlots*3/4 {
+// intern returns the earlier row of feats (dim wide) Float64bits-equal to row
+// id, or records id under hash and returns it.
+func (t *rowTable) intern(feats []float64, dim int, hash uint64, id int) int {
+	if t.used >= rowSlots*3/4 {
 		return id
 	}
 	if t.oneBucket {
 		hash = 0
 	}
-	row := ft.Feats[id*ft.dim : (id+1)*ft.dim]
-	for i := hash % subtreeSlots; ; i = (i + 1) % subtreeSlots {
+	row := feats[id*dim : (id+1)*dim]
+	for i := hash % rowSlots; ; i = (i + 1) % rowSlots {
 		if t.gens[i] != t.gen {
 			t.gens[i], t.rows[i] = t.gen, int32(id)
 			t.used++
 			return id
 		}
-		r := int(t.rows[i])
-		if ft.Left[r] == ft.Left[id] && ft.Right[r] == ft.Right[id] && sameBits(ft.Feats[r*ft.dim:(r+1)*ft.dim], row) {
+		if r := int(t.rows[i]); sameBits(feats[r*dim:(r+1)*dim], row) {
 			return r
 		}
 	}

@@ -129,7 +129,10 @@ func TestEncodeTreeFlatMatchesEncodeTree(t *testing.T) {
 // explorerStyleSet is a candidate set shaped like the explorer's: a base plan
 // and clones that each differ from it in one place — a join operator, a join
 // order rotation, a pushed predicate, a PartitionsRead — plus a plan holding
-// the same scan subtree twice and the 3-way Union that folds.
+// the same scan subtree twice as two pointers, the 3-way Union that folds,
+// the base's join re-planned over the base's own exchange subtrees (the
+// explorer shares scan subplans by pointer) and, last, a plan holding the
+// base's right exchange both outside a folded Union and under it.
 func explorerStyleSet() []*plan.Plan {
 	base := testPlan()
 	join := func(p *plan.Plan) *plan.Node { return p.Root.Children[0] }
@@ -150,39 +153,47 @@ func explorerStyleSet() []*plan.Plan {
 	join(parts).Children[1].Children[0].PartitionsRead = 3
 	twice := base.Clone()
 	join(twice).Children[1] = join(twice).Children[0].Clone()
-	return []*plan.Plan{base, flip, rotate, push, parts, twice, unionPlan()}
+	sharedJoin, sharedRoot := *join(base), *base.Root
+	sharedJoin.Op = plan.OpMergeJoin
+	sharedRoot.Children = []*plan.Node{&sharedJoin}
+	right, scans := join(base).Children[1], unionPlan().Root.Children
+	mixed := &plan.Node{Op: plan.OpHashJoin, JoinForm: plan.JoinInner, Children: []*plan.Node{
+		right, {Op: plan.OpUnion, Children: []*plan.Node{right, scans[0], scans[1]}},
+	}}
+	return []*plan.Plan{base, flip, rotate, push, parts, twice, unionPlan(), {Root: &sharedRoot}, {Root: mixed}}
 }
 
 // wantForestOf checks that f expands to exactly the per-plan encodings: plan
-// k's row list names, in EncodeTreeFlatInto's preorder, rows whose feature
-// bits are that encoding's and whose children are the rows of its children.
+// k's entries name, in EncodeTreeFlatInto's preorder, rows whose feature bits
+// are that encoding's and children that are the entries of its children.
 func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs EnvSource) {
 	t.Helper()
 	if len(f.ends) != len(plans)+1 {
 		t.Fatalf("forest holds %d plans, want %d", len(f.ends)-1, len(plans))
 	}
-	child := func(rows, idx []int, i int) int {
+	child := func(ids, idx []int, i int) int {
 		if idx[i] < 0 {
 			return -1
 		}
-		return rows[idx[i]]
+		return ids[idx[i]]
 	}
 	nodes := 0
 	for k, p := range plans {
 		var ft FlatTree
 		e.EncodeTreeFlatInto(&ft, p, envs)
-		rows := f.PlanRows(k)
-		if len(rows) != ft.Len() {
-			t.Fatalf("plan %d: %d rows, want %d", k, len(rows), ft.Len())
+		ids := f.PlanNodes(k)
+		if len(ids) != ft.Len() {
+			t.Fatalf("plan %d: %d entries, want %d", k, len(ids), ft.Len())
 		}
-		nodes += len(rows)
-		for i, r := range rows {
+		nodes += len(ids)
+		for i, id := range ids {
+			r := f.Row[id]
 			if !sameBits(ft.Feats[i*e.Dim():(i+1)*e.Dim()], f.Feats[r*e.Dim():(r+1)*e.Dim()]) {
-				t.Fatalf("plan %d node %d: forest row %d holds other features", k, i, r)
+				t.Fatalf("plan %d node %d: entry %d's row %d holds other features", k, i, id, r)
 			}
-			if f.Self[r] != r || f.Left[r] != child(rows, ft.Left, i) || f.Right[r] != child(rows, ft.Right, i) {
-				t.Fatalf("plan %d node %d: forest row %d has children (%d, %d), want (%d, %d)",
-					k, i, r, f.Left[r], f.Right[r], child(rows, ft.Left, i), child(rows, ft.Right, i))
+			if f.Left[id] != child(ids, ft.Left, i) || f.Right[id] != child(ids, ft.Right, i) {
+				t.Fatalf("plan %d node %d: entry %d has children (%d, %d), want (%d, %d)",
+					k, i, id, f.Left[id], f.Right[id], child(ids, ft.Left, i), child(ids, ft.Right, i))
 			}
 		}
 	}
@@ -191,16 +202,31 @@ func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs 
 	}
 }
 
+// rowsDistinct reports whether no two of f's feature rows are Float64bits-equal.
+func rowsDistinct(f *Forest) bool {
+	for a := range f.Rows() {
+		for b := range a {
+			if sameBits(f.Feats[a*f.dim:(a+1)*f.dim], f.Feats[b*f.dim:(b+1)*f.dim]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestEncodeForestSharesExactly pins the forest encoder: it expands to the
-// per-plan encodings under every kind of environment source, shares what a
-// literal candidate set says it must, and shares nothing a per-node source
-// tells apart.
+// per-plan encodings under every kind of environment source, holds each
+// feature row once, lists a pointer it already holds instead of encoding it
+// again — never a node of a plan that folds — shares what a literal
+// candidate set says it must, and nothing a per-node source tells apart.
 func TestEncodeForestSharesExactly(t *testing.T) {
 	e := enc()
 	env := [4]float64{0.3, 0.1, 0.9, 0.5}
 	set := explorerStyleSet()
 
-	// Every node its own environment: no two rows are equal, nothing shares.
+	// Every node its own environment: no two rows are equal, so every encoded
+	// node is its own layer-0 class. The last plan sits out: the Union it
+	// folds is a clone, looked up unobserved, and encodes as unionPlan's does.
 	perNode := map[*plan.Node][4]float64{}
 	for _, p := range set {
 		for _, n := range preorder(p.Root) {
@@ -208,99 +234,126 @@ func TestEncodeForestSharesExactly(t *testing.T) {
 		}
 	}
 	for _, src := range []struct {
-		name     string
-		envs     EnvSource
-		distinct int // 0: only bounded
+		name    string
+		envs    EnvSource
+		perNode bool
 	}{
-		{"FixedEnv", FixedEnv(env), 0},
-		{"NoEnv", NoEnv(), 0},
+		{"FixedEnv", FixedEnv(env), false},
+		{"NoEnv", NoEnv(), false},
 		// Only the base plan's nodes are observed, as RecordEnv observes only
 		// the nodes of the record it was built from.
-		{"pointerEnv", pointerEnv(env, set[0]), 0},
-		{"perNode", func(n *plan.Node) ([4]float64, bool) { v, ok := perNode[n]; return v, ok }, -1},
+		{"pointerEnv", pointerEnv(env, set[0]), false},
+		{"perNode", func(n *plan.Node) ([4]float64, bool) { v, ok := perNode[n]; return v, ok }, true},
 	} {
 		t.Run(src.name, func(t *testing.T) {
+			plans := set
+			if src.perNode {
+				plans = set[:len(set)-1]
+			}
 			var f Forest
-			e.EncodeForestInto(&f, set, src.envs)
-			wantForestOf(t, e, &f, set, src.envs)
-			if src.distinct < 0 {
-				// The folded Union's nested clone and third scan are looked
-				// up as clones, unobserved — and differ anyway.
-				if f.Len() != len(f.order) {
-					t.Fatalf("per-node environments shared rows: %d rows for %d nodes", f.Len(), len(f.order))
-				}
-				// Sharing nothing, the rows are in EncodeTreeFlatInto's order.
-				for i, r := range f.order {
-					if r != i {
-						t.Fatalf("unshared forest lists row %d at preorder position %d", r, i)
+			e.EncodeForestInto(&f, plans, src.envs)
+			wantForestOf(t, e, &f, plans, src.envs)
+			if !rowsDistinct(&f) {
+				t.Fatal("the forest holds a feature row twice")
+			}
+			if len(f.Row) >= len(f.order) {
+				t.Fatalf("%d entries for %d nodes: pointers the set shares were encoded again", len(f.Row), len(f.order))
+			}
+			if src.perNode {
+				for id, r := range f.Row {
+					if r != id {
+						t.Fatalf("per-node environments shared a row: entry %d has row %d", id, r)
 					}
 				}
 				return
 			}
-			if f.Len() >= len(f.order)*2/3 {
-				t.Fatalf("%d rows for %d nodes: the set's common subtrees were not shared", f.Len(), len(f.order))
+			if f.Rows() >= len(f.Row)*2/3 {
+				t.Fatalf("%d rows for %d entries: the set's common rows were not shared", f.Rows(), len(f.Row))
 			}
 
-			// Exactness does not rest on the hash: with every node in one
+			// Exactness does not rest on the hash: with every row in one
 			// bucket the forest is the same forest, compare by compare.
 			var one Forest
 			one.tab.oneBucket = true
-			e.EncodeForestInto(&one, set, src.envs)
-			if !slices.Equal(one.order, f.order) || !slices.Equal(one.ends, f.ends) ||
+			e.EncodeForestInto(&one, plans, src.envs)
+			if !slices.Equal(one.order, f.order) || !slices.Equal(one.ends, f.ends) || !slices.Equal(one.Row, f.Row) ||
 				!slices.Equal(one.Left, f.Left) || !slices.Equal(one.Right, f.Right) || !sameBits(one.Feats, f.Feats) {
 				t.Fatal("a constant bucket hash changed the forest")
 			}
 		})
 	}
 
-	// A literal set: the base (7 nodes); a flipped join operator re-uses both
-	// exchange subtrees and adds the join and the aggregate above it (2); a
-	// changed PartitionsRead adds the scan and everything above it (4).
+	// A literal set: the base (7 nodes, 7 rows); a flipped join operator, a
+	// deep clone, is 7 entries over the base's rows but the join's; a changed
+	// PartitionsRead adds the scan's row, and its exchange keeps the base
+	// exchange's row over another child: one layer-0 class, two entries.
 	var f Forest
-	literal := []*plan.Plan{set[0], set[1], set[4]}
-	e.EncodeForestInto(&f, literal, FixedEnv(env))
-	if f.Len() != 13 || len(f.order) != 21 {
-		t.Fatalf("literal set: %d rows for %d nodes, want 13 for 21", f.Len(), len(f.order))
+	e.EncodeForestInto(&f, []*plan.Plan{set[0], set[1], set[4]}, FixedEnv(env))
+	if f.Rows() != 9 || len(f.Row) != 21 || len(f.order) != 21 {
+		t.Fatalf("literal set: %d rows and %d entries for %d nodes, want 9 and 21 for 21", f.Rows(), len(f.Row), len(f.order))
 	}
-	if a, b := f.PlanRows(0), f.PlanRows(1); a[2] != b[2] || a[5] != b[5] || a[1] == b[1] || a[0] == b[0] {
-		t.Fatalf("flipped join: rows %v vs %v, want the exchanges shared and the join and aggregate apart", a, b)
+	if b, p := f.PlanNodes(0), f.PlanNodes(2); f.Row[b[5]] != f.Row[p[5]] || f.Row[b[6]] == f.Row[p[6]] || b[5] == p[5] {
+		t.Fatalf("changed scan: entries %v vs %v, want the exchanges two entries on one row over two scan rows", b, p)
 	}
-	// The same subtree twice in one plan is one row, listed twice.
+	// The same subtree twice in one plan, as two pointers: encoded twice, over
+	// the same five rows.
 	e.EncodeForestInto(&f, set[5:6], FixedEnv(env))
-	if rows := f.PlanRows(0); rows[2] != rows[5] || f.Len() != 5 {
-		t.Fatalf("repeated subtree: rows %v over %d distinct, want one exchange subtree and 5", rows, f.Len())
+	if ids := f.PlanNodes(0); ids[2] == ids[5] || f.Row[ids[2]] != f.Row[ids[5]] || f.Rows() != 5 {
+		t.Fatalf("repeated subtree: entries %v over %d rows, want two exchange entries on one row and 5", ids, f.Rows())
+	}
+	// A join re-planned over the base's own exchange subtrees encodes its two
+	// nodes and lists the base's exchange entries again.
+	e.EncodeForestInto(&f, []*plan.Plan{set[0], set[7]}, FixedEnv(env))
+	if a, c := f.PlanNodes(0), f.PlanNodes(1); len(f.Row) != 9 || !slices.Equal(a[2:], c[2:]) || a[1] == c[1] {
+		t.Fatalf("shared exchanges: %d entries listed as %v and %v, want 9 and the exchanges' entries twice", len(f.Row), a, c)
+	}
+	// The memo fires on a plan's own nodes only. The last plan folds, so each
+	// of its nodes is a clone and is encoded afresh: its outer exchange pairs
+	// with the base's pointer and is looked up on it, the one under the fold
+	// is looked up as the clone it is.
+	pair, envs := []*plan.Plan{set[0], set[8]}, pointerEnv(env, set[0])
+	e.EncodeForestInto(&f, pair, envs)
+	wantForestOf(t, e, &f, pair, envs)
+	if len(f.Row) != len(f.order) {
+		t.Fatalf("folded plan: %d entries for %d nodes, want one each", len(f.Row), len(f.order))
 	}
 }
 
-// TestEncodeForestTableFullStopsSharing fills the subtree table for real —
-// more distinct subtrees than it takes — and checks what the guard promises:
-// from there on every node gets a row of its own, and the forest still
-// expands to the per-plan encodings. A reused forest starts empty again, also
-// across the generation stamp's wrap.
+// TestEncodeForestTableFullStopsSharing fills the row table for real — more
+// distinct rows than it takes — and checks what the guard promises: from
+// there on every encoded node is its own layer-0 class, with the same bits,
+// the memo still lists a pointer again, and the forest still expands to the
+// per-plan encodings. A reused forest starts empty again, also across the
+// generation stamp's wrap.
 func TestEncodeForestTableFullStopsSharing(t *testing.T) {
 	e := enc()
 	envs := FixedEnv([4]float64{0.5, 0.5, 0.5, 0.5})
 	var filler []*plan.Plan
-	for i := 0; i < subtreeSlots*3/4; i++ {
+	for i := 0; i < rowSlots*3/4; i++ {
 		filler = append(filler, &plan.Plan{Root: &plan.Node{Op: plan.OpTableScan, Table: "p.t", PartitionsRead: i + 1, ColumnsAccessed: 1}})
 	}
 	set := explorerStyleSet()
 	all := append(append([]*plan.Plan{}, filler...), set...)
-	all = append(all, filler[0]) // in the table, and still not shared once it is full
+	all = append(all, filler[0]) // a pointer the forest holds: listed again, not encoded
 
 	var f Forest
 	e.EncodeForestInto(&f, all, envs)
 	wantForestOf(t, e, &f, all, envs)
-	if f.Len() != len(f.order) {
-		t.Fatalf("full table still shared: %d rows for %d nodes", f.Len(), len(f.order))
+	for id, r := range f.Row {
+		if r != id {
+			t.Fatalf("full table still shared: entry %d has row %d", id, r)
+		}
+	}
+	if len(f.Row) >= len(f.order) {
+		t.Fatalf("full table: %d entries for %d nodes, the memo stopped too", len(f.Row), len(f.order))
 	}
 
 	f.tab.gen = math.MaxUint32 // the next reset wraps
 	for range 2 {
 		e.EncodeForestInto(&f, set, envs)
 		wantForestOf(t, e, &f, set, envs)
-		if f.Len() >= len(f.order)*2/3 {
-			t.Fatalf("reused forest: %d rows for %d nodes, sharing lost", f.Len(), len(f.order))
+		if !rowsDistinct(&f) || f.Rows() >= len(f.Row)*2/3 {
+			t.Fatalf("reused forest: %d rows for %d entries, sharing lost", f.Rows(), len(f.Row))
 		}
 	}
 }

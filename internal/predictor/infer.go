@@ -23,10 +23,11 @@ import (
 // in place. One inferScratch serves one scoring pass at a time; concurrent
 // callers each borrow their own from the pool.
 type inferScratch struct {
-	nn     nn.Scratch
-	forest encoding.Forest
-	fg     encoding.FlatGraph
-	fs     encoding.FlatSeq
+	nn      nn.Scratch
+	forest  encoding.Forest
+	classes classTable
+	fg      encoding.FlatGraph
+	fs      encoding.FlatSeq
 
 	// stage is the candidates×emb batch the cost head reads, outside the nn
 	// arena (embedInfer resets that) and grown by self-append (growFloats).
@@ -66,23 +67,27 @@ func poolConcat3Into(dst []float64, x nn.Mat) {
 	nn.SumRowsInto(dst[2*x.C:], x, 1.0/16)
 }
 
-// embedInfer for the TCN is one forward over the forest of plans: every
-// distinct subtree is one row, convolved once per layer; each plan is then
-// pooled over its own preorder row list — the values, in the order, a forward
-// over that plan alone pools — and projected. GCN and Transformer embed plan
-// by plan: a graph convolution mixes a node with its parent, attention with
-// every token, so no activation is a function of the subtree below it.
+// embedInfer for the TCN is one forward over the forest of plans, by class:
+// each layer convolves one row per class of the forest's entries, the class
+// table's triples being its gather lists; each plan is then pooled over its
+// nodes' last-layer rows in its own preorder — the values, in the order, a
+// forward over that plan alone pools — and projected. GCN and Transformer
+// embed plan by plan: a graph convolution mixes a node with its parent,
+// attention with every token, so no activation is a function of the nodes
+// below it alone.
 func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	f := &s.forest
+	f, c := &s.forest, &s.classes
 	b.enc.EncodeForestInto(f, plans, envs)
 	s.nn.Reset()
-	x := nn.Mat{R: f.Len(), C: b.enc.Dim(), Data: f.Feats}
+	x := nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Feats}
+	c.start(f)
 	for _, l := range b.layers {
-		x = l.ForwardInfer(&s.nn, x, f.Self, f.Left, f.Right)
+		c.next(f)
+		x = l.ForwardInfer(&s.nn, x, c.self, c.left, c.right)
 	}
 	pooled := s.nn.Mat(len(plans), 3*x.C)
 	for k := range plans {
-		rows := f.PlanRows(k)
+		rows := c.rowsOf(f.PlanNodes(k))
 		own := s.nn.Mat(len(rows), x.C)
 		nn.GatherRowsInto(own, 0, x, rows)
 		poolConcat3Into(pooled.Data[k*pooled.C:(k+1)*pooled.C], own)
@@ -90,6 +95,85 @@ func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.P
 	out := b.proj.ForwardInfer(&s.nn, pooled)
 	nn.ReLUInPlace(out)
 	copy(dst, out.Data)
+}
+
+// classTable interns a forest's entries into classes, one layer at a time.
+// An entry's layer-0 class is its feature row; its layer-k class is the
+// triple of the layer-(k-1) classes of itself and of its left and right
+// children (-1 for an absent child). TreeConv.ForwardInfer computes an output
+// row from its three input rows alone, so by induction the entries of one
+// class have Float64bits-equal activations at that layer, and a layer
+// convolves one row per class, with the classes' triples as its self, left
+// and right lists. Triples are compared as three ints; the hash only picks
+// where to look.
+type classTable struct {
+	of, below         []int   // each entry's class at this layer and the one below
+	self, left, right []int   // each class's triple
+	rows              []int   // rowsOf's result
+	slots             []int32 // open-addressed: a class + 1, 0 when free
+}
+
+// start puts every entry in its layer-0 class, its feature row.
+func (t *classTable) start(f *encoding.Forest) {
+	t.of = append(t.of[:0], f.Row...)
+}
+
+// next moves every entry one layer up, numbering the classes in the order the
+// entries first reach them.
+func (t *classTable) next(f *encoding.Forest) {
+	size := 1
+	for size < 2*len(t.of) {
+		size *= 2
+	}
+	for len(t.slots) < size {
+		t.slots = append(t.slots, 0)
+	}
+	slots, mask := t.slots[:size], uint64(size-1)
+	clear(slots)
+	t.of, t.below = t.below[:0], t.of
+	t.self, t.left, t.right = t.self[:0], t.left[:0], t.right[:0]
+	for e, s := range t.below {
+		l, r := classOf(t.below, f.Left[e]), classOf(t.below, f.Right[e])
+		i := tripleHash(s, l, r) & mask
+		for {
+			c := int(slots[i]) - 1
+			if c < 0 {
+				c = len(t.self)
+				slots[i] = int32(c + 1)
+				t.self, t.left, t.right = append(t.self, s), append(t.left, l), append(t.right, r)
+			} else if t.self[c] != s || t.left[c] != l || t.right[c] != r {
+				i = (i + 1) & mask
+				continue
+			}
+			t.of = append(t.of, c)
+			break
+		}
+	}
+}
+
+// classOf is entry e's class in of, -1 for an absent child.
+func classOf(of []int, e int) int {
+	if e < 0 {
+		return -1
+	}
+	return of[e]
+}
+
+// tripleHash spreads a triple over the class table.
+func tripleHash(s, l, r int) uint64 {
+	h := (uint64(s)*0x9e3779b97f4a7c15 ^ uint64(l+1)) * 0xbf58476d1ce4e5b9
+	h = (h ^ uint64(r+1)) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// rowsOf maps a plan's entries to their classes at the current layer: the
+// rows of the layer last convolved.
+func (t *classTable) rowsOf(entries []int) []int {
+	t.rows = t.rows[:0]
+	for _, e := range entries {
+		t.rows = append(t.rows, t.of[e])
+	}
+	return t.rows
 }
 
 func (b *gcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {

@@ -3,6 +3,7 @@ package predictor
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -142,8 +143,14 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 // unrelated plans above cannot see a sharing bug: a base plan and clones that
 // each differ from it in one place (a join operator, a join order rotation, a
 // pushed predicate, a PartitionsRead, a ColumnsAccessed the bucket hash does
-// not read), a plan holding the same scan subtree twice, and a 3-way Union,
-// which folds.
+// not read), a plan holding the same scan subtree twice as two pointers
+// (index 6), a 3-way Union, which folds, and four more. deep (index 8)
+// changes the root and a scan four levels below it, so its join shares the
+// base join's layer-1 and layer-2 classes below a differing root; bare gives
+// both exchanges one feature row over different children; then the base's
+// join re-planned over the base's own exchange subtrees, by pointer as the
+// explorer shares scan subplans; and a plan holding the base's right
+// exchange both outside a folded Union and under it.
 func explorerStyleCands() []*plan.Plan {
 	scan := func(t string, parts int) *plan.Node {
 		return &plan.Node{Op: plan.OpTableScan, Table: t, PartitionsRead: parts, ColumnsAccessed: 2}
@@ -178,7 +185,19 @@ func explorerStyleCands() []*plan.Plan {
 	twice := base.Clone()
 	join(twice).Children[1] = join(twice).Children[0].Clone()
 	union := &plan.Plan{Root: &plan.Node{Op: plan.OpUnion, Children: []*plan.Node{scan("mid", 2), scan("big", 8), scan("mid", 2)}}}
-	return []*plan.Plan{base, flip, rotate, push, parts, cols, twice, union}
+	deep := base.Clone()
+	deep.Root.AggFuncs = []plan.AggFunc{plan.AggCount}
+	join(deep).Children[0].Children[0].Children[0].PartitionsRead = 5
+	bare := base.Clone()
+	join(bare).Children[0].Parallelism = 0
+	sharedJoin, sharedRoot := *join(base), *base.Root
+	sharedJoin.Op = plan.OpMergeJoin
+	sharedRoot.Children = []*plan.Node{&sharedJoin}
+	right := join(base).Children[1]
+	mixed := &plan.Node{Op: plan.OpHashJoin, JoinForm: plan.JoinInner, LeftCols: []expr.ColumnRef{c2}, RightCols: []expr.ColumnRef{c1}, Children: []*plan.Node{
+		right, {Op: plan.OpUnion, Children: []*plan.Node{right, scan("big", 8), scan("mid", 2)}},
+	}}
+	return []*plan.Plan{base, flip, rotate, push, parts, cols, twice, union, deep, bare, {Root: &sharedRoot}, {Root: mixed}}
 }
 
 // TestScoringPathsBitIdenticalSharedSubtrees is TestScoringPathsBitIdentical
@@ -197,6 +216,13 @@ func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
 	for _, c := range cands[:2] {
 		c.Root.Walk(func(n *plan.Node) {
 			perNode[n] = cluster.Metrics{CPUIdle: 0.5, IOWait: float64(len(perNode)%3) / 8, Load5: 2, MemUsage: 0.4}
+		})
+	}
+	// The plan holding one subtree twice: two pointers, equal structure, which
+	// the per-node source reads apart.
+	for i, twin := range cands[6].Root.Children[0].Children {
+		twin.Walk(func(n *plan.Node) {
+			perNode[n] = cluster.Metrics{CPUIdle: 0.5, IOWait: 0.125 + 0.5*float64(i), Load5: 2, MemUsage: 0.4}
 		})
 	}
 	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
@@ -252,10 +278,61 @@ func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
 	}
 }
 
+// TestForestLayerClassesMatchCensus pins the classes the TCN forest convolves
+// by against a census that keys a map on each entry's (self, left, right)
+// triple one layer down: at every layer the class table assigns exactly the
+// census's classes in the census's order, and each class's gather lists name
+// the triple of every entry in it. deep's join, below a changed root, shares
+// the base join's class at layers 1 and 2 and leaves it at layer 3, where
+// the changed scan enters its neighbourhood.
+func TestForestLayerClassesMatchCensus(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	cands := explorerStyleCands()
+	classAt := func(of []int, e int) int {
+		if e < 0 {
+			return -1
+		}
+		return of[e]
+	}
+	var f encoding.Forest
+	var c classTable
+	for _, envs := range []encoding.EnvSource{encoding.FixedEnv([4]float64{0.5, 0.1, 0.4, 0.5}), encoding.NoEnv()} {
+		enc.EncodeForestInto(&f, cands, envs)
+		c.start(&f)
+		census := slices.Clone(f.Row)
+		baseJoin, deepJoin := f.PlanNodes(0)[1], f.PlanNodes(8)[1]
+		for layer := 1; layer <= 4; layer++ {
+			c.next(&f)
+			ids := map[[3]int]int{}
+			next := make([]int, len(census))
+			for e, s := range census {
+				key := [3]int{s, classAt(census, f.Left[e]), classAt(census, f.Right[e])}
+				id, ok := ids[key]
+				if !ok {
+					id = len(ids)
+					ids[key] = id
+				}
+				next[e] = id
+				if cl := c.of[e]; [3]int{c.self[cl], c.left[cl], c.right[cl]} != key {
+					t.Fatalf("layer %d: entry %d is in class %d, whose triple is not its %v", layer, e, cl, key)
+				}
+			}
+			census = next
+			if len(c.self) != len(ids) || !slices.Equal(c.of, census) {
+				t.Fatalf("layer %d: %d classes, the census %d", layer, len(c.self), len(ids))
+			}
+			if shared := c.of[baseJoin] == c.of[deepJoin]; shared != (layer < 3) {
+				t.Fatalf("layer %d: deep's join in the base join's class: %v, want %v", layer, shared, layer < 3)
+			}
+		}
+	}
+}
+
 // TestForestFullTableAndBucketCollisionsBitIdentical drives the two places
 // where the forest's sharing could be approximate and must not be. A
-// candidate set with more distinct subtrees than the subtree table takes
-// fills it, after which the pass shares nothing — same bits. And candidates
+// candidate set with more distinct feature rows than the row table takes
+// fills it, after which every later node is its own layer-0 class — same
+// bits. And candidates
 // that differ only in fields the bucket hash does not read land in one bucket
 // by construction, where only the row compare keeps them apart: their costs
 // are the reference's, and differ from one another.

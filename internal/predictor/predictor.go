@@ -505,7 +505,7 @@ func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]
 
 // SelectPlan returns the candidate with the lowest estimated cost, along
 // with all estimates. The candidates are embedded together — by the TCN as
-// one forest, each distinct subtree convolved once — then scored in a single
+// one forest, one row per layer class convolved — then scored in a single
 // batched pass through the cost head (scoreCandidates). Costs are
 // bit-identical to PredictCost on each candidate, and ties and NaN handling
 // follow floatsafe.ArgMin, so the chosen plan never depends on batching.
