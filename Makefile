@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm cold verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm cold train verify
 
 build:
 	$(GO) build ./...
@@ -28,16 +28,18 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^loam/bench$$')
 	$(GO) test -race -skip '^TestStageSumMatchesUntracedLatency$$' ./bench
 
-# fuzz-smoke runs each native fuzz target for 10 s from its f.Add seeds (there
-# are no corpus files): the frame scanner every journal open reads through,
-# predictor.Load on raw bytes and on a well-framed JSON payload, and
-# durable.Open on an arbitrary MANIFEST. A crasher is written to the package's
-# testdata/fuzz and fails the target.
+# fuzz-smoke runs each of the five native fuzz targets for 10 s from its f.Add
+# seeds (there are no corpus files): the frame scanner every journal open
+# reads through, predictor.Load on raw bytes and on a well-framed JSON
+# payload, durable.Open on an arbitrary MANIFEST, and Store.Journal on an
+# arbitrary last or earlier journal segment. A crasher is written to the
+# package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPayload$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenJournal$$' -fuzztime 10s ./internal/durable
 
 # bench-e2e runs the BENCHMARK.json serving benchmark (bench/README.md): four
 # closed-loop workloads end to end — qps, latency, allocs/op, live heap per
@@ -114,6 +116,16 @@ chaos-recover:
 warm:
 	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
+
+# train is the training path's developer loop, like warm and cold not a verify
+# step: the TCN trained as one forest per minibatch against the per-plan
+# autograd oracle (Save bytes over three seeds x Adapt x UseEnv), the forest
+# encoder's per-source pointer memo, the allocation ceiling of one Deploy, then
+# BenchmarkPredictorTrainTCN, one Deploy of the micro project per op (DESIGN.md
+# "Inference fast path & caching contract", training path).
+train:
+	$(GO) test -count=1 -run 'TrainTCN|AppendForest' ./internal/encoding ./internal/predictor .
+	$(GO) test -run '^$$' -bench PredictorTrainTCN -benchtime 10x -benchmem .
 
 # cold is the cold path's developer loop, like warm not a verify step: the
 # forest encoder's exactness tests, the layer-class census, every scoring path

@@ -118,7 +118,10 @@ func TestExecutorExecuteAllocCeiling(t *testing.T) {
 	}
 }
 
-func BenchmarkPredictorTrainTCN(b *testing.B) {
+// trainTCNProject is the micro project three days in, with the deploy
+// configuration BenchmarkPredictorTrainTCN trains: two epochs over its
+// history, eight domain plans.
+func trainTCNProject(b testing.TB) (*loam.ProjectSim, loam.DeployConfig) {
 	ps, _ := microProject(b)
 	ps.RunDays(0, 3)
 	dcfg := loam.DefaultDeployConfig()
@@ -126,11 +129,39 @@ func BenchmarkPredictorTrainTCN(b *testing.B) {
 	dcfg.TestDays = 0
 	dcfg.Predictor.Epochs = 2
 	dcfg.DomainPlans = 8
+	return ps, dcfg
+}
+
+// BenchmarkPredictorTrainTCN is one Deploy of the micro project, nearly all
+// of it training the TCN; make train runs it after the tests that pin the
+// training path.
+func BenchmarkPredictorTrainTCN(b *testing.B) {
+	ps, dcfg := trainTCNProject(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ps.Deploy(dcfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTrainTCNAllocCeiling pins what training a minibatch as one forest
+// stopped allocating: the per-plan autograd graphs took 84,022 allocs (286 MB)
+// per Deploy of BenchmarkPredictorTrainTCN's project; the forest path, whose
+// buffers one trainLoop call reuses, takes about 4,100 (11 MB), what remains
+// being the heads' per-minibatch graph and the rest of Deploy. The ceiling
+// is 25% above.
+func TestTrainTCNAllocCeiling(t *testing.T) {
+	ps, dcfg := trainTCNProject(t)
+	const ceiling = 5100
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := ps.Deploy(dcfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("Deploy: %.0f allocs, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -154,8 +154,8 @@ func avalanche(z uint64) uint64 {
 // EnvSource supplies per-node environment features. ok=false means the
 // environment is unobserved for that node. It must be a pure function of the
 // node — the same node, the same answer — as FixedEnv, NoEnv and RecordEnv
-// are: EncodeForestInto looks a node up once however many of the candidates
-// share it.
+// are: AppendForest looks a node up once however many of the plans it is
+// handed share it.
 type EnvSource func(n *plan.Node) (env [4]float64, ok bool)
 
 // RecordEnv adapts an execution record's per-stage environments into an

@@ -266,12 +266,13 @@ func pairChildren(n, orig *plan.Node) (lo, ro *plan.Node) {
 // row, Left and Right its children's entries (-1 absent) — and each plan
 // lists its nodes' entries in the preorder EncodeTreeFlatInto emits, the
 // order the pooling reductions run in. A node pointer met again outside a
-// folded n-ary operator is not encoded again: its subtree's entries are
-// listed once more. That is exact because EncodeNodeInto and the EnvSource
-// are pure functions of the node, and every node below a plan's own node is
-// the plan's own too. A layer-k activation is a function of the node's
-// depth-k neighbourhood alone, so the TCN interns classes per layer over the
-// entries and convolves one row per class (internal/predictor).
+// folded n-ary operator, under the same environment source, is not encoded
+// again: its subtree's entries are listed once more. That is exact because
+// EncodeNodeInto and the EnvSource are pure functions of the node, and every
+// node below a plan's own node is the plan's own too. A layer-k activation is
+// a function of the node's depth-k neighbourhood alone, so the TCN interns
+// classes per layer over the entries and convolves one row per class
+// (internal/predictor).
 //
 // Nothing is hash-trusted, and the environment features are in the row, so
 // nodes a per-node EnvSource tells apart never share a row. After
@@ -294,13 +295,37 @@ func (f *Forest) Rows() int { return len(f.Feats) / f.dim }
 // PlanNodes returns plan k's entries, one per node, in preorder.
 func (f *Forest) PlanNodes(k int) []int { return f.order[f.ends[k]:f.ends[k+1]] }
 
+// Nodes returns every plan's entries, plan after plan: PlanNodes(0),
+// PlanNodes(1), and so on, back to back.
+func (f *Forest) Nodes() []int { return f.order }
+
+// SubtreeLen returns the number of nodes entry e's subtree lists: in a plan's
+// preorder the node at position p has its left child at p+1 and its right
+// child at p+1+SubtreeLen(Left[entry]).
+func (f *Forest) SubtreeLen(e int) int { return f.span[e][1] - f.span[e][0] }
+
 // EncodeForestInto fills f with the canonical-binary-tree encodings of plans,
 // n-ary operators folded exactly as EncodeTreeFlatInto folds them.
 func (e *Encoder) EncodeForestInto(f *Forest, plans []*plan.Plan, envs EnvSource) {
+	e.StartForest(f)
+	e.AppendForest(f, plans, envs)
+}
+
+// StartForest empties f for AppendForest.
+func (e *Encoder) StartForest(f *Forest) {
 	f.dim = e.dim
 	f.Feats, f.Row, f.Left, f.Right = f.Feats[:0], f.Row[:0], f.Left[:0], f.Right[:0]
 	f.span, f.order, f.ends = f.span[:0], f.order[:0], append(f.ends[:0], 0)
 	f.tab.reset()
+}
+
+// AppendForest adds plans to f after the plans it holds, every node's
+// environment from envs. Rows are shared across calls, since equality is
+// decided on the encoded bits; the pointer memo is not: it spans one call,
+// because a node met again under another source may encode otherwise. A
+// training minibatch, whose default plans each carry their own RecordEnv, is
+// one call per source.
+func (e *Encoder) AppendForest(f *Forest, plans []*plan.Plan, envs EnvSource) {
 	if f.memo == nil {
 		f.memo = map[*plan.Node]int{}
 	}
@@ -350,20 +375,27 @@ func (f *Forest) internRow(e *Encoder, n *plan.Node, env [4]float64, ok bool) in
 	id := f.Rows()
 	f.Feats = appendRow(f.Feats, f.dim)
 	e.EncodeNodeInto(f.Feats[id*f.dim:], n, env, ok)
-	if seen := f.tab.intern(f.Feats, f.dim, bucketHash(n), id); seen != id {
+	if seen := f.tab.intern(f.Feats, f.dim, bucketHash(n, env, ok), id); seen != id {
 		f.Feats = f.Feats[:id*f.dim]
 		return seen
 	}
 	return id
 }
 
-// bucketHash picks a node's bucket from a few cheap fields. It only has to
-// spread: equality is decided on the encoded rows, so nodes that differ
-// elsewhere (join columns, predicates, environment) cost one row compare.
-func bucketHash(n *plan.Node) uint64 {
+// bucketHash picks a node's bucket from a few cheap fields and its
+// environment. It only has to spread: equality is decided on the encoded
+// rows, so nodes that differ elsewhere (join columns, predicates) cost one
+// row compare. The environment is hashed because a training minibatch holds
+// the same scans under as many environments as it has default plans.
+func bucketHash(n *plan.Node, env [4]float64, ok bool) uint64 {
 	h := fnvOffset64
 	for _, v := range [4]int{int(n.Op), n.PartitionsRead, int(n.JoinForm), n.Parallelism} {
 		h = (h ^ uint64(v)) * fnvPrime64
+	}
+	if ok {
+		for _, v := range env {
+			h = (h ^ math.Float64bits(v)) * fnvPrime64
+		}
 	}
 	return avalanche(fnvString(h, n.Table))
 }

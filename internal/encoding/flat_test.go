@@ -168,6 +168,13 @@ func explorerStyleSet() []*plan.Plan {
 // are that encoding's and children that are the entries of its children.
 func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs EnvSource) {
 	t.Helper()
+	wantForestUnder(t, e, f, plans, func(int) EnvSource { return envs })
+}
+
+// wantForestUnder is wantForestOf with plan k encoded under envsOf(k). It
+// also checks SubtreeLen: a node's right child sits past its left subtree.
+func wantForestUnder(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envsOf func(k int) EnvSource) {
+	t.Helper()
 	if len(f.ends) != len(plans)+1 {
 		t.Fatalf("forest holds %d plans, want %d", len(f.ends)-1, len(plans))
 	}
@@ -180,7 +187,7 @@ func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs 
 	nodes := 0
 	for k, p := range plans {
 		var ft FlatTree
-		e.EncodeTreeFlatInto(&ft, p, envs)
+		e.EncodeTreeFlatInto(&ft, p, envsOf(k))
 		ids := f.PlanNodes(k)
 		if len(ids) != ft.Len() {
 			t.Fatalf("plan %d: %d entries, want %d", k, len(ids), ft.Len())
@@ -195,10 +202,49 @@ func wantForestOf(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, envs 
 				t.Fatalf("plan %d node %d: entry %d has children (%d, %d), want (%d, %d)",
 					k, i, id, f.Left[id], f.Right[id], child(ids, ft.Left, i), child(ids, ft.Right, i))
 			}
+			if ft.Right[i] >= 0 && ft.Right[i] != i+1+f.SubtreeLen(f.Left[id]) {
+				t.Fatalf("plan %d node %d: right child at %d, SubtreeLen puts it at %d", k, i, ft.Right[i], i+1+f.SubtreeLen(f.Left[id]))
+			}
 		}
 	}
-	if len(f.order) != nodes {
+	if len(f.order) != nodes || !slices.Equal(f.Nodes(), f.order) {
 		t.Fatalf("%d nodes listed, want %d", len(f.order), nodes)
+	}
+}
+
+// TestAppendForestMemoPerSource pins the pointer memo to one AppendForest
+// call, the contract a training minibatch rests on: plans appended under two
+// sources that tell their shared nodes apart expand, call by call, to the
+// per-plan encodings under that call's source — the second call encodes the
+// pointers the first holds again instead of listing the first's entries —
+// while within a call a repeated pointer is still listed, not encoded.
+func TestAppendForestMemoPerSource(t *testing.T) {
+	e := enc()
+	set := explorerStyleSet()
+	pair := []*plan.Plan{set[0], set[7]} // set[7] re-plans a join over set[0]'s exchanges
+	a := pointerEnv([4]float64{0.3, 0.1, 0.9, 0.5}, set[0])
+	b := pointerEnv([4]float64{0.7, 0.2, 0.1, 0.5}, set[0])
+	var f Forest
+	e.StartForest(&f)
+	e.AppendForest(&f, pair, a)
+	first := len(f.Row)
+	e.AppendForest(&f, pair, b)
+	plans := append(append([]*plan.Plan{}, pair...), pair...)
+	wantForestUnder(t, e, &f, plans, func(k int) EnvSource {
+		if k < len(pair) {
+			return a
+		}
+		return b
+	})
+	if first != 9 || len(f.Row) != 2*first {
+		t.Fatalf("%d entries after the first call and %d after both, want 9 and 18", first, len(f.Row))
+	}
+	for k := len(pair); k < len(plans); k++ {
+		for _, id := range f.PlanNodes(k) {
+			if id < first {
+				t.Fatalf("plan %d lists entry %d, encoded under the first call's source", k, id)
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ type inferScratch struct {
 	fs      encoding.FlatSeq
 
 	// stage is the candidates×emb batch the cost head reads, outside the nn
-	// arena (embedInfer resets that) and grown by self-append (growFloats).
+	// arena (embedInfer resets that) and grown by self-append (grow).
 	stage []float64
 
 	// A cached pass's claims: every candidate's entry; those it owns; their plans.
@@ -42,11 +42,11 @@ type inferScratch struct {
 	one [1]*plan.Plan
 }
 
-// growFloats extends buf to at least n elements. Growth is the plain
+// grow extends buf to at least n elements. Growth is the plain
 // self-append idiom — x = append(x, ...) — and amortized: after warm-up the
 // loop body never runs and the serving path performs zero allocations
 // (TestPredictCostZeroAlloc).
-func growFloats(buf []float64, n int) []float64 {
+func grow[T int | float64](buf []T, n int) []T {
 	for len(buf) < n {
 		buf = append(buf, 0)
 	}
@@ -269,7 +269,7 @@ func (p *Predictor) embedCached(s *inferScratch, batch []float64, cands []*plan.
 func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
 	n := len(cands)
 	embDim := p.costHead.W.R
-	s.stage = growFloats(s.stage, n*embDim)
+	s.stage = grow(s.stage, n*embDim)
 	batch := s.stage[:n*embDim]
 	if p.cache != nil && key.Keyed {
 		p.embedCached(s, batch, cands, envs, key.Sum)

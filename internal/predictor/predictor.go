@@ -217,15 +217,17 @@ func TrainInstrumented(cfg Config, enc *encoding.Encoder, train []Sample, candPl
 
 	rng := simrand.New(cfg.Seed)
 	p.build(rng)
-	params := p.allParams()
-	opt := nn.NewAdam(params, cfg.LR)
-
-	p.trainLoop(rng, opt, train, candPlans)
-
+	p.fit(rng, train, candPlans)
 	p.metrics.TrainSeconds = sw.Seconds()
-	p.metrics.ModelBytes = nn.ParamBytes(params)
-	p.metrics.Epochs = cfg.Epochs
 	return p, nil
+}
+
+// fit trains the built network: Adam over every parameter, then trainLoop.
+func (p *Predictor) fit(rng *simrand.RNG, train []Sample, candPlans []*plan.Plan) {
+	params := p.allParams()
+	p.trainLoop(rng, nn.NewAdam(params, p.cfg.LR), train, candPlans)
+	p.metrics.ModelBytes = nn.ParamBytes(params)
+	p.metrics.Epochs = p.cfg.Epochs
 }
 
 // build constructs the neural architecture p.cfg describes over p.enc —
@@ -262,6 +264,16 @@ func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, ca
 		candEnv = encoding.NoEnv()
 	}
 
+	// A backbone that trains a minibatch as one forest does; the others embed
+	// plan by plan through the autograd graph.
+	var tr *tcnTrainer
+	if bt, ok := p.bb.(batchTrainer); ok {
+		tr = bt.trainer()
+	}
+	var targets []float64
+	var labels []int
+	var drawn []*plan.Plan
+
 	// EMA-based automatic loss-weight balancing (wc, wd of Eq. 1).
 	emaCost, emaDom := 1.0, 1.0
 	const emaBeta = 0.9
@@ -281,34 +293,28 @@ func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, ca
 			}
 			batch := order[lo:hi]
 
-			embDefs := make([]*nn.Tensor, 0, len(batch))
-			targets := make([]float64, 0, len(batch))
+			targets, labels, drawn = targets[:0], labels[:0], drawn[:0]
 			for _, i := range batch {
-				sm := train[i]
-				envs := sm.Envs
-				if !cfg.UseEnv {
-					envs = encoding.NoEnv()
-				}
-				embDefs = append(embDefs, p.bb.embed(sm.Plan, envs))
-				targets = append(targets, p.normalize(sm.Cost))
+				targets = append(targets, p.normalize(train[i].Cost))
+				labels = append(labels, 0)
 			}
-			embDef := nn.ConcatRows(embDefs...)
+			if adapt {
+				for j := 0; j < bc; j++ {
+					drawn = append(drawn, candPlans[rng.Intn(len(candPlans))])
+					labels = append(labels, 1)
+				}
+			}
+			var embDef, embAll *nn.Tensor
+			if tr != nil {
+				embDef, embAll = tr.forward(train, batch, drawn, candEnv, cfg.UseEnv)
+			} else {
+				embDef, embAll = p.embedEach(train, batch, drawn, candEnv)
+			}
 			costLoss := nn.MSE(p.costHead.Forward(embDef), targets)
 
 			var loss *nn.Tensor
 			var domLossVal float64
 			if adapt {
-				embCands := make([]*nn.Tensor, 0, bc)
-				labels := make([]int, 0, len(batch)+bc)
-				for range batch {
-					labels = append(labels, 0)
-				}
-				for j := 0; j < bc; j++ {
-					cp := candPlans[rng.Intn(len(candPlans))]
-					embCands = append(embCands, p.bb.embed(cp, candEnv))
-					labels = append(labels, 1)
-				}
-				embAll := nn.ConcatRows(append(append([]*nn.Tensor{}, embDefs...), embCands...)...)
 				domLogits := p.domOut.Forward(nn.ReLU(p.domHid.Forward(nn.GRL(embAll, &p.lambda))))
 				domLoss := nn.CrossEntropy(domLogits, labels)
 				domLossVal = domLoss.Data[0]
@@ -326,6 +332,9 @@ func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, ca
 
 			opt.ZeroGrad()
 			loss.Backward()
+			if tr != nil {
+				tr.backward()
+			}
 			opt.Step()
 
 			p.metrics.FinalCostLoss = costLoss.Data[0]
@@ -339,6 +348,30 @@ func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, ca
 	}
 	p.tel.finalCostLoss.Set(p.metrics.FinalCostLoss)
 	p.tel.finalDomLoss.Set(p.metrics.FinalDomLoss)
+}
+
+// embedEach embeds a minibatch plan by plan through the backbone's autograd
+// graph: the defaults, each under its own environment source (none without
+// UseEnv), as the cost head's input, and when plans were drawn, the defaults
+// and then each drawn plan under candEnv as the domain head's.
+func (p *Predictor) embedEach(train []Sample, batch []int, drawn []*plan.Plan, candEnv encoding.EnvSource) (embDef, embAll *nn.Tensor) {
+	embs := make([]*nn.Tensor, 0, len(batch)+len(drawn))
+	for _, i := range batch {
+		sm := train[i]
+		envs := sm.Envs
+		if !p.cfg.UseEnv {
+			envs = encoding.NoEnv()
+		}
+		embs = append(embs, p.bb.embed(sm.Plan, envs))
+	}
+	embDef = nn.ConcatRows(embs...)
+	if len(drawn) == 0 {
+		return embDef, nil
+	}
+	for _, cp := range drawn {
+		embs = append(embs, p.bb.embed(cp, candEnv))
+	}
+	return embDef, nn.ConcatRows(embs...)
 }
 
 func (p *Predictor) trainXGB(train []Sample) error {

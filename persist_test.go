@@ -280,12 +280,39 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 // the sweep crashes its way through.
 type scheduleHook struct {
 	*faultinject.KillPoint
-	ops []atomicio.Op
+	ops   []atomicio.Op
+	paths []string
 }
 
 func (h *scheduleHook) Decide(op atomicio.Op, path string) atomicio.Decision {
 	h.ops = append(h.ops, op)
+	h.paths = append(h.paths, path)
 	return h.KillPoint.Decide(op, path)
+}
+
+// windowAt is the journal a recovery from a crash at write n (1-based, not a
+// journal append) must replay when the manifest it restores is a promote or
+// rollback. Those checkpoints reset the journal before committing, so the
+// journal holds exactly the appends since the later of that commit and the
+// next checkpoint's reset, if the crash fell between that reset and its
+// commit (the run's journal never rotates, so a segment removal is a reset).
+// ok is false when write n is an append, whose record may or may not have
+// landed, or when the manifest is another event, whose window is not the
+// schedule's to say.
+func (h *scheduleHook) windowAt(n int, man *durable.Manifest) (records int, ok bool) {
+	if h.ops[n-1] == atomicio.OpAppend || man == nil || man.Event != durable.EventPromote && man.Event != durable.EventRollback {
+		return 0, false
+	}
+	for i := n - 2; i >= 0; i-- {
+		switch {
+		case h.ops[i] == atomicio.OpWriteFile && filepath.Base(h.paths[i]) == "MANIFEST",
+			h.ops[i] == atomicio.OpRemove && filepath.Base(filepath.Dir(h.paths[i])) == "journal":
+			return records, true
+		case h.ops[i] == atomicio.OpAppend:
+			records++
+		}
+	}
+	return 0, false
 }
 
 // TestKillPointSweepRecoversEveryWrite is the durability contract's proof. A
@@ -383,7 +410,7 @@ func TestKillPointSweepRecoversEveryWrite(t *testing.T) {
 	}
 
 	flavors := map[faultinject.CrashFlavor]bool{}
-	var restores, redeploys, tornTails int
+	var restores, redeploys, tornTails, windows int
 	for n := 1; n <= len(schedule); n++ {
 		st := run(n, base.served)
 		if st.crash == nil {
@@ -425,6 +452,14 @@ func TestKillPointSweepRecoversEveryWrite(t *testing.T) {
 			if lc.Version() != man.Version || lc.InProbation() != (man.Probation > 0) {
 				t.Fatalf("kill %d: restored v%d probation=%v, manifest %+v", n, lc.Version(), lc.InProbation(), man)
 			}
+			// A promote or rollback discards the journal with its commit: the
+			// restore replays what was appended since, not the window before.
+			if want, ok := base.hook.windowAt(n, man); ok {
+				if got := dep.Telemetry().Counter("durable.journal.replayed").Value(); got != int64(want) {
+					t.Fatalf("kill %d: restored a %s checkpoint replaying %d journal records, its window holds %d", n, man.Event, got, want)
+				}
+				windows++
+			}
 		}
 		if rep.TornTail {
 			tornTails++
@@ -456,8 +491,8 @@ func TestKillPointSweepRecoversEveryWrite(t *testing.T) {
 	if !flavors[faultinject.FlavorBefore] || !flavors[faultinject.FlavorTorn] || !flavors[faultinject.FlavorAfterTemp] {
 		t.Fatalf("sweep hit crash flavors %v, want all three", flavors)
 	}
-	if restores == 0 || redeploys == 0 || tornTails == 0 {
-		t.Fatalf("sweep of %d kill points: %d restores, %d redeploys, %d repaired torn tails — each must occur",
-			len(schedule), restores, redeploys, tornTails)
+	if restores == 0 || redeploys == 0 || tornTails == 0 || windows == 0 {
+		t.Fatalf("sweep of %d kill points: %d restores, %d redeploys, %d repaired torn tails, %d promote or rollback windows checked — each must occur",
+			len(schedule), restores, redeploys, tornTails, windows)
 	}
 }
