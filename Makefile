@@ -109,12 +109,13 @@ chaos-recover:
 # warm is the warm path's developer loop, like chaos not a verify step: the
 # explorer's and nativeopt's reference and differential tests (every plan vs.
 # an independent planning, every node's rows vs. a fresh estimate, the
-# decisive-set rule, the sharing contract), the allocation and retained-heap
-# ceilings and plan.Node's size, then one Explorer.Candidates per op over a
-# project1- and a project2-shaped query set (~5 s; DESIGN.md "Exploration
-# budget").
+# decisive-set rule, the sharing contract), the steering memo's key-coverage,
+# replay and concurrency tests, the FNV fold's differential and golden tests,
+# the allocation and retained-heap ceilings and plan.Node's size, then one
+# Explorer.Candidates per op over a project1- and a project2-shaped query
+# set, first sight and repeat (~10 s; DESIGN.md "Exploration budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Steer|Uint64MatchesByteLoop|FingerprintGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 
 # train is the training path's developer loop, like warm and cold not a verify

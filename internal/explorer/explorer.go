@@ -7,8 +7,10 @@
 package explorer
 
 import (
+	"hash/maphash"
 	"math"
 	"slices"
+	"sync"
 
 	"loam/internal/floatsafe"
 	"loam/internal/nativeopt"
@@ -33,6 +35,10 @@ type Explorer struct {
 	// Wide additionally explores pairwise flag combinations (§7.3's
 	// diversified-exploration direction).
 	Wide bool
+
+	// memo replays the steering of queries this explorer has answered before
+	// (steerMemo); nil unless New or NewWide built the explorer.
+	memo *steerMemo
 }
 
 // defaultCardScales and wideCardScales are shared by every explorer New and
@@ -44,7 +50,7 @@ var (
 
 // New builds an explorer with the paper's defaults.
 func New(v *stats.View) *Explorer {
-	return &Explorer{View: v, CardScales: defaultCardScales, TopK: 5, SafetyFactor: 3}
+	return withMemo(&Explorer{View: v, CardScales: defaultCardScales, TopK: 5, SafetyFactor: 3})
 }
 
 // NewWide builds a diversified explorer — the paper's §7.3 future-work
@@ -53,11 +59,71 @@ func New(v *stats.View) *Explorer {
 // flag combinations, a denser cardinality-scaling grid, and a larger
 // candidate budget.
 func NewWide(v *stats.View) *Explorer {
-	e := New(v)
-	e.Wide = true
-	e.CardScales = wideCardScales
-	e.TopK = 8
+	return withMemo(&Explorer{View: v, CardScales: wideCardScales, TopK: 8, SafetyFactor: 3, Wide: true})
+}
+
+// withMemo gives e a steering memo that answers for e as it is now.
+func withMemo(e *Explorer) *Explorer {
+	m := &steerMemo{
+		owner: e, config: *e,
+		seed:    maphash.MakeSeed(),
+		seen:    map[uint64]struct{}{},
+		records: map[string][]steerStep{},
+	}
+	m.config.CardScales = slices.Clone(e.CardScales)
+	e.memo = m
 	return e
+}
+
+// steerMemo is an explorer's record of how it steered the queries it has
+// seen twice: the settings whose plans it returned, in output order, with
+// each plan's fingerprint. A repeat query replays them — plans only those
+// settings, skips the dedup and the sort, and seals each plan with its
+// recorded fingerprint — and gets what exploring again would return, bit for
+// bit (DESIGN.md "Plan exploration contract").
+//
+// A record is keyed by the query's exact planning key
+// (query.Query.AppendPlanningKey): the whole string is compared, so no hash
+// is trusted with an answer. On first sight only a 64-bit hash of the key
+// goes into seen; the record is built the second time, so a workload of
+// one-off queries pays a word per query, not a record. A hash collision can
+// only build a record early.
+//
+// The memo answers only for its owner, and only while the owner's settings
+// are the ones it was built under: a copy of the explorer (`e := *ex`), or
+// one whose fields were changed in place, explores afresh.
+type steerMemo struct {
+	owner  *Explorer
+	config Explorer // the owner's settings at construction (memo nil, scales copied)
+	seed   maphash.Seed
+
+	// mu guards both maps. A record is immutable once stored; two callers
+	// that race to build one store equal records.
+	mu      sync.RWMutex
+	seen    map[uint64]struct{}
+	records map[string][]steerStep
+}
+
+// steerStep is one candidate of a recorded steering: the setting that
+// planned it and the fingerprint Seal returned for the plan.
+type steerStep struct {
+	setting
+	fp uint64
+}
+
+// setting is one steering setting: the flags and card scale a planning ran
+// under (scale 0: none).
+type setting struct {
+	flags nativeopt.Flags
+	scale float64
+}
+
+// serves reports whether the memo may answer for e.
+func (m *steerMemo) serves(e *Explorer) bool {
+	c := &m.config
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return m.owner == e && e.View == c.View && e.TopK == c.TopK && e.Wide == c.Wide &&
+		sameBits(e.SafetyFactor, c.SafetyFactor) && slices.EqualFunc(e.CardScales, c.CardScales, sameBits)
 }
 
 // singleFlags are the six single-flag toggles; pairFlags every two-flag
@@ -91,17 +157,63 @@ func pairFlagSets() []nativeopt.Flags {
 // each plan node once — the returned plans share their scan subtrees, and are
 // read-only like any sealed plan (Clone to edit). Each is kept out of the
 // session's scratch into storage of its own, so holding one pins no other
-// plan of the request.
+// plan of the request. A query the explorer has answered before is answered
+// by replaying its recorded steering (steerMemo), with the same result.
 func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
+	m := e.memo
+	if m == nil || !m.serves(e) {
+		out, _ := e.explore(q, false)
+		return out
+	}
+	var buf [2048]byte // planning keys of 1–6 tables measure 0.03–1.4 KB
+	key := q.AppendPlanningKey(buf[:0])
+	h := maphash.Bytes(m.seed, key)
+	m.mu.RLock()
+	steps, recorded := m.records[string(key)]
+	_, again := m.seen[h]
+	m.mu.RUnlock()
+	if recorded {
+		return e.replay(q, steps)
+	}
+	out, steps := e.explore(q, again)
+	m.mu.Lock()
+	if again {
+		m.records[string(key)] = steps
+	} else {
+		m.seen[h] = struct{}{}
+	}
+	m.mu.Unlock()
+	return out
+}
+
+// replay plans the recorded settings of a query, in the recorded order, and
+// seals each plan with the fingerprint and the rough cost exploring sealed.
+func (e *Explorer) replay(q *query.Query, steps []steerStep) []*plan.Plan {
+	session := nativeopt.NewSession(e.View, q)
+	out := make([]*plan.Plan, len(steps))
+	for i, st := range steps {
+		p, cost, _ := session.Plan(st.flags, st.scale)
+		k := session.Keep(p)
+		k.SealRecorded(st.fp)
+		k.SealRough(e.View, cost)
+		out[i] = k
+	}
+	return out
+}
+
+// explore plans the query under every setting and returns the candidates;
+// with record, also their steering, for the memo.
+func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, []steerStep) {
 	session := nativeopt.NewSession(e.View, q)
 	type scored struct {
 		p    *plan.Plan
 		cost float64
+		by   setting
 	}
 	// kept[0] is the default plan; the alternatives follow in planning order,
 	// the order the (unstable) sort below needs for cost ties to rank as ever.
 	kept := make([]scored, 0, e.settings())
-	e.plannings(session, func(p *plan.Plan, cost float64) {
+	e.plannings(session, func(p *plan.Plan, cost float64, by setting) {
 		// Equal plans have equal cost bits — the same tree over the same
 		// cardinalities, summed in the same order — so the structural compare
 		// runs only on a tie. A plan that is not kept stays in the session's
@@ -116,7 +228,7 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 		if len(kept) > 0 && e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*kept[0].cost) {
 			return
 		}
-		kept = append(kept, scored{p: session.Keep(p), cost: cost})
+		kept = append(kept, scored{p: session.Keep(p), cost: cost, by: by})
 	})
 
 	// slices.SortFunc runs the pdqsort sort.Slice runs (both are generated
@@ -140,12 +252,19 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	// cost planning produced (plan.SealRough), which the guard's sentinel asks
 	// nativeopt for again on every learned serve.
 	out := make([]*plan.Plan, 0, 1+len(alts))
+	var steps []steerStep
+	if record {
+		steps = make([]steerStep, 0, cap(out))
+	}
 	for _, k := range kept[:1+len(alts)] {
-		k.p.Seal()
+		fp := k.p.Seal()
 		k.p.SealRough(e.View, k.cost)
 		out = append(out, k.p)
+		if record {
+			steps = append(steps, steerStep{setting: k.by, fp: fp})
+		}
 	}
-	return out
+	return out, steps
 }
 
 // settings is how many steering settings the explorer chooses from.
@@ -159,15 +278,16 @@ func (e *Explorer) settings() int {
 
 // plannings plans the query under every setting that can build a plan no
 // earlier setting built — the default, the single flags, with Wide the pairs,
-// then the card scales — and hands each plan and its rough cost to visit, in
-// that order. Each plan is in the session's scratch until the next planning:
-// visit keeps what it holds on to (nativeopt.Session.Keep). A setting is
-// skipped only on a proof (nativeopt.Session.Plan: adding a flag that did not
-// decide rebuilds the plan), so what is skipped is always the later twin of a
-// plan visit has seen: no candidate, knob label or order changes.
-func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64)) {
+// then the card scales — and hands each plan, its rough cost and its setting
+// to visit, in that order. Each plan is in the session's scratch until the
+// next planning: visit keeps what it holds on to (nativeopt.Session.Keep). A
+// setting is skipped only on a proof (nativeopt.Session.Plan: adding a flag
+// that did not decide rebuilds the plan), so what is skipped is always the
+// later twin of a plan visit has seen: no candidate, knob label or order
+// changes.
+func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64, setting)) {
 	p, cost, base := s.Plan(nativeopt.Flags{}, 0)
-	visit(p, cost)
+	visit(p, cost, setting{})
 
 	// decisive[i] is the decisive set of singleFlags[i]'s planning; a single
 	// flag inert in the default planning builds the default plan by the
@@ -177,7 +297,7 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 		decisive[i] = base
 		if decides(base, f) {
 			p, cost, decisive[i] = s.Plan(f, 0)
-			visit(p, cost)
+			visit(p, cost, setting{flags: f})
 		}
 	}
 	if e.Wide {
@@ -187,7 +307,7 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 			for j := i + 1; j < len(singleFlags); j++ {
 				if decides(decisive[i], singleFlags[j]) && decides(decisive[j], a) {
 					p, cost, _ := s.Plan(pairFlags[k], 0)
-					visit(p, cost)
+					visit(p, cost, setting{flags: pairFlags[k]})
 				}
 				k++
 			}
@@ -196,7 +316,7 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 	if s.Scales() {
 		for _, scale := range e.CardScales {
 			p, cost, _ := s.Plan(nativeopt.Flags{}, scale)
-			visit(p, cost)
+			visit(p, cost, setting{scale: scale})
 		}
 	}
 }

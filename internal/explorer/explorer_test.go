@@ -270,7 +270,7 @@ func oracleWorlds() []oracleWorld {
 // planned counts the plannings Candidates makes for q.
 func (e *Explorer) planned(q *query.Query) int {
 	n := 0
-	e.plannings(nativeopt.NewSession(e.View, q), func(*plan.Plan, float64) { n++ })
+	e.plannings(nativeopt.NewSession(e.View, q), func(*plan.Plan, float64, setting) { n++ })
 	return n
 }
 
@@ -339,26 +339,42 @@ func TestCandidatesMatchPerSettingReference(t *testing.T) {
 
 // BenchmarkExplorerCandidates is the warm path in seconds: one op is one
 // Explorer.Candidates call, cycling through the templates of a project1-shaped
-// and a project2-shaped world. planned/op is the plannings a request makes of
-// the explorer's ten settings, counted from the decisive sets the plannings
-// return; kept/op the candidates it returns.
+// and a project2-shaped world. "first" builds a fresh explorer for every pass
+// over the templates, so each call is the first sight of its query — every
+// setting explored, as on dayroll and loop; "repeat" keeps one explorer, so
+// each call replays the steering its memo recorded, as on recurring.
+// planned/op is the plannings a first sight makes of the explorer's ten
+// settings, counted from the decisive sets the plannings return; kept/op the
+// candidates it returns, which is also what a replay plans.
 func BenchmarkExplorerCandidates(b *testing.B) {
 	for _, w := range oracleWorlds()[:2] {
-		b.Run(w.name, func(b *testing.B) {
-			e := New(w.view)
-			planned, kept := 0, 0
-			for _, q := range w.queries {
-				planned += e.planned(q)
-				kept += len(e.Candidates(q))
+		e := New(w.view)
+		planned, kept := 0, 0
+		for _, q := range w.queries {
+			planned += e.planned(q)
+			kept += len(e.Candidates(q))
+			e.Candidates(q) // the second sight records
+		}
+		for _, repeat := range []bool{false, true} {
+			name := w.name + "/first"
+			if repeat {
+				name = w.name + "/repeat"
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.Candidates(w.queries[i%len(w.queries)])
-			}
-			b.ReportMetric(float64(planned)/float64(len(w.queries)), "planned/op")
-			b.ReportMetric(float64(kept)/float64(len(w.queries)), "kept/op")
-		})
+			b.Run(name, func(b *testing.B) {
+				ex := e
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i % len(w.queries)
+					if k == 0 && !repeat {
+						ex = New(w.view)
+					}
+					_ = ex.Candidates(w.queries[k])
+				}
+				b.ReportMetric(float64(planned)/float64(len(w.queries)), "planned/op")
+				b.ReportMetric(float64(kept)/float64(len(w.queries)), "kept/op")
+			})
+		}
 	}
 }
 
@@ -473,9 +489,9 @@ func TestRoughSealValidity(t *testing.T) {
 	}
 }
 
-// TestCandidatesConcurrentOnOneView: planning sessions are goroutine-local
-// and the view is only read, so goroutines sharing one explorer get what a
-// lone caller gets (run under -race).
+// TestCandidatesConcurrentOnOneView: planning sessions are goroutine-local,
+// the view is only read and the steering memo is locked, so goroutines
+// sharing one explorer get what a lone caller gets (run under -race).
 func TestCandidatesConcurrentOnOneView(t *testing.T) {
 	e, g := fixture(13, stats.DefaultPolicy())
 	var queries []*query.Query

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -34,13 +36,27 @@ func (h Hash) Str(s string) Hash {
 	return h.Byte(0)
 }
 
-// Uint64 folds v least-significant byte first (little-endian order).
+// fnvPrimePow[k] is fnvPrime64 to the k-th power, mod 2⁶⁴.
+var fnvPrimePow = func() (out [9]Hash) {
+	out[0] = 1
+	for k := 1; k < len(out); k++ {
+		out[k] = out[k-1] * fnvPrime64
+	}
+	return out
+}()
+
+// Uint64 folds v least-significant byte first (little-endian order). Past
+// v's highest nonzero byte every step is (h ^ 0) * p = h * p, so the zero
+// bytes fold as one multiply by p^k — the same value as the byte loop (mod
+// 2⁶⁴ multiplication is associative), in one multiply instead of up to eight
+// dependent ones for the small integers plans are mostly made of.
 func (h Hash) Uint64(v uint64) Hash {
-	for i := 0; i < 8; i++ {
+	n := (bits.Len64(v) + 7) >> 3
+	for i := 0; i < n; i++ {
 		h = (h ^ Hash(v&0xff)) * fnvPrime64
 		v >>= 8
 	}
-	return h
+	return h * fnvPrimePow[8-n]
 }
 
 // Int folds a signed integer.
@@ -71,6 +87,38 @@ func (n *Node) AppendHash(h Hash) Hash {
 		h = c.AppendHash(h)
 	}
 	return h
+}
+
+// AppendKey appends "table.column" to b as two length-prefixed strings: an
+// exact, prefix-free encoding, for keys that must not collide (AppendHash's
+// values may).
+func (c ColumnRef) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(c.Table)))
+	b = append(b, c.Table...)
+	b = binary.AppendUvarint(b, uint64(len(c.Column)))
+	return append(b, c.Column...)
+}
+
+// AppendKey appends the predicate's exact encoding to b: the fields
+// AppendHash folds, in the same preorder, with every list length-prefixed and
+// constants by their IEEE-754 bits, so two predicates have equal keys iff
+// they are Equal.
+func (n *Node) AppendKey(b []byte) []byte {
+	if n == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = binary.AppendVarint(b, int64(n.Fn))
+	b = n.Col.AppendKey(b)
+	b = binary.AppendUvarint(b, uint64(len(n.Args)))
+	for _, v := range n.Args {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.AppendUvarint(b, uint64(len(n.Children)))
+	for _, c := range n.Children {
+		b = c.AppendKey(b)
+	}
+	return b
 }
 
 // Equal reports whether the two predicates have the same structure: exactly

@@ -93,6 +93,16 @@ func (p *Plan) Seal() uint64 {
 	return p.sealFP
 }
 
+// SealRecorded seals the plan with fp, a fingerprint Seal returned for an
+// earlier plan, without walking the tree. It is valid only when this plan is
+// Equal to that one — built from the same inputs by the same deterministic
+// planning (the explorer's steering memo replays a recorded setting) — and
+// the rules of Seal apply.
+func (p *Plan) SealRecorded(fp uint64) {
+	p.sealFP = fp
+	p.sealed = true
+}
+
 // SealedFingerprint returns the sealed fingerprint, if any.
 func (p *Plan) SealedFingerprint() (uint64, bool) { return p.sealFP, p.sealed }
 

@@ -102,6 +102,16 @@ func TestSlotIsNotPlanState(t *testing.T) {
 	})
 }
 
+// TestFingerprintGolden pins the sample plan's fingerprint to the value the
+// byte-at-a-time FNV fold computed: the plan cache's keys, the choices digest
+// and history's fingerprint statistics all read fingerprints, so a faster
+// fold must not move one.
+func TestFingerprintGolden(t *testing.T) {
+	if got, want := samplePlan().Root.Fingerprint(), uint64(0x71b95ca73b0ec17b); got != want {
+		t.Fatalf("sample plan fingerprint %#x, want %#x", got, want)
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	base := samplePlan().Root.Fingerprint()
 	mutations := []func(p *Plan){

@@ -1,6 +1,11 @@
 package predictor
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"loam/internal/plan"
+)
 
 // planCache is a bounded LRU of plan embeddings keyed by the plan's
 // structural fingerprint plus the environment key — the two inputs that fully
@@ -40,10 +45,13 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key        cacheKey
-	emb        []float64
-	done       chan struct{} // closed once emb is final (or the compute failed)
-	failed     bool          // set before close(done) if the compute panicked
+	key    cacheKey
+	emb    []float64
+	done   chan struct{} // closed once emb is final (or the compute failed)
+	failed bool          // set before close(done) if the compute panicked
+	// final is set, after emb or failed, just before done closes: a reader
+	// that loads it true reads the entry without a blocking receive.
+	final      atomic.Bool
 	prev, next *cacheEntry
 }
 
@@ -103,6 +111,28 @@ func (c *planCache) moveFront(e *cacheEntry) {
 func (c *planCache) claim(key cacheKey) (e *cacheEntry, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.claimLocked(key)
+}
+
+// claimAll claims each candidate's key — its fingerprint under env — in
+// order, exactly as claim would one at a time, under one acquisition of mu.
+// It appends every entry to s.entries and those it owns, with their plans, to
+// s.owned and s.ownedPlans.
+func (c *planCache) claimAll(s *inferScratch, cands []*plan.Plan, env uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, pl := range cands {
+		e, owner := c.claimLocked(cacheKey{plan: pl.CacheFingerprint(), env: env})
+		s.entries = append(s.entries, e)
+		if owner {
+			s.owned = append(s.owned, e)
+			s.ownedPlans = append(s.ownedPlans, pl)
+		}
+	}
+}
+
+// claimLocked is claim with mu held.
+func (c *planCache) claimLocked(key cacheKey) (e *cacheEntry, owner bool) {
 	if e, ok := c.m[key]; ok {
 		c.moveFront(e)
 		c.tel.cacheHits.Inc()
@@ -127,7 +157,15 @@ func (c *planCache) claim(key cacheKey) (e *cacheEntry, owner bool) {
 // whoever holds it; it is just no longer retained.
 func (e *cacheEntry) publish(emb []float64) {
 	e.emb = emb
+	e.final.Store(true)
 	close(e.done)
+}
+
+// wait returns once the entry is final: at once if it already is.
+func (e *cacheEntry) wait() {
+	if !e.final.Load() {
+		<-e.done
+	}
 }
 
 // fail gives up an owned entry whose computation died: it leaves the map
@@ -141,6 +179,7 @@ func (c *planCache) fail(e *cacheEntry) {
 	}
 	c.mu.Unlock()
 	e.failed = true
+	e.final.Store(true)
 	close(e.done)
 }
 

@@ -230,14 +230,7 @@ func (p *Predictor) embedCached(s *inferScratch, batch []float64, cands []*plan.
 		clear(s.owned)
 		clear(s.ownedPlans)
 	}()
-	for _, pl := range cands {
-		e, owner := c.claim(cacheKey{plan: pl.CacheFingerprint(), env: env})
-		s.entries = append(s.entries, e)
-		if owner {
-			s.owned = append(s.owned, e)
-			s.ownedPlans = append(s.ownedPlans, pl)
-		}
-	}
+	c.claimAll(s, cands, env)
 	if len(s.owned) > 0 {
 		// Staged in batch's first rows; the loop below refills every row.
 		p.bb.embedInfer(s, batch, s.ownedPlans, envs)
@@ -248,7 +241,7 @@ func (p *Predictor) embedCached(s *inferScratch, batch []float64, cands []*plan.
 	}
 	for i, e := range s.entries {
 		row := batch[i*embDim : (i+1)*embDim]
-		<-e.done
+		e.wait()
 		if e.failed {
 			// The pass that owned it died; compute here, cache untouched.
 			s.one[0] = cands[i]

@@ -683,13 +683,16 @@ func BenchmarkSelectPlanUncached(b *testing.B) {
 }
 
 // BenchmarkSelectPlanCached scores the same recurring 8-candidate set with a
-// warm plan-embedding cache — the recurring-query serving hot path.
+// warm plan-embedding cache — the recurring-query serving hot path. The
+// candidates are sealed, as the explorer hands them over, so the cache keys
+// on the stored fingerprint and no tree walk is timed.
 func BenchmarkSelectPlanCached(b *testing.B) {
 	p, _, envs := benchPredictor(b)
 	samples, _ := synthetic(40, 28)
 	cands := make([]*plan.Plan, 8)
 	for i := range cands {
-		cands[i] = samples[i].Plan
+		cands[i] = samples[i].Plan.Clone()
+		cands[i].Seal()
 	}
 	p.EnablePlanCache(64)
 	key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})

@@ -5,7 +5,9 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 
 	"loam/internal/expr"
 	"loam/internal/plan"
@@ -84,6 +86,48 @@ func (q *Query) Input(table string) *TableInput {
 		return in
 	}
 	return &defaultInput
+}
+
+// AppendPlanningKey appends to b an exact encoding of every input the native
+// optimizer plans q from: the tables in order, each one's Input — partition
+// fraction by its bits, columns accessed, Pred, HardPred — then the joins,
+// the grouping and the aggregates. Strings and lists are length-prefixed, so
+// two queries have equal keys iff they plan alike under any one view and
+// setting. ID, TemplateID, Project, Day and NoiseSigma are not planning
+// inputs and stay out, as does an Inputs entry for a table not in Tables.
+func (q *Query) AppendPlanningKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(q.Tables)))
+	for _, name := range q.Tables {
+		b = appendString(b, name)
+		in := q.Input(name)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.PartitionFrac))
+		b = binary.AppendVarint(b, int64(in.ColumnsAccessed))
+		b = in.Pred.AppendKey(b)
+		b = in.HardPred.AppendKey(b)
+	}
+	b = binary.AppendUvarint(b, uint64(len(q.Joins)))
+	for _, j := range q.Joins {
+		b = appendString(b, j.LeftTable)
+		b = appendString(b, j.RightTable)
+		b = j.LeftCol.AppendKey(b)
+		b = j.RightCol.AppendKey(b)
+		b = binary.AppendVarint(b, int64(j.Form))
+	}
+	b = binary.AppendUvarint(b, uint64(len(q.GroupBy)))
+	for _, c := range q.GroupBy {
+		b = c.AppendKey(b)
+	}
+	b = binary.AppendUvarint(b, uint64(len(q.Aggs)))
+	for _, a := range q.Aggs {
+		b = binary.AppendVarint(b, int64(a.Fn))
+		b = a.Col.AppendKey(b)
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // Check returns ErrInvalid for a query that cannot be planned (nil included).
