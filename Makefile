@@ -89,7 +89,8 @@ lint-fix-hints:
 # fleet's admission shedding and budget invariant (every internal/fleet test,
 # the tenant table's reference check and the concurrent control plane
 # included), and the plan cache's claim → compute → publish → wait protocol
-# (crossing candidate orders, a panic mid-forest) — under the race detector.
+# (crossing candidate orders, a panic mid-forest, keyed estimates equal to
+# unkeyed ones on every hit/miss path) — under the race detector.
 # It is a -run subset of `race`, so `verify` does not run it again: a focused,
 # fast loop for iterating on the guarded serving layer (see DESIGN.md
 # "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
@@ -109,14 +110,18 @@ chaos-recover:
 # warm is the warm path's developer loop, like chaos not a verify step: the
 # explorer's and nativeopt's reference and differential tests (every plan vs.
 # an independent planning, every node's rows vs. a fresh estimate, the
-# decisive-set rule, the sharing contract), the steering memo's key-coverage,
-# replay and concurrency tests, the FNV fold's differential and golden tests,
-# the allocation and retained-heap ceilings and plan.Node's size, then one
-# Explorer.Candidates per op over a project1- and a project2-shaped query
-# set, first sight and repeat (~10 s; DESIGN.md "Exploration budget").
+# decisive-set rule, the sharing contract, a session resumed from recorded
+# estimates vs. a fresh one), the steering memo's key-coverage, replay and
+# concurrency tests, the FNV fold's differential and golden tests, the
+# allocation and retained-heap ceilings and plan.Node's size, then both halves
+# of a warm request: one Explorer.Candidates per op over a project1- and a
+# project2-shaped query set, first sight and repeat, and one SelectPlanKeyed
+# of eight candidates on a warm plan cache (~20 s; DESIGN.md "Exploration
+# budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Steer|Uint64MatchesByteLoop|FingerprintGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
+	$(GO) test -run '^$$' -bench SelectPlanCached -benchtime 200000x -cpu 2 -benchmem ./internal/predictor
 
 # train is the training path's developer loop, like warm and cold not a verify
 # step: the TCN trained as one forest per minibatch against the per-plan

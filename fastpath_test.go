@@ -170,7 +170,7 @@ func TestPlanCacheInvalidatedOnRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := restored.Predictor().PlanCacheLen(); n != 0 {
-		t.Fatalf("restored deployment inherited %d cached embeddings", n)
+		t.Fatalf("restored deployment inherited %d cached estimates", n)
 	}
 	for i, q := range qs {
 		c, err := restored.OptimizeCtx(context.Background(), q)

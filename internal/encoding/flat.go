@@ -16,7 +16,7 @@ import (
 // whole candidate set, each distinct feature row and each node pointer held
 // once), training one it owns
 // until Backward — and EnvKey, the hashable identity of an inference-time
-// environment source used to key the plan-embedding cache.
+// environment source used to key the predictor's plan cache.
 //
 // Rows are in preorder. Row order feeds the pooling reductions, so it is part
 // of what a trained model's weights mean, not a nicety.

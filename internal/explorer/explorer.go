@@ -68,7 +68,7 @@ func withMemo(e *Explorer) *Explorer {
 		owner: e, config: *e,
 		seed:    maphash.MakeSeed(),
 		seen:    map[uint64]struct{}{},
-		records: map[string][]steerStep{},
+		records: map[string]steerRecord{},
 	}
 	m.config.CardScales = slices.Clone(e.CardScales)
 	e.memo = m
@@ -76,11 +76,11 @@ func withMemo(e *Explorer) *Explorer {
 }
 
 // steerMemo is an explorer's record of how it steered the queries it has
-// seen twice: the settings whose plans it returned, in output order, with
-// each plan's fingerprint. A repeat query replays them — plans only those
-// settings, skips the dedup and the sort, and seals each plan with its
-// recorded fingerprint — and gets what exploring again would return, bit for
-// bit (DESIGN.md "Plan exploration contract").
+// seen twice (steerRecord). A repeat query replays its record — resumes a
+// planning session from the recorded estimates, plans only the recorded
+// settings, skips the rough costs, the dedup and the sort, and seals each plan
+// with its recorded fingerprint and rough cost — and gets what exploring again
+// would return, bit for bit (DESIGN.md "Plan exploration contract").
 //
 // A record is keyed by the query's exact planning key
 // (query.Query.AppendPlanningKey): the whole string is compared, so no hash
@@ -101,14 +101,23 @@ type steerMemo struct {
 	// that race to build one store equal records.
 	mu      sync.RWMutex
 	seen    map[uint64]struct{}
-	records map[string][]steerStep
+	records map[string]steerRecord
+}
+
+// steerRecord is how the explorer steered one query: the estimates its
+// planning session evaluated, and the candidates it returned, in output order.
+type steerRecord struct {
+	est   nativeopt.Estimates
+	steps []steerStep
 }
 
 // steerStep is one candidate of a recorded steering: the setting that
-// planned it and the fingerprint Seal returned for the plan.
+// planned it, the fingerprint Seal returned for the plan and the rough cost
+// its planning returned.
 type steerStep struct {
 	setting
-	fp uint64
+	fp    uint64
+	rough float64
 }
 
 // setting is one steering setting: the flags and card scale a planning ran
@@ -169,16 +178,16 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	key := q.AppendPlanningKey(buf[:0])
 	h := maphash.Bytes(m.seed, key)
 	m.mu.RLock()
-	steps, recorded := m.records[string(key)]
+	rec, recorded := m.records[string(key)]
 	_, again := m.seen[h]
 	m.mu.RUnlock()
 	if recorded {
-		return e.replay(q, steps)
+		return e.replay(q, &rec)
 	}
-	out, steps := e.explore(q, again)
+	out, rec := e.explore(q, again)
 	m.mu.Lock()
 	if again {
-		m.records[string(key)] = steps
+		m.records[string(key)] = rec
 	} else {
 		m.seen[h] = struct{}{}
 	}
@@ -186,16 +195,17 @@ func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	return out
 }
 
-// replay plans the recorded settings of a query, in the recorded order, and
-// seals each plan with the fingerprint and the rough cost exploring sealed.
-func (e *Explorer) replay(q *query.Query, steps []steerStep) []*plan.Plan {
-	session := nativeopt.NewSession(e.View, q)
-	out := make([]*plan.Plan, len(steps))
-	for i, st := range steps {
-		p, cost, _ := session.Plan(st.flags, st.scale)
+// replay plans the recorded settings of a query, in the recorded order, in a
+// session resumed from the recorded estimates, and seals each plan with the
+// fingerprint and the rough cost exploring sealed.
+func (e *Explorer) replay(q *query.Query, rec *steerRecord) []*plan.Plan {
+	session := nativeopt.ResumeSession(e.View, q, &rec.est)
+	out := make([]*plan.Plan, len(rec.steps))
+	for i, st := range rec.steps {
+		p, _ := session.Plan(st.flags, st.scale)
 		k := session.Keep(p)
 		k.SealRecorded(st.fp)
-		k.SealRough(e.View, cost)
+		k.SealRough(e.View, st.rough)
 		out[i] = k
 	}
 	return out
@@ -203,7 +213,7 @@ func (e *Explorer) replay(q *query.Query, steps []steerStep) []*plan.Plan {
 
 // explore plans the query under every setting and returns the candidates;
 // with record, also their steering, for the memo.
-func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, []steerStep) {
+func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, steerRecord) {
 	session := nativeopt.NewSession(e.View, q)
 	type scored struct {
 		p    *plan.Plan
@@ -248,23 +258,23 @@ func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, []steerSt
 		alts = alts[:e.TopK-1]
 	}
 	// Only what is returned is sealed: with its fingerprint, which the
-	// predictor's plan-embedding cache keys on (plan.Seal), and with the rough
-	// cost planning produced (plan.SealRough), which the guard's sentinel asks
+	// predictor's plan cache keys on (plan.Seal), and with the rough cost
+	// planning produced (plan.SealRough), which the guard's sentinel asks
 	// nativeopt for again on every learned serve.
 	out := make([]*plan.Plan, 0, 1+len(alts))
-	var steps []steerStep
+	var rec steerRecord
 	if record {
-		steps = make([]steerStep, 0, cap(out))
+		rec = steerRecord{est: session.Estimates(), steps: make([]steerStep, 0, cap(out))}
 	}
 	for _, k := range kept[:1+len(alts)] {
 		fp := k.p.Seal()
 		k.p.SealRough(e.View, k.cost)
 		out = append(out, k.p)
 		if record {
-			steps = append(steps, steerStep{setting: k.by, fp: fp})
+			rec.steps = append(rec.steps, steerStep{setting: k.by, fp: fp, rough: k.cost})
 		}
 	}
-	return out, steps
+	return out, rec
 }
 
 // settings is how many steering settings the explorer chooses from.
@@ -286,8 +296,8 @@ func (e *Explorer) settings() int {
 // later twin of a plan visit has seen: no candidate, knob label or order
 // changes.
 func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64, setting)) {
-	p, cost, base := s.Plan(nativeopt.Flags{}, 0)
-	visit(p, cost, setting{})
+	p, base := s.Plan(nativeopt.Flags{}, 0)
+	visit(p, s.RoughCost(p), setting{})
 
 	// decisive[i] is the decisive set of singleFlags[i]'s planning; a single
 	// flag inert in the default planning builds the default plan by the
@@ -296,8 +306,8 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 	for i, f := range singleFlags {
 		decisive[i] = base
 		if decides(base, f) {
-			p, cost, decisive[i] = s.Plan(f, 0)
-			visit(p, cost, setting{flags: f})
+			p, decisive[i] = s.Plan(f, 0)
+			visit(p, s.RoughCost(p), setting{flags: f})
 		}
 	}
 	if e.Wide {
@@ -306,8 +316,8 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 		for i, a := range singleFlags {
 			for j := i + 1; j < len(singleFlags); j++ {
 				if decides(decisive[i], singleFlags[j]) && decides(decisive[j], a) {
-					p, cost, _ := s.Plan(pairFlags[k], 0)
-					visit(p, cost, setting{flags: pairFlags[k]})
+					p, _ := s.Plan(pairFlags[k], 0)
+					visit(p, s.RoughCost(p), setting{flags: pairFlags[k]})
 				}
 				k++
 			}
@@ -315,8 +325,8 @@ func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float6
 	}
 	if s.Scales() {
 		for _, scale := range e.CardScales {
-			p, cost, _ := s.Plan(nativeopt.Flags{}, scale)
-			visit(p, cost, setting{scale: scale})
+			p, _ := s.Plan(nativeopt.Flags{}, scale)
+			visit(p, s.RoughCost(p), setting{scale: scale})
 		}
 	}
 }

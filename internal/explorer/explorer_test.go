@@ -163,7 +163,7 @@ func TestPairFlagSetsCount(t *testing.T) {
 func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) {
 	base := nativeopt.New(e.View)
 	optimize := func(f nativeopt.Flags, scale float64) *plan.Plan {
-		p, _, _ := nativeopt.NewSession(e.View, q).Plan(f, scale)
+		p, _ := nativeopt.NewSession(e.View, q).Plan(f, scale)
 		return p.Clone()
 	}
 	def := optimize(nativeopt.Flags{}, 0)

@@ -170,8 +170,10 @@ func TestSteerKeyCoversPlanningInputs(t *testing.T) {
 			continue
 		}
 		for _, st := range allSettings() {
-			p, cost, decisive := nativeopt.NewSession(view, orig).Plan(st.flags, st.scale)
-			mp, mcost, mdecisive := nativeopt.NewSession(view, q).Plan(st.flags, st.scale)
+			s, ms := nativeopt.NewSession(view, orig), nativeopt.NewSession(view, q)
+			p, decisive := s.Plan(st.flags, st.scale)
+			mp, mdecisive := ms.Plan(st.flags, st.scale)
+			cost, mcost := s.RoughCost(p), ms.RoughCost(mp)
 			if !mp.Root.Equal(p.Root) || !slices.Equal(mp.Knobs, p.Knobs) ||
 				math.Float64bits(mcost) != math.Float64bits(cost) || mdecisive != decisive {
 				t.Errorf("row %d (%s): the key ignores it, but nativeopt plans %+v differently", i, row.field, st)
@@ -260,8 +262,19 @@ func TestSteerMemoReplaysFreshCandidates(t *testing.T) {
 				label := fmt.Sprintf("%s %s %s", w.name, x.name, q.ID)
 				want := fresh(x.e, q)
 				for call := 1; call <= 3; call++ {
-					if err := sameCandidates(w.view, x.e.Candidates(q), want); err != nil {
+					got := x.e.Candidates(q)
+					if err := sameCandidates(w.view, got, want); err != nil {
 						t.Fatalf("%s call %d: %v", label, call, err)
+					}
+					if call == 3 {
+						// The seals a replay took from its record are the
+						// costs an estimate-and-walk of each plan computes.
+						for i, c := range got {
+							sealed, _ := c.SealedRough(w.view)
+							if walked := nativeopt.New(w.view).RoughCost(c.Clone()); math.Float64bits(sealed) != math.Float64bits(walked) {
+								t.Fatalf("%s call 3: candidate %d sealed rough %v, estimated and walked %v", label, i, sealed, walked)
+							}
+						}
 					}
 					if key := string(q.AppendPlanningKey(nil)); x.orig == nil && call == 1 && !called[key] {
 						if _, ok := x.e.memo.records[key]; ok {
@@ -294,9 +307,9 @@ func TestSteerMemoSecondSight(t *testing.T) {
 		t.Fatalf("after one call: %d seen, %d records; want 1, 0", len(e.memo.seen), len(e.memo.records))
 	}
 	e.Candidates(q)
-	steps, ok := e.memo.records[string(q.AppendPlanningKey(nil))]
-	if !ok || len(steps) != len(fresh(e, q)) {
-		t.Fatalf("after two calls: record %v of %d steps", ok, len(steps))
+	rec, ok := e.memo.records[string(q.AppendPlanningKey(nil))]
+	if !ok || len(rec.steps) != len(fresh(e, q)) {
+		t.Fatalf("after two calls: record %v of %d steps", ok, len(rec.steps))
 	}
 	for _, other := range w.queries[1:] {
 		e.Candidates(other)
@@ -334,5 +347,51 @@ func TestSteerMemoConcurrentRepeats(t *testing.T) {
 	wg.Wait()
 	if len(e.memo.records) == 0 {
 		t.Fatal("no query was recorded")
+	}
+}
+
+// TestSteerRecordResumesFreshSession: over every world and the default, the
+// wide and an uncut (TopK 0) explorer, each with a memo of its own, the
+// estimates a record holds resume — under a repeat of the query that shares
+// no pointer with it (other ID and day) — a session that plans every setting
+// either explorer can plan to the plan a NewSession of the query plans: Equal,
+// the same knobs and decisive set, the same rough cost bits. (Every node's
+// rows are checked against a fresh session's in nativeopt's
+// TestResumedSessionPlansAsFresh.) Each recorded step's rough cost is the one
+// its setting plans to.
+func TestSteerRecordResumesFreshSession(t *testing.T) {
+	for _, w := range oracleWorlds() {
+		uncut := *New(w.view)
+		uncut.TopK, uncut.memo = 0, nil
+		for name, e := range map[string]*Explorer{"default": New(w.view), "wide": NewWide(w.view), "uncut": withMemo(&uncut)} {
+			for _, q := range w.queries {
+				e.Candidates(q)
+				e.Candidates(q)
+				rec, ok := e.memo.records[string(q.AppendPlanningKey(nil))]
+				if !ok {
+					t.Fatalf("%s %s %s: no record after two calls", w.name, name, q.ID)
+				}
+				repeat := cloneQuery(q)
+				repeat.ID += "-again"
+				repeat.Day++
+				resumed, fresh := nativeopt.ResumeSession(w.view, repeat, &rec.est), nativeopt.NewSession(w.view, q)
+				for _, st := range allSettings() {
+					rp, rdecisive := resumed.Plan(st.flags, st.scale)
+					fp, fdecisive := fresh.Plan(st.flags, st.scale)
+					rcost, fcost := resumed.RoughCost(rp), fresh.RoughCost(fp)
+					if !rp.Root.Equal(fp.Root) || !slices.Equal(rp.Knobs, fp.Knobs) || rdecisive != fdecisive ||
+						math.Float64bits(rcost) != math.Float64bits(fcost) {
+						t.Fatalf("%s %s %s %+v: the resumed session plans\n%s\n(rough %v), a fresh one\n%s\n(rough %v)",
+							w.name, name, q.ID, st, rp, rcost, fp, fcost)
+					}
+				}
+				for i, step := range rec.steps {
+					p, _ := fresh.Plan(step.flags, step.scale)
+					if cost := fresh.RoughCost(p); math.Float64bits(step.rough) != math.Float64bits(cost) {
+						t.Fatalf("%s %s %s: step %d recorded rough %v, its setting plans to %v", w.name, name, q.ID, i, step.rough, cost)
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ type SyntheticChoice struct {
 // SyntheticTenant is a Backend for fleet-scale experiments: it serves
 // instantly, but its plan cache is real — a bounded LRU keyed by query
 // template whose capacity is granted (and revoked) by the registry's budget
-// governor exactly like a deployment's plan-embedding cache. Two hundred of
+// governor exactly like a deployment's plan cache. Two hundred of
 // these beside two real deployments (the bench package's fleet workload)
 // exercise the registry's routing, admission and budget machinery.
 type SyntheticTenant struct {

@@ -149,7 +149,7 @@ type Scorer interface {
 
 // KeyedScorer is the cache-eligible learned path: a scorer that also accepts
 // the environment key identifying the request's EnvSource, unlocking the
-// predictor's plan-embedding cache. predictor.Predictor implements it; plain
+// predictor's plan cache. predictor.Predictor implements it; plain
 // Scorer stubs keep working and simply serve uncached.
 type KeyedScorer interface {
 	Scorer

@@ -1,7 +1,10 @@
 package nativeopt
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"loam/internal/cardinality"
@@ -117,7 +120,8 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 			planned := 0
 			for _, scale := range diffScales {
 				for _, f := range flags {
-					p, rough, _ := s.Plan(f, scale)
+					p, _ := s.Plan(f, scale)
+					rough := s.RoughCost(p)
 
 					plain := &cardinality.Estimator{Src: cardinality.ViewSource(w.view)}
 					unscaled := plain.Estimate(p.Root)
@@ -254,13 +258,15 @@ func TestDecisiveFlagsExact(t *testing.T) {
 			s := NewSession(w.view, q)
 			bases := append([]Flags{{}}, singleFlags[:]...)
 			for _, f := range bases {
-				p, baseCost, decisive := s.Plan(f, 0)
+				p, decisive := s.Plan(f, 0)
+				baseCost := s.RoughCost(p)
 				base := s.Keep(p)
 				for _, x := range singleFlags {
 					if f.Union(x) == f {
 						continue
 					}
-					p, cost, got := s.Plan(f.Union(x), 0)
+					p, got := s.Plan(f.Union(x), 0)
+					cost := s.RoughCost(p)
 					same := p.Root.Equal(base.Root)
 					if same != (p.Root.Fingerprint() == base.Root.Fingerprint()) {
 						t.Fatalf("%s %s %v+%v: Equal %v, fingerprints disagree", w.name, q.ID, f.Knobs(), x.Knobs(), same)
@@ -286,7 +292,8 @@ func TestDecisiveFlagsExact(t *testing.T) {
 				if !s.Scales() {
 					unscalable++
 					for _, scale := range diffScales {
-						p, cost, got := s.Plan(f, scale)
+						p, got := s.Plan(f, scale)
+						cost := s.RoughCost(p)
 						if !p.Root.Equal(base.Root) || math.Float64bits(cost) != math.Float64bits(baseCost) || got != decisive {
 							t.Fatalf("%s %s %v: %d tables, yet scale %g plans\n%s\nnot\n%s",
 								w.name, q.ID, f.Knobs(), len(q.Tables), scale, p, base)
@@ -333,7 +340,7 @@ func TestSharedScansNeverAlias(t *testing.T) {
 			s := NewSession(w.view, q)
 			for round := 0; round < 20; round++ {
 				for i, st := range settings {
-					p, _, _ := s.Plan(st.f, st.scale)
+					p, _ := s.Plan(st.f, st.scale)
 					if (round+i)%3 == 0 {
 						keep = append(keep, kept{st, s.Keep(p)})
 					}
@@ -531,6 +538,124 @@ func refJoinOrder(v *stats.View, q *query.Query, cardScale float64) []string {
 		}
 		joined[next] = true
 		out = append(out, next)
+	}
+	return out
+}
+
+// repeatOf deep-copies q — slices, inputs, predicates — under another ID and
+// day: a repeat request, a distinct *query.Query with an equal planning key.
+func repeatOf(q *query.Query) *query.Query {
+	c := *q
+	c.ID += "-repeat"
+	c.Day++
+	c.Tables = slices.Clone(q.Tables)
+	c.Joins = slices.Clone(q.Joins)
+	c.GroupBy = slices.Clone(q.GroupBy)
+	c.Aggs = slices.Clone(q.Aggs)
+	c.Inputs = make(map[string]*query.TableInput, len(q.Inputs))
+	for name, in := range q.Inputs {
+		cp := *in
+		cp.Pred, cp.HardPred = in.Pred.Clone(), in.HardPred.Clone()
+		c.Inputs[name] = &cp
+	}
+	return &c
+}
+
+// sameNodeRows walks two plans Equal in structure side by side and fails at
+// the first node whose rows or base-table count in got differ, at
+// Float64bits, from its twin's in want.
+func sameNodeRows(t *testing.T, label string, g, w *plan.Node, got, want *cardinality.Result) {
+	t.Helper()
+	if math.Float64bits(got.Rows(g)) != math.Float64bits(want.Rows(w)) || got.BaseTables(g) != want.BaseTables(w) {
+		t.Fatalf("%s: %s rows %v (%d tables), fresh session %v (%d tables)",
+			label, g.Op, got.Rows(g), got.BaseTables(g), want.Rows(w), want.BaseTables(w))
+	}
+	for i := range g.Children {
+		sameNodeRows(t, label, g.Children[i], w.Children[i], got, want)
+	}
+}
+
+// TestResumedSessionPlansAsFresh: a session resumed from the estimates of
+// another session of the query — under a repeat of the query that shares no
+// pointer with it — plans every setting, over every template of every world,
+// to the plan NewSession's session plans: Equal, with the same knobs and
+// decisive set, every node's rows (and, scaling, scaled rows) the same bits,
+// and the same rough cost bits. Its own estimates are the ones it resumed
+// from. Estimates of another view, or of a query of another shape, panic.
+func TestResumedSessionPlansAsFresh(t *testing.T) {
+	worlds := diffWorlds()
+	deferring, greedy := 0, 0
+	for _, w := range worlds {
+		for _, q := range w.queries {
+			est := NewSession(w.view, q).Estimates()
+			rq := repeatOf(q)
+			if string(rq.AppendPlanningKey(nil)) != string(q.AppendPlanningKey(nil)) {
+				t.Fatalf("%s %s: the repeat's planning key differs", w.name, q.ID)
+			}
+			resumed, fresh := ResumeSession(w.view, rq, &est), NewSession(w.view, q)
+			if !reflect.DeepEqual(resumed.Estimates(), est) {
+				t.Fatalf("%s %s: the resumed session's estimates are not the ones it resumed from", w.name, q.ID)
+			}
+			for i := range fresh.tables {
+				if fresh.tables[i].defers {
+					deferring++
+				}
+			}
+			if !slices.Equal(fresh.base, identity(len(q.Tables))) {
+				greedy++
+			}
+			for _, scale := range diffScales {
+				for _, f := range steeringFlags() {
+					label := fmt.Sprintf("%s %s %v scale %g", w.name, q.ID, f.Knobs(), scale)
+					rp, rdecisive := resumed.Plan(f, scale)
+					fp, fdecisive := fresh.Plan(f, scale)
+					if !rp.Root.Equal(fp.Root) || !slices.Equal(rp.Knobs, fp.Knobs) || rdecisive != fdecisive {
+						t.Fatalf("%s: the resumed session plans\n%s\n(decisive %v), the fresh one\n%s\n(decisive %v)",
+							label, rp, rdecisive.Knobs(), fp, fdecisive.Knobs())
+					}
+					sameNodeRows(t, label+" unscaled", rp.Root, fp.Root, resumed.cards, fresh.cards)
+					if scales(scale) {
+						sameNodeRows(t, label+" scaled", rp.Root, fp.Root, resumed.scaled, fresh.scaled)
+					}
+					if r, f := resumed.RoughCost(rp), fresh.RoughCost(fp); math.Float64bits(r) != math.Float64bits(f) {
+						t.Fatalf("%s: resumed rough cost %v, fresh %v", label, r, f)
+					}
+				}
+			}
+		}
+	}
+	if deferring == 0 || greedy == 0 {
+		t.Fatalf("%d deferred predicates, %d reordered queries: the estimates that decide them went unchecked", deferring, greedy)
+	}
+
+	small := worlds[2]
+	q, other := small.queries[0], small.queries[0]
+	for _, o := range small.queries {
+		if len(o.Tables) != len(q.Tables) {
+			other = o
+		}
+	}
+	est := NewSession(small.view, q).Estimates()
+	for name, resume := range map[string]func(){
+		"another view":             func() { ResumeSession(worlds[1].view, q, &est) },
+		"another number of tables": func() { ResumeSession(small.view, other, &est) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("resuming under %s did not panic", name)
+				}
+			}()
+			resume()
+		}()
+	}
+}
+
+// identity is the syntactic join order of n tables.
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
 	return out
 }

@@ -150,7 +150,7 @@ func (o *Optimizer) estimator() *cardinality.Estimator {
 // is the one-setting case of a planning Session: one planning, kept.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
 	s := NewSession(o.View, q)
-	p, _, _ := s.Plan(f, o.CardScale)
+	p, _ := s.Plan(f, o.CardScale)
 	return s.Keep(p)
 }
 
@@ -255,10 +255,12 @@ func log2(v float64) float64 {
 // table-local predicate and of each join edge's keys, each table's statistics
 // facts, the join graph resolved to table slots, the join order before the
 // card-scale rotation, each table's scan subplan — computed once and shared by
-// every setting the request plans (the explorer plans up to ten). It also
-// holds the cardinalities of every node it built: the builder registers each
-// node as it creates it, so every node is estimated once and sizing decisions
-// read sub-plan rows back.
+// every setting the request plans (the explorer plans up to ten). Of those,
+// the numbers evaluated against the view are its Estimates, which a session
+// of a repeat query can resume from (ResumeSession). It also holds the
+// cardinalities of every node it built: the builder registers each node as it
+// creates it, so every node is estimated once and sizing decisions read
+// sub-plan rows back.
 //
 // Who owns a node. A planning builds the nodes above the scans in the
 // session's scratch, which the next planning builds over again, so a plan that
@@ -324,12 +326,9 @@ type scratchNode struct {
 
 // tableFacts are the setting-independent facts of one query table.
 type tableFacts struct {
-	name      string
-	in        *query.TableInput
-	selPred   float64 // selectivity of in.Pred under the view (1 for nil)
-	selHard   float64 // selectivity of in.HardPred under the view (1 for nil)
-	hasStats  bool
-	partsRead int
+	name string
+	in   *query.TableInput
+	tableEstimate
 	// What FilterPushdown changes for the table. fuses: in.Pred is complex
 	// enough that the default rules keep it a Filter where pushdown fuses it
 	// into a Calc. defers: the default rules decline to push in.HardPred below
@@ -337,6 +336,31 @@ type tableFacts struct {
 	// statistics disable transformations) and place it above the table's first
 	// join — so a query of one table, having no join, never defers.
 	fuses, defers bool
+}
+
+// tableEstimate is what a session evaluates of one table against its view.
+type tableEstimate struct {
+	selPred   float64 // selectivity of in.Pred under the view (1 for nil)
+	selHard   float64 // selectivity of in.HardPred under the view (1 for nil)
+	partsRead int
+	hasStats  bool
+}
+
+// Estimates are the numbers a session evaluates against its view before it
+// plans any setting: each table's predicate selectivities, partitions read and
+// whether it has column statistics, each join edge's key selectivity, and the
+// join order before the card-scale rotation. No setting changes them, and they
+// are a function of the view and of the query's planning key
+// (query.Query.AppendPlanningKey) alone, so a session of a repeat query can
+// take them from an earlier session (ResumeSession) instead of evaluating
+// every predicate and join key again. They hold no pointer into the query
+// they were evaluated for, and nothing writes them once taken: any number of
+// sessions, on any goroutines, may read one.
+type Estimates struct {
+	view   *stats.View
+	tables []tableEstimate // parallel to the query's tables
+	joins  []float64       // each join edge's key selectivity, parallel to the query's joins
+	base   []int           // the join order as table slots, before scaleRotate
 }
 
 // joinEdge is one join edge of the query, resolved once per session: its
@@ -360,7 +384,26 @@ func maxPlanNodes(n int) int { return 3*(n-1) + n + 1 + 3 + 1 }
 func maxScanNodes(n int) int { return 2 * 3 * n }
 
 // NewSession evaluates the setting-independent inputs of planning q against v.
-func NewSession(v *stats.View, q *query.Query) *Session {
+func NewSession(v *stats.View, q *query.Query) *Session { return newSession(v, q, nil) }
+
+// ResumeSession is NewSession with the estimates taken from e instead of
+// evaluated: e must be what Estimates returned for a session of v and of a
+// query with q's planning key. The session plans every setting to the plan,
+// the rows and the rough cost NewSession(v, q)'s would, without evaluating a
+// predicate, a join key or a join order. Estimates of another view, or of a
+// query with another number of tables or joins, panic.
+func ResumeSession(v *stats.View, q *query.Query, e *Estimates) *Session {
+	if e.view != v || len(e.tables) != len(q.Tables) || len(e.joins) != len(q.Joins) {
+		panic("nativeopt: ResumeSession with the estimates of another view or query")
+	}
+	return newSession(v, q, e)
+}
+
+// newSession builds a session of q over v from the estimates e, or — e nil —
+// evaluates them first. Everything but where the estimates come from is one
+// path: resolving the query's structure, and deriving from it and the
+// estimates what FilterPushdown changes.
+func newSession(v *stats.View, q *query.Query, e *Estimates) *Session {
 	n := len(q.Tables)
 	s := &Session{
 		view:     v,
@@ -380,39 +423,68 @@ func NewSession(v *stats.View, q *query.Query) *Session {
 	s.cards = cardinality.NewSlotted(s.slots)
 	for i, name := range q.Tables {
 		in := q.Input(name)
-		parts := v.PartitionEstimate(name)
-		read := parts
-		if in.PartitionFrac < 1 {
-			read = int(math.Ceil(in.PartitionFrac * float64(parts)))
-			if read < 1 {
-				read = 1
-			}
+		t := &s.tables[i]
+		*t = tableFacts{name: name, in: in, fuses: in.Pred.Size() > 2}
+		if e != nil {
+			t.tableEstimate = e.tables[i]
+		} else {
+			t.tableEstimate = estimateTable(v, name, in)
 		}
-		hasStats := v.HasColumnStats(name)
-		s.tables[i] = tableFacts{
-			name:      name,
-			in:        in,
-			selPred:   expr.Selectivity(in.Pred, v),
-			selHard:   expr.Selectivity(in.HardPred, v),
-			hasStats:  hasStats,
-			partsRead: read,
-			fuses:     in.Pred.Size() > 2,
-			defers:    in.HardPred != nil && !hasStats && n > 1,
-		}
-		s.pushdown = s.pushdown || s.tables[i].fuses || s.tables[i].defers
+		t.defers = in.HardPred != nil && !t.hasStats && n > 1
+		s.pushdown = s.pushdown || t.fuses || t.defers
 	}
 	keys := make([]expr.ColumnRef, 2*len(q.Joins))
 	for i, j := range q.Joins {
 		keys[2*i], keys[2*i+1] = j.LeftCol, j.RightCol
-		e := &s.joins[i]
-		*e = joinEdge{
+		edge := &s.joins[i]
+		*edge = joinEdge{
 			left: s.slot(j.LeftTable), right: s.slot(j.RightTable), form: j.Form,
 			leftKey: keys[2*i : 2*i+1 : 2*i+1], rightKey: keys[2*i+1 : 2*i+2 : 2*i+2],
 		}
-		e.sel = s.est.KeySelectivity(e.leftKey, e.rightKey)
+		if e != nil {
+			edge.sel = e.joins[i]
+		} else {
+			edge.sel = s.est.KeySelectivity(edge.leftKey, edge.rightKey)
+		}
 	}
-	s.base = s.baseOrder()
+	if e != nil {
+		s.base = e.base
+	} else {
+		s.base = s.baseOrder()
+	}
 	return s
+}
+
+// estimateTable evaluates a table's estimates against v.
+func estimateTable(v *stats.View, name string, in *query.TableInput) tableEstimate {
+	read := v.PartitionEstimate(name)
+	if in.PartitionFrac < 1 {
+		read = max(1, int(math.Ceil(in.PartitionFrac*float64(read))))
+	}
+	return tableEstimate{
+		selPred:   expr.Selectivity(in.Pred, v),
+		selHard:   expr.Selectivity(in.HardPred, v),
+		partsRead: read,
+		hasStats:  v.HasColumnStats(name),
+	}
+}
+
+// Estimates returns the session's estimates, for a ResumeSession of a repeat
+// of its query under its view. The copy shares nothing the session writes.
+func (s *Session) Estimates() Estimates {
+	e := Estimates{
+		view:   s.view,
+		tables: make([]tableEstimate, len(s.tables)),
+		joins:  make([]float64, len(s.joins)),
+		base:   s.base,
+	}
+	for i := range s.tables {
+		e.tables[i] = s.tables[i].tableEstimate
+	}
+	for i := range s.joins {
+		e.joins[i] = s.joins[i].sel
+	}
+	return e
 }
 
 func (s *Session) slot(table string) int {
@@ -424,10 +496,8 @@ func (s *Session) slot(table string) int {
 	return -1
 }
 
-// Plan compiles the query under one steering setting and returns the plan,
-// its native rough cost (see Optimizer.RoughCost) and the planning's decisive
-// set. The cost is always the unscaled one — cardScale steers which plan is
-// built, not how candidates are ranked against each other.
+// Plan compiles the query under one steering setting and returns the plan and
+// the planning's decisive set.
 //
 // The plan lives in the session's scratch: the next Plan call builds over it.
 // Read it before then, or Keep it. A kept plan shares its scan subplans with
@@ -440,7 +510,7 @@ func (s *Session) slot(table string) int {
 // set: the two builds meet every choice in the same state and x changes none
 // (DESIGN.md "Plan exploration contract"). The set describes this planning
 // alone, hence a return value and not session state.
-func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64, Flags) {
+func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, Flags) {
 	b := builder{s: s, flags: f, sizes: s.cards}
 	scaled := scales(cardScale)
 	if scaled {
@@ -453,8 +523,14 @@ func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, float64, Flags) 
 	s.used = 0
 	root := b.build(s.scaleRotate(s.base, cardScale))
 	s.latest = plan.Plan{Root: root, Knobs: f.knobs(scaled)}
-	return &s.latest, roughCost(root, s.cards), b.decisive
+	return &s.latest, b.decisive
 }
+
+// RoughCost returns the native rough cost (see Optimizer.RoughCost) of p, the
+// plan the latest Plan returned, from the rows its planning registered: a walk,
+// no estimate. It is always the unscaled cost — cardScale steers which plan is
+// built, not how candidates are ranked against each other.
+func (s *Session) RoughCost(p *plan.Plan) float64 { return roughCost(p.Root, s.cards) }
 
 // Scales reports whether a card scale can change the query's plan: scaleRotate
 // keeps the order of fewer than three tables and the estimator scales only

@@ -125,8 +125,8 @@ func (p *Plan) SealedRough(scope any) (float64, bool) {
 	return p.rough, true
 }
 
-// CacheFingerprint is the fingerprint used to key the predictor's
-// plan-embedding cache: the sealed value when present (no tree walk — the
+// CacheFingerprint is the fingerprint used to key the predictor's plan
+// cache: the sealed value when present (no tree walk — the
 // serving hot path), otherwise a fresh Root.Fingerprint(). It never stores:
 // an unsealed plan may be shared by concurrent readers, and memoizing here
 // would race.
@@ -252,7 +252,7 @@ func (n *Node) canonicalizeInPlace() {
 // Fingerprint returns a structural hash of the subtree covering operator
 // types, attributes, and predicate shapes. Two plans with equal fingerprints
 // are treated as duplicates by the explorer, and the predictor keys its
-// plan-embedding cache on it, so fingerprinting runs on the serving hot path
+// plan cache on it, so fingerprinting runs on the serving hot path
 // and must not allocate (see TestFingerprintZeroAlloc).
 func (n *Node) Fingerprint() uint64 {
 	return uint64(n.fingerprint(expr.NewHash()))

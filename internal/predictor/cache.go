@@ -7,10 +7,12 @@ import (
 	"loam/internal/plan"
 )
 
-// planCache is a bounded LRU of plan embeddings keyed by the plan's
-// structural fingerprint plus the environment key — the two inputs that fully
-// determine a backbone embedding (weights are fixed per deployed predictor;
-// deployment replaces the cache wholesale, which is the invalidation rule).
+// planCache is a bounded LRU of cost estimates keyed by the plan's structural
+// fingerprint plus the environment key — the two inputs that fully determine
+// a backbone embedding, and so the cost head's output on it: the head scores
+// each embedding on its own (Predictor.estimate). Weights are fixed per
+// deployed predictor; deployment replaces the cache wholesale, which is the
+// invalidation rule.
 //
 // It is a singleflight cache: the first scoring pass to miss a key inserts an
 // in-flight entry and owns its computation; a lookup that finds an entry —
@@ -21,7 +23,7 @@ import (
 // an intrusive list, so with a fixed request order the eviction sequence is
 // deterministic too.
 //
-// One protocol (Predictor.embedCached): claim every candidate; compute the
+// One protocol (Predictor.scoreCached): claim every candidate; compute the
 // entries this pass owns; publish them; only then wait on entries another
 // pass owns. Lookups, inserts and evictions so happen in the order
 // per-candidate lookups would make them. claim never blocks, and a pass never
@@ -37,7 +39,7 @@ type planCache struct {
 	tel  *predictorTelemetry
 }
 
-// cacheKey identifies one embedding: the env-independent structural plan
+// cacheKey identifies one estimate: the env-independent structural plan
 // fingerprint and the EnvKey sum of a keyed environment source.
 type cacheKey struct {
 	plan uint64
@@ -46,10 +48,10 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key    cacheKey
-	emb    []float64
-	done   chan struct{} // closed once emb is final (or the compute failed)
+	cost   float64       // the denormalized estimate, as Predictor.score returns it
+	done   chan struct{} // closed once cost is final (or the compute failed)
 	failed bool          // set before close(done) if the compute panicked
-	// final is set, after emb or failed, just before done closes: a reader
+	// final is set, after cost or failed, just before done closes: a reader
 	// that loads it true reads the entry without a blocking receive.
 	final      atomic.Bool
 	prev, next *cacheEntry
@@ -101,7 +103,7 @@ func (c *planCache) moveFront(e *cacheEntry) {
 
 // claim looks key up and never blocks. A present entry — final or in flight,
 // another pass's or this pass's own earlier claim — is a hit: counted, moved
-// to the LRU front, returned with owner false; emb may be read once done has
+// to the LRU front, returned with owner false; cost may be read once done has
 // closed (and is computed locally if the entry failed). An absent key is a
 // miss: counted, inserted in flight at the front, the tail evicted while over
 // capacity — possibly the new entry itself — and the caller owns it: it must
@@ -152,11 +154,11 @@ func (c *planCache) claimLocked(key cacheKey) (e *cacheEntry, owner bool) {
 	return e, true
 }
 
-// publish makes emb the entry's final, cache-owned value and releases its
-// waiters. An entry evicted or flushed while in flight is still delivered to
-// whoever holds it; it is just no longer retained.
-func (e *cacheEntry) publish(emb []float64) {
-	e.emb = emb
+// publish makes cost the entry's final value and releases its waiters. An
+// entry evicted or flushed while in flight is still delivered to whoever
+// holds it; it is just no longer retained.
+func (e *cacheEntry) publish(cost float64) {
+	e.cost = cost
 	e.final.Store(true)
 	close(e.done)
 }

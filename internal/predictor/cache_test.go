@@ -89,11 +89,11 @@ func TestPlanCacheClaimNeverBlocks(t *testing.T) {
 					}
 				}
 			}
-			ea.publish([]float64{1})
-			eb.publish([]float64{2})
+			ea.publish(1)
+			eb.publish(2)
 			<-ea.done
 			<-eb.done
-			if ea.failed || eb.failed || ea.emb[0] != 1 || eb.emb[0] != 2 {
+			if ea.failed || eb.failed || ea.cost != 1 || eb.cost != 2 {
 				t.Fatalf("capacity %d: published entries read back wrong", capacity)
 			}
 			want := capacity
@@ -115,10 +115,10 @@ func TestPlanCacheClaimNeverBlocks(t *testing.T) {
 		t.Fatal("the waiter's claim of in-flight A is not a hit on it")
 	}
 	eb, _ := c.claim(b)
-	ea.publish([]float64{1})
-	eb.publish([]float64{2})
+	ea.publish(1)
+	eb.publish(2)
 	<-held.done
-	if held.failed || held.emb[0] != 1 {
+	if held.failed || held.cost != 1 {
 		t.Fatal("an evicted in-flight entry was not delivered to its waiter")
 	}
 	if _, owner := c.claim(a); !owner {
@@ -171,6 +171,7 @@ func TestPlanCacheCrossingOrdersNoDeadlock(t *testing.T) {
 // twice (SelectPlan callers may; the explorer dedupes). The second mention
 // is a hit on the pass's own in-flight entry — or, where nothing is
 // retained, a second miss — and either way the pass must not wait for itself.
+// What is retained is each distinct plan's reference cost.
 func TestPlanCacheDuplicateFingerprintSet(t *testing.T) {
 	for _, capacity := range planCacheCaps {
 		p, pool, envs := cachedTCN(t, 42, capacity)
@@ -193,6 +194,11 @@ func TestPlanCacheDuplicateFingerprintSet(t *testing.T) {
 		if n := p.PlanCacheLen(); n != distinct {
 			t.Fatalf("capacity %d: %d entries retained, want %d", capacity, n, distinct)
 		}
+		for i, pl := range set {
+			if c, ok := cachedCost(p, pl, key); ok && math.Float64bits(c) != math.Float64bits(want[i]) {
+				t.Fatalf("capacity %d: the cache holds %v for candidate %d, the reference %v", capacity, c, i, want[i])
+			}
+		}
 	}
 }
 
@@ -205,8 +211,24 @@ func TestPlanCacheMidForestPanic(t *testing.T) {
 	p, pool, envs := cachedTCN(t, 43, 64)
 	key := encoding.FixedEnvKey(p.TrainMeanEnv())
 	set := pool[:5]
-	want := referenceCosts(p, set, envs)
+	costsSameBits(t, "the waiter", referenceCosts(p, set, envs), waitOnDyingOwner(t, p, set, envs, key))
+	if n := p.PlanCacheLen(); n != 0 {
+		t.Fatalf("%d entries left in the map after their owner died", n)
+	}
+	if _, _, err := p.SelectPlanKeyed(set, envs, key); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := p.PlanCacheLen(), p.tel.cacheMisses.Value(); n != len(set) || m != 2*int64(len(set)) {
+		t.Fatalf("after the failed pass: %d entries, %d misses; want %d and %d", n, m, len(set), 2*len(set))
+	}
+}
 
+// waitOnDyingOwner scores set twice at once under key: one pass owns every
+// entry and panics on the third candidate's root mid-forest, after the other
+// pass has claimed all of them — as hits on entries it must wait for. It
+// returns the waiter's costs.
+func waitOnDyingOwner(t *testing.T, p *Predictor, set []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) []float64 {
+	t.Helper()
 	reached, release := make(chan struct{}), make(chan struct{})
 	poison := set[2].Root
 	dying := func(n *plan.Node) ([4]float64, bool) {
@@ -217,6 +239,8 @@ func TestPlanCacheMidForestPanic(t *testing.T) {
 		}
 		return envs(n)
 	}
+	hits := p.tel.cacheHits.Value()
+	var costs []float64
 	within(30*time.Second, "mid-forest panic", func() {
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -229,34 +253,103 @@ func TestPlanCacheMidForestPanic(t *testing.T) {
 			}()
 			_, _, _ = p.SelectPlanKeyed(set, dying, key)
 		}()
-		<-reached // five entries claimed and in flight, none published
+		<-reached // every entry claimed and in flight, none published
 		go func() {
 			defer wg.Done()
-			_, costs, err := p.SelectPlanKeyed(set, envs, key)
-			if err != nil {
+			var err error
+			if _, costs, err = p.SelectPlanKeyed(set, envs, key); err != nil {
 				t.Error(err)
-				return
-			}
-			for i := range want {
-				if math.Float64bits(costs[i]) != math.Float64bits(want[i]) {
-					t.Errorf("waiter's cost %d = %v, want %v", i, costs[i], want[i])
-				}
 			}
 		}()
-		for p.tel.cacheHits.Value() < int64(len(set)) { // the waiter has claimed all five
+		for p.tel.cacheHits.Value() < hits+int64(len(set)) { // the waiter has claimed them all
 			runtime.Gosched()
 		}
 		close(release)
 		wg.Wait()
 	})
-	if n := p.PlanCacheLen(); n != 0 {
-		t.Fatalf("%d entries left in the map after their owner died", n)
+	return costs
+}
+
+// cachedCost reads the estimate the cache holds for pl under key.
+func cachedCost(p *Predictor, pl *plan.Plan, key encoding.EnvKey) (float64, bool) {
+	c := p.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[cacheKey{plan: pl.CacheFingerprint(), env: key.Sum}]
+	if !ok || !e.final.Load() || e.failed {
+		return 0, false
 	}
-	if _, _, err := p.SelectPlanKeyed(set, envs, key); err != nil {
-		t.Fatal(err)
+	return e.cost, true
+}
+
+// TestPlanCacheKeyedScoringMatchesUnkeyed: scoring through the plan cache
+// gives the costs unkeyed scoring gives the same set, bit for bit, on every
+// path a candidate can take — all misses, all hits, a mix, a set naming one
+// fingerprint three times (and a clone of it), and a waiter whose owner
+// panicked mid-forest, which estimates locally — for every neural backbone.
+// Every entry the cache retains holds the cost of its plan.
+func TestPlanCacheKeyedScoringMatchesUnkeyed(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	samples, _ := synthetic(60, 45)
+	var pool []*plan.Plan
+	seen := map[uint64]bool{}
+	for _, sm := range samples {
+		if fp := sm.Plan.CacheFingerprint(); !seen[fp] && len(pool) < 8 {
+			seen[fp] = true
+			pool = append(pool, sm.Plan)
+		}
 	}
-	if n, m := p.PlanCacheLen(), p.tel.cacheMisses.Value(); n != len(set) || m != 2*int64(len(set)) {
-		t.Fatalf("after the failed pass: %d entries, %d misses; want %d and %d", n, m, len(set), 2*len(set))
+	for _, kind := range []Kind{KindTCN, KindGCN, KindTransformer} {
+		p, err := Train(tinyConfig(kind), enc, samples, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Instrument(telemetry.NewRegistry())
+		envs := encoding.FixedEnv(p.TrainMeanEnv())
+		key := encoding.FixedEnvKey(p.TrainMeanEnv())
+		unkeyed := func(set []*plan.Plan) []float64 {
+			_, costs, err := p.SelectPlan(set, envs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return costs
+		}
+		keyed := func(name string, set []*plan.Plan) {
+			t.Helper()
+			_, costs, err := p.SelectPlanKeyed(set, envs, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unkeyed(set)
+			costsSameBits(t, kind.String()+" "+name, want, costs)
+			for i, pl := range set {
+				if c, ok := cachedCost(p, pl, key); ok && math.Float64bits(c) != math.Float64bits(want[i]) {
+					t.Fatalf("%v %s: the cache holds %v for candidate %d, which costs %v", kind, name, c, i, want[i])
+				}
+			}
+		}
+		count := func() [2]int64 { return [2]int64{p.tel.cacheHits.Value(), p.tel.cacheMisses.Value()} }
+
+		p.EnablePlanCache(64)
+		before := count()
+		keyed("all-miss", pool)
+		keyed("all-hit", pool)
+		if got, want := count(), [2]int64{before[0] + int64(len(pool)), before[1] + int64(len(pool))}; got != want {
+			t.Fatalf("%v: hits/misses %v after a cold and a warm pass, want %v", kind, got, want)
+		}
+
+		p.EnablePlanCache(64)
+		keyed("half", pool[:len(pool)/2])
+		keyed("mixed", pool)
+
+		p.EnablePlanCache(64)
+		keyed("repeated fingerprint", []*plan.Plan{pool[0], pool[1], pool[0], pool[0].Clone(), pool[2], pool[0]})
+
+		p.EnablePlanCache(64)
+		costsSameBits(t, kind.String()+" waiter of a dying owner", unkeyed(pool[:5]), waitOnDyingOwner(t, p, pool[:5], envs, key))
+		if n := p.PlanCacheLen(); n != 0 {
+			t.Fatalf("%v: %d entries left after their owner died", kind, n)
+		}
 	}
 }
 

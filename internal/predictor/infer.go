@@ -29,13 +29,15 @@ type inferScratch struct {
 	fg      encoding.FlatGraph
 	fs      encoding.FlatSeq
 
-	// stage is the candidates×emb batch the cost head reads, outside the nn
-	// arena (embedInfer resets that) and grown by self-append (grow).
+	// stage is the plans×emb batch the cost head reads, outside the nn arena
+	// (embedInfer resets that) and grown by self-append (grow).
 	stage []float64
 
-	// A cached pass's claims: every candidate's entry; those it owns; their plans.
+	// A cached pass's claims: every candidate's entry; those it owns; their
+	// plans and estimates.
 	entries, owned []*cacheEntry
 	ownedPlans     []*plan.Plan
+	ownedCosts     []float64
 
 	// one is a set of one; a local array would escape through the backbone
 	// interface and allocate.
@@ -212,12 +214,41 @@ func (b *transformerBackbone) embedInfer(s *inferScratch, dst []float64, plans [
 	}
 }
 
-// embedCached fills batch (row i = the embedding of cands[i]) through the
+// score is the one scoring core behind PredictCost, SelectPlan and
+// SelectPlanKeyed: with a cache enabled and a keyed environment source each
+// candidate's estimate comes through the plan cache (scoreCached), otherwise
+// every candidate is estimated (estimate).
+func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
+	if p.cache != nil && key.Keyed {
+		p.scoreCached(s, costs, cands, envs, key.Sum)
+		return
+	}
+	p.estimate(s, costs, cands, envs)
+}
+
+// estimate embeds plans into one n×emb matrix — the TCN as one forest — and
+// scores it in a single forward through the cost head. Each output row is a
+// dot product over that plan's embedding alone, so a cost never depends on
+// what it was scored beside: which is why the plan cache can hold a plan's
+// estimate, computed beside whatever the pass that owned it scored, and why a
+// plan estimated alone costs what it costs in a set.
+func (p *Predictor) estimate(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
+	n, embDim := len(plans), p.costHead.W.R
+	s.stage = grow(s.stage, n*embDim)
+	batch := s.stage[:n*embDim]
+	p.bb.embedInfer(s, batch, plans, envs)
+	s.nn.Reset()
+	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: n, C: embDim, Data: batch})
+	for i := range costs {
+		costs[i] = p.denormalize(out.Data[i])
+	}
+}
+
+// scoreCached fills costs (costs[i] = the estimate of cands[i]) through the
 // plan cache, by its one protocol (cache.go): claim every candidate in order,
-// compute what this pass owns as one embedInfer, publish, only then wait.
-// Cache values are private copies, never scratch-backed slices.
-func (p *Predictor) embedCached(s *inferScratch, batch []float64, cands []*plan.Plan, envs encoding.EnvSource, env uint64) {
-	c, embDim := p.cache, p.costHead.W.R
+// estimate what this pass owns as one set, publish, only then wait.
+func (p *Predictor) scoreCached(s *inferScratch, costs []float64, cands []*plan.Plan, envs encoding.EnvSource, env uint64) {
+	c := p.cache
 	s.entries, s.owned, s.ownedPlans = s.entries[:0], s.owned[:0], s.ownedPlans[:0]
 	published := 0
 	defer func() {
@@ -232,52 +263,29 @@ func (p *Predictor) embedCached(s *inferScratch, batch []float64, cands []*plan.
 	}()
 	c.claimAll(s, cands, env)
 	if len(s.owned) > 0 {
-		// Staged in batch's first rows; the loop below refills every row.
-		p.bb.embedInfer(s, batch, s.ownedPlans, envs)
+		s.ownedCosts = grow(s.ownedCosts, len(s.owned))
+		owned := s.ownedCosts[:len(s.owned)]
+		p.estimate(s, owned, s.ownedPlans, envs)
 		for k, e := range s.owned {
-			e.publish(append([]float64(nil), batch[k*embDim:(k+1)*embDim]...))
+			e.publish(owned[k])
 			published++
 		}
 	}
 	for i, e := range s.entries {
-		row := batch[i*embDim : (i+1)*embDim]
 		e.wait()
 		if e.failed {
-			// The pass that owned it died; compute here, cache untouched.
+			// The pass that owned it died; estimate here, cache untouched.
 			s.one[0] = cands[i]
-			p.bb.embedInfer(s, row, s.one[:], envs)
+			p.estimate(s, costs[i:i+1], s.one[:], envs)
 			s.one[0] = nil
 			continue
 		}
-		copy(row, e.emb)
-	}
-}
-
-// score is the one scoring core behind PredictCost, SelectPlan and
-// SelectPlanKeyed. Embeddings are computed — or, with a cache enabled and a
-// keyed environment source, fetched from the plan cache — into one n×emb
-// matrix and scored in a single forward through the cost head. Each output
-// row is a dot product over that candidate's embedding alone, so a cost never
-// depends on what it was scored beside.
-func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
-	n := len(cands)
-	embDim := p.costHead.W.R
-	s.stage = grow(s.stage, n*embDim)
-	batch := s.stage[:n*embDim]
-	if p.cache != nil && key.Keyed {
-		p.embedCached(s, batch, cands, envs, key.Sum)
-	} else {
-		p.bb.embedInfer(s, batch, cands, envs)
-	}
-	s.nn.Reset()
-	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: n, C: embDim, Data: batch})
-	for i := range costs {
-		costs[i] = p.denormalize(out.Data[i])
+		costs[i] = e.cost
 	}
 }
 
 // scoreCandidates scores a candidate set through score; the XGBoost backbone
-// has no embedding to stage or cache and scores per candidate.
+// has no embedding to stage and scores per candidate, outside the plan cache.
 func (p *Predictor) scoreCandidates(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
 	if p.cfg.Kind == KindXGBoost {
 		for i, c := range cands {

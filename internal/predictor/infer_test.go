@@ -406,7 +406,7 @@ func TestPlanCacheCounters(t *testing.T) {
 		t.Fatalf("warm select: hits=%d misses=%d, want %d/%d", h, m, len(cands), len(cands))
 	}
 	if n := p.PlanCacheLen(); n != len(cands) {
-		t.Fatalf("cache holds %d embeddings, want %d", n, len(cands))
+		t.Fatalf("cache holds %d estimates, want %d", n, len(cands))
 	}
 
 	// A different environment key must not share entries.
@@ -435,7 +435,7 @@ func TestPlanCacheUnkeyedBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := p.PlanCacheLen(); n != 0 {
-		t.Fatalf("unkeyed selection cached %d embeddings", n)
+		t.Fatalf("unkeyed selection cached %d estimates", n)
 	}
 }
 
@@ -683,7 +683,8 @@ func BenchmarkSelectPlanUncached(b *testing.B) {
 }
 
 // BenchmarkSelectPlanCached scores the same recurring 8-candidate set with a
-// warm plan-embedding cache — the recurring-query serving hot path. The
+// warm plan cache — the recurring-query serving hot path: every candidate's
+// estimate is read from the cache, and no embedding or cost head is computed. The
 // candidates are sealed, as the explorer hands them over, so the cache keys
 // on the stored fingerprint and no tree walk is timed.
 func BenchmarkSelectPlanCached(b *testing.B) {

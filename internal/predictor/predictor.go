@@ -97,9 +97,9 @@ type Predictor struct {
 	// training plans — the §5 representative instance e_r.
 	trainMeanEnv [4]float64
 
-	// cache, when non-nil, memoizes plan embeddings for keyed environment
-	// sources (see cache.go). Configured via EnablePlanCache, typically by
-	// the deployment layer; nil disables caching entirely.
+	// cache, when non-nil, memoizes plans' cost estimates for keyed
+	// environment sources (see cache.go). Configured via EnablePlanCache,
+	// typically by the deployment layer; nil disables caching entirely.
 	cache *planCache
 
 	metrics Metrics
@@ -600,10 +600,11 @@ func (p *Predictor) EnvKeyFor(s Strategy, clusterExpected, clusterCurrent [4]flo
 	}
 }
 
-// EnablePlanCache installs a fresh plan-embedding cache holding up to
-// capacity entries (capacity <= 0 disables caching). Any previous cache is
-// discarded wholesale, so calling this after retraining or on deployment is
-// the cache-invalidation mechanism. Not safe to call concurrently with
+// EnablePlanCache installs a fresh plan cache — each plan's cost estimate,
+// keyed by its fingerprint and the environment key — holding up to capacity
+// entries (capacity <= 0 disables caching). Any previous cache is discarded
+// wholesale, so calling this after retraining or on deployment is the
+// cache-invalidation mechanism. Not safe to call concurrently with
 // serving.
 func (p *Predictor) EnablePlanCache(capacity int) {
 	if capacity <= 0 {
@@ -613,8 +614,8 @@ func (p *Predictor) EnablePlanCache(capacity int) {
 	p.cache = newPlanCache(capacity, &p.tel)
 }
 
-// SetPlanCacheCapacity resizes the plan-embedding cache in place to hold up
-// to capacity entries, evicting strict-LRU tail entries when shrinking. This
+// SetPlanCacheCapacity resizes the plan cache in place to hold up to
+// capacity entries, evicting strict-LRU tail entries when shrinking. This
 // is the external-governance seam the fleet registry's global cache budget
 // uses: unlike EnablePlanCache it never discards surviving entries, and once
 // a cache is installed it is safe to call concurrently with serving (the
@@ -649,7 +650,7 @@ func (p *Predictor) FlushPlanCache() {
 	}
 }
 
-// PlanCacheLen reports the number of cached embeddings (0 when disabled).
+// PlanCacheLen reports the number of cached estimates (0 when disabled).
 func (p *Predictor) PlanCacheLen() int {
 	if p.cache == nil {
 		return 0

@@ -14,10 +14,10 @@ import (
 // through WithStrategy (at deploy time) or SetStrategy (afterwards).
 type DeployOption func(*deployOptions)
 
-// DefaultPlanCacheCapacity is the plan-embedding cache size deployments get
-// unless WithPlanCache overrides it: comfortably larger than a day's distinct
-// (plan, environment) pairs at simulator scale, small enough that even
-// embedding-heavy models stay within a few MB.
+// DefaultPlanCacheCapacity is the plan cache size deployments get unless
+// WithPlanCache overrides it: comfortably larger than a day's distinct (plan,
+// environment) pairs at simulator scale. An entry holds one cost estimate,
+// whatever the model, so a full cache stays near a megabyte.
 const DefaultPlanCacheCapacity = 4096
 
 // deployOptions is the resolved option set.
@@ -34,8 +34,7 @@ type deployOptions struct {
 
 // resolveDeployOptions applies opts over the defaults: the paper's MeanEnv
 // inference strategy (§5), a fresh private metrics registry, the default
-// guard configuration, the default plan-embedding cache and no fault
-// injector.
+// guard configuration, the default plan cache and no fault injector.
 func resolveDeployOptions(opts []DeployOption) deployOptions {
 	o := deployOptions{
 		strategy:  predictor.StrategyMeanEnv,
@@ -78,14 +77,14 @@ func WithGuardConfig(cfg GuardConfig) DeployOption {
 	return func(o *deployOptions) { o.guardCfg = cfg }
 }
 
-// WithPlanCache sizes the deployment's plan-embedding cache (default
-// DefaultPlanCacheCapacity). The cache memoizes backbone embeddings keyed by
-// the plan's structural fingerprint and the inference environment's identity;
-// recurring queries then skip the encoder and backbone forward entirely, and
-// only re-score the cached embedding through the cost head. Cached scoring is
-// bit-identical to uncached scoring. capacity <= 0 disables caching. Each
-// Deploy/DeployFromModel installs a fresh cache, so a retrained or reloaded
-// model never sees embeddings from older weights.
+// WithPlanCache sizes the deployment's plan cache (default
+// DefaultPlanCacheCapacity). The cache memoizes each plan's cost estimate
+// keyed by the plan's structural fingerprint and the inference environment's
+// identity; recurring queries then skip the encoder, the backbone forward and
+// the cost head entirely. Cached scoring is bit-identical to uncached scoring.
+// capacity <= 0 disables caching. Each Deploy/DeployFromModel installs a fresh
+// cache, so a retrained or reloaded model never sees estimates from older
+// weights.
 func WithPlanCache(capacity int) DeployOption {
 	return func(o *deployOptions) { o.planCache = capacity }
 }

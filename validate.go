@@ -97,8 +97,8 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 		// Predictor's choice under the deployment's strategy — scored raw
 		// (guard.ScoreLearnedKeyed), not guarded: validation measures the
 		// model itself, so a failure here must surface instead of degrading
-		// to a fallback plan. Keyed scoring shares the plan-embedding cache
-		// with serving; cached and uncached scores are bit-identical.
+		// to a fallback plan. Keyed scoring shares the plan cache with
+		// serving; cached and uncached scores are bit-identical.
 		envs, envKey := d.envSource()
 		chosenPlan, _, err := d.grd.ScoreLearnedKeyed(cands, envs, envKey)
 		if err != nil {
