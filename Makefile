@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm cold train verify
+.PHONY: build test race fuzz-smoke bench-e2e bench-e2e-smoke bench-align lint lint-fix-hints chaos chaos-recover warm cold train results verify
 
 build:
 	$(GO) build ./...
@@ -142,5 +142,15 @@ train:
 cold:
 	$(GO) test -count=1 -run 'Forest|BitIdentical|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
 	$(GO) test -run '^$$' -bench SelectPlanColdExplorerSet -benchtime 20000x -cpu 2 .
+
+# results regenerates the committed results files at the default scale (~10 min
+# on 2 vCPU): the paper's 14 artifacts, then the three extensions, each file a
+# -run subset. A subset prints every section as `-run all` does, because every
+# experiment flights on its own fork of the executors
+# (TestResultsSectionsReproduce pins it at -tiny).
+RESULTS_DEFAULT = fig1,table1,fig5,fig15,fig6,fig7,fig9,fig11,fig10,fig8,thm1,fig12,fig16,sec73
+results:
+	$(GO) run ./cmd/loam-bench -quiet -run $(RESULTS_DEFAULT) > results_default.txt
+	$(GO) run ./cmd/loam-bench -quiet -run ext1,ext2,ext3 > results_ext.txt
 
 verify: build lint test race fuzz-smoke bench-e2e-smoke

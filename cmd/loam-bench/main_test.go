@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -152,11 +153,85 @@ func TestRunAllRunsTableInOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: not running every experiment")
 	}
-	var out, errw bytes.Buffer
-	if err := run([]string{"-tiny", "-quiet"}, &out, &errw); err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-	}
-	if got := sectionIDs(out.String()); !slices.Equal(got, order) {
+	if got := sectionIDs(tinyAll(t)); !slices.Equal(got, order) {
 		t.Fatalf("all ran %v, want %v", got, order)
+	}
+}
+
+var tinyAllOnce struct {
+	sync.Once
+	out, stderr string
+	err         error
+}
+
+// tinyAll returns the output of `loam-bench -tiny -quiet`, every experiment,
+// run once for all the tests that read it.
+func tinyAll(t *testing.T) string {
+	t.Helper()
+	o := &tinyAllOnce
+	o.Do(func() {
+		var out, errw bytes.Buffer
+		o.err = run([]string{"-tiny", "-quiet"}, &out, &errw)
+		o.out, o.stderr = out.String(), errw.String()
+	})
+	if o.err != nil {
+		t.Fatalf("run: %v\nstderr: %s", o.err, o.stderr)
+	}
+	return o.out
+}
+
+// sections splits a loam-bench output into its sections by id, without what
+// a rerun cannot reproduce: the closing wall-clock total and Fig. 9's (a)
+// training-time and (c) inference-time rows.
+func sections(s string) map[string]string {
+	out := map[string]string{}
+	id, timed := "", false
+	for _, line := range strings.Split(s, "\n") {
+		switch {
+		case strings.HasPrefix(line, "==== ") && strings.HasSuffix(line, " ===="):
+			id, timed = strings.TrimSuffix(strings.TrimPrefix(line, "==== "), " ===="), false
+			continue
+		case strings.HasPrefix(line, "total: "):
+			id = ""
+		case strings.HasPrefix(line, "(a) Training time"), strings.HasPrefix(line, "(c) Avg inference time"):
+			timed = true
+		case strings.HasPrefix(line, "("):
+			timed = false
+		case timed:
+			continue
+		}
+		if id != "" {
+			out[id] += line + "\n"
+		}
+	}
+	return out
+}
+
+// TestResultsSectionsReproduce: every experiment flights on its own fork of
+// the executors, so a section's numbers do not depend on which sections ran
+// before it — each id run alone prints the same bytes as its section of
+// `-run all`, and a subset of the committed results files regenerates by
+// itself (`make results`).
+func TestResultsSectionsReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: not running every experiment")
+	}
+	if raceEnabled {
+		t.Skip("-race: a single-goroutine determinism check, ~5x slower under the detector")
+	}
+	all := sections(tinyAll(t))
+	for _, e := range experimentTable {
+		var out, errw bytes.Buffer
+		if err := run([]string{"-tiny", "-quiet", "-run", e.id}, &out, &errw); err != nil {
+			t.Fatalf("-run %s: %v\nstderr: %s", e.id, err, errw.String())
+		}
+		alone := sections(out.String())
+		if len(alone) != 1 || alone[e.id] == "" {
+			t.Fatalf("-run %s printed sections %v", e.id, sectionIDs(out.String()))
+		}
+		if alone[e.id] != all[e.id] {
+			t.Errorf("-run %s alone differs from its section of -run all:\n--- alone ---\n%s--- all ---\n%s",
+				e.id, alone[e.id], all[e.id])
+		}
 	}
 }

@@ -93,8 +93,11 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// The default plan is flighted on a fork taken before the chosen plan
+		// runs: both start from one cluster state, and serving never sees it.
+		flight := ps.Executor.Fork("flight/default/" + q.ID)
 		rec := dep.ExecuteChoice(choice)
-		defCost := ps.Executor.Flight(choice.Candidates[0], day, 1, ps.ExecOptions(q))
+		defCost := flight.Flight(choice.Candidates[0], day, 1, ps.ExecOptions(q))[0]
 		totalDefault += defCost
 		totalChosen += rec.CPUCost
 		// Fallback choices carry no learned estimate (and a native re-plan

@@ -19,6 +19,7 @@ func main() {
 	cfg := loam.DefaultProjectConfig("variance")
 	cfg.Workload.NumTemplates = 10
 	ps := sim.AddProject(cfg)
+	flight := ps.Executor.Fork("flight/variance")
 
 	// Relative std-dev across recurring templates (Fig. 1 inset).
 	fmt.Println("recurring-query cost variability (30 executions each):")
@@ -31,13 +32,7 @@ func main() {
 		tpl.ParamChurn = 0 // identical recurring query
 		q := tpl.Instantiate(ps.Rng("var"), 1)
 		p := ps.Explorer(1).DefaultPlan(q)
-		opt := exec.DefaultOptions()
-		opt.NoiseSigma = q.NoiseSigma
-		costs := make([]float64, 30)
-		for i := range costs {
-			costs[i] = ps.Executor.Execute(p, 1, opt).CPUCost
-		}
-		_, rsd := theory.Moments(costs)
+		_, rsd := theory.Moments(flight.Flight(p, 1, 30, ps.ExecOptions(q)))
 		rows = append(rows, row{id: tpl.ID, rsd: rsd})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].rsd < rows[j].rsd })
@@ -53,7 +48,7 @@ func main() {
 	opt.NoiseSigma = 0.05
 	var idles, costs []float64
 	for i := 0; i < 80; i++ {
-		rec := ps.Executor.Execute(p, 1, opt)
+		rec := flight.Execute(p, 1, opt)
 		var env cluster.Metrics
 		for _, se := range rec.StageEnvs {
 			env = env.Add(se)

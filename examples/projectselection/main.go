@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"loam"
 	"loam/internal/selector"
@@ -65,7 +64,7 @@ func main() {
 	// Stage 2 — learned Ranker. Train it on half the passed projects using
 	// their measured improvement space, rank the other half.
 	var samples []selector.RankerSample
-	scores := map[string]float64{}
+	var heldFeats [][][]float64 // one per held-out project, in passed order
 	truth := map[string]float64{}
 	for i, ps := range passed {
 		projSamples, improvement := measure(ps)
@@ -74,24 +73,16 @@ func main() {
 			samples = append(samples, projSamples...)
 			continue
 		}
-		scores[ps.Config.Name] = 0 // ranked below
-	}
-	ranker := selector.TrainRanker(samples)
-	// Score in sorted name order: measure() executes plans on the shared
-	// cluster, so map-order iteration would leak into simulated state.
-	held := make([]string, 0, len(scores))
-	for name := range scores {
-		held = append(held, name)
-	}
-	sort.Strings(held)
-	for _, name := range held {
-		ps := sim.Project(name)
-		feats := make([][]float64, 0)
-		projSamples, _ := measure(ps)
+		feats := make([][]float64, 0, len(projSamples))
 		for _, s := range projSamples {
 			feats = append(feats, s.Features)
 		}
-		scores[name] = ranker.ScoreWorkload(feats)
+		heldFeats = append(heldFeats, feats)
+	}
+	ranker := selector.TrainRanker(samples)
+	scores := map[string]float64{}
+	for i, ps := range passed[len(passed)/2:] {
+		scores[ps.Config.Name] = ranker.ScoreWorkload(heldFeats[i])
 	}
 
 	fmt.Println("\nstage 2 — learned ranker (held-out projects):")
@@ -104,8 +95,10 @@ func main() {
 }
 
 // measure samples a project's queries and computes per-query Ranker features
-// plus the measured improvement space D(M_d).
+// plus the improvement space D(M_d), measured by flighting every candidate on
+// a fork of the project's executor.
 func measure(ps *loam.ProjectSim) ([]selector.RankerSample, float64) {
+	flight := ps.Executor.Fork("flight/measure")
 	entries := ps.Repo.All()
 	stride := len(entries)/6 + 1
 	var samples []selector.RankerSample
@@ -116,30 +109,17 @@ func measure(ps *loam.ProjectSim) ([]selector.RankerSample, float64) {
 		dists := make([]theory.LogNormal, len(cands))
 		opt := ps.ExecOptions(e.Query)
 		for ci, c := range cands {
-			costs := make([]float64, 3)
-			for r := range costs {
-				costs[r] = ps.Executor.Execute(c, e.Record.Day, opt).CPUCost
-			}
+			costs := flight.Flight(c, e.Record.Day, 3, opt)
 			if d, err := theory.FitLogNormal(costs); err == nil {
 				dists[ci] = d
 			}
 		}
-		oracle := theory.ExpectedMin(dists)
-		if oracle <= 0 {
+		s, ok := ps.RankerSample(e, dists)
+		if !ok {
 			continue
 		}
-		imp := theory.ExpectedDeviance(dists, 0) / oracle
-		rows := func(t string) float64 {
-			if tb := ps.Project.Table(t); tb != nil {
-				return float64(tb.RowsAt(e.Record.Day))
-			}
-			return 0
-		}
-		samples = append(samples, selector.RankerSample{
-			Features:    selector.Features(e.Record.Plan, e.Record.CPUCost, rows),
-			Improvement: imp,
-		})
-		sum += imp
+		samples = append(samples, s)
+		sum += s.Improvement
 		count++
 	}
 	if count == 0 {

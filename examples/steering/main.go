@@ -14,6 +14,7 @@ import (
 	"loam"
 	"loam/internal/predictor"
 	"loam/internal/stats"
+	"loam/internal/theory"
 )
 
 func main() {
@@ -55,6 +56,9 @@ func main() {
 		def, got float64
 	}
 	var results []outcome
+	// Every plan is flighted on one fork of the project's executor, so
+	// measuring them leaves the serving cluster alone.
+	flight := ps.Executor.Fork("flight/steering")
 	limit := 40
 	for _, e := range dep.TestSet {
 		if len(results) >= limit {
@@ -64,8 +68,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		got := ps.Executor.Flight(choice.Chosen, e.Query.Day, 3, ps.ExecOptions(e.Query))
-		def := ps.Executor.Flight(choice.Candidates[0], e.Query.Day, 3, ps.ExecOptions(e.Query))
+		got, _ := theory.Moments(flight.Flight(choice.Chosen, e.Query.Day, 3, ps.ExecOptions(e.Query)))
+		def, _ := theory.Moments(flight.Flight(choice.Candidates[0], e.Query.Day, 3, ps.ExecOptions(e.Query)))
 		results = append(results, outcome{id: e.Query.ID, def: def, got: got})
 	}
 

@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"loam/internal/simrand"
@@ -194,6 +195,31 @@ func New(rng *simrand.RNG, cfg Config) *Cluster {
 	}
 	c.recordHistoryLocked()
 	return c
+}
+
+// Fork returns an independent copy of the pool for out-of-band executions
+// (the flighting environment of §3). It copies the clock, every machine's
+// latent state and the history ring under the read lock, re-derives the
+// scheduler's and each machine's stream from name, and reports no telemetry.
+// Nothing run on the fork moves c; two forks of one name taken from one state
+// run identical trajectories.
+func (c *Cluster) Fork(name string) *Cluster {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	f := &Cluster{
+		cfg:      c.cfg,
+		machines: slices.Clone(c.machines),
+		now:      c.now,
+		rng:      c.rng.Derive(name),
+		history:  slices.Clone(c.history),
+		histPos:  c.histPos,
+		histLen:  c.histLen,
+		top:      make([]slot, 0, len(c.machines)),
+	}
+	for i := range f.machines {
+		f.machines[i].metricRNG = f.rng.DeriveN("machine", i)
+	}
+	return f
 }
 
 // Now returns the simulated time in seconds.

@@ -307,3 +307,76 @@ func TestDiurnalCycleMovesLoad(t *testing.T) {
 		t.Fatalf("diurnal swing too small: %g", hi-lo)
 	}
 }
+
+func metricBits(m Metrics) []uint64 {
+	return []uint64{math.Float64bits(m.CPUIdle), math.Float64bits(m.IOWait),
+		math.Float64bits(m.Load5), math.Float64bits(m.MemUsage)}
+}
+
+// flightScript drives c the way executions do — placements, stage footprints,
+// time steps — and returns everything it observed, as bits.
+func flightScript(c *Cluster) []uint64 {
+	var out []uint64
+	for step := 0; step < 40; step++ {
+		ids := c.Allocate(4 + step%5)
+		c.AddLoad(ids, 0.05)
+		c.Advance(SampleInterval * float64(1+step%3))
+		for _, id := range ids {
+			out = append(out, uint64(id))
+		}
+		out = append(out, metricBits(c.Average(ids))...)
+		out = append(out, math.Float64bits(c.Now()))
+	}
+	return append(out, metricBits(c.HistoryAverage())...)
+}
+
+// snapshot is what the serving path sees of c next: the clock, both
+// environment averages, the next placement and the next time step's loads.
+func snapshot(c *Cluster) []uint64 {
+	out := []uint64{math.Float64bits(c.Now())}
+	out = append(out, metricBits(c.ClusterAverage())...)
+	out = append(out, metricBits(c.HistoryAverage())...)
+	for _, id := range c.Allocate(8) {
+		out = append(out, uint64(id))
+	}
+	c.Advance(3 * SampleInterval)
+	return append(out, metricBits(c.ClusterAverage())...)
+}
+
+// TestForkLeavesParentUntouched: a fork starts from its parent's state, and
+// whatever runs on it leaves the parent bit-identical to a twin that was
+// never forked.
+func TestForkLeavesParentUntouched(t *testing.T) {
+	c, twin := newCluster(21), newCluster(21)
+	for _, x := range []*Cluster{c, twin} {
+		x.Advance(1200)
+		x.AddLoad([]int{1, 2, 3}, 0.2)
+	}
+	f := c.Fork("flight/test")
+	if f.Now() != c.Now() || f.ClusterAverage() != c.ClusterAverage() || f.HistoryAverage() != c.HistoryAverage() {
+		t.Fatal("fork does not start from its parent's state")
+	}
+	flightScript(f)
+	if f.Now() == c.Now() {
+		t.Fatal("the fork's clock did not advance")
+	}
+	if got, want := snapshot(c), snapshot(twin); !slices.Equal(got, want) {
+		t.Fatalf("forked parent %v, unforked twin %v", got, want)
+	}
+}
+
+// TestForksOfOneNameRunIdentically: streams are re-derived from the name, so
+// two forks of one name taken from one state run one trajectory, and a fork
+// of another name runs another.
+func TestForksOfOneNameRunIdentically(t *testing.T) {
+	c := newCluster(22)
+	c.Advance(600)
+	a, b, other := c.Fork("flight/x"), c.Fork("flight/x"), c.Fork("flight/y")
+	want := flightScript(a)
+	if got := flightScript(b); !slices.Equal(got, want) {
+		t.Fatal("two forks of one name diverged")
+	}
+	if slices.Equal(flightScript(other), want) {
+		t.Fatal("forks of different names ran the same trajectory")
+	}
+}

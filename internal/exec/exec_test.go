@@ -2,6 +2,9 @@ package exec
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"loam/internal/cardinality"
@@ -9,6 +12,7 @@ import (
 	"loam/internal/expr"
 	"loam/internal/plan"
 	"loam/internal/simrand"
+	"loam/internal/telemetry"
 	"loam/internal/warehouse"
 )
 
@@ -195,45 +199,118 @@ func TestNodeEnvUnknownNode(t *testing.T) {
 	}
 }
 
-func TestCostUnderEnvDeterministicAtZeroSigma(t *testing.T) {
-	ex, _ := testEnv(33)
-	p := testPlanWithExchanges()
-	env := cluster.Metrics{CPUIdle: 0.5, IOWait: 0.05, Load5: 10, MemUsage: 0.5}
-	c1 := ex.CostUnderEnv(p, 1, env, 0, nil)
-	c2 := ex.CostUnderEnv(p, 1, env, 0, nil)
-	if c1 != c2 || c1 <= 0 {
-		t.Fatalf("CostUnderEnv unstable: %g vs %g", c1, c2)
+// stageFactorCases returns the plan's hash-join stage (the root stage) and one
+// of its scan stages.
+func stageFactorCases(t *testing.T) (hashHeavy, scan *Stage) {
+	t.Helper()
+	d := Decompose(testPlanWithExchanges().Root)
+	hashHeavy, scan = d.Root, d.Stages[0]
+	if !stageHashHeavy(hashHeavy) || stageHashHeavy(scan) {
+		t.Fatal("test plan's stages changed shape")
 	}
-	// Busier environment costs more.
+	return hashHeavy, scan
+}
+
+// TestStageFactorGrowsWithLoad: the per-stage factor Execute multiplies work
+// by is deterministic, and a busier environment costs more on every stage.
+func TestStageFactorGrowsWithLoad(t *testing.T) {
+	c := DefaultCoeffs()
+	env := cluster.Metrics{CPUIdle: 0.5, IOWait: 0.05, Load5: 10, MemUsage: 0.5}
 	busy := env
 	busy.CPUIdle = 0.05
-	if ex.CostUnderEnv(p, 1, busy, 0, nil) <= c1 {
-		t.Fatal("busy env should cost more")
+	hash, scan := stageFactorCases(t)
+	for _, s := range []*Stage{hash, scan} {
+		f := c.stageFactor(s, env)
+		if f <= 0 || f != c.stageFactor(s, env) {
+			t.Fatalf("stage %d: factor %g unstable or non-positive", s.ID, f)
+		}
+		if c.stageFactor(s, busy) <= f {
+			t.Fatalf("stage %d: busy env should cost more", s.ID)
+		}
 	}
 }
 
+// TestSpillPenaltyAppliesUnderMemoryPressure: beyond the plain environment
+// factor's increase, memory pressure costs a hash-heavy stage the spill
+// penalty, and a scan stage nothing more.
 func TestSpillPenaltyAppliesUnderMemoryPressure(t *testing.T) {
-	ex, _ := testEnv(34)
-	p := testPlanWithExchanges() // hash join inside
+	c := DefaultCoeffs()
 	low := cluster.Metrics{CPUIdle: 0.5, IOWait: 0.05, Load5: 10, MemUsage: 0.5}
 	high := low
 	high.MemUsage = 0.95
-	cLow := ex.CostUnderEnv(p, 1, low, 0, nil)
-	cHigh := ex.CostUnderEnv(p, 1, high, 0, nil)
-	// Beyond the plain env factor increase, the spill penalty applies.
-	ratio := cHigh / cLow
 	plain := EnvFactor(high) / EnvFactor(low)
-	if ratio <= plain*1.05 {
+	hash, scan := stageFactorCases(t)
+	if ratio := c.stageFactor(hash, high) / c.stageFactor(hash, low); ratio <= plain*1.05 {
 		t.Fatalf("no spill penalty visible: ratio %g vs plain %g", ratio, plain)
+	}
+	if ratio := c.stageFactor(scan, high) / c.stageFactor(scan, low); math.Abs(ratio-plain) > 1e-12 {
+		t.Fatalf("scan stage paid a spill penalty: ratio %g vs plain %g", ratio, plain)
 	}
 }
 
-func TestFlightAveragesExecutions(t *testing.T) {
+// TestFlightReturnsEachRep: Flight returns one cost per rep, the costs of
+// executing the plan that many times.
+func TestFlightReturnsEachRep(t *testing.T) {
 	ex, _ := testEnv(35)
 	p := testPlanWithExchanges()
-	avg := ex.Flight(p, 1, 5, DefaultOptions())
-	if avg <= 0 {
-		t.Fatalf("flight avg %g", avg)
+	costs := ex.Fork("flight/test").Flight(p, 1, 5, DefaultOptions())
+	twin := ex.Fork("flight/test")
+	if len(costs) != 5 {
+		t.Fatalf("%d costs for 5 reps", len(costs))
+	}
+	for r, c := range costs {
+		if want := twin.Execute(p, 1, DefaultOptions()).CPUCost; c <= 0 || math.Float64bits(c) != math.Float64bits(want) {
+			t.Fatalf("rep %d: cost %g, execution %g", r, c, want)
+		}
+	}
+}
+
+// TestForkLeavesExecutorUntouched: flights on a fork leave the executor, its
+// cluster and its telemetry bit-identical to an unforked twin's: the next
+// Execute returns the same record.
+func TestForkLeavesExecutorUntouched(t *testing.T) {
+	ex, _ := testEnv(37)
+	twin, _ := testEnv(37)
+	regs := [2]*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	p := testPlanWithExchanges()
+	for i, x := range []*Executor{ex, twin} {
+		x.Instrument(regs[i])
+		x.Execute(p, 1, DefaultOptions())
+	}
+	ex.Fork("flight/test").Flight(p, 1, 5, DefaultOptions())
+	got, want := ex.Execute(p, 1, DefaultOptions()), twin.Execute(p, 1, DefaultOptions())
+	if math.Float64bits(got.CPUCost) != math.Float64bits(want.CPUCost) ||
+		math.Float64bits(got.LatencySec) != math.Float64bits(want.LatencySec) || got.QueryID != want.QueryID {
+		t.Fatalf("forked executor's next record %s %g %g, twin's %s %g %g",
+			got.QueryID, got.CPUCost, got.LatencySec, want.QueryID, want.CPUCost, want.LatencySec)
+	}
+	if ex.Cluster.Now() != twin.Cluster.Now() {
+		t.Fatalf("cluster clock %g, twin's %g", ex.Cluster.Now(), twin.Cluster.Now())
+	}
+	if g, w := regs[0].Snapshot(), regs[1].Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("fork reported telemetry:\n%v\nvs twin\n%v", g, w)
+	}
+}
+
+// TestForksOfOnePurposeExecuteIdentically: two forks of one purpose taken
+// from one state flight identically; another purpose draws other streams.
+func TestForksOfOnePurposeExecuteIdentically(t *testing.T) {
+	ex, _ := testEnv(38)
+	p := testPlanWithExchanges()
+	ex.Execute(p, 1, DefaultOptions())
+	flight := func(purpose string) []uint64 {
+		var bits []uint64
+		for _, c := range ex.Fork(purpose).Flight(p, 1, 8, DefaultOptions()) {
+			bits = append(bits, math.Float64bits(c))
+		}
+		return bits
+	}
+	want := flight("flight/a")
+	if got := flight("flight/a"); !slices.Equal(got, want) {
+		t.Fatalf("two forks of one purpose: %v vs %v", got, want)
+	}
+	if slices.Equal(flight("flight/b"), want) {
+		t.Fatal("forks of different purposes flighted identically")
 	}
 }
 
@@ -291,3 +368,25 @@ func TestNodeWorkCoversAllOps(t *testing.T) {
 type fixedDist struct{}
 
 func (fixedDist) CompareSelectivity(expr.ColumnRef, expr.Func, []float64) float64 { return 0.5 }
+
+// TestForkConcurrentWithExecute: forking reads the executor's cluster under
+// its read lock and the noise stream's seed only, so flights may fork while
+// the serving goroutine executes (run under -race).
+func TestForkConcurrentWithExecute(t *testing.T) {
+	ex, _ := testEnv(39)
+	p := testPlanWithExchanges()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				ex.Fork("flight/test").Flight(p, 1, 2, DefaultOptions())
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		ex.Execute(p, 1, DefaultOptions())
+	}
+	wg.Wait()
+}

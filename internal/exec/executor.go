@@ -61,10 +61,10 @@ func DefaultOptions() Options {
 // Executor runs plans against a project's ground truth on a shared cluster.
 // Execute is safe to call from multiple goroutines: executions serialize on
 // an internal mutex, because each one advances simulated time and draws from
-// the executor's noise stream. Work and CostUnderEnv are read-only and run
-// without the lock. Under concurrent callers the interleaving of executions
-// (and therefore costs) depends on goroutine scheduling; determinism requires
-// a single driving goroutine, as before.
+// the executor's noise stream. Work is read-only and runs without the lock.
+// Under concurrent callers the interleaving of executions (and therefore
+// costs) depends on goroutine scheduling; determinism requires a single
+// driving goroutine, as before.
 type Executor struct {
 	Cluster *cluster.Cluster
 	Project *warehouse.Project
@@ -109,6 +109,31 @@ func NewExecutor(rng *simrand.RNG, cl *cluster.Cluster, p *warehouse.Project) *E
 		Coeffs:  DefaultCoeffs(),
 		rng:     rng.Derive("executor"),
 	}
+}
+
+// Fork returns an executor over a fork of the cluster (cluster.Fork), its
+// noise stream derived from purpose: the flighting environment of §3, where
+// out-of-band executions run. Nothing executed on the fork moves ex, its
+// cluster or its telemetry; two forks of one purpose taken from one state
+// execute identically.
+func (ex *Executor) Fork(purpose string) *Executor {
+	return &Executor{
+		Cluster: ex.Cluster.Fork(purpose),
+		Project: ex.Project,
+		Coeffs:  ex.Coeffs,
+		rng:     ex.rng.Derive(purpose),
+	}
+}
+
+// Flight executes p reps times and returns each rep's CPU cost. Flights
+// belong on a fork (Fork): on a project's own executor they would move the
+// serving cluster and noise stream.
+func (ex *Executor) Flight(p *plan.Plan, day, reps int, opt Options) []float64 {
+	costs := make([]float64, reps)
+	for r := range costs {
+		costs[r] = ex.Execute(p, day, opt).CPUCost
+	}
+	return costs
 }
 
 // Work returns the environment-independent work of each stage of a plan,
@@ -196,15 +221,11 @@ func (ex *Executor) Execute(p *plan.Plan, day int, opt Options) *Record {
 		ex.Cluster.Advance(math.Min(duration, 3*cluster.SampleInterval))
 		env = env.Add(ex.Cluster.Average(machines)).Scale(0.5)
 
-		factor := EnvFactor(env)
-		if env.MemUsage > ex.Coeffs.SpillThreshold && stageHashHeavy(s) {
-			factor *= ex.Coeffs.SpillPenalty
-		}
 		// Mean-one log-normal noise.
 		sigma := opt.NoiseSigma
 		noise := ex.rng.LogNormal(-sigma*sigma/2, sigma)
 
-		cost := work * factor * noise
+		cost := work * ex.Coeffs.stageFactor(s, env) * noise
 		rec.StageEnvs[i] = env
 		rec.StageCosts[i] = cost
 		rec.CPUCost += cost
@@ -222,40 +243,15 @@ func (ex *Executor) Execute(p *plan.Plan, day int, opt Options) *Record {
 	return rec
 }
 
-// CostUnderEnv returns the plan's cost if every stage ran under the given
-// fixed environment, with fresh noise — the quantity C_e(P) of §5's
-// theoretical model. A zero-sigma call returns the deterministic cost.
-func (ex *Executor) CostUnderEnv(p *plan.Plan, day int, env cluster.Metrics, sigma float64, rng *simrand.RNG) float64 {
-	total, perStage, d, _ := ex.Work(p, day)
-	_ = total
-	factor := EnvFactor(env)
-	cost := 0.0
-	for i, s := range d.Stages {
-		f := factor
-		if env.MemUsage > ex.Coeffs.SpillThreshold && stageHashHeavy(s) {
-			f *= ex.Coeffs.SpillPenalty
-		}
-		noise := 1.0
-		if sigma > 0 && rng != nil {
-			noise = rng.LogNormal(-sigma*sigma/2, sigma)
-		}
-		cost += perStage[i] * f * noise
+// stageFactor is the multiplicative effect of a stage's environment on its
+// work: EnvFactor, times the spill penalty when memory pressure meets a
+// hash-heavy stage.
+func (c CostCoeffs) stageFactor(s *Stage, env cluster.Metrics) float64 {
+	f := EnvFactor(env)
+	if env.MemUsage > c.SpillThreshold && stageHashHeavy(s) {
+		f *= c.SpillPenalty
 	}
-	return cost
-}
-
-// Flight re-executes a plan n times in the flighting environment (§3): the
-// shared cluster advances, but nothing is logged to any project history, and
-// the mean cost is returned as ground truth.
-func (ex *Executor) Flight(p *plan.Plan, day, n int, opt Options) float64 {
-	if n <= 0 {
-		n = 1
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += ex.Execute(p, day, opt).CPUCost
-	}
-	return total / float64(n)
+	return f
 }
 
 func stageHashHeavy(s *Stage) bool {

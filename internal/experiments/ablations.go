@@ -45,7 +45,7 @@ func (e *Env) trainOn(project string, labelOf func(cost, latency float64) float6
 	if err != nil {
 		return nil, err
 	}
-	return pickWith(pred, predictor.StrategyMeanEnv, [4]float64{}, [4]float64{}), nil
+	return pickWith(pred, predictor.StrategyMeanEnv), nil
 }
 
 // Ext2 runs the label ablation on the two highest-headroom projects.
@@ -130,7 +130,7 @@ func (e *Env) Ext3() (*Ext3Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pick := pickWith(pred, predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
+			pick := pickWith(pred, predictor.StrategyMeanEnv)
 			avg := evalMethod(pe, "enc", pick).AvgCost
 			if multi {
 				pr.MultiSegment = avg

@@ -20,7 +20,6 @@ func TestCalibration(t *testing.T) {
 		fmt.Sscanf(v, "%d", &cfg.Epochs)
 	}
 	env := NewEnv(cfg)
-	cl := env.Sim.Cluster
 	projects := []string{"project2", "project1", "project5"}
 	if os.Getenv("LOAM_CALIB_ONE") != "" {
 		projects = projects[:1]
@@ -39,8 +38,7 @@ func TestCalibration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv,
-				cl.HistoryAverage().Normalized(), cl.ClusterAverage().Normalized())
+			pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
 			m := evalMethod(pe, v.Label(), pick)
 			// Selection quality: how often the pick is the empirical best /
 			// within 5% of best; distribution of chosen indices.

@@ -112,7 +112,9 @@ type ProjectEval struct {
 
 // Eval measures a project's test queries: for every test query the explorer
 // produces the top-5 candidates (default included), and every candidate is
-// executed EvalReps times in the flighting environment. Results are cached.
+// executed EvalReps times in the flighting environment, one fork of the
+// project's executor (purpose "flight/eval") that all its queries share, so
+// the cluster observations move from query to query. Results are cached.
 func (e *Env) Eval(name string) *ProjectEval {
 	if pe, ok := e.evals[name]; ok {
 		return pe
@@ -132,7 +134,8 @@ func (e *Env) Eval(name string) *ProjectEval {
 		test = test[:e.Cfg.EvalQueries]
 	}
 	sw := walltime.Start()
-	cl := ps.Executor.Cluster
+	flight := ps.Executor.Fork("flight/eval")
+	cl := flight.Cluster
 	for _, entry := range test {
 		ex := ps.Explorer(entry.Record.Day)
 		cands := ex.Candidates(entry.Query)
@@ -147,16 +150,9 @@ func (e *Env) Eval(name string) *ProjectEval {
 		}
 		opt := ps.ExecOptions(entry.Query)
 		for i, c := range cands {
-			costs := make([]float64, e.Cfg.EvalReps)
-			for r := range costs {
-				costs[r] = ps.Executor.Execute(c, entry.Record.Day, opt).CPUCost
-			}
+			costs := flight.Flight(c, entry.Record.Day, e.Cfg.EvalReps, opt)
 			eq.Costs[i] = costs
-			mean := 0.0
-			for _, v := range costs {
-				mean += v
-			}
-			eq.Means[i] = mean / float64(len(costs))
+			eq.Means[i], _ = theory.Moments(costs)
 			d, err := theory.FitLogNormal(costs)
 			if err == nil {
 				eq.Dists[i] = d

@@ -77,7 +77,7 @@ func (e *Env) Fig10(f6 *Fig6Result) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pick := pickWith(nl.Predictor(), predictor.StrategyNoEnv, [4]float64{}, [4]float64{})
+		pick := pickWith(nl.Predictor(), predictor.StrategyNoEnv)
 		m := evalMethod(pe, "LOAM-NL", pick)
 		fp.Cost["LOAM-NL"] = m.AvgCost
 		fp.RelDev["LOAM-NL"] = m.RelDeviance

@@ -91,9 +91,10 @@ func evalMethod(pe *ProjectEval, name string, pick func(q *EvalQuery) int) Metho
 }
 
 // pickWith returns a selection rule that scores the stored candidates with a
-// trained predictor under an environment strategy.
-func pickWith(p *predictor.Predictor, strategy predictor.Strategy, clusterExpected, clusterCurrent [4]float64) func(q *EvalQuery) int {
-	envs := p.EnvSourceFor(strategy, clusterExpected, clusterCurrent)
+// trained predictor under a cluster-free environment strategy
+// (StrategyMeanEnv or StrategyNoEnv: neither reads a cluster observation).
+func pickWith(p *predictor.Predictor, strategy predictor.Strategy) func(q *EvalQuery) int {
+	envs := p.EnvSourceFor(strategy, [4]float64{}, [4]float64{})
 	return func(q *EvalQuery) int {
 		costs := make([]float64, len(q.Cands))
 		for i, c := range q.Cands {
@@ -136,14 +137,12 @@ func (e *Env) evalProject(name string, variants []Variant) (ProjectResult, error
 		pr.BestAchievableDeviance /= n
 	}
 
-	cl := e.Sim.Cluster
 	for _, v := range variants {
 		dep, err := e.Deployment(name, v)
 		if err != nil {
 			return pr, err
 		}
-		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv,
-			cl.HistoryAverage().Normalized(), cl.ClusterAverage().Normalized())
+		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
 		m := evalMethod(pe, v.Label(), pick)
 		m.TrainSeconds = dep.Predictor().Metrics().TrainSeconds
 		m.ModelBytes = dep.Predictor().Metrics().ModelBytes
@@ -363,9 +362,7 @@ func (e *Env) Fig11(f6 *Fig6Result) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl := e.Sim.Cluster
-		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv,
-			cl.HistoryAverage().Normalized(), cl.ClusterAverage().Normalized())
+		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
 		m := evalMethod(e.Eval(name), "LOAM-NA", pick)
 		res.NoAdapt[name] = m.AvgCost
 	}

@@ -39,7 +39,6 @@ func (e *Env) Fig8(f6 *Fig6Result) (*Fig8Result, error) {
 			Native:         pr.Native,
 			BestAchievable: pr.BestAchievable,
 		}
-		cl := e.Sim.Cluster
 		for _, f := range fracs {
 			size := int(f * float64(pe.TrainSize))
 			if size < 10 {
@@ -61,8 +60,7 @@ func (e *Env) Fig8(f6 *Fig6Result) (*Fig8Result, error) {
 				if derr != nil {
 					err = derr
 				} else {
-					pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv,
-						cl.HistoryAverage().Normalized(), cl.ClusterAverage().Normalized())
+					pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
 					m = evalMethod(pe, "LOAM", pick)
 				}
 			}

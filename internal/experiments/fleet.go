@@ -30,7 +30,8 @@ type FleetProject struct {
 // Fleet builds (and caches) a heterogeneous fleet of projects for the
 // project-selection experiments: varied catalog sizes, statistics quality,
 // query volumes and table churn, mirroring the paper's 28–30 sampled
-// production projects.
+// production projects. The fleet runs in a simulation of its own, so building
+// it leaves the evaluation projects' cluster alone.
 func (e *Env) Fleet() []*FleetProject {
 	if e.fleet != nil {
 		return e.fleet
@@ -41,6 +42,7 @@ func (e *Env) Fleet() []*FleetProject {
 		n = 28
 	}
 	rng := simrand.New(e.Cfg.Seed + 999)
+	sim := loam.NewSimulation(e.Cfg.Seed, loam.DefaultSimulationConfig())
 	days := 8
 	sampleQueries := 10
 
@@ -62,7 +64,7 @@ func (e *Env) Fleet() []*FleetProject {
 
 		pol := e.randomStatsPolicy(pr)
 
-		ps := e.Sim.AddProject(loam.ProjectConfig{
+		ps := sim.AddProject(loam.ProjectConfig{
 			Name:        arch.Name,
 			Archetype:   arch,
 			Workload:    wl,
@@ -74,8 +76,9 @@ func (e *Env) Fleet() []*FleetProject {
 		fp.Stats = selector.ComputeStats(ps.Repo.All(), ps.Project, 30)
 
 		// Sample queries and measure their improvement space the way
-		// App. E.1 prescribes: execute each candidate repeatedly, fit
+		// App. E.1 prescribes: flight each candidate repeatedly, fit
 		// log-normals, integrate the deviance.
+		flight := ps.Executor.Fork("flight/fleet")
 		entries := ps.Repo.All()
 		stride := len(entries)/sampleQueries + 1
 		sum, count := 0.0, 0
@@ -86,30 +89,17 @@ func (e *Env) Fleet() []*FleetProject {
 			dists := make([]theory.LogNormal, len(cands))
 			opt := ps.ExecOptions(entry.Query)
 			for ci, c := range cands {
-				costs := make([]float64, 3)
-				for r := range costs {
-					costs[r] = ps.Executor.Execute(c, entry.Record.Day, opt).CPUCost
-				}
+				costs := flight.Flight(c, entry.Record.Day, 3, opt)
 				if d, err := theory.FitLogNormal(costs); err == nil {
 					dists[ci] = d
 				}
 			}
-			oracle := theory.ExpectedMin(dists)
-			if oracle <= 0 {
+			s, ok := ps.RankerSample(entry, dists)
+			if !ok {
 				continue
 			}
-			imp := theory.ExpectedDeviance(dists, 0) / oracle
-			rows := func(tableID string) float64 {
-				if t := ps.Project.Table(tableID); t != nil {
-					return float64(t.RowsAt(entry.Record.Day))
-				}
-				return 0
-			}
-			fp.Samples = append(fp.Samples, selector.RankerSample{
-				Features:    selector.Features(entry.Record.Plan, entry.Record.CPUCost, rows),
-				Improvement: imp,
-			})
-			sum += imp
+			fp.Samples = append(fp.Samples, s)
+			sum += s.Improvement
 			count++
 		}
 		if count > 0 {

@@ -28,40 +28,34 @@ type Fig1Result struct {
 }
 
 // recurringRuns executes a template's canonical (non-churned) instance's
-// default plan reps times on the live cluster, returning the observed CPU
-// costs and end-to-end latencies.
-func recurringRuns(ps *loam.ProjectSim, tpl *workload.Template, day, reps int) (costs, latencies []float64) {
+// default plan reps times on flight, a fork of the project's executor,
+// returning the observed CPU costs and end-to-end latencies.
+func recurringRuns(flight *exec.Executor, ps *loam.ProjectSim, tpl *workload.Template, day, reps int) (costs, latencies []float64) {
 	churn := tpl.ParamChurn
 	tpl.ParamChurn = 0
 	q := tpl.Instantiate(ps.Rng("fig1"), day)
 	tpl.ParamChurn = churn
 
 	def := ps.Explorer(day).DefaultPlan(q)
-	opt := exec.DefaultOptions()
-	opt.NoiseSigma = q.NoiseSigma
+	opt := ps.ExecOptions(q)
 	costs = make([]float64, reps)
 	latencies = make([]float64, reps)
 	for r := range costs {
-		rec := ps.Executor.Execute(def, day, opt)
+		rec := flight.Execute(def, day, opt)
 		costs[r] = rec.CPUCost
 		latencies[r] = rec.LatencySec
 	}
 	return costs, latencies
 }
 
-// recurringCosts returns just the CPU costs of recurringRuns.
-func recurringCosts(ps *loam.ProjectSim, tpl *workload.Template, day, reps int) []float64 {
-	costs, _ := recurringRuns(ps, tpl, day, reps)
-	return costs
-}
-
 // Fig1 measures cost variability of recurring queries on project 1.
 func (e *Env) Fig1() *Fig1Result {
 	ps := e.Projects()[0]
+	flight := ps.Executor.Fork("flight/fig1")
 	const reps = 25
 	res := &Fig1Result{Reps: reps}
 	for _, tpl := range ps.Gen.Templates {
-		costs, latencies := recurringRuns(ps, tpl, 2, reps)
+		costs, latencies := recurringRuns(flight, ps, tpl, 2, reps)
 		_, rsd := theory.Moments(costs)
 		res.RSDs = append(res.RSDs, rsd)
 		_, lrsd := theory.Moments(latencies)
@@ -108,7 +102,7 @@ type Fig5Result struct {
 	CorrIdle, CorrLoad5 float64
 }
 
-// Fig5 executes one recurring query many times and relates cost to the
+// Fig5 flights one recurring query many times and relates cost to the
 // per-execution average machine load.
 func (e *Env) Fig5() *Fig5Result {
 	ps := e.Projects()[0]
@@ -121,10 +115,11 @@ func (e *Env) Fig5() *Fig5Result {
 	opt := exec.DefaultOptions()
 	opt.NoiseSigma = 0.05 // isolate the environment effect
 
+	flight := ps.Executor.Fork("flight/fig5")
 	res := &Fig5Result{}
 	const reps = 120
 	for r := 0; r < reps; r++ {
-		rec := ps.Executor.Execute(def, 2, opt)
+		rec := flight.Execute(def, 2, opt)
 		var env cluster.Metrics
 		for _, se := range rec.StageEnvs {
 			env = env.Add(se)
@@ -191,11 +186,12 @@ type Fig15Result struct {
 // Fig15 fits the execution-cost distribution of recurring plans.
 func (e *Env) Fig15() *Fig15Result {
 	ps := e.Projects()[0]
+	flight := ps.Executor.Fork("flight/fig15")
 	const reps = 120
 	res := &Fig15Result{}
 	pSum, pCount := 0.0, 0
 	for i, tpl := range ps.Gen.Templates {
-		costs := recurringCosts(ps, tpl, 2, reps)
+		costs, _ := recurringRuns(flight, ps, tpl, 2, reps)
 		fit, err := theory.FitLogNormal(costs)
 		if err != nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"loam/internal/floatsafe"
+	"loam/internal/history"
 	"loam/internal/selector"
 	"loam/internal/theory"
 )
@@ -50,9 +51,11 @@ type ValidationResult struct {
 }
 
 // Validate runs the §3 evaluation gate: the deployment's unseen test queries
-// are steered, every candidate is executed in the flighting environment, and
-// the predictor's selections are compared against the native optimizer's
-// defaults. It does not log to the project history.
+// are steered, every candidate is executed in the flighting environment — a
+// fork of the project's executor (exec.Executor.Fork, purpose
+// "flight/validate") — and the predictor's selections are compared against
+// the native optimizer's defaults. It logs nothing to the project history and
+// leaves the serving cluster and executor as it found them.
 func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
@@ -69,6 +72,7 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 
 	ps := d.ProjectSim
+	flight := ps.Executor.Fork("flight/validate")
 	res := &ValidationResult{}
 	var impSum float64
 	var impCount int
@@ -80,15 +84,8 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 		means := make([]float64, len(cands))
 		dists := make([]theory.LogNormal, len(cands))
 		for i, c := range cands {
-			costs := make([]float64, cfg.Reps)
-			for r := range costs {
-				costs[r] = ps.Executor.Execute(c, e.Record.Day, opt).CPUCost
-			}
-			total := 0.0
-			for _, v := range costs {
-				total += v
-			}
-			means[i] = total / float64(len(costs))
+			costs := flight.Flight(c, e.Record.Day, cfg.Reps, opt)
+			means[i], _ = theory.Moments(costs)
 			if fit, err := theory.FitLogNormal(costs); err == nil {
 				dists[i] = fit
 			}
@@ -115,22 +112,10 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 		res.NativeCost += means[0]
 		res.SelectedCost += means[chosen]
 
-		// Improvement space + Ranker sample from the default plan.
-		if oracle := theory.ExpectedMin(dists); oracle > 0 {
-			imp := theory.ExpectedDeviance(dists, 0) / oracle
-			impSum += imp
+		if s, ok := ps.RankerSample(e, dists); ok {
+			impSum += s.Improvement
 			impCount++
-			day := e.Record.Day
-			rows := func(tableID string) float64 {
-				if t := ps.Project.Table(tableID); t != nil {
-					return float64(t.RowsAt(day))
-				}
-				return 0
-			}
-			res.RankerSamples = append(res.RankerSamples, selector.RankerSample{
-				Features:    selector.Features(e.Record.Plan, e.Record.CPUCost, rows),
-				Improvement: imp,
-			})
+			res.RankerSamples = append(res.RankerSamples, s)
 		}
 	}
 	if res.Queries > 0 {
@@ -145,4 +130,26 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 	res.Accepted = floatsafe.LessEq(res.SelectedCost, res.NativeCost*(1+cfg.MaxRegression))
 	return res, nil
+}
+
+// RankerSample is a logged query's training pair for the §6 Ranker (App.
+// E.1): the default plan's observable features, and the improvement space
+// D(M_d) relative to the oracle, integrated over dists — the fitted cost
+// distributions of the query's candidates, default first. ok is false when
+// the oracle cost is not positive.
+func (ps *ProjectSim) RankerSample(e history.Entry, dists []theory.LogNormal) (s selector.RankerSample, ok bool) {
+	oracle := theory.ExpectedMin(dists)
+	if oracle <= 0 {
+		return s, false
+	}
+	rows := func(tableID string) float64 {
+		if t := ps.Project.Table(tableID); t != nil {
+			return float64(t.RowsAt(e.Record.Day))
+		}
+		return 0
+	}
+	return selector.RankerSample{
+		Features:    selector.Features(e.Record.Plan, e.Record.CPUCost, rows),
+		Improvement: theory.ExpectedDeviance(dists, 0) / oracle,
+	}, true
 }

@@ -1,7 +1,11 @@
 package loam
 
 import (
+	"context"
+	"math"
 	"testing"
+
+	"loam/internal/exec"
 )
 
 func deployTiny(t *testing.T, seed uint64) *Deployment {
@@ -71,8 +75,12 @@ func TestValidateRejectsEmptyTestSet(t *testing.T) {
 	}
 }
 
+// TestValidateDoesNotLogToHistory: the gate flights on a fork, so it neither
+// logs to the project history nor moves the serving transcript — after
+// Validate, the next ExecuteChoice returns what a same-seed twin that never
+// validated returns, bit for bit, on a cluster at the same time.
 func TestValidateDoesNotLogToHistory(t *testing.T) {
-	dep := deployTiny(t, 43)
+	dep, twin := deployTiny(t, 43), deployTiny(t, 43)
 	before := dep.ProjectSim.Repo.Len()
 	vcfg := DefaultValidationConfig()
 	vcfg.SampleQueries = 3
@@ -81,5 +89,22 @@ func TestValidateDoesNotLogToHistory(t *testing.T) {
 	}
 	if dep.ProjectSim.Repo.Len() != before {
 		t.Fatal("validation polluted the project history")
+	}
+	var recs [2]*exec.Record
+	for i, d := range []*Deployment{dep, twin} {
+		c, err := d.OptimizeCtx(context.Background(), d.TestSet[0].Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = d.ExecuteChoice(c)
+	}
+	got, want := recs[0], recs[1]
+	if math.Float64bits(got.CPUCost) != math.Float64bits(want.CPUCost) ||
+		math.Float64bits(got.LatencySec) != math.Float64bits(want.LatencySec) {
+		t.Fatalf("after Validate: cost %v latency %v; twin: cost %v latency %v",
+			got.CPUCost, got.LatencySec, want.CPUCost, want.LatencySec)
+	}
+	if g, w := dep.ProjectSim.Executor.Cluster.Now(), twin.ProjectSim.Executor.Cluster.Now(); g != w {
+		t.Fatalf("cluster clock %v after Validate, twin's %v", g, w)
 	}
 }
