@@ -147,10 +147,13 @@ cold:
 # on 2 vCPU): the paper's 14 artifacts, then the three extensions, each file a
 # -run subset. A subset prints every section as `-run all` does, because every
 # experiment flights on its own fork of the executors
-# (TestResultsSectionsReproduce pins it at -tiny).
+# (TestResultsSectionsReproduce pins it at -tiny). Last it rewrites
+# cmd/loam-bench/testdata/tiny.golden, every section at -tiny (~6 s), which
+# TestTinyGolden compares the -tiny run with, wall-clock rows aside.
 RESULTS_DEFAULT = fig1,table1,fig5,fig15,fig6,fig7,fig9,fig11,fig10,fig8,thm1,fig12,fig16,sec73
 results:
 	$(GO) run ./cmd/loam-bench -quiet -run $(RESULTS_DEFAULT) > results_default.txt
 	$(GO) run ./cmd/loam-bench -quiet -run ext1,ext2,ext3 > results_ext.txt
+	$(GO) run ./cmd/loam-bench -tiny -quiet > cmd/loam-bench/testdata/tiny.golden
 
 verify: build lint test race fuzz-smoke bench-e2e-smoke

@@ -235,3 +235,32 @@ func TestResultsSectionsReproduce(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyGolden: at -tiny every section prints what testdata/tiny.golden
+// holds, byte for byte, Fig. 9's wall-clock rows and the total aside — a
+// refactor that moves any number of any section fails here in seconds, not
+// only after the default-scale `make results`, which also regenerates this
+// golden.
+func TestTinyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: not running every experiment")
+	}
+	if raceEnabled {
+		t.Skip("-race: a single-goroutine determinism check, ~5x slower under the detector")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "tiny.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tinyAll(t)
+	if got, want := sectionIDs(out), sectionIDs(string(golden)); !slices.Equal(got, want) {
+		t.Fatalf("sections %v, golden %v", got, want)
+	}
+	got, want := sections(out), sections(string(golden))
+	for _, id := range sectionIDs(out) {
+		if got[id] != want[id] {
+			t.Errorf("section %s differs from testdata/tiny.golden (make results regenerates it):\n--- got ---\n%s--- golden ---\n%s",
+				id, got[id], want[id])
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"loam/internal/selector"
 	"loam/internal/simrand"
 	"loam/internal/stats"
-	"loam/internal/theory"
 	"loam/internal/warehouse"
 	"loam/internal/workload"
 )
@@ -98,32 +97,7 @@ func main() {
 // plus the improvement space D(M_d), measured by flighting every candidate on
 // a fork of the project's executor.
 func measure(ps *loam.ProjectSim) ([]selector.RankerSample, float64) {
-	flight := ps.Executor.Fork("flight/measure")
 	entries := ps.Repo.All()
-	stride := len(entries)/6 + 1
-	var samples []selector.RankerSample
-	sum, count := 0.0, 0
-	for i := 0; i < len(entries); i += stride {
-		e := entries[i]
-		cands := ps.Explorer(e.Record.Day).Candidates(e.Query)
-		dists := make([]theory.LogNormal, len(cands))
-		opt := ps.ExecOptions(e.Query)
-		for ci, c := range cands {
-			costs := flight.Flight(c, e.Record.Day, 3, opt)
-			if d, err := theory.FitLogNormal(costs); err == nil {
-				dists[ci] = d
-			}
-		}
-		s, ok := ps.RankerSample(e, dists)
-		if !ok {
-			continue
-		}
-		samples = append(samples, s)
-		sum += s.Improvement
-		count++
-	}
-	if count == 0 {
-		return samples, 0
-	}
-	return samples, sum / float64(count)
+	s := ps.SampleWorkload(ps.Executor.Fork("flight/measure"), entries, len(entries)/6+1, 3)
+	return s.RankerSamples, s.Improvement
 }

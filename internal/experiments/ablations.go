@@ -29,18 +29,19 @@ type Ext2Project struct {
 	LatencyLabel float64
 }
 
-// trainOn fits a LOAM predictor on the project's training window with a
-// custom label extractor, and returns its selection rule.
-func (e *Env) trainOn(project string, labelOf func(cost, latency float64) float64) (func(q *EvalQuery) int, error) {
+// trainOn fits a LOAM predictor without adaptation on the project's
+// training window, with an identifier encoding and a label extractor of the
+// ablation's choosing, and returns its selection rule.
+func (e *Env) trainOn(project string, ecfg encoding.Config, labelOf func(cost, latency float64) float64) (func(q *EvalQuery) int, error) {
 	ps := e.Project(project)
 	train, _ := ps.Repo.Split(e.Cfg.TrainDays, e.Cfg.TestDays, e.Cfg.MaxTrain)
-	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	enc := encoding.NewEncoder(ecfg)
 	samples := loam.TrainingSamples(train)
 	for i, entry := range train {
 		samples[i].Cost = labelOf(entry.Record.CPUCost, entry.Record.LatencySec)
 	}
 	pcfg := e.Cfg.predictorConfig(predictor.KindTCN)
-	pcfg.Adapt = false // isolate the label effect; adaptation is orthogonal
+	pcfg.Adapt = false // adaptation is orthogonal to both ablations
 	pred, err := predictor.Train(pcfg, enc, samples, nil)
 	if err != nil {
 		return nil, err
@@ -48,24 +49,20 @@ func (e *Env) trainOn(project string, labelOf func(cost, latency float64) float6
 	return pickWith(pred, predictor.StrategyMeanEnv), nil
 }
 
+// costLabel is the paper's training label: the CPU cost.
+func costLabel(cost, latency float64) float64 { return cost }
+
 // Ext2 runs the label ablation on the two highest-headroom projects.
 func (e *Env) Ext2() (*Ext2Result, error) {
 	res := &Ext2Result{}
 	for _, name := range []string{"project2", "project5"} {
 		pe := e.Eval(name)
-		pr := Ext2Project{Project: name}
-		for i := range pe.Queries {
-			pr.Native += pe.Queries[i].Means[0]
-		}
-		if n := float64(len(pe.Queries)); n > 0 {
-			pr.Native /= n
-		}
-
-		costPick, err := e.trainOn(name, func(cost, latency float64) float64 { return cost })
+		pr := Ext2Project{Project: name, Native: pe.Native()}
+		costPick, err := e.trainOn(name, encoding.DefaultConfig(), costLabel)
 		if err != nil {
 			return nil, err
 		}
-		latPick, err := e.trainOn(name, func(cost, latency float64) float64 { return latency })
+		latPick, err := e.trainOn(name, encoding.DefaultConfig(), func(cost, latency float64) float64 { return latency })
 		if err != nil {
 			return nil, err
 		}
@@ -106,31 +103,18 @@ type Ext3Project struct {
 func (e *Env) Ext3() (*Ext3Result, error) {
 	res := &Ext3Result{}
 	for _, name := range []string{"project2", "project5"} {
-		ps := e.Project(name)
 		pe := e.Eval(name)
-		pr := Ext3Project{Project: name}
-		for i := range pe.Queries {
-			pr.Native += pe.Queries[i].Means[0]
-		}
-		if n := float64(len(pe.Queries)); n > 0 {
-			pr.Native /= n
-		}
-
-		train, _ := ps.Repo.Split(e.Cfg.TrainDays, e.Cfg.TestDays, e.Cfg.MaxTrain)
+		pr := Ext3Project{Project: name, Native: pe.Native()}
 		for _, multi := range []bool{true, false} {
 			ecfg := encoding.DefaultConfig() // 5 segments × 8
 			if !multi {
 				ecfg.Segments = 1
 				ecfg.SegmentDim = 40 // same total width, one hash function
 			}
-			enc := encoding.NewEncoder(ecfg)
-			pcfg := e.Cfg.predictorConfig(predictor.KindTCN)
-			pcfg.Adapt = false
-			pred, err := predictor.Train(pcfg, enc, loam.TrainingSamples(train), nil)
+			pick, err := e.trainOn(name, ecfg, costLabel)
 			if err != nil {
 				return nil, err
 			}
-			pick := pickWith(pred, predictor.StrategyMeanEnv)
 			avg := evalMethod(pe, "enc", pick).AvgCost
 			if multi {
 				pr.MultiSegment = avg

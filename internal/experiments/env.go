@@ -5,10 +5,8 @@ import (
 
 	"loam"
 	"loam/internal/history"
-	"loam/internal/plan"
 	"loam/internal/predictor"
 	"loam/internal/telemetry"
-	"loam/internal/theory"
 	"loam/internal/walltime"
 )
 
@@ -70,33 +68,16 @@ func (e *Env) Projects() []*loam.ProjectSim { return e.projects }
 // Project returns one project by name.
 func (e *Env) Project(name string) *loam.ProjectSim { return e.Sim.Project(name) }
 
-// EvalQuery is one test query with its candidate set and per-candidate
-// ground-truth cost measurements.
+// EvalQuery is one test query measured by loam.ProjectSim.MeasureQuery, with
+// the cluster-wide environment observations at its optimization moment,
+// read from the flighting fork before its candidates run: the instantaneous
+// average (what LOAM-CB would read) and the 24-h fitted expectation (what
+// LOAM-CE would use).
 type EvalQuery struct {
-	Entry history.Entry
-	// ClusterCurrent and ClusterExpected are the cluster-wide environment
-	// observations at this query's optimization moment: the instantaneous
-	// average (what LOAM-CB would read) and the 24-h fitted expectation
-	// (what LOAM-CE would use).
+	loam.Measured
 	ClusterCurrent  [4]float64
 	ClusterExpected [4]float64
-	// Cands are the explorer's candidates; index 0 is the default plan.
-	Cands []*plan.Plan
-	// Costs[i] are the repeated-execution costs of candidate i.
-	Costs [][]float64
-	// Means[i] is the mean observed cost of candidate i.
-	Means []float64
-	// Dists[i] is the log-normal fitted to candidate i's costs (App. E.1).
-	Dists []theory.LogNormal
 }
-
-// OracleCost returns the expected cost of the oracle model over this query's
-// candidates.
-func (q *EvalQuery) OracleCost() float64 { return theory.ExpectedMin(q.Dists) }
-
-// BestAchievableIdx returns M_b's choice: the candidate minimizing expected
-// cost.
-func (q *EvalQuery) BestAchievableIdx() int { return theory.BestAchievable(q.Dists) }
 
 // ProjectEval is a project's measured test workload.
 type ProjectEval struct {
@@ -108,6 +89,19 @@ type ProjectEval struct {
 	TestSize int
 	// AvgTrainCost is the mean CPU cost over the training window (Table 1).
 	AvgTrainCost float64
+}
+
+// Native returns the native optimizer's average cost over the measured
+// queries: the mean of the default plans' flighted means.
+func (pe *ProjectEval) Native() float64 {
+	sum := 0.0
+	for i := range pe.Queries {
+		sum += pe.Queries[i].Means[0]
+	}
+	if n := float64(len(pe.Queries)); n > 0 {
+		sum /= n
+	}
+	return sum
 }
 
 // Eval measures a project's test queries: for every test query the explorer
@@ -135,30 +129,12 @@ func (e *Env) Eval(name string) *ProjectEval {
 	}
 	sw := walltime.Start()
 	flight := ps.Executor.Fork("flight/eval")
-	cl := flight.Cluster
 	for _, entry := range test {
-		ex := ps.Explorer(entry.Record.Day)
-		cands := ex.Candidates(entry.Query)
-		eq := EvalQuery{
-			Entry:           entry,
-			ClusterCurrent:  cl.ClusterAverage().Normalized(),
-			ClusterExpected: cl.HistoryAverage().Normalized(),
-			Cands:           cands,
-			Costs:           make([][]float64, len(cands)),
-			Means:           make([]float64, len(cands)),
-			Dists:           make([]theory.LogNormal, len(cands)),
-		}
-		opt := ps.ExecOptions(entry.Query)
-		for i, c := range cands {
-			costs := flight.Flight(c, entry.Record.Day, e.Cfg.EvalReps, opt)
-			eq.Costs[i] = costs
-			eq.Means[i], _ = theory.Moments(costs)
-			d, err := theory.FitLogNormal(costs)
-			if err == nil {
-				eq.Dists[i] = d
-			}
-		}
-		pe.Queries = append(pe.Queries, eq)
+		pe.Queries = append(pe.Queries, EvalQuery{
+			ClusterCurrent:  flight.Cluster.ClusterAverage().Normalized(),
+			ClusterExpected: flight.Cluster.HistoryAverage().Normalized(),
+			Measured:        ps.MeasureQuery(flight, entry, e.Cfg.EvalReps),
+		})
 	}
 	e.Cfg.logf("evaluated %s: %d test queries × ≤5 candidates × %d reps (%.1fs)",
 		name, len(pe.Queries), e.Cfg.EvalReps, sw.Seconds())

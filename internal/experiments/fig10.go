@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"loam/internal/floatsafe"
 	"loam/internal/predictor"
 )
 
@@ -55,19 +54,7 @@ func (e *Env) Fig10(f6 *Fig6Result) (*Fig10Result, error) {
 			predictor.StrategyClusterExpected,
 			predictor.StrategyClusterCurrent,
 		} {
-			strategy := s
-			pick := func(q *EvalQuery) int {
-				envs := dep.Predictor().EnvSourceFor(strategy, q.ClusterExpected, q.ClusterCurrent)
-				costs := make([]float64, len(q.Cands))
-				for i, c := range q.Cands {
-					costs[i] = dep.Predictor().PredictCost(c, envs)
-				}
-				if best := floatsafe.ArgMin(costs); best >= 0 {
-					return best
-				}
-				return 0 // every estimate NaN: fall back to the default plan
-			}
-			m := evalMethod(pe, s.String(), pick)
+			m := evalMethod(pe, s.String(), pickWith(dep.Predictor(), s))
 			fp.Cost[s.String()] = m.AvgCost
 			fp.RelDev[s.String()] = m.RelDeviance
 		}

@@ -91,11 +91,12 @@ func evalMethod(pe *ProjectEval, name string, pick func(q *EvalQuery) int) Metho
 }
 
 // pickWith returns a selection rule that scores the stored candidates with a
-// trained predictor under a cluster-free environment strategy
-// (StrategyMeanEnv or StrategyNoEnv: neither reads a cluster observation).
+// trained predictor under an inference strategy, resolved per query against
+// the cluster observations captured at that query's optimization moment (only
+// LOAM-CE and LOAM-CB read them).
 func pickWith(p *predictor.Predictor, strategy predictor.Strategy) func(q *EvalQuery) int {
-	envs := p.EnvSourceFor(strategy, [4]float64{}, [4]float64{})
 	return func(q *EvalQuery) int {
+		envs := p.EnvSourceFor(strategy, q.ClusterExpected, q.ClusterCurrent)
 		costs := make([]float64, len(q.Cands))
 		for i, c := range q.Cands {
 			costs[i] = p.PredictCost(c, envs)
@@ -116,9 +117,9 @@ func (e *Env) evalProject(name string, variants []Variant) (ProjectResult, error
 		TrainSize: pe.TrainSize,
 		TestSize:  pe.TestSize,
 	}
+	pr.Native = pe.Native()
 	for i := range pe.Queries {
 		q := &pe.Queries[i]
-		pr.Native += q.Means[0]
 		pr.NativePerQuery = append(pr.NativePerQuery, q.Means[0])
 		oracle := q.OracleCost()
 		pr.Oracle += oracle
@@ -130,7 +131,6 @@ func (e *Env) evalProject(name string, variants []Variant) (ProjectResult, error
 		}
 	}
 	if n := float64(len(pe.Queries)); n > 0 {
-		pr.Native /= n
 		pr.Oracle /= n
 		pr.BestAchievable /= n
 		pr.ImprovementSpace /= n

@@ -7,7 +7,6 @@ import (
 	"loam/internal/selector"
 	"loam/internal/simrand"
 	"loam/internal/stats"
-	"loam/internal/theory"
 	"loam/internal/walltime"
 	"loam/internal/warehouse"
 	"loam/internal/workload"
@@ -78,33 +77,9 @@ func (e *Env) Fleet() []*FleetProject {
 		// Sample queries and measure their improvement space the way
 		// App. E.1 prescribes: flight each candidate repeatedly, fit
 		// log-normals, integrate the deviance.
-		flight := ps.Executor.Fork("flight/fleet")
 		entries := ps.Repo.All()
-		stride := len(entries)/sampleQueries + 1
-		sum, count := 0.0, 0
-		for j := 0; j < len(entries); j += stride {
-			entry := entries[j]
-			ex := ps.Explorer(entry.Record.Day)
-			cands := ex.Candidates(entry.Query)
-			dists := make([]theory.LogNormal, len(cands))
-			opt := ps.ExecOptions(entry.Query)
-			for ci, c := range cands {
-				costs := flight.Flight(c, entry.Record.Day, 3, opt)
-				if d, err := theory.FitLogNormal(costs); err == nil {
-					dists[ci] = d
-				}
-			}
-			s, ok := ps.RankerSample(entry, dists)
-			if !ok {
-				continue
-			}
-			fp.Samples = append(fp.Samples, s)
-			sum += s.Improvement
-			count++
-		}
-		if count > 0 {
-			fp.Improvement = sum / float64(count)
-		}
+		sample := ps.SampleWorkload(ps.Executor.Fork("flight/fleet"), entries, len(entries)/sampleQueries+1, 3)
+		fp.Samples, fp.Improvement = sample.RankerSamples, sample.Improvement
 		e.fleet = append(e.fleet, fp)
 	}
 	e.Cfg.logf("built fleet: %d projects (%.1fs)", len(e.fleet), sw.Seconds())

@@ -158,7 +158,7 @@ func (c Config) normalize() Config {
 }
 
 func (a AdmissionConfig) normalize(d AdmissionConfig) AdmissionConfig {
-	bad := func(v float64) bool { return math.IsNaN(v) || v <= 0 }
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 }
 	if bad(a.Burst) {
 		a.Burst = d.Burst
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -529,6 +530,64 @@ func TestTenantTableMatchesReference(t *testing.T) {
 		st := r.Budget()
 		if st.Tenants != len(want) || st.Granted != granted || st.Granted > st.Budget {
 			t.Fatalf("step %d: Budget() = %+v, want %d tenants and Σ grants %d <= budget", step, st, len(want), granted)
+		}
+	}
+}
+
+// TestConfigNormalizeReplacesBadFields: every field that is not positive and
+// finite takes its default, field by field, and a good value is kept. A +Inf
+// StandardCost would drive a bucket to -Inf and throttle the tenant for good;
+// a +Inf Burst would turn admission off.
+func TestConfigNormalizeReplacesBadFields(t *testing.T) {
+	def := DefaultConfig()
+	floats := []struct {
+		name string
+		get  func(*AdmissionConfig) *float64
+	}{
+		{"Burst", func(a *AdmissionConfig) *float64 { return &a.Burst }},
+		{"RefillPerServe", func(a *AdmissionConfig) *float64 { return &a.RefillPerServe }},
+		{"RefillPerTick", func(a *AdmissionConfig) *float64 { return &a.RefillPerTick }},
+		{"StandardCost", func(a *AdmissionConfig) *float64 { return &a.StandardCost }},
+		{"RecurringCost", func(a *AdmissionConfig) *float64 { return &a.RecurringCost }},
+	}
+	for _, f := range floats {
+		for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := def
+			*f.get(&cfg.Admission) = v
+			n := New(cfg).Config()
+			if got, want := *f.get(&n.Admission), *f.get(&def.Admission); got != want {
+				t.Errorf("%s = %v normalized to %v, want the default %v", f.name, v, got, want)
+			}
+		}
+		cfg := def
+		*f.get(&cfg.Admission) = 2.5
+		n := New(cfg).Config()
+		if got := *f.get(&n.Admission); got != 2.5 {
+			t.Errorf("%s = 2.5 normalized to %v, want it kept", f.name, got)
+		}
+	}
+	ints := []struct {
+		name string
+		get  func(*Config) *int
+	}{
+		{"CacheBudget", func(c *Config) *int { return &c.CacheBudget }},
+		{"InitialGrant", func(c *Config) *int { return &c.InitialGrant }},
+		{"Admission.RecurringTemplates", func(c *Config) *int { return &c.Admission.RecurringTemplates }},
+	}
+	for _, f := range ints {
+		for _, v := range []int{0, -1} {
+			cfg := def
+			*f.get(&cfg) = v
+			n := New(cfg).Config()
+			if got, want := *f.get(&n), *f.get(&def); got != want {
+				t.Errorf("%s = %d normalized to %d, want the default %d", f.name, v, got, want)
+			}
+		}
+		cfg := def
+		*f.get(&cfg) = 7
+		n := New(cfg).Config()
+		if got := *f.get(&n); got != 7 {
+			t.Errorf("%s = 7 normalized to %d, want it kept", f.name, got)
 		}
 	}
 }

@@ -178,9 +178,9 @@ type Request struct {
 	// Envs is the resolved environment source for learned scoring.
 	Envs encoding.EnvSource
 	// EnvKey is the hashable identity of Envs, when it has one. A keyed
-	// request lets a KeyedScorer reuse cached plan embeddings; the zero
+	// request lets a KeyedScorer reuse cached plan estimates; the zero
 	// (unkeyed) value always scores uncached. Callers must keep EnvKey in
-	// lockstep with Envs — a stale key would pin wrong embeddings.
+	// lockstep with Envs — a stale key would pin wrong estimates.
 	EnvKey encoding.EnvKey
 }
 
@@ -379,7 +379,7 @@ func (g *Guard) ServeShed(req Request, cause error) (Result, error) {
 // (loam.Validate), which must observe the model's unmasked behavior; serving
 // traffic goes through Serve. This and the predictor's own internals are the
 // only sanctioned SelectPlan call sites (loam-vet's guarddiscipline rule). A
-// keyed request to a KeyedScorer reuses cached plan embeddings, to the same
+// keyed request to a KeyedScorer reuses cached plan estimates, to the same
 // bits. The scorer is read once per call: a request concurrent with a
 // lifecycle swap scores entirely under one model or the other.
 func (g *Guard) ScoreLearnedKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error) {

@@ -586,7 +586,7 @@ func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource,
 
 // EnvKeyFor returns the cache key identifying EnvSourceFor(s, ...) with the
 // same arguments. The two must stay in lockstep: a key that does not match
-// its source would poison the plan cache with mismatched embeddings.
+// its source would poison the plan cache with mismatched estimates.
 func (p *Predictor) EnvKeyFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvKey {
 	switch s {
 	case StrategyClusterExpected:

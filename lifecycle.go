@@ -304,7 +304,7 @@ func (lc *Lifecycle) retrainLocked() {
 // atomic at both read points: the predictor pointer (environment source,
 // SaveModel) and the guard scorer flip to the candidate in one step each,
 // and each serve call reads each exactly once. The candidate gets a fresh
-// plan cache, so no embedding from the incumbent's weights survives the
+// plan cache, so no estimate from the incumbent's weights survives the
 // swap; the guard's breaker and sentinel restart clean (releasing any
 // quarantine), and the drift detector starts a fresh history. Callers hold
 // lc.mu. The fresh cache takes the incumbent cache's current capacity — the

@@ -278,7 +278,8 @@ type Deployment struct {
 	// pred is the serving model. Swaps go through the lifecycle seam
 	// (Lifecycle promote/rollback), which pairs the pointer store with a
 	// guard scorer swap; each stored predictor carries its own fresh plan
-	// cache, so embeddings can never outlive the weights that produced them.
+	// cache, so cached estimates can never outlive the weights that produced
+	// them.
 	pred atomic.Pointer[predictor.Predictor]
 	inj  *faultinject.Injector
 
@@ -389,8 +390,8 @@ func (ps *ProjectSim) trainingSet(entries []history.Entry, adapt bool, want int)
 // serving deployment and, under WithDurableStore, commits its initial
 // checkpoint. op prefixes a durable-store failure ("deploy" / "restore").
 func (ps *ProjectSim) deployPredictor(op string, pred *predictor.Predictor, enc *encoding.Encoder, trainSize int, test []history.Entry, o deployOptions) (*Deployment, error) {
-	// A fresh cache per deployment is the invalidation rule: embeddings can
-	// never outlive the weights that produced them.
+	// A fresh cache per deployment is the invalidation rule: cached estimates
+	// can never outlive the weights that produced them.
 	pred.EnablePlanCache(o.planCache)
 	d := ps.newDeployment(pred, enc, trainSize, test, o)
 	if o.durableDir != "" {
@@ -572,7 +573,7 @@ func (d *Deployment) serve(ctx context.Context, q *query.Query, shed bool, cause
 
 // envSource resolves the deployment's inference strategy against the live
 // cluster (§5), returning both the environment source and its cache key so
-// keyed scoring can reuse cached plan embeddings. The two are derived from
+// keyed scoring can reuse cached plan estimates. The two are derived from
 // the same cluster readings, keeping key and source in lockstep.
 func (d *Deployment) envSource() (encoding.EnvSource, encoding.EnvKey) {
 	cl := d.ProjectSim.Executor.Cluster

@@ -62,15 +62,20 @@ var (
 // serving entry point for a fleet — it runs the admission gate and then the
 // deployment's full guarded ladder, or the native-fallback shed path for an
 // over-budget tenant. See DESIGN.md "Fleet serving contract".
+//
+// The control plane — Deregister, Tick, Rebalance, Budget, Stats, Tenants and
+// Config — is the embedded fleet.Registry's; the embedded field also serves
+// callers that mix deployments with custom backends (fleet-scale
+// experiments).
 type FleetRegistry struct {
-	reg *fleet.Registry
+	*fleet.Registry
 }
 
 // NewFleetRegistry builds a standalone fleet registry. Wire cfg.Metrics to
 // aggregate fleet.* telemetry with other components; prefer
 // Simulation.NewFleet inside a simulation, which does that for you.
 func NewFleetRegistry(cfg FleetConfig) *FleetRegistry {
-	return &FleetRegistry{reg: fleet.New(cfg)}
+	return &FleetRegistry{fleet.New(cfg)}
 }
 
 // NewFleet builds a fleet registry wired to the simulation's telemetry
@@ -91,19 +96,15 @@ func (f *FleetRegistry) Register(project string, d *Deployment) error {
 	if d == nil {
 		return fmt.Errorf("register %q: %w", project, fleet.ErrNilBackend)
 	}
-	return f.reg.Register(project, &fleetBackend{d: d})
+	return f.Registry.Register(project, &fleetBackend{d: d})
 }
 
 // RegisterBackend adds a custom FleetBackend (e.g. a fleet.SyntheticTenant)
 // as project's serving engine. Route on such a tenant returns a nil *Choice —
-// read its native value via Registry().Route instead.
+// read its native value via Registry.Route instead.
 func (f *FleetRegistry) RegisterBackend(project string, b FleetBackend) error {
-	return f.reg.Register(project, b)
+	return f.Registry.Register(project, b)
 }
-
-// Deregister removes project's backend, returning its cache grant to the
-// pool. Reports whether the project was registered.
-func (f *FleetRegistry) Deregister(project string) bool { return f.reg.Deregister(project) }
 
 // Route serves one query for project through the admission gate: an admitted
 // query runs the deployment's full guarded ladder (learned path first), an
@@ -112,33 +113,10 @@ func (f *FleetRegistry) Deregister(project string) bool { return f.reg.Deregiste
 // non-nil only for unknown tenants, caller cancellation, or total ladder
 // exhaustion — a shed still serves.
 func (f *FleetRegistry) Route(ctx context.Context, project string, q *query.Query) (*Choice, error) {
-	out, err := f.reg.Route(ctx, project, q)
+	out, err := f.Registry.Route(ctx, project, q)
 	c, _ := out.(*Choice)
 	return c, err
 }
-
-// Tick advances the fleet's logical admission clock: every tenant's bucket
-// refills by RefillPerTick. Call it between traffic waves.
-func (f *FleetRegistry) Tick() { f.reg.Tick() }
-
-// Rebalance re-divides the global plan-cache budget across tenants in
-// proportion to traffic since the last call — hot projects earn cache, cold
-// ones shrink (deterministically; see internal/fleet).
-func (f *FleetRegistry) Rebalance() { f.reg.Rebalance() }
-
-// Budget reports the current global cache budget status.
-func (f *FleetRegistry) Budget() FleetBudgetStatus { return f.reg.Budget() }
-
-// Stats returns project's admission and cache stats; ok is false for unknown
-// tenants.
-func (f *FleetRegistry) Stats(project string) (FleetTenantStats, bool) { return f.reg.Stats(project) }
-
-// Tenants returns the registered project names, sorted.
-func (f *FleetRegistry) Tenants() []string { return f.reg.Tenants() }
-
-// Registry exposes the underlying fleet.Registry for callers that mix
-// deployments with custom backends (fleet-scale experiments).
-func (f *FleetRegistry) Registry() *fleet.Registry { return f.reg }
 
 // fleetBackend adapts a *Deployment to the fleet.Backend interface.
 type fleetBackend struct {
@@ -169,7 +147,7 @@ func (b *fleetBackend) CacheLen() int { return b.d.pred.Load().PlanCacheLen() }
 
 // SetCacheCapacity applies a fleet budget grant: the live predictor's cache
 // is resized in place (shrinks evict the LRU tail, survivors keep their
-// embeddings). Its capacity is the only record of the grant — promoteLocked
+// estimates). Its capacity is the only record of the grant — promoteLocked
 // sizes the next model's cache from it. The predictor read is atomic, so a
 // concurrent promote either copies the granted capacity or gets resized here.
 func (b *fleetBackend) SetCacheCapacity(n int) { b.d.pred.Load().SetPlanCacheCapacity(n) }

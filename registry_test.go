@@ -174,7 +174,7 @@ func TestFleetRouteHonoursContext(t *testing.T) {
 		StandardCost: 1, RecurringCost: 1, RecurringTemplates: 0,
 	})
 	name, q := "fa", qs["fa"][0]
-	fleetMetrics := reg.Registry().Config().Metrics
+	fleetMetrics := reg.Registry.Config().Metrics
 	before, _ := reg.Stats(name)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -247,7 +247,7 @@ func TestGovernedPromoteCapacity(t *testing.T) {
 
 // TestFleetRegistryMixedBackends: deployments and synthetic tenants share one
 // registry; Route's typed veneer returns nil for non-Choice backends while
-// Registry().Route exposes the native value.
+// Registry.Route exposes the native value.
 func TestFleetRegistryMixedBackends(t *testing.T) {
 	reg, _, qs := registryFixture(t, FleetAdmissionConfig{
 		Burst: 8, RefillPerServe: 1, RefillPerTick: 1,
@@ -265,7 +265,7 @@ func TestFleetRegistryMixedBackends(t *testing.T) {
 	if c != nil {
 		t.Fatalf("synthetic backend produced a *Choice: %+v", c)
 	}
-	out, err := reg.Registry().Route(context.Background(), "synth", q)
+	out, err := reg.Registry.Route(context.Background(), "synth", q)
 	if err != nil {
 		t.Fatal(err)
 	}

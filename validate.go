@@ -2,9 +2,12 @@ package loam
 
 import (
 	"fmt"
+	"slices"
 
+	"loam/internal/exec"
 	"loam/internal/floatsafe"
 	"loam/internal/history"
+	"loam/internal/plan"
 	"loam/internal/selector"
 	"loam/internal/theory"
 )
@@ -51,11 +54,11 @@ type ValidationResult struct {
 }
 
 // Validate runs the §3 evaluation gate: the deployment's unseen test queries
-// are steered, every candidate is executed in the flighting environment — a
-// fork of the project's executor (exec.Executor.Fork, purpose
-// "flight/validate") — and the predictor's selections are compared against
-// the native optimizer's defaults. It logs nothing to the project history and
-// leaves the serving cluster and executor as it found them.
+// are measured (ProjectSim.SampleWorkload) on a fork of the project's
+// executor (exec.Executor.Fork, purpose "flight/validate"), and the
+// predictor's selections are compared against the native optimizer's
+// defaults. It logs nothing to the project history and leaves the serving
+// cluster and executor as it found them.
 func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
@@ -72,51 +75,27 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 
 	ps := d.ProjectSim
-	flight := ps.Executor.Fork("flight/validate")
-	res := &ValidationResult{}
-	var impSum float64
-	var impCount int
-	for _, e := range test {
-		cands := ps.Explorer(e.Record.Day).Candidates(e.Query)
-		opt := ps.ExecOptions(e.Query)
-
-		// Flighting measurements per candidate.
-		means := make([]float64, len(cands))
-		dists := make([]theory.LogNormal, len(cands))
-		for i, c := range cands {
-			costs := flight.Flight(c, e.Record.Day, cfg.Reps, opt)
-			means[i], _ = theory.Moments(costs)
-			if fit, err := theory.FitLogNormal(costs); err == nil {
-				dists[i] = fit
-			}
-		}
-
+	sample := ps.SampleWorkload(ps.Executor.Fork("flight/validate"), test, 1, cfg.Reps)
+	res := &ValidationResult{
+		Queries:          len(sample.Queries),
+		ImprovementSpace: sample.Improvement,
+		RankerSamples:    sample.RankerSamples,
+	}
+	for i := range sample.Queries {
+		m := &sample.Queries[i]
 		// Predictor's choice under the deployment's strategy — scored raw
 		// (guard.ScoreLearnedKeyed), not guarded: validation measures the
 		// model itself, so a failure here must surface instead of degrading
 		// to a fallback plan. Keyed scoring shares the plan cache with
 		// serving; cached and uncached scores are bit-identical.
 		envs, envKey := d.envSource()
-		chosenPlan, _, err := d.grd.ScoreLearnedKeyed(cands, envs, envKey)
+		chosenPlan, _, err := d.grd.ScoreLearnedKeyed(m.Cands, envs, envKey)
 		if err != nil {
 			return nil, fmt.Errorf("validate %s: %w", ps.Config.Name, err)
 		}
-		chosen := 0
-		for i := range cands {
-			if cands[i] == chosenPlan {
-				chosen = i
-				break
-			}
-		}
-		res.Queries++
-		res.NativeCost += means[0]
-		res.SelectedCost += means[chosen]
-
-		if s, ok := ps.RankerSample(e, dists); ok {
-			impSum += s.Improvement
-			impCount++
-			res.RankerSamples = append(res.RankerSamples, s)
-		}
+		chosen := max(slices.Index(m.Cands, chosenPlan), 0)
+		res.NativeCost += m.Means[0]
+		res.SelectedCost += m.Means[chosen]
 	}
 	if res.Queries > 0 {
 		res.NativeCost /= float64(res.Queries)
@@ -125,23 +104,102 @@ func (d *Deployment) Validate(cfg ValidationConfig) (*ValidationResult, error) {
 	if res.NativeCost > 0 {
 		res.Gain = 1 - res.SelectedCost/res.NativeCost
 	}
-	if impCount > 0 {
-		res.ImprovementSpace = impSum / float64(impCount)
-	}
 	res.Accepted = floatsafe.LessEq(res.SelectedCost, res.NativeCost*(1+cfg.MaxRegression))
 	return res, nil
 }
 
-// RankerSample is a logged query's training pair for the §6 Ranker (App.
+// Measured is a logged query flighted the one way a logged query is
+// flighted (ProjectSim.MeasureQuery): the explorer's candidates for it, and
+// each candidate's flighted costs, their mean and the log-normal fitted to
+// them (App. E.1).
+type Measured struct {
+	Entry history.Entry
+	// Cands are the explorer's candidates; index 0 is the default plan.
+	Cands []*plan.Plan
+	// Costs[i] are the flighted costs of candidate i, one per rep.
+	Costs [][]float64
+	// Means[i] is the mean of Costs[i].
+	Means []float64
+	// Dists[i] is the log-normal fitted to Costs[i]; the zero LogNormal
+	// marks a failed fit.
+	Dists []theory.LogNormal
+}
+
+// MeasureQuery flights a logged query: the explorer's candidates for it, on
+// the statistics of the day it ran, each executed reps times on flight — a
+// fork of the project's executor (exec.Executor.Fork) — in candidate order.
+// It is the measurement the §3 gate, the Fig. 6 evaluation and the
+// improvement space of §6 all take.
+func (ps *ProjectSim) MeasureQuery(flight *exec.Executor, e history.Entry, reps int) Measured {
+	cands := ps.Explorer(e.Record.Day).Candidates(e.Query)
+	m := Measured{
+		Entry: e,
+		Cands: cands,
+		Costs: make([][]float64, len(cands)),
+		Means: make([]float64, len(cands)),
+		Dists: make([]theory.LogNormal, len(cands)),
+	}
+	opt := ps.ExecOptions(e.Query)
+	for i, c := range cands {
+		costs := flight.Flight(c, e.Record.Day, reps, opt)
+		m.Costs[i] = costs
+		m.Means[i], _ = theory.Moments(costs)
+		if d, err := theory.FitLogNormal(costs); err == nil {
+			m.Dists[i] = d
+		}
+	}
+	return m
+}
+
+// OracleCost returns the expected cost of the oracle model over the
+// query's candidates.
+func (m *Measured) OracleCost() float64 { return theory.ExpectedMin(m.Dists) }
+
+// BestAchievableIdx returns M_b's choice: the candidate minimizing expected
+// cost.
+func (m *Measured) BestAchievableIdx() int { return theory.BestAchievable(m.Dists) }
+
+// WorkloadSample is a stride-sampled slice of logged queries, each measured
+// by MeasureQuery, with the §6 Ranker's training pairs derived from them.
+type WorkloadSample struct {
+	Queries []Measured
+	// RankerSamples holds one pair per query whose oracle cost is positive,
+	// in query order.
+	RankerSamples []selector.RankerSample
+	// Improvement is the mean relative D(M_d) over RankerSamples (0 when
+	// there are none).
+	Improvement float64
+}
+
+// SampleWorkload measures entries[0], entries[stride], entries[2·stride], …
+// on flight, in that order, each candidate reps times.
+func (ps *ProjectSim) SampleWorkload(flight *exec.Executor, entries []history.Entry, stride, reps int) WorkloadSample {
+	var s WorkloadSample
+	sum := 0.0
+	for i := 0; i < len(entries); i += stride {
+		m := ps.MeasureQuery(flight, entries[i], reps)
+		s.Queries = append(s.Queries, m)
+		if rs, ok := ps.rankerSample(&m); ok {
+			s.RankerSamples = append(s.RankerSamples, rs)
+			sum += rs.Improvement
+		}
+	}
+	if n := len(s.RankerSamples); n > 0 {
+		s.Improvement = sum / float64(n)
+	}
+	return s
+}
+
+// rankerSample is a measured query's training pair for the §6 Ranker (App.
 // E.1): the default plan's observable features, and the improvement space
-// D(M_d) relative to the oracle, integrated over dists — the fitted cost
-// distributions of the query's candidates, default first. ok is false when
-// the oracle cost is not positive.
-func (ps *ProjectSim) RankerSample(e history.Entry, dists []theory.LogNormal) (s selector.RankerSample, ok bool) {
-	oracle := theory.ExpectedMin(dists)
+// D(M_d) relative to the oracle. ok is false when the oracle cost is not
+// positive.
+func (ps *ProjectSim) rankerSample(m *Measured) (s selector.RankerSample, ok bool) {
+	oracle := m.OracleCost()
 	if oracle <= 0 {
 		return s, false
 	}
+	e := m.Entry
 	rows := func(tableID string) float64 {
 		if t := ps.Project.Table(tableID); t != nil {
 			return float64(t.RowsAt(e.Record.Day))
@@ -150,6 +208,6 @@ func (ps *ProjectSim) RankerSample(e history.Entry, dists []theory.LogNormal) (s
 	}
 	return selector.RankerSample{
 		Features:    selector.Features(e.Record.Plan, e.Record.CPUCost, rows),
-		Improvement: theory.ExpectedDeviance(dists, 0) / oracle,
+		Improvement: theory.ExpectedDeviance(m.Dists, 0) / oracle,
 	}, true
 }
