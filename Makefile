@@ -112,14 +112,15 @@ chaos-recover:
 # an independent planning, every node's rows vs. a fresh estimate, the
 # decisive-set rule, the sharing contract, a session resumed from recorded
 # estimates vs. a fresh one), the steering memo's key-coverage, replay and
-# concurrency tests, the FNV fold's differential and golden tests, the
+# concurrency tests, the FNV fold's differential and golden tests, the native
+# rough cost's and the executor's work pinned bit for bit, the
 # allocation and retained-heap ceilings and plan.Node's size, then both halves
 # of a warm request: one Explorer.Candidates per op over a project1- and a
 # project2-shaped query set, first sight and repeat, and one SelectPlanKeyed
 # of eight candidates on a warm plan cache (~20 s; DESIGN.md "Exploration
 # budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 	$(GO) test -run '^$$' -bench SelectPlanCached -benchtime 200000x -cpu 2 -benchmem ./internal/predictor
 
@@ -136,7 +137,7 @@ train:
 # cold is the cold path's developer loop, like warm not a verify step: the
 # forest encoder's exactness tests, the layer-class census, every scoring path
 # against the training forward, the zero-allocation ceilings, then one unkeyed
-# SelectPlan per op over a default project's explorer sets, reporting the rows
+# SelectPlanKeyed per op over a default project's explorer sets, reporting the rows
 # its TreeConv layers convolve and the nodes it encodes per plan node
 # (DESIGN.md "Inference fast path & caching contract").
 cold:

@@ -182,12 +182,12 @@ func BenchmarkPredictorInference(b *testing.B) {
 	envs := dep.Predictor().EnvSourceFor(predictor.StrategyMeanEnv, [4]float64{}, [4]float64{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = dep.Predictor().SelectPlan(cands, envs)
+		_, _, _ = dep.Predictor().SelectPlanKeyed(cands, envs, encoding.EnvKey{})
 	}
 }
 
 // BenchmarkSelectPlanColdExplorerSet is the cold path in seconds: one op is
-// one unkeyed SelectPlan — no plan cache, so every candidate is embedded —
+// one unkeyed SelectPlanKeyed — no plan cache, so every candidate is embedded —
 // over the real Explorer.Candidates set of one request of the default project,
 // cycling through a day's requests. It owns the sharing ratios the forest
 // forward rests on, per plan node of a request's candidates (nodes/op):
@@ -226,7 +226,7 @@ func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pred.SelectPlan(sets[i%len(sets)], envs); err != nil {
+		if _, _, err := pred.SelectPlanKeyed(sets[i%len(sets)], envs, encoding.EnvKey{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func TestForestScoringMatchesPerPlanOnExplorerSets(t *testing.T) {
 					}
 				}
 				keyed := func() (*plan.Plan, []float64, error) { return pred.SelectPlanKeyed(cands, envs, key) }
-				same("unkeyed", func() (*plan.Plan, []float64, error) { return pred.SelectPlan(cands, envs) })
+				same("unkeyed", func() (*plan.Plan, []float64, error) { return pred.SelectPlanKeyed(cands, envs, encoding.EnvKey{}) })
 				pred.EnablePlanCache(256)
 				same("keyed cold", keyed)
 				same("keyed warm", keyed)

@@ -8,57 +8,37 @@ import (
 	"loam/internal/plan"
 )
 
-// CostCoeffs are the per-operator work coefficients of the ground-truth cost
-// model. Units are abstract CPU-cost per row; with the synthetic catalogs
-// used by the experiments they place per-query costs in the paper's
-// 10^3–10^7 range.
-type CostCoeffs struct {
-	Scan         float64 // per row × column factor
-	FilterRow    float64 // per input row × predicate-size factor
-	HashBuild    float64 // per build-side row
-	HashProbe    float64 // per probe-side row
-	MergeJoinRow float64 // per row of either input (plus sort terms)
-	NLJPair      float64 // per row-pair
-	BroadcastRow float64 // per replicated row per instance
-	AggRow       float64 // per input row
-	AggGroup     float64 // per output group
-	SortRowLog   float64 // per row × log2(rows)
-	ExchangeRow  float64 // per shuffled row
-	SpoolRow     float64 // per materialized row
-	OutputRow    float64 // per emitted row (joins, select)
-	WindowRowLog float64
-	// SpillThreshold is the MEM_USAGE level above which hash operators pay
-	// SpillPenalty (memory pressure forces spilling).
-	SpillThreshold float64
-	SpillPenalty   float64
-}
-
-// DefaultCoeffs returns the coefficients used by all experiments.
-func DefaultCoeffs() CostCoeffs {
-	return CostCoeffs{
-		Scan:           0.005,
-		FilterRow:      0.002,
-		HashBuild:      0.012,
-		HashProbe:      0.005,
-		MergeJoinRow:   0.006,
-		NLJPair:        0.00008,
-		BroadcastRow:   0.004,
-		AggRow:         0.006,
-		AggGroup:       0.004,
-		SortRowLog:     0.0012,
-		ExchangeRow:    0.008,
-		SpoolRow:       0.004,
-		OutputRow:      0.001,
-		WindowRowLog:   0.0015,
-		SpillThreshold: 0.85,
-		SpillPenalty:   1.35,
-	}
-}
+// The per-operator work coefficients of the cost model, in abstract CPU cost
+// per row; with the synthetic catalogs the experiments use they place
+// per-query costs in the paper's 10^3–10^7 range. The executor prices the
+// true rows with them and the native optimizer its estimated rows (NodeWork).
+const (
+	scanRow      = 0.005   // per row × column factor
+	filterRow    = 0.002   // per input row × predicate-size factor
+	hashBuild    = 0.012   // per build-side row
+	hashProbe    = 0.005   // per probe-side row
+	mergeJoinRow = 0.006   // per row of either input (plus sort terms)
+	nljPair      = 0.00008 // per row-pair
+	broadcastRow = 0.004   // per replicated row per instance
+	aggRow       = 0.006   // per input row
+	aggGroup     = 0.004   // per output group
+	sortRowLog   = 0.0012  // per row × log2(rows)
+	exchangeRow  = 0.008   // per shuffled row
+	spoolRow     = 0.004   // per materialized row
+	outputRow    = 0.001   // per emitted row (joins, select)
+	windowRowLog = 0.0015
+	// spillThreshold is the MEM_USAGE level above which hash operators pay
+	// spillPenalty (memory pressure forces spilling).
+	spillThreshold = 0.85
+	spillPenalty   = 1.35
+)
 
 // NodeWork returns the environment-independent work of one operator given
-// the cardinality result for its plan. This is the quantity the environment
-// factor and noise multiply.
-func (c CostCoeffs) NodeWork(n *plan.Node, cards *cardinality.Result, instances int) float64 {
+// the cardinalities of its plan and the instances its stage runs with. This
+// is the quantity the environment factor and noise multiply. It is the one
+// work formula: the executor feeds it the true rows, the native optimizer's
+// rough cost the rows it estimates from its statistics view.
+func NodeWork(n *plan.Node, cards *cardinality.Result, instances int) float64 {
 	out := cards.Rows(n)
 	in := func(i int) float64 {
 		if i < len(n.Children) {
@@ -69,45 +49,45 @@ func (c CostCoeffs) NodeWork(n *plan.Node, cards *cardinality.Result, instances 
 	switch n.Op {
 	case plan.OpTableScan:
 		colFactor := 0.4 + 0.08*float64(n.ColumnsAccessed)
-		return c.Scan * out * colFactor
+		return scanRow * out * colFactor
 	case plan.OpFilter, plan.OpCalc:
 		predFactor := 1 + 0.15*float64(n.Pred.Size())
-		return c.FilterRow*in(0)*predFactor + c.OutputRow*out
+		return filterRow*in(0)*predFactor + outputRow*out
 	case plan.OpProject, plan.OpSelect, plan.OpSink, plan.OpValues:
-		return c.OutputRow * out
+		return outputRow * out
 	case plan.OpHashJoin, plan.OpSemiJoin, plan.OpAntiJoin:
 		// Right child is the build side by convention.
-		return c.HashBuild*in(1) + c.HashProbe*in(0) + c.OutputRow*out
+		return hashBuild*in(1) + hashProbe*in(0) + outputRow*out
 	case plan.OpMergeJoin:
 		l, r := in(0), in(1)
-		return c.MergeJoinRow*(l+r) + c.SortRowLog*(l*log2(l)+r*log2(r))*0.25 + c.OutputRow*out
+		return mergeJoinRow*(l+r) + sortRowLog*(l*log2(l)+r*log2(r))*0.25 + outputRow*out
 	case plan.OpNestedLoopJoin:
-		return c.NLJPair*in(0)*in(1) + c.OutputRow*out
+		return nljPair*in(0)*in(1) + outputRow*out
 	case plan.OpBroadcastJoin:
 		// Right side replicated to every instance, then local probe.
-		return c.BroadcastRow*in(1)*float64(instances) + c.HashProbe*in(0) + c.OutputRow*out
+		return broadcastRow*in(1)*float64(instances) + hashProbe*in(0) + outputRow*out
 	case plan.OpHashAggregate, plan.OpPartialAggregate, plan.OpFinalAggregate, plan.OpDistinct:
 		f := 1 + 0.1*float64(len(n.AggFuncs))
-		return c.AggRow*in(0)*f + c.AggGroup*out
+		return aggRow*in(0)*f + aggGroup*out
 	case plan.OpSortAggregate:
 		f := 1 + 0.1*float64(len(n.AggFuncs))
-		return c.SortRowLog*in(0)*log2(in(0)) + c.AggRow*in(0)*f*0.5 + c.AggGroup*out
+		return sortRowLog*in(0)*log2(in(0)) + aggRow*in(0)*f*0.5 + aggGroup*out
 	case plan.OpSort, plan.OpLocalSort, plan.OpTopN:
-		return c.SortRowLog * in(0) * log2(in(0))
+		return sortRowLog * in(0) * log2(in(0))
 	case plan.OpWindow:
-		return c.WindowRowLog * in(0) * log2(in(0))
+		return windowRowLog * in(0) * log2(in(0))
 	case plan.OpExchange:
-		return c.ExchangeRow * in(0)
+		return exchangeRow * in(0)
 	case plan.OpBroadcastExchange:
-		return c.BroadcastRow * in(0) * float64(instances)
+		return broadcastRow * in(0) * float64(instances)
 	case plan.OpSpool:
-		return c.SpoolRow * in(0)
+		return spoolRow * in(0)
 	case plan.OpLazySpool:
-		return c.SpoolRow * in(0) * 0.4
+		return spoolRow * in(0) * 0.4
 	case plan.OpUnion, plan.OpExpand, plan.OpSample, plan.OpLimit:
-		return c.OutputRow * (in(0) + out)
+		return outputRow * (in(0) + out)
 	default:
-		return c.OutputRow * out
+		return outputRow * out
 	}
 }
 

@@ -79,16 +79,16 @@ func TestDecomposeSingleStage(t *testing.T) {
 }
 
 func TestSizeInstances(t *testing.T) {
-	if got := sizeInstances(100, 64, 0); got != 1 {
+	if got := sizeInstances(100, 0); got != 1 {
 		t.Fatalf("small input instances %d", got)
 	}
-	if got := sizeInstances(1e9, 64, 0); got != 64 {
+	if got := sizeInstances(1e9, 0); got != 64 {
 		t.Fatalf("huge input should cap at 64, got %d", got)
 	}
-	if got := sizeInstances(1e9, 64, 8); got != 8 {
+	if got := sizeInstances(1e9, 8); got != 8 {
 		t.Fatalf("hint should win, got %d", got)
 	}
-	if got := sizeInstances(1e9, 64, 128); got != 64 {
+	if got := sizeInstances(1e9, 128); got != 64 {
 		t.Fatalf("hint should still cap, got %d", got)
 	}
 }
@@ -214,17 +214,16 @@ func stageFactorCases(t *testing.T) (hashHeavy, scan *Stage) {
 // TestStageFactorGrowsWithLoad: the per-stage factor Execute multiplies work
 // by is deterministic, and a busier environment costs more on every stage.
 func TestStageFactorGrowsWithLoad(t *testing.T) {
-	c := DefaultCoeffs()
 	env := cluster.Metrics{CPUIdle: 0.5, IOWait: 0.05, Load5: 10, MemUsage: 0.5}
 	busy := env
 	busy.CPUIdle = 0.05
 	hash, scan := stageFactorCases(t)
 	for _, s := range []*Stage{hash, scan} {
-		f := c.stageFactor(s, env)
-		if f <= 0 || f != c.stageFactor(s, env) {
+		f := stageFactor(s, env)
+		if f <= 0 || f != stageFactor(s, env) {
 			t.Fatalf("stage %d: factor %g unstable or non-positive", s.ID, f)
 		}
-		if c.stageFactor(s, busy) <= f {
+		if stageFactor(s, busy) <= f {
 			t.Fatalf("stage %d: busy env should cost more", s.ID)
 		}
 	}
@@ -234,16 +233,15 @@ func TestStageFactorGrowsWithLoad(t *testing.T) {
 // factor's increase, memory pressure costs a hash-heavy stage the spill
 // penalty, and a scan stage nothing more.
 func TestSpillPenaltyAppliesUnderMemoryPressure(t *testing.T) {
-	c := DefaultCoeffs()
 	low := cluster.Metrics{CPUIdle: 0.5, IOWait: 0.05, Load5: 10, MemUsage: 0.5}
 	high := low
 	high.MemUsage = 0.95
 	plain := EnvFactor(high) / EnvFactor(low)
 	hash, scan := stageFactorCases(t)
-	if ratio := c.stageFactor(hash, high) / c.stageFactor(hash, low); ratio <= plain*1.05 {
+	if ratio := stageFactor(hash, high) / stageFactor(hash, low); ratio <= plain*1.05 {
 		t.Fatalf("no spill penalty visible: ratio %g vs plain %g", ratio, plain)
 	}
-	if ratio := c.stageFactor(scan, high) / c.stageFactor(scan, low); math.Abs(ratio-plain) > 1e-12 {
+	if ratio := stageFactor(scan, high) / stageFactor(scan, low); math.Abs(ratio-plain) > 1e-12 {
 		t.Fatalf("scan stage paid a spill penalty: ratio %g vs plain %g", ratio, plain)
 	}
 }
@@ -341,7 +339,6 @@ func TestExecutionVariance(t *testing.T) {
 }
 
 func TestNodeWorkCoversAllOps(t *testing.T) {
-	coeffs := DefaultCoeffs()
 	src := cardinality.Source{
 		Rows:       func(string) float64 { return 1000 },
 		Partitions: func(string) int { return 4 },
@@ -358,7 +355,7 @@ func TestNodeWorkCoversAllOps(t *testing.T) {
 			n.Children = []*plan.Node{{Op: plan.OpTableScan, Table: "t", PartitionsRead: 2, ColumnsAccessed: 1}}
 		}
 		cards := est.Estimate(n)
-		w := coeffs.NodeWork(n, cards, 8)
+		w := NodeWork(n, cards, 8)
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatalf("op %v work = %g", op, w)
 		}

@@ -49,13 +49,11 @@ type Options struct {
 	// templates carry their own sigma so the fleet reproduces Fig. 1's
 	// spread of cost variability.
 	NoiseSigma float64
-	// MaxInstances caps stage parallelism.
-	MaxInstances int
 }
 
-// DefaultOptions returns moderate noise and parallelism.
+// DefaultOptions returns moderate noise.
 func DefaultOptions() Options {
-	return Options{NoiseSigma: 0.10, MaxInstances: 64}
+	return Options{NoiseSigma: 0.10}
 }
 
 // Executor runs plans against a project's ground truth on a shared cluster.
@@ -68,7 +66,6 @@ func DefaultOptions() Options {
 type Executor struct {
 	Cluster *cluster.Cluster
 	Project *warehouse.Project
-	Coeffs  CostCoeffs
 
 	mu      sync.Mutex
 	rng     *simrand.RNG
@@ -106,7 +103,6 @@ func NewExecutor(rng *simrand.RNG, cl *cluster.Cluster, p *warehouse.Project) *E
 	return &Executor{
 		Cluster: cl,
 		Project: p,
-		Coeffs:  DefaultCoeffs(),
 		rng:     rng.Derive("executor"),
 	}
 }
@@ -120,7 +116,6 @@ func (ex *Executor) Fork(purpose string) *Executor {
 	return &Executor{
 		Cluster: ex.Cluster.Fork(purpose),
 		Project: ex.Project,
-		Coeffs:  ex.Coeffs,
 		rng:     ex.rng.Derive(purpose),
 	}
 }
@@ -144,10 +139,10 @@ func (ex *Executor) Work(p *plan.Plan, day int) (total float64, perStage []float
 	d = Decompose(p.Root)
 	perStage = make([]float64, len(d.Stages))
 	for i, s := range d.Stages {
-		s.Instances = ex.stageInstances(s, cards, DefaultOptions().MaxInstances)
+		s.Instances = stageInstances(s, cards)
 		w := 0.0
 		for _, n := range s.Nodes {
-			w += ex.Coeffs.NodeWork(n, cards, s.Instances)
+			w += NodeWork(n, cards, s.Instances)
 		}
 		perStage[i] = w
 		total += w
@@ -155,7 +150,7 @@ func (ex *Executor) Work(p *plan.Plan, day int) (total float64, perStage []float
 	return total, perStage, d, cards
 }
 
-func (ex *Executor) stageInstances(s *Stage, cards *cardinality.Result, maxInstances int) int {
+func stageInstances(s *Stage, cards *cardinality.Result) int {
 	input := 0.0
 	hint := 0
 	for _, n := range s.Nodes {
@@ -169,7 +164,7 @@ func (ex *Executor) stageInstances(s *Stage, cards *cardinality.Result, maxInsta
 	for _, c := range s.Children {
 		input += cards.Rows(c.Root)
 	}
-	return sizeInstances(input, maxInstances, hint)
+	return sizeInstances(input, hint)
 }
 
 // Execute runs the plan on the shared cluster, advancing simulated time and
@@ -178,9 +173,6 @@ func (ex *Executor) stageInstances(s *Stage, cards *cardinality.Result, maxInsta
 func (ex *Executor) Execute(p *plan.Plan, day int, opt Options) *Record {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	if opt.MaxInstances <= 0 {
-		opt.MaxInstances = 64
-	}
 	if opt.NoiseSigma <= 0 {
 		opt.NoiseSigma = 0.10
 	}
@@ -225,7 +217,7 @@ func (ex *Executor) Execute(p *plan.Plan, day int, opt Options) *Record {
 		sigma := opt.NoiseSigma
 		noise := ex.rng.LogNormal(-sigma*sigma/2, sigma)
 
-		cost := work * ex.Coeffs.stageFactor(s, env) * noise
+		cost := work * stageFactor(s, env) * noise
 		rec.StageEnvs[i] = env
 		rec.StageCosts[i] = cost
 		rec.CPUCost += cost
@@ -246,10 +238,10 @@ func (ex *Executor) Execute(p *plan.Plan, day int, opt Options) *Record {
 // stageFactor is the multiplicative effect of a stage's environment on its
 // work: EnvFactor, times the spill penalty when memory pressure meets a
 // hash-heavy stage.
-func (c CostCoeffs) stageFactor(s *Stage, env cluster.Metrics) float64 {
+func stageFactor(s *Stage, env cluster.Metrics) float64 {
 	f := EnvFactor(env)
-	if env.MemUsage > c.SpillThreshold && stageHashHeavy(s) {
-		f *= c.SpillPenalty
+	if env.MemUsage > spillThreshold && stageHashHeavy(s) {
+		f *= spillPenalty
 	}
 	return f
 }

@@ -71,26 +71,15 @@ func (d *Decomposition) collect(n *plan.Node, s *Stage) {
 	}
 }
 
+// maxInstances caps a stage's parallelism.
+const maxInstances = 64
+
 // sizeInstances derives a stage's instance count from the rows entering it.
 // One instance per ~250k input rows, capped — mirroring MaxCompute's 1 to
 // 100,000-instance range at reduced scale.
-func sizeInstances(inputRows float64, maxInstances int, hint int) int {
+func sizeInstances(inputRows float64, hint int) int {
 	if hint > 0 {
 		return min(hint, maxInstances)
 	}
-	n := int(math.Ceil(inputRows / 250_000))
-	if n < 1 {
-		n = 1
-	}
-	if n > maxInstances {
-		n = maxInstances
-	}
-	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return min(max(int(math.Ceil(inputRows/250_000)), 1), maxInstances)
 }

@@ -417,7 +417,7 @@ func TestRetainedPlanBytes(t *testing.T) {
 
 // TestRoughSealValidity: every candidate carries the rough cost a fresh
 // estimate-and-walk computes, RoughCost answers from it only under the view
-// it was computed under with scaling off, and copies never inherit it.
+// it was computed under, and copies never inherit it.
 func TestRoughSealValidity(t *testing.T) {
 	e, g := fixture(11, stats.DefaultPolicy())
 	other := stats.Snapshot(simrand.New(99), g.Project, 3, stats.Policy{ColumnStatsProb: 0.2, FreshProb: 0.1, MaxStalenessDays: 25, NDVNoise: 0.9})
@@ -439,23 +439,14 @@ func TestRoughSealValidity(t *testing.T) {
 				t.Fatalf("%s candidate %d: sealed %v, fresh %v", q.ID, i, sealed, fresh)
 			}
 
-			// A different view, or a scaling optimizer, estimates afresh.
-			for name, o := range map[string]*nativeopt.Optimizer{
-				"other view": nativeopt.New(other),
-				"scale 5":    {View: e.View, CardScale: 5},
-				"scale 0.2":  {View: e.View, CardScale: 0.2},
-			} {
-				got, want := o.RoughCost(c), o.RoughCost(clone)
-				if bits(got) != bits(want) {
-					t.Fatalf("%s candidate %d under %s: %v from the sealed plan, %v from its unsealed clone", q.ID, i, name, got, want)
-				}
-				if bits(got) != bits(sealed) {
-					differs++
-				}
+			// A different view estimates afresh.
+			o := nativeopt.New(other)
+			got, want := o.RoughCost(c), o.RoughCost(clone)
+			if bits(got) != bits(want) {
+				t.Fatalf("%s candidate %d under another view: %v from the sealed plan, %v from its unsealed clone", q.ID, i, got, want)
 			}
-			// Scale 1 is scaling off: the seal answers.
-			if got := (&nativeopt.Optimizer{View: e.View, CardScale: 1}).RoughCost(c); bits(got) != bits(sealed) {
-				t.Fatalf("scale 1: %v, sealed %v", got, sealed)
+			if bits(got) != bits(sealed) {
+				differs++
 			}
 
 			data, err := json.Marshal(c)
@@ -485,7 +476,7 @@ func TestRoughSealValidity(t *testing.T) {
 		}
 	}
 	if differs == 0 {
-		t.Fatal("no other view or scale ever produced a different cost: the validity checks compared nothing")
+		t.Fatal("another view never produced a different cost: the validity check compared nothing")
 	}
 }
 

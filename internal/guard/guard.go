@@ -142,25 +142,21 @@ func (c Config) normalize() Config {
 }
 
 // Scorer is the learned path: predictor.Predictor implements it, tests stub
-// it.
+// it. key identifies envs when the request carries one (see Request.EnvKey),
+// which lets the predictor reuse cached plan estimates; the zero key scores
+// uncached.
 type Scorer interface {
-	SelectPlan(cands []*plan.Plan, envs encoding.EnvSource) (*plan.Plan, []float64, error)
-}
-
-// KeyedScorer is the cache-eligible learned path: a scorer that also accepts
-// the environment key identifying the request's EnvSource, unlocking the
-// predictor's plan cache. predictor.Predictor implements it; plain
-// Scorer stubs keep working and simply serve uncached.
-type KeyedScorer interface {
-	Scorer
 	SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error)
 }
+
+// KeyedScorer is another name for Scorer; bench/trace.go names it.
+type KeyedScorer = Scorer
 
 // BatchScorer is a bare declaration: nothing implements or calls it in the
 // program. bench/trace.go is its only reference, and a later benchmark PR
 // drops it.
 type BatchScorer interface {
-	KeyedScorer
+	Scorer
 	SelectPlanGroups(groups []predictor.Group)
 }
 
@@ -178,7 +174,7 @@ type Request struct {
 	// Envs is the resolved environment source for learned scoring.
 	Envs encoding.EnvSource
 	// EnvKey is the hashable identity of Envs, when it has one. A keyed
-	// request lets a KeyedScorer reuse cached plan estimates; the zero
+	// request lets the scorer reuse cached plan estimates; the zero
 	// (unkeyed) value always scores uncached. Callers must keep EnvKey in
 	// lockstep with Envs — a stale key would pin wrong estimates.
 	EnvKey encoding.EnvKey
@@ -378,18 +374,15 @@ func (g *Guard) ServeShed(req Request, cause error) (Result, error) {
 // no fallback, no injection — for the pre-deployment validation gate
 // (loam.Validate), which must observe the model's unmasked behavior; serving
 // traffic goes through Serve. This and the predictor's own internals are the
-// only sanctioned SelectPlan call sites (loam-vet's guarddiscipline rule). A
-// keyed request to a KeyedScorer reuses cached plan estimates, to the same
-// bits. The scorer is read once per call: a request concurrent with a
-// lifecycle swap scores entirely under one model or the other.
+// only sanctioned SelectPlanKeyed call sites (loam-vet's guarddiscipline
+// rule). A keyed request reuses cached plan estimates, to the same bits. The
+// scorer is read once per call: a request concurrent with a lifecycle swap
+// scores entirely under one model or the other.
 func (g *Guard) ScoreLearnedKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (*plan.Plan, []float64, error) {
 	g.mu.Lock()
 	scorer := g.scorer
 	g.mu.Unlock()
-	if ks, ok := scorer.(KeyedScorer); ok && key.Keyed {
-		return ks.SelectPlanKeyed(cands, envs, key)
-	}
-	return scorer.SelectPlan(cands, envs)
+	return scorer.SelectPlanKeyed(cands, envs, key)
 }
 
 // selectLearned is ScoreLearnedKeyed for one request with a scorer panic

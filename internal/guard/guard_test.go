@@ -29,7 +29,7 @@ type stubScorer struct {
 	onCall     func()
 }
 
-func (s *stubScorer) SelectPlan(cands []*plan.Plan, envs encoding.EnvSource) (*plan.Plan, []float64, error) {
+func (s *stubScorer) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, _ encoding.EnvKey) (*plan.Plan, []float64, error) {
 	if s.onCall != nil {
 		s.onCall()
 	}

@@ -1,13 +1,17 @@
 package nativeopt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"loam/internal/cardinality"
+	"loam/internal/exec"
 	"loam/internal/expr"
 	"loam/internal/floatsafe"
 	"loam/internal/plan"
@@ -22,9 +26,13 @@ import (
 // generated catalog, a statistics view and one query per template.
 type diffWorld struct {
 	name    string
+	project *warehouse.Project
 	view    *stats.View
 	queries []*query.Query
 }
+
+// diffDay is the day every differential world is snapshotted and queried at.
+const diffDay = 4
 
 // diffWorlds builds the two shapes the evaluation leans on: project1 (many
 // narrow tables, mostly fresh column statistics, 2–5 tables per query) and
@@ -41,15 +49,14 @@ func diffWorlds() []diffWorld {
 		a.RowsLog10Mean = rowsMean
 		a.RowsLog10Std = rowsStd
 		p := warehouse.Generate(simrand.New(seed), a)
-		const day = 4
 		w := workload.DefaultConfig()
 		w.NumTemplates = 40
 		w.MinTables, w.MaxTables = minT, maxT
 		w.PushDifficultProb = pushDifficult
 		g := workload.NewGenerator(simrand.New(seed+1), p, w)
-		out := diffWorld{name: name, view: stats.Snapshot(simrand.New(seed+2), p, day, pol)}
+		out := diffWorld{name: name, project: p, view: stats.Snapshot(simrand.New(seed+2), p, diffDay, pol)}
 		for _, tpl := range g.Templates {
-			out.queries = append(out.queries, tpl.Instantiate(simrand.New(seed+3), day))
+			out.queries = append(out.queries, tpl.Instantiate(simrand.New(seed+3), diffDay))
 		}
 		return out
 	}
@@ -146,7 +153,7 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 						}
 						slots[n.Slot] = n.Op
 					})
-					fresh := (&Optimizer{View: w.view, CardScale: scale}).Optimize(q, f)
+					fresh := planScaled(w.view, q, f, scale)
 					if p.Root.Fingerprint() != fresh.Root.Fingerprint() || p.String() != fresh.String() {
 						t.Fatalf("%s %s %v scale %g: session plan differs from a fresh optimizer's:\n%s\nvs\n%s",
 							w.name, q.ID, f, scale, p, fresh)
@@ -165,7 +172,7 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 				}
 			}
 			for _, k := range keep {
-				fresh := (&Optimizer{View: w.view, CardScale: k.scale}).Optimize(q, k.f)
+				fresh := planScaled(w.view, q, k.f, k.scale)
 				if !k.p.Root.Equal(fresh.Root) || k.p.Root.Fingerprint() != k.fp {
 					t.Fatalf("%s %s %v scale %g: a kept plan changed as later plannings reused the scratch:\n%s\nvs\n%s",
 						w.name, q.ID, k.f, k.scale, k.p, fresh)
@@ -348,7 +355,7 @@ func TestSharedScansNeverAlias(t *testing.T) {
 			}
 			owner := map[*plan.Node]*plan.Plan{}
 			for _, k := range keep {
-				fresh := (&Optimizer{View: w.view, CardScale: k.scale}).Optimize(q, k.f)
+				fresh := planScaled(w.view, q, k.f, k.scale)
 				if !k.p.Root.Equal(fresh.Root) || k.p.String() != fresh.String() {
 					t.Fatalf("%s %s %v scale %g: the kept plan is no longer its setting's plan:\n%s\nvs\n%s",
 						w.name, q.ID, k.f.Knobs(), k.scale, k.p, fresh)
@@ -658,4 +665,54 @@ func identity(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// TestRoughCostGolden pins the native rough cost and the executor's work to
+// their values bit for bit: an FNV-1a digest of Float64bits of
+// Session.RoughCost and of exec's Work total for every plan of the sweep —
+// every query of the differential worlds under the default and each single
+// flag, at card scales 0 (off), 0.2, 0.5 and 5. The rough cost is the
+// executor's work formula over the view's estimated rows, so a change to how
+// either is written must leave both digests where they are.
+func TestRoughCostGolden(t *testing.T) {
+	var flags []Flags
+	for _, f := range steeringFlags() {
+		if len(f.Knobs()) <= 1 {
+			flags = append(flags, f)
+		}
+	}
+	rough, work := fnv.New64a(), fnv.New64a()
+	fold := func(h hash.Hash64, v float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
+	plannings, lazy := 0, 0
+	for _, w := range diffWorlds() {
+		ex := exec.NewExecutor(simrand.New(1), nil, w.project)
+		for _, q := range w.queries {
+			s := NewSession(w.view, q)
+			for _, scale := range []float64{0, 0.2, 0.5, 5} {
+				for _, f := range flags {
+					p, _ := s.Plan(f, scale)
+					fold(rough, s.RoughCost(p))
+					total, _, _, _ := ex.Work(p, diffDay)
+					fold(work, total)
+					plannings++
+					if countOps(p, plan.OpLazySpool) > 0 {
+						lazy++
+					}
+				}
+			}
+		}
+	}
+	if plannings != 3360 {
+		t.Fatalf("%d plannings, want 3 worlds × 40 queries × 7 flag sets × 4 scales", plannings)
+	}
+	t.Logf("%d plannings, %d with a lazy spool", plannings, lazy)
+	if lazy == 0 {
+		t.Fatal("no planning holds a lazy spool, so the digests do not cover its costing")
+	}
+	if got, want := rough.Sum64(), uint64(0x6a5de23cc60acfa5); got != want {
+		t.Errorf("rough-cost digest %#x, want %#x", got, want)
+	}
+	if got, want := work.Sum64(), uint64(0x1e65753d081bb31e); got != want {
+		t.Errorf("work digest %#x, want %#x", got, want)
+	}
 }

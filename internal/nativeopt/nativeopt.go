@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"loam/internal/cardinality"
+	"loam/internal/exec"
 	"loam/internal/expr"
 	"loam/internal/floatsafe"
 	"loam/internal/plan"
@@ -125,129 +126,64 @@ const (
 // Optimizer plans queries against one statistics view.
 type Optimizer struct {
 	View *stats.View
-	// CardScale is the Lero-style knob: scale estimated cardinalities of
-	// sub-plans spanning ≥3 tables. 0 or 1 = off.
-	CardScale float64
 }
 
 // New builds an optimizer over a statistics view.
 func New(v *stats.View) *Optimizer { return &Optimizer{View: v} }
 
-// DefaultPlan compiles the query with all exploration flags off and the
-// default cardinality scaling — the plan MaxCompute would run with no
-// learned steering. The guarded serving layer uses it as the
-// native-fallback rung when the learned path is unavailable.
+// DefaultPlan compiles the query with all exploration flags off and no
+// cardinality scaling — the plan MaxCompute would run with no learned
+// steering. The guarded serving layer uses it as the native-fallback rung
+// when the learned path is unavailable.
 func DefaultPlan(v *stats.View, q *query.Query) *plan.Plan {
 	return New(v).Optimize(q, Flags{})
 }
 
-func (o *Optimizer) estimator() *cardinality.Estimator {
-	return &cardinality.Estimator{Src: cardinality.ViewSource(o.View), CardScale: o.CardScale}
-}
-
 // Optimize compiles a logical query into a physical plan under the given
-// flags. The result is deterministic in (query, view, flags, CardScale). It
-// is the one-setting case of a planning Session: one planning, kept.
+// flags, cardinalities unscaled. The result is deterministic in (query, view,
+// flags). It is the one-setting case of a planning Session: one planning,
+// kept; a scaled setting is planned through a Session.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
 	s := NewSession(o.View, q)
-	p, _ := s.Plan(f, o.CardScale)
+	p, _ := s.Plan(f, 0)
 	return s.Keep(p)
 }
 
-// RoughCost is the native expert cost model: per-operator work over
-// *estimated* cardinalities, with no environment term. It ranks candidate
-// plans for the explorer's top-k cut and mirrors how the native optimizer
-// selects its default plan.
+// RoughCost is the native expert cost model: the executor's per-operator
+// work formula (exec.NodeWork) over *estimated* cardinalities, with no
+// environment term. It ranks candidate plans for the explorer's top-k cut and
+// mirrors how the native optimizer selects its default plan.
 //
 // A plan the explorer sealed with its rough cost (plan.SealRough) answers
-// from the seal when the seal's validity rule holds — same view, scaling
-// off — so the guard's sentinel, which asks about plans the explorer has
-// just costed, pays a lookup; every other plan is estimated and walked.
+// from the seal when it was sealed under this optimizer's view, so the
+// guard's sentinel, which asks about plans the explorer has just costed, pays
+// a lookup; every other plan is estimated and walked.
 func (o *Optimizer) RoughCost(p *plan.Plan) float64 {
-	if !scales(o.CardScale) {
-		if c, ok := p.SealedRough(o.View); ok {
-			return c
-		}
+	if c, ok := p.SealedRough(o.View); ok {
+		return c
 	}
-	return roughCost(p.Root, o.estimator().Estimate(p.Root))
+	est := cardinality.Estimator{Src: cardinality.ViewSource(o.View)}
+	return roughCost(p.Root, est.Estimate(p.Root))
 }
 
 // scales reports whether a CardScale value actually scales (0 and 1 are off).
 func scales(cardScale float64) bool { return cardScale > 0 && cardScale != 1 }
 
-// roughCost sums the expert model's per-operator work over root in preorder,
-// reading cardinalities from cards.
+// roughCost sums the executor's per-operator work over root in preorder,
+// reading cardinalities from cards. The expert model has the right
+// functional form and feeds on wrong cardinalities — exactly the paper's
+// diagnosis. It does not decompose stages: a node runs with the parallelism
+// its plan asks for, 32 instances when it asks for none.
 func roughCost(root *plan.Node, cards *cardinality.Result) float64 {
-	coeffs := defaultRoughCoeffs
 	total := 0.0
 	root.Walk(func(n *plan.Node) {
 		inst := 32
 		if n.Parallelism > 0 {
 			inst = n.Parallelism
 		}
-		total += coeffs.NodeWork(n, cards, inst)
+		total += exec.NodeWork(n, cards, inst)
 	})
 	return total
-}
-
-// defaultRoughCoeffs mirror the execution simulator's coefficients: the
-// expert model has the right functional form, it just feeds on wrong
-// cardinalities — which is exactly the paper's diagnosis.
-var defaultRoughCoeffs = roughCoeffs{}
-
-type roughCoeffs struct{}
-
-// NodeWork delegates to the exec package's coefficients indirectly: to keep
-// nativeopt free of an exec dependency the formula is restated with the same
-// structure and the default constants.
-func (roughCoeffs) NodeWork(n *plan.Node, cards *cardinality.Result, instances int) float64 {
-	out := cards.Rows(n)
-	in := func(i int) float64 {
-		if i < len(n.Children) {
-			return cards.Rows(n.Children[i])
-		}
-		return 1
-	}
-	switch n.Op {
-	case plan.OpTableScan:
-		return 0.005 * out * (0.4 + 0.08*float64(n.ColumnsAccessed))
-	case plan.OpFilter, plan.OpCalc:
-		return 0.002*in(0)*(1+0.15*float64(n.Pred.Size())) + 0.001*out
-	case plan.OpHashJoin, plan.OpSemiJoin, plan.OpAntiJoin:
-		return 0.012*in(1) + 0.005*in(0) + 0.001*out
-	case plan.OpMergeJoin:
-		l, r := in(0), in(1)
-		return 0.006*(l+r) + 0.0012*(l*log2(l)+r*log2(r))*0.25 + 0.001*out
-	case plan.OpNestedLoopJoin:
-		return 0.00008*in(0)*in(1) + 0.001*out
-	case plan.OpBroadcastJoin:
-		return 0.004*in(1)*float64(instances) + 0.005*in(0) + 0.001*out
-	case plan.OpHashAggregate, plan.OpPartialAggregate, plan.OpFinalAggregate, plan.OpDistinct:
-		return 0.006*in(0)*(1+0.1*float64(len(n.AggFuncs))) + 0.004*out
-	case plan.OpSortAggregate:
-		return 0.0012*in(0)*log2(in(0)) + 0.003*in(0)*(1+0.1*float64(len(n.AggFuncs))) + 0.004*out
-	case plan.OpSort, plan.OpLocalSort, plan.OpTopN:
-		return 0.0012 * in(0) * log2(in(0))
-	case plan.OpWindow:
-		return 0.0015 * in(0) * log2(in(0))
-	case plan.OpExchange:
-		return 0.008 * in(0)
-	case plan.OpBroadcastExchange:
-		return 0.004 * in(0) * float64(instances)
-	case plan.OpSpool:
-		return 0.004 * in(0)
-	case plan.OpLazySpool:
-		return 0.0016 * in(0)
-	default:
-		return 0.001 * out
-	}
-}
-
-func log2(v float64) float64 {
-	if v < 2 {
-		return 1
-	}
-	return math.Log2(v)
 }
 
 // Session is one request's planning state for one (view, query): everything

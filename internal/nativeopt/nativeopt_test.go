@@ -3,6 +3,7 @@ package nativeopt
 import (
 	"testing"
 
+	"loam/internal/cardinality"
 	"loam/internal/expr"
 	"loam/internal/plan"
 	"loam/internal/query"
@@ -66,6 +67,14 @@ func freshPolicy() stats.Policy {
 
 func missingPolicy() stats.Policy {
 	return stats.Policy{ColumnStatsProb: 0, FreshProb: 1}
+}
+
+// planScaled plans q under f at cardScale through a fresh session and keeps
+// the plan: what Optimize does, with cardinalities scaled.
+func planScaled(v *stats.View, q *query.Query, f Flags, cardScale float64) *plan.Plan {
+	s := NewSession(v, q)
+	p, _ := s.Plan(f, cardScale)
+	return s.Keep(p)
 }
 
 func countOps(p *plan.Plan, op plan.OpType) int {
@@ -207,7 +216,7 @@ func TestJoinOrderSyntacticWithoutStats(t *testing.T) {
 func TestCardScaleChangesOrder(t *testing.T) {
 	f := newFixture(t, missingPolicy())
 	def := New(f.view).Optimize(f.q, Flags{})
-	scaled := (&Optimizer{View: f.view, CardScale: 5}).Optimize(f.q, Flags{})
+	scaled := planScaled(f.view, f.q, Flags{}, 5)
 	if def.Root.Fingerprint() == scaled.Root.Fingerprint() {
 		t.Fatal("card scaling produced an identical plan")
 	}
@@ -219,7 +228,7 @@ func TestCardScaleChangesOrder(t *testing.T) {
 func TestCardScaleOrderStaysConnected(t *testing.T) {
 	f := newFixture(t, missingPolicy())
 	for _, scale := range []float64{0.2, 0.5, 5} {
-		p := (&Optimizer{View: f.view, CardScale: scale}).Optimize(f.q, Flags{})
+		p := planScaled(f.view, f.q, Flags{}, scale)
 		// The chain query is fully connected: no nested-loop (cross) joins
 		// may appear under any scaling.
 		if got := countOps(p, plan.OpNestedLoopJoin); got != 0 {
@@ -285,7 +294,7 @@ func TestPartitionPruningInScan(t *testing.T) {
 func TestBuildSideIsSmallerEstimate(t *testing.T) {
 	f := newFixture(t, freshPolicy())
 	p := New(f.view).Optimize(f.q, Flags{})
-	est := New(f.view).estimator()
+	est := cardinality.Estimator{Src: cardinality.ViewSource(f.view)}
 	cards := est.Estimate(p.Root)
 	p.Root.Walk(func(n *plan.Node) {
 		if n.Op == plan.OpHashJoin && n.JoinForm == plan.JoinInner && len(n.Children) == 2 {

@@ -8,7 +8,7 @@ import "math"
 // Scratch arena, so a warmed-up forward pass performs zero heap allocations.
 //
 // A served cost is bit-identical to the training-path forward of the same
-// weights, so routing PredictCost/SelectPlan through this path moves no
+// weights, so routing PredictCost/SelectPlanKeyed through this path moves no
 // seeded experiment result. Most of that holds by construction:
 //
 //  1. The element-wise, gather and pooling kernels and MatMulInto are the

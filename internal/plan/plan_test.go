@@ -40,7 +40,7 @@ func samplePlan() *Plan {
 }
 
 // TestFingerprintZeroAlloc guards the serving-path contract: the predictor
-// fingerprints every candidate plan on every cached SelectPlan, so the
+// fingerprints every candidate plan on every cached SelectPlanKeyed, so the
 // structural hash must not allocate (no stdlib hash writer, no intermediate
 // column/predicate strings).
 func TestFingerprintZeroAlloc(t *testing.T) {

@@ -168,7 +168,7 @@ func TestPlanCacheCrossingOrdersNoDeadlock(t *testing.T) {
 }
 
 // TestPlanCacheDuplicateFingerprintSet: a candidate set may name one plan
-// twice (SelectPlan callers may; the explorer dedupes). The second mention
+// twice (SelectPlanKeyed callers may; the explorer dedupes). The second mention
 // is a hit on the pass's own in-flight entry — or, where nothing is
 // retained, a second miss — and either way the pass must not wait for itself.
 // What is retained is each distinct plan's reference cost.
@@ -308,7 +308,7 @@ func TestPlanCacheKeyedScoringMatchesUnkeyed(t *testing.T) {
 		envs := encoding.FixedEnv(p.TrainMeanEnv())
 		key := encoding.FixedEnvKey(p.TrainMeanEnv())
 		unkeyed := func(set []*plan.Plan) []float64 {
-			_, costs, err := p.SelectPlan(set, envs)
+			_, costs, err := p.SelectPlanKeyed(set, envs, encoding.EnvKey{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 
 // This file is the predictor's inference fast path: per-call scratch arenas,
 // allocation-free backbone forwards (embedInfer) and the one scoring core
-// (score) behind PredictCost, SelectPlan and SelectPlanKeyed. It reads the
+// (score) behind PredictCost and SelectPlanKeyed. It reads the
 // encoders and runs the kernels the training-path embed wraps (see
 // internal/nn/infer.go for which are shared and which pinned by test); what
 // differs is how layers are chained and that the TCN convolves a candidate
@@ -214,10 +214,10 @@ func (b *transformerBackbone) embedInfer(s *inferScratch, dst []float64, plans [
 	}
 }
 
-// score is the one scoring core behind PredictCost, SelectPlan and
-// SelectPlanKeyed: with a cache enabled and a keyed environment source each
-// candidate's estimate comes through the plan cache (scoreCached), otherwise
-// every candidate is estimated (estimate).
+// score is the one scoring core behind PredictCost and SelectPlanKeyed: with
+// a cache enabled and a keyed environment source each candidate's estimate
+// comes through the plan cache (scoreCached), otherwise every candidate is
+// estimated (estimate).
 func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
 	if p.cache != nil && key.Keyed {
 		p.scoreCached(s, costs, cands, envs, key.Sum)
@@ -231,8 +231,15 @@ func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, 
 // dot product over that plan's embedding alone, so a cost never depends on
 // what it was scored beside: which is why the plan cache can hold a plan's
 // estimate, computed beside whatever the pass that owned it scored, and why a
-// plan estimated alone costs what it costs in a set.
+// plan estimated alone costs what it costs in a set. XGBoost has no
+// embedding: each plan is one booster prediction over its flat encoding.
 func (p *Predictor) estimate(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
+	if p.cfg.Kind == KindXGBoost {
+		for i, pl := range plans {
+			costs[i] = p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(pl, envs)))
+		}
+		return
+	}
 	n, embDim := len(plans), p.costHead.W.R
 	s.stage = grow(s.stage, n*embDim)
 	batch := s.stage[:n*embDim]
@@ -282,18 +289,4 @@ func (p *Predictor) scoreCached(s *inferScratch, costs []float64, cands []*plan.
 		}
 		costs[i] = e.cost
 	}
-}
-
-// scoreCandidates scores a candidate set through score; the XGBoost backbone
-// has no embedding to stage and scores per candidate, outside the plan cache.
-func (p *Predictor) scoreCandidates(costs []float64, cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) {
-	if p.cfg.Kind == KindXGBoost {
-		for i, c := range cands {
-			costs[i] = p.PredictCost(c, envs)
-		}
-		return
-	}
-	s := getScratch()
-	defer putScratch(s)
-	p.score(s, costs, cands, envs, key)
 }

@@ -72,9 +72,9 @@ func selectTelemetry(reg *telemetry.Registry) telemetry.Snapshot {
 	return out
 }
 
-// TestScoringPathsBitIdentical verifies that the scoring entry points —
-// SelectPlan, and cached SelectPlanKeyed cold and warm — are signatures over
-// one core: each produces bit-identical costs and the same chosen plan as
+// TestScoringPathsBitIdentical verifies that the scoring paths —
+// SelectPlanKeyed unkeyed, and keyed on a cache cold and warm — are one
+// core: each produces bit-identical costs and the same chosen plan as
 // per-candidate training-path forwards, and leaves identical per-call
 // telemetry (select calls, candidates histogram, NaN / no-finite counters),
 // for every backbone kind.
@@ -102,7 +102,7 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 				name string
 				call func() (*plan.Plan, []float64, error)
 			}{
-				{"SelectPlan", func() (*plan.Plan, []float64, error) { return p.SelectPlan(cands, envs) }},
+				{"SelectPlanKeyed unkeyed", func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, encoding.EnvKey{}) }},
 				{"SelectPlanKeyed cold", keyed},
 				{"SelectPlanKeyed warm", keyed},
 			}
@@ -241,7 +241,7 @@ func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
 				{"RecordEnv", encoding.RecordEnv(func(n *plan.Node) (cluster.Metrics, bool) { m, ok := perNode[n]; return m, ok }), encoding.EnvKey{}},
 			} {
 				want := referenceCosts(p, cands, src.envs)
-				_, costs, err := p.SelectPlan(cands, src.envs)
+				_, costs, err := p.SelectPlanKeyed(cands, src.envs, encoding.EnvKey{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -350,7 +350,7 @@ func TestForestFullTableAndBucketCollisionsBitIdentical(t *testing.T) {
 		big = append(big, &plan.Plan{Root: &plan.Node{Op: plan.OpTableScan, Table: "mid", PartitionsRead: 1 + i, ColumnsAccessed: 1}})
 	}
 	big = append(big, explorerStyleCands()...)
-	_, costs, err := p.SelectPlan(big, envs)
+	_, costs, err := p.SelectPlanKeyed(big, envs, encoding.EnvKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestForestFullTableAndBucketCollisionsBitIdentical(t *testing.T) {
 		}}})
 	}
 	want := referenceCosts(p, collide, envs)
-	_, costs, err = p.SelectPlan(collide, envs)
+	_, costs, err = p.SelectPlanKeyed(collide, envs, encoding.EnvKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 }
 
-// TestPlanCacheUnkeyedBypass: unkeyed selection (SelectPlan / zero EnvKey)
+// TestPlanCacheUnkeyedBypass: unkeyed selection (the zero EnvKey)
 // must never populate the cache — per-node environment sources have no
 // hashable identity.
 func TestPlanCacheUnkeyedBypass(t *testing.T) {
@@ -431,7 +431,7 @@ func TestPlanCacheUnkeyedBypass(t *testing.T) {
 	}
 	p.EnablePlanCache(64)
 	cands := []*plan.Plan{samples[0].Plan, samples[1].Plan, samples[2].Plan, samples[3].Plan}
-	if _, _, err := p.SelectPlan(cands, encoding.FixedEnv(p.TrainMeanEnv())); err != nil {
+	if _, _, err := p.SelectPlanKeyed(cands, encoding.FixedEnv(p.TrainMeanEnv()), encoding.EnvKey{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := p.PlanCacheLen(); n != 0 {
@@ -676,7 +676,7 @@ func BenchmarkSelectPlanUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.SelectPlan(cands, envs); err != nil {
+		if _, _, err := p.SelectPlanKeyed(cands, envs, encoding.EnvKey{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -751,13 +751,13 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 			}
 		}
 		coldSelect := func() {
-			if _, _, err := p.SelectPlan(binary, envs); err != nil {
+			if _, _, err := p.SelectPlanKeyed(binary, envs, encoding.EnvKey{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		coldSelect()
 		if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
-			t.Fatalf("%v: warmed unkeyed SelectPlan allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
+			t.Fatalf("%v: warmed unkeyed SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
 		}
 
 		p.EnablePlanCache(64)

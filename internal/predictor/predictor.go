@@ -142,7 +142,7 @@ type predictorTelemetry struct {
 
 // Instrument wires the predictor's training and plan-selection metrics into
 // reg. Safe to call on a freshly loaded predictor before serving; must not
-// race with in-flight SelectPlan calls.
+// race with in-flight SelectPlanKeyed calls.
 func (p *Predictor) Instrument(reg *telemetry.Registry) {
 	p.tel = predictorTelemetry{
 		trainRuns:     reg.Counter("train.runs"),
@@ -172,10 +172,10 @@ func (p *Predictor) Instrument(reg *telemetry.Registry) {
 // ErrNoTrainingData is returned when the training set is empty.
 var ErrNoTrainingData = errors.New("predictor: no training data")
 
-// ErrNoCandidates is returned by SelectPlan when the candidate set is empty.
+// ErrNoCandidates is returned by SelectPlanKeyed when the candidate set is empty.
 var ErrNoCandidates = errors.New("predictor: no candidate plans")
 
-// ErrNoFiniteEstimate is returned by SelectPlan when every candidate's cost
+// ErrNoFiniteEstimate is returned by SelectPlanKeyed when every candidate's cost
 // estimate is NaN, so no plan can be preferred over another.
 var ErrNoFiniteEstimate = errors.New("predictor: no candidate has a finite cost estimate")
 
@@ -472,9 +472,6 @@ func (p *Predictor) PredictCost(pl *plan.Plan, envs encoding.EnvSource) float64 
 	if !p.cfg.UseEnv {
 		envs = encoding.NoEnv()
 	}
-	if p.cfg.Kind == KindXGBoost {
-		return p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(pl, envs)))
-	}
 	s := getScratch()
 	defer putScratch(s)
 	var cost [1]float64
@@ -520,40 +517,58 @@ func (s Strategy) String() string {
 	}
 }
 
-// EnvSourceFor materializes a strategy into an EnvSource. clusterExpected
-// and clusterCurrent carry the cluster-side observations the CE/CB variants
-// rely on; they are ignored by the other strategies.
-func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvSource {
+// envFor resolves a strategy to the one environment vector it predicts
+// under: clusterExpected and clusterCurrent carry the cluster-side
+// observations the CE/CB variants rely on, the default is the training mean,
+// and StrategyNoEnv has none (ok false). EnvSourceFor and EnvKeyFor are its
+// two projections, so a key always names its source.
+func (p *Predictor) envFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (env [4]float64, ok bool) {
 	switch s {
 	case StrategyClusterExpected:
-		return encoding.FixedEnv(clusterExpected)
+		return clusterExpected, true
 	case StrategyClusterCurrent:
-		return encoding.FixedEnv(clusterCurrent)
+		return clusterCurrent, true
 	case StrategyNoEnv:
-		return encoding.NoEnv()
+		return env, false
 	default:
-		return encoding.FixedEnv(p.trainMeanEnv)
+		return p.trainMeanEnv, true
 	}
 }
 
-// SelectPlan returns the candidate with the lowest estimated cost, along
-// with all estimates. The candidates are embedded together — by the TCN as
-// one forest, one row per layer class convolved — then scored in a single
-// batched pass through the cost head (scoreCandidates). Costs are
-// bit-identical to PredictCost on each candidate, and ties and NaN handling
-// follow floatsafe.ArgMin, so the chosen plan never depends on batching.
+// EnvFor materializes a strategy (see envFor) into the EnvSource inference
+// reads and the plan-cache key identifying it, resolving the vector once.
+func (p *Predictor) EnvFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (encoding.EnvSource, encoding.EnvKey) {
+	env, ok := p.envFor(s, clusterExpected, clusterCurrent)
+	if !ok {
+		return encoding.NoEnv(), encoding.NoEnvKey()
+	}
+	return encoding.FixedEnv(env), encoding.FixedEnvKey(env)
+}
+
+// EnvSourceFor is EnvFor's source alone.
+func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvSource {
+	if env, ok := p.envFor(s, clusterExpected, clusterCurrent); ok {
+		return encoding.FixedEnv(env)
+	}
+	return encoding.NoEnv()
+}
+
+// SelectPlanKeyed returns the candidate with the lowest estimated cost,
+// along with all estimates; it is the predictor's one selection method. The
+// candidates are embedded together — by the TCN as one forest, one row per
+// layer class convolved — then scored in a single batched pass through the
+// cost head (score). Costs are bit-identical to PredictCost on each
+// candidate, and ties and NaN handling follow floatsafe.ArgMin, so the chosen
+// plan never depends on batching.
+//
+// key must identify envs (see EnvFor), which makes the candidates'
+// estimates eligible for the plan cache; the zero (unkeyed) key scores
+// uncached, to the same bits.
 //
 // An empty candidate set returns ErrNoCandidates; candidates whose estimate
 // is NaN are skipped when choosing, and if every estimate is NaN the error is
 // ErrNoFiniteEstimate. The costs slice is returned even on
 // ErrNoFiniteEstimate so callers can log the estimates.
-func (p *Predictor) SelectPlan(cands []*plan.Plan, envs encoding.EnvSource) (best *plan.Plan, costs []float64, err error) {
-	return p.SelectPlanKeyed(cands, envs, encoding.EnvKey{})
-}
-
-// SelectPlanKeyed is SelectPlan for a keyed environment source: key must
-// identify envs (see EnvKeyFor), which makes candidate embeddings eligible
-// for the plan cache. An unkeyed (zero) key degrades to uncached scoring.
 func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource, key encoding.EnvKey) (best *plan.Plan, costs []float64, err error) {
 	p.tel.selectCalls.Inc()
 	if len(cands) == 0 {
@@ -568,7 +583,9 @@ func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource,
 		key = encoding.NoEnvKey()
 	}
 	costs = make([]float64, len(cands))
-	p.scoreCandidates(costs, cands, envs, key)
+	s := getScratch()
+	defer putScratch(s)
+	p.score(s, costs, cands, envs, key)
 	nans := int64(0)
 	for i := range costs {
 		if math.IsNaN(costs[i]) {
@@ -584,20 +601,12 @@ func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource,
 	return cands[bestIdx], costs, nil
 }
 
-// EnvKeyFor returns the cache key identifying EnvSourceFor(s, ...) with the
-// same arguments. The two must stay in lockstep: a key that does not match
-// its source would poison the plan cache with mismatched estimates.
+// EnvKeyFor is EnvFor's key alone.
 func (p *Predictor) EnvKeyFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvKey {
-	switch s {
-	case StrategyClusterExpected:
-		return encoding.FixedEnvKey(clusterExpected)
-	case StrategyClusterCurrent:
-		return encoding.FixedEnvKey(clusterCurrent)
-	case StrategyNoEnv:
-		return encoding.NoEnvKey()
-	default:
-		return encoding.FixedEnvKey(p.trainMeanEnv)
+	if env, ok := p.envFor(s, clusterExpected, clusterCurrent); ok {
+		return encoding.FixedEnvKey(env)
 	}
+	return encoding.NoEnvKey()
 }
 
 // EnablePlanCache installs a fresh plan cache — each plan's cost estimate,

@@ -121,7 +121,7 @@ func TestSelectPlanPicksMin(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := []*plan.Plan{samples[0].Plan, samples[1].Plan, samples[2].Plan}
-	best, costs, err := p.SelectPlan(plans, encoding.FixedEnv(p.TrainMeanEnv()))
+	best, costs, err := p.SelectPlanKeyed(plans, encoding.FixedEnv(p.TrainMeanEnv()), encoding.EnvKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestSelectPlanPicksMin(t *testing.T) {
 		}
 	}
 	if best != plans[minIdx] {
-		t.Fatal("SelectPlan did not pick the minimum")
+		t.Fatal("SelectPlanKeyed did not pick the minimum")
 	}
 }
 
 // stubBackbone maps a plan's root table name to a fixed scalar embedding so
-// tests can hand SelectPlan exact (possibly NaN) estimates.
+// tests can hand SelectPlanKeyed exact (possibly NaN) estimates.
 type stubBackbone struct{ vals map[string]float64 }
 
 func (b stubBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
@@ -174,7 +174,7 @@ func scanPlan(table string) *plan.Plan {
 
 func TestSelectPlanEmptyCandidates(t *testing.T) {
 	p := stubPredictor(nil)
-	best, costs, err := p.SelectPlan(nil, encoding.NoEnv())
+	best, costs, err := p.SelectPlanKeyed(nil, encoding.NoEnv(), encoding.EnvKey{})
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("want ErrNoCandidates, got %v", err)
 	}
@@ -188,7 +188,7 @@ func TestSelectPlanSkipsNaN(t *testing.T) {
 		"a": math.NaN(), "b": 2, "c": 1, "d": 3,
 	})
 	plans := []*plan.Plan{scanPlan("a"), scanPlan("b"), scanPlan("c"), scanPlan("d")}
-	best, costs, err := p.SelectPlan(plans, encoding.NoEnv())
+	best, costs, err := p.SelectPlanKeyed(plans, encoding.NoEnv(), encoding.EnvKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSelectPlanSkipsNaN(t *testing.T) {
 func TestSelectPlanAllNaN(t *testing.T) {
 	p := stubPredictor(map[string]float64{"a": math.NaN(), "b": math.NaN()})
 	plans := []*plan.Plan{scanPlan("a"), scanPlan("b")}
-	best, costs, err := p.SelectPlan(plans, encoding.NoEnv())
+	best, costs, err := p.SelectPlanKeyed(plans, encoding.NoEnv(), encoding.EnvKey{})
 	if !errors.Is(err, ErrNoFiniteEstimate) {
 		t.Fatalf("want ErrNoFiniteEstimate, got %v", err)
 	}
@@ -245,17 +245,30 @@ func TestStrategies(t *testing.T) {
 	}
 	ce := [4]float64{0.9, 0.01, 0.1, 0.2}
 	cb := [4]float64{0.1, 0.2, 0.9, 0.9}
-	if env, _ := pr.EnvSourceFor(StrategyClusterExpected, ce, cb)(nil); env != ce {
-		t.Fatal("CE strategy wrong")
-	}
-	if env, _ := pr.EnvSourceFor(StrategyClusterCurrent, ce, cb)(nil); env != cb {
-		t.Fatal("CB strategy wrong")
-	}
-	if env, _ := pr.EnvSourceFor(StrategyMeanEnv, ce, cb)(nil); env != pr.TrainMeanEnv() {
-		t.Fatal("mean strategy wrong")
-	}
-	if _, ok := pr.EnvSourceFor(StrategyNoEnv, ce, cb)(nil); ok {
-		t.Fatal("NoEnv strategy should report unobserved")
+	for _, c := range []struct {
+		s   Strategy
+		env [4]float64
+		ok  bool
+	}{
+		{StrategyClusterExpected, ce, true},
+		{StrategyClusterCurrent, cb, true},
+		{StrategyMeanEnv, pr.TrainMeanEnv(), true},
+		{StrategyNoEnv, [4]float64{}, false},
+	} {
+		wantKey := encoding.NoEnvKey()
+		if c.ok {
+			wantKey = encoding.FixedEnvKey(c.env)
+		}
+		src, key := pr.EnvFor(c.s, ce, cb)
+		for name, src := range map[string]encoding.EnvSource{"EnvFor": src, "EnvSourceFor": pr.EnvSourceFor(c.s, ce, cb)} {
+			if env, ok := src(nil); env != c.env || ok != c.ok {
+				t.Fatalf("%v: %s reads %v (observed %v), want %v (%v)", c.s, name, env, ok, c.env, c.ok)
+			}
+		}
+		if key != wantKey || pr.EnvKeyFor(c.s, ce, cb) != wantKey {
+			t.Fatalf("%v: EnvFor key %+v, EnvKeyFor %+v, want %+v: the key must name the source's vector",
+				c.s, key, pr.EnvKeyFor(c.s, ce, cb), wantKey)
+		}
 	}
 }
 

@@ -290,11 +290,11 @@ func TestLoadIgnoresRemovedScoringKeys(t *testing.T) {
 		for i := range cands {
 			cands[i] = samples[lo+i].Plan
 		}
-		wantBest, want, err := orig.SelectPlan(cands, envs)
+		wantBest, want, err := orig.SelectPlanKeyed(cands, envs, encoding.EnvKey{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBest, got, err := loaded.SelectPlan(cands, envs)
+		gotBest, got, err := loaded.SelectPlanKeyed(cands, envs, encoding.EnvKey{})
 		if err != nil {
 			t.Fatal(err)
 		}

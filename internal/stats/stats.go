@@ -201,10 +201,3 @@ func (v *View) CompareSelectivity(col expr.ColumnRef, fn expr.Func, args []float
 		return 1
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -573,17 +573,13 @@ func (d *Deployment) serve(ctx context.Context, q *query.Query, shed bool, cause
 
 // envSource resolves the deployment's inference strategy against the live
 // cluster (§5), returning both the environment source and its cache key so
-// keyed scoring can reuse cached plan estimates. The two are derived from
-// the same cluster readings, keeping key and source in lockstep.
+// keyed scoring can reuse cached plan estimates. Both come from one vector,
+// resolved once by one predictor read: they always describe the same model's
+// view of the environment, even if a lifecycle swap lands between two serve
+// calls.
 func (d *Deployment) envSource() (encoding.EnvSource, encoding.EnvKey) {
 	cl := d.ProjectSim.Executor.Cluster
-	ce := cl.HistoryAverage().Normalized()
-	cb := cl.ClusterAverage().Normalized()
-	// One predictor read serves both derivations: the env source and its
-	// cache key always describe the same model's view of the environment,
-	// even if a lifecycle swap lands between two serve calls.
-	p := d.pred.Load()
-	return p.EnvSourceFor(d.Strategy, ce, cb), p.EnvKeyFor(d.Strategy, ce, cb)
+	return d.pred.Load().EnvFor(d.Strategy, cl.HistoryAverage().Normalized(), cl.ClusterAverage().Normalized())
 }
 
 // ExecuteChoice runs the chosen plan, logs it, and returns the record. With
