@@ -90,13 +90,15 @@ lint-fix-hints:
 # the tenant table's reference check and the concurrent control plane
 # included), and the plan cache's claim → compute → publish → wait protocol
 # (crossing candidate orders, a panic mid-forest, keyed estimates equal to
-# unkeyed ones on every hit/miss path) — under the race detector.
+# unkeyed ones on every hit/miss path) and the TCN's class memo (crossing set
+# orders on one predictor, drops at its byte bound) — under the race
+# detector.
 # It is a -run subset of `race`, so `verify` does not run it again: a focused,
 # fast loop for iterating on the guarded serving layer (see DESIGN.md
 # "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
 # serving contract").
 chaos:
-	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest' ./...
+	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest|ClassMemo|ActivationMemo' ./...
 	$(GO) test -race -count=1 ./internal/fleet
 
 # chaos-recover is the durability twin of chaos: the kill-point crash sweep
@@ -136,12 +138,15 @@ train:
 
 # cold is the cold path's developer loop, like warm not a verify step: the
 # forest encoder's exactness tests, the layer-class census, every scoring path
-# against the training forward, the zero-allocation ceilings, then one unkeyed
-# SelectPlanKeyed per op over a default project's explorer sets, reporting the rows
-# its TreeConv layers convolve and the nodes it encodes per plan node
+# against the training forward (the class memo's warm, dropped, crossing,
+# colliding and reloaded cases among them), the memo's byte bound, the
+# zero-allocation ceilings, then one unkeyed SelectPlanKeyed per op over a
+# default project's explorer sets — /first into an emptied class memo every
+# op, /memo on a warm one — reporting the share of ops the memo answered, the
+# rows its TreeConv layers convolve and the nodes it encodes per plan node
 # (DESIGN.md "Inference fast path & caching contract").
 cold:
-	$(GO) test -count=1 -run 'Forest|BitIdentical|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
+	$(GO) test -count=1 -run 'Forest|BitIdentical|ClassMemo|ActivationMemo|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
 	$(GO) test -run '^$$' -bench SelectPlanColdExplorerSet -benchtime 20000x -cpu 2 .
 
 # results regenerates the committed results files at the default scale (~10 min

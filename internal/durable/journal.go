@@ -25,6 +25,9 @@ type Journal struct {
 	fs  *atomicio.FS
 	tel *storeTelemetry
 	seq int
+	// app appends to segment seq; nil after a rotate or Reset closed the
+	// last one and could not open the next, which the next Append or Reset
+	// opens again.
 	app *atomicio.Appender
 	// maxSegment rotates the segment once its size passes this many bytes;
 	// keep bounds how many closed segments survive rotation.
@@ -62,11 +65,9 @@ func (s *Store) Journal() (*Journal, error) {
 		}
 		j.seq = last
 	}
-	app, err := s.fs.OpenAppend(filepath.Join(j.dir, segmentName(j.seq)))
-	if err != nil {
+	if err := j.open(); err != nil {
 		return nil, err
 	}
-	j.app = app
 	return j, nil
 }
 
@@ -115,9 +116,14 @@ func (j *Journal) repairTail(seq int) error {
 }
 
 // Append writes one record as a checksummed, fsynced frame, rotating the
-// segment when it passes the size threshold.
+// segment when it passes the size threshold, and opening it when a failed
+// open left none.
 func (j *Journal) Append(payload []byte) error {
-	if j.app.Size() >= j.maxSegment {
+	if j.app == nil {
+		if err := j.open(); err != nil {
+			return err
+		}
+	} else if j.app.Size() >= j.maxSegment {
 		if err := j.rotate(); err != nil {
 			return err
 		}
@@ -130,18 +136,38 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// rotate closes the current segment, opens the next, and drops closed
-// segments beyond the retention bound.
-func (j *Journal) rotate() error {
-	if err := j.app.Close(); err != nil {
-		return err
+// closeSegment closes the open segment, if any, and moves on to the next
+// number. The journal holds no appender afterwards, whether or not the close
+// succeeded: every acknowledged record is already fsynced.
+func (j *Journal) closeSegment() error {
+	var err error
+	if j.app != nil {
+		err = j.app.Close()
+		j.app = nil
 	}
 	j.seq++
+	return err
+}
+
+// open opens segment seq for appends.
+func (j *Journal) open() error {
 	app, err := j.fs.OpenAppend(filepath.Join(j.dir, segmentName(j.seq)))
 	if err != nil {
 		return err
 	}
 	j.app = app
+	return nil
+}
+
+// rotate closes the current segment, opens the next, and drops closed
+// segments beyond the retention bound.
+func (j *Journal) rotate() error {
+	if err := j.closeSegment(); err != nil {
+		return err
+	}
+	if err := j.open(); err != nil {
+		return err
+	}
 	segs, err := j.segments()
 	if err != nil {
 		return err
@@ -188,7 +214,7 @@ func (j *Journal) Replay(fn func(payload []byte) error) error {
 // Reset discards every record and starts a fresh segment — the lifecycle
 // calls it when the drift detector's window resets at a checkpoint event.
 func (j *Journal) Reset() error {
-	if err := j.app.Close(); err != nil {
+	if err := j.closeSegment(); err != nil {
 		return err
 	}
 	segs, err := j.segments()
@@ -201,15 +227,17 @@ func (j *Journal) Reset() error {
 			return err
 		}
 	}
-	j.seq++
-	app, err := j.fs.OpenAppend(filepath.Join(j.dir, segmentName(j.seq)))
-	if err != nil {
+	if err := j.open(); err != nil {
 		return err
 	}
-	j.app = app
 	j.tel.journalResets.Inc()
 	return nil
 }
 
-// Close closes the open segment.
-func (j *Journal) Close() error { return j.app.Close() }
+// Close closes the open segment, if one is open.
+func (j *Journal) Close() error {
+	if j.app == nil {
+		return nil
+	}
+	return j.app.Close()
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"loam/internal/atomicio"
@@ -159,6 +160,77 @@ func TestJournalReset(t *testing.T) {
 	if len(got) != 1 || got[0] != "new" {
 		t.Fatalf("after reset: %v", got)
 	}
+}
+
+// TestJournalReopensAfterFailedOpen: a rotate or Reset that closed its
+// segment and then failed leaves a journal that opens a segment again once
+// the fault clears. A non-empty directory squats on the next segment's path,
+// so a rotation cannot open it and a Reset cannot remove it; while it is
+// there Append and Reset fail, once it is gone both succeed, and Replay —
+// of the running journal and of one reopened from disk — returns every
+// acknowledged record.
+func TestJournalReopensAfterFailedOpen(t *testing.T) {
+	dir := t.TempDir()
+	j := openJournal(t, dir, nil)
+	j.maxSegment = 1 // every append after a segment's first rotates
+	squat := func(seq int) (lift func()) {
+		path := filepath.Join(dir, journalDir, segmentName(seq))
+		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := os.RemoveAll(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var acked []string
+	mustAppend := func(r string) {
+		t.Helper()
+		if err := j.Append([]byte(r)); err != nil {
+			t.Fatalf("Append(%q) after the fault cleared: %v", r, err)
+		}
+		acked = append(acked, r)
+	}
+	replayed := func(j *Journal) {
+		t.Helper()
+		if got := replayAll(t, j); !slices.Equal(got, acked) {
+			t.Fatalf("replayed %q, acknowledged %q", got, acked)
+		}
+	}
+
+	mustAppend("a")
+	lift := squat(j.seq + 1)
+	for _, r := range []string{"b", "c"} {
+		if err := j.Append([]byte(r)); err == nil {
+			t.Fatalf("Append(%q) rotated into a squatted segment", r)
+		}
+	}
+	lift()
+	mustAppend("d")
+	mustAppend("e")
+	replayed(j)
+
+	lift = squat(j.seq + 1)
+	for range 2 {
+		if err := j.Reset(); err == nil {
+			t.Fatal("Reset removed a non-empty directory")
+		}
+	}
+	lift()
+	if err := j.Reset(); err != nil {
+		t.Fatalf("Reset after the fault cleared: %v", err)
+	}
+	acked = nil
+	mustAppend("f")
+	mustAppend("g")
+	replayed(j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := openJournal(t, dir, nil)
+	defer j2.Close()
+	replayed(j2)
 }
 
 func TestJournalMidFileCorruptionIsFatal(t *testing.T) {

@@ -48,11 +48,14 @@ type backbone interface {
 }
 
 // tcnBackbone is LOAM's tree convolutional network: stacked tree
-// convolutions, mean+max pooling, and a fully connected projection.
+// convolutions, mean+max pooling, and a fully connected projection. Its
+// class memo holds the last-layer rows serving convolved (memo.go); a
+// network of no layers has none.
 type tcnBackbone struct {
 	enc    *encoding.Encoder
 	layers []*nn.TreeConv
 	proj   *nn.Linear
+	memo   *classMemo
 }
 
 func newTCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *tcnBackbone {
@@ -63,6 +66,9 @@ func newTCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *t
 		in = hidden
 	}
 	b.proj = nn.NewLinear(rng.Derive("tcnProj"), 3*hidden, emb)
+	if layers > 0 {
+		b.memo = newClassMemo(layers, in)
+	}
 	return b
 }
 

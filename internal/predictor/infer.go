@@ -26,6 +26,7 @@ type inferScratch struct {
 	nn      nn.Scratch
 	forest  encoding.Forest
 	classes classTable
+	memo    memoScratch
 	fg      encoding.FlatGraph
 	fs      encoding.FlatSeq
 
@@ -73,19 +74,34 @@ func poolConcat3Into(dst []float64, x nn.Mat) {
 // each layer convolves one row per class of the forest's entries, the class
 // table's triples being its gather lists; each plan is then pooled over its
 // nodes' last-layer rows in its own preorder — the values, in the order, a
-// forward over that plan alone pools — and projected. GCN and Transformer
-// embed plan by plan: a graph convolution mixes a node with its parent,
-// attention with every token, so no activation is a function of the nodes
-// below it alone.
+// forward over that plan alone pools — and projected. When the class memo
+// (memo.go) knows every last-layer class, their rows come from it and no
+// layer is convolved; otherwise the forward runs and the memo stores its
+// classes. GCN and Transformer embed plan by plan: a graph convolution mixes
+// a node with its parent, attention with every token, so no activation is a
+// function of the nodes below it alone.
 func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
 	f, c := &s.forest, &s.classes
 	b.enc.EncodeForestInto(f, plans, envs)
 	s.nn.Reset()
-	x := nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Feats}
 	c.start(f)
-	for _, l := range b.layers {
+	for range b.layers {
 		c.next(f)
-		x = l.ForwardInfer(&s.nn, x, c.self, c.left, c.right)
+	}
+	x, ok := nn.Mat{}, false
+	if b.memo != nil {
+		b.memo.rowKeys(&s.memo, f, b.enc.Dim())
+		x, ok = b.memo.recall(&s.memo, c, &s.nn)
+	}
+	if !ok {
+		x = nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Feats}
+		for l, layer := range b.layers {
+			ly := &c.layers[l]
+			x = layer.ForwardInfer(&s.nn, x, ly.self, ly.left, ly.right)
+		}
+		if b.memo != nil {
+			b.memo.store(&s.memo, c, x)
+		}
 	}
 	pooled := s.nn.Mat(len(plans), 3*x.C)
 	for k := range plans {
@@ -109,15 +125,25 @@ func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.P
 // and right lists. Triples are compared as three ints; the hash only picks
 // where to look.
 type classTable struct {
-	of, below         []int   // each entry's class at this layer and the one below
-	self, left, right []int   // each class's triple
-	rows              []int   // rowsOf's result
-	slots             []int32 // open-addressed: a class + 1, 0 when free
+	of, below []int        // each entry's class at this layer and the one below
+	layers    []classLayer // layer k's classes' triples at layers[k-1], since start
+	depth     int          // layers moved up since start
+	rows      []int        // rowsOf's result
+	slots     []int32      // open-addressed: a class + 1, 0 when free
 }
+
+// classLayer is one layer's classes' triples. Every layer's are kept, so the
+// forward can run after the class memo (memo.go), which names a class by the
+// memo identities of its triple, has looked every layer up.
+type classLayer struct{ self, left, right []int }
+
+// top is the triples of the layer last moved up to.
+func (t *classTable) top() *classLayer { return &t.layers[t.depth-1] }
 
 // start puts every entry in its layer-0 class, its feature row.
 func (t *classTable) start(f *encoding.Forest) {
 	t.of = append(t.of[:0], f.Row...)
+	t.depth = 0
 }
 
 // next moves every entry one layer up, numbering the classes in the order the
@@ -133,17 +159,22 @@ func (t *classTable) next(f *encoding.Forest) {
 	slots, mask := t.slots[:size], uint64(size-1)
 	clear(slots)
 	t.of, t.below = t.below[:0], t.of
-	t.self, t.left, t.right = t.self[:0], t.left[:0], t.right[:0]
+	if t.depth == len(t.layers) {
+		t.layers = append(t.layers, classLayer{})
+	}
+	ly := &t.layers[t.depth]
+	t.depth++
+	ly.self, ly.left, ly.right = ly.self[:0], ly.left[:0], ly.right[:0]
 	for e, s := range t.below {
 		l, r := classOf(t.below, f.Left[e]), classOf(t.below, f.Right[e])
 		i := tripleHash(s, l, r) & mask
 		for {
 			c := int(slots[i]) - 1
 			if c < 0 {
-				c = len(t.self)
+				c = len(ly.self)
 				slots[i] = int32(c + 1)
-				t.self, t.left, t.right = append(t.self, s), append(t.left, l), append(t.right, r)
-			} else if t.self[c] != s || t.left[c] != l || t.right[c] != r {
+				ly.self, ly.left, ly.right = append(ly.self, s), append(ly.left, l), append(ly.right, r)
+			} else if ly.self[c] != s || ly.left[c] != l || ly.right[c] != r {
 				i = (i + 1) & mask
 				continue
 			}

@@ -313,13 +313,13 @@ func TestForestLayerClassesMatchCensus(t *testing.T) {
 					ids[key] = id
 				}
 				next[e] = id
-				if cl := c.of[e]; [3]int{c.self[cl], c.left[cl], c.right[cl]} != key {
+				if cl, ly := c.of[e], c.top(); [3]int{ly.self[cl], ly.left[cl], ly.right[cl]} != key {
 					t.Fatalf("layer %d: entry %d is in class %d, whose triple is not its %v", layer, e, cl, key)
 				}
 			}
 			census = next
-			if len(c.self) != len(ids) || !slices.Equal(c.of, census) {
-				t.Fatalf("layer %d: %d classes, the census %d", layer, len(c.self), len(ids))
+			if len(c.top().self) != len(ids) || !slices.Equal(c.of, census) {
+				t.Fatalf("layer %d: %d classes, the census %d", layer, len(c.top().self), len(ids))
 			}
 			if shared := c.of[baseJoin] == c.of[deepJoin]; shared != (layer < 3) {
 				t.Fatalf("layer %d: deep's join in the base join's class: %v, want %v", layer, shared, layer < 3)
@@ -714,8 +714,11 @@ func BenchmarkSelectPlanCached(b *testing.B) {
 // predicate-free plan performs zero heap allocations (scratch comes from the
 // pool, encoders and kernels reuse their buffers, and no autograd graph is
 // built), and the scoring core — cold, every candidate embedded, and on a
-// warm plan cache — allocates only the costs slice it returns. This test owns the fast path's
-// zero-allocation contract (DESIGN.md "Static analysis & code contracts").
+// warm plan cache — allocates only the costs slice it returns. For the TCN
+// the cold runs pool from a warm class memo, every run a hit, and a pass that
+// convolves and stores into an emptied memo, whose arrays are kept, allocates
+// no more. This test owns the fast path's zero-allocation contract (DESIGN.md
+// "Static analysis & code contracts").
 func TestPredictCostZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
@@ -756,8 +759,21 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 			}
 		}
 		coldSelect()
+		passes, hits := p.ClassMemoStats()
 		if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
 			t.Fatalf("%v: warmed unkeyed SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
+		}
+		if kind == KindTCN {
+			if p2, h2 := p.ClassMemoStats(); p2-passes != h2-hits || h2-hits < 100 {
+				t.Fatalf("the warm class memo answered %d of %d passes", h2-hits, p2-passes)
+			}
+			first := func() {
+				p.ResetClassMemo()
+				coldSelect()
+			}
+			if allocs := testing.AllocsPerRun(100, first); allocs > 1 {
+				t.Fatalf("unkeyed SelectPlanKeyed into an emptied class memo allocated %.1f times per run, want at most the returned costs slice", allocs)
+			}
 		}
 
 		p.EnablePlanCache(64)

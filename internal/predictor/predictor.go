@@ -659,6 +659,28 @@ func (p *Predictor) FlushPlanCache() {
 	}
 }
 
+// ResetClassMemo empties the TCN's class memo (memo.go), so the next pass
+// convolves every class again. Serving never needs it — the memo lives and
+// dies with the predictor's weights — it is the hook a benchmark times a
+// first sight with. A no-op for the other backbones.
+func (p *Predictor) ResetClassMemo() {
+	if b, ok := p.bb.(*tcnBackbone); ok && b.memo != nil {
+		b.memo.mu.Lock()
+		b.memo.reset()
+		b.memo.mu.Unlock()
+	}
+}
+
+// ClassMemoStats reports how many TCN scoring passes ran and how many of
+// them the class memo answered whole. They depend on how concurrent passes
+// interleave, so they are for benchmarks, not telemetry.
+func (p *Predictor) ClassMemoStats() (passes, hits int64) {
+	if b, ok := p.bb.(*tcnBackbone); ok && b.memo != nil {
+		return b.memo.passes.Load(), b.memo.hits.Load()
+	}
+	return 0, 0
+}
+
 // PlanCacheLen reports the number of cached estimates (0 when disabled).
 func (p *Predictor) PlanCacheLen() int {
 	if p.cache == nil {

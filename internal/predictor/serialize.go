@@ -257,13 +257,24 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 	// Rebuild the architecture, then overwrite the weights. checkParams
 	// counted by arithmetic; the built tensors have the last word.
 	p.build(simrand.New(snap.Config.Seed))
-	params := p.allParams()
-	for i, t := range params {
-		if len(params) != len(snap.Params) || len(t.Data) != len(snap.Params[i]) {
-			return nil, fmt.Errorf("%w: tensor %d of %d: built architecture disagrees with the %d tensors checkParams passed",
-				ErrCorruptSnapshot, i, len(params), len(snap.Params))
-		}
-		copy(t.Data, snap.Params[i])
+	if err := p.setParams(snap.Params); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// setParams overwrites the built network's weights with src, in allParams
+// order, and empties the TCN's class memo: its rows were convolved under
+// the weights being replaced.
+func (p *Predictor) setParams(src [][]float64) error {
+	params := p.allParams()
+	for i, t := range params {
+		if len(params) != len(src) || len(t.Data) != len(src[i]) {
+			return fmt.Errorf("%w: tensor %d of %d: built architecture disagrees with the %d tensors checkParams passed",
+				ErrCorruptSnapshot, i, len(params), len(src))
+		}
+		copy(t.Data, src[i])
+	}
+	p.ResetClassMemo()
+	return nil
 }

@@ -108,7 +108,8 @@ func (t *tcnTrainer) forward(train []Sample, batch []int, drawn []*plan.Plan, ca
 	for l, layer := range b.layers {
 		c.next(f)
 		t.convs[l].Reset()
-		x = layer.ForwardInfer(&t.convs[l], x, c.self, c.left, c.right)
+		ly := c.top()
+		x = layer.ForwardInfer(&t.convs[l], x, ly.self, ly.left, ly.right)
 		t.of[l+1], t.acts[l+1] = append(t.of[l+1][:0], c.of...), x
 	}
 
