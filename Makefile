@@ -28,14 +28,16 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^loam/bench$$')
 	$(GO) test -race -skip '^TestStageSumMatchesUntracedLatency$$' ./bench
 
-# fuzz-smoke runs each of the five native fuzz targets for 10 s from its f.Add
+# fuzz-smoke runs each of the six native fuzz targets for 10 s from its f.Add
 # seeds (there are no corpus files): the frame scanner every journal open
-# reads through, predictor.Load on raw bytes and on a well-framed JSON
-# payload, durable.Open on an arbitrary MANIFEST, and Store.Journal on an
-# arbitrary last or earlier journal segment. A crasher is written to the
-# package's testdata/fuzz and fails the target.
+# reads through, the node encoder's sparse key against the dense oracle,
+# predictor.Load on raw bytes and on a well-framed JSON payload, durable.Open
+# on an arbitrary MANIFEST, and Store.Journal on an arbitrary last or earlier
+# journal segment. A crasher is written to the package's testdata/fuzz and
+# fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s ./internal/atomicio
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeKey$$' -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPayload$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/durable
@@ -90,7 +92,7 @@ lint-fix-hints:
 # the tenant table's reference check and the concurrent control plane
 # included), and the plan cache's claim → compute → publish → wait protocol
 # (crossing candidate orders, a panic mid-forest, keyed estimates equal to
-# unkeyed ones on every hit/miss path) and the TCN's class memo (crossing set
+# unkeyed ones on every hit/miss path) and the TCN's plan memo (crossing set
 # orders on one predictor, drops at its byte bound) — under the race
 # detector.
 # It is a -run subset of `race`, so `verify` does not run it again: a focused,
@@ -98,7 +100,7 @@ lint-fix-hints:
 # "Degraded-mode serving contract", "Model lifecycle contract" and "Fleet
 # serving contract").
 chaos:
-	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest|ClassMemo|ActivationMemo' ./...
+	$(GO) test -race -count=1 -run 'Guard|Breaker|HalfOpen|RecoveryCycle|Quarantine|Fault|Outage|Inject|Lifecycle|SwapScorer|Fleet|Shed|TelemetryParallel|PlanCache|Forest|BitIdenticalClassMemo|ActivationMemo' ./...
 	$(GO) test -race -count=1 ./internal/fleet
 
 # chaos-recover is the durability twin of chaos: the kill-point crash sweep
@@ -115,14 +117,15 @@ chaos-recover:
 # decisive-set rule, the sharing contract, a session resumed from recorded
 # estimates vs. a fresh one), the steering memo's key-coverage, replay and
 # concurrency tests, the FNV fold's differential and golden tests, the native
-# rough cost's and the executor's work pinned bit for bit, the
+# rough cost's and the executor's work pinned bit for bit, every plan a
+# session emits checked valid, the
 # allocation and retained-heap ceilings and plan.Node's size, then both halves
 # of a warm request: one Explorer.Candidates per op over a project1- and a
 # project2-shaped query set, first sight and repeat, and one SelectPlanKeyed
 # of eight candidates on a warm plan cache (~20 s; DESIGN.md "Exploration
 # budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|PlansAreValid|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 	$(GO) test -run '^$$' -bench SelectPlanCached -benchtime 200000x -cpu 2 -benchmem ./internal/predictor
 
@@ -137,16 +140,17 @@ train:
 	$(GO) test -run '^$$' -bench PredictorTrainTCN -benchtime 10x -benchmem .
 
 # cold is the cold path's developer loop, like warm not a verify step: the
-# forest encoder's exactness tests, the layer-class census, every scoring path
-# against the training forward (the class memo's warm, dropped, crossing,
-# colliding and reloaded cases among them), the memo's byte bound, the
-# zero-allocation ceilings, then one unkeyed SelectPlanKeyed per op over a
-# default project's explorer sets — /first into an emptied class memo every
-# op, /memo on a warm one — reporting the share of ops the memo answered, the
-# rows its TreeConv layers convolve and the nodes it encodes per plan node
-# (DESIGN.md "Inference fast path & caching contract").
+# node key's seeds against the dense oracle, the forest encoder's exactness
+# tests, the layer-class census, every scoring path against the training
+# forward (the plan memo's warm, dropped, crossing, colliding, shape and
+# reloaded cases among them), the memo's byte bound, the zero-allocation
+# ceilings, then one unkeyed SelectPlanKeyed per op over a default project's
+# explorer sets — /first into an emptied plan memo every op, /memo on a warm
+# one — reporting the share of plans the memo answered, the rows the TreeConv
+# layers convolve on a miss and the nodes encoded per plan node (DESIGN.md
+# "Inference fast path & caching contract").
 cold:
-	$(GO) test -count=1 -run 'Forest|BitIdentical|ClassMemo|ActivationMemo|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
+	$(GO) test -count=1 -run 'NodeKey|HashCol|Forest|BitIdentical|ActivationMemo|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
 	$(GO) test -run '^$$' -bench SelectPlanColdExplorerSet -benchtime 20000x -cpu 2 .
 
 # results regenerates the committed results files at the default scale (~10 min

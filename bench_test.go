@@ -187,17 +187,18 @@ func BenchmarkPredictorInference(b *testing.B) {
 }
 
 // BenchmarkSelectPlanColdExplorerSet is the cold path in seconds: one op is
-// one unkeyed SelectPlanKeyed — no plan cache, so every candidate is embedded —
+// one unkeyed SelectPlanKeyed — no plan cache, so every candidate is encoded —
 // over the real Explorer.Candidates set of one request of the default project,
-// cycling through a day's requests. /first empties the TCN's class memo before
-// every op, so each op convolves its classes and stores them; /memo keeps it,
-// so after the first pass over the day the memo answers every op, as it
-// answers almost every dayroll request. memo-hits/op is the share of ops the
-// memo answered whole. It owns the sharing ratios the forest forward rests
-// on, per plan node of a request's candidates (nodes/op): conv-rows/node, the
-// rows its TreeConv layers convolve — one per layer class (layerClasses) —
-// and encoded/node, the nodes it encodes, a pointer the set already holds
-// being listed instead.
+// cycling through a day's requests. /first empties the TCN's plan memo before
+// every op, so each op runs the forest forward and stores its plans; /memo
+// keeps it, so after the first pass over the day the memo answers every
+// plan, as it answers almost every dayroll plan. memo-share is the share of
+// the plans scored, over every op's pass, that the memo answered. It owns
+// the sharing ratios the forest forward rests on, per plan node of a
+// request's candidates (nodes/op): conv-rows/node, the rows its TreeConv
+// layers convolve on a miss — one per layer class (layerClasses) — and
+// encoded/node, the nodes it encodes, a pointer the set already holds being
+// listed instead.
 func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 	sim := loam.NewSimulation(99, loam.DefaultSimulationConfig())
 	ps := sim.AddProject(loam.DefaultProjectConfig("cold"))
@@ -233,21 +234,24 @@ func BenchmarkSelectPlanColdExplorerSet(b *testing.B) {
 			name = "first"
 		}
 		b.Run(name, func(b *testing.B) {
-			pred.ResetClassMemo()
-			passes, hits := pred.ClassMemoStats()
+			pred.ResetPlanMemo()
+			scored, answered := pred.PlanMemoStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if first {
-					pred.ResetClassMemo()
+					pred.ResetPlanMemo()
 				}
 				if _, _, err := pred.SelectPlanKeyed(sets[i%len(sets)], envs, encoding.EnvKey{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			p2, h2 := pred.ClassMemoStats()
-			b.ReportMetric(float64(h2-hits)/float64(p2-passes), "memo-hits/op")
+			s2, a2 := pred.PlanMemoStats()
+			if s2-scored < int64(b.N) {
+				b.Fatalf("%d ops looked %d plans up in the plan memo", b.N, s2-scored)
+			}
+			b.ReportMetric(float64(a2-answered)/float64(s2-scored), "memo-share")
 			b.ReportMetric(float64(convRows)/float64(nodes), "conv-rows/node")
 			b.ReportMetric(float64(encoded)/float64(nodes), "encoded/node")
 			b.ReportMetric(float64(nodes)/float64(len(sets)), "nodes/op")

@@ -116,30 +116,30 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// hashID sets the multi-segment encoding bits of an identifier into dst
+// hashID sets the multi-segment encoding bits of an identifier into w
 // starting at off — App. B.1's 5×N′ scheme with independent per-segment hash
 // functions (implemented as salted FNV), unioning naturally across multiple
 // identifiers.
-func (e *Encoder) hashID(dst []float64, off int, id string) {
+func (e *Encoder) hashID(w keyWriter, off int, id string) keyWriter {
 	for s := 0; s < e.cfg.Segments; s++ {
 		h := fnvString(fnvByte(fnvOffset64, byte(s+1)), id)
-		pos := int(avalanche(h) % uint64(e.cfg.SegmentDim))
-		dst[off+s*e.cfg.SegmentDim+pos] = 1
+		w = w.one(off + s*e.cfg.SegmentDim + int(avalanche(h)%uint64(e.cfg.SegmentDim)))
 	}
+	return w
 }
 
 // hashCol hashes a column reference identically to
-// hashID(dst, off, c.String()) without materializing the "table.column"
+// hashID(w, off, c.String()) without materializing the "table.column"
 // string.
-func (e *Encoder) hashCol(dst []float64, off int, c expr.ColumnRef) {
+func (e *Encoder) hashCol(w keyWriter, off int, c expr.ColumnRef) keyWriter {
 	for s := 0; s < e.cfg.Segments; s++ {
 		h := fnvByte(fnvOffset64, byte(s+1))
 		h = fnvString(h, c.Table)
 		h = fnvByte(h, '.')
 		h = fnvString(h, c.Column)
-		pos := int(avalanche(h) % uint64(e.cfg.SegmentDim))
-		dst[off+s*e.cfg.SegmentDim+pos] = 1
+		w = w.one(off + s*e.cfg.SegmentDim + int(avalanche(h)%uint64(e.cfg.SegmentDim)))
 	}
+	return w
 }
 
 // avalanche mixes high bits into low bits (splitmix64 finalizer). FNV-1a's

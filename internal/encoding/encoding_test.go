@@ -1,7 +1,9 @@
 package encoding
 
 import (
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +19,85 @@ func encodeNode(e *Encoder, n *plan.Node, env [4]float64, hasEnv bool) []float64
 	v := make([]float64, e.Dim())
 	e.EncodeNodeInto(v, n, env, hasEnv)
 	return v
+}
+
+// oracleNode is encodeNode written by denseNodeInto, the oracle the key
+// writer is held to.
+func oracleNode(e *Encoder, n *plan.Node, env [4]float64, hasEnv bool) []float64 {
+	v := make([]float64, e.Dim())
+	denseNodeInto(e, v, n, env, hasEnv)
+	return v
+}
+
+// denseNodeInto is the dense feature writer AppendNodeKey replaced, kept as
+// its oracle: it writes every feature of one node in place into dst, the
+// layout's blocks in any order, and knows nothing of keys.
+func denseNodeInto(e *Encoder, dst []float64, n *plan.Node, env [4]float64, hasEnv bool) {
+	clear(dst)
+	if n == nil {
+		return
+	}
+	if op := int(n.Op) - 1; op >= 0 && op < e.layout.opLen {
+		dst[e.layout.opOff+op] = 1
+	}
+	switch {
+	case n.Op == plan.OpTableScan:
+		denseHashID(e, dst, e.layout.tableOff, n.Table)
+		dst[e.layout.scanNumOff] = plan.LogNorm(float64(n.PartitionsRead), e.cfg.MaxPartitions)
+		dst[e.layout.scanNumOff+1] = plan.LogNorm(float64(n.ColumnsAccessed), e.cfg.MaxColumns)
+	case n.Op.IsJoin():
+		if f := int(n.JoinForm) - 1; f >= 0 && f < plan.NumJoinForms {
+			dst[e.layout.joinFormOff+f] = 1
+		}
+		for _, c := range append(slices.Clone(n.LeftCols), n.RightCols...) {
+			denseHashID(e, dst, e.layout.joinColsOff, c.String())
+		}
+	case n.Op.IsAggregate():
+		for _, a := range n.AggFuncs {
+			if f := int(a) - 1; f >= 0 && f < plan.NumAggFuncs {
+				dst[e.layout.aggFnOff+f] = 1
+			}
+		}
+		for _, c := range n.AggCols {
+			denseHashID(e, dst, e.layout.aggColsOff, c.String())
+		}
+		for _, c := range n.GroupCols {
+			denseHashID(e, dst, e.layout.groupOff, c.String())
+		}
+	case n.Op.IsFilterLike():
+		for _, fn := range n.Pred.Funcs() {
+			if i := int(fn) - 1; i >= 0 && i < expr.NumFuncs {
+				dst[e.layout.filterFnOff+i] = 1
+			}
+		}
+		for _, c := range n.Pred.Columns() {
+			denseHashID(e, dst, e.layout.filterColsOff, c.String())
+		}
+		dst[e.layout.predNumOff] = plan.LogNorm(float64(n.Pred.Size()), 64)
+	}
+	if n.Parallelism > 0 {
+		dst[e.layout.dopOff] = plan.LogNorm(float64(n.Parallelism), 256)
+	}
+	if hasEnv {
+		copy(dst[e.layout.envOff:e.layout.envOff+4], env[:])
+		dst[e.layout.hasEnvOff] = 1
+	}
+}
+
+// denseHashID is hashID writing into a dense row.
+func denseHashID(e *Encoder, dst []float64, off int, id string) {
+	for s := 0; s < e.cfg.Segments; s++ {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte{byte(s + 1)})
+		_, _ = h.Write([]byte(id))
+		dst[off+s*e.cfg.SegmentDim+int(avalanche(h.Sum64())%uint64(e.cfg.SegmentDim))] = 1
+	}
+}
+
+// sameBits reports whether a and b are Float64bits-equal element for
+// element: -0 differs from +0 and a NaN equals only itself.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func testPlan() *plan.Plan {
@@ -330,12 +411,7 @@ func TestEncodeNodeDeterministic(t *testing.T) {
 		}
 		v1 := encodeNode(e, n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
 		v2 := encodeNode(e, n, [4]float64{0.5, 0.05, 0.3, 0.4}, true)
-		for i := range v1 {
-			if v1[i] != v2[i] {
-				return false
-			}
-		}
-		return true
+		return sameBits(v1, v2) && sameBits(v1, oracleNode(e, n, [4]float64{0.5, 0.05, 0.3, 0.4}, true))
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

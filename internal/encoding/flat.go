@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"loam/internal/expr"
 	"loam/internal/plan"
@@ -13,8 +14,8 @@ import (
 // and in serving alike: reusable flattened views (FlatTree/FlatGraph/FlatSeq)
 // filled in place, one row-major feature matrix per plan instead of one slice
 // per node — serving fills a pooled view per call (for the TCN a Forest: a
-// whole candidate set, each distinct feature row and each node pointer held
-// once), training one it owns
+// whole candidate set, each distinct feature row, as its sparse key, and each
+// node pointer held once), training one it owns
 // until Backward — and EnvKey, the hashable identity of an inference-time
 // environment source used to key the predictor's plan cache.
 //
@@ -57,80 +58,150 @@ func NoEnvKey() EnvKey {
 	return EnvKey{Sum: h.Sum64(), Keyed: true}
 }
 
-// EncodeNodeInto writes one node's feature vector into dst (length Dim, any
-// prior contents overwritten). env carries the stage's execution environment;
-// hasEnv=false encodes "environment unobserved" (training-time plans always
-// have it; the inference strategies of §5 supply synthetic values).
-func (e *Encoder) EncodeNodeInto(dst []float64, n *plan.Node, env [4]float64, hasEnv bool) {
-	for i := range dst {
-		dst[i] = 0
-	}
+// AppendNodeKey appends one node's feature row to key in its sparse form,
+// the one feature writer: every nonzero feature once, columns ascending, a
+// feature equal to 1 as the word col<<1|1, any other as col<<1 then its
+// Float64bits, high word first (+0 is left out; -0 and NaN are not). Two
+// rows are Float64bits-equal iff their keys are equal word for word. env is
+// the stage's execution environment; hasEnv=false encodes "unobserved".
+func (e *Encoder) AppendNodeKey(key []uint32, n *plan.Node, env [4]float64, hasEnv bool) []uint32 {
 	if n == nil {
-		return
+		return key
 	}
+	w := keyWriter{key: key, run: len(key)}
 	if op := int(n.Op) - 1; op >= 0 && op < e.layout.opLen {
-		dst[e.layout.opOff+op] = 1
+		w = w.one(e.layout.opOff + op)
 	}
 	switch {
 	case n.Op == plan.OpTableScan:
-		e.hashID(dst, e.layout.tableOff, n.Table)
-		dst[e.layout.scanNumOff] = plan.LogNorm(float64(n.PartitionsRead), e.cfg.MaxPartitions)
-		dst[e.layout.scanNumOff+1] = plan.LogNorm(float64(n.ColumnsAccessed), e.cfg.MaxColumns)
+		w = e.hashID(w, e.layout.tableOff, n.Table)
+		w = w.num(e.layout.scanNumOff, plan.LogNorm(float64(n.PartitionsRead), e.cfg.MaxPartitions))
+		w = w.num(e.layout.scanNumOff+1, plan.LogNorm(float64(n.ColumnsAccessed), e.cfg.MaxColumns))
 	case n.Op.IsJoin():
 		if f := int(n.JoinForm) - 1; f >= 0 && f < plan.NumJoinForms {
-			dst[e.layout.joinFormOff+f] = 1
+			w = w.one(e.layout.joinFormOff + f)
 		}
 		for _, c := range n.LeftCols {
-			e.hashCol(dst, e.layout.joinColsOff, c)
+			w = e.hashCol(w, e.layout.joinColsOff, c)
 		}
 		for _, c := range n.RightCols {
-			e.hashCol(dst, e.layout.joinColsOff, c)
+			w = e.hashCol(w, e.layout.joinColsOff, c)
 		}
 	case n.Op.IsAggregate():
 		for _, a := range n.AggFuncs {
 			if f := int(a) - 1; f >= 0 && f < plan.NumAggFuncs {
-				dst[e.layout.aggFnOff+f] = 1
+				w = w.one(e.layout.aggFnOff + f)
 			}
 		}
 		for _, c := range n.AggCols {
-			e.hashCol(dst, e.layout.aggColsOff, c)
+			w = e.hashCol(w, e.layout.aggColsOff, c)
 		}
 		for _, c := range n.GroupCols {
-			e.hashCol(dst, e.layout.groupOff, c)
+			w = e.hashCol(w, e.layout.groupOff, c)
 		}
 	case n.Op.IsFilterLike():
-		e.encodePred(dst, n.Pred)
-		dst[e.layout.predNumOff] = plan.LogNorm(float64(n.Pred.Size()), 64)
+		w = e.encodePred(w, n.Pred)
+		w = w.num(e.layout.predNumOff, plan.LogNorm(float64(n.Pred.Size()), 64))
 	}
 	if n.Parallelism > 0 {
-		dst[e.layout.dopOff] = plan.LogNorm(float64(n.Parallelism), 256)
+		w = w.num(e.layout.dopOff, plan.LogNorm(float64(n.Parallelism), 256))
 	}
 	if hasEnv {
-		copy(dst[e.layout.envOff:e.layout.envOff+4], env[:])
-		dst[e.layout.hasEnvOff] = 1
+		for i, v := range env {
+			w = w.num(e.layout.envOff+i, v)
+		}
+		w = w.one(e.layout.hasEnvOff)
 	}
+	return w.key
+}
+
+// keyWriter builds one row's key. The encoder writes the layout's blocks in
+// column order, so a numeric feature lands in place; ones (hash bits,
+// multi-hots) come in any order, with repeats, and are inserted sorted and
+// unique into the run since the last numeric feature. Passed by value, it
+// leaves a key buffer on the caller's stack there.
+type keyWriter struct {
+	key []uint32
+	run int // key[run:] is the current run of one-words
+}
+
+func (w keyWriter) one(col int) keyWriter {
+	c := uint32(col)<<1 | 1
+	i := len(w.key)
+	if i == w.run || w.key[i-1] < c {
+		w.key = append(w.key, c)
+		return w
+	}
+	for i > w.run && w.key[i-1] > c {
+		i--
+	}
+	if i == w.run || w.key[i-1] != c {
+		w.key = slices.Insert(w.key, i, c)
+	}
+	return w
+}
+
+func (w keyWriter) num(col int, v float64) keyWriter {
+	switch b := math.Float64bits(v); b {
+	case 0:
+	case math.Float64bits(1):
+		w = w.one(col)
+	default:
+		w.key = append(w.key, uint32(col)<<1, uint32(b>>32), uint32(b))
+		w.run = len(w.key)
+	}
+	return w
+}
+
+// expandKey writes the row key encodes into dst, every other element +0.
+func expandKey(dst []float64, key []uint32) {
+	clear(dst)
+	for i := 0; i < len(key); i++ {
+		if col := key[i] >> 1; key[i]&1 == 1 {
+			dst[col] = 1
+		} else {
+			dst[col] = math.Float64frombits(uint64(key[i+1])<<32 | uint64(key[i+2]))
+			i += 2
+		}
+	}
+}
+
+// KeyHash spreads a key (a row's, or any list of words) over a table. It
+// only picks where to look: keys are compared word for word.
+func KeyHash(key []uint32) uint64 {
+	h := uint64(len(key)) * 0x9e3779b97f4a7c15
+	for _, w := range key {
+		h = (h ^ uint64(w)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// EncodeNodeInto writes one node's feature vector into dst (length Dim, any
+// prior contents overwritten): its key (AppendNodeKey), expanded.
+func (e *Encoder) EncodeNodeInto(dst []float64, n *plan.Node, env [4]float64, hasEnv bool) {
+	var buf [256]uint32
+	expandKey(dst, e.AppendNodeKey(buf[:0], n, env, hasEnv))
 }
 
 // encodePred sets the filter-function multi-hot and filter-column hash bits
 // for every node of a predicate tree. It walks the tree directly instead of
-// materializing Pred.Funcs()/Pred.Columns(): the features are idempotent bit
-// sets, so the dedup and sort those helpers pay for (one map and one slice
-// each, per filter node, per encode) buy nothing here, and dropping them
-// keeps the serving-path encode allocation-free. The resulting feature
-// vector is bit-identical to the slice-based form.
-func (e *Encoder) encodePred(dst []float64, n *expr.Node) {
+// materializing Pred.Funcs()/Pred.Columns(), whose dedup and sort buy
+// nothing for idempotent bits, so the serving-path encode allocates nothing.
+func (e *Encoder) encodePred(w keyWriter, n *expr.Node) keyWriter {
 	if n == nil {
-		return
+		return w
 	}
 	if i := int(n.Fn) - 1; i >= 0 && i < expr.NumFuncs {
-		dst[e.layout.filterFnOff+i] = 1
+		w = w.one(e.layout.filterFnOff + i)
 	}
 	if n.Fn.IsComparison() {
-		e.hashCol(dst, e.layout.filterColsOff, n.Col)
+		w = e.hashCol(w, e.layout.filterColsOff, n.Col)
 	}
 	for _, c := range n.Children {
-		e.encodePred(dst, c)
+		w = e.encodePred(w, c)
 	}
+	return w
 }
 
 // FlatTree is a reusable flattened canonical-binary-tree view: Feats holds
@@ -257,40 +328,63 @@ func pairChildren(n, orig *plan.Node) (lo, ro *plan.Node) {
 }
 
 // Forest is the flattened view of several plans at once — one request's
-// candidates — that the TCN convolves by class instead of by node.
-// Candidates differ in a join operator, an order rotation or a pushdown and
-// repeat everything else, most of it as the very same scan subplans.
+// candidates, which differ in a join operator, an order rotation or a
+// pushdown and repeat the rest, most of it as the very same scan subplans.
 //
-// Feats holds each distinct feature row once: a node's layer-0 class is the
-// first Float64bits-equal row. An entry is one encoded node — Row its feature
+// Each distinct feature row is held once, as its key (AppendNodeKey): a
+// node's layer-0 class is the first row with an equal key. Dense expands the
+// rows where a forward runs. An entry is one encoded node — Row its feature
 // row, Left and Right its children's entries (-1 absent) — and each plan
 // lists its nodes' entries in the preorder EncodeTreeFlatInto emits, the
 // order the pooling reductions run in. A node pointer met again outside a
 // folded n-ary operator, under the same environment source, is not encoded
 // again: its subtree's entries are listed once more. That is exact because
-// EncodeNodeInto and the EnvSource are pure functions of the node, and every
-// node below a plan's own node is the plan's own too. A layer-k activation is
-// a function of the node's depth-k neighbourhood alone, so the TCN interns
-// classes per layer over the entries and convolves one row per class
-// (internal/predictor).
+// AppendNodeKey and the EnvSource are pure functions of the node, and every
+// node below a plan's own node is the plan's own too. The TCN interns
+// classes per layer over the entries (internal/predictor).
 //
 // Nothing is hash-trusted, and the environment features are in the row, so
 // nodes a per-node EnvSource tells apart never share a row. After
 // EncodeForestInto returns, the Forest holds no plan node.
 type Forest struct {
-	Feats            []float64
 	Row, Left, Right []int
 
-	span  [][2]int // entry e's subtree is listed at order[span[e][0]:span[e][1]]
-	order []int    // every plan's preorder list of entries, back to back
-	ends  []int    // plan k's list is order[ends[k]:ends[k+1]]
-	memo  map[*plan.Node]int
-	tab   rowTable
-	dim   int
+	keys   []uint32  // every row's key, back to back
+	keyEnd []int     // row r's key ends at keys[keyEnd[r]], starts where r-1's ends
+	hash   []uint64  // row r's KeyHash
+	feats  []float64 // Dense's rows
+	span   [][2]int  // entry e's subtree is listed at order[span[e][0]:span[e][1]]
+	order  []int     // every plan's preorder list of entries, back to back
+	ends   []int     // plan k's list is order[ends[k]:ends[k+1]]
+	memo   map[*plan.Node]int
+	tab    rowTable
+	dim    int
 }
 
 // Rows returns the number of distinct feature rows, the layer-0 classes.
-func (f *Forest) Rows() int { return len(f.Feats) / f.dim }
+func (f *Forest) Rows() int { return len(f.keyEnd) }
+
+// RowKey returns row r's key and its KeyHash.
+func (f *Forest) RowKey(r int) ([]uint32, uint64) { return f.key(r), f.hash[r] }
+
+func (f *Forest) key(r int) []uint32 {
+	lo := 0
+	if r > 0 {
+		lo = f.keyEnd[r-1]
+	}
+	return f.keys[lo:f.keyEnd[r]]
+}
+
+// Dense returns the rows expanded, Rows()×Dim row-major, in a buffer the
+// forest reuses.
+func (f *Forest) Dense() []float64 {
+	n := f.Rows() * f.dim
+	f.feats = slices.Grow(f.feats[:0], n)[:n]
+	for r := range f.Rows() {
+		expandKey(f.feats[r*f.dim:(r+1)*f.dim], f.key(r))
+	}
+	return f.feats
+}
 
 // PlanNodes returns plan k's entries, one per node, in preorder.
 func (f *Forest) PlanNodes(k int) []int { return f.order[f.ends[k]:f.ends[k+1]] }
@@ -314,17 +408,18 @@ func (e *Encoder) EncodeForestInto(f *Forest, plans []*plan.Plan, envs EnvSource
 // StartForest empties f for AppendForest.
 func (e *Encoder) StartForest(f *Forest) {
 	f.dim = e.dim
-	f.Feats, f.Row, f.Left, f.Right = f.Feats[:0], f.Row[:0], f.Left[:0], f.Right[:0]
+	f.keys, f.keyEnd, f.hash = f.keys[:0], f.keyEnd[:0], f.hash[:0]
+	f.Row, f.Left, f.Right = f.Row[:0], f.Left[:0], f.Right[:0]
 	f.span, f.order, f.ends = f.span[:0], f.order[:0], append(f.ends[:0], 0)
 	f.tab.reset()
 }
 
 // AppendForest adds plans to f after the plans it holds, every node's
 // environment from envs. Rows are shared across calls, since equality is
-// decided on the encoded bits; the pointer memo is not: it spans one call,
-// because a node met again under another source may encode otherwise. A
-// training minibatch, whose default plans each carry their own RecordEnv, is
-// one call per source.
+// decided on the keys; the pointer memo is not: it spans one call, because
+// a node met again under another source may encode otherwise. A training
+// minibatch, whose default plans each carry their own RecordEnv, is one call
+// per source.
 func (e *Encoder) AppendForest(f *Forest, plans []*plan.Plan, envs EnvSource) {
 	if f.memo == nil {
 		f.memo = map[*plan.Node]int{}
@@ -369,42 +464,26 @@ func (e *Encoder) encodeForest(f *Forest, n, orig *plan.Node, envs EnvSource) in
 	return id
 }
 
-// internRow encodes n's feature row past the end of Feats and returns the
-// first Float64bits-equal row, taking the new one back if it repeats one.
+// internRow writes n's key past the end of keys and returns the first row
+// with an equal key, taking the new one back if it repeats one.
 func (f *Forest) internRow(e *Encoder, n *plan.Node, env [4]float64, ok bool) int {
-	id := f.Rows()
-	f.Feats = appendRow(f.Feats, f.dim)
-	e.EncodeNodeInto(f.Feats[id*f.dim:], n, env, ok)
-	if seen := f.tab.intern(f.Feats, f.dim, bucketHash(n, env, ok), id); seen != id {
-		f.Feats = f.Feats[:id*f.dim]
+	id, lo := f.Rows(), len(f.keys)
+	f.keys = e.AppendNodeKey(f.keys, n, env, ok)
+	key := f.keys[lo:]
+	h := KeyHash(key)
+	if seen := f.tab.intern(f, key, h, id); seen != id {
+		f.keys = f.keys[:lo]
 		return seen
 	}
+	f.keyEnd, f.hash = append(f.keyEnd, len(f.keys)), append(f.hash, h)
 	return id
-}
-
-// bucketHash picks a node's bucket from a few cheap fields and its
-// environment. It only has to spread: equality is decided on the encoded
-// rows, so nodes that differ elsewhere (join columns, predicates) cost one
-// row compare. The environment is hashed because a training minibatch holds
-// the same scans under as many environments as it has default plans.
-func bucketHash(n *plan.Node, env [4]float64, ok bool) uint64 {
-	h := fnvOffset64
-	for _, v := range [4]int{int(n.Op), n.PartitionsRead, int(n.JoinForm), n.Parallelism} {
-		h = (h ^ uint64(v)) * fnvPrime64
-	}
-	if ok {
-		for _, v := range env {
-			h = (h ^ math.Float64bits(v)) * fnvPrime64
-		}
-	}
-	return avalanche(fnvString(h, n.Table))
 }
 
 // rowSlots sizes the row table: several times the distinct feature rows of
 // any request the explorers build.
 const rowSlots = 1024
 
-// rowTable is the open-addressed index from bucket hash to the first of each
+// rowTable is the open-addressed index from key hash to the first of each
 // distinct feature row: fixed arrays in a pooled Forest, emptied by bumping a
 // generation stamp, so interning never allocates. Three-quarters full it stops
 // taking rows and every later row is its own: sharing is lost, not exactness.
@@ -426,38 +505,25 @@ func (t *rowTable) reset() {
 	}
 }
 
-// intern returns the earlier row of feats (dim wide) Float64bits-equal to row
-// id, or records id under hash and returns it.
-func (t *rowTable) intern(feats []float64, dim int, hash uint64, id int) int {
+// intern returns the row of f whose key equals key, or records id, the row
+// key is about to become, under hash and returns it.
+func (t *rowTable) intern(f *Forest, key []uint32, hash uint64, id int) int {
 	if t.used >= rowSlots*3/4 {
 		return id
 	}
 	if t.oneBucket {
 		hash = 0
 	}
-	row := feats[id*dim : (id+1)*dim]
 	for i := hash % rowSlots; ; i = (i + 1) % rowSlots {
 		if t.gens[i] != t.gen {
 			t.gens[i], t.rows[i] = t.gen, int32(id)
 			t.used++
 			return id
 		}
-		if r := int(t.rows[i]); sameBits(feats[r*dim:(r+1)*dim], row) {
+		if r := int(t.rows[i]); slices.Equal(f.key(r), key) {
 			return r
 		}
 	}
-}
-
-// sameBits reports whether a and b (equal lengths) are Float64bits-equal
-// element for element: -0 differs from +0 and a NaN equals only itself.
-func sameBits(a, b []float64) bool {
-	b = b[:len(a)]
-	for i, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // FlatGraph is a reusable node-feature + edge-list view, the GCN backbone's

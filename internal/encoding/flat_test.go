@@ -62,7 +62,7 @@ func wantRows(t *testing.T, e *Encoder, feats []float64, stride int, env [4]floa
 		t.Fatalf("%d values, want %d rows × %d", len(feats), len(want), stride)
 	}
 	for i, n := range want {
-		row := encodeNode(e, n, env, i < observed)
+		row := oracleNode(e, n, env, i < observed)
 		for j, v := range row {
 			if g := feats[i*stride+j]; math.Float64bits(v) != math.Float64bits(g) {
 				t.Fatalf("row %d (%v) col %d: %v, want %v", i, n.Op, j, g, v)
@@ -116,9 +116,10 @@ func TestEncodeTreeFlatMatchesEncodeTree(t *testing.T) {
 		ref[e.layout.filterFnOff+int(fn)-1] = 1
 	}
 	for _, c := range pred.Columns() {
-		e.hashID(ref, e.layout.filterColsOff, c.String())
+		denseHashID(e, ref, e.layout.filterColsOff, c.String())
 	}
-	got := encodeNode(e, compound.Root, env, false)
+	got := make([]float64, e.Dim())
+	e.EncodeNodeInto(got, compound.Root, env, false)
 	for j := e.layout.filterFnOff; j < e.layout.predNumOff; j++ {
 		if got[j] != ref[j] {
 			t.Fatalf("predicate feature %d = %v, reference %v", j, got[j], ref[j])
@@ -195,7 +196,7 @@ func wantForestUnder(t *testing.T, e *Encoder, f *Forest, plans []*plan.Plan, en
 		nodes += len(ids)
 		for i, id := range ids {
 			r := f.Row[id]
-			if !sameBits(ft.Feats[i*e.Dim():(i+1)*e.Dim()], f.Feats[r*e.Dim():(r+1)*e.Dim()]) {
+			if !sameBits(ft.Feats[i*e.Dim():(i+1)*e.Dim()], f.Dense()[r*e.Dim():(r+1)*e.Dim()]) {
 				t.Fatalf("plan %d node %d: entry %d's row %d holds other features", k, i, id, r)
 			}
 			if f.Left[id] != child(ids, ft.Left, i) || f.Right[id] != child(ids, ft.Right, i) {
@@ -250,9 +251,10 @@ func TestAppendForestMemoPerSource(t *testing.T) {
 
 // rowsDistinct reports whether no two of f's feature rows are Float64bits-equal.
 func rowsDistinct(f *Forest) bool {
+	feats := f.Dense()
 	for a := range f.Rows() {
 		for b := range a {
-			if sameBits(f.Feats[a*f.dim:(a+1)*f.dim], f.Feats[b*f.dim:(b+1)*f.dim]) {
+			if sameBits(feats[a*f.dim:(a+1)*f.dim], feats[b*f.dim:(b+1)*f.dim]) {
 				return false
 			}
 		}
@@ -323,7 +325,8 @@ func TestEncodeForestSharesExactly(t *testing.T) {
 			one.tab.oneBucket = true
 			e.EncodeForestInto(&one, plans, src.envs)
 			if !slices.Equal(one.order, f.order) || !slices.Equal(one.ends, f.ends) || !slices.Equal(one.Row, f.Row) ||
-				!slices.Equal(one.Left, f.Left) || !slices.Equal(one.Right, f.Right) || !sameBits(one.Feats, f.Feats) {
+				!slices.Equal(one.Left, f.Left) || !slices.Equal(one.Right, f.Right) || !slices.Equal(one.keys, f.keys) ||
+				!slices.Equal(one.keyEnd, f.keyEnd) {
 				t.Fatal("a constant bucket hash changed the forest")
 			}
 		})
@@ -491,12 +494,13 @@ func TestFlatEncodersReuseBuffers(t *testing.T) {
 	}
 }
 
-// TestInlineFNVMatchesStdlib pins the inlined FNV-1a helpers to hash/fnv:
-// identifier hash positions must never move, or every trained model's
-// encoding would silently change.
+// TestInlineFNVMatchesStdlib pins the inlined FNV-1a helpers to hash/fnv,
+// and hashID to denseHashID for every segment count up to 9: identifier hash
+// positions must never move, or every trained model's encoding would
+// silently change.
 func TestInlineFNVMatchesStdlib(t *testing.T) {
 	for _, id := range []string{"", "p.t1", "some.table", "a.very.long.identifier_with_underscores"} {
-		for seed := byte(1); seed <= 5; seed++ {
+		for seed := byte(1); seed <= 9; seed++ {
 			h := fnv.New64a()
 			_, _ = h.Write([]byte{seed})
 			_, _ = h.Write([]byte(id))
@@ -504,6 +508,16 @@ func TestInlineFNVMatchesStdlib(t *testing.T) {
 			got := fnvString(fnvByte(fnvOffset64, seed), id)
 			if got != want {
 				t.Fatalf("inline fnv(%q, seed %d) = %#x, stdlib %#x", id, seed, got, want)
+			}
+		}
+		for segs := 1; segs <= 9; segs++ {
+			e := NewEncoder(Config{Segments: segs, SegmentDim: 8})
+			got := make([]float64, e.Dim())
+			want := make([]float64, e.Dim())
+			expandKey(got, e.hashID(keyWriter{}, e.layout.tableOff, id).key)
+			denseHashID(e, want, e.layout.tableOff, id)
+			if !sameBits(got, want) {
+				t.Fatalf("hashID(%q) with %d segments differs from denseHashID", id, segs)
 			}
 		}
 	}
@@ -514,14 +528,10 @@ func TestInlineFNVMatchesStdlib(t *testing.T) {
 func TestHashColMatchesHashID(t *testing.T) {
 	e := enc()
 	c := expr.ColumnRef{Table: "proj.orders", Column: "amount"}
-	a := make([]float64, e.Dim())
-	b := make([]float64, e.Dim())
-	e.hashID(a, e.layout.joinColsOff, c.String())
-	e.hashCol(b, e.layout.joinColsOff, c)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("bit %d differs between hashID and hashCol", i)
-		}
+	a := e.hashID(keyWriter{}, e.layout.joinColsOff, c.String())
+	b := e.hashCol(keyWriter{}, e.layout.joinColsOff, c)
+	if !slices.Equal(a.key, b.key) || len(a.key) != e.cfg.Segments {
+		t.Fatalf("hashID sets %v, hashCol %v", a.key, b.key)
 	}
 }
 

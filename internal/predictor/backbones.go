@@ -36,26 +36,28 @@ func (k Kind) String() string {
 }
 
 // backbone turns an encoded plan into a 1×emb embedding (PlanEmb in Fig. 3).
-// embed builds the autograd graph used during training; embedInfer is the
-// allocation-free serving path (see infer.go): it writes the embedding of
-// plans[k] into row k of dst (len(plans)×emb, row-major), each bit-identical
-// to embed's of that plan alone. Both read the same node encoding; embed
-// fills a view it owns, because the graph holds Feats until Backward.
+// embed builds the autograd graph used during training.
 type backbone interface {
 	embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor
-	embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource)
 	params() []*nn.Tensor
 }
 
+// planEmbedder is the allocation-free serving path of a backbone that embeds
+// plan by plan, GCN and Transformer (see infer.go): embedInfer writes the
+// embedding of plans[k] into row k of dst (len(plans)×emb, row-major), each
+// bit-identical to embed's of that plan alone. Both read the same node
+// encoding; embed fills a view it owns, because the graph holds Feats until
+// Backward. The TCN serves through the plan memo and embedForest instead.
+type planEmbedder interface {
+	embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource)
+}
+
 // tcnBackbone is LOAM's tree convolutional network: stacked tree
-// convolutions, mean+max pooling, and a fully connected projection. Its
-// class memo holds the last-layer rows serving convolved (memo.go); a
-// network of no layers has none.
+// convolutions, mean+max pooling, and a fully connected projection.
 type tcnBackbone struct {
 	enc    *encoding.Encoder
 	layers []*nn.TreeConv
 	proj   *nn.Linear
-	memo   *classMemo
 }
 
 func newTCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *tcnBackbone {
@@ -66,9 +68,6 @@ func newTCN(rng *simrand.RNG, enc *encoding.Encoder, hidden, layers, emb int) *t
 		in = hidden
 	}
 	b.proj = nn.NewLinear(rng.Derive("tcnProj"), 3*hidden, emb)
-	if layers > 0 {
-		b.memo = newClassMemo(layers, in)
-	}
 	return b
 }
 

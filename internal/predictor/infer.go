@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the predictor's inference fast path: per-call scratch arenas,
-// allocation-free backbone forwards (embedInfer) and the one scoring core
-// (score) behind PredictCost and SelectPlanKeyed. It reads the
+// allocation-free backbone forwards (embedInfer, embedForest) and the one
+// scoring core (score) behind PredictCost and SelectPlanKeyed. It reads the
 // encoders and runs the kernels the training-path embed wraps (see
 // internal/nn/infer.go for which are shared and which pinned by test); what
 // differs is how layers are chained and that the TCN convolves a candidate
@@ -30,9 +30,7 @@ type inferScratch struct {
 	fg      encoding.FlatGraph
 	fs      encoding.FlatSeq
 
-	// stage is the plans×emb batch the cost head reads, outside the nn arena
-	// (embedInfer resets that) and grown by self-append (grow).
-	stage []float64
+	stage []float64 // the plans×emb batch the cost head reads (Predictor.stage)
 
 	// A cached pass's claims: every candidate's entry; those it owns; their
 	// plans and estimates.
@@ -70,41 +68,23 @@ func poolConcat3Into(dst []float64, x nn.Mat) {
 	nn.SumRowsInto(dst[2*x.C:], x, 1.0/16)
 }
 
-// embedInfer for the TCN is one forward over the forest of plans, by class:
-// each layer convolves one row per class of the forest's entries, the class
-// table's triples being its gather lists; each plan is then pooled over its
-// nodes' last-layer rows in its own preorder — the values, in the order, a
-// forward over that plan alone pools — and projected. When the class memo
-// (memo.go) knows every last-layer class, their rows come from it and no
-// layer is convolved; otherwise the forward runs and the memo stores its
-// classes. GCN and Transformer embed plan by plan: a graph convolution mixes
-// a node with its parent, attention with every token, so no activation is a
-// function of the nodes below it alone.
-func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	f, c := &s.forest, &s.classes
-	b.enc.EncodeForestInto(f, plans, envs)
+// embedForest is one forward over the forest f of n plans, by class: each
+// layer convolves one row per class, the class table's triples its gather
+// lists; each plan is pooled over its nodes' last-layer rows in its own
+// preorder, as a forward over it alone pools, and projected. GCN and
+// Transformer embed plan by plan: a graph convolution mixes a node with its
+// parent, attention with every token.
+func (b *tcnBackbone) embedForest(s *inferScratch, dst []float64, f *encoding.Forest, n int) {
+	c := &s.classes
 	s.nn.Reset()
 	c.start(f)
-	for range b.layers {
+	x := nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Dense()}
+	for _, layer := range b.layers {
 		c.next(f)
+		x = layer.ForwardInfer(&s.nn, x, c.self, c.left, c.right)
 	}
-	x, ok := nn.Mat{}, false
-	if b.memo != nil {
-		b.memo.rowKeys(&s.memo, f, b.enc.Dim())
-		x, ok = b.memo.recall(&s.memo, c, &s.nn)
-	}
-	if !ok {
-		x = nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Feats}
-		for l, layer := range b.layers {
-			ly := &c.layers[l]
-			x = layer.ForwardInfer(&s.nn, x, ly.self, ly.left, ly.right)
-		}
-		if b.memo != nil {
-			b.memo.store(&s.memo, c, x)
-		}
-	}
-	pooled := s.nn.Mat(len(plans), 3*x.C)
-	for k := range plans {
+	pooled := s.nn.Mat(n, 3*x.C)
+	for k := range n {
 		rows := c.rowsOf(f.PlanNodes(k))
 		own := s.nn.Mat(len(rows), x.C)
 		nn.GatherRowsInto(own, 0, x, rows)
@@ -117,33 +97,20 @@ func (b *tcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.P
 
 // classTable interns a forest's entries into classes, one layer at a time.
 // An entry's layer-0 class is its feature row; its layer-k class is the
-// triple of the layer-(k-1) classes of itself and of its left and right
-// children (-1 for an absent child). TreeConv.ForwardInfer computes an output
-// row from its three input rows alone, so by induction the entries of one
-// class have Float64bits-equal activations at that layer, and a layer
-// convolves one row per class, with the classes' triples as its self, left
-// and right lists. Triples are compared as three ints; the hash only picks
-// where to look.
+// triple of the layer-(k-1) classes of itself and its left and right
+// children (-1 absent). TreeConv.ForwardInfer computes an output row from its
+// three input rows alone, so by induction a class's entries have
+// Float64bits-equal activations, and a layer convolves one row per class.
 type classTable struct {
-	of, below []int        // each entry's class at this layer and the one below
-	layers    []classLayer // layer k's classes' triples at layers[k-1], since start
-	depth     int          // layers moved up since start
-	rows      []int        // rowsOf's result
-	slots     []int32      // open-addressed: a class + 1, 0 when free
+	of, below         []int   // each entry's class at this layer and the one below
+	self, left, right []int   // this layer's classes' triples
+	rows              []int   // rowsOf's result
+	slots             []int32 // open-addressed: a class + 1, 0 when free
 }
-
-// classLayer is one layer's classes' triples. Every layer's are kept, so the
-// forward can run after the class memo (memo.go), which names a class by the
-// memo identities of its triple, has looked every layer up.
-type classLayer struct{ self, left, right []int }
-
-// top is the triples of the layer last moved up to.
-func (t *classTable) top() *classLayer { return &t.layers[t.depth-1] }
 
 // start puts every entry in its layer-0 class, its feature row.
 func (t *classTable) start(f *encoding.Forest) {
 	t.of = append(t.of[:0], f.Row...)
-	t.depth = 0
 }
 
 // next moves every entry one layer up, numbering the classes in the order the
@@ -159,22 +126,17 @@ func (t *classTable) next(f *encoding.Forest) {
 	slots, mask := t.slots[:size], uint64(size-1)
 	clear(slots)
 	t.of, t.below = t.below[:0], t.of
-	if t.depth == len(t.layers) {
-		t.layers = append(t.layers, classLayer{})
-	}
-	ly := &t.layers[t.depth]
-	t.depth++
-	ly.self, ly.left, ly.right = ly.self[:0], ly.left[:0], ly.right[:0]
+	t.self, t.left, t.right = t.self[:0], t.left[:0], t.right[:0]
 	for e, s := range t.below {
 		l, r := classOf(t.below, f.Left[e]), classOf(t.below, f.Right[e])
 		i := tripleHash(s, l, r) & mask
 		for {
 			c := int(slots[i]) - 1
 			if c < 0 {
-				c = len(ly.self)
+				c = len(t.self)
 				slots[i] = int32(c + 1)
-				ly.self, ly.left, ly.right = append(ly.self, s), append(ly.left, l), append(ly.right, r)
-			} else if ly.self[c] != s || ly.left[c] != l || ly.right[c] != r {
+				t.self, t.left, t.right = append(t.self, s), append(t.left, l), append(t.right, r)
+			} else if t.self[c] != s || t.left[c] != l || t.right[c] != r {
 				i = (i + 1) & mask
 				continue
 			}
@@ -261,22 +223,61 @@ func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, 
 // scores it in a single forward through the cost head. Each output row is a
 // dot product over that plan's embedding alone, so a cost never depends on
 // what it was scored beside: which is why the plan cache can hold a plan's
-// estimate, computed beside whatever the pass that owned it scored, and why a
-// plan estimated alone costs what it costs in a set. XGBoost has no
-// embedding: each plan is one booster prediction over its flat encoding.
+// estimate, computed beside whatever the pass that owned it scored, why a
+// plan estimated alone costs what it costs in a set, and why the TCN's plan
+// memo (memo.go) can answer a plan first. XGBoost has no embedding: each plan
+// is one booster prediction over its flat encoding.
 func (p *Predictor) estimate(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	if p.cfg.Kind == KindXGBoost {
+	switch {
+	case p.cfg.Kind == KindXGBoost:
 		for i, pl := range plans {
 			costs[i] = p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(pl, envs)))
 		}
+	case p.memo != nil: // the TCN: build gives it a plan memo
+		p.estimateMemo(s, costs, plans, envs)
+	default: // GCN and Transformer
+		p.bb.(planEmbedder).embedInfer(s, p.stage(s, len(plans)), plans, envs)
+		p.head(s, costs)
+	}
+}
+
+// estimateMemo is estimate for the TCN: the plan memo answers the plans of
+// the forest it knows, and the forward runs over a forest of the others
+// alone, whose estimates are then stored.
+func (p *Predictor) estimateMemo(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
+	f, ms := &s.forest, &s.memo
+	p.enc.EncodeForestInto(f, plans, envs)
+	p.memo.recall(ms, f, costs)
+	n := len(ms.miss)
+	if n == 0 {
 		return
 	}
-	n, embDim := len(plans), p.costHead.W.R
-	s.stage = grow(s.stage, n*embDim)
-	batch := s.stage[:n*embDim]
-	p.bb.embedInfer(s, batch, plans, envs)
+	if n < len(plans) {
+		ms.plans = ms.plans[:0]
+		for _, k := range ms.miss {
+			ms.plans = append(ms.plans, plans[k])
+		}
+		p.enc.EncodeForestInto(f, ms.plans, envs)
+		clear(ms.plans)
+	}
+	p.bb.(*tcnBackbone).embedForest(s, p.stage(s, n), f, n)
+	ms.costs = grow(ms.costs, n)
+	p.head(s, ms.costs[:n])
+	p.memo.store(ms, f, ms.costs[:n])
+	for i, k := range ms.miss {
+		costs[k] = ms.costs[i]
+	}
+}
+
+// stage returns the n×emb batch the cost head reads; head scores it.
+func (p *Predictor) stage(s *inferScratch, n int) []float64 {
+	s.stage = grow(s.stage, n*p.costHead.W.R)
+	return s.stage[:n*p.costHead.W.R]
+}
+
+func (p *Predictor) head(s *inferScratch, costs []float64) {
 	s.nn.Reset()
-	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: n, C: embDim, Data: batch})
+	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: len(costs), C: p.costHead.W.R, Data: s.stage[:len(costs)*p.costHead.W.R]})
 	for i := range costs {
 		costs[i] = p.denormalize(out.Data[i])
 	}

@@ -142,8 +142,8 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 // explorerStyleCands is a candidate set shaped like the explorer's — the
 // unrelated plans above cannot see a sharing bug: a base plan and clones that
 // each differ from it in one place (a join operator, a join order rotation, a
-// pushed predicate, a PartitionsRead, a ColumnsAccessed the bucket hash does
-// not read), a plan holding the same scan subtree twice as two pointers
+// pushed predicate, a PartitionsRead, a ColumnsAccessed), a plan holding the
+// same scan subtree twice as two pointers
 // (index 6), a 3-way Union, which folds, and four more. deep (index 8)
 // changes the root and a scan four levels below it, so its join shares the
 // base join's layer-1 and layer-2 classes below a differing root; bare gives
@@ -313,13 +313,13 @@ func TestForestLayerClassesMatchCensus(t *testing.T) {
 					ids[key] = id
 				}
 				next[e] = id
-				if cl, ly := c.of[e], c.top(); [3]int{ly.self[cl], ly.left[cl], ly.right[cl]} != key {
+				if cl := c.of[e]; [3]int{c.self[cl], c.left[cl], c.right[cl]} != key {
 					t.Fatalf("layer %d: entry %d is in class %d, whose triple is not its %v", layer, e, cl, key)
 				}
 			}
 			census = next
-			if len(c.top().self) != len(ids) || !slices.Equal(c.of, census) {
-				t.Fatalf("layer %d: %d classes, the census %d", layer, len(c.top().self), len(ids))
+			if len(c.self) != len(ids) || !slices.Equal(c.of, census) {
+				t.Fatalf("layer %d: %d classes, the census %d", layer, len(c.self), len(ids))
 			}
 			if shared := c.of[baseJoin] == c.of[deepJoin]; shared != (layer < 3) {
 				t.Fatalf("layer %d: deep's join in the base join's class: %v, want %v", layer, shared, layer < 3)
@@ -332,10 +332,9 @@ func TestForestLayerClassesMatchCensus(t *testing.T) {
 // where the forest's sharing could be approximate and must not be. A
 // candidate set with more distinct feature rows than the row table takes
 // fills it, after which every later node is its own layer-0 class — same
-// bits. And candidates
-// that differ only in fields the bucket hash does not read land in one bucket
-// by construction, where only the row compare keeps them apart: their costs
-// are the reference's, and differ from one another.
+// bits. And candidates that differ only in a column count, whose keys differ
+// in one word, stay apart: their costs are the reference's, and differ from
+// one another (TestEncodeForestSharesExactly forces one bucket).
 func TestForestFullTableAndBucketCollisionsBitIdentical(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(80, 31)
@@ -715,9 +714,9 @@ func BenchmarkSelectPlanCached(b *testing.B) {
 // pool, encoders and kernels reuse their buffers, and no autograd graph is
 // built), and the scoring core — cold, every candidate embedded, and on a
 // warm plan cache — allocates only the costs slice it returns. For the TCN
-// the cold runs pool from a warm class memo, every run a hit, and a pass that
-// convolves and stores into an emptied memo, whose arrays are kept, allocates
-// no more. This test owns the fast path's zero-allocation contract (DESIGN.md
+// the cold runs are answered by a warm plan memo, every plan a hit, and a
+// pass that runs the forward and stores into an emptied memo, whose arrays
+// are kept, or into one that knows half the set, allocates no more. This test owns the fast path's zero-allocation contract (DESIGN.md
 // "Static analysis & code contracts").
 func TestPredictCostZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -759,20 +758,30 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 			}
 		}
 		coldSelect()
-		passes, hits := p.ClassMemoStats()
+		scored, answered := p.PlanMemoStats()
 		if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
 			t.Fatalf("%v: warmed unkeyed SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
 		}
 		if kind == KindTCN {
-			if p2, h2 := p.ClassMemoStats(); p2-passes != h2-hits || h2-hits < 100 {
-				t.Fatalf("the warm class memo answered %d of %d passes", h2-hits, p2-passes)
+			if s2, a2 := p.PlanMemoStats(); s2-scored != a2-answered || a2-answered < 100 {
+				t.Fatalf("the warm plan memo answered %d of %d plans", a2-answered, s2-scored)
 			}
 			first := func() {
-				p.ResetClassMemo()
+				p.ResetPlanMemo()
 				coldSelect()
 			}
 			if allocs := testing.AllocsPerRun(100, first); allocs > 1 {
-				t.Fatalf("unkeyed SelectPlanKeyed into an emptied class memo allocated %.1f times per run, want at most the returned costs slice", allocs)
+				t.Fatalf("unkeyed SelectPlanKeyed into an emptied plan memo allocated %.1f times per run, want at most the returned costs slice", allocs)
+			}
+			half := func() {
+				p.ResetPlanMemo()
+				if _, _, err := p.SelectPlanKeyed(binary[:len(binary)/2], envs, encoding.EnvKey{}); err != nil {
+					t.Fatal(err)
+				}
+				coldSelect()
+			}
+			if allocs := testing.AllocsPerRun(100, half); allocs > 2 {
+				t.Fatalf("unkeyed SelectPlanKeyed into a memo that knows half the set allocated %.1f times per run, want at most the two returned costs slices", allocs)
 			}
 		}
 

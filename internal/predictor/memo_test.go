@@ -10,9 +10,9 @@ import (
 	"loam/internal/plan"
 )
 
-// memoSets is a sequence of candidate sets over explorerStyleCands that share
-// subtrees across sets, so later sets find some or all of their classes in
-// the memo earlier ones filled.
+// memoSets is a sequence of candidate sets over explorerStyleCands that
+// overlap, so later sets find some or all of their plans in the memo earlier
+// ones filled.
 func memoSets(cands []*plan.Plan) [][]*plan.Plan {
 	return [][]*plan.Plan{
 		cands[:3], cands[2:7], cands[6:], cands,
@@ -20,7 +20,7 @@ func memoSets(cands []*plan.Plan) [][]*plan.Plan {
 	}
 }
 
-// scoreSets scores every set unkeyed, so each pass goes through the class
+// scoreSets scores every set unkeyed, so each pass goes through the plan
 // memo and none through the plan cache, and reports whether every estimate
 // is Float64bits-equal to want's for its plan. It reports with Errorf, so a
 // goroutine other than the test's may call it.
@@ -59,15 +59,15 @@ func wantCosts(p *Predictor, cands []*plan.Plan, envs encoding.EnvSource) map[*p
 	return want
 }
 
-func tcnMemo(p *Predictor) *classMemo { return p.bb.(*tcnBackbone).memo }
-
-// TestScoringPathsBitIdenticalClassMemo holds the class memo to the training
-// forward bit for bit wherever it could go wrong: a memo warmed by earlier
-// sets that share subtrees with later ones, then answering every pass; a memo
-// whose limit drops it whole mid-sequence; two goroutines scoring crossing
-// set orders on one predictor, with and without those drops; every key
-// hashed to one bucket, where only the key compare tells classes apart; and
-// weights written into a backbone whose memo is warm, as Load writes them.
+// TestScoringPathsBitIdenticalClassMemo (named for the layer-class memo the
+// plan memo replaced) holds the plan memo to the training forward bit for
+// bit wherever it could go wrong: a memo warmed by earlier sets that overlap
+// later ones, then answering every plan; a memo whose limit drops it whole
+// mid-sequence; two goroutines scoring crossing set orders on one predictor,
+// with and without those drops; every key hashed to one bucket, where only
+// the key compare tells rows and plans apart; two trees whose preorder rows
+// are equal and whose shapes are not; and weights and label normalization
+// written into a predictor whose memo is warm, as Load writes them.
 func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(80, 21)
@@ -92,14 +92,14 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 	}
 
 	t.Run("warm", func(t *testing.T) {
-		p.ResetClassMemo()
+		p.ResetPlanMemo()
 		for _, src := range sources {
 			want := wantCosts(p, cands, src.envs)
-			passes0, hits0 := p.ClassMemoStats()
+			scored0, answered0 := p.PlanMemoStats()
 			mustScoreSets(t, p, sets, src.envs, want)
-			passes1, hits1 := p.ClassMemoStats()
-			if hits1 == hits0 {
-				t.Fatalf("%s: no set after the full one was answered by the memo", src.name)
+			scored1, answered1 := p.PlanMemoStats()
+			if answered1 == answered0 {
+				t.Fatalf("%s: no plan of a later set was answered by the memo", src.name)
 			}
 			mustScoreSets(t, p, sets, src.envs, want)
 			for _, c := range cands {
@@ -107,16 +107,16 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 					t.Fatalf("%s: PredictCost = %v, training forward %v", src.name, got, want[c])
 				}
 			}
-			if passes, hits := p.ClassMemoStats(); passes-passes1 != hits-hits1 {
-				t.Fatalf("%s: a warm memo answered %d of %d passes", src.name, hits-hits1, passes-passes1)
+			if scored, answered := p.PlanMemoStats(); scored-scored1 != answered-answered1 {
+				t.Fatalf("%s: a warm memo answered %d of %d plans", src.name, answered-answered1, scored-scored1)
 			}
-			t.Logf("%s: first round %d of %d passes from the memo", src.name, hits1-hits0, passes1-passes0)
+			t.Logf("%s: first round %d of %d plans from the memo", src.name, answered1-answered0, scored1-scored0)
 		}
 	})
 
 	// The limit that holds half of what every set of both sources needs.
-	m := tcnMemo(p)
-	p.ResetClassMemo()
+	m := p.memo
+	p.ResetPlanMemo()
 	for _, src := range sources {
 		mustScoreSets(t, p, sets, src.envs, wantCosts(p, cands, src.envs))
 	}
@@ -125,15 +125,15 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 	t.Run("reset", func(t *testing.T) {
 		m.limit = small
 		defer func() { m.limit = memoBytes }()
-		p.ResetClassMemo()
+		p.ResetPlanMemo()
 		drops := 0
 		for range 2 {
 			for _, src := range sources {
 				want := wantCosts(p, cands, src.envs)
 				for _, set := range sets {
-					before := len(m.tabs[0].ends)
+					before := len(m.plans.ends)
 					mustScoreSets(t, p, [][]*plan.Plan{set}, src.envs, want)
-					if len(m.tabs[0].ends) < before {
+					if len(m.plans.ends) < before {
 						drops++
 					}
 					if b := m.bytes(); b > m.limit {
@@ -157,7 +157,7 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 		for _, limit := range []int{memoBytes, small} {
 			m.limit = limit
 			for range 20 {
-				p.ResetClassMemo()
+				p.ResetPlanMemo()
 				var wg sync.WaitGroup
 				for _, order := range [][][]*plan.Plan{sets, reversed} {
 					wg.Add(1)
@@ -178,7 +178,7 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 	t.Run("collisions", func(t *testing.T) {
 		m.oneBucket = true
 		defer func() { m.oneBucket = false }()
-		p.ResetClassMemo()
+		p.ResetPlanMemo()
 		// Plans that differ only in a column count, on top of the shared set.
 		all := append([]*plan.Plan(nil), cands...)
 		for cols := 1; cols <= 4; cols++ {
@@ -194,8 +194,31 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 		}
 	})
 
+	t.Run("shapes", func(t *testing.T) {
+		// Exchange(Exchange(scan)) and Exchange(Exchange, scan): the same
+		// rows in preorder, told apart by the child flags alone.
+		node := func(children ...*plan.Node) *plan.Node {
+			return &plan.Node{Op: plan.OpExchange, Parallelism: 8, Children: children}
+		}
+		scan := func() *plan.Node {
+			return &plan.Node{Op: plan.OpTableScan, Table: "big", PartitionsRead: 4, ColumnsAccessed: 2}
+		}
+		chain := &plan.Plan{Root: node(node(scan()))}
+		fork := &plan.Plan{Root: node(node(), scan())}
+		pair := []*plan.Plan{chain, fork}
+		for _, src := range sources {
+			want := wantCosts(p, pair, src.envs)
+			if math.Float64bits(want[chain]) == math.Float64bits(want[fork]) {
+				t.Fatalf("%s: the two shapes estimate alike; the case tells nothing", src.name)
+			}
+			p.ResetPlanMemo()
+			mustScoreSets(t, p, [][]*plan.Plan{{chain}, {fork}, pair, {fork, chain}}, src.envs, want)
+		}
+	})
+
 	t.Run("load", func(t *testing.T) {
 		warm, other := train(7), train(8)
+		other.muY, other.sigmaY = warm.muY+0.5, warm.sigmaY*1.5
 		envs := sources[0].envs
 		old := wantCosts(warm, cands, envs)
 		mustScoreSets(t, warm, sets, envs, old)
@@ -203,19 +226,20 @@ func TestScoringPathsBitIdenticalClassMemo(t *testing.T) {
 		for _, tn := range other.allParams() {
 			params = append(params, tn.Data)
 		}
+		warm.muY, warm.sigmaY = other.muY, other.sigmaY
 		if err := warm.setParams(params); err != nil {
 			t.Fatal(err)
 		}
-		want := wantCosts(warm, cands, envs)
+		want := wantCosts(other, cands, envs)
 		if math.Float64bits(want[cands[0]]) == math.Float64bits(old[cands[0]]) {
-			t.Fatal("the loaded weights estimate as the old ones do; the case tells nothing")
+			t.Fatal("the loaded model estimates as the old one does; the case tells nothing")
 		}
 		mustScoreSets(t, warm, sets, envs, want)
 	})
 }
 
 // TestActivationMemoBytesBounded feeds one predictor more distinct candidate
-// sets than its class memo holds and bounds the heap the memo retains, after
+// sets than its plan memo holds and bounds the heap the memo retains, after
 // two collections, by memoBytes, as TestRetainedPlanBytes bounds a held
 // plan's: the memo counts its arrays by capacity and drops itself whole before
 // it would pass the limit.
@@ -226,7 +250,7 @@ func TestActivationMemoBytesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, envs := tcnMemo(p), encoding.FixedEnv(p.TrainMeanEnv())
+	m, envs := p.memo, encoding.FixedEnv(p.TrainMeanEnv())
 	set := func(i int) []*plan.Plan {
 		out := make([]*plan.Plan, 8)
 		for k := range out {
@@ -246,11 +270,11 @@ func TestActivationMemoBytesBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	drops, peak := 0, 0
 	for i := range 1500 {
-		n := len(m.tabs[0].ends)
+		n := len(m.plans.ends)
 		if _, _, err := p.SelectPlanKeyed(set(i), envs, encoding.EnvKey{}); err != nil {
 			t.Fatal(err)
 		}
-		if len(m.tabs[0].ends) < n {
+		if len(m.plans.ends) < n {
 			drops++
 		}
 		peak = max(peak, m.bytes())

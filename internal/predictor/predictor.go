@@ -101,6 +101,9 @@ type Predictor struct {
 	// environment sources (see cache.go). Configured via EnablePlanCache,
 	// typically by the deployment layer; nil disables caching entirely.
 	cache *planCache
+	// memo holds a TCN's estimates under what each plan encodes to
+	// (memo.go), for every source; build makes it, nil for the others.
+	memo *planMemo
 
 	metrics Metrics
 	tel     predictorTelemetry
@@ -242,6 +245,7 @@ func (p *Predictor) build(rng *simrand.RNG) {
 		p.bb = newGCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
 	default:
 		p.bb = newTCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
+		p.memo = newPlanMemo()
 	}
 	p.costHead = nn.NewLinear(rng.Derive("cost"), cfg.EmbDim, 1)
 	p.domHid = nn.NewLinear(rng.Derive("domHid"), cfg.EmbDim, cfg.Hidden)
@@ -659,24 +663,23 @@ func (p *Predictor) FlushPlanCache() {
 	}
 }
 
-// ResetClassMemo empties the TCN's class memo (memo.go), so the next pass
-// convolves every class again. Serving never needs it — the memo lives and
-// dies with the predictor's weights — it is the hook a benchmark times a
-// first sight with. A no-op for the other backbones.
-func (p *Predictor) ResetClassMemo() {
-	if b, ok := p.bb.(*tcnBackbone); ok && b.memo != nil {
-		b.memo.mu.Lock()
-		b.memo.reset()
-		b.memo.mu.Unlock()
+// ResetPlanMemo empties the TCN's plan memo (memo.go): the hook a benchmark
+// times a first sight with, never needed in serving. A no-op for the other
+// backbones.
+func (p *Predictor) ResetPlanMemo() {
+	if p.memo != nil {
+		p.memo.mu.Lock()
+		p.memo.reset()
+		p.memo.mu.Unlock()
 	}
 }
 
-// ClassMemoStats reports how many TCN scoring passes ran and how many of
-// them the class memo answered whole. They depend on how concurrent passes
-// interleave, so they are for benchmarks, not telemetry.
-func (p *Predictor) ClassMemoStats() (passes, hits int64) {
-	if b, ok := p.bb.(*tcnBackbone); ok && b.memo != nil {
-		return b.memo.passes.Load(), b.memo.hits.Load()
+// PlanMemoStats reports how many plans TCN scoring passes looked up in the
+// plan memo and how many of them it answered. They depend on how concurrent
+// passes interleave, so they are for benchmarks, not telemetry.
+func (p *Predictor) PlanMemoStats() (scored, answered int64) {
+	if p.memo != nil {
+		return p.memo.scored.Load(), p.memo.answered.Load()
 	}
 	return 0, 0
 }

@@ -158,7 +158,7 @@ func (b stubBackbone) params() []*nn.Tensor { return nil }
 // stubPredictor predicts exp(vals[root table]) for each plan.
 func stubPredictor(vals map[string]float64) *Predictor {
 	return &Predictor{
-		cfg: Config{Kind: KindTCN},
+		cfg: Config{Kind: KindGCN},
 		bb:  stubBackbone{vals},
 		costHead: &nn.Linear{
 			W: nn.FromData(1, 1, []float64{1}),

@@ -264,7 +264,7 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 }
 
 // setParams overwrites the built network's weights with src, in allParams
-// order, and empties the TCN's class memo: its rows were convolved under
+// order, and empties the TCN's plan memo: its estimates were computed under
 // the weights being replaced.
 func (p *Predictor) setParams(src [][]float64) error {
 	params := p.allParams()
@@ -275,6 +275,6 @@ func (p *Predictor) setParams(src [][]float64) error {
 		}
 		copy(t.Data, src[i])
 	}
-	p.ResetClassMemo()
+	p.ResetPlanMemo()
 	return nil
 }

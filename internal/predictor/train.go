@@ -102,14 +102,13 @@ func (t *tcnTrainer) forward(train []Sample, batch []int, drawn []*plan.Plan, ca
 	for len(t.convs) < L {
 		t.convs = append(t.convs, nn.Scratch{})
 	}
-	x := nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Feats}
+	x := nn.Mat{R: f.Rows(), C: b.enc.Dim(), Data: f.Dense()}
 	c.start(f)
 	t.of[0], t.acts[0] = append(t.of[0][:0], c.of...), x
 	for l, layer := range b.layers {
 		c.next(f)
 		t.convs[l].Reset()
-		ly := c.top()
-		x = layer.ForwardInfer(&t.convs[l], x, ly.self, ly.left, ly.right)
+		x = layer.ForwardInfer(&t.convs[l], x, c.self, c.left, c.right)
 		t.of[l+1], t.acts[l+1] = append(t.of[l+1][:0], c.of...), x
 	}
 
