@@ -117,7 +117,8 @@ chaos-recover:
 # decisive-set rule, the sharing contract, a session resumed from recorded
 # estimates vs. a fresh one), the steering memo's key-coverage, replay and
 # concurrency tests, the FNV fold's differential and golden tests, the native
-# rough cost's and the executor's work pinned bit for bit, every plan a
+# rough cost's and the executor's work pinned bit for bit, the Zipf head memo
+# against the direct sum and shared by every view of a project, every plan a
 # session emits checked valid, the
 # allocation and retained-heap ceilings and plan.Node's size, then both halves
 # of a warm request: one Explorer.Candidates per op over a project1- and a
@@ -125,7 +126,7 @@ chaos-recover:
 # of eight candidates on a warm plan cache (~20 s; DESIGN.md "Exploration
 # budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|PlansAreValid|AllocCeiling|RetainedPlan|NodeSize' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|PlansAreValid|AllocCeiling|RetainedPlan|NodeSize|ZipfHead|ShareProjectZipf|FirstSelectivity' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr ./internal/warehouse ./internal/stats .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 	$(GO) test -run '^$$' -bench SelectPlanCached -benchtime 200000x -cpu 2 -benchmem ./internal/predictor
 
@@ -140,7 +141,9 @@ train:
 	$(GO) test -run '^$$' -bench PredictorTrainTCN -benchtime 10x -benchmem .
 
 # cold is the cold path's developer loop, like warm not a verify step: the
-# node key's seeds against the dense oracle, the forest encoder's exactness
+# node key's seeds against the dense oracle on a fresh, a warm and a full
+# identifier memo, the identifier hashes on memo hits and misses and from
+# crossing goroutines, the forest encoder's exactness
 # tests, the layer-class census, every scoring path against the training
 # forward (the plan memo's warm, dropped, crossing, colliding, shape and
 # reloaded cases among them), the memo's byte bound, the zero-allocation
@@ -150,7 +153,7 @@ train:
 # layers convolve on a miss and the nodes encoded per plan node (DESIGN.md
 # "Inference fast path & caching contract").
 cold:
-	$(GO) test -count=1 -run 'NodeKey|HashCol|Forest|BitIdentical|ActivationMemo|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
+	$(GO) test -count=1 -run 'NodeKey|HashCol|InlineFNV|IdentMemo|Forest|BitIdentical|ActivationMemo|PredictCostZeroAlloc|FlatEncodersReuseBuffers' ./internal/encoding ./internal/predictor .
 	$(GO) test -run '^$$' -bench SelectPlanColdExplorerSet -benchtime 20000x -cpu 2 .
 
 # results regenerates the committed results files at the default scale (~10 min

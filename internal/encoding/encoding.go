@@ -9,7 +9,9 @@ package encoding
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"strconv"
+	"sync"
 
 	"loam/internal/cluster"
 	"loam/internal/expr"
@@ -34,12 +36,15 @@ func DefaultConfig() Config {
 	return Config{Segments: 5, SegmentDim: 8, MaxPartitions: 4096, MaxColumns: 64}
 }
 
-// Encoder vectorizes plans under one configuration.
+// Encoder vectorizes plans under one configuration. It is safe for
+// concurrent use: past construction, the one thing it writes is its memo of
+// identifier hash bits, under the memo's own lock.
 type Encoder struct {
 	cfg    Config
 	idDim  int
 	dim    int
 	layout layout
+	ids    identMemo
 }
 
 // layout records the feature offsets for documentation and tests.
@@ -68,6 +73,9 @@ func NewEncoder(cfg Config) *Encoder {
 		cfg.SegmentDim = 8
 	}
 	e := &Encoder{cfg: cfg, idDim: cfg.Segments * cfg.SegmentDim}
+	if e.ids.width = bits.Len(uint(cfg.SegmentDim - 1)); cfg.Segments*e.ids.width > 64 {
+		e.ids.width = -1
+	}
 	off := 0
 	adv := func(n int) int {
 		o := off
@@ -121,25 +129,90 @@ func fnvString(h uint64, s string) uint64 {
 // functions (implemented as salted FNV), unioning naturally across multiple
 // identifiers.
 func (e *Encoder) hashID(w keyWriter, off int, id string) keyWriter {
-	for s := 0; s < e.cfg.Segments; s++ {
-		h := fnvString(fnvByte(fnvOffset64, byte(s+1)), id)
-		w = w.one(off + s*e.cfg.SegmentDim + int(avalanche(h)%uint64(e.cfg.SegmentDim)))
-	}
-	return w
+	return e.setIdent(w, off, ident{ref: expr.ColumnRef{Table: id}})
 }
 
 // hashCol hashes a column reference identically to
 // hashID(w, off, c.String()) without materializing the "table.column"
 // string.
 func (e *Encoder) hashCol(w keyWriter, off int, c expr.ColumnRef) keyWriter {
-	for s := 0; s < e.cfg.Segments; s++ {
-		h := fnvByte(fnvOffset64, byte(s+1))
-		h = fnvString(h, c.Table)
-		h = fnvByte(h, '.')
-		h = fnvString(h, c.Column)
-		w = w.one(off + s*e.cfg.SegmentDim + int(avalanche(h)%uint64(e.cfg.SegmentDim)))
+	return e.setIdent(w, off, ident{ref: c, col: true})
+}
+
+// ident is an identifier the encoder hashes: a table id in ref.Table alone,
+// or with col the column ref.Table+"."+ref.Column.
+type ident struct {
+	ref expr.ColumnRef
+	col bool
+}
+
+// bucket is the bit id sets in segment s of a dim-wide segment: its FNV-1a
+// salted with s+1, avalanched.
+func (id ident) bucket(s, dim int) int {
+	h := fnvString(fnvByte(fnvOffset64, byte(s+1)), id.ref.Table)
+	if id.col {
+		h = fnvString(fnvByte(h, '.'), id.ref.Column)
+	}
+	return int(avalanche(h) % uint64(dim))
+}
+
+// setIdent sets id's bit in each segment, the segments starting at off.
+func (e *Encoder) setIdent(w keyWriter, off int, id ident) keyWriter {
+	dim, width := e.cfg.SegmentDim, e.ids.width
+	if width < 0 {
+		for s := range e.cfg.Segments {
+			w = w.one(off + s*dim + id.bucket(s, dim))
+		}
+		return w
+	}
+	b, mask := e.identBits(id), uint64(1)<<width-1
+	for s := range e.cfg.Segments {
+		w = w.one(off + s*dim + int(b>>(s*width)&mask))
 	}
 	return w
+}
+
+// maxIdents bounds an encoder's identifier memo: about twice the tables and
+// columns of the largest catalog the experiments build (project3: 85 tables,
+// 1,811 columns).
+const maxIdents = 4096
+
+// identMemo holds each identifier's Segments buckets packed into one word,
+// segment s at bits [s*width, (s+1)*width): they are a function of the
+// identifier and the configuration alone, so an entry never goes stale. It is
+// read under RLock and written under Lock; a full memo computes without
+// storing.
+type identMemo struct {
+	mu    sync.RWMutex
+	bits  map[ident]uint64
+	width int // bits per bucket; -1 when Segments buckets do not fit a word
+}
+
+// identBits returns id's packed buckets, from the memo when it holds them.
+func (e *Encoder) identBits(id ident) uint64 {
+	m := &e.ids
+	m.mu.RLock()
+	b, ok := m.bits[id]
+	full := len(m.bits) >= maxIdents
+	m.mu.RUnlock()
+	if ok {
+		return b
+	}
+	for s := range e.cfg.Segments {
+		b |= uint64(id.bucket(s, e.cfg.SegmentDim)) << (s * m.width)
+	}
+	if full {
+		return b
+	}
+	m.mu.Lock()
+	if m.bits == nil {
+		m.bits = make(map[ident]uint64)
+	}
+	if len(m.bits) < maxIdents {
+		m.bits[id] = b
+	}
+	m.mu.Unlock()
+	return b
 }
 
 // avalanche mixes high bits into low bits (splitmix64 finalizer). FNV-1a's

@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
 	"loam/internal/expr"
@@ -494,12 +496,24 @@ func TestFlatEncodersReuseBuffers(t *testing.T) {
 	}
 }
 
+// fillIdents fills e's identifier memo, if its configuration has one, with
+// identifiers no test encodes, and returns e.
+func fillIdents(e *Encoder) *Encoder {
+	for i := 0; e.ids.width >= 0 && len(e.ids.bits) < maxIdents; i++ {
+		e.identBits(ident{ref: expr.ColumnRef{Table: "fill", Column: strconv.Itoa(i)}, col: true})
+	}
+	return e
+}
+
 // TestInlineFNVMatchesStdlib pins the inlined FNV-1a helpers to hash/fnv,
-// and hashID to denseHashID for every segment count up to 9: identifier hash
-// positions must never move, or every trained model's encoding would
-// silently change.
+// and hashID to denseHashID for every segment count up to 9 and for a
+// configuration whose buckets do not pack into a word: on a memo miss, which
+// stores, on the hit after it, and on a miss of a full memo, which does not
+// store. Identifier hash positions must never move, or every trained model's
+// encoding would silently change.
 func TestInlineFNVMatchesStdlib(t *testing.T) {
-	for _, id := range []string{"", "p.t1", "some.table", "a.very.long.identifier_with_underscores"} {
+	ids := []string{"", "p.t1", "some.table", "a.very.long.identifier_with_underscores"}
+	for _, id := range ids {
 		for seed := byte(1); seed <= 9; seed++ {
 			h := fnv.New64a()
 			_, _ = h.Write([]byte{seed})
@@ -510,29 +524,93 @@ func TestInlineFNVMatchesStdlib(t *testing.T) {
 				t.Fatalf("inline fnv(%q, seed %d) = %#x, stdlib %#x", id, seed, got, want)
 			}
 		}
-		for segs := 1; segs <= 9; segs++ {
-			e := NewEncoder(Config{Segments: segs, SegmentDim: 8})
-			got := make([]float64, e.Dim())
-			want := make([]float64, e.Dim())
-			expandKey(got, e.hashID(keyWriter{}, e.layout.tableOff, id).key)
-			denseHashID(e, want, e.layout.tableOff, id)
-			if !sameBits(got, want) {
-				t.Fatalf("hashID(%q) with %d segments differs from denseHashID", id, segs)
+	}
+	cfgs := []Config{{Segments: 9, SegmentDim: 256}}
+	for segs := 1; segs <= 9; segs++ {
+		cfgs = append(cfgs, Config{Segments: segs, SegmentDim: 8})
+	}
+	for _, cfg := range cfgs {
+		e := NewEncoder(cfg)
+		if packs := cfg.SegmentDim == 8; packs != (e.ids.width >= 0) {
+			t.Fatalf("%+v: bucket width %d", cfg, e.ids.width)
+		}
+		got := make([]float64, e.Dim())
+		want := make([]float64, e.Dim())
+		for _, lookup := range []string{"miss", "hit", "full"} {
+			asked := ids
+			if lookup == "full" {
+				fillIdents(e)
+				asked = append(slices.Clone(ids), "unseen.table")
 			}
+			for _, id := range asked {
+				expandKey(got, e.hashID(keyWriter{}, e.layout.tableOff, id).key)
+				clear(want)
+				denseHashID(e, want, e.layout.tableOff, id)
+				if !sameBits(got, want) {
+					t.Fatalf("%s: hashID(%q) under %+v differs from denseHashID", lookup, id, cfg)
+				}
+			}
+		}
+		if stored := len(e.ids.bits); e.ids.width >= 0 && stored != maxIdents || e.ids.width < 0 && stored != 0 {
+			t.Fatalf("%+v: memo holds %d identifiers", cfg, stored)
 		}
 	}
 }
 
 // TestHashColMatchesHashID verifies the string-free column hash lands on the
-// same bits as hashing c.String().
+// same bits as hashing c.String(), from the identifier memo and past it.
 func TestHashColMatchesHashID(t *testing.T) {
-	e := enc()
 	c := expr.ColumnRef{Table: "proj.orders", Column: "amount"}
-	a := e.hashID(keyWriter{}, e.layout.joinColsOff, c.String())
-	b := e.hashCol(keyWriter{}, e.layout.joinColsOff, c)
-	if !slices.Equal(a.key, b.key) || len(a.key) != e.cfg.Segments {
-		t.Fatalf("hashID sets %v, hashCol %v", a.key, b.key)
+	for _, e := range []*Encoder{enc(), fillIdents(enc()), NewEncoder(Config{Segments: 9, SegmentDim: 256})} {
+		for range 2 {
+			a := e.hashID(keyWriter{}, e.layout.joinColsOff, c.String())
+			b := e.hashCol(keyWriter{}, e.layout.joinColsOff, c)
+			if !slices.Equal(a.key, b.key) || len(a.key) != e.cfg.Segments {
+				t.Fatalf("hashID sets %v, hashCol %v", a.key, b.key)
+			}
+		}
 	}
+}
+
+// TestIdentMemoConcurrent: two goroutines encode crossing identifier sets on
+// one encoder, one forwards and one backwards, so each reads what the other
+// stores and stores what the other reads; every key expands to the oracle's
+// row (run under -race).
+func TestIdentMemoConcurrent(t *testing.T) {
+	e := enc()
+	var nodes []*plan.Node
+	for i := range 64 {
+		tb := "p.t" + strconv.Itoa(i%16)
+		col := expr.ColumnRef{Table: tb, Column: "c" + strconv.Itoa(i)}
+		nodes = append(nodes,
+			&plan.Node{Op: plan.OpTableScan, Table: tb, PartitionsRead: i},
+			&plan.Node{Op: plan.OpHashJoin, JoinForm: plan.JoinInner, LeftCols: []expr.ColumnRef{col}, RightCols: []expr.ColumnRef{{Table: tb, Column: "k"}}},
+			&plan.Node{Op: plan.OpHashAggregate, AggCols: []expr.ColumnRef{col}, GroupCols: []expr.ColumnRef{{Table: "p.t0", Column: "g" + strconv.Itoa(i)}}})
+	}
+	want := make([][]float64, len(nodes))
+	for i, n := range nodes {
+		want[i] = oracleNode(e, n, [4]float64{}, false)
+	}
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, e.Dim())
+			for j := range nodes {
+				i := j
+				if g == 1 {
+					i = len(nodes) - 1 - j
+				}
+				expandKey(got, e.AppendNodeKey(nil, nodes[i], [4]float64{}, false))
+				if !sameBits(got, want[i]) {
+					t.Errorf("goroutine %d: node %d (%v) differs from the oracle", g, i, nodes[i].Op)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEnvKeys(t *testing.T) {

@@ -118,14 +118,17 @@ func (r *fuzzReader) node() *plan.Node {
 // and two keys are equal iff their rows are Float64bits-equal. The second
 // node is the first with one field redrawn or rewritten to the same row
 // (join columns swapped, aggregate functions repeated), so equal rows are
-// common.
+// common. The keys are written by the encoder every input shares, its
+// identifier memo warm, and must be the words a fresh encoder writes, whose
+// memo every identifier misses, and one whose memo is full, which computes
+// without storing.
 func FuzzNodeKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(plan.OpTableScan), 1, 5, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 3, 0, 2, 1})
 	f.Add([]byte{byte(plan.OpHashJoin), 0, 0, 0, 3, 1, 2, 1, 2, 2, 0, 1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 1, 5})
 	f.Add([]byte{byte(plan.OpFilter), 2, 4, 4, 9, 0, 0, 0, 0, 0, 0, 1, 1, 3, 1, 2, 2, 3, 1, 3, 1, 0, 0, 1, 6})
 	f.Add([]byte{byte(plan.OpHashAggregate), 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 2, 2, 3, 1, 2, 3, 0, 1, 4, 4, 4, 4, 1, 1, 4})
-	e := enc()
+	e, full := enc(), fillIdents(enc())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := fuzzReader(data)
 		a := r.node()
@@ -167,6 +170,14 @@ func FuzzNodeKey(f *testing.F) {
 		}
 		if after := e.AppendNodeKey(slices.Clone(keyA), &b, envB, hasB); !slices.Equal(after[len(keyA):], keyB) {
 			t.Fatalf("appended after another key: %v, alone %v", after[len(keyA):], keyB)
+		}
+		for _, other := range []*Encoder{enc(), full} {
+			if k := other.AppendNodeKey(nil, a, envA, hasA); !slices.Equal(k, keyA) {
+				t.Fatalf("another encoder's key %v, the shared one's %v", k, keyA)
+			}
+			if k := other.AppendNodeKey(nil, &b, envB, hasB); !slices.Equal(k, keyB) {
+				t.Fatalf("another encoder's key %v, the shared one's %v", k, keyB)
+			}
 		}
 		if slices.Equal(keyA, keyB) != sameBits(rowA, rowB) {
 			t.Fatalf("keys equal %v, rows equal %v:\n%v\n%v", slices.Equal(keyA, keyB), sameBits(rowA, rowB), keyA, keyB)

@@ -66,9 +66,10 @@ type View struct {
 	Tables  map[string]*TableStats
 
 	// zipf memoizes the harmonic head of each estimated skew a selectivity
-	// was asked under, so the requests served from this view compute it once
-	// between them. Column statistics do not change once a view is read.
-	zipf warehouse.ZipfHeads
+	// was asked under: the project's memo (warehouse.Project.ZipfHeads), so
+	// the requests served from every view of it compute a head once between
+	// them. nil, as in a View literal, computes it per call to the same bits.
+	zipf *warehouse.ZipfHeads
 }
 
 var _ expr.DistProvider = (*View)(nil)
@@ -77,7 +78,7 @@ var _ expr.DistProvider = (*View)(nil)
 // degrading the truth according to the policy. The derivation is
 // deterministic in rng.
 func Snapshot(rng *simrand.RNG, p *warehouse.Project, day int, pol Policy) *View {
-	v := &View{AsOfDay: day, Tables: make(map[string]*TableStats, len(p.Tables))}
+	v := &View{AsOfDay: day, Tables: make(map[string]*TableStats, len(p.Tables)), zipf: p.ZipfHeads()}
 	for i, t := range p.Tables {
 		if !t.AliveOn(day) {
 			continue
@@ -175,7 +176,7 @@ func (v *View) CompareSelectivity(col expr.ColumnRef, fn expr.Func, args []float
 	if ok && ts.Columns != nil {
 		if cs, ok := ts.Columns[col.Column]; ok {
 			est := &warehouse.Column{ID: col.Column, NDV: cs.NDV, Skew: cs.Skew, NullFrac: cs.NullFrac}
-			return warehouse.ColumnSelectivity(est, &v.zipf, fn, args)
+			return warehouse.ColumnSelectivity(est, v.zipf, fn, args)
 		}
 	}
 	switch fn {

@@ -148,23 +148,27 @@ func TestEstimatedSelectivityUsesStats(t *testing.T) {
 	}
 }
 
-// TestFirstSelectivityConcurrentOnFreshView: goroutines taking a fresh view's
-// first selectivities at once — the view fills its Zipf memo on first use —
-// all read what the memo-less arithmetic computes (run under -race).
+// TestFirstSelectivityConcurrentOnFreshView: goroutines taking the first
+// selectivities of two fresh views of one project at once — the views fill
+// their project's Zipf memo on first use — all read what the memo-less
+// arithmetic computes (run under -race).
 func TestFirstSelectivityConcurrentOnFreshView(t *testing.T) {
 	p := project()
-	v := Snapshot(simrand.New(12), p, 3, Policy{ColumnStatsProb: 1, FreshProb: 1, NDVNoise: 0.3})
+	pol := Policy{ColumnStatsProb: 1, FreshProb: 1, NDVNoise: 0.3}
+	views := []*View{Snapshot(simrand.New(12), p, 3, pol), Snapshot(simrand.New(12), p, 4, pol)}
 	type ask struct {
 		col  expr.ColumnRef
 		want float64
 	}
 	args := []float64{80, 900}
-	var asks []ask
-	for _, tb := range p.Tables[:8] {
-		for _, c := range tb.Columns {
-			cs := v.Tables[tb.ID].Columns[c.ID]
-			est := &warehouse.Column{NDV: cs.NDV, Skew: cs.Skew, NullFrac: cs.NullFrac}
-			asks = append(asks, ask{c.Ref(tb), warehouse.ColumnSelectivity(est, nil, expr.FuncBetween, args)})
+	asks := make([][]ask, len(views))
+	for i, v := range views {
+		for _, tb := range p.Tables[:8] {
+			for _, c := range tb.Columns {
+				cs := v.Tables[tb.ID].Columns[c.ID]
+				est := &warehouse.Column{NDV: cs.NDV, Skew: cs.Skew, NullFrac: cs.NullFrac}
+				asks[i] = append(asks[i], ask{c.Ref(tb), warehouse.ColumnSelectivity(est, nil, expr.FuncBetween, args)})
+			}
 		}
 	}
 	var wg sync.WaitGroup
@@ -172,7 +176,8 @@ func TestFirstSelectivityConcurrentOnFreshView(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, a := range asks {
+			v := views[g%2]
+			for _, a := range asks[g%2] {
 				if got := v.CompareSelectivity(a.col, expr.FuncBetween, args); math.Float64bits(got) != math.Float64bits(a.want) {
 					t.Errorf("%v: %v from the view, %v without the memo", a.col, got, a.want)
 				}
@@ -180,6 +185,37 @@ func TestFirstSelectivityConcurrentOnFreshView(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestViewsShareProjectZipfMemo: every view of a project reads its project's
+// Zipf memo, another project's views another one, and a View literal, which
+// has none, answers every selectivity to the same bits as a snapshot that
+// has one.
+func TestViewsShareProjectZipfMemo(t *testing.T) {
+	p, q := project(), project()
+	pol := Policy{ColumnStatsProb: 1, FreshProb: 1, NDVNoise: 0.3}
+	a, b := Snapshot(simrand.New(5), p, 2, pol), Snapshot(simrand.New(6), p, 9, pol)
+	if a.zipf != p.ZipfHeads() || b.zipf != a.zipf {
+		t.Fatal("two views of one project do not share its memo")
+	}
+	if c := Snapshot(simrand.New(5), q, 2, pol); c.zipf == a.zipf {
+		t.Fatal("two projects share a memo")
+	}
+	lit := &View{AsOfDay: a.AsOfDay, Tables: a.Tables}
+	fns := []expr.Func{expr.FuncEQ, expr.FuncNE, expr.FuncLT, expr.FuncLE, expr.FuncGT, expr.FuncGE,
+		expr.FuncIn, expr.FuncBetween, expr.FuncLike, expr.FuncIsNull}
+	for _, tb := range p.Tables[:8] {
+		for _, c := range tb.Columns {
+			for _, fn := range fns {
+				for _, args := range [][]float64{{3, 40}, {80, 9000}} {
+					got, want := lit.CompareSelectivity(c.Ref(tb), fn, args), a.CompareSelectivity(c.Ref(tb), fn, args)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v %v: %v from a View literal, %v from the snapshot", c.Ref(tb), fn, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestNDVNoisePerturbsEstimates(t *testing.T) {

@@ -85,8 +85,13 @@ type Project struct {
 	Tables []*Table `json:"tables"`
 
 	byID map[string]*Table
-	zipf ZipfHeads // of the true column skews
+	zipf ZipfHeads // of the true column skews and every estimate of them
 }
+
+// ZipfHeads returns the memo of Zipf head sums the project's catalog shares:
+// its truth and every statistics view of it, whose estimated skews are drawn
+// from the same stream every day and so repeat from view to view.
+func (p *Project) ZipfHeads() *ZipfHeads { return &p.zipf }
 
 // Table returns the table with the given ID, or nil.
 func (p *Project) Table(id string) *Table {
@@ -247,44 +252,73 @@ func clamp01(v float64) float64 {
 // exactly before the integral takes over.
 const zipfHeadLen = 64
 
-// ZipfHeads memoizes H(zipfHeadLen, s), the exact head of genHarmonic, by
-// skew: the head is 64 math.Pow calls that depend on nothing else, and every
-// PMF or CDF over more than 64 ranks needs it — twice per range predicate,
-// for every request that evaluates the predicate. It lives with the column
-// statistics the skews come from (a Project's truth, a stats.View's
-// estimates), holds one float per skew a selectivity was asked under, fills on
+// ZipfHeads memoizes the exact head of genHarmonic by skew: the prefix sums
+// H(1..zipfHeadLen, s), 64 math.Pow calls that depend on nothing else. Every
+// PMF or CDF needs one of them — twice per range predicate, for every request
+// that evaluates the predicate. It lives with the catalog the skews come from
+// (a Project's, for its truth and every stats.View of it), holds one prefix
+// table per skew a selectivity was asked under, up to maxZipfHeads, fills on
 // first use and is safe for concurrent use. The zero value is ready; a nil
 // *ZipfHeads memoizes nothing.
 type ZipfHeads struct {
-	mu    sync.Mutex
-	heads map[uint64]float64 // by math.Float64bits(s)
+	mu    sync.RWMutex
+	heads map[uint64]*[zipfHeadLen]float64 // by math.Float64bits(s)
 }
 
-// head returns H(zipfHeadLen, s) — the float64 genHarmonic's loop computes,
-// whether it comes from the memo or not.
-func (z *ZipfHeads) head(s float64) float64 {
+// maxZipfHeads bounds a memo (512 bytes a skew): about twice the true and
+// estimated skews of the largest catalog the experiments build (project3:
+// 1,811 columns, each with one of each). A full memo computes without
+// storing.
+const maxZipfHeads = 8192
+
+// harmonicHead writes H(1..len(dst), s) into dst: the running total of i^-s.
+func harmonicHead(dst []float64, s float64) {
+	total := 0.0
+	for i := range dst {
+		total += math.Pow(float64(i+1), -s)
+		dst[i] = total
+	}
+}
+
+// head returns H(k, s) for 0 < k ≤ zipfHeadLen — the float64 genHarmonic's
+// loop computes, whether it comes from the memo or not. A miss sums outside
+// the lock; misses racing on one skew store equal values, since the value
+// depends on the key alone.
+func (z *ZipfHeads) head(k int64, s float64) float64 {
 	if z == nil {
-		return genHarmonic(zipfHeadLen, s, nil)
+		var p [zipfHeadLen]float64
+		harmonicHead(p[:k], s)
+		return p[k-1]
 	}
 	key := math.Float64bits(s)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	h, ok := z.heads[key]
-	if !ok {
-		h = genHarmonic(zipfHeadLen, s, nil)
-		if z.heads == nil {
-			z.heads = make(map[uint64]float64)
-		}
-		z.heads[key] = h
+	z.mu.RLock()
+	p, ok := z.heads[key]
+	full := len(z.heads) >= maxZipfHeads
+	z.mu.RUnlock()
+	if ok {
+		return p[k-1]
 	}
-	return h
+	p = new([zipfHeadLen]float64)
+	harmonicHead(p[:], s)
+	if full {
+		return p[k-1]
+	}
+	z.mu.Lock()
+	if z.heads == nil {
+		z.heads = make(map[uint64]*[zipfHeadLen]float64)
+	}
+	if len(z.heads) < maxZipfHeads {
+		z.heads[key] = p
+	}
+	z.mu.Unlock()
+	return p[k-1]
 }
 
 // genHarmonic approximates the generalized harmonic number H(k, s) =
 // sum_{i=1..k} i^-s using an Euler–Maclaurin integral correction. The
 // approximation is monotone in k, which is the property selectivity
-// arithmetic depends on. Past zipfHeadLen terms the exact head comes from
-// heads.
+// arithmetic depends on. The exact head, all of the sum up to zipfHeadLen
+// terms, comes from heads.
 func genHarmonic(k int64, s float64, heads *ZipfHeads) float64 {
 	if k <= 0 {
 		return 0
@@ -293,15 +327,11 @@ func genHarmonic(k int64, s float64, heads *ZipfHeads) float64 {
 	if s == 0 {
 		return kf
 	}
+	total := heads.head(min(k, zipfHeadLen), s)
 	if k <= zipfHeadLen {
-		total := 0.0
-		for i := int64(1); i <= k; i++ {
-			total += math.Pow(float64(i), -s)
-		}
 		return total
 	}
-	// Exact head + integral tail with midpoint correction.
-	total := heads.head(s)
+	// Integral tail with midpoint correction.
 	a, b := float64(zipfHeadLen), kf
 	if s == 1 {
 		total += math.Log(b) - math.Log(a)

@@ -194,28 +194,50 @@ func TestGenHarmonicMonotone(t *testing.T) {
 	}
 }
 
+// loopHead is H(k, s) added up term by term, as genHarmonic's head is.
+func loopHead(k int64, s float64) float64 {
+	total := 0.0
+	for i := int64(1); i <= k; i++ {
+		total += math.Pow(float64(i), -s)
+	}
+	return total
+}
+
 // TestZipfHeadMemoBitIdentical: a harmonic sum that takes its head from the
-// memo is, bit for bit, the sum that computes it — on the first ask, which
-// fills the memo, and on the second, which reads it — so every selectivity,
-// and every cardinality and rough cost downstream, keeps its bits; and
-// goroutines racing for a fresh memo's first entry all read that value (run
-// under -race).
+// memo is, bit for bit, the sum that computes it — every k the prefix table
+// answers (1..64) and sums past it, on the first ask, which fills the memo,
+// and on the second, which reads it — so every selectivity, and every
+// cardinality and rough cost downstream, keeps its bits; a full memo answers
+// the same without storing; and goroutines racing for a fresh memo's first
+// entry all read that value (run under -race).
 func TestZipfHeadMemoBitIdentical(t *testing.T) {
 	bits := math.Float64bits
-	skews := []float64{0, 0.3, 1, 1.2, 1.68}
-	var heads ZipfHeads
+	skews := []float64{0, 0.3, 1, 1.37, 2.9}
+	ks := []int64{65, 1e3, 1e6}
+	for k := int64(1); k <= zipfHeadLen; k++ {
+		ks = append(ks, k)
+	}
+	var heads, full ZipfHeads
+	for i := 0; i < maxZipfHeads; i++ {
+		full.head(1, float64(10+i))
+	}
 	for _, s := range skews {
-		for _, k := range []int64{1, 64, 65, 1e6} {
+		for _, k := range ks {
 			want := genHarmonic(k, s, nil)
+			if s != 0 && k <= zipfHeadLen && bits(want) != bits(loopHead(k, s)) {
+				t.Fatalf("H(%d, %g) = %v, the loop adds up %v", k, s, want, loopHead(k, s))
+			}
 			for ask := 0; ask < 2; ask++ {
-				if got := genHarmonic(k, s, &heads); bits(got) != bits(want) {
-					t.Fatalf("H(%d, %g) ask %d: %v with the memo, %v without", k, s, ask, got, want)
+				for _, memo := range []*ZipfHeads{&heads, &full} {
+					if got := genHarmonic(k, s, memo); bits(got) != bits(want) {
+						t.Fatalf("H(%d, %g) ask %d: %v with the memo, %v without", k, s, ask, got, want)
+					}
 				}
 			}
 		}
 	}
-	if len(heads.heads) != len(skews)-1 {
-		t.Fatalf("memo holds %d heads, want one per non-zero skew asked past %d terms", len(heads.heads), zipfHeadLen)
+	if len(heads.heads) != len(skews)-1 || len(full.heads) != maxZipfHeads {
+		t.Fatalf("memos hold %d and %d heads, want one per non-zero skew asked and %d", len(heads.heads), len(full.heads), maxZipfHeads)
 	}
 
 	fns := []expr.Func{expr.FuncEQ, expr.FuncNE, expr.FuncLT, expr.FuncLE, expr.FuncGT, expr.FuncGE,
