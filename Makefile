@@ -114,7 +114,8 @@ chaos-recover:
 # warm is the warm path's developer loop, like chaos not a verify step: the
 # explorer's and nativeopt's reference and differential tests (every plan vs.
 # an independent planning, every node's rows vs. a fresh estimate, the
-# decisive-set rule, the sharing contract, a session resumed from recorded
+# decisive-set rule, the sharing contract, every plan of a session still as
+# it was built after the session's last planning, a session resumed from recorded
 # estimates vs. a fresh one), the steering memo's key-coverage, replay and
 # concurrency tests, the FNV fold's differential and golden tests, the native
 # rough cost's and the executor's work pinned bit for bit, the Zipf head memo
@@ -126,7 +127,7 @@ chaos-recover:
 # of eight candidates on a warm plan cache (~20 s; DESIGN.md "Exploration
 # budget").
 warm:
-	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|PlansAreValid|AllocCeiling|RetainedPlan|NodeSize|ZipfHead|ShareProjectZipf|FirstSelectivity' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr ./internal/warehouse ./internal/stats .
+	$(GO) test -count=1 -run 'Reference|Incremental|Decisive|SharedScans|PlansStayAsBuilt|Resume|Steer|Uint64MatchesByteLoop|FingerprintGolden|RoughCostGolden|PlansAreValid|AllocCeiling|RetainedPlan|NodeSize|ZipfHead|ShareProjectZipf|FirstSelectivity' ./internal/explorer ./internal/nativeopt ./internal/plan ./internal/expr ./internal/warehouse ./internal/stats .
 	$(GO) test -run '^$$' -bench ExplorerCandidates -benchtime 30000x -cpu 2 -benchmem ./internal/explorer
 	$(GO) test -run '^$$' -bench SelectPlanCached -benchtime 200000x -cpu 2 -benchmem ./internal/predictor
 

@@ -88,10 +88,10 @@ type card struct {
 	tables int
 }
 
-// NewSlotted returns an empty result for nodes numbered 1 to slots-1, for a
-// planner that fills it node by node with Estimator.Add as it builds them.
-// A slot is the node's entry: a node built on a reused slot must be added
-// again before anything reads it.
+// NewSlotted returns an empty result for numbered nodes, for a planner that
+// fills it node by node with Estimator.Add as it builds them, sized for slots
+// 1 to slots-1. A slot is the node's entry, and the result grows as nodes of
+// higher slots are added.
 func NewSlotted(slots int) *Result {
 	return &Result{bySlot: make([]card, slots)}
 }
@@ -100,6 +100,9 @@ func (r *Result) get(n *plan.Node) card {
 	if r.byNode != nil {
 		return r.byNode[n]
 	}
+	if int(n.Slot) >= len(r.bySlot) {
+		return card{}
+	}
 	return r.bySlot[n.Slot]
 }
 
@@ -107,6 +110,10 @@ func (r *Result) set(n *plan.Node, c card) {
 	if r.byNode != nil {
 		r.byNode[n] = c
 		return
+	}
+	if i := int(n.Slot); i >= len(r.bySlot) {
+		r.bySlot = append(r.bySlot, make([]card, i+1-len(r.bySlot))...)
+		r.bySlot = r.bySlot[:cap(r.bySlot)]
 	}
 	r.bySlot[n.Slot] = c
 }

@@ -306,3 +306,32 @@ func TestResultUnknownNode(t *testing.T) {
 		t.Fatal("unknown node should report 0 tables")
 	}
 }
+
+// TestSlottedResultGrows: a slotted result sized for two slots takes nodes
+// numbered far past them, each at its own slot, with the rows a map-keyed
+// Estimate computes for the same tree; a slot no node was added at, inside or
+// past the grown length, reads 0 rows.
+func TestSlottedResultGrows(t *testing.T) {
+	est := &Estimator{Src: fixedSource()}
+	res := NewSlotted(2)
+	n := scan("a", 10)
+	n.Slot = 1
+	est.Add(res, n)
+	chain := []*plan.Node{n}
+	for slot := int32(3); slot < 80; slot += 2 {
+		n = &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{n}, Slot: slot}
+		est.Add(res, n)
+		chain = append(chain, n)
+	}
+	want := est.Estimate(n)
+	for _, c := range chain {
+		if got := res.Rows(c); math.Float64bits(got) != math.Float64bits(want.Rows(c)) || got == 0 {
+			t.Fatalf("slot %d: %v rows, whole-tree estimate %v", c.Slot, got, want.Rows(c))
+		}
+	}
+	for _, slot := range []int32{2, 78, 1 << 20} {
+		if got := res.Rows(&plan.Node{Slot: slot}); got != 0 {
+			t.Fatalf("slot %d holds no node, yet reads %v rows", slot, got)
+		}
+	}
+}

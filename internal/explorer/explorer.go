@@ -164,10 +164,10 @@ func pairFlagSets() []nativeopt.Flags {
 // native rough cost. Every setting is planned through one nativeopt.Session,
 // so the request evaluates each table-local predicate, each scan subplan and
 // each plan node once — the returned plans share their scan subtrees, and are
-// read-only like any sealed plan (Clone to edit). Each is kept out of the
-// session's scratch into storage of its own, so holding one pins no other
-// plan of the request. A query the explorer has answered before is answered
-// by replaying its recorded steering (steerMemo), with the same result.
+// read-only like any sealed plan (Clone to edit). Each is built in storage of
+// its own, so holding one pins no other plan of the request. A query the
+// explorer has answered before is answered by replaying its recorded steering
+// (steerMemo), with the same result.
 func (e *Explorer) Candidates(q *query.Query) []*plan.Plan {
 	m := e.memo
 	if m == nil || !m.serves(e) {
@@ -203,10 +203,9 @@ func (e *Explorer) replay(q *query.Query, rec *steerRecord) []*plan.Plan {
 	out := make([]*plan.Plan, len(rec.steps))
 	for i, st := range rec.steps {
 		p, _ := session.Plan(st.flags, st.scale)
-		k := session.Keep(p)
-		k.SealRecorded(st.fp)
-		k.SealRough(e.View, st.rough)
-		out[i] = k
+		p.SealRecorded(st.fp)
+		p.SealRough(e.View, st.rough)
+		out[i] = p
 	}
 	return out
 }
@@ -226,8 +225,7 @@ func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, steerReco
 	e.plannings(session, func(p *plan.Plan, cost float64, by setting) {
 		// Equal plans have equal cost bits — the same tree over the same
 		// cardinalities, summed in the same order — so the structural compare
-		// runs only on a tie. A plan that is not kept stays in the session's
-		// scratch, which the next planning builds over.
+		// runs only on a tie. A plan that is not kept is garbage.
 		for _, k := range kept {
 			if math.Float64bits(k.cost) == math.Float64bits(cost) && k.p.Root.Equal(p.Root) {
 				return
@@ -238,7 +236,7 @@ func (e *Explorer) explore(q *query.Query, record bool) ([]*plan.Plan, steerReco
 		if len(kept) > 0 && e.SafetyFactor > 0 && !floatsafe.LessEq(cost, e.SafetyFactor*kept[0].cost) {
 			return
 		}
-		kept = append(kept, scored{p: session.Keep(p), cost: cost, by: by})
+		kept = append(kept, scored{p: p, cost: cost, by: by})
 	})
 
 	// slices.SortFunc runs the pdqsort sort.Slice runs (both are generated
@@ -289,12 +287,11 @@ func (e *Explorer) settings() int {
 // plannings plans the query under every setting that can build a plan no
 // earlier setting built — the default, the single flags, with Wide the pairs,
 // then the card scales — and hands each plan, its rough cost and its setting
-// to visit, in that order. Each plan is in the session's scratch until the
-// next planning: visit keeps what it holds on to (nativeopt.Session.Keep). A
-// setting is skipped only on a proof (nativeopt.Session.Plan: adding a flag
-// that did not decide rebuilds the plan), so what is skipped is always the
-// later twin of a plan visit has seen: no candidate, knob label or order
-// changes.
+// to visit, in that order. Each plan owns its nodes above the shared scan
+// subplans, so visit may hold any of them. A setting is skipped only on a
+// proof (nativeopt.Session.Plan: adding a flag that did not decide rebuilds
+// the plan), so what is skipped is always the later twin of a plan visit has
+// seen: no candidate, knob label or order changes.
 func (e *Explorer) plannings(s *nativeopt.Session, visit func(*plan.Plan, float64, setting)) {
 	p, base := s.Plan(nativeopt.Flags{}, 0)
 	visit(p, s.RoughCost(p), setting{})

@@ -156,10 +156,10 @@ func TestPairFlagSetsCount(t *testing.T) {
 
 // referenceCandidates is Candidates as it was before one session served all
 // settings: an independent planning per setting (so nothing is shared between
-// plannings) whose plan is copied out of its session by plan.Clone, not by
-// the session's Keep, and a RoughCost per distinct plan that estimates the
-// finished tree from scratch (the plans are never rough-sealed). It returns
-// the kept plans with the rough costs it ranked them by.
+// plannings) whose plan is copied out of its session by plan.Clone, and a
+// RoughCost per distinct plan that estimates the finished tree afresh (the
+// plans are never rough-sealed). It returns the kept plans with the rough
+// costs it ranked them by.
 func referenceCandidates(e *Explorer, q *query.Query) ([]*plan.Plan, []float64) {
 	base := nativeopt.New(e.View)
 	optimize := func(f nativeopt.Flags, scale float64) *plan.Plan {
@@ -278,9 +278,9 @@ func (e *Explorer) planned(q *query.Query) int {
 // the default and the wide explorer — cut and uncut — return the plans (Equal,
 // and the same fingerprints), knobs and order of the reference, which plans
 // every setting and copies each plan by Clone, and seal exactly the rough
-// costs the reference ranked by. A kept candidate is a copy out of the
-// session's scratch, so this is also the check that copying it lost nothing.
-// The comparison must not be idle: every explorer has to skip plannings (a
+// costs the reference ranked by. Every candidate was built by a session that
+// went on planning other settings, so this is also the check that no later
+// planning wrote it. The comparison must not be idle: every explorer has to skip plannings (a
 // pruning that never fires would pass), and alternatives have to tie on cost,
 // since what the unstable sort does with a tie depends on the order they are
 // handed over in.
@@ -382,9 +382,11 @@ func BenchmarkExplorerCandidates(b *testing.B) {
 // what a request history keeps of each — and bounds the heap they pin, after
 // two collections, at the bytes per plan the commit before scratch planning
 // pinned plus 5% (3,316.6 / 4,750.0 / 1,696.6 bytes then, 3,320.7 / 4,754.2 /
-// 1,699.0 now). It is the check on who owns a kept plan's nodes: a kept plan
-// that shares storage with the rest of its request — a request-wide node
-// slab, or the session's scratch — pins every plan the request built.
+// 1,699.0 with plans copied out of the session's scratch, 3,432.8 / 4,916.8 /
+// 1,757.0 with each plan built in its own storage, child arrays inline). It is
+// the check on who owns a plan's nodes: a plan that shares storage with the
+// rest of its request — a request-wide node slab, or a node pair split with
+// another plan — pins every plan the request built.
 func TestRetainedPlanBytes(t *testing.T) {
 	ceilings := map[string]float64{"project1": 3482, "project2": 4988, "small": 1781}
 	for _, w := range oracleWorlds() {

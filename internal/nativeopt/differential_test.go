@@ -97,21 +97,21 @@ var diffScales = []float64{0, 0.1, 0.2, 0.5, 2, 5, 10}
 // memoized selectivities — are what a fresh whole-tree Estimate computes for
 // the finished plan, for every node, under both the unscaled estimator (which
 // ranks) and the scaled one (which sizes), in the first planning and in every
-// later one, which builds over scratch slots earlier plannings registered;
+// later one, whose nodes take slots after those earlier plannings numbered;
 // that every sizing decision in the finished tree is the one the fresh
 // estimate it sized by calls for (misSized; on scaled plannings the unscaled
 // rows must call for another one somewhere, or reading the wrong store would
 // go unseen); that no two nodes of a plan share a slot; that the rough cost
 // that fell out of the planning is the one a fresh RoughCost computes; that
 // the plan is the plan a fresh optimizer builds; and that every third plan,
-// kept, is Equal to it with its fingerprint — and still is once the query's
-// other 150 plannings have built over the scratch it was copied from.
+// held, is still Equal to it with its fingerprint once the query's other 150
+// plannings have been built.
 func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 	flags := steeringFlags()
 	if len(flags) != 22 {
 		t.Fatalf("%d steering flag sets, want 1+6+15", len(flags))
 	}
-	type kept struct {
+	type held struct {
 		f     Flags
 		scale float64
 		p     *plan.Plan
@@ -123,7 +123,7 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 		for _, q := range w.queries {
 			sizes[len(q.Tables)]++
 			s := NewSession(w.view, q)
-			var keep []kept
+			var hold []held
 			planned := 0
 			for _, scale := range diffScales {
 				for _, f := range flags {
@@ -163,18 +163,14 @@ func TestIncrementalRowsMatchWholeTreeEstimate(t *testing.T) {
 							w.name, q.ID, f, scale, rough, want)
 					}
 					if planned++; planned%3 == 1 {
-						k := s.Keep(p)
-						if !k.Root.Equal(p.Root) || k.Root.Fingerprint() != p.Root.Fingerprint() {
-							t.Fatalf("%s %s %v scale %g: the kept copy differs:\n%s\nvs\n%s", w.name, q.ID, f, scale, k, p)
-						}
-						keep = append(keep, kept{f, scale, k, p.Root.Fingerprint()})
+						hold = append(hold, held{f, scale, p, p.Root.Fingerprint()})
 					}
 				}
 			}
-			for _, k := range keep {
+			for _, k := range hold {
 				fresh := planScaled(w.view, q, k.f, k.scale)
 				if !k.p.Root.Equal(fresh.Root) || k.p.Root.Fingerprint() != k.fp {
-					t.Fatalf("%s %s %v scale %g: a kept plan changed as later plannings reused the scratch:\n%s\nvs\n%s",
+					t.Fatalf("%s %s %v scale %g: a held plan changed as later plannings were built:\n%s\nvs\n%s",
 						w.name, q.ID, k.f, k.scale, k.p, fresh)
 				}
 			}
@@ -267,7 +263,7 @@ func TestDecisiveFlagsExact(t *testing.T) {
 			for _, f := range bases {
 				p, decisive := s.Plan(f, 0)
 				baseCost := s.RoughCost(p)
-				base := s.Keep(p)
+				base := p
 				for _, x := range singleFlags {
 					if f.Union(x) == f {
 						continue
@@ -322,11 +318,11 @@ func TestDecisiveFlagsExact(t *testing.T) {
 }
 
 // TestSharedScansNeverAlias drives one session per query the way no explorer
-// would — twenty rounds over ten settings, one plan in three kept — and then
-// holds every plan it kept to the contract: it is still the plan a fresh
+// would — twenty rounds over ten settings, one plan in three held — and then
+// holds every plan it held to the contract: it is still the plan a fresh
 // optimizer builds for its setting (no later planning wrote a node it holds:
-// not a shared scan, not the scratch it was copied from), no node sits at two
-// positions of one plan, and what two plans do share is scan subplans only.
+// not a shared scan, not a node of its own), no node sits at two positions of
+// one plan, and what two plans do share is scan subplans only.
 func TestSharedScansNeverAlias(t *testing.T) {
 	type setting struct {
 		f     Flags
@@ -339,25 +335,25 @@ func TestSharedScansNeverAlias(t *testing.T) {
 	shared := 0
 	for _, w := range diffWorlds() {
 		for _, q := range w.queries {
-			type kept struct {
+			type held struct {
 				setting
 				p *plan.Plan
 			}
-			var keep []kept
+			var hold []held
 			s := NewSession(w.view, q)
 			for round := 0; round < 20; round++ {
 				for i, st := range settings {
 					p, _ := s.Plan(st.f, st.scale)
 					if (round+i)%3 == 0 {
-						keep = append(keep, kept{st, s.Keep(p)})
+						hold = append(hold, held{st, p})
 					}
 				}
 			}
 			owner := map[*plan.Node]*plan.Plan{}
-			for _, k := range keep {
+			for _, k := range hold {
 				fresh := planScaled(w.view, q, k.f, k.scale)
 				if !k.p.Root.Equal(fresh.Root) || k.p.String() != fresh.String() {
-					t.Fatalf("%s %s %v scale %g: the kept plan is no longer its setting's plan:\n%s\nvs\n%s",
+					t.Fatalf("%s %s %v scale %g: the held plan is no longer its setting's plan:\n%s\nvs\n%s",
 						w.name, q.ID, k.f.Knobs(), k.scale, k.p, fresh)
 				}
 				var visit func(n *plan.Node, inScan bool)
@@ -387,8 +383,98 @@ func TestSharedScansNeverAlias(t *testing.T) {
 		}
 	}
 	if shared == 0 {
-		t.Fatal("no two kept plans shared a node: the sharing contract went unchecked")
+		t.Fatal("no two held plans shared a node: the sharing contract went unchecked")
 	}
+}
+
+// TestPlansStayAsBuilt: one session per query plans every setting — the
+// default, the six single flags and the fifteen pairs, unscaled and at every
+// scale from 0.1 to 10 — and holds each plan with its fingerprint and a Clone.
+// After the last planning every plan is still Equal to its Clone and keeps
+// its fingerprint, and no node but a shared scan subplan's is in two
+// plannings: each planning built its nodes in storage of its own. A planner
+// that builds a plan's root over the previous planning's, as a reused scratch
+// would, fails the same check.
+func TestPlansStayAsBuilt(t *testing.T) {
+	plannings := 0
+	for _, w := range diffWorlds() {
+		for _, q := range w.queries {
+			s := NewSession(w.view, q)
+			why := plansStayAsBuilt(s, func(f Flags, scale float64) *plan.Plan {
+				p, _ := s.Plan(f, scale)
+				return p
+			})
+			if why != "" {
+				t.Fatalf("%s %s: %s", w.name, q.ID, why)
+			}
+			plannings += len(steeringFlags()) * len(diffScales)
+		}
+	}
+	t.Logf("%d plannings held", plannings)
+
+	w := diffWorlds()[0]
+	s := NewSession(w.view, w.queries[0])
+	var last *plan.Node
+	reusing := func(f Flags, scale float64) *plan.Plan {
+		p, _ := s.Plan(f, scale)
+		if last != nil {
+			*last, p.Root = *p.Root, last
+		}
+		last = p.Root
+		return p
+	}
+	if why := plansStayAsBuilt(s, reusing); why == "" {
+		t.Fatal("a root reused across plannings went unseen")
+	} else {
+		t.Logf("seeded reuse: %s", why)
+	}
+}
+
+// plansStayAsBuilt plans every steering setting through planning, holds each
+// plan, and reports the first node outside s's scan subplans that two
+// plannings hold, or the first held plan that is no longer as it was built;
+// "" if none.
+func plansStayAsBuilt(s *Session, planning func(Flags, float64) *plan.Plan) string {
+	type held struct {
+		f        Flags
+		scale    float64
+		p, clone *plan.Plan
+		fp       uint64
+	}
+	var all []held
+	for _, scale := range diffScales {
+		for _, f := range steeringFlags() {
+			p := planning(f, scale)
+			all = append(all, held{f, scale, p, p.Clone(), p.Root.Fingerprint()})
+		}
+	}
+	scan := map[*plan.Node]bool{}
+	for _, root := range s.scans {
+		root.Walk(func(n *plan.Node) { scan[n] = true })
+	}
+	owner := map[*plan.Node]int{}
+	var why string
+	for i, h := range all {
+		h.p.Root.Walk(func(n *plan.Node) {
+			if scan[n] || why != "" {
+				return
+			}
+			if j, seen := owner[n]; seen {
+				why = fmt.Sprintf("a %s is in planning %d (%v scale %g) and planning %d (%v scale %g)",
+					n.Op, j, all[j].f.Knobs(), all[j].scale, i, h.f.Knobs(), h.scale)
+			}
+			owner[n] = i
+		})
+	}
+	if why != "" {
+		return why
+	}
+	for _, h := range all {
+		if !h.p.Root.Equal(h.clone.Root) || h.p.Root.Fingerprint() != h.fp {
+			return fmt.Sprintf("%v scale %g: the plan changed after it was built:\n%s\nwas\n%s", h.f.Knobs(), h.scale, h.p, h.clone)
+		}
+	}
+	return ""
 }
 
 func sameRows(t *testing.T, world string, q *query.Query, which string, root *plan.Node, got, want *cardinality.Result) {

@@ -141,12 +141,11 @@ func DefaultPlan(v *stats.View, q *query.Query) *plan.Plan {
 
 // Optimize compiles a logical query into a physical plan under the given
 // flags, cardinalities unscaled. The result is deterministic in (query, view,
-// flags). It is the one-setting case of a planning Session: one planning,
-// kept; a scaled setting is planned through a Session.
+// flags). It is the one-setting case of a planning Session; a scaled setting
+// is planned through a Session.
 func (o *Optimizer) Optimize(q *query.Query, f Flags) *plan.Plan {
-	s := NewSession(o.View, q)
-	p, _ := s.Plan(f, 0)
-	return s.Keep(p)
+	p, _ := NewSession(o.View, q).Plan(f, 0)
+	return p
 }
 
 // RoughCost is the native expert cost model: the executor's per-operator
@@ -198,20 +197,20 @@ func roughCost(root *plan.Node, cards *cardinality.Result) float64 {
 // creates it, so every node is estimated once and sizing decisions read
 // sub-plan rows back.
 //
-// Who owns a node. A planning builds the nodes above the scans in the
-// session's scratch, which the next planning builds over again, so a plan that
-// is dropped — a duplicate, one over the safety cut — costs nothing. Keep
-// copies a plan out of the scratch into storage of its own. The scan subplans
-// are allocated one subplan at a time and shared by every plan that scans the
-// table that way. A kept plan therefore pins its own nodes and its scan
-// subplans, and nothing else of the request.
+// Who owns a node. A planning builds the nodes above the scans in storage of
+// the plan it returns, two to an allocation (pairs), so a plan that is held
+// pins its own nodes and a plan that is dropped — a duplicate, one over the
+// safety cut — is garbage. The scan subplans are allocated one subplan at a
+// time and shared by every plan that scans the table that way. A plan
+// therefore pins its own nodes and its scan subplans, and nothing else of the
+// request.
 //
 // The slot rule. Every node the session builds is numbered (plan.Node.Slot)
-// and its cardinalities sit at that index of cards, and of scaled for a
-// scaling planning: scratch position i is slot i+1, and a scan node gets the
-// next slot after the scratch's for good. A scratch slot is re-registered by
-// every planning that builds on it, before any parent reads it. A kept copy
-// has no slot: nothing reads its rows from the session again.
+// with a slot no other node of the session takes, and its cardinalities sit
+// at that index of cards, and of scaled for a scaling planning. A node is
+// registered once, when it is built, before any parent reads it, and a plan
+// keeps its slots: its rows stay in the session for as long as the session
+// lives.
 //
 // A Session belongs to one goroutine and one request. It keeps nothing past
 // its own lifetime and only reads the view.
@@ -240,24 +239,42 @@ type Session struct {
 
 	cards    *cardinality.Result // every node built, under est, by slot
 	scaled   *cardinality.Result // the nodes of scaling plannings, under their estimator; nil until one is planned
-	slots    int                 // the length of both: slot 0, the scratch's, the scans'
-	nextSlot int32               // the slot the next scan node gets
-
-	// scratch holds the nodes above the scans of the latest planning, used
-	// up to used; latest is its plan.
-	scratch []scratchNode
-	used    int
-	latest  plan.Plan
+	nextSlot int32               // the slot the next node gets
 
 	joined []bool // scratch, by table slot
 	order  []int  // scratch: the rotated join order
 }
 
-// scratchNode is a scratch node with its child array: a node this optimizer
+// ownedNode is a node with its child array inline: a node this optimizer
 // builds has at most two children.
-type scratchNode struct {
+type ownedNode struct {
 	plan.Node
 	kids [2]*plan.Node
+}
+
+// pairs hands out the nodes of one plan, or of one scan subplan, two to an
+// allocation. Go rounds every allocation up to a size class; an ownedNode is
+// 224 bytes, and 224 and 448 are classes, so a held node pins exactly its own
+// bytes. A node that would leave half of a pair unused — the last one asked
+// for — gets an allocation of its own, so no pair spans two plans. One array
+// of a plan's k nodes would waste up to 15% in its size class, and held plans
+// are what a request history holds on to.
+type pairs struct {
+	spare *ownedNode // the second half of the latest pair, not yet handed out
+}
+
+// next returns a zeroed node; last says no other node of the plan follows.
+func (p *pairs) next(last bool) *ownedNode {
+	if n := p.spare; n != nil {
+		p.spare = nil
+		return n
+	}
+	if last {
+		return new(ownedNode)
+	}
+	pair := new([2]ownedNode)
+	p.spare = &pair[1]
+	return &pair[0]
 }
 
 // tableFacts are the setting-independent facts of one query table.
@@ -348,15 +365,13 @@ func newSession(v *stats.View, q *query.Query, e *Estimates) *Session {
 		tables:   make([]tableFacts, n),
 		joins:    make([]joinEdge, len(q.Joins)),
 		scans:    make([]*plan.Node, 2*n),
-		scratch:  make([]scratchNode, maxPlanNodes(n)),
 		aggFuncs: aggFuncs(q.Aggs),
 		aggCols:  aggCols(q.Aggs),
+		cards:    cardinality.NewSlotted(1 + maxPlanNodes(n) + maxScanNodes(n)),
+		nextSlot: 1,
 		joined:   make([]bool, n),
 		order:    make([]int, 0, n),
 	}
-	s.slots = 1 + len(s.scratch) + maxScanNodes(n)
-	s.nextSlot = int32(1 + len(s.scratch))
-	s.cards = cardinality.NewSlotted(s.slots)
 	for i, name := range q.Tables {
 		in := q.Input(name)
 		t := &s.tables[i]
@@ -435,9 +450,9 @@ func (s *Session) slot(table string) int {
 // Plan compiles the query under one steering setting and returns the plan and
 // the planning's decisive set.
 //
-// The plan lives in the session's scratch: the next Plan call builds over it.
-// Read it before then, or Keep it. A kept plan shares its scan subplans with
-// the session's other plans: read it, Clone it to edit.
+// The plan's nodes above the scans are its own (see Session): no later
+// planning writes them. It shares its scan subplans with the session's other
+// plans: read it, Clone it to edit.
 //
 // The decisive set holds every flag whose value settled at least one choice
 // of this planning — one its other value would have made differently, given
@@ -451,20 +466,18 @@ func (s *Session) Plan(f Flags, cardScale float64) (*plan.Plan, Flags) {
 	scaled := scales(cardScale)
 	if scaled {
 		if s.scaled == nil {
-			s.scaled = cardinality.NewSlotted(s.slots)
+			s.scaled = cardinality.NewSlotted(int(s.nextSlot) + maxPlanNodes(len(s.tables)) + maxScanNodes(len(s.tables)))
 		}
 		b.scaling = cardinality.Estimator{Src: s.est.Src, CardScale: cardScale}
 		b.sizes = s.scaled
 	}
-	s.used = 0
 	root := b.build(s.scaleRotate(s.base, cardScale))
-	s.latest = plan.Plan{Root: root, Knobs: f.knobs(scaled)}
-	return &s.latest, b.decisive
+	return &plan.Plan{Root: root, Knobs: f.knobs(scaled)}, b.decisive
 }
 
-// RoughCost returns the native rough cost (see Optimizer.RoughCost) of p, the
-// plan the latest Plan returned, from the rows its planning registered: a walk,
-// no estimate. It is always the unscaled cost — cardScale steers which plan is
+// RoughCost returns the native rough cost (see Optimizer.RoughCost) of p, a
+// plan of this session, from the rows its planning registered: a walk, no
+// estimate. It is always the unscaled cost — cardScale steers which plan is
 // built, not how candidates are ranked against each other.
 func (s *Session) RoughCost(p *plan.Plan) float64 { return roughCost(p.Root, s.cards) }
 
@@ -473,77 +486,6 @@ func (s *Session) RoughCost(p *plan.Plan) float64 { return roughCost(p.Root, s.c
 // sub-plans spanning at least three, so below that every scale plans the
 // unscaled plan.
 func (s *Session) Scales() bool { return len(s.tables) >= 3 }
-
-// Keep copies the plan of the session's latest planning out of the scratch
-// and returns the copy: its nodes above the scan subplans in storage
-// allocated for it alone (see nodeRuns), over the session's shared scan
-// subplans. Holding it pins those and nothing else of the request; the copy
-// has no slots. p must be what the latest Plan returned.
-func (s *Session) Keep(p *plan.Plan) *plan.Plan {
-	nodes, kids := s.census(p.Root)
-	runs := nodeRuns{left: nodes}
-	links := make([]*plan.Node, kids)
-	return &plan.Plan{Root: s.copyOut(p.Root, &runs, &links), Knobs: p.Knobs}
-}
-
-// inScratch reports whether n is a node of the latest planning, built on a
-// scratch slot.
-func (s *Session) inScratch(n *plan.Node) bool {
-	return n.Slot > 0 && int(n.Slot) <= len(s.scratch)
-}
-
-// census counts the scratch nodes under n and their child pointers.
-func (s *Session) census(n *plan.Node) (nodes, kids int) {
-	if !s.inScratch(n) {
-		return 0, 0
-	}
-	nodes, kids = 1, len(n.Children)
-	for _, c := range n.Children {
-		cn, ck := s.census(c)
-		nodes, kids = nodes+cn, kids+ck
-	}
-	return nodes, kids
-}
-
-// copyOut copies the scratch nodes under n, in preorder, onto nodes taken
-// from runs, with their child pointers in links, and returns n's copy — or n
-// itself, a scan subplan, which every plan shares.
-func (s *Session) copyOut(n *plan.Node, runs *nodeRuns, links *[]*plan.Node) *plan.Node {
-	if !s.inScratch(n) {
-		return n
-	}
-	out := runs.next()
-	*out = *n
-	out.Slot = 0
-	k := len(n.Children)
-	out.Children = (*links)[:k:k]
-	*links = (*links)[k:]
-	for i, c := range n.Children {
-		out.Children[i] = s.copyOut(c, runs, links)
-	}
-	return out
-}
-
-// nodeRuns hands out the nodes the session keeps — a kept plan's, a scan
-// subplan's — two to an allocation. Go rounds every allocation up to a size
-// class; plan.Node is 208 bytes, and 208 and 416 are classes, so kept nodes
-// pin exactly their own bytes, as nodes allocated one by one did. One array
-// of a plan's k nodes would waste up to 15% (k = 17: 3,536 bytes in the 4,096
-// class), and kept plans are what a request history holds on to.
-type nodeRuns struct {
-	left int // nodes still to hand out
-	run  []plan.Node
-}
-
-func (r *nodeRuns) next() *plan.Node {
-	if len(r.run) == 0 {
-		r.run = make([]plan.Node, min(r.left, 2))
-	}
-	n := &r.run[0]
-	r.run = r.run[1:]
-	r.left--
-	return n
-}
 
 // builder constructs one physical plan of a session. Predicates are shared
 // with the query, not copied: expression trees are immutable values, and
@@ -560,18 +502,19 @@ type builder struct {
 	// Each is recorded where the flag is read, under the condition that its
 	// two values part ways there.
 	decisive Flags
+	nodes    pairs // the plan's nodes above the scans
 }
 
-// add copies v onto the next scratch slot as a node over the given children —
-// registered already — and registers it under the session's estimator; sel is
-// the selectivity of v's own condition (cardinality.Estimator.AddFiltered),
-// which the session already holds. v is taken by pointer so the 208-byte node
-// is copied once, not once per call on the way down.
-func (s *Session) add(v *plan.Node, sel float64, children ...*plan.Node) *plan.Node {
-	n := &s.scratch[s.used]
-	s.used++
+// own copies v onto n as a node over the given children — registered already
+// — numbers it with the session's next slot and registers it under the
+// session's estimator; sel is the selectivity of v's own condition
+// (cardinality.Estimator.AddFiltered), which the session already holds. v is
+// taken by pointer so the 208-byte node is copied once, not once per call on
+// the way down.
+func (s *Session) own(n *ownedNode, v *plan.Node, sel float64, children ...*plan.Node) *plan.Node {
 	n.Node = *v
-	n.Slot = int32(s.used)
+	n.Slot = s.nextSlot
+	s.nextSlot++
 	n.Children = n.kids[:copy(n.kids[:], children)]
 	s.est.AddFiltered(s.cards, &n.Node, sel)
 	return &n.Node
@@ -583,9 +526,9 @@ func (b *builder) add(v *plan.Node, children ...*plan.Node) *plan.Node {
 }
 
 // addFiltered is add for a node with a condition of its own: a filter or a
-// join.
+// join. The Select root is the plan's last node (see pairs).
 func (b *builder) addFiltered(v *plan.Node, sel float64, children ...*plan.Node) *plan.Node {
-	n := b.s.add(v, sel, children...)
+	n := b.s.own(b.nodes.next(v.Op == plan.OpSelect), v, sel, children...)
 	if b.sizes != b.s.cards {
 		b.scaling.AddFiltered(b.sizes, n, sel)
 	}
@@ -665,8 +608,7 @@ func (s *Session) scan(slot int, pushdown bool) *plan.Node {
 }
 
 // buildScan builds a table's scan subplan for good: the chain is allocated by
-// itself, so a kept plan that scans the table this way pins it and no more,
-// and its nodes take the next scan slots.
+// itself, so a plan that scans the table this way pins it and no more.
 func (s *Session) buildScan(t *tableFacts, pushdown bool) *plan.Node {
 	in := t.in
 	var chain [3]plan.Node
@@ -695,20 +637,10 @@ func (s *Session) buildScan(t *tableFacts, pushdown bool) *plan.Node {
 		chain[k], sel[k] = plan.Node{Op: plan.OpFilter, Pred: in.HardPred}, t.selHard
 		k++
 	}
-	runs := nodeRuns{left: k}
-	links := make([]*plan.Node, k-1)
-	var node *plan.Node
-	for i := range k {
-		n := runs.next()
-		*n = chain[i]
-		n.Slot = s.nextSlot
-		s.nextSlot++
-		if i > 0 {
-			links[i-1] = node
-			n.Children = links[i-1 : i : i]
-		}
-		s.est.AddFiltered(s.cards, n, sel[i])
-		node = n
+	var nodes pairs
+	node := s.own(nodes.next(k == 1), &chain[0], sel[0])
+	for i := 1; i < k; i++ {
+		node = s.own(nodes.next(i == k-1), &chain[i], sel[i], node)
 	}
 	return node
 }

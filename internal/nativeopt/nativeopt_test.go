@@ -69,12 +69,11 @@ func missingPolicy() stats.Policy {
 	return stats.Policy{ColumnStatsProb: 0, FreshProb: 1}
 }
 
-// planScaled plans q under f at cardScale through a fresh session and keeps
-// the plan: what Optimize does, with cardinalities scaled.
+// planScaled plans q under f at cardScale through a fresh session: what
+// Optimize does, with cardinalities scaled.
 func planScaled(v *stats.View, q *query.Query, f Flags, cardScale float64) *plan.Plan {
-	s := NewSession(v, q)
-	p, _ := s.Plan(f, cardScale)
-	return s.Keep(p)
+	p, _ := NewSession(v, q).Plan(f, cardScale)
+	return p
 }
 
 func countOps(p *plan.Plan, op plan.OpType) int {

@@ -252,93 +252,116 @@ func clamp01(v float64) float64 {
 // exactly before the integral takes over.
 const zipfHeadLen = 64
 
-// ZipfHeads memoizes the exact head of genHarmonic by skew: the prefix sums
-// H(1..zipfHeadLen, s), 64 math.Pow calls that depend on nothing else. Every
-// PMF or CDF needs one of them — twice per range predicate, for every request
-// that evaluates the predicate. It lives with the catalog the skews come from
-// (a Project's, for its truth and every stats.View of it), holds one prefix
-// table per skew a selectivity was asked under, up to maxZipfHeads, fills on
-// first use and is safe for concurrent use. The zero value is ready; a nil
-// *ZipfHeads memoizes nothing.
+// ZipfHeads memoizes what genHarmonic takes from the skew alone (zipfHead):
+// the prefix sums H(1..zipfHeadLen, s), 64 math.Pow calls, and the integral
+// tail's two terms at zipfHeadLen. Every PMF or CDF needs one of them — twice
+// per range predicate, for every request that evaluates the predicate. It
+// lives with the catalog the skews come from (a Project's, for its truth and
+// every stats.View of it), holds one entry per skew a selectivity was asked
+// under, up to maxZipfHeads, fills on first use and is safe for concurrent
+// use. The zero value is ready; a nil *ZipfHeads memoizes nothing.
 type ZipfHeads struct {
 	mu    sync.RWMutex
-	heads map[uint64]*[zipfHeadLen]float64 // by math.Float64bits(s)
+	heads map[uint64]*zipfHead // by math.Float64bits(s)
 }
 
-// maxZipfHeads bounds a memo (512 bytes a skew): about twice the true and
+// zipfHead is the part of genHarmonic that depends on the skew s alone.
+type zipfHead struct {
+	prefix [zipfHeadLen]float64 // H(1..zipfHeadLen, s)
+	// The tail's terms at a = zipfHeadLen: the integral's (log a when s = 1,
+	// a^(1−s) otherwise) and the midpoint correction's a^(−s).
+	tailInt, tailMid float64
+}
+
+// maxZipfHeads bounds a memo (576 bytes a skew): about twice the true and
 // estimated skews of the largest catalog the experiments build (project3:
 // 1,811 columns, each with one of each). A full memo computes without
 // storing.
 const maxZipfHeads = 8192
 
-// harmonicHead writes H(1..len(dst), s) into dst: the running total of i^-s.
-func harmonicHead(dst []float64, s float64) {
+// fill writes the first terms prefix sums of s, and the tail's terms when
+// terms is zipfHeadLen.
+func (h *zipfHead) fill(s float64, terms int) {
 	total := 0.0
-	for i := range dst {
+	for i := range terms {
 		total += math.Pow(float64(i+1), -s)
-		dst[i] = total
+		h.prefix[i] = total
 	}
+	if terms < zipfHeadLen {
+		return
+	}
+	a := float64(zipfHeadLen)
+	if s == 1 {
+		h.tailInt = math.Log(a)
+	} else {
+		h.tailInt = math.Pow(a, 1-s)
+	}
+	h.tailMid = math.Pow(a, -s)
 }
 
-// head returns H(k, s) for 0 < k ≤ zipfHeadLen — the float64 genHarmonic's
-// loop computes, whether it comes from the memo or not. A miss sums outside
-// the lock; misses racing on one skew store equal values, since the value
-// depends on the key alone.
-func (z *ZipfHeads) head(k int64, s float64) float64 {
-	if z == nil {
-		var p [zipfHeadLen]float64
-		harmonicHead(p[:k], s)
-		return p[k-1]
-	}
+// head returns the memo's entry for s, filling it on a miss. A miss fills
+// outside the lock; misses racing on one skew store equal values, since the
+// value depends on the key alone.
+func (z *ZipfHeads) head(s float64) *zipfHead {
 	key := math.Float64bits(s)
 	z.mu.RLock()
-	p, ok := z.heads[key]
+	h, ok := z.heads[key]
 	full := len(z.heads) >= maxZipfHeads
 	z.mu.RUnlock()
 	if ok {
-		return p[k-1]
+		return h
 	}
-	p = new([zipfHeadLen]float64)
-	harmonicHead(p[:], s)
+	h = new(zipfHead)
+	h.fill(s, zipfHeadLen)
 	if full {
-		return p[k-1]
+		return h
 	}
 	z.mu.Lock()
 	if z.heads == nil {
-		z.heads = make(map[uint64]*[zipfHeadLen]float64)
+		z.heads = make(map[uint64]*zipfHead)
 	}
 	if len(z.heads) < maxZipfHeads {
-		z.heads[key] = p
+		z.heads[key] = h
 	}
 	z.mu.Unlock()
-	return p[k-1]
+	return h
 }
 
 // genHarmonic approximates the generalized harmonic number H(k, s) =
 // sum_{i=1..k} i^-s using an Euler–Maclaurin integral correction. The
 // approximation is monotone in k, which is the property selectivity
 // arithmetic depends on. The exact head, all of the sum up to zipfHeadLen
-// terms, comes from heads.
+// terms, and the tail's terms at zipfHeadLen come from heads; a nil heads
+// computes them, to the same bits.
 func genHarmonic(k int64, s float64, heads *ZipfHeads) float64 {
 	if k <= 0 {
 		return 0
 	}
-	kf := float64(k)
 	if s == 0 {
-		return kf
+		return float64(k)
 	}
-	total := heads.head(min(k, zipfHeadLen), s)
+	if heads == nil {
+		var h zipfHead
+		h.fill(s, int(min(k, zipfHeadLen)))
+		return h.sum(k, s)
+	}
+	return heads.head(s).sum(k, s)
+}
+
+// sum is H(k, s) from h, the entry of s, filled up to min(k, zipfHeadLen)
+// terms: the exact head, then the integral tail with midpoint correction.
+func (h *zipfHead) sum(k int64, s float64) float64 {
+	total := h.prefix[min(k, zipfHeadLen)-1]
 	if k <= zipfHeadLen {
 		return total
 	}
-	// Integral tail with midpoint correction.
-	a, b := float64(zipfHeadLen), kf
+	b := float64(k)
 	if s == 1 {
-		total += math.Log(b) - math.Log(a)
+		total += math.Log(b) - h.tailInt
 	} else {
-		total += (math.Pow(b, 1-s) - math.Pow(a, 1-s)) / (1 - s)
+		total += (math.Pow(b, 1-s) - h.tailInt) / (1 - s)
 	}
-	total += 0.5 * (math.Pow(b, -s) - math.Pow(a, -s))
+	total += 0.5 * (math.Pow(b, -s) - h.tailMid)
 	return total
 }
 

@@ -203,29 +203,48 @@ func loopHead(k int64, s float64) float64 {
 	return total
 }
 
-// TestZipfHeadMemoBitIdentical: a harmonic sum that takes its head from the
-// memo is, bit for bit, the sum that computes it — every k the prefix table
-// answers (1..64) and sums past it, on the first ask, which fills the memo,
-// and on the second, which reads it — so every selectivity, and every
-// cardinality and rough cost downstream, keeps its bits; a full memo answers
-// the same without storing; and goroutines racing for a fresh memo's first
-// entry all read that value (run under -race).
+// directHarmonic is genHarmonic written out: the head's loop, then the
+// integral tail with midpoint correction, every term computed.
+func directHarmonic(k int64, s float64) float64 {
+	total := loopHead(min(k, zipfHeadLen), s)
+	if k <= zipfHeadLen {
+		return total
+	}
+	a, b := float64(zipfHeadLen), float64(k)
+	if s == 1 {
+		total += math.Log(b) - math.Log(a)
+	} else {
+		total += (math.Pow(b, 1-s) - math.Pow(a, 1-s)) / (1 - s)
+	}
+	total += 0.5 * (math.Pow(b, -s) - math.Pow(a, -s))
+	return total
+}
+
+// TestZipfHeadMemoBitIdentical: a harmonic sum that takes its head and its
+// tail's terms at zipfHeadLen from the memo is, bit for bit, the sum that
+// computes them — every k the prefix table answers (1..64) and sums past it
+// (65 to 2^40, where the tail's terms and the s = 1 logarithm are read), on
+// the first ask, which fills the memo, and on the second, which reads it — so
+// every selectivity, and every cardinality and rough cost downstream, keeps
+// its bits; a full memo answers the same without storing; and goroutines
+// racing for a fresh memo's first entry all read that value (run under
+// -race).
 func TestZipfHeadMemoBitIdentical(t *testing.T) {
 	bits := math.Float64bits
 	skews := []float64{0, 0.3, 1, 1.37, 2.9}
-	ks := []int64{65, 1e3, 1e6}
+	ks := []int64{65, 100, 1e3, 1e6, 1 << 40}
 	for k := int64(1); k <= zipfHeadLen; k++ {
 		ks = append(ks, k)
 	}
 	var heads, full ZipfHeads
 	for i := 0; i < maxZipfHeads; i++ {
-		full.head(1, float64(10+i))
+		full.head(float64(10 + i))
 	}
 	for _, s := range skews {
 		for _, k := range ks {
 			want := genHarmonic(k, s, nil)
-			if s != 0 && k <= zipfHeadLen && bits(want) != bits(loopHead(k, s)) {
-				t.Fatalf("H(%d, %g) = %v, the loop adds up %v", k, s, want, loopHead(k, s))
+			if s != 0 && bits(want) != bits(directHarmonic(k, s)) {
+				t.Fatalf("H(%d, %g) = %v, the direct formula %v", k, s, want, directHarmonic(k, s))
 			}
 			for ask := 0; ask < 2; ask++ {
 				for _, memo := range []*ZipfHeads{&heads, &full} {
