@@ -3,8 +3,9 @@
 // table and column identifiers (App. B.1), one-hot join forms and
 // aggregation functions, multi-hot filter functions, log-min-max-normalized
 // numeric attributes, and the four per-stage execution-environment features
-// (App. B.2). It produces the tree, graph, sequence and flat views the
-// different cost-model backbones consume.
+// (App. B.2). It produces the tree views the TCN consumes, and each node's
+// feature row, from which internal/baselines builds the views of the §7.1
+// baselines.
 package encoding
 
 import (
@@ -252,34 +253,6 @@ func FixedEnv(env [4]float64) EnvSource {
 // NoEnv marks every node's environment as unobserved (the LOAM-NL variant).
 func NoEnv() EnvSource {
 	return func(*plan.Node) ([4]float64, bool) { return [4]float64{}, false }
-}
-
-// SeqDim returns the per-token dimension of EncodeSequenceFlatInto output.
-func (e *Encoder) SeqDim() int { return e.dim + 1 }
-
-// EncodeFlat pools node features (sum over nodes, element-wise) into a
-// single vector of Dim()+1 values — the XGBoost backbone's input. Counts
-// rather than binaries preserve multiplicity information.
-func (e *Encoder) EncodeFlat(p *plan.Plan, envs EnvSource) []float64 {
-	v := make([]float64, e.dim+1)
-	row := make([]float64, e.dim)
-	count := 0.0
-	p.Root.Walk(func(n *plan.Node) {
-		env, ok := envs(n)
-		e.EncodeNodeInto(row, n, env, ok)
-		for i, x := range row {
-			v[i] += x
-		}
-		count++
-	})
-	// Average the env block so it stays in [0,1] regardless of plan size.
-	if count > 0 {
-		for i := e.layout.envOff; i < e.layout.envOff+5; i++ {
-			v[i] /= count
-		}
-	}
-	v[e.dim] = plan.LogNorm(count, 256)
-	return v
 }
 
 // RankerDim is the dimension of RankerFeatures output: 1 (operator count) +

@@ -133,8 +133,10 @@ func TestDimConsistency(t *testing.T) {
 	if e.layout.hasEnvOff+1 != e.Dim() {
 		t.Fatalf("layout ends at %d, Dim %d", e.layout.hasEnvOff+1, e.Dim())
 	}
-	if e.SeqDim() != e.Dim()+1 {
-		t.Fatal("SeqDim wrong")
+	// The environment block and its flag are the last five features, which
+	// the XGBoost baseline's pooled vector averages by that position.
+	if e.layout.envOff+4 != e.layout.hasEnvOff {
+		t.Fatalf("environment block at %d, its flag at %d", e.layout.envOff, e.layout.hasEnvOff)
 	}
 }
 
@@ -282,45 +284,6 @@ func TestEncodeTreeMatchesCanonicalSize(t *testing.T) {
 		if len(ft.Feats) != ft.Len()*e.Dim() {
 			t.Fatal("tree feature dim wrong")
 		}
-	}
-}
-
-func TestEncodeGraph(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	var g FlatGraph
-	e.EncodeGraphFlatInto(&g, p, NoEnv())
-	if g.Len() != p.Root.Size() || len(g.Feats) != g.Len()*e.Dim() || len(g.Edges) != g.Len()-1 {
-		t.Fatalf("graph: %d nodes, %d features, %d edges", g.Len(), len(g.Feats), len(g.Edges))
-	}
-	for _, e2 := range g.Edges {
-		if e2[0] < 0 || e2[0] >= g.Len() || e2[1] < 0 || e2[1] >= g.Len() {
-			t.Fatal("edge index out of range")
-		}
-	}
-}
-
-func TestEncodeSequence(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	var seq FlatSeq
-	e.EncodeSequenceFlatInto(&seq, p, NoEnv())
-	if seq.Len() != p.Root.Size() || len(seq.Feats) != seq.Len()*e.SeqDim() {
-		t.Fatalf("%d tokens, %d features of dim %d", seq.Len(), len(seq.Feats), e.SeqDim())
-	}
-}
-
-func TestEncodeFlat(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	flat := e.EncodeFlat(p, NoEnv())
-	if len(flat) != e.Dim()+1 {
-		t.Fatalf("flat dim %d", len(flat))
-	}
-	// Count features reflect multiplicity: two scans.
-	scanFeature := flat[int(plan.OpTableScan)-1]
-	if scanFeature != 2 {
-		t.Fatalf("flat scan count %g", scanFeature)
 	}
 }
 

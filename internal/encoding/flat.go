@@ -10,13 +10,12 @@ import (
 	"loam/internal/plan"
 )
 
-// This file holds the plan encoders the neural backbones read, in training
-// and in serving alike: reusable flattened views (FlatTree/FlatGraph/FlatSeq)
-// filled in place, one row-major feature matrix per plan instead of one slice
-// per node — serving fills a pooled view per call (for the TCN a Forest: a
-// whole candidate set, each distinct feature row, as its sparse key, and each
-// node pointer held once), training one it owns
-// until Backward — and EnvKey, the hashable identity of an inference-time
+// This file holds the plan encoders the TCN reads, in training and in
+// serving alike: reusable flattened views filled in place, one row-major
+// feature matrix per plan instead of one slice per node — serving fills a
+// pooled Forest per call (a whole candidate set, each distinct feature row,
+// as its sparse key, and each node pointer held once), training a FlatTree
+// it owns until Backward — and EnvKey, the hashable identity of an inference-time
 // environment source used to key the predictor's plan cache.
 //
 // Rows are in preorder. Row order feeds the pooling reductions, so it is part
@@ -523,72 +522,5 @@ func (t *rowTable) intern(f *Forest, key []uint32, hash uint64, id int) int {
 		if r := int(t.rows[i]); slices.Equal(f.key(r), key) {
 			return r
 		}
-	}
-}
-
-// FlatGraph is a reusable node-feature + edge-list view, the GCN backbone's
-// input.
-type FlatGraph struct {
-	Feats []float64 // n×dim row-major
-	Edges [][2]int  // (parent, child) index pairs
-	dim   int
-	n     int
-}
-
-// Len returns the number of encoded nodes.
-func (fg *FlatGraph) Len() int { return fg.n }
-
-// EncodeGraphFlatInto fills fg with the graph encoding of p: nodes in preorder,
-// one (parent, child) edge per child, emitted as the child's subtree completes.
-func (e *Encoder) EncodeGraphFlatInto(fg *FlatGraph, p *plan.Plan, envs EnvSource) {
-	fg.dim = e.dim
-	fg.Feats = fg.Feats[:0]
-	fg.Edges = fg.Edges[:0]
-	fg.n = 0
-	e.encodeGraphFlat(fg, p.Root, envs)
-}
-
-func (e *Encoder) encodeGraphFlat(fg *FlatGraph, n *plan.Node, envs EnvSource) int {
-	env, ok := envs(n)
-	idx := fg.n
-	fg.n++
-	fg.Feats = appendRow(fg.Feats, fg.dim)
-	e.EncodeNodeInto(fg.Feats[idx*fg.dim:], n, env, ok)
-	for _, c := range n.Children {
-		ci := e.encodeGraphFlat(fg, c, envs)
-		fg.Edges = append(fg.Edges, [2]int{idx, ci})
-	}
-	return idx
-}
-
-// FlatSeq is a reusable preorder-sequence view (dim+1 features per token,
-// the extra column being the depth scalar), the Transformer backbone's input.
-type FlatSeq struct {
-	Feats []float64 // n×(dim+1) row-major
-	dim   int       // per-token dimension (e.dim + 1)
-	n     int
-}
-
-// Len returns the number of encoded tokens.
-func (fs *FlatSeq) Len() int { return fs.n }
-
-// EncodeSequenceFlatInto fills fs with the preorder token sequence of p,
-// each token its node's features plus the log-normalized depth.
-func (e *Encoder) EncodeSequenceFlatInto(fs *FlatSeq, p *plan.Plan, envs EnvSource) {
-	fs.dim = e.dim + 1
-	fs.Feats = fs.Feats[:0]
-	fs.n = 0
-	e.encodeSeqFlat(fs, p.Root, 0, envs)
-}
-
-func (e *Encoder) encodeSeqFlat(fs *FlatSeq, n *plan.Node, depth int, envs EnvSource) {
-	env, ok := envs(n)
-	fs.Feats = appendRow(fs.Feats, fs.dim)
-	row := fs.Feats[fs.n*fs.dim:]
-	fs.n++
-	e.EncodeNodeInto(row[:e.dim], n, env, ok)
-	row[e.dim] = plan.LogNorm(float64(depth), 32)
-	for _, c := range n.Children {
-		e.encodeSeqFlat(fs, c, depth+1, envs)
 	}
 }

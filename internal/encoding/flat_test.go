@@ -409,35 +409,6 @@ func TestEncodeForestTableFullStopsSharing(t *testing.T) {
 	}
 }
 
-// TestEncodeGraphFlatMatchesEncodeGraph pins the graph encoder: preorder
-// rows, and one (parent, child) edge per child in subtree-completion order.
-func TestEncodeGraphFlatMatchesEncodeGraph(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	env := [4]float64{0.2, 0.4, 0.6, 0.8}
-	var fg FlatGraph
-	e.EncodeGraphFlatInto(&fg, p, pointerEnv(env, p))
-	wantRows(t, e, fg.Feats, e.Dim(), env, preorder(p.Root), fg.Len())
-	if want := [][2]int{{3, 4}, {2, 3}, {1, 2}, {5, 6}, {1, 5}, {0, 1}}; !slices.Equal(fg.Edges, want) {
-		t.Fatalf("edges %v, want %v", fg.Edges, want)
-	}
-}
-
-// TestEncodeSequenceFlatMatchesEncodeSequence pins the sequence encoder:
-// preorder tokens, each its node's vector plus the log-normalized depth.
-func TestEncodeSequenceFlatMatchesEncodeSequence(t *testing.T) {
-	e := enc()
-	p := testPlan()
-	var fs FlatSeq
-	e.EncodeSequenceFlatInto(&fs, p, NoEnv())
-	wantRows(t, e, fs.Feats, e.SeqDim(), [4]float64{}, preorder(p.Root), 0)
-	for i, depth := range []float64{0, 1, 2, 3, 4, 2, 3} {
-		if got, want := fs.Feats[i*e.SeqDim()+e.Dim()], plan.LogNorm(depth, 32); got != want {
-			t.Fatalf("token %d depth column %v, want %v (depth %v)", i, got, want, depth)
-		}
-	}
-}
-
 // TestFlatEncodersReuseBuffers verifies the *Into encoders stop allocating
 // once their buffers have grown to workload size — including filter nodes,
 // whose predicates are folded in by encodePred's allocation-free walk.
@@ -481,18 +452,6 @@ func TestFlatEncodersReuseBuffers(t *testing.T) {
 	e.EncodeForestInto(&f, pair, envs)
 	if allocs := testing.AllocsPerRun(50, func() { e.EncodeForestInto(&f, pair, envs) }); allocs != 0 {
 		t.Fatalf("warmed EncodeForestInto allocated %.1f/run, want 0", allocs)
-	}
-
-	var fg FlatGraph
-	e.EncodeGraphFlatInto(&fg, p, envs)
-	if allocs := testing.AllocsPerRun(50, func() { e.EncodeGraphFlatInto(&fg, p, envs) }); allocs != 0 {
-		t.Fatalf("warmed EncodeGraphFlatInto allocated %.1f/run, want 0", allocs)
-	}
-
-	var fs FlatSeq
-	e.EncodeSequenceFlatInto(&fs, p, envs)
-	if allocs := testing.AllocsPerRun(50, func() { e.EncodeSequenceFlatInto(&fs, p, envs) }); allocs != 0 {
-		t.Fatalf("warmed EncodeSequenceFlatInto allocated %.1f/run, want 0", allocs)
 	}
 }
 

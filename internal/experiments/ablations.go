@@ -40,7 +40,7 @@ func (e *Env) trainOn(project string, ecfg encoding.Config, labelOf func(cost, l
 	for i, entry := range train {
 		samples[i].Cost = labelOf(entry.Record.CPUCost, entry.Record.LatencySec)
 	}
-	pcfg := e.Cfg.predictorConfig(predictor.KindTCN)
+	pcfg := e.Cfg.predictorConfig()
 	pcfg.Adapt = false // adaptation is orthogonal to both ablations
 	pred, err := predictor.Train(pcfg, enc, samples, nil)
 	if err != nil {

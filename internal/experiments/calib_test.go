@@ -26,14 +26,11 @@ func TestCalibration(t *testing.T) {
 	}
 	for _, name := range projects {
 		pe := env.Eval(name)
-		pr, err := env.evalProject(name, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := env.evalProject(name)
 		fmt.Fprintf(os.Stderr, "== %s native=%.0f best=%.0f oracle=%.0f D(Md)=%.1f%%\n",
 			name, pr.Native, pr.BestAchievable, pr.Oracle, pr.ImprovementSpace*100)
 
-		for _, v := range []Variant{LOAMVariant(), {Kind: predictor.KindTCN, Adapt: false, UseEnv: true}} {
+		for _, v := range []Variant{LOAMVariant(), {Adapt: false, UseEnv: true}} {
 			dep, err := env.Deployment(name, v)
 			if err != nil {
 				t.Fatal(err)

@@ -77,13 +77,13 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// predictorConfig derives the model hyperparameters from the experiment
-// config.
-func (c Config) predictorConfig(kind predictor.Kind) predictor.Config {
+// predictorConfig derives LOAM's hyperparameters from the experiment config.
+// It trains at seed c.Seed + 1; each §7.1 baseline has its own offset
+// (fig6Baselines).
+func (c Config) predictorConfig() predictor.Config {
 	pc := predictor.DefaultConfig()
-	pc.Kind = kind
 	pc.Epochs = c.Epochs
-	pc.Seed = c.Seed + uint64(kind)
+	pc.Seed = c.Seed + 1
 	return pc
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"loam"
+	"loam/internal/baselines"
 	"loam/internal/history"
-	"loam/internal/predictor"
 	"loam/internal/telemetry"
 	"loam/internal/walltime"
 )
@@ -21,6 +21,7 @@ type Env struct {
 	projects    []*loam.ProjectSim
 	evals       map[string]*ProjectEval
 	deployments map[string]*loam.Deployment
+	baselines   map[string]baselines.Model
 	fleet       []*FleetProject
 }
 
@@ -32,6 +33,7 @@ func NewEnv(cfg Config) *Env {
 		Sim:         loam.NewSimulation(cfg.Seed, loam.DefaultSimulationConfig()),
 		evals:       map[string]*ProjectEval{},
 		deployments: map[string]*loam.Deployment{},
+		baselines:   map[string]baselines.Model{},
 	}
 	horizon := cfg.TrainDays + cfg.TestDays
 	for _, spec := range cfg.EvalProjectSpecs() {
@@ -142,26 +144,23 @@ func (e *Env) Eval(name string) *ProjectEval {
 	return pe
 }
 
-// Variant identifies one trained model configuration.
+// Variant identifies one trained LOAM configuration.
 type Variant struct {
-	Kind     predictor.Kind
 	Adapt    bool
 	UseEnv   bool
 	MaxTrain int // 0 = config default
 }
 
 // LOAMVariant is the default LOAM model.
-func LOAMVariant() Variant { return Variant{Kind: predictor.KindTCN, Adapt: true, UseEnv: true} }
+func LOAMVariant() Variant { return Variant{Adapt: true, UseEnv: true} }
 
 func (v Variant) key(project string) string {
-	return fmt.Sprintf("%s/%v/adapt=%v/env=%v/max=%d", project, v.Kind, v.Adapt, v.UseEnv, v.MaxTrain)
+	return fmt.Sprintf("%s/adapt=%v/env=%v/max=%d", project, v.Adapt, v.UseEnv, v.MaxTrain)
 }
 
 // Label names the variant for result tables.
 func (v Variant) Label() string {
 	switch {
-	case v.Kind != predictor.KindTCN:
-		return v.Kind.String()
 	case !v.Adapt:
 		return "LOAM-NA"
 	case !v.UseEnv:
@@ -171,13 +170,8 @@ func (v Variant) Label() string {
 	}
 }
 
-// Deployment trains (or returns the cached) model for a project + variant.
-func (e *Env) Deployment(project string, v Variant) (*loam.Deployment, error) {
-	key := v.key(project)
-	if d, ok := e.deployments[key]; ok {
-		return d, nil
-	}
-	ps := e.Project(project)
+// deployConfig is the deployment configuration of a variant.
+func (e *Env) deployConfig(v Variant) loam.DeployConfig {
 	dcfg := loam.DefaultDeployConfig()
 	dcfg.TrainDays = e.Cfg.TrainDays
 	dcfg.TestDays = e.Cfg.TestDays
@@ -185,13 +179,22 @@ func (e *Env) Deployment(project string, v Variant) (*loam.Deployment, error) {
 	if v.MaxTrain > 0 {
 		dcfg.MaxTrain = v.MaxTrain
 	}
-	dcfg.Predictor = e.Cfg.predictorConfig(v.Kind)
+	dcfg.Predictor = e.Cfg.predictorConfig()
 	dcfg.Predictor.Adapt = v.Adapt
 	dcfg.Predictor.UseEnv = v.UseEnv
+	return dcfg
+}
+
+// Deployment trains (or returns the cached) model for a project + variant.
+func (e *Env) Deployment(project string, v Variant) (*loam.Deployment, error) {
+	key := v.key(project)
+	if d, ok := e.deployments[key]; ok {
+		return d, nil
+	}
 	sw := walltime.Start()
 	// Route the deployment's telemetry into the simulation's registry so one
 	// snapshot (Env.Metrics) covers substrate, training and serving.
-	dep, err := ps.Deploy(dcfg, loam.WithMetrics(e.Sim.Telemetry()))
+	dep, err := e.Project(project).Deploy(e.deployConfig(v), loam.WithMetrics(e.Sim.Telemetry()))
 	if err != nil {
 		return nil, fmt.Errorf("train %s: %w", key, err)
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -239,14 +241,22 @@ func TestFig10Structure(t *testing.T) {
 func TestVariantLabels(t *testing.T) {
 	cases := map[string]Variant{
 		"LOAM":    LOAMVariant(),
-		"LOAM-NA": {Kind: 1, Adapt: false, UseEnv: true},
-		"LOAM-NL": {Kind: 1, Adapt: true, UseEnv: false},
-		"GCN":     {Kind: 3, Adapt: true, UseEnv: true},
+		"LOAM-NA": {Adapt: false, UseEnv: true},
+		"LOAM-NL": {Adapt: true, UseEnv: false},
 	}
 	for want, v := range cases {
 		if got := v.Label(); got != want {
 			t.Fatalf("label %q, want %q", got, want)
 		}
+	}
+	// Fig. 6's baselines, in its column order, each at the seed it has
+	// always trained at.
+	var got []string
+	for _, b := range fig6Baselines {
+		got = append(got, fmt.Sprintf("%s+%d", b.name, b.seed))
+	}
+	if want := []string{"Transformer+2", "GCN+3", "XGBoost+4"}; !slices.Equal(got, want) {
+		t.Fatalf("baselines %v, want %v", got, want)
 	}
 }
 

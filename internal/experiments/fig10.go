@@ -60,7 +60,7 @@ func (e *Env) Fig10(f6 *Fig6Result) (*Fig10Result, error) {
 		}
 
 		// LOAM-NL is a separate model trained without environment features.
-		nl, err := e.Deployment(pr.Project, Variant{Kind: predictor.KindTCN, Adapt: true, UseEnv: false})
+		nl, err := e.Deployment(pr.Project, Variant{Adapt: true, UseEnv: false})
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,10 @@ import (
 	"sort"
 	"time"
 
+	"loam/internal/baselines"
+	"loam/internal/encoding"
 	"loam/internal/floatsafe"
+	"loam/internal/plan"
 	"loam/internal/predictor"
 	"loam/internal/theory"
 	"loam/internal/walltime"
@@ -91,10 +94,10 @@ func evalMethod(pe *ProjectEval, name string, pick func(q *EvalQuery) int) Metho
 }
 
 // pickWith returns a selection rule that scores the stored candidates with a
-// trained predictor under an inference strategy, resolved per query against
-// the cluster observations captured at that query's optimization moment (only
+// trained model under an inference strategy, resolved per query against the
+// cluster observations captured at that query's optimization moment (only
 // LOAM-CE and LOAM-CB read them).
-func pickWith(p *predictor.Predictor, strategy predictor.Strategy) func(q *EvalQuery) int {
+func pickWith(p baselines.Model, strategy predictor.Strategy) func(q *EvalQuery) int {
 	return func(q *EvalQuery) int {
 		envs := p.EnvSourceFor(strategy, q.ClusterExpected, q.ClusterCurrent)
 		costs := make([]float64, len(q.Cands))
@@ -108,9 +111,9 @@ func pickWith(p *predictor.Predictor, strategy predictor.Strategy) func(q *EvalQ
 	}
 }
 
-// evalProject measures the native baseline, the theory bounds, and a set of
-// model variants on one project.
-func (e *Env) evalProject(name string, variants []Variant) (ProjectResult, error) {
+// evalProject measures the native baseline and the theory bounds on one
+// project.
+func (e *Env) evalProject(name string) ProjectResult {
 	pe := e.Eval(name)
 	pr := ProjectResult{
 		Project:   name,
@@ -136,40 +139,81 @@ func (e *Env) evalProject(name string, variants []Variant) (ProjectResult, error
 		pr.ImprovementSpace /= n
 		pr.BestAchievableDeviance /= n
 	}
+	return pr
+}
 
-	for _, v := range variants {
-		dep, err := e.Deployment(name, v)
-		if err != nil {
-			return pr, err
-		}
-		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
-		m := evalMethod(pe, v.Label(), pick)
-		m.TrainSeconds = dep.Predictor().Metrics().TrainSeconds
-		m.ModelBytes = dep.Predictor().Metrics().ModelBytes
-		pr.Methods = append(pr.Methods, m)
-	}
-	return pr, nil
+// evalModel is evalMethod for a trained model under the mean-environment
+// strategy, with the model's training time and footprint.
+func evalModel(pe *ProjectEval, name string, m baselines.Model) MethodResult {
+	r := evalMethod(pe, name, pickWith(m, predictor.StrategyMeanEnv))
+	r.TrainSeconds = m.Metrics().TrainSeconds
+	r.ModelBytes = m.Metrics().ModelBytes
+	return r
 }
 
 // Fig6 reproduces the end-to-end comparison: MaxCompute vs LOAM vs the
 // Transformer, GCN and XGBoost baselines on the five evaluation projects,
 // with the best-achievable bound.
 func (e *Env) Fig6() (*Fig6Result, error) {
-	variants := []Variant{
-		LOAMVariant(),
-		{Kind: predictor.KindTransformer, Adapt: true, UseEnv: true},
-		{Kind: predictor.KindGCN, Adapt: true, UseEnv: true},
-		{Kind: predictor.KindXGBoost, Adapt: true, UseEnv: true},
-	}
 	res := &Fig6Result{}
 	for _, ps := range e.Projects() {
-		pr, err := e.evalProject(ps.Config.Name, variants)
+		name := ps.Config.Name
+		pr := e.evalProject(name)
+		dep, err := e.Deployment(name, LOAMVariant())
 		if err != nil {
 			return nil, err
+		}
+		pr.Methods = append(pr.Methods, evalModel(e.Eval(name), "LOAM", dep.Predictor()))
+		for _, b := range fig6Baselines {
+			m, err := e.baseline(name, b)
+			if err != nil {
+				return nil, err
+			}
+			pr.Methods = append(pr.Methods, evalModel(e.Eval(name), b.name, m))
 		}
 		res.Projects = append(res.Projects, pr)
 	}
 	return res, nil
+}
+
+// baseline is one of Fig. 6's §7.1 comparison models, trained at LOAM's
+// configuration and its own seed.
+type baseline struct {
+	name  string
+	seed  uint64 // added to Config.Seed
+	train func(predictor.Config, *encoding.Encoder, []predictor.Sample, []*plan.Plan) (baselines.Model, error)
+}
+
+var fig6Baselines = []baseline{
+	{"Transformer", 2, baselines.TrainTransformer},
+	{"GCN", 3, baselines.TrainGCN},
+	{"XGBoost", 4, baselines.TrainXGBoost},
+}
+
+// baseline trains (or returns the cached) baseline b for a project, on the
+// training set Deploy builds for LOAM. Building it explores the domain plans
+// as Deploy does, which the steering memo later sections replay from
+// records, so it is built even for XGBoost, which reads none of them.
+func (e *Env) baseline(project string, b baseline) (baselines.Model, error) {
+	key := project + "/" + b.name
+	if m, ok := e.baselines[key]; ok {
+		return m, nil
+	}
+	dcfg := e.deployConfig(LOAMVariant())
+	dcfg.Predictor.Seed = e.Cfg.Seed + b.seed
+	sw := walltime.Start()
+	samples, domain, _, err := e.Project(project).TrainingData(dcfg)
+	if err != nil {
+		return nil, fmt.Errorf("train %s: %w", key, err)
+	}
+	m, err := b.train(dcfg.Predictor, encoding.NewEncoder(dcfg.Encoder), samples, domain)
+	if err != nil {
+		return nil, fmt.Errorf("train %s: %w", key, err)
+	}
+	e.Cfg.logf("trained %s: train=%d %.1fs %.1fMB", key, len(samples),
+		sw.Seconds(), float64(m.Metrics().ModelBytes)/1e6)
+	e.baselines[key] = m
+	return m, nil
 }
 
 // Method returns a project's method result by name, or nil.
@@ -358,13 +402,11 @@ func (e *Env) Fig11(f6 *Fig6Result) (*Fig11Result, error) {
 		if m := pr.Method("LOAM"); m != nil {
 			res.LOAM[name] = m.AvgCost
 		}
-		dep, err := e.Deployment(name, Variant{Kind: predictor.KindTCN, Adapt: false, UseEnv: true})
+		dep, err := e.Deployment(name, Variant{Adapt: false, UseEnv: true})
 		if err != nil {
 			return nil, err
 		}
-		pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
-		m := evalMethod(e.Eval(name), "LOAM-NA", pick)
-		res.NoAdapt[name] = m.AvgCost
+		res.NoAdapt[name] = evalModel(e.Eval(name), "LOAM-NA", dep.Predictor()).AvgCost
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"loam/internal/floatsafe"
-	"loam/internal/predictor"
 )
 
 // Fig8Result reproduces Fig. 8: LOAM's end-to-end performance as a function
@@ -55,13 +54,12 @@ func (e *Env) Fig8(f6 *Fig6Result) (*Fig8Result, error) {
 				}
 			} else {
 				dep, derr := e.Deployment(pr.Project, Variant{
-					Kind: predictor.KindTCN, Adapt: true, UseEnv: true, MaxTrain: size,
+					Adapt: true, UseEnv: true, MaxTrain: size,
 				})
 				if derr != nil {
 					err = derr
 				} else {
-					pick := pickWith(dep.Predictor(), predictor.StrategyMeanEnv)
-					m = evalMethod(pe, "LOAM", pick)
+					m = evalModel(pe, "LOAM", dep.Predictor())
 				}
 			}
 			if err != nil {

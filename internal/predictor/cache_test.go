@@ -286,8 +286,8 @@ func cachedCost(p *Predictor, pl *plan.Plan, key encoding.EnvKey) (float64, bool
 // gives the costs unkeyed scoring gives the same set, bit for bit, on every
 // path a candidate can take — all misses, all hits, a mix, a set naming one
 // fingerprint three times (and a clone of it), and a waiter whose owner
-// panicked mid-forest, which estimates locally — for every neural backbone.
-// Every entry the cache retains holds the cost of its plan.
+// panicked mid-forest, which estimates locally. Every entry the cache
+// retains holds the cost of its plan.
 func TestPlanCacheKeyedScoringMatchesUnkeyed(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(60, 45)
@@ -299,57 +299,55 @@ func TestPlanCacheKeyedScoringMatchesUnkeyed(t *testing.T) {
 			pool = append(pool, sm.Plan)
 		}
 	}
-	for _, kind := range []Kind{KindTCN, KindGCN, KindTransformer} {
-		p, err := Train(tinyConfig(kind), enc, samples, nil)
+	p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Instrument(telemetry.NewRegistry())
+	envs := encoding.FixedEnv(p.TrainMeanEnv())
+	key := encoding.FixedEnvKey(p.TrainMeanEnv())
+	unkeyed := func(set []*plan.Plan) []float64 {
+		_, costs, err := p.SelectPlanKeyed(set, envs, encoding.EnvKey{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Instrument(telemetry.NewRegistry())
-		envs := encoding.FixedEnv(p.TrainMeanEnv())
-		key := encoding.FixedEnvKey(p.TrainMeanEnv())
-		unkeyed := func(set []*plan.Plan) []float64 {
-			_, costs, err := p.SelectPlanKeyed(set, envs, encoding.EnvKey{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return costs
+		return costs
+	}
+	keyed := func(name string, set []*plan.Plan) {
+		t.Helper()
+		_, costs, err := p.SelectPlanKeyed(set, envs, key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		keyed := func(name string, set []*plan.Plan) {
-			t.Helper()
-			_, costs, err := p.SelectPlanKeyed(set, envs, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := unkeyed(set)
-			costsSameBits(t, kind.String()+" "+name, want, costs)
-			for i, pl := range set {
-				if c, ok := cachedCost(p, pl, key); ok && math.Float64bits(c) != math.Float64bits(want[i]) {
-					t.Fatalf("%v %s: the cache holds %v for candidate %d, which costs %v", kind, name, c, i, want[i])
-				}
+		want := unkeyed(set)
+		costsSameBits(t, name, want, costs)
+		for i, pl := range set {
+			if c, ok := cachedCost(p, pl, key); ok && math.Float64bits(c) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: the cache holds %v for candidate %d, which costs %v", name, c, i, want[i])
 			}
 		}
-		count := func() [2]int64 { return [2]int64{p.tel.cacheHits.Value(), p.tel.cacheMisses.Value()} }
+	}
+	count := func() [2]int64 { return [2]int64{p.tel.cacheHits.Value(), p.tel.cacheMisses.Value()} }
 
-		p.EnablePlanCache(64)
-		before := count()
-		keyed("all-miss", pool)
-		keyed("all-hit", pool)
-		if got, want := count(), [2]int64{before[0] + int64(len(pool)), before[1] + int64(len(pool))}; got != want {
-			t.Fatalf("%v: hits/misses %v after a cold and a warm pass, want %v", kind, got, want)
-		}
+	p.EnablePlanCache(64)
+	before := count()
+	keyed("all-miss", pool)
+	keyed("all-hit", pool)
+	if got, want := count(), [2]int64{before[0] + int64(len(pool)), before[1] + int64(len(pool))}; got != want {
+		t.Fatalf("hits/misses %v after a cold and a warm pass, want %v", got, want)
+	}
 
-		p.EnablePlanCache(64)
-		keyed("half", pool[:len(pool)/2])
-		keyed("mixed", pool)
+	p.EnablePlanCache(64)
+	keyed("half", pool[:len(pool)/2])
+	keyed("mixed", pool)
 
-		p.EnablePlanCache(64)
-		keyed("repeated fingerprint", []*plan.Plan{pool[0], pool[1], pool[0], pool[0].Clone(), pool[2], pool[0]})
+	p.EnablePlanCache(64)
+	keyed("repeated fingerprint", []*plan.Plan{pool[0], pool[1], pool[0], pool[0].Clone(), pool[2], pool[0]})
 
-		p.EnablePlanCache(64)
-		costsSameBits(t, kind.String()+" waiter of a dying owner", unkeyed(pool[:5]), waitOnDyingOwner(t, p, pool[:5], envs, key))
-		if n := p.PlanCacheLen(); n != 0 {
-			t.Fatalf("%v: %d entries left after their owner died", kind, n)
-		}
+	p.EnablePlanCache(64)
+	costsSameBits(t, "waiter of a dying owner", unkeyed(pool[:5]), waitOnDyingOwner(t, p, pool[:5], envs, key))
+	if n := p.PlanCacheLen(); n != 0 {
+		t.Fatalf("%d entries left after their owner died", n)
 	}
 }
 

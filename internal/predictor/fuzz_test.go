@@ -10,16 +10,16 @@ import (
 	"loam/internal/encoding"
 )
 
-// addSnapshotSeeds seeds f with the Save bytes of a tiny TCN and a tiny XGBoost
-// predictor over a narrow encoder (kilobytes, so mutations land in structure,
-// not in pages of weights), as cut returns them, plus eight truncations and
-// sixteen single-bit flips of each, spread evenly.
+// addSnapshotSeeds seeds f with the Save bytes of two tiny TCN predictors,
+// one layer and two, over a narrow encoder (kilobytes, so mutations land in
+// structure, not in pages of weights), as cut returns them, plus eight
+// truncations and sixteen single-bit flips of each, spread evenly.
 func addSnapshotSeeds(f *testing.F, cut func(snapshot []byte) []byte) {
 	enc := encoding.NewEncoder(encoding.Config{Segments: 1, SegmentDim: 2, MaxPartitions: 64, MaxColumns: 8})
 	samples, _ := synthetic(12, 41)
-	for _, kind := range []Kind{KindTCN, KindXGBoost} {
-		cfg := tinyConfig(kind)
-		cfg.Hidden, cfg.EmbDim, cfg.Layers, cfg.Epochs = 3, 2, 1, 1
+	for layers := 1; layers <= 2; layers++ {
+		cfg := tinyConfig(KindTCN)
+		cfg.Hidden, cfg.EmbDim, cfg.Layers, cfg.Epochs = 3, 2, layers, 1
 		p, err := Train(cfg, enc, samples, nil)
 		if err != nil {
 			f.Fatal(err)
@@ -48,6 +48,8 @@ func addSnapshotSeeds(f *testing.F, cut func(snapshot []byte) []byte) {
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	addSnapshotSeeds(f, func(snapshot []byte) []byte { return snapshot })
+	// A well-framed snapshot of a kind the predictor no longer builds.
+	f.Add(append([]byte(snapshotMagic), atomicio.EncodeFrame([]byte(`{"version":2,"config":{"Kind":4,"Hidden":3,"EmbDim":2,"Layers":1},"encoder":{"Segments":1,"SegmentDim":2},"params":[[0]]}`))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := Load(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) {
@@ -67,7 +69,7 @@ func FuzzLoad(f *testing.F) {
 // FuzzLoadPayload fuzzes the JSON inside a correctly checksummed frame, so the
 // structural validation behind the integrity check is what runs. Load never
 // panics, and a snapshot it accepts is a model that works: PredictCost returns
-// (no index out of range, no cycle in a booster tree), Save→Load reproduces it.
+// (no index out of range), Save→Load reproduces it.
 func FuzzLoadPayload(f *testing.F) {
 	addSnapshotSeeds(f, func(snapshot []byte) []byte { return framedPayload(f, snapshot) })
 	samples, _ := synthetic(1, 42)

@@ -9,26 +9,23 @@ import (
 )
 
 // This file is the predictor's inference fast path: per-call scratch arenas,
-// allocation-free backbone forwards (embedInfer, embedForest) and the one
-// scoring core (score) behind PredictCost and SelectPlanKeyed. It reads the
-// encoders and runs the kernels the training-path embed wraps (see
-// internal/nn/infer.go for which are shared and which pinned by test); what
-// differs is how layers are chained and that the TCN convolves a candidate
-// set as one forest, held bit-identical by TestScoringPathsBitIdentical — so
-// serving changes latency and allocation counts but never a single predicted
-// cost or plan choice.
+// the allocation-free TCN forward (embedForest) and the one scoring core
+// (score) behind PredictCost and SelectPlanKeyed. It reads the encoder and
+// runs the kernels the training-path embed wraps (see internal/nn/infer.go
+// for which are shared and which pinned by test); what differs is how layers
+// are chained and that the TCN convolves a candidate set as one forest, held
+// bit-identical by TestScoringPathsBitIdentical — so serving changes latency
+// and allocation counts but never a single predicted cost or plan choice.
 
 // inferScratch bundles one call's reusable inference state: the nn
-// activation arena plus the flat encoding buffers each backbone kind fills
-// in place. One inferScratch serves one scoring pass at a time; concurrent
-// callers each borrow their own from the pool.
+// activation arena plus the forest the encoder fills in place. One
+// inferScratch serves one scoring pass at a time; concurrent callers each
+// borrow their own from the pool.
 type inferScratch struct {
 	nn      nn.Scratch
 	forest  encoding.Forest
 	classes classTable
 	memo    memoScratch
-	fg      encoding.FlatGraph
-	fs      encoding.FlatSeq
 
 	stage []float64 // the plans×emb batch the cost head reads (Predictor.stage)
 
@@ -38,8 +35,7 @@ type inferScratch struct {
 	ownedPlans     []*plan.Plan
 	ownedCosts     []float64
 
-	// one is a set of one; a local array would escape through the backbone
-	// interface and allocate.
+	// one is a set of one, kept here so PredictCost allocates nothing.
 	one [1]*plan.Plan
 }
 
@@ -61,7 +57,7 @@ func getScratch() *inferScratch  { return scratchPool.Get().(*inferScratch) }
 func putScratch(s *inferScratch) { scratchPool.Put(s) }
 
 // poolConcat3Into computes ConcatCols(MeanRows(x), MaxRows(x), SumRows(x,
-// 1/16)) into the 3C-element dst — the TCN/GCN pooling head.
+// 1/16)) into the 3C-element dst — the TCN's pooling.
 func poolConcat3Into(dst []float64, x nn.Mat) {
 	nn.MeanRowsInto(dst[:x.C], x)
 	nn.MaxRowsInto(dst[x.C:2*x.C], x)
@@ -71,9 +67,7 @@ func poolConcat3Into(dst []float64, x nn.Mat) {
 // embedForest is one forward over the forest f of n plans, by class: each
 // layer convolves one row per class, the class table's triples its gather
 // lists; each plan is pooled over its nodes' last-layer rows in its own
-// preorder, as a forward over it alone pools, and projected. GCN and
-// Transformer embed plan by plan: a graph convolution mixes a node with its
-// parent, attention with every token.
+// preorder, as a forward over it alone pools, and projected.
 func (b *tcnBackbone) embedForest(s *inferScratch, dst []float64, f *encoding.Forest, n int) {
 	c := &s.classes
 	s.nn.Reset()
@@ -171,42 +165,6 @@ func (t *classTable) rowsOf(entries []int) []int {
 	return t.rows
 }
 
-func (b *gcnBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	for k, p := range plans {
-		s.nn.Reset()
-		b.enc.EncodeGraphFlatInto(&s.fg, p, envs)
-		n := s.fg.Len()
-		ahat := nn.NormalizedAdjacencyInto(&s.nn, n, s.fg.Edges)
-		x := nn.Mat{R: n, C: b.enc.Dim(), Data: s.fg.Feats}
-		for _, l := range b.layers {
-			x = l.ForwardInfer(&s.nn, ahat, x)
-		}
-		pooled := s.nn.Mat(1, 3*x.C)
-		poolConcat3Into(pooled.Data, x)
-		out := b.proj.ForwardInfer(&s.nn, pooled)
-		nn.ReLUInPlace(out)
-		copy(dst[k*out.C:], out.Data)
-	}
-}
-
-func (b *transformerBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	for k, p := range plans {
-		s.nn.Reset()
-		b.enc.EncodeSequenceFlatInto(&s.fs, p, envs)
-		x := nn.Mat{R: s.fs.Len(), C: b.enc.SeqDim(), Data: s.fs.Feats}
-		x = b.inProj.ForwardInfer(&s.nn, x)
-		for _, blk := range b.blocks {
-			x = blk.ForwardInfer(&s.nn, x)
-		}
-		pooled := s.nn.Mat(1, 2*x.C)
-		nn.MeanRowsInto(pooled.Data[:x.C], x)
-		nn.SumRowsInto(pooled.Data[x.C:], x, 1.0/16)
-		out := b.proj.ForwardInfer(&s.nn, pooled)
-		nn.ReLUInPlace(out)
-		copy(dst[k*out.C:], out.Data)
-	}
-}
-
 // score is the one scoring core behind PredictCost and SelectPlanKeyed: with
 // a cache enabled and a keyed environment source each candidate's estimate
 // comes through the plan cache (scoreCached), otherwise every candidate is
@@ -219,32 +177,15 @@ func (p *Predictor) score(s *inferScratch, costs []float64, cands []*plan.Plan, 
 	p.estimate(s, costs, cands, envs)
 }
 
-// estimate embeds plans into one n×emb matrix — the TCN as one forest — and
-// scores it in a single forward through the cost head. Each output row is a
-// dot product over that plan's embedding alone, so a cost never depends on
-// what it was scored beside: which is why the plan cache can hold a plan's
-// estimate, computed beside whatever the pass that owned it scored, why a
-// plan estimated alone costs what it costs in a set, and why the TCN's plan
-// memo (memo.go) can answer a plan first. XGBoost has no embedding: each plan
-// is one booster prediction over its flat encoding.
+// estimate scores plans: the plan memo answers the plans of the forest it
+// knows, and the forward runs over a forest of the others alone, whose
+// estimates are then stored. The TCN embeds them as one forest, and the cost
+// head scores each row alone, so a cost never depends on what it was scored
+// beside: which is why the plan cache can hold a plan's estimate, computed
+// beside whatever the pass that owned it scored, why a plan estimated alone
+// costs what it costs in a set, and why the plan memo (memo.go) can answer a
+// plan first.
 func (p *Predictor) estimate(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	switch {
-	case p.cfg.Kind == KindXGBoost:
-		for i, pl := range plans {
-			costs[i] = p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(pl, envs)))
-		}
-	case p.memo != nil: // the TCN: build gives it a plan memo
-		p.estimateMemo(s, costs, plans, envs)
-	default: // GCN and Transformer
-		p.bb.(planEmbedder).embedInfer(s, p.stage(s, len(plans)), plans, envs)
-		p.head(s, costs)
-	}
-}
-
-// estimateMemo is estimate for the TCN: the plan memo answers the plans of
-// the forest it knows, and the forward runs over a forest of the others
-// alone, whose estimates are then stored.
-func (p *Predictor) estimateMemo(s *inferScratch, costs []float64, plans []*plan.Plan, envs encoding.EnvSource) {
 	f, ms := &s.forest, &s.memo
 	p.enc.EncodeForestInto(f, plans, envs)
 	p.memo.recall(ms, f, costs)
@@ -260,27 +201,19 @@ func (p *Predictor) estimateMemo(s *inferScratch, costs []float64, plans []*plan
 		p.enc.EncodeForestInto(f, ms.plans, envs)
 		clear(ms.plans)
 	}
-	p.bb.(*tcnBackbone).embedForest(s, p.stage(s, n), f, n)
+	p.bb.embedForest(s, p.stage(s, n), f, n)
 	ms.costs = grow(ms.costs, n)
-	p.head(s, ms.costs[:n])
+	p.Costs(&s.nn, ms.costs[:n], s.stage)
 	p.memo.store(ms, f, ms.costs[:n])
 	for i, k := range ms.miss {
 		costs[k] = ms.costs[i]
 	}
 }
 
-// stage returns the n×emb batch the cost head reads; head scores it.
+// stage returns the n×emb batch the cost head reads.
 func (p *Predictor) stage(s *inferScratch, n int) []float64 {
 	s.stage = grow(s.stage, n*p.costHead.W.R)
 	return s.stage[:n*p.costHead.W.R]
-}
-
-func (p *Predictor) head(s *inferScratch, costs []float64) {
-	s.nn.Reset()
-	out := p.costHead.ForwardInfer(&s.nn, nn.Mat{R: len(costs), C: p.costHead.W.R, Data: s.stage[:len(costs)*p.costHead.W.R]})
-	for i := range costs {
-		costs[i] = p.denormalize(out.Data[i])
-	}
 }
 
 // scoreCached fills costs (costs[i] = the estimate of cands[i]) through the

@@ -18,17 +18,12 @@ import (
 
 // referenceCosts scores candidates one at a time through the *training-path*
 // forward (autograd graph, no batching, no cache) — the ground truth every
-// serving path must reproduce bit for bit. The XGBoost backbone has no
-// autograd forward; its reference is the booster on the flat encoding.
+// serving path must reproduce bit for bit.
 func referenceCosts(p *Predictor, cands []*plan.Plan, envs encoding.EnvSource) []float64 {
 	out := make([]float64, len(cands))
 	for i, c := range cands {
-		if p.cfg.Kind == KindXGBoost {
-			out[i] = p.denormalize(p.xgbModel.Predict(p.enc.EncodeFlat(c, envs)))
-			continue
-		}
 		emb := p.bb.embed(c, envs)
-		out[i] = p.denormalize(p.costHead.Forward(emb).Data[0])
+		out[i] = p.Denormalize(p.costHead.Forward(emb).Data[0])
 	}
 	return out
 }
@@ -76,8 +71,9 @@ func selectTelemetry(reg *telemetry.Registry) telemetry.Snapshot {
 // SelectPlanKeyed unkeyed, and keyed on a cache cold and warm — are one
 // core: each produces bit-identical costs and the same chosen plan as
 // per-candidate training-path forwards, and leaves identical per-call
-// telemetry (select calls, candidates histogram, NaN / no-finite counters),
-// for every backbone kind.
+// telemetry (select calls, candidates histogram, NaN / no-finite counters).
+// The baselines' paths are held to their training forwards in
+// internal/baselines.
 func TestScoringPathsBitIdentical(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(80, 21)
@@ -85,58 +81,56 @@ func TestScoringPathsBitIdentical(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cands = append(cands, samples[i*3].Plan)
 	}
-	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
-		t.Run(kind.String(), func(t *testing.T) {
-			p, err := Train(tinyConfig(kind), enc, samples, nil)
+	t.Run("TCN", func(t *testing.T) {
+		p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.EnablePlanCache(64)
+		envs := encoding.FixedEnv(p.TrainMeanEnv())
+		key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
+		want := referenceCosts(p, cands, envs)
+		wantBest := cands[floatsafe.ArgMin(want)]
+
+		keyed := func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, key) }
+		paths := []struct {
+			name string
+			call func() (*plan.Plan, []float64, error)
+		}{
+			{"SelectPlanKeyed unkeyed", func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, encoding.EnvKey{}) }},
+			{"SelectPlanKeyed cold", keyed},
+			{"SelectPlanKeyed warm", keyed},
+		}
+		var wantTel telemetry.Snapshot
+		for i, path := range paths {
+			reg := telemetry.NewRegistry()
+			p.Instrument(reg)
+			best, costs, err := path.call()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", path.name, err)
 			}
-			p.EnablePlanCache(64)
-			envs := encoding.FixedEnv(p.TrainMeanEnv())
-			key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
-			want := referenceCosts(p, cands, envs)
-			wantBest := cands[floatsafe.ArgMin(want)]
+			costsSameBits(t, path.name, want, costs)
+			if best != wantBest {
+				t.Fatalf("%s chose a different plan", path.name)
+			}
+			tel := selectTelemetry(reg)
+			if i == 0 {
+				wantTel = tel
+				if len(tel.Counters) != 4 || tel.Counters[0].Value != 1 || len(tel.Histograms) != 1 || tel.Histograms[0].Count != 1 {
+					t.Fatalf("%s: unexpected per-call telemetry %+v", path.name, tel)
+				}
+			} else if !reflect.DeepEqual(tel, wantTel) {
+				t.Fatalf("%s telemetry %+v, want %+v (as %s)", path.name, tel, wantTel, paths[0].name)
+			}
+		}
 
-			keyed := func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, key) }
-			paths := []struct {
-				name string
-				call func() (*plan.Plan, []float64, error)
-			}{
-				{"SelectPlanKeyed unkeyed", func() (*plan.Plan, []float64, error) { return p.SelectPlanKeyed(cands, envs, encoding.EnvKey{}) }},
-				{"SelectPlanKeyed cold", keyed},
-				{"SelectPlanKeyed warm", keyed},
+		for i, c := range cands {
+			got := p.PredictCost(c, envs)
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("PredictCost(%d) = %v, want %v", i, got, want[i])
 			}
-			var wantTel telemetry.Snapshot
-			for i, path := range paths {
-				reg := telemetry.NewRegistry()
-				p.Instrument(reg)
-				best, costs, err := path.call()
-				if err != nil {
-					t.Fatalf("%s: %v", path.name, err)
-				}
-				costsSameBits(t, path.name, want, costs)
-				if best != wantBest {
-					t.Fatalf("%s chose a different plan", path.name)
-				}
-				tel := selectTelemetry(reg)
-				if i == 0 {
-					wantTel = tel
-					if len(tel.Counters) != 4 || tel.Counters[0].Value != 1 || len(tel.Histograms) != 1 || tel.Histograms[0].Count != 1 {
-						t.Fatalf("%s: unexpected per-call telemetry %+v", path.name, tel)
-					}
-				} else if !reflect.DeepEqual(tel, wantTel) {
-					t.Fatalf("%s telemetry %+v, want %+v (as %s)", path.name, tel, wantTel, paths[0].name)
-				}
-			}
-
-			for i, c := range cands {
-				got := p.PredictCost(c, envs)
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("PredictCost(%d) = %v, want %v", i, got, want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // explorerStyleCands is a candidate set shaped like the explorer's — the
@@ -207,7 +201,7 @@ func explorerStyleCands() []*plan.Plan {
 // only one candidate's nodes (so rows equal in everything but the environment
 // must stay apart), the forest reproduces the one-at-a-time training forward
 // bit for bit — unkeyed, and through the plan cache cold, with a mix of hits
-// and misses, and warm. Every backbone kind runs the same skeleton.
+// and misses, and warm.
 func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(80, 21)
@@ -225,57 +219,55 @@ func TestScoringPathsBitIdenticalSharedSubtrees(t *testing.T) {
 			perNode[n] = cluster.Metrics{CPUIdle: 0.5, IOWait: 0.125 + 0.5*float64(i), Load5: 2, MemUsage: 0.4}
 		})
 	}
-	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
-		t.Run(kind.String(), func(t *testing.T) {
-			p, err := Train(tinyConfig(kind), enc, samples, nil)
+	t.Run("TCN", func(t *testing.T) {
+		p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			envs encoding.EnvSource
+			key  encoding.EnvKey
+		}{
+			{"FixedEnv", encoding.FixedEnv(p.TrainMeanEnv()), encoding.FixedEnvKey(p.TrainMeanEnv())},
+			{"NoEnv", encoding.NoEnv(), encoding.NoEnvKey()},
+			{"RecordEnv", encoding.RecordEnv(func(n *plan.Node) (cluster.Metrics, bool) { m, ok := perNode[n]; return m, ok }), encoding.EnvKey{}},
+		} {
+			want := referenceCosts(p, cands, src.envs)
+			_, costs, err := p.SelectPlanKeyed(cands, src.envs, encoding.EnvKey{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, src := range []struct {
-				name string
-				envs encoding.EnvSource
-				key  encoding.EnvKey
-			}{
-				{"FixedEnv", encoding.FixedEnv(p.TrainMeanEnv()), encoding.FixedEnvKey(p.TrainMeanEnv())},
-				{"NoEnv", encoding.NoEnv(), encoding.NoEnvKey()},
-				{"RecordEnv", encoding.RecordEnv(func(n *plan.Node) (cluster.Metrics, bool) { m, ok := perNode[n]; return m, ok }), encoding.EnvKey{}},
-			} {
-				want := referenceCosts(p, cands, src.envs)
-				_, costs, err := p.SelectPlanKeyed(cands, src.envs, encoding.EnvKey{})
-				if err != nil {
-					t.Fatal(err)
+			costsSameBits(t, src.name+" unkeyed", want, costs)
+			for i, c := range cands {
+				if got := p.PredictCost(c, src.envs); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: PredictCost(%d) = %v, want %v", src.name, i, got, want[i])
 				}
-				costsSameBits(t, src.name+" unkeyed", want, costs)
-				for i, c := range cands {
-					if got := p.PredictCost(c, src.envs); math.Float64bits(got) != math.Float64bits(want[i]) {
-						t.Fatalf("%s: PredictCost(%d) = %v, want %v", src.name, i, got, want[i])
-					}
-				}
-				if !src.key.Keyed {
-					continue
-				}
-				p.EnablePlanCache(64)
-				// Half the set first, so the full set is a mix of hits and
-				// misses; then cold entries are all warm.
-				if _, _, err := p.SelectPlanKeyed([]*plan.Plan{cands[1], cands[3], cands[5], cands[7]}, src.envs, src.key); err != nil {
-					t.Fatal(err)
-				}
-				for _, pass := range []string{"mixed", "warm"} {
-					_, costs, err := p.SelectPlanKeyed(cands, src.envs, src.key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					costsSameBits(t, src.name+" keyed "+pass, want, costs)
-				}
-				p.EnablePlanCache(64)
-				_, costs, err = p.SelectPlanKeyed(cands, src.envs, src.key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				costsSameBits(t, src.name+" keyed cold", want, costs)
 			}
-		})
-	}
+			if !src.key.Keyed {
+				continue
+			}
+			p.EnablePlanCache(64)
+			// Half the set first, so the full set is a mix of hits and
+			// misses; then cold entries are all warm.
+			if _, _, err := p.SelectPlanKeyed([]*plan.Plan{cands[1], cands[3], cands[5], cands[7]}, src.envs, src.key); err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []string{"mixed", "warm"} {
+				_, costs, err := p.SelectPlanKeyed(cands, src.envs, src.key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				costsSameBits(t, src.name+" keyed "+pass, want, costs)
+			}
+			p.EnablePlanCache(64)
+			_, costs, err = p.SelectPlanKeyed(cands, src.envs, src.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costsSameBits(t, src.name+" keyed cold", want, costs)
+		}
+	})
 }
 
 // TestForestLayerClassesMatchCensus pins the classes the TCN forest convolves
@@ -648,7 +640,7 @@ func BenchmarkForwardTrainingPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		emb := p.bb.embed(pl, envs)
-		_ = p.denormalize(p.costHead.Forward(emb).Data[0])
+		_ = p.Denormalize(p.costHead.Forward(emb).Data[0])
 	}
 }
 
@@ -708,16 +700,17 @@ func BenchmarkSelectPlanCached(b *testing.B) {
 	}
 }
 
-// TestPredictCostZeroAlloc is the serving-path allocation regression test,
-// over every neural backbone: after warm-up, PredictCost on a binary
-// predicate-free plan performs zero heap allocations (scratch comes from the
-// pool, encoders and kernels reuse their buffers, and no autograd graph is
-// built), and the scoring core — cold, every candidate embedded, and on a
-// warm plan cache — allocates only the costs slice it returns. For the TCN
-// the cold runs are answered by a warm plan memo, every plan a hit, and a
-// pass that runs the forward and stores into an emptied memo, whose arrays
-// are kept, or into one that knows half the set, allocates no more. This test owns the fast path's zero-allocation contract (DESIGN.md
-// "Static analysis & code contracts").
+// TestPredictCostZeroAlloc is the serving-path allocation regression test:
+// after warm-up, PredictCost on a binary predicate-free plan performs zero
+// heap allocations (scratch comes from the pool, encoders and kernels reuse
+// their buffers, and no autograd graph is built), and the scoring core —
+// cold, every candidate embedded, and on a warm plan cache — allocates only
+// the costs slice it returns. The cold runs are answered by a warm plan
+// memo, every plan a hit, and a pass that runs the forward and stores into
+// an emptied memo, whose arrays are kept, or into one that knows half the
+// set, allocates no more. This test owns the fast path's zero-allocation
+// contract (DESIGN.md "Static analysis & code contracts"); the baselines'
+// PredictCost has its own in internal/baselines.
 func TestPredictCostZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
@@ -732,69 +725,65 @@ func TestPredictCostZeroAlloc(t *testing.T) {
 	for i := range cands {
 		cands[i] = samples[i].Plan
 	}
-	for _, kind := range []Kind{KindTCN, KindGCN, KindTransformer} {
-		p, err := Train(tinyConfig(kind), enc, samples, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		envs := encoding.FixedEnv(p.TrainMeanEnv())
-		p.PredictCost(pl, envs) // warm the pooled scratch
-		allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
-		if allocs != 0 {
-			t.Fatalf("%v: warmed PredictCost allocated %.1f times per run, want 0", kind, allocs)
-		}
+	p, err := Train(tinyConfig(KindTCN), enc, samples, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := encoding.FixedEnv(p.TrainMeanEnv())
+	p.PredictCost(pl, envs) // warm the pooled scratch
+	allocs := testing.AllocsPerRun(100, func() { p.PredictCost(pl, envs) })
+	if allocs != 0 {
+		t.Fatalf("warmed PredictCost allocated %.1f times per run, want 0", allocs)
+	}
 
-		// The cold path: every candidate embedded, by the TCN as one forest.
-		// Binary plans only — folding an n-ary operator clones the tree.
-		var binary []*plan.Plan
-		for _, sm := range samples {
-			if len(sm.Plan.Root.Children) <= 2 && len(binary) < 8 {
-				binary = append(binary, sm.Plan)
-			}
+	// The cold path: every candidate embedded as one forest. Binary plans
+	// only — folding an n-ary operator clones the tree.
+	var binary []*plan.Plan
+	for _, sm := range samples {
+		if len(sm.Plan.Root.Children) <= 2 && len(binary) < 8 {
+			binary = append(binary, sm.Plan)
 		}
-		coldSelect := func() {
-			if _, _, err := p.SelectPlanKeyed(binary, envs, encoding.EnvKey{}); err != nil {
-				t.Fatal(err)
-			}
+	}
+	coldSelect := func() {
+		if _, _, err := p.SelectPlanKeyed(binary, envs, encoding.EnvKey{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coldSelect()
+	scored, answered := p.PlanMemoStats()
+	if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
+		t.Fatalf("warmed unkeyed SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", allocs)
+	}
+	if s2, a2 := p.PlanMemoStats(); s2-scored != a2-answered || a2-answered < 100 {
+		t.Fatalf("the warm plan memo answered %d of %d plans", a2-answered, s2-scored)
+	}
+	first := func() {
+		p.ResetPlanMemo()
+		coldSelect()
+	}
+	if allocs := testing.AllocsPerRun(100, first); allocs > 1 {
+		t.Fatalf("unkeyed SelectPlanKeyed into an emptied plan memo allocated %.1f times per run, want at most the returned costs slice", allocs)
+	}
+	half := func() {
+		p.ResetPlanMemo()
+		if _, _, err := p.SelectPlanKeyed(binary[:len(binary)/2], envs, encoding.EnvKey{}); err != nil {
+			t.Fatal(err)
 		}
 		coldSelect()
-		scored, answered := p.PlanMemoStats()
-		if allocs := testing.AllocsPerRun(100, coldSelect); allocs > 1 {
-			t.Fatalf("%v: warmed unkeyed SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
-		}
-		if kind == KindTCN {
-			if s2, a2 := p.PlanMemoStats(); s2-scored != a2-answered || a2-answered < 100 {
-				t.Fatalf("the warm plan memo answered %d of %d plans", a2-answered, s2-scored)
-			}
-			first := func() {
-				p.ResetPlanMemo()
-				coldSelect()
-			}
-			if allocs := testing.AllocsPerRun(100, first); allocs > 1 {
-				t.Fatalf("unkeyed SelectPlanKeyed into an emptied plan memo allocated %.1f times per run, want at most the returned costs slice", allocs)
-			}
-			half := func() {
-				p.ResetPlanMemo()
-				if _, _, err := p.SelectPlanKeyed(binary[:len(binary)/2], envs, encoding.EnvKey{}); err != nil {
-					t.Fatal(err)
-				}
-				coldSelect()
-			}
-			if allocs := testing.AllocsPerRun(100, half); allocs > 2 {
-				t.Fatalf("unkeyed SelectPlanKeyed into a memo that knows half the set allocated %.1f times per run, want at most the two returned costs slices", allocs)
-			}
-		}
+	}
+	if allocs := testing.AllocsPerRun(100, half); allocs > 2 {
+		t.Fatalf("unkeyed SelectPlanKeyed into a memo that knows half the set allocated %.1f times per run, want at most the two returned costs slices", allocs)
+	}
 
-		p.EnablePlanCache(64)
-		key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
-		warmSelect := func() {
-			if _, _, err := p.SelectPlanKeyed(cands, envs, key); err != nil {
-				t.Fatal(err)
-			}
+	p.EnablePlanCache(64)
+	key := p.EnvKeyFor(StrategyMeanEnv, [4]float64{}, [4]float64{})
+	warmSelect := func() {
+		if _, _, err := p.SelectPlanKeyed(cands, envs, key); err != nil {
+			t.Fatal(err)
 		}
-		warmSelect()
-		if allocs := testing.AllocsPerRun(100, warmSelect); allocs > 1 {
-			t.Fatalf("%v: warm SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", kind, allocs)
-		}
+	}
+	warmSelect()
+	if allocs := testing.AllocsPerRun(100, warmSelect); allocs > 1 {
+		t.Fatalf("warm SelectPlanKeyed allocated %.1f times per run, want at most the returned costs slice", allocs)
 	}
 }

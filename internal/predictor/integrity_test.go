@@ -122,7 +122,7 @@ func TestLoadIntegrityChecksumMismatch(t *testing.T) {
 }
 
 func TestStructuralErrorIsNotIntegrity(t *testing.T) {
-	snap := savedSnapshot(t, KindTCN)
+	snap := savedSnapshot(t)
 	editParams(t, snap, func(p [][]float64) [][]float64 { return p[:len(p)-1] })
 	lerr := loadSnapshot(t, snap)
 	if !errors.Is(lerr, ErrCorruptSnapshot) {

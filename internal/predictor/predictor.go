@@ -1,5 +1,5 @@
 // Package predictor implements LOAM's adaptive cost predictor (§4, Fig. 3):
-// a plan-embedding backbone (PlanEmb), a cost prediction head (CostPred),
+// the TCN plan-embedding backbone (PlanEmb), a cost prediction head (CostPred),
 // and a domain classifier (DomClf) behind a gradient reversal layer, trained
 // jointly with the Eq.-(1) loss so the embedding is both discriminative for
 // cost and invariant between historically executed default plans and
@@ -9,16 +9,14 @@ package predictor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"loam/internal/encoding"
 	"loam/internal/floatsafe"
-	"loam/internal/nn"
 	"loam/internal/plan"
 	"loam/internal/simrand"
 	"loam/internal/telemetry"
-	"loam/internal/walltime"
-	"loam/internal/xgb"
 )
 
 // Sample is one training example: a historically executed default plan with
@@ -32,6 +30,7 @@ type Sample struct {
 // Config are the predictor hyperparameters. Defaults follow the paper's
 // setup (initial LR 0.01, 0.99 exponential decay; no per-project tuning).
 type Config struct {
+	// Kind names the backbone; only KindTCN (or zero, which means it) builds.
 	Kind   Kind
 	Hidden int
 	EmbDim int
@@ -77,36 +76,21 @@ type Metrics struct {
 	FinalDomLoss  float64
 }
 
-// Predictor is a trained adaptive cost predictor.
+// Predictor is a trained adaptive cost predictor: the TCN backbone under a
+// Head.
 type Predictor struct {
-	cfg    Config
+	Head
 	enc    *encoding.Encoder
 	encCfg encoding.Config
-
-	bb       backbone
-	costHead *nn.Linear
-	domHid   *nn.Linear
-	domOut   *nn.Linear
-	lambda   float64
-
-	xgbModel *xgb.Model
-
-	// Label normalization: y = (ln cost − muY)/sigmaY.
-	muY, sigmaY float64
-	// trainMeanEnv is the expected machine-level environment observed across
-	// training plans — the §5 representative instance e_r.
-	trainMeanEnv [4]float64
+	bb     *tcnBackbone
 
 	// cache, when non-nil, memoizes plans' cost estimates for keyed
 	// environment sources (see cache.go). Configured via EnablePlanCache,
 	// typically by the deployment layer; nil disables caching entirely.
 	cache *planCache
-	// memo holds a TCN's estimates under what each plan encodes to
-	// (memo.go), for every source; build makes it, nil for the others.
+	// memo holds the estimates under what each plan encodes to (memo.go),
+	// for every source.
 	memo *planMemo
-
-	metrics Metrics
-	tel     predictorTelemetry
 
 	// modelVersion is the lifecycle lineage number this predictor serves as
 	// (0 = untracked). It rides inside the serialized snapshot so
@@ -146,8 +130,8 @@ type predictorTelemetry struct {
 // Instrument wires the predictor's training and plan-selection metrics into
 // reg. Safe to call on a freshly loaded predictor before serving; must not
 // race with in-flight SelectPlanKeyed calls.
-func (p *Predictor) Instrument(reg *telemetry.Registry) {
-	p.tel = predictorTelemetry{
+func (h *Head) Instrument(reg *telemetry.Registry) {
+	h.tel = predictorTelemetry{
 		trainRuns:     reg.Counter("train.runs"),
 		trainSamples:  reg.Counter("train.samples"),
 		trainDomain:   reg.Counter("train.domain_plans"),
@@ -182,283 +166,38 @@ var ErrNoCandidates = errors.New("predictor: no candidate plans")
 // estimate is NaN, so no plan can be preferred over another.
 var ErrNoFiniteEstimate = errors.New("predictor: no candidate has a finite cost estimate")
 
-// Train fits the predictor. candPlans is a small set of *unexecuted*
-// candidate plans used purely for domain alignment — they carry no cost
-// labels (§4, Adaptive Training Paradigm). It may be empty when cfg.Adapt is
-// false.
+// Train fits the predictor; a Config.Kind other than KindTCN or zero is an
+// error. candPlans is a small set of *unexecuted* candidate plans used purely
+// for domain alignment — they carry no cost labels (§4, Adaptive Training
+// Paradigm). It may be empty when cfg.Adapt is false.
 func Train(cfg Config, enc *encoding.Encoder, train []Sample, candPlans []*plan.Plan) (*Predictor, error) {
 	return TrainInstrumented(cfg, enc, train, candPlans, nil)
 }
 
-// TrainInstrumented is Train reporting into a telemetry registry: sample and
-// domain-plan counts, per-epoch cost losses, adversarial adaptation steps,
-// final losses, and wall training time (count deterministic, seconds
-// reporting-only). A nil registry trains silently.
+// TrainInstrumented is Train reporting into a telemetry registry (see
+// TrainHead). A nil registry trains silently.
 func TrainInstrumented(cfg Config, enc *encoding.Encoder, train []Sample, candPlans []*plan.Plan, reg *telemetry.Registry) (*Predictor, error) {
-	if len(train) == 0 {
-		return nil, ErrNoTrainingData
+	if cfg.Kind != 0 && cfg.Kind != KindTCN {
+		return nil, fmt.Errorf("predictor: kind %d: the TCN is the only model", cfg.Kind)
 	}
-	sw := walltime.Start()
-	p := &Predictor{cfg: cfg, enc: enc, encCfg: enc.Config()}
-	p.Instrument(reg)
-	p.tel.trainRuns.Inc()
-	p.tel.trainSamples.Add(int64(len(train)))
-	p.tel.trainDomain.Add(int64(len(candPlans)))
-	span := p.tel.trainTime.Start()
-	defer span.Stop()
-	p.fitNormalization(train)
-	p.fitMeanEnv(train)
-
-	if cfg.Kind == KindXGBoost {
-		if err := p.trainXGB(train); err != nil {
-			return nil, err
-		}
-		p.metrics.TrainSeconds = sw.Seconds()
-		p.metrics.ModelBytes = p.xgbModel.SizeBytes()
-		return p, nil
+	p := &Predictor{Head: Head{cfg: cfg}, enc: enc, encCfg: enc.Config()}
+	p.build(simrand.New(cfg.Seed))
+	h, err := TrainHead(cfg, train, candPlans, p.bb.trainer(), reg)
+	if err != nil {
+		return nil, err
 	}
-
-	rng := simrand.New(cfg.Seed)
-	p.build(rng)
-	p.fit(rng, train, candPlans)
-	p.metrics.TrainSeconds = sw.Seconds()
+	p.Head = h
 	return p, nil
 }
 
-// fit trains the built network: Adam over every parameter, then trainLoop.
-func (p *Predictor) fit(rng *simrand.RNG, train []Sample, candPlans []*plan.Plan) {
-	params := p.allParams()
-	p.trainLoop(rng, nn.NewAdam(params, p.cfg.LR), train, candPlans)
-	p.metrics.ModelBytes = nn.ParamBytes(params)
-	p.metrics.Epochs = p.cfg.Epochs
-}
-
-// build constructs the neural architecture p.cfg describes over p.enc —
-// backbone, cost head, domain classifier — initialized from rng. Train fits
-// it; Load overwrites its weights, after checkParams has sized it by arithmetic.
+// build constructs the TCN p.cfg describes over p.enc, initialized from
+// rng, and its plan memo. Train fits it; Load overwrites its weights, after
+// checkParams has sized it by arithmetic.
 func (p *Predictor) build(rng *simrand.RNG) {
 	cfg := p.cfg
-	switch cfg.Kind {
-	case KindTransformer:
-		p.bb = newTransformer(rng, p.enc, cfg.Hidden, 2, cfg.EmbDim)
-	case KindGCN:
-		p.bb = newGCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
-	default:
-		p.bb = newTCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
-		p.memo = newPlanMemo()
-	}
-	p.costHead = nn.NewLinear(rng.Derive("cost"), cfg.EmbDim, 1)
-	p.domHid = nn.NewLinear(rng.Derive("domHid"), cfg.EmbDim, cfg.Hidden)
-	p.domOut = nn.NewLinear(rng.Derive("domOut"), cfg.Hidden, 2)
+	p.bb = newTCN(rng, p.enc, cfg.Hidden, cfg.Layers, cfg.EmbDim)
+	p.memo = newPlanMemo()
 }
-
-func (p *Predictor) trainLoop(rng *simrand.RNG, opt *nn.Adam, train []Sample, candPlans []*plan.Plan) {
-	cfg := p.cfg
-	adapt := cfg.Adapt && len(candPlans) > 0
-	bd := cfg.BatchDefault
-	if bd <= 0 {
-		bd = 16
-	}
-	bc := cfg.BatchCandidate
-	if bc <= 0 {
-		bc = 6
-	}
-	candEnv := encoding.FixedEnv(p.trainMeanEnv)
-	if !cfg.UseEnv {
-		candEnv = encoding.NoEnv()
-	}
-
-	// A backbone that trains a minibatch as one forest does; the others embed
-	// plan by plan through the autograd graph.
-	var tr *tcnTrainer
-	if bt, ok := p.bb.(batchTrainer); ok {
-		tr = bt.trainer()
-	}
-	var targets []float64
-	var labels []int
-	var drawn []*plan.Plan
-
-	// EMA-based automatic loss-weight balancing (wc, wd of Eq. 1).
-	emaCost, emaDom := 1.0, 1.0
-	const emaBeta = 0.9
-
-	steps := (len(train) + bd - 1) / bd
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		// GRL schedule from Ganin & Lempitsky: λ = 2/(1+e^{-10p}) − 1.
-		prog := float64(epoch) / math.Max(1, float64(cfg.Epochs-1))
-		p.lambda = 2/(1+math.Exp(-10*prog)) - 1
-
-		order := rng.Perm(len(train))
-		for s := 0; s < steps; s++ {
-			lo := s * bd
-			hi := lo + bd
-			if hi > len(train) {
-				hi = len(train)
-			}
-			batch := order[lo:hi]
-
-			targets, labels, drawn = targets[:0], labels[:0], drawn[:0]
-			for _, i := range batch {
-				targets = append(targets, p.normalize(train[i].Cost))
-				labels = append(labels, 0)
-			}
-			if adapt {
-				for j := 0; j < bc; j++ {
-					drawn = append(drawn, candPlans[rng.Intn(len(candPlans))])
-					labels = append(labels, 1)
-				}
-			}
-			var embDef, embAll *nn.Tensor
-			if tr != nil {
-				embDef, embAll = tr.forward(train, batch, drawn, candEnv, cfg.UseEnv)
-			} else {
-				embDef, embAll = p.embedEach(train, batch, drawn, candEnv)
-			}
-			costLoss := nn.MSE(p.costHead.Forward(embDef), targets)
-
-			var loss *nn.Tensor
-			var domLossVal float64
-			if adapt {
-				domLogits := p.domOut.Forward(nn.ReLU(p.domHid.Forward(nn.GRL(embAll, &p.lambda))))
-				domLoss := nn.CrossEntropy(domLogits, labels)
-				domLossVal = domLoss.Data[0]
-
-				emaCost = emaBeta*emaCost + (1-emaBeta)*costLoss.Data[0]
-				emaDom = emaBeta*emaDom + (1-emaBeta)*domLossVal
-				wd := 0.0
-				if emaDom > 1e-9 {
-					wd = 0.5 * emaCost / emaDom
-				}
-				loss = nn.AddScalarLoss([]float64{1, wd}, costLoss, domLoss)
-			} else {
-				loss = costLoss
-			}
-
-			opt.ZeroGrad()
-			loss.Backward()
-			if tr != nil {
-				tr.backward()
-			}
-			opt.Step()
-
-			p.metrics.FinalCostLoss = costLoss.Data[0]
-			p.metrics.FinalDomLoss = domLossVal
-			if adapt {
-				p.tel.adaptSteps.Inc()
-			}
-		}
-		p.tel.epochCostLoss.Observe(p.metrics.FinalCostLoss)
-		opt.DecayLR(cfg.LRDecay)
-	}
-	p.tel.finalCostLoss.Set(p.metrics.FinalCostLoss)
-	p.tel.finalDomLoss.Set(p.metrics.FinalDomLoss)
-}
-
-// embedEach embeds a minibatch plan by plan through the backbone's autograd
-// graph: the defaults, each under its own environment source (none without
-// UseEnv), as the cost head's input, and when plans were drawn, the defaults
-// and then each drawn plan under candEnv as the domain head's.
-func (p *Predictor) embedEach(train []Sample, batch []int, drawn []*plan.Plan, candEnv encoding.EnvSource) (embDef, embAll *nn.Tensor) {
-	embs := make([]*nn.Tensor, 0, len(batch)+len(drawn))
-	for _, i := range batch {
-		sm := train[i]
-		envs := sm.Envs
-		if !p.cfg.UseEnv {
-			envs = encoding.NoEnv()
-		}
-		embs = append(embs, p.bb.embed(sm.Plan, envs))
-	}
-	embDef = nn.ConcatRows(embs...)
-	if len(drawn) == 0 {
-		return embDef, nil
-	}
-	for _, cp := range drawn {
-		embs = append(embs, p.bb.embed(cp, candEnv))
-	}
-	return embDef, nn.ConcatRows(embs...)
-}
-
-func (p *Predictor) trainXGB(train []Sample) error {
-	x := make([][]float64, len(train))
-	y := make([]float64, len(train))
-	for i, sm := range train {
-		envs := sm.Envs
-		if !p.cfg.UseEnv {
-			envs = encoding.NoEnv()
-		}
-		x[i] = p.enc.EncodeFlat(sm.Plan, envs)
-		y[i] = p.normalize(sm.Cost)
-	}
-	p.xgbModel = xgb.Train(xgb.DefaultConfig(), x, y)
-	return nil
-}
-
-func (p *Predictor) fitNormalization(train []Sample) {
-	n := float64(len(train))
-	mu := 0.0
-	for _, sm := range train {
-		mu += safeLog(sm.Cost)
-	}
-	mu /= n
-	v := 0.0
-	for _, sm := range train {
-		d := safeLog(sm.Cost) - mu
-		v += d * d
-	}
-	p.muY = mu
-	p.sigmaY = math.Sqrt(v/n) + 1e-6
-}
-
-func (p *Predictor) fitMeanEnv(train []Sample) {
-	var sum [4]float64
-	count := 0.0
-	for _, sm := range train {
-		sm.Plan.Root.Walk(func(n *plan.Node) {
-			env, ok := sm.Envs(n)
-			if !ok {
-				return
-			}
-			for i := range sum {
-				sum[i] += env[i]
-			}
-			count++
-		})
-	}
-	if count > 0 {
-		for i := range sum {
-			p.trainMeanEnv[i] = sum[i] / count
-		}
-	}
-}
-
-func (p *Predictor) normalize(cost float64) float64 {
-	return (safeLog(cost) - p.muY) / p.sigmaY
-}
-
-func (p *Predictor) denormalize(y float64) float64 {
-	return math.Exp(y*p.sigmaY + p.muY)
-}
-
-func safeLog(v float64) float64 {
-	if v < 1e-9 {
-		v = 1e-9
-	}
-	return math.Log(v)
-}
-
-// Metrics returns training cost/footprint measurements.
-func (p *Predictor) Metrics() Metrics { return p.metrics }
-
-// TrainMeanEnv returns the representative environment instance e_r (§5):
-// per-feature means observed across training plans.
-func (p *Predictor) TrainMeanEnv() [4]float64 { return p.trainMeanEnv }
-
-// Config returns the hyperparameter configuration the predictor was trained
-// with (after Train's normalization). The model lifecycle derives retrain
-// configurations from it — same architecture and budgets, a bumped seed per
-// trained successor — so retrained models are deterministic descendants of
-// the incumbent.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // EncoderConfig returns the encoder configuration the predictor was trained
 // with. After predictor.Load it is the configuration restored from the
@@ -526,7 +265,7 @@ func (s Strategy) String() string {
 // observations the CE/CB variants rely on, the default is the training mean,
 // and StrategyNoEnv has none (ok false). EnvSourceFor and EnvKeyFor are its
 // two projections, so a key always names its source.
-func (p *Predictor) envFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (env [4]float64, ok bool) {
+func (h *Head) envFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (env [4]float64, ok bool) {
 	switch s {
 	case StrategyClusterExpected:
 		return clusterExpected, true
@@ -535,14 +274,14 @@ func (p *Predictor) envFor(s Strategy, clusterExpected, clusterCurrent [4]float6
 	case StrategyNoEnv:
 		return env, false
 	default:
-		return p.trainMeanEnv, true
+		return h.trainMeanEnv, true
 	}
 }
 
 // EnvFor materializes a strategy (see envFor) into the EnvSource inference
 // reads and the plan-cache key identifying it, resolving the vector once.
-func (p *Predictor) EnvFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (encoding.EnvSource, encoding.EnvKey) {
-	env, ok := p.envFor(s, clusterExpected, clusterCurrent)
+func (h *Head) EnvFor(s Strategy, clusterExpected, clusterCurrent [4]float64) (encoding.EnvSource, encoding.EnvKey) {
+	env, ok := h.envFor(s, clusterExpected, clusterCurrent)
 	if !ok {
 		return encoding.NoEnv(), encoding.NoEnvKey()
 	}
@@ -550,8 +289,8 @@ func (p *Predictor) EnvFor(s Strategy, clusterExpected, clusterCurrent [4]float6
 }
 
 // EnvSourceFor is EnvFor's source alone.
-func (p *Predictor) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvSource {
-	if env, ok := p.envFor(s, clusterExpected, clusterCurrent); ok {
+func (h *Head) EnvSourceFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvSource {
+	if env, ok := h.envFor(s, clusterExpected, clusterCurrent); ok {
 		return encoding.FixedEnv(env)
 	}
 	return encoding.NoEnv()
@@ -606,8 +345,8 @@ func (p *Predictor) SelectPlanKeyed(cands []*plan.Plan, envs encoding.EnvSource,
 }
 
 // EnvKeyFor is EnvFor's key alone.
-func (p *Predictor) EnvKeyFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvKey {
-	if env, ok := p.envFor(s, clusterExpected, clusterCurrent); ok {
+func (h *Head) EnvKeyFor(s Strategy, clusterExpected, clusterCurrent [4]float64) encoding.EnvKey {
+	if env, ok := h.envFor(s, clusterExpected, clusterCurrent); ok {
 		return encoding.FixedEnvKey(env)
 	}
 	return encoding.NoEnvKey()
@@ -663,25 +402,19 @@ func (p *Predictor) FlushPlanCache() {
 	}
 }
 
-// ResetPlanMemo empties the TCN's plan memo (memo.go): the hook a benchmark
-// times a first sight with, never needed in serving. A no-op for the other
-// backbones.
+// ResetPlanMemo empties the plan memo (memo.go): the hook a benchmark times
+// a first sight with, never needed in serving.
 func (p *Predictor) ResetPlanMemo() {
-	if p.memo != nil {
-		p.memo.mu.Lock()
-		p.memo.reset()
-		p.memo.mu.Unlock()
-	}
+	p.memo.mu.Lock()
+	p.memo.reset()
+	p.memo.mu.Unlock()
 }
 
-// PlanMemoStats reports how many plans TCN scoring passes looked up in the
-// plan memo and how many of them it answered. They depend on how concurrent
+// PlanMemoStats reports how many plans scoring passes looked up in the plan
+// memo and how many of them it answered. They depend on how concurrent
 // passes interleave, so they are for benchmarks, not telemetry.
 func (p *Predictor) PlanMemoStats() (scored, answered int64) {
-	if p.memo != nil {
-		return p.memo.scored.Load(), p.memo.answered.Load()
-	}
-	return 0, 0
+	return p.memo.scored.Load(), p.memo.answered.Load()
 }
 
 // PlanCacheLen reports the number of cached estimates (0 when disabled).

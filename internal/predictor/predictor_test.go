@@ -1,13 +1,13 @@
 package predictor
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
 
 	"loam/internal/encoding"
 	"loam/internal/expr"
-	"loam/internal/nn"
 	"loam/internal/plan"
 	"loam/internal/simrand"
 )
@@ -60,34 +60,38 @@ func tinyConfig(kind Kind) Config {
 	return cfg
 }
 
-func TestTrainAllKinds(t *testing.T) {
-	enc := encoding.NewEncoder(encoding.DefaultConfig())
-	samples, cands := synthetic(120, 1)
-	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
-		p, err := Train(tinyConfig(kind), enc, samples, cands)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		met := p.Metrics()
-		if met.ModelBytes <= 0 {
-			t.Fatalf("%v: model bytes %d", kind, met.ModelBytes)
-		}
-		if met.TrainSeconds <= 0 {
-			t.Fatalf("%v: train seconds %g", kind, met.TrainSeconds)
-		}
-		// Predictions must be positive and finite.
-		c := p.PredictCost(samples[0].Plan, samples[0].Envs)
-		if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			t.Fatalf("%v: predicted %g", kind, c)
-		}
-	}
-}
-
 func TestTrainEmpty(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	_, err := Train(DefaultConfig(), enc, nil, nil)
 	if !errors.Is(err, ErrNoTrainingData) {
 		t.Fatalf("want ErrNoTrainingData, got %v", err)
+	}
+}
+
+// TestTrainKinds: a zero Kind builds the TCN as KindTCN does, to the same
+// weights; the baselines' former kinds, 2 to 4, are errors.
+func TestTrainKinds(t *testing.T) {
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	samples, _ := synthetic(40, 8)
+	var saved [2]bytes.Buffer
+	for i, kind := range []Kind{0, KindTCN} {
+		p, err := Train(tinyConfig(kind), enc, samples, nil)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		p.metrics = Metrics{}
+		p.cfg.Kind = KindTCN
+		if err := p.Save(&saved[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Fatal("a zero Kind trained other weights than KindTCN")
+	}
+	for kind := Kind(2); kind <= 4; kind++ {
+		if p, err := Train(tinyConfig(kind), enc, samples, nil); err == nil || p != nil {
+			t.Fatalf("kind %d: Train returned %v, %v; want an error", kind, p, err)
+		}
 	}
 }
 
@@ -116,7 +120,7 @@ func TestPredictorRanksTableSizes(t *testing.T) {
 func TestSelectPlanPicksMin(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, cands := synthetic(150, 3)
-	p, err := Train(tinyConfig(KindXGBoost), enc, samples, cands)
+	p, err := Train(tinyConfig(KindTCN), enc, samples, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,33 +143,23 @@ func TestSelectPlanPicksMin(t *testing.T) {
 	}
 }
 
-// stubBackbone maps a plan's root table name to a fixed scalar embedding so
-// tests can hand SelectPlanKeyed exact (possibly NaN) estimates.
-type stubBackbone struct{ vals map[string]float64 }
-
-func (b stubBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
-	return nn.FromData(1, 1, []float64{b.vals[p.Root.Table]})
-}
-
-func (b stubBackbone) embedInfer(s *inferScratch, dst []float64, plans []*plan.Plan, envs encoding.EnvSource) {
-	for k, p := range plans {
-		dst[k] = b.vals[p.Root.Table]
-	}
-}
-
-func (b stubBackbone) params() []*nn.Tensor { return nil }
-
-// stubPredictor predicts exp(vals[root table]) for each plan.
+// stubPredictor predicts exp(vals[table]) for scanPlan(table) without an
+// environment, so tests can hand SelectPlanKeyed exact (possibly NaN)
+// estimates: an untrained tiny TCN whose plan memo holds those estimates,
+// which scoring reads before running any forward.
 func stubPredictor(vals map[string]float64) *Predictor {
-	return &Predictor{
-		cfg: Config{Kind: KindGCN},
-		bb:  stubBackbone{vals},
-		costHead: &nn.Linear{
-			W: nn.FromData(1, 1, []float64{1}),
-			B: nn.FromData(1, 1, []float64{0}),
-		},
-		sigmaY: 1,
+	enc := encoding.NewEncoder(encoding.DefaultConfig())
+	p := &Predictor{Head: Head{cfg: tinyConfig(KindTCN), sigmaY: 1}, enc: enc, encCfg: enc.Config()}
+	rng := simrand.New(p.cfg.Seed)
+	p.build(rng)
+	p.Head.build(rng)
+	var f encoding.Forest
+	var ms memoScratch
+	for table, v := range vals {
+		enc.EncodeForestInto(&f, []*plan.Plan{scanPlan(table)}, encoding.NoEnv())
+		p.memo.store(&ms, &f, []float64{math.Exp(v)})
 	}
+	return p
 }
 
 func scanPlan(table string) *plan.Plan {
@@ -223,7 +217,7 @@ func TestTrainMeanEnvReflectsSamples(t *testing.T) {
 		p := &plan.Plan{Root: &plan.Node{Op: plan.OpTableScan, Table: "t", PartitionsRead: 1, ColumnsAccessed: 1}}
 		samples = append(samples, Sample{Plan: p, Envs: encoding.FixedEnv(env), Cost: 100})
 	}
-	cfg := tinyConfig(KindXGBoost)
+	cfg := tinyConfig(KindTCN)
 	pr, err := Train(cfg, enc, samples, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +233,7 @@ func TestTrainMeanEnvReflectsSamples(t *testing.T) {
 func TestStrategies(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(60, 4)
-	pr, err := Train(tinyConfig(KindXGBoost), enc, samples, nil)
+	pr, err := Train(tinyConfig(KindTCN), enc, samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,17 +331,7 @@ func TestAdaptiveTrainingRuns(t *testing.T) {
 	}
 }
 
-func TestKindStrings(t *testing.T) {
-	for k, want := range map[Kind]string{
-		KindTCN: "TCN", KindTransformer: "Transformer", KindGCN: "GCN", KindXGBoost: "XGBoost",
-	} {
-		if k.String() != want {
-			t.Fatalf("%v", k)
-		}
-	}
-	if Kind(0).String() != "Unknown" {
-		t.Fatal("zero kind")
-	}
+func TestStrategyStrings(t *testing.T) {
 	for s, want := range map[Strategy]string{
 		StrategyMeanEnv: "LOAM", StrategyClusterExpected: "LOAM-CE",
 		StrategyClusterCurrent: "LOAM-CB", StrategyNoEnv: "LOAM-NL",

@@ -11,7 +11,6 @@ import (
 	"loam/internal/encoding"
 	"loam/internal/nn"
 	"loam/internal/simrand"
-	"loam/internal/xgb"
 )
 
 // snapshot is the serialized form of a trained predictor. Neural weights are
@@ -34,11 +33,8 @@ type snapshot struct {
 	SigmaY  float64         `json:"sigmaY"`
 	MeanEnv [4]float64      `json:"meanEnv"`
 	Metrics Metrics         `json:"metrics"`
-	// Params holds every trainable tensor's data in construction order
-	// (neural kinds only).
+	// Params holds every trainable tensor's data in construction order.
 	Params [][]float64 `json:"params,omitempty"`
-	// XGB holds the serialized booster (XGBoost kind only).
-	XGB json.RawMessage `json:"xgb,omitempty"`
 }
 
 // Snapshot format history:
@@ -60,8 +56,8 @@ const (
 
 // ErrCorruptSnapshot marks a snapshot whose payload disagrees with the
 // architecture its own config describes — truncated or missing tensors,
-// shape mismatches, dimensions the carried weights cannot fill, or a
-// booster-kind snapshot without a walkable booster of the encoder's width.
+// shape mismatches, dimensions the carried weights cannot fill, or a kind
+// other than the TCN.
 // The lifecycle's hot-swap path (and any DeployFromModel caller) matches it
 // with errors.Is to tell corruption from I/O failures; a Load that returns it
 // has mutated nothing.
@@ -91,11 +87,7 @@ func (p *Predictor) SetModelVersion(v int) { p.modelVersion = v }
 // allParams returns the predictor's trainable tensors in a deterministic
 // order (backbone, cost head, domain classifier).
 func (p *Predictor) allParams() []*nn.Tensor {
-	params := append([]*nn.Tensor{}, p.bb.params()...)
-	params = append(params, p.costHead.Params()...)
-	params = append(params, p.domHid.Params()...)
-	params = append(params, p.domOut.Params()...)
-	return params
+	return append(p.bb.Params(), p.Head.params()...)
 }
 
 // Save serializes the trained predictor to w in the v2 framed format: the
@@ -111,16 +103,8 @@ func (p *Predictor) Save(w io.Writer) error {
 		MeanEnv: p.trainMeanEnv,
 		Metrics: p.metrics,
 	}
-	if p.cfg.Kind == KindXGBoost {
-		data, err := json.Marshal(p.xgbModel)
-		if err != nil {
-			return fmt.Errorf("marshal booster: %w", err)
-		}
-		snap.XGB = data
-	} else {
-		for _, t := range p.allParams() {
-			snap.Params = append(snap.Params, append([]float64(nil), t.Data...))
-		}
+	for _, t := range p.allParams() {
+		snap.Params = append(snap.Params, append([]float64(nil), t.Data...))
 	}
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -136,9 +120,8 @@ func (p *Predictor) Save(w io.Writer) error {
 // Load restores a predictor saved with Save; it serves predictions exactly as
 // the original did. Load never panics and never returns a model that can:
 // the bytes must be the magic and one checksummed frame (else
-// ErrSnapshotIntegrity), and the config must need exactly the weights carried
-// — or a booster of walkable trees as wide as the encoder (else
-// ErrCorruptSnapshot).
+// ErrSnapshotIntegrity), and the config must name the TCN and need exactly
+// the weights carried (else ErrCorruptSnapshot).
 func Load(r io.Reader) (*Predictor, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -168,24 +151,18 @@ func Load(r io.Reader) (*Predictor, error) {
 	return rebuildSnapshot(&snap)
 }
 
-// encoderWithin reports whether an encoder of configuration c (as NewEncoder
-// normalized it: both sizes positive) is at most width features wide — by
-// division, so sizes whose product overflows cannot pass as small.
-func encoderWithin(c encoding.Config, width int) bool {
-	return c.Segments <= width/c.SegmentDim
-}
-
 // checkParams decides by arithmetic, before any layer is allocated, whether
 // cfg's architecture over enc is exactly the tensors a snapshot carries: an
 // in×out weight tensor and a 1×out bias per Linear layer, in allParams order
-// — as build and the backbone constructors make them (TestSaveLoadRoundTrip
-// fails for a kind whose two statements disagree). Widths must be positive
-// (the constructors panic on others, make on huge ones) and the encoder no
-// wider than the first tensor, which reads it; sizes compare by division, and
-// a width is some bias's real length before it is multiplied, so no product
-// overflows and a huge Layers stops at the first missing tensor.
+// — as build and newTCN make them (TestSaveLoadRoundTrip fails if the two
+// statements disagree). Widths must be positive (the constructors panic on
+// others, make on huge ones) and the encoder (as NewEncoder normalized it:
+// both sizes positive) no wider than the first tensor, which reads it. Sizes
+// compare by division, and a width is some bias's real length before it is
+// multiplied, so no product overflows and a huge Layers stops at the first
+// missing tensor.
 func checkParams(cfg Config, enc *encoding.Encoder, params [][]float64) error {
-	n, encDim := 0, enc.Dim()
+	n, ec := 0, enc.Config()
 	linear := func(in, out int) bool {
 		if 2*n+1 >= len(params) {
 			return false
@@ -195,58 +172,35 @@ func checkParams(cfg Config, enc *encoding.Encoder, params [][]float64) error {
 		return out > 0 && len(b) == out && len(w)%out == 0 && len(w)/out == in
 	}
 	h, emb := cfg.Hidden, cfg.EmbDim
-	ok := cfg.Layers > 0 && len(params) > 0 && encoderWithin(enc.Config(), len(params[0]))
-	if cfg.Kind == KindTransformer {
-		ok = ok && linear(encDim+1, h)
-		for i := 0; i < 2 && ok; i++ {
-			ok = linear(h, h) && linear(h, h) && linear(h, h) && linear(h, 2*h) && linear(2*h, h)
-		}
-		ok = ok && linear(2*h, emb)
-	} else {
-		fan, in := 3, encDim // a tree convolution reads [self; left; right]
-		if cfg.Kind == KindGCN {
-			fan = 1
-		}
-		for i := 0; i < cfg.Layers && ok; i++ {
-			ok = linear(fan*in, h)
-			in = h
-		}
-		ok = ok && linear(3*h, emb)
+	ok := cfg.Layers > 0 && len(params) > 0 && ec.Segments <= len(params[0])/ec.SegmentDim
+	in := enc.Dim()
+	for i := 0; i < cfg.Layers && ok; i++ {
+		ok = linear(3*in, h) // a tree convolution reads [self; left; right]
+		in = h
 	}
-	if ok = ok && linear(emb, 1) && linear(emb, h) && linear(h, 2); !ok || 2*n != len(params) {
-		return fmt.Errorf("%w: %v hidden=%d layers=%d embdim=%d over encoder %+v does not take the %d tensors carried (mismatch at layer %d)",
-			ErrCorruptSnapshot, cfg.Kind, h, cfg.Layers, emb, enc.Config(), len(params), n)
+	if ok = ok && linear(3*h, emb) && linear(emb, 1) && linear(emb, h) && linear(h, 2); !ok || 2*n != len(params) {
+		return fmt.Errorf("%w: hidden=%d layers=%d embdim=%d over encoder %+v does not take the %d tensors carried (mismatch at layer %d)",
+			ErrCorruptSnapshot, h, cfg.Layers, emb, ec, len(params), n)
 	}
 	return nil
 }
 
 // rebuildSnapshot rebuilds a predictor from a decoded snapshot.
 func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
+	if k := snap.Config.Kind; k != 0 && k != KindTCN {
+		return nil, fmt.Errorf("%w: kind %d is not the TCN", ErrCorruptSnapshot, k)
+	}
 	p := &Predictor{
-		cfg:          snap.Config,
+		Head: Head{
+			cfg:          snap.Config,
+			muY:          snap.MuY,
+			sigmaY:       snap.SigmaY,
+			trainMeanEnv: snap.MeanEnv,
+			metrics:      snap.Metrics,
+		},
 		enc:          encoding.NewEncoder(snap.Encoder),
 		encCfg:       snap.Encoder,
-		muY:          snap.MuY,
-		sigmaY:       snap.SigmaY,
-		trainMeanEnv: snap.MeanEnv,
-		metrics:      snap.Metrics,
 		modelVersion: snap.Model,
-	}
-	if snap.Config.Kind == KindXGBoost {
-		if len(snap.XGB) == 0 {
-			return nil, fmt.Errorf("%w: xgboost snapshot carries no booster", ErrCorruptSnapshot)
-		}
-		p.xgbModel = &xgb.Model{}
-		if err := json.Unmarshal(snap.XGB, p.xgbModel); err != nil {
-			return nil, fmt.Errorf("%w: unmarshal booster: %v", ErrCorruptSnapshot, err)
-		}
-		// EncodeFlat allocates the encoder's width on every PredictCost; the
-		// booster was binned over exactly that many features.
-		if f := p.xgbModel.NumFeatures(); !encoderWithin(p.enc.Config(), f) || p.enc.Dim()+1 != f {
-			return nil, fmt.Errorf("%w: booster has %d features, encoder %+v does not produce them",
-				ErrCorruptSnapshot, f, p.enc.Config())
-		}
-		return p, nil
 	}
 
 	// A tampered config is sized against its own weights before it is built.
@@ -256,7 +210,9 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 
 	// Rebuild the architecture, then overwrite the weights. checkParams
 	// counted by arithmetic; the built tensors have the last word.
-	p.build(simrand.New(snap.Config.Seed))
+	rng := simrand.New(snap.Config.Seed)
+	p.build(rng)
+	p.Head.build(rng)
 	if err := p.setParams(snap.Params); err != nil {
 		return nil, err
 	}
@@ -264,8 +220,8 @@ func rebuildSnapshot(snap *snapshot) (*Predictor, error) {
 }
 
 // setParams overwrites the built network's weights with src, in allParams
-// order, and empties the TCN's plan memo: its estimates were computed under
-// the weights being replaced.
+// order, and empties the plan memo: its estimates were computed under the
+// weights being replaced.
 func (p *Predictor) setParams(src [][]float64) error {
 	params := p.allParams()
 	for i, t := range params {

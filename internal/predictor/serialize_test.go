@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,32 +17,70 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, cands := synthetic(100, 21)
-	for _, kind := range []Kind{KindTCN, KindTransformer, KindGCN, KindXGBoost} {
-		orig, err := Train(tinyConfig(kind), enc, samples, cands)
-		if err != nil {
-			t.Fatalf("%v train: %v", kind, err)
+	orig, err := Train(tinyConfig(KindTCN), enc, samples, cands)
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	envs := encoding.FixedEnv(orig.TrainMeanEnv())
+	for i := 0; i < 10; i++ {
+		want := orig.PredictCost(samples[i].Plan, envs)
+		got := loaded.PredictCost(samples[i].Plan, envs)
+		if want != got {
+			t.Fatalf("prediction changed after round trip: %g vs %g", want, got)
 		}
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
-			t.Fatalf("%v save: %v", kind, err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%v load: %v", kind, err)
-		}
-		envs := encoding.FixedEnv(orig.TrainMeanEnv())
-		for i := 0; i < 10; i++ {
-			want := orig.PredictCost(samples[i].Plan, envs)
-			got := loaded.PredictCost(samples[i].Plan, envs)
-			if want != got {
-				t.Fatalf("%v: prediction changed after round trip: %g vs %g", kind, want, got)
-			}
-		}
-		if loaded.TrainMeanEnv() != orig.TrainMeanEnv() {
-			t.Fatalf("%v: mean env lost", kind)
-		}
-		if loaded.Metrics().ModelBytes != orig.Metrics().ModelBytes {
-			t.Fatalf("%v: metrics lost", kind)
+	}
+	if loaded.TrainMeanEnv() != orig.TrainMeanEnv() {
+		t.Fatal("mean env lost")
+	}
+	if loaded.Metrics().ModelBytes != orig.Metrics().ModelBytes {
+		t.Fatal("metrics lost")
+	}
+}
+
+// TestLoadSnapshotOfEarlierBuild pins the format across builds, which the
+// durable store's restore depends on: testdata/tcn_tiny.snap, a tiny TCN an
+// earlier build trained (synthetic(24, 46), Hidden 4, EmbDim 3, two layers,
+// two epochs, model version 3) and saved, still loads, re-saves to the same
+// bytes, and predicts what that build predicted, bit for bit.
+func TestLoadSnapshotOfEarlierBuild(t *testing.T) {
+	data, err := os.ReadFile("testdata/tcn_tiny.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var resaved bytes.Buffer
+	if err := p.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), data) {
+		t.Fatal("re-save differs from the snapshot loaded")
+	}
+	if p.ModelVersion() != 3 {
+		t.Fatalf("model version %d, want 3", p.ModelVersion())
+	}
+	samples, _ := synthetic(24, 46)
+	envs := encoding.FixedEnv(p.TrainMeanEnv())
+	for i, want := range [][2]uint64{
+		{0x40b11db51f8de8fb, 0x40af45b294f9da58},
+		{0x40afb2e2fd6b3efc, 0x40aec0dc5eccc3f3},
+		{0x40afbd2d037dcc40, 0x40aec0dc5eccc3f3},
+		{0x40b1787a9fcfecb2, 0x40af09f2666172c1},
+	} {
+		pl := samples[i].Plan
+		got := [2]uint64{math.Float64bits(p.PredictCost(pl, envs)), math.Float64bits(p.PredictCost(pl, encoding.NoEnv()))}
+		if got != want {
+			t.Fatalf("plan %d: estimates %#x, want %#x (mean env, no env)", i, got, want)
 		}
 	}
 }
@@ -55,7 +95,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsTamperedParams(t *testing.T) {
-	snap := savedSnapshot(t, KindTCN)
+	snap := savedSnapshot(t)
 	// Prepend a bogus one-element tensor: tensor count no longer matches the
 	// architecture.
 	tampered := strings.Replace(string(snap["params"]), `[[`, `[[9],[`, 1)
@@ -79,13 +119,13 @@ func framedPayload(t testing.TB, framed []byte) []byte {
 	return payload
 }
 
-// savedSnapshot trains a tiny model of the given kind and returns its
-// decoded snapshot payload for tampering.
-func savedSnapshot(t *testing.T, kind Kind) map[string]json.RawMessage {
+// savedSnapshot trains a tiny model and returns its decoded snapshot payload
+// for tampering.
+func savedSnapshot(t *testing.T) map[string]json.RawMessage {
 	t.Helper()
 	enc := encoding.NewEncoder(encoding.DefaultConfig())
 	samples, _ := synthetic(40, 23)
-	orig, err := Train(tinyConfig(kind), enc, samples, nil)
+	orig, err := Train(tinyConfig(KindTCN), enc, samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +165,7 @@ func editParams(t *testing.T, snap map[string]json.RawMessage, edit func([][]flo
 }
 
 func TestLoadRejectsTruncatedParamList(t *testing.T) {
-	snap := savedSnapshot(t, KindTCN)
+	snap := savedSnapshot(t)
 	editParams(t, snap, func(p [][]float64) [][]float64 { return p[:len(p)-1] })
 	lerr := loadSnapshot(t, snap)
 	if lerr == nil {
@@ -137,7 +177,7 @@ func TestLoadRejectsTruncatedParamList(t *testing.T) {
 }
 
 func TestLoadRejectsWrongTensorShape(t *testing.T) {
-	snap := savedSnapshot(t, KindTCN)
+	snap := savedSnapshot(t)
 	// Same tensor count, one tensor shortened: per-tensor validation must
 	// catch it before any weight is copied.
 	editParams(t, snap, func(p [][]float64) [][]float64 {
@@ -153,22 +193,21 @@ func TestLoadRejectsWrongTensorShape(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsKindMismatch crosses the two snapshot payload shapes: a
-// neural snapshot whose config claims XGBoost (no booster present) and an
-// XGBoost snapshot whose config claims a neural kind (no params present).
-// Both must fail with ErrCorruptSnapshot instead of panicking or building a
-// model with garbage weights.
+// TestLoadRejectsKindMismatch: a well-framed snapshot whose config names a
+// kind other than the TCN — the baselines' former kinds 2 to 4 — fails with
+// ErrCorruptSnapshot, as structure, not integrity, and builds nothing.
 func TestLoadRejectsKindMismatch(t *testing.T) {
-	neural := savedSnapshot(t, KindTCN)
-	tamperSnapshot(t, neural, func(c *Config, _ *encoding.Config) { c.Kind = KindXGBoost })
-	if err := loadSnapshot(t, neural); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("neural snapshot relabeled xgboost: want ErrCorruptSnapshot, got %v", err)
-	}
-
-	booster := savedSnapshot(t, KindXGBoost)
-	tamperSnapshot(t, booster, func(c *Config, _ *encoding.Config) { c.Kind = KindTCN })
-	if err := loadSnapshot(t, booster); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("xgboost snapshot relabeled neural: want ErrCorruptSnapshot, got %v", err)
+	for kind := Kind(2); kind <= 4; kind++ {
+		snap := savedSnapshot(t)
+		tamperSnapshot(t, snap, func(c *Config, _ *encoding.Config) { c.Kind = kind })
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, lerr := Load(bytes.NewReader(append([]byte(snapshotMagic), atomicio.EncodeFrame(data)...)))
+		if p != nil || !errors.Is(lerr, ErrCorruptSnapshot) || errors.Is(lerr, ErrSnapshotIntegrity) {
+			t.Fatalf("kind %d: Load returned %v, %v; want nothing and a structural ErrCorruptSnapshot", kind, p, lerr)
+		}
 	}
 }
 
@@ -203,50 +242,20 @@ func TestLoadRejectsBadArchitectureDims(t *testing.T) {
 		func(c *Config, _ *encoding.Config) { c.EmbDim = 1 << 40 },
 		func(c *Config, _ *encoding.Config) { c.Hidden++ },
 	}
-	// The Transformer has a fixed two blocks, so only the stacked kinds can
-	// be asked for more layers than tensors.
-	stacked := append([]tamper{func(c *Config, _ *encoding.Config) { c.Layers = 1 << 40 }}, layers...)
-	encoder := []tamper{
+	tampers := append(layers,
+		func(c *Config, _ *encoding.Config) { c.Layers = 1 << 40 },
 		func(_ *Config, e *encoding.Config) { e.Segments = 1 << 40 },
 		func(_ *Config, e *encoding.Config) { e.SegmentDim = 1 << 40 },
 		// A product that wraps to zero must not pass as a narrow encoder.
 		func(_ *Config, e *encoding.Config) { e.Segments, e.SegmentDim = 1<<32, 1<<32 },
 		func(_ *Config, e *encoding.Config) { e.SegmentDim++ },
-	}
-	for kind, tampers := range map[Kind][]tamper{KindTCN: append(stacked, encoder...), KindGCN: stacked, KindTransformer: layers, KindXGBoost: encoder} {
-		for i, tamper := range tampers {
-			snap := savedSnapshot(t, kind)
-			tamperSnapshot(t, snap, tamper)
-			lerr := loadSnapshot(t, snap)
-			if !errors.Is(lerr, ErrCorruptSnapshot) || errors.Is(lerr, ErrSnapshotIntegrity) {
-				t.Fatalf("%v tamper %d (config %s, encoder %s): want ErrCorruptSnapshot and not integrity, got %v", kind, i, snap["config"], snap["encoder"], lerr)
-			}
-		}
-	}
-}
-
-// TestLoadRejectsMalformedBooster: a booster tree predict cannot walk used to
-// load cleanly, then panic (empty tree, child out of range, negative feature)
-// or hang (a child pointing back at its parent) inside the first PredictCost,
-// on the guard's scoring goroutine. Load rejects each as structural corruption.
-func TestLoadRejectsMalformedBooster(t *testing.T) {
-	for name, tree := range map[string]string{
-		"empty tree":         `[]`,
-		"child out of range": `[{"f":0,"t":0.5,"l":1,"r":7},{"leaf":true},{"leaf":true}]`,
-		"child is parent":    `[{"f":0,"t":0.5,"l":0,"r":1},{"leaf":true}]`,
-		"child before node":  `[{"leaf":true},{"f":0,"t":0.5,"l":0,"r":2},{"leaf":true}]`,
-		"negative feature":   `[{"f":-1,"t":0.5,"l":1,"r":2},{"leaf":true},{"leaf":true}]`,
-	} {
-		snap := savedSnapshot(t, KindXGBoost)
-		var booster map[string]json.RawMessage
-		if err := json.Unmarshal(snap["xgb"], &booster); err != nil {
-			t.Fatal(err)
-		}
-		booster["trees"] = json.RawMessage(`[` + tree + `]`)
-		snap["xgb"], _ = json.Marshal(booster)
+	)
+	for i, tamper := range tampers {
+		snap := savedSnapshot(t)
+		tamperSnapshot(t, snap, tamper)
 		lerr := loadSnapshot(t, snap)
 		if !errors.Is(lerr, ErrCorruptSnapshot) || errors.Is(lerr, ErrSnapshotIntegrity) {
-			t.Fatalf("%s: want ErrCorruptSnapshot and not integrity, got %v", name, lerr)
+			t.Fatalf("tamper %d (config %s, encoder %s): want ErrCorruptSnapshot and not integrity, got %v", i, snap["config"], snap["encoder"], lerr)
 		}
 	}
 }

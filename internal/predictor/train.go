@@ -9,7 +9,7 @@ import (
 // This file trains the TCN the way it serves: a minibatch — the default
 // plans and the drawn domain candidates — is one encoding.Forest, its forward
 // is the serving forest's, by class, and its backward is hand-written over
-// the kernels of internal/nn/train.go into buffers one trainLoop call owns.
+// the kernels of internal/nn/train.go into buffers one TrainHead call owns.
 // The weights it ends with are Float64bits-equal to those the per-plan
 // autograd graphs of tcnBackbone.embed produce, which stays as the oracle
 // (TestTrainTCNForestMatchesAutograd). Three orders decide the bits:
@@ -30,16 +30,10 @@ import (
 // the heads leave in them. Class dedup feeds the forward only; the backward
 // runs once per use of a node.
 
-// batchTrainer is a backbone that trains a minibatch as one forward and one
-// hand-written backward. A backbone without it trains plan by plan through
-// embed's autograd graph.
-type batchTrainer interface {
-	trainer() *tcnTrainer
-}
-
+// trainer returns the Minibatch that trains b as one forest per minibatch.
 func (b *tcnBackbone) trainer() *tcnTrainer { return &tcnTrainer{b: b} }
 
-// tcnTrainer is one trainLoop call's batched TCN state. Every buffer is
+// tcnTrainer is one TrainHead call's batched TCN state. Every buffer is
 // reused step to step and dropped with the call; no pool outlives it.
 type tcnTrainer struct {
 	b       *tcnBackbone
@@ -67,14 +61,15 @@ type tcnTrainer struct {
 	dproj, dpool      []float64
 }
 
-// forward embeds a minibatch: train[batch[i]] under its own environment
-// source (none without cfg.UseEnv), and each of drawn under candEnv. It
-// returns the defaults' embeddings as one leaf tensor, and, when plans were
-// drawn, every embedding — defaults, then candidates — as the domain head's
-// input, exactly as ConcatRows of the per-plan embeddings reads.
-func (t *tcnTrainer) forward(train []Sample, batch []int, drawn []*plan.Plan, candEnv encoding.EnvSource, useEnv bool) (embDef, embAll *nn.Tensor) {
+func (t *tcnTrainer) Params() []*nn.Tensor { return t.b.Params() }
+
+// Embed embeds a minibatch as one forest (see Minibatch). It returns the
+// defaults' embeddings as one leaf tensor, and, when plans were drawn, every
+// embedding — defaults, then candidates — as the domain head's input,
+// exactly as ConcatRows of the per-plan embeddings reads.
+func (t *tcnTrainer) Embed(defaults []Sample, drawn []*plan.Plan, candEnv encoding.EnvSource) (embDef, embAll *nn.Tensor) {
 	b, f, c := t.b, &t.forest, &t.classes
-	t.nc, t.nd = len(drawn), len(batch)
+	t.nc, t.nd = len(drawn), len(defaults)
 	// The plans go in in the order the backward adds them (order 1 above):
 	// the drawn ones last to first under one source, then the defaults last
 	// to first, each under its own.
@@ -84,14 +79,9 @@ func (t *tcnTrainer) forward(train []Sample, batch []int, drawn []*plan.Plan, ca
 		t.plans = append(t.plans, drawn[j])
 	}
 	b.enc.AppendForest(f, t.plans, candEnv)
-	for i := len(batch) - 1; i >= 0; i-- {
-		sm := train[batch[i]]
-		envs := sm.Envs
-		if !useEnv {
-			envs = encoding.NoEnv()
-		}
-		t.plans = append(t.plans[:0], sm.Plan)
-		b.enc.AppendForest(f, t.plans, envs)
+	for i := len(defaults) - 1; i >= 0; i-- {
+		t.plans = append(t.plans[:0], defaults[i].Plan)
+		b.enc.AppendForest(f, t.plans, defaults[i].Envs)
 	}
 
 	L := len(b.layers)
@@ -162,9 +152,9 @@ func (t *tcnTrainer) gradRow(u int) []float64 {
 	return t.edef.Grad[i*e : (i+1)*e]
 }
 
-// backward adds the minibatch's gradient to every backbone parameter, from
+// Backward adds the minibatch's gradient to every backbone parameter, from
 // the gradient the heads' autograd backward left in the embedding leaves.
-func (t *tcnTrainer) backward() {
+func (t *tcnTrainer) Backward() {
 	b, f := t.b, &t.forest
 	P, e := t.nc+t.nd, t.emb.C
 	h := b.proj.W.R / 3

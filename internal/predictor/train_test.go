@@ -7,24 +7,36 @@ import (
 
 	"loam/internal/cluster"
 	"loam/internal/encoding"
+	"loam/internal/nn"
 	"loam/internal/plan"
 	"loam/internal/simrand"
 )
 
-// autogradOnly hides a backbone's batched trainer, so trainLoop embeds plan
-// by plan through the autograd graph — the path GCN and Transformer train on,
-// and for the TCN the oracle of the forest path.
-type autogradOnly struct{ backbone }
+// embed is the TCN's per-plan autograd forward — the training path before
+// the forest trainer, and the reference forward every serving path and the
+// forest trainer are held to, bit for bit.
+func (b *tcnBackbone) embed(p *plan.Plan, envs encoding.EnvSource) *nn.Tensor {
+	var ft encoding.FlatTree
+	b.enc.EncodeTreeFlatInto(&ft, p, envs)
+	x := nn.FromData(ft.Len(), b.enc.Dim(), ft.Feats)
+	for _, l := range b.layers {
+		x = l.Forward(x, ft.Self, ft.Left, ft.Right)
+	}
+	pooled := nn.ConcatCols(nn.MeanRows(x), nn.MaxRows(x), nn.SumRows(x, 1.0/16))
+	return nn.ReLU(b.proj.Forward(pooled))
+}
 
-// trainAutograd is TrainInstrumented with the backbone behind autogradOnly.
+// trainAutograd is TrainInstrumented with the TCN embedded plan by plan
+// through its autograd graph (PerPlan) — the path the neural baselines train
+// on, and the oracle of the forest path.
 func trainAutograd(cfg Config, enc *encoding.Encoder, train []Sample, cands []*plan.Plan) *Predictor {
-	p := &Predictor{cfg: cfg, enc: enc, encCfg: enc.Config()}
-	p.fitNormalization(train)
-	p.fitMeanEnv(train)
-	rng := simrand.New(cfg.Seed)
-	p.build(rng)
-	p.bb = autogradOnly{p.bb}
-	p.fit(rng, train, cands)
+	p := &Predictor{Head: Head{cfg: cfg}, enc: enc, encCfg: enc.Config()}
+	p.build(simrand.New(cfg.Seed))
+	h, err := TrainHead(cfg, train, cands, PerPlan(p.bb.Params(), p.bb.embed), nil)
+	if err != nil {
+		panic(err)
+	}
+	p.Head = h
 	return p
 }
 

@@ -6,8 +6,6 @@
 package xgb
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -139,9 +137,6 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return out
 }
-
-// NumFeatures returns the width of the samples the booster was binned over.
-func (m *Model) NumFeatures() int { return len(m.binEdges) }
 
 // NumTrees returns how many trees were fit.
 func (m *Model) NumTrees() int { return len(m.trees) }
@@ -300,61 +295,4 @@ func mean(y []float64) float64 {
 		s += v
 	}
 	return s / float64(len(y))
-}
-
-// modelDTO is the serialized form of a Model.
-type modelDTO struct {
-	Config   Config      `json:"config"`
-	Base     float64     `json:"base"`
-	Trees    [][]nodeDTO `json:"trees"`
-	BinEdges [][]float64 `json:"binEdges"`
-}
-
-type nodeDTO struct {
-	Feature   int     `json:"f"`
-	Threshold float64 `json:"t"`
-	Left      int     `json:"l"`
-	Right     int     `json:"r"`
-	Leaf      bool    `json:"leaf"`
-	Value     float64 `json:"v"`
-}
-
-// MarshalJSON serializes the trained booster.
-func (m *Model) MarshalJSON() ([]byte, error) {
-	dto := modelDTO{Config: m.cfg, Base: m.base, BinEdges: m.binEdges}
-	for _, t := range m.trees {
-		nodes := make([]nodeDTO, len(t.nodes))
-		for i, n := range t.nodes {
-			nodes[i] = nodeDTO{Feature: n.feature, Threshold: n.threshold, Left: n.left, Right: n.right, Leaf: n.leaf, Value: n.value}
-		}
-		dto.Trees = append(dto.Trees, nodes)
-	}
-	return json.Marshal(dto)
-}
-
-// UnmarshalJSON restores a trained booster, rejecting any tree predict could
-// not walk: an empty one, a split on a negative feature, or children out of
-// range or not after their parent (as grow numbers them; anything else is a
-// stray index or a cycle). m is left untouched on error.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	var dto modelDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return err
-	}
-	trees := make([]*tree, len(dto.Trees))
-	for ti, nodes := range dto.Trees {
-		if len(nodes) == 0 {
-			return fmt.Errorf("xgb: tree %d is empty", ti)
-		}
-		t := &tree{nodes: make([]node, len(nodes))}
-		for i, n := range nodes {
-			if !n.Leaf && (n.Feature < 0 || n.Left <= i || n.Left >= len(nodes) || n.Right <= i || n.Right >= len(nodes)) {
-				return fmt.Errorf("xgb: tree %d node %d of %d: split on feature %d, children %d and %d", ti, i, len(nodes), n.Feature, n.Left, n.Right)
-			}
-			t.nodes[i] = node{feature: n.Feature, threshold: n.Threshold, left: n.Left, right: n.Right, leaf: n.Leaf, value: n.Value}
-		}
-		trees[ti] = t
-	}
-	m.cfg, m.base, m.binEdges, m.trees = dto.Config, dto.Base, dto.BinEdges, trees
-	return nil
 }

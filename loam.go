@@ -331,18 +331,29 @@ func (d *Deployment) Metrics() telemetry.Snapshot { return d.tel.Snapshot() }
 // picks the inference strategy, WithMetrics routes telemetry into a shared
 // registry (default: a fresh private one).
 func (ps *ProjectSim) Deploy(cfg DeployConfig, opts ...DeployOption) (*Deployment, error) {
-	train, test := ps.Repo.Split(cfg.TrainDays, cfg.TestDays, cfg.MaxTrain)
-	if len(train) == 0 {
-		return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, predictor.ErrNoTrainingData)
+	samples, domain, test, err := ps.TrainingData(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("deploy %w", err)
 	}
 	enc := encoding.NewEncoder(cfg.Encoder)
-	samples, domain := ps.trainingSet(train, cfg.Predictor.Adapt, cfg.DomainPlans)
 	o := resolveDeployOptions(opts)
 	pred, err := predictor.TrainInstrumented(cfg.Predictor, enc, samples, domain, o.metrics)
 	if err != nil {
 		return nil, fmt.Errorf("deploy %s: %w", ps.Config.Name, err)
 	}
-	return ps.deployPredictor("deploy", pred, enc, len(train), test, o)
+	return ps.deployPredictor("deploy", pred, enc, len(samples), test, o)
+}
+
+// TrainingData is the training set Deploy trains on (trainingSet over the
+// first cfg.TrainDays), so a model trained beside a deployment — Fig. 6's
+// baselines — sees exactly its data; test is the held-out entries.
+func (ps *ProjectSim) TrainingData(cfg DeployConfig) (samples []predictor.Sample, domain []*plan.Plan, test []history.Entry, err error) {
+	train, test := ps.Repo.Split(cfg.TrainDays, cfg.TestDays, cfg.MaxTrain)
+	if len(train) == 0 {
+		return nil, nil, nil, fmt.Errorf("%s: %w", ps.Config.Name, predictor.ErrNoTrainingData)
+	}
+	samples, domain = ps.trainingSet(train, cfg.Predictor.Adapt, cfg.DomainPlans)
+	return samples, domain, test, nil
 }
 
 // TrainingSamples turns executed queries into predictor training samples:
